@@ -2,9 +2,10 @@
 
 The boundary graph ``G^B_i`` for partition ``G_i`` merges the static cut ``C``
 with the transitive boundary reachability ``I_j ⇝ O_j`` of every *other*
-partition ``G_j``.  With the equivalence-set optimisation, the transitive part
-is expressed through virtual class vertices; without it, every reachable
-``(b, o)`` member pair becomes an explicit edge.
+partition ``G_j``.  Without the equivalence-set optimisation every reachable
+``(b, o)`` member pair becomes an explicit edge (the definition verbatim);
+with it, the transitive part is a minimum equivalent graph routed through
+virtual class vertices — same reachability, a fraction of the edges.
 
 The boundary graph is not used directly at query time (the compound graph
 subsumes it); it exists as its own artefact because the paper reports its size

@@ -9,21 +9,35 @@ one message from the source's slave to the target's slave.
 Soundness / completeness of the label-free compression used here
 -----------------------------------------------------------------
 
+With the equivalence optimisation (the default) a remote partition ``G_j``
+enters a compound graph as the *minimum equivalent graph* of its boundary
+reachability (see :mod:`repro.core.summary`), not as the closure Definition 4
+spells out: one cycle per group of mutually reachable in-boundaries plus the
+transitive reduction between groups and onto the class vertices — exactly
+the closure's reachability from every in-boundary, in a fraction of the
+edges.  Theorems 1 and 2 quantify over *paths* in ``G^C_i``, never over
+single edges, so they hold verbatim.  (``use_equivalence=False`` keeps the
+closure pairs, and the argument below degenerates to "by construction".)
+
 Every edge inserted into a compound graph corresponds to true reachability in
-the global data graph (local edges and cut edges trivially; class-level edges
-because all members of a forward class have identical local reachability over
-``V_j \\ I_j`` plus the overlap, and all members of a backward class are
-reached by identical vertex sets; member-level edges by construction), hence
-any path found in ``G^C_i`` implies global reachability (**soundness**).
+the global data graph (local edges and cut edges trivially; a cycle through
+mutually reachable in-boundaries and a reduction edge between two such
+groups by construction; an edge out of a forward class because all its
+members have identical local reachability over ``V_j \\ I_j`` plus the
+overlap; an edge into a backward class because all its members are reached
+by identical vertex sets), hence any path found in ``G^C_i`` implies global
+reachability (**soundness**).
 
 Conversely, take any global path and cut it into maximal segments that lie
 inside a single partition.  Segments inside ``G_i`` are present verbatim;
-segments inside a remote partition ``G_j`` lead from an in-boundary ``x`` to
-an out-boundary ``y`` (or end at a boundary vertex) and are represented either
-by the class-level path ``x → υ(x) → ν(y) → y`` (both endpoints outside the
-overlap), by a member-level edge (any endpoint in the overlap, or an
-in-boundary → in-boundary hop), and consecutive segments are joined by the cut
-edges, which are present verbatim (**completeness**).
+a segment inside a remote partition ``G_j`` leads from an in-boundary ``x``
+to a boundary vertex ``y`` it reaches locally, and the summary of ``G_j``
+has an ``x ⇝ y`` path by the defining property of an equivalent graph
+(through ``ν(y)`` when ``y`` is a classified out-boundary); consecutive
+segments are joined by the cut edges, which are present verbatim
+(**completeness**).  A forward-class vertex ``υ`` is entered through its
+members only, so ``υ`` is reached exactly when one of its members is — the
+handles step 1 ships are the closure's.
 
 At query time local set-reachability is evaluated over the *SCC-condensed*
 compound graph (as the paper does for all three local strategies), wrapped so
@@ -343,15 +357,17 @@ class CompoundGraph:
         return self.remote_forward_handles
 
 
-def build_compound_graph(
+def assemble_compound_graph(
     partition_id: int,
     local_graph: DiGraph,
     summaries: Mapping[int, PartitionSummary],
     cut_edges: Iterable[Tuple[int, int]],
-    local_strategy: str = "dfs",
-    strategy_kwargs: Optional[dict] = None,
 ) -> CompoundGraph:
-    """Assemble ``G^C_i`` from the local subgraph, remote summaries and cut."""
+    """Merge the local subgraph, remote summaries and cut into ``G^C_i``.
+
+    The returned compound graph has no reachability strategy yet (it is
+    built on first use, or explicitly by :func:`build_compound_graph`).
+    """
     graph = local_graph.copy()
     remote_forward: Dict[int, Set[int]] = {}
     remote_backward: Dict[int, Set[int]] = {}
@@ -368,7 +384,7 @@ def build_compound_graph(
     for u, v in cut_edges:
         graph.add_edge(u, v)
 
-    compound = CompoundGraph(
+    return CompoundGraph(
         partition_id=partition_id,
         graph=graph,
         local_vertices=set(local_graph.vertices()),
@@ -376,5 +392,17 @@ def build_compound_graph(
         remote_backward_handles=remote_backward,
         remote_boundary_vertices=remote_boundary,
     )
+
+
+def build_compound_graph(
+    partition_id: int,
+    local_graph: DiGraph,
+    summaries: Mapping[int, PartitionSummary],
+    cut_edges: Iterable[Tuple[int, int]],
+    local_strategy: str = "dfs",
+    strategy_kwargs: Optional[dict] = None,
+) -> CompoundGraph:
+    """Assemble ``G^C_i`` and condense it under the chosen local strategy."""
+    compound = assemble_compound_graph(partition_id, local_graph, summaries, cut_edges)
     compound.build_reachability(local_strategy, **(strategy_kwargs or {}))
     return compound

@@ -30,8 +30,10 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.graph.digraph import DiGraph
+from repro.reachability import bitset_msbfs
 from repro.reachability.base import ReachabilityIndex
 from repro.reachability.factory import make_reachability_index
+from repro.reachability.packed import VertexRank
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -96,15 +98,28 @@ def _predecessor_targets(
     return (predecessors - boundary) | overlap
 
 
-def _group_by_signature(
-    candidates: Iterable[int],
-    signatures: Dict[int, FrozenSet[int]],
-) -> List[List[int]]:
-    """Group candidates sharing an identical reachability signature."""
-    groups: Dict[FrozenSet[int], List[int]] = {}
-    for vertex in sorted(candidates):
+def _classes_by_signature(
+    signatures: Dict[int, int],
+    partition_id: int,
+    kind: str,
+    allocator: ClassIdAllocator,
+) -> List[EquivalenceClass]:
+    """One class per distinct signature row, in order of smallest member."""
+    # Ascending insertion: every group opens at its smallest member, so the
+    # dict already lists the groups in that order.
+    groups: Dict[int, List[int]] = {}
+    for vertex in sorted(signatures):
         groups.setdefault(signatures[vertex], []).append(vertex)
-    return [members for _, members in sorted(groups.items(), key=lambda kv: kv[1][0])]
+    return [
+        EquivalenceClass(
+            class_id=allocator.allocate(),
+            partition_id=partition_id,
+            kind=kind,
+            members=frozenset(members),
+            representative=members[0],
+        )
+        for members in groups.values()
+    ]
 
 
 def compute_forward_classes(
@@ -118,6 +133,8 @@ def compute_forward_classes(
     """Compute the forward-equivalent classes of ``in_boundaries``.
 
     Classes cover only ``I_i \\ O_i``; overlap vertices stay at member level.
+    A candidate's signature is its packed reachability row masked to the
+    signature targets, so grouping compares one int per candidate.
     """
     overlap = in_boundaries & out_boundaries
     candidates = in_boundaries - out_boundaries
@@ -125,21 +142,10 @@ def compute_forward_classes(
         return []
     if local_index is None:
         local_index = make_reachability_index("msbfs", local_graph)
-    targets = _successor_targets(local_graph, in_boundaries, overlap)
-    rset = local_index.set_reachability(candidates, targets)
-    signatures = {vertex: frozenset(rset[vertex]) for vertex in candidates}
-    classes = []
-    for members in _group_by_signature(candidates, signatures):
-        classes.append(
-            EquivalenceClass(
-                class_id=allocator.allocate(),
-                partition_id=partition_id,
-                kind=FORWARD,
-                members=frozenset(members),
-                representative=min(members),
-            )
-        )
-    return classes
+    rank = VertexRank.from_csr(local_graph.csr())
+    target_mask = rank.pack(_successor_targets(local_graph, in_boundaries, overlap))
+    signatures = local_index.set_reachability_bits(candidates, rank, target_mask)
+    return _classes_by_signature(signatures, partition_id, FORWARD, allocator)
 
 
 def compute_backward_classes(
@@ -148,35 +154,25 @@ def compute_backward_classes(
     out_boundaries: Set[int],
     partition_id: int,
     allocator: ClassIdAllocator,
-    reverse_index: ReachabilityIndex = None,
 ) -> List[EquivalenceClass]:
     """Compute the backward-equivalent classes of ``out_boundaries``.
 
     Backward equivalence over the original graph is forward equivalence over
-    the reversed graph, so the signature is computed with a reverse search.
+    the reversed graph, so the signature rows come from a reverse sweep of
+    the same CSR snapshot — no reversed graph is materialised.
     """
     overlap = in_boundaries & out_boundaries
     candidates = out_boundaries - in_boundaries
     if not candidates:
         return []
-    reversed_graph = local_graph.reverse()
-    if reverse_index is None:
-        reverse_index = make_reachability_index("msbfs", reversed_graph)
-    targets = _predecessor_targets(local_graph, out_boundaries, overlap)
-    rset = reverse_index.set_reachability(candidates, targets)
-    signatures = {vertex: frozenset(rset[vertex]) for vertex in candidates}
-    classes = []
-    for members in _group_by_signature(candidates, signatures):
-        classes.append(
-            EquivalenceClass(
-                class_id=allocator.allocate(),
-                partition_id=partition_id,
-                kind=BACKWARD,
-                members=frozenset(members),
-                representative=min(members),
-            )
-        )
-    return classes
+    csr = local_graph.csr()
+    target_mask = VertexRank.from_csr(csr).pack(
+        _predecessor_targets(local_graph, out_boundaries, overlap)
+    )
+    signatures = bitset_msbfs.set_reachability_rows(
+        csr, candidates, target_mask, reverse=True
+    )
+    return _classes_by_signature(signatures, partition_id, BACKWARD, allocator)
 
 
 def compute_equivalence_sets(

@@ -35,7 +35,11 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 from repro.cluster.cluster import ClusterStats, SimulatedCluster
 from repro.obs.runtime import global_registry
 from repro.core.boundary_graph import BoundaryGraphStats, boundary_graph_stats
-from repro.core.compound_graph import CompoundGraph, build_compound_graph
+from repro.core.compound_graph import (
+    CompoundGraph,
+    assemble_compound_graph,
+    build_compound_graph,
+)
 from repro.core.equivalence import ClassIdAllocator
 from repro.core.summary import PartitionSummary, build_partition_summary
 from repro.graph.digraph import DiGraph
@@ -105,6 +109,10 @@ class EpochState:
     #: How long the unlocked heavy part (summaries, compound graphs,
     #: condensations) of the build took.
     build_heavy_seconds: float = 0.0
+    #: Wall-clock seconds per flush stage: ``summarise`` / ``assemble`` /
+    #: ``condense`` split the heavy part, ``hydrate`` is added by
+    #: :meth:`DSRIndex.publish` just before the swap.
+    stage_seconds: Dict[str, float] = field(default_factory=dict)
 
     def vertex_rank(self, partition_id: int):
         """The stable vertex-rank numbering of one partition's compound graph.
@@ -313,12 +321,15 @@ class DSRIndex:
         queries keep being answered from the current epoch while this builds.
 
         Known tradeoff: the snapshot copies *all* partitions' graphs, not
-        just the dirty ones, so updates stall for an O(V+E) copy per flush.
-        Sharing clean partitions with the published state is not an option —
-        a sanctioned in-place edit (same-SCC edge insert) could mutate a
-        shared graph while the unlocked heavy phase iterates it.  The copy
-        is a small fraction of the heavy phase it feeds, and queries are
-        never stalled either way.
+        just the dirty ones, so updates stall for an O(V+E) copy per flush
+        (4–10 ms on the spine's 1–2k-vertex graphs, against a heavy phase of
+        50–180 ms now that summaries are minimum equivalent graphs — no
+        longer negligible, but still the smaller lever: every compound graph
+        is reassembled and recondensed below whether or not its inputs
+        changed).  Sharing clean partitions with the published state is not
+        an option — a sanctioned in-place edit (same-SCC edge insert) could
+        mutate a shared graph while the unlocked heavy phase iterates it.
+        Queries are never stalled either way.
         """
         current = self.current_state()
         dirty = set(dirty)
@@ -382,23 +393,32 @@ class DSRIndex:
             )
             summaries.update(refreshed)
             self._broadcast(summaries, tag="summary-update", only=sorted(dirty))
+        summarised = time.perf_counter()
 
-        # ... then reassemble every compound graph against the new summaries.
+        # ... then reassemble every compound graph against the new summaries
+        # and condense it (two phases so each is timed on its own).
         def assemble(rank: int) -> CompoundGraph:
-            return build_compound_graph(
+            return assemble_compound_graph(
                 partition_id=rank,
                 local_graph=local_graphs[rank],
                 summaries=summaries,
                 cut_edges=cut_edges,
-                local_strategy=self.local_strategy,
-                strategy_kwargs=self.strategy_kwargs,
             )
 
         compound_graphs = self.cluster.run_phase(
             "assemble-epoch", assemble, stats=flush_stats
         )
+        assembled = time.perf_counter()
+
+        def condense(rank: int) -> None:
+            compound_graphs[rank].build_reachability(
+                self.local_strategy, **self.strategy_kwargs
+            )
+
+        self.cluster.run_phase("condense-epoch", condense, stats=flush_stats)
         self.cluster.stats.absorb(flush_stats)
-        heavy_seconds = time.perf_counter() - heavy_start
+        condensed = time.perf_counter()
+        heavy_seconds = condensed - heavy_start
         registry = global_registry()
         if registry.enabled:
             registry.observe("dsr_flush_snapshot_seconds", snapshot_seconds)
@@ -412,6 +432,11 @@ class DSRIndex:
             assignment=assignment,
             build_snapshot_seconds=snapshot_seconds,
             build_heavy_seconds=heavy_seconds,
+            stage_seconds={
+                "summarise": summarised - heavy_start,
+                "assemble": assembled - summarised,
+                "condense": condensed - assembled,
+            },
         )
 
     def publish(self, state: EpochState) -> None:
@@ -423,7 +448,9 @@ class DSRIndex:
         swap finds the new epoch already worker-resident.
         """
         with self._publish_lock:
+            hydrate_start = time.perf_counter()
             self._hydrate_shards(state)
+            state.stage_seconds["hydrate"] = time.perf_counter() - hydrate_start
             self._state = state
             self._published_monotonic = time.monotonic()
             self._published_unix = time.time()

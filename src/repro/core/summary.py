@@ -3,8 +3,11 @@
 A :class:`PartitionSummary` is everything slave ``j`` precomputes about its
 own partition and ships to every other slave during the index build: its
 boundary sets, its equivalence classes (Definition 5), and the transitive
-reachability among its boundary vertices — compressed to class level wherever
-the equivalence sets allow it and kept at member level otherwise.
+reachability among its boundary vertices.  With the equivalence optimisation
+that reachability is stored as a *minimum equivalent graph* — the fewest
+edges with the same ``I_j ⇝ (I_j ∪ O_j)`` reachability as the closure (see
+:func:`_add_minimum_equivalent_edges`); without it the closure pairs are
+kept verbatim (Definition 4).
 
 Merging all remote summaries with the static cut yields the boundary graph of
 Definition 4 (see :mod:`repro.core.boundary_graph`); merging them with the
@@ -26,7 +29,7 @@ from repro.core.equivalence import (
 from repro.graph.digraph import DiGraph
 from repro.reachability.base import ReachabilityIndex
 from repro.reachability.factory import make_reachability_index
-from repro.reachability.packed import VertexRank
+from repro.reachability.packed import VertexRank, iter_bits
 
 
 @dataclass
@@ -41,7 +44,10 @@ class PartitionSummary:
     backward_classes: List[EquivalenceClass] = field(default_factory=list)
     # Class-level transitive edges (forward-class id -> backward-class id).
     class_edges: Set[Tuple[int, int]] = field(default_factory=set)
-    # Member-level transitive edges between real boundary vertices.
+    # Transitive edges leaving a real in-boundary vertex: onto another
+    # boundary vertex, or (equivalence only, from a group of overlap
+    # vertices that has no forward class to speak for it) onto a
+    # backward-class id.
     member_edges: Set[Tuple[int, int]] = field(default_factory=set)
     # Lazily built derived caches.  A summary is immutable by contract once
     # its build returns, but the member→class maps are requested per remote
@@ -206,11 +212,10 @@ def build_partition_summary(
 
     * without equivalence: the full member-level ``I_j ⇝ O_j`` pairs
       (Definition 4 verbatim);
-    * with equivalence: class-level edges between forward and backward
-      classes, plus member-level edges for every pair that the equivalence
-      guarantee does not cover — pairs involving overlap vertices and
-      in-boundary → in-boundary pairs (the latter make remote boundary
-      *targets* resolvable without an extra communication round).
+    * with equivalence: the minimum equivalent graph of ``I_j ⇝ (I_j ∪ O_j)``
+      over the in-boundaries and the backward classes (in-boundary →
+      in-boundary reachability is part of it so that remote boundary
+      *targets* resolve without an extra communication round).
     """
     in_boundaries = set(in_boundaries)
     out_boundaries = set(out_boundaries)
@@ -261,21 +266,85 @@ def build_partition_summary(
     # compression happens in what gets *stored*.
     boundary_mask = rank.pack(in_boundaries | out_boundaries)
     rows = local_index.set_reachability_bits(in_boundaries, rank, boundary_mask)
+    _add_minimum_equivalent_edges(summary, rank, rows)
+    return summary
 
-    pure_in = in_boundaries - out_boundaries
-    pure_out = out_boundaries - in_boundaries
+
+def _add_minimum_equivalent_edges(
+    summary: PartitionSummary, rank: VertexRank, rows: Dict[int, int]
+) -> None:
+    """Store ``I_j ⇝ (I_j ∪ O_j)`` as a minimum equivalent graph.
+
+    ``rows[b]`` is the packed row (over ``rank``) of boundary vertices the
+    in-boundary ``b`` reaches locally.  The closure those rows spell out is
+    quadratic in the boundary; what is stored instead has the same
+    reachability from every in-boundary onto every boundary vertex and
+    class vertex, and is linear in the boundary on the graphs measured:
+
+    * in-boundaries with equal *closed* rows (row plus own bit) are exactly
+      the mutually reachable ones; each such group becomes one cycle;
+    * between groups, and from groups onto backward classes (all members of
+      a backward class are reached by the same in-boundaries, so one
+      representative bit stands for the class), only the transitive
+      *reduction* is kept: group ``g`` keeps an edge onto ``h`` unless
+      another group it reaches already reaches ``h``.
+
+    The reduction runs on the rows themselves.  ``below[h]`` — the closed
+    row of ``h`` minus its own members — is everything ``h`` makes
+    redundant; ORing it over the groups ``g`` reaches leaves exactly the
+    reduction edges uncovered.  A group already below a visited one is
+    skipped (its ``below`` row is contained in the visitor's), so ``g``
+    costs three big-int operations per group *visited*, in ascending id
+    order: exactly the groups it keeps edges onto when ids follow the
+    topological order, every group it reaches when they run against it, in
+    between otherwise — never a tuple per closure pair.
+
+    An edge onto a backward class leaves the group through the forward
+    class of one of its members when it has one (``class_edges``; sound
+    because forward-equivalent members reach the same out-boundaries) and
+    through its head vertex when the group is overlap-only.
+    """
+    ids = rank.ids
+    rank_of = rank.rank_of
     member_to_forward = summary.member_to_forward_class()
     member_to_backward = summary.member_to_backward_class()
 
-    for source in in_boundaries:
-        for target in rank.unpack(rows.get(source, 0)):
-            if source == target:
-                continue
-            if source in pure_in and target in pure_out:
-                # Covered by a class-level edge.
-                summary.class_edges.add(
-                    (member_to_forward[source], member_to_backward[target])
-                )
-            else:
-                summary.member_edges.add((source, target))
-    return summary
+    groups: Dict[int, List[int]] = {}
+    for vertex in sorted(summary.in_boundaries):
+        groups.setdefault(rows.get(vertex, 0) | 1 << rank_of[vertex], []).append(vertex)
+
+    # One bit stands for each group (its smallest member, the *head*).
+    head_mask = 0
+    below: Dict[int, int] = {}
+    for closed_row, members in groups.items():
+        head_bit = 1 << rank_of[members[0]]
+        head_mask |= head_bit
+        below[head_bit] = closed_row & ~rank.pack(members)
+    sink_mask = rank.pack(cls.representative for cls in summary.backward_classes)
+
+    member_edges = summary.member_edges
+    class_edges = summary.class_edges
+    for closed_row, members in groups.items():
+        head = members[0]
+        if len(members) > 1:
+            member_edges.update(zip(members, members[1:] + members[:1]))
+        reached = closed_row & head_mask & ~(1 << rank_of[head])
+        covered = 0
+        pending = reached
+        while pending:
+            head_bit = pending & -pending
+            covered |= below[head_bit]
+            pending &= ~(covered | head_bit)
+        for r in iter_bits(reached & ~covered):
+            member_edges.add((head, ids[r]))
+        sinks = closed_row & sink_mask & ~covered
+        if sinks:
+            exit_class = next(
+                (member_to_forward[m] for m in members if m in member_to_forward), None
+            )
+            for r in iter_bits(sinks):
+                backward_class = member_to_backward[ids[r]]
+                if exit_class is None:
+                    member_edges.add((head, backward_class))
+                else:
+                    class_edges.add((exit_class, backward_class))

@@ -71,6 +71,15 @@ class FlushResult:
     snapshot_seconds: float = 0.0
     #: Time of the unlocked heavy rebuild (0.0 for no-op flushes).
     heavy_seconds: float = 0.0
+    #: The heavy rebuild by stage — re-summarising the dirty partitions,
+    #: reassembling every compound graph, condensing them — and the shard
+    #: hydration of the publish that followed (a no-op unless the executor
+    #: keeps worker shards).
+    summarise_seconds: float = 0.0
+    assemble_seconds: float = 0.0
+    condense_seconds: float = 0.0
+    hydrate_seconds: float = 0.0
+
 
 
 class IncrementalMaintainer:
@@ -174,33 +183,7 @@ class IncrementalMaintainer:
                     seconds=time.perf_counter() - start,
                     epoch=self.index.epoch,
                 )
-            try:
-                state = self.index.build_epoch_state(
-                    dirty, mutation_lock=self._mutation_lock
-                )
-                if self._before_publish is not None:
-                    self._before_publish(state)
-                self.index.publish(state)
-            except BaseException:
-                # The batch was not applied: put the dirt back so the next
-                # flush retries it rather than silently dropping maintenance.
-                with self._mutation_lock:
-                    self._dirty.update(dirty)
-                if registry.enabled:
-                    registry.inc("dsr_flushes_total", outcome="error")
-                raise
-            result = FlushResult(
-                refreshed_partitions=dirty,
-                seconds=time.perf_counter() - start,
-                epoch=state.epoch,
-                snapshot_seconds=state.build_snapshot_seconds,
-                heavy_seconds=state.build_heavy_seconds,
-            )
-            self._flush_count += 1
-            self.last_flush = result
-            if registry.enabled:
-                registry.inc("dsr_flushes_total", outcome="published")
-                registry.observe("dsr_flush_seconds", result.seconds)
+            result = self._build_and_publish(dirty, start, outcome="published")
         for listener in self._flush_listeners:
             listener(result)
         return result
@@ -233,34 +216,53 @@ class IncrementalMaintainer:
                 if local_strategy is not None:
                     self.index.local_strategy = local_strategy
                     self.index.strategy_kwargs = dict(strategy_kwargs or {})
-            registry = global_registry()
-            try:
-                state = self.index.build_epoch_state(
-                    dirty, mutation_lock=self._mutation_lock
-                )
-                if self._before_publish is not None:
-                    self._before_publish(state)
-                self.index.publish(state)
-            except BaseException:
-                with self._mutation_lock:
-                    self._dirty.update(dirty)
-                if registry.enabled:
-                    registry.inc("dsr_flushes_total", outcome="error")
-                raise
-            result = FlushResult(
-                refreshed_partitions=dirty,
-                seconds=time.perf_counter() - start,
-                epoch=state.epoch,
-                snapshot_seconds=state.build_snapshot_seconds,
-                heavy_seconds=state.build_heavy_seconds,
-            )
-            self._flush_count += 1
-            self.last_flush = result
-            if registry.enabled:
-                registry.inc("dsr_flushes_total", outcome="rebuild")
-                registry.observe("dsr_flush_seconds", result.seconds)
+            result = self._build_and_publish(dirty, start, outcome="rebuild")
         for listener in self._flush_listeners:
             listener(result)
+        return result
+
+    def _build_and_publish(
+        self, dirty: Set[int], start: float, outcome: str
+    ) -> FlushResult:
+        """Build the next epoch from ``dirty``, publish it, account for it.
+
+        Runs under the flush lock.  On failure the batch was not applied:
+        the dirt goes back so the next flush retries it rather than silently
+        dropping maintenance.
+        """
+        registry = global_registry()
+        try:
+            state = self.index.build_epoch_state(
+                dirty, mutation_lock=self._mutation_lock
+            )
+            if self._before_publish is not None:
+                self._before_publish(state)
+            self.index.publish(state)
+        except BaseException:
+            with self._mutation_lock:
+                self._dirty.update(dirty)
+            if registry.enabled:
+                registry.inc("dsr_flushes_total", outcome="error")
+            raise
+        stages = state.stage_seconds
+        result = FlushResult(
+            refreshed_partitions=dirty,
+            seconds=time.perf_counter() - start,
+            epoch=state.epoch,
+            snapshot_seconds=state.build_snapshot_seconds,
+            heavy_seconds=state.build_heavy_seconds,
+            summarise_seconds=stages["summarise"],
+            assemble_seconds=stages["assemble"],
+            condense_seconds=stages["condense"],
+            hydrate_seconds=stages["hydrate"],
+        )
+        self._flush_count += 1
+        self.last_flush = result
+        if registry.enabled:
+            registry.inc("dsr_flushes_total", outcome=outcome)
+            registry.observe("dsr_flush_seconds", result.seconds)
+            for stage, seconds in stages.items():
+                registry.observe("dsr_flush_stage_seconds", seconds, stage=stage)
         return result
 
     # ------------------------------------------------------------------ #
@@ -318,8 +320,9 @@ class IncrementalMaintainer:
         """Epoch/flush instrumentation snapshot for the exposition surface.
 
         Includes the snapshot-vs-heavy phase split of the last published
-        flush, the publish timestamp, the serving epoch's age (epoch lag) and
-        the background-flush coalescing counters.
+        flush and its heavy part by stage (summarise / assemble / condense /
+        hydrate), the publish timestamp, the serving epoch's age (epoch lag)
+        and the background-flush coalescing counters.
         """
         last = self.last_flush
         return {
@@ -333,6 +336,10 @@ class IncrementalMaintainer:
             "last_flush_seconds": last.seconds if last else None,
             "last_flush_snapshot_seconds": last.snapshot_seconds if last else None,
             "last_flush_heavy_seconds": last.heavy_seconds if last else None,
+            "last_flush_summarise_seconds": last.summarise_seconds if last else None,
+            "last_flush_assemble_seconds": last.assemble_seconds if last else None,
+            "last_flush_condense_seconds": last.condense_seconds if last else None,
+            "last_flush_hydrate_seconds": last.hydrate_seconds if last else None,
             "last_flush_epoch": last.epoch if last else None,
         }
 

@@ -36,8 +36,8 @@ def _region_growing(
     vertices = list(graph.vertices())
     if not vertices:
         return {}
-    capacity = len(vertices) / num_partitions
 
+    neighbors = {vertex: _undirected_neighbors(graph, vertex) for vertex in vertices}
     by_degree = sorted(
         vertices,
         key=lambda v: graph.out_degree(v) + graph.in_degree(v),
@@ -46,13 +46,26 @@ def _region_growing(
     assignment: Dict[int, int] = {}
     sizes = [0] * num_partitions
     frontiers: List[Set[int]] = [set() for _ in range(num_partitions)]
+    # gains[pid][v]: how many neighbours of v partition pid has absorbed so
+    # far — maintained on absorption so picking the best frontier vertex is
+    # one dict lookup per candidate instead of a neighbourhood scan.
+    gains: List[Dict[int, int]] = [{} for _ in range(num_partitions)]
+
+    def absorb(vertex: int, pid: int) -> None:
+        assignment[vertex] = pid
+        sizes[pid] += 1
+        gain, frontier = gains[pid], frontiers[pid]
+        for neighbor in neighbors[vertex]:
+            gain[neighbor] = gain.get(neighbor, 0) + 1
+            if neighbor not in assignment:
+                frontier.add(neighbor)
 
     seeds: List[int] = []
     for vertex in by_degree:
         if len(seeds) >= num_partitions:
             break
         # Avoid seeding two partitions right next to each other when possible.
-        if any(vertex in _undirected_neighbors(graph, seed) for seed in seeds):
+        if any(vertex in neighbors[seed] for seed in seeds):
             continue
         seeds.append(vertex)
     index = 0
@@ -62,11 +75,7 @@ def _region_growing(
         index += 1
 
     for pid, seed_vertex in enumerate(seeds):
-        assignment[seed_vertex] = pid
-        sizes[pid] += 1
-        frontiers[pid].update(
-            n for n in _undirected_neighbors(graph, seed_vertex) if n not in assignment
-        )
+        absorb(seed_vertex, pid)
 
     unassigned = set(vertices) - set(assignment)
     while unassigned:
@@ -78,37 +87,23 @@ def _region_growing(
             if not frontier:
                 continue
             # Absorb the frontier vertex with the most neighbours already in pid.
+            gain = gains[pid]
             best_vertex = None
             best_gain = -1
             for vertex in frontier:
-                gain = sum(
-                    1
-                    for n in _undirected_neighbors(graph, vertex)
-                    if assignment.get(n) == pid
-                )
-                if gain > best_gain:
-                    best_gain = gain
+                vertex_gain = gain[vertex]
+                if vertex_gain > best_gain:
+                    best_gain = vertex_gain
                     best_vertex = vertex
-            assignment[best_vertex] = pid
-            sizes[pid] += 1
             unassigned.discard(best_vertex)
-            frontiers[pid].update(
-                n
-                for n in _undirected_neighbors(graph, best_vertex)
-                if n not in assignment
-            )
+            absorb(best_vertex, pid)
             grown = True
             break
         if not grown:
             # Disconnected remainder: hand the next vertex to the smallest
             # partition to preserve balance.
             vertex = unassigned.pop()
-            pid = min(range(num_partitions), key=lambda p: sizes[p])
-            assignment[vertex] = pid
-            sizes[pid] += 1
-            frontiers[pid].update(
-                n for n in _undirected_neighbors(graph, vertex) if n not in assignment
-            )
+            absorb(vertex, min(range(num_partitions), key=lambda p: sizes[p]))
     return assignment
 
 

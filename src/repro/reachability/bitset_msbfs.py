@@ -130,11 +130,13 @@ def set_reachability_rows(
     sources: Iterable[int],
     target_mask: Optional[int] = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
+    reverse: bool = False,
 ) -> Dict[int, int]:
     """Packed ``{source: row}`` over the snapshot's dense vertex numbering.
 
     Bit ``r`` of a row is set iff dense vertex ``r`` is reachable from the
-    source; ``target_mask`` restricts the rows to the masked dense indices
+    source (with ``reverse=True``: iff it *reaches* the source);
+    ``target_mask`` restricts the rows to the masked dense indices
     (``None`` keeps every reached vertex).  This is the bits-native sibling
     of :func:`set_reachability`: the same W-wide frontier propagates once
     per batch, but the harvest walks only the *reached* target bits —
@@ -146,7 +148,9 @@ def set_reachability_rows(
     all-zero rows.  A source covered by the mask always reaches itself.
     """
     if _kernels.kernel_backend() == "numpy":
-        return _kernels.np_set_reachability_rows(csr, sources, target_mask, batch_size)
+        return _kernels.np_set_reachability_rows(
+            csr, sources, target_mask, batch_size, reverse
+        )
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
     source_list = list(sources)
@@ -166,7 +170,7 @@ def set_reachability_rows(
         for position, source in enumerate(batch):
             index = csr.index_of(source)
             seeds[index] = seeds.get(index, 0) | (1 << position)
-        seen = propagate(csr, seeds)
+        seen = propagate(csr, seeds, reverse=reverse)
         # Harvest: per reached target index, distribute its source bits.
         if target_mask is None:
             indices: Iterable[int] = range(csr.num_vertices)

@@ -228,6 +228,7 @@ def np_set_reachability_rows(
     sources: Iterable[int],
     target_mask: Optional[int] = None,
     batch_size: int = 512,
+    reverse: bool = False,
 ) -> Dict[int, int]:
     """Numpy sibling of ``bitset_msbfs.set_reachability_rows`` (byte-identical).
 
@@ -260,7 +261,7 @@ def np_set_reachability_rows(
         for position, source in enumerate(batch):
             index = csr.index_of(source)
             seeds[index] = seeds.get(index, 0) | (1 << position)
-        seen = np_propagate_matrix(csr, seeds)
+        seen = np_propagate_matrix(csr, seeds, reverse=reverse)
         if keep is not None:
             seen = seen * keep[:, None]
         # Transpose bits: column p of the unpacked matrix is source p's row.

@@ -131,6 +131,7 @@ class ResultCache:
         sources: Iterable[int],
         targets: Iterable[int],
         epoch: Optional[int] = None,
+        count_miss: bool = True,
     ) -> Optional[Set[Tuple[int, int]]]:
         """Return the cached answer or ``None`` (counts a hit/miss).
 
@@ -138,25 +139,29 @@ class ResultCache:
         rejected and evicted — the epoch-precise half of invalidation-by-
         epoch (untagged entries are rejected too: they cannot prove their
         version).
+
+        ``count_miss=False`` is for a probe whose miss is handed to a second
+        lookup that will count it (the service's non-blocking fast path):
+        one request must be one miss.
         """
         key = self.make_key(sources, targets)
         with self._lock:
             entry = self._entries.get(key)
+            if entry is not None:
+                if (
+                    self.ttl_seconds is not None
+                    and self._clock() - entry.stored_at > self.ttl_seconds
+                ):
+                    del self._entries[key]
+                    self.stats.expirations += 1
+                    entry = None
+                elif epoch is not None and entry.epoch != epoch:
+                    del self._entries[key]
+                    self.stats.epoch_rejections += 1
+                    entry = None
             if entry is None:
-                self.stats.misses += 1
-                return None
-            if (
-                self.ttl_seconds is not None
-                and self._clock() - entry.stored_at > self.ttl_seconds
-            ):
-                del self._entries[key]
-                self.stats.expirations += 1
-                self.stats.misses += 1
-                return None
-            if epoch is not None and entry.epoch != epoch:
-                del self._entries[key]
-                self.stats.epoch_rejections += 1
-                self.stats.misses += 1
+                if count_miss:
+                    self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1

@@ -436,8 +436,10 @@ class DSRService:
         start = time.perf_counter()
         try:
             lookup_epoch = self.engine.epoch if self._background_epochs else None
+            # A miss goes back to the caller, whose submit() reaches
+            # _handle_query's own lookup — that one counts it.
             cached = self.cache.get(
-                request.sources, request.targets, epoch=lookup_epoch
+                request.sources, request.targets, epoch=lookup_epoch, count_miss=False
             )
             if cached is None:
                 return None

@@ -14,6 +14,7 @@ import pytest
 from repro.api import DSRConfig, ReachQuery, open_engine
 from repro.graph import generators
 from repro.graph.digraph import DiGraph
+from repro.obs import use_registry
 
 EXECUTORS = tuple(
     name.strip()
@@ -55,6 +56,33 @@ class TestEpochLifecycle:
         flush = engine.flush_updates()
         assert flush.epoch == 1
         assert engine.epoch == 1
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_flush_reports_its_stages(self, executor):
+        """The heavy part of a flush is split into named stages — on the
+        result, in maintenance_stats() and as one labelled histogram."""
+        stages = ("summarise", "assemble", "condense", "hydrate")
+        with use_registry() as registry:
+            engine = open_engine(
+                _bridge_graph(),
+                DSRConfig(num_partitions=3, partitioner="hash", executor=executor),
+            )
+            try:
+                engine.insert_edge(0, 1)
+                flush = engine.flush_updates()
+                stats = engine.maintainer.maintenance_stats()
+            finally:
+                engine.close()
+        seconds = {stage: getattr(flush, f"{stage}_seconds") for stage in stages}
+        assert all(value >= 0.0 for value in seconds.values())
+        heavy = seconds["summarise"] + seconds["assemble"] + seconds["condense"]
+        assert 0.0 < heavy <= flush.heavy_seconds
+        for stage in stages:
+            assert stats[f"last_flush_{stage}_seconds"] == seconds[stage]
+            assert registry.histogram_count("dsr_flush_stage_seconds", stage=stage) == 1
+            assert registry.histogram_sum(
+                "dsr_flush_stage_seconds", stage=stage
+            ) == pytest.approx(seconds[stage])
 
     def test_noop_flush_keeps_epoch(self):
         engine = open_engine(_bridge_graph(), DSRConfig(num_partitions=3, partitioner="hash"))

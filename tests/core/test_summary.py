@@ -1,12 +1,19 @@
 """Tests for per-partition summaries and boundary graphs (Definitions 4/5)."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.boundary_graph import boundary_graph_stats, build_boundary_graph
+from repro.core.boundary_graph import (
+    add_summary_to_graph,
+    boundary_graph_stats,
+    build_boundary_graph,
+)
 from repro.core.equivalence import ClassIdAllocator
 from repro.core.summary import build_partition_summary
 from repro.graph import generators
-from repro.graph.traversal import is_reachable
-from repro.partition.partition import make_partitioning
+from repro.graph.digraph import DiGraph
+from repro.graph.traversal import bfs_reachable_set, is_reachable
+from repro.partition.partition import GraphPartitioning, make_partitioning
 
 
 def make_summary(partitioning, pid, use_equivalence, allocator=None):
@@ -107,6 +114,64 @@ class TestSummaryWithEquivalence:
         _, partitioning, _ = paper_example
         summary = make_summary(partitioning, 2, use_equivalence=True)
         assert summary.message_size() > 0
+
+
+# ---------------------------------------------------------------------- #
+# the stored summary graph has exactly the closure's reachability
+# ---------------------------------------------------------------------- #
+NUM_VERTICES = 12
+_pair = st.tuples(st.integers(0, NUM_VERTICES - 1), st.integers(0, NUM_VERTICES - 1))
+
+#: Edges only run from lower to higher ids: every in-boundary is its own group.
+dag_edges = st.lists(_pair, max_size=40).map(
+    lambda edges: [(min(u, v), max(u, v)) for u, v in edges if u != v]
+)
+#: A few explicit cycles plus sparse glue: groups of mutually reachable
+#: in-boundaries, chained.
+scc_rich_edges = st.tuples(
+    st.lists(
+        st.lists(st.integers(0, NUM_VERTICES - 1), min_size=2, max_size=5, unique=True),
+        max_size=4,
+    ),
+    st.lists(_pair, max_size=15),
+).map(
+    lambda parts: [
+        edge for cycle in parts[0] for edge in zip(cycle, cycle[1:] + cycle[:1])
+    ]
+    + parts[1]
+)
+#: Dense: under a random assignment most vertices are both in- and
+#: out-boundaries, so classes are rare and overlap-only groups common.
+overlap_heavy_edges = st.lists(_pair, min_size=30, max_size=70)
+
+
+@given(
+    edges=st.one_of(dag_edges, scc_rich_edges, overlap_heavy_edges),
+    assignment=st.lists(
+        st.integers(0, 2), min_size=NUM_VERTICES, max_size=NUM_VERTICES
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_summary_graph_reachability_equals_local_reachability(edges, assignment):
+    graph = DiGraph.from_edges(edges, vertices=range(NUM_VERTICES))
+    partitioning = GraphPartitioning(graph, dict(enumerate(assignment)), 3)
+    allocator = ClassIdAllocator(NUM_VERTICES)
+    for pid in range(3):
+        local = partitioning.local_subgraph(pid)
+        summary = make_summary(partitioning, pid, True, allocator)
+        stored = DiGraph()
+        add_summary_to_graph(stored, summary)
+        boundary = summary.boundary_vertices
+        for source in summary.in_boundaries:
+            reached = bfs_reachable_set(stored, source)
+            assert reached & boundary == {
+                target for target in boundary if is_reachable(local, source, target)
+            }
+            # A forward-class vertex is entered through its members only.
+            for cls in summary.forward_classes:
+                assert (cls.class_id in reached) == any(
+                    is_reachable(local, source, member) for member in cls.members
+                )
 
 
 class TestBoundaryGraph:

@@ -6,7 +6,14 @@ matrix: ``kernels=python/numpy`` × ``executor=serial/threads/processes`` ×
 ``representation=bits/sets``.  Every cell must produce the exact same pair
 sets at every step of the script; the python/serial/sets cell is the
 reference semantics, everything else is an implementation detail that is not
-allowed to show through.
+allowed to show through.  The reference itself is held to the oracle
+(``reachable_pairs`` on a shadow graph that mirrors the script).
+
+Two scenario families: a sparse random digraph under the default (metis)
+partitioning, and an SCC-rich web graph under hash partitioning — a bad cut
+that scatters every SCC over all partitions, so boundary summaries are
+dominated by groups of mutually reachable overlap vertices — whose script
+deletes edges that split an SCC and inserts edges that merge two.
 
 The executor axis honours ``REPRO_TEST_EXECUTORS`` (same contract as
 ``tests/core/test_packed_pipeline.py``); the numpy axis is skipped where
@@ -21,6 +28,8 @@ import pytest
 
 from repro.api import DSRConfig, ReachQuery, open_engine
 from repro.graph import generators
+from repro.graph.scc import strongly_connected_components
+from repro.graph.traversal import is_reachable, reachable_pairs
 from repro.reachability.kernels import numpy_available
 
 EXECUTORS = tuple(
@@ -33,13 +42,26 @@ EXECUTORS = tuple(
 
 KERNELS = ("python",) + (("numpy",) if numpy_available() else ())
 
-#: Scenario seeds.  Every executor runs the first seed; the (spawn-heavy)
-#: processes executor is limited to it, the in-process executors run all.
+#: Scenario seeds.  Every executor runs the first seed of each family; the
+#: (spawn-heavy) processes executor is limited to it, the in-process
+#: executors run all.
 SEEDS = (71, 72, 73)
+SCC_SEEDS = (81, 84)
+
+
+def _queries(rng, vertices, count):
+    return [
+        (
+            "query",
+            tuple(rng.sample(vertices, min(8, len(vertices)))),
+            tuple(rng.sample(vertices, min(8, len(vertices)))),
+        )
+        for _ in range(count)
+    ]
 
 
 def _build_scenario(seed):
-    """One reproducible scenario: ``(graph, script)``.
+    """One reproducible scenario: ``(graph, script, partitioner)``.
 
     The script interleaves structural updates (edge deletes/inserts, a
     vertex insert) with query batches, so parity is checked across epoch
@@ -53,37 +75,99 @@ def _build_scenario(seed):
     edges = list(graph.edges())
     rng.shuffle(edges)
 
-    def queries(count):
-        batch = []
-        for _ in range(count):
-            batch.append(
-                (
-                    "query",
-                    tuple(rng.sample(vertices, min(8, len(vertices)))),
-                    tuple(rng.sample(vertices, min(8, len(vertices)))),
-                )
-            )
-        return batch
-
     script = []
-    script += queries(3)
+    script += _queries(rng, vertices, 3)
     for u, v in edges[:4]:
         script.append(("delete_edge", u, v))
-    script += queries(2)
+    script += _queries(rng, vertices, 2)
     script.append(("insert_vertex", max(vertices) + 1))
     for u, v in edges[4:7]:
         script.append(("insert_edge", u, v))
     script.append(("insert_edge", max(vertices) + 1, vertices[0]))
-    script += queries(3)
-    return graph, script
+    script += _queries(rng, vertices, 3)
+    return graph, script, "metis"
 
 
-def _replay(graph, script, kernels, executor, representation):
+def _component_of(graph):
+    return {
+        vertex: index
+        for index, members in enumerate(strongly_connected_components(graph))
+        for vertex in members
+    }
+
+
+def _build_scc_scenario(seed):
+    """SCC-rich graph, bad cut: ``(graph, script, partitioner)``.
+
+    Every delete of the script splits an SCC of the graph as it stands when
+    the delete is applied, every insert merges two; queries run before,
+    between and after, so each kind of change is answered across its flush.
+    """
+    rng = random.Random(seed)
+    graph = generators.web_graph(60, avg_degree=2.0, seed=seed)
+    vertices = sorted(graph.vertices())
+    shadow = graph.copy()
+
+    splits = []
+    edges = sorted(shadow.edges())
+    rng.shuffle(edges)
+    for u, v in edges:
+        component = _component_of(shadow)
+        if component[u] != component[v]:
+            continue
+        shadow.remove_edge(u, v)
+        component = _component_of(shadow)
+        if component[u] == component[v]:
+            shadow.add_edge(u, v)  # the SCC survives this delete: not a split
+            continue
+        splits.append(("delete_edge", u, v))
+        if len(splits) == 3:
+            break
+
+    merges = []
+    pairs = [(a, b) for a in vertices for b in vertices if a != b]
+    rng.shuffle(pairs)
+    for a, b in pairs:
+        # a reaches b but not back: the edge b -> a closes a cycle through
+        # both SCCs (and everything between them).
+        if is_reachable(shadow, a, b) and not is_reachable(shadow, b, a):
+            shadow.add_edge(b, a)
+            merges.append(("insert_edge", b, a))
+            if len(merges) == 3:
+                break
+    assert len(splits) == 3 and len(merges) == 3, "scenario graph too uniform"
+
+    script = _queries(rng, vertices, 3)
+    script += splits
+    script += _queries(rng, vertices, 3)
+    script += merges
+    script += _queries(rng, vertices, 3)
+    return graph, script, "hash"
+
+
+def _oracle(graph, script):
+    """The answers of ``script`` by plain traversal on a mirrored graph."""
+    shadow = graph.copy()
+    answers = []
+    for op in script:
+        if op[0] == "query":
+            answers.append(reachable_pairs(shadow, op[1], op[2]))
+        elif op[0] == "delete_edge":
+            shadow.remove_edge(op[1], op[2])
+        elif op[0] == "insert_edge":
+            shadow.add_edge(op[1], op[2])
+        elif op[0] == "insert_vertex":
+            shadow.add_vertex(op[1])
+    return answers
+
+
+def _replay(graph, script, partitioner, kernels, executor, representation):
     """Run one matrix cell over the scenario; returns the per-query answers."""
     engine = open_engine(
         graph.copy(),
         DSRConfig(
             num_partitions=3,
+            partitioner=partitioner,
             local_index="msbfs",
             executor=executor,
             kernels=kernels,
@@ -111,24 +195,36 @@ def _replay(graph, script, kernels, executor, representation):
     return answers
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_full_matrix_parity(seed):
-    graph, script = _build_scenario(seed)
-    executors = EXECUTORS if seed == SEEDS[0] else tuple(
+def _assert_matrix_parity(graph, script, partitioner, with_processes):
+    executors = EXECUTORS if with_processes else tuple(
         name for name in EXECUTORS if name != "processes"
     )
     if not executors:
         pytest.skip("no executors selected via REPRO_TEST_EXECUTORS")
-    reference = _replay(graph, script, "python", executors[0], "sets")
-    assert reference, "scenario produced no queries"
+    reference = _replay(graph, script, partitioner, "python", executors[0], "sets")
+    assert reference == _oracle(graph, script)
     for executor in executors:
         for kernels in KERNELS:
             for representation in ("bits", "sets"):
-                answers = _replay(graph, script, kernels, executor, representation)
+                answers = _replay(
+                    graph, script, partitioner, kernels, executor, representation
+                )
                 assert answers == reference, (
                     f"kernels={kernels} executor={executor} "
                     f"representation={representation} diverges from reference"
                 )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_full_matrix_parity(seed):
+    _assert_matrix_parity(*_build_scenario(seed), with_processes=seed == SEEDS[0])
+
+
+@pytest.mark.parametrize("seed", SCC_SEEDS)
+def test_scc_rich_bad_cut_matrix_parity(seed):
+    _assert_matrix_parity(
+        *_build_scc_scenario(seed), with_processes=seed == SCC_SEEDS[0]
+    )
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")

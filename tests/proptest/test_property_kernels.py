@@ -79,8 +79,9 @@ def test_propagate_parity(edges, isolated, seed_positions, seed_widths, reverse)
     source_picks=st.lists(st.integers(min_value=0, max_value=59), max_size=40),
     mask_seed=st.one_of(st.none(), st.integers(min_value=0, max_value=2**80 - 1)),
     batch_size=st.sampled_from([1, 3, 64, 512]),
+    reverse=st.booleans(),
 )
-def test_set_reachability_rows_parity(edges, source_picks, mask_seed, batch_size):
+def test_set_reachability_rows_parity(edges, source_picks, mask_seed, batch_size, reverse):
     graph = _graph_of(edges)
     if not graph.num_vertices:
         return
@@ -90,9 +91,16 @@ def test_set_reachability_rows_parity(edges, source_picks, mask_seed, batch_size
     mask = None if mask_seed is None else mask_seed % (1 << csr.num_vertices)
     with use_kernels("python"):
         reference = bitset_msbfs.set_reachability_rows(
-            csr, sources, mask, batch_size=batch_size
+            csr, sources, mask, batch_size=batch_size, reverse=reverse
         )
-    got = np_set_reachability_rows(csr, sources, mask, batch_size=batch_size)
+        # A reverse row is the forward row of the reversed graph.
+        assert reference == bitset_msbfs.set_reachability_rows(
+            (graph.reverse() if reverse else graph).csr(), sources, mask,
+            batch_size=batch_size,
+        )
+    got = np_set_reachability_rows(
+        csr, sources, mask, batch_size=batch_size, reverse=reverse
+    )
     assert got == reference
     # Byte-identical, not merely equal-as-sets: compare serialised rows too.
     for source in reference:

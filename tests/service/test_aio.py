@@ -474,3 +474,22 @@ class TestLoopFastPath:
             assert service.metrics.count("cache_hits") == 1
         finally:
             server.stop_from_thread()
+
+    def test_front_door_miss_is_counted_once(self, graph, service):
+        """N distinct cacheable queries over the wire are N misses: the fast
+        path's declined probe used to count one beside handle()'s own."""
+        vertices = sorted(graph.vertices())
+        server = DSRAsyncServer(service)
+        server.start_in_thread()
+        try:
+            async def drive():
+                async with DSRAsyncClient(*server.address) as client:
+                    for offset in range(5):
+                        await client.query(vertices[offset : offset + 4], vertices[40:44])
+                    await client.query(vertices[:4], vertices[40:44])
+
+            asyncio.run(drive())
+        finally:
+            server.stop_from_thread()
+        stats = service.cache.stats
+        assert (stats.misses, stats.hits) == (5, 1)
