@@ -14,8 +14,7 @@ quantifies the two claims behind the change on an 8-partition engine:
   bitset kernels on the same batched ``set_reachability_rows`` call, byte
   identical answers required, **>= 2x** required.
 
-Both measurements are merged into ``BENCH_query_latency.json`` (the query
-pipeline's trajectory file) so one JSON tracks the serving path end to end.
+Both measurements are merged into ``BENCH_shm_kernels.json``.
 """
 
 import time
@@ -120,7 +119,7 @@ def test_epoch_publish_shm_vs_pickled(benchmark, monkeypatch):
     print(f"pipe-bytes fraction: {fraction:.4f} (bar {PUBLISH_BYTES_MAX_FRACTION})")
 
     write_bench_json(
-        "query_latency",
+        "shm_kernels",
         {
             "shm_publish": {
                 "num_partitions": NUM_PARTITIONS,
@@ -196,7 +195,7 @@ def test_numpy_kernel_speedup(benchmark):
     )
 
     write_bench_json(
-        "query_latency",
+        "shm_kernels",
         {
             "kernels": {
                 "num_sources": KERNEL_SOURCES,

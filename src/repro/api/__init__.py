@@ -41,7 +41,6 @@ from repro.api.backends import (
 from repro.api.config import ConfigError, DSRConfig, EPOCH_FLUSH_MODES, PARTITIONERS
 from repro.api.query import (
     DIRECTIONS,
-    QUERY_REPRESENTATIONS,
     QueryError,
     ReachQuery,
     as_reach_query,
@@ -56,7 +55,6 @@ __all__ = [
     "DSRConfig",
     "EPOCH_FLUSH_MODES",
     "PARTITIONERS",
-    "QUERY_REPRESENTATIONS",
     "QueryError",
     "QueryResult",
     "ReachQuery",

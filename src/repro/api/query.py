@@ -2,8 +2,8 @@
 
 :class:`ReachQuery` is the first-class description of a set-reachability
 query ``S ⇝ T``: the source and target vertex sets plus the execution options
-that used to be spread positionally across ``DSREngine.query*``, the service
-planner and the wire protocol.  Every backend opened through
+that used to be spread positionally across the engine, the service planner
+and the wire protocol.  Every backend opened through
 :func:`repro.api.open_engine` takes a :class:`ReachQuery` and returns a
 :class:`~repro.core.query.QueryResult`; the service layer's
 ``QueryRequest`` is a thin serialisation of this same class.
@@ -16,12 +16,6 @@ from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 #: Processing directions accepted by :class:`ReachQuery`.
 DIRECTIONS = ("auto", "forward", "backward")
-
-#: Evaluation representations accepted by :class:`ReachQuery`.  ``"bits"``
-#: runs the packed-row pipeline, ``"sets"`` the original ``Set[int]`` one,
-#: ``"auto"`` lets the engine/planner choose from the graph's degree
-#: statistics.  Both produce identical answers.
-QUERY_REPRESENTATIONS = ("auto", "bits", "sets")
 
 
 class QueryError(ValueError):
@@ -46,12 +40,6 @@ class ReachQuery:
     max_batch_pairs:
         Optional per-query override of the planner's batching budget — the
         maximum ``|S| × |T|`` evaluated in a single engine call.
-    representation:
-        The evaluation currency of the DSR pipeline: ``"bits"`` (packed
-        rows), ``"sets"`` (plain Python sets) or ``"auto"`` (the default:
-        the engine/planner decides from the graph's degree statistics).
-        Backends without a packed pipeline ignore it; answers are identical
-        either way.
     trace:
         Collect a structured :class:`~repro.obs.trace.QueryTrace` of timed
         spans (cache lookup, planning, the three DSR steps, per-partition
@@ -79,7 +67,6 @@ class ReachQuery:
     direction: str = "auto"
     use_cache: bool = True
     max_batch_pairs: Optional[int] = None
-    representation: str = "auto"
     trace: bool = False
     tenant: Optional[str] = None
     deadline_ms: Optional[float] = None
@@ -92,11 +79,6 @@ class ReachQuery:
             raise QueryError(
                 f"unknown query direction {self.direction!r}; "
                 f"available: {', '.join(DIRECTIONS)}"
-            )
-        if self.representation not in QUERY_REPRESENTATIONS:
-            raise QueryError(
-                f"unknown query representation {self.representation!r}; "
-                f"available: {', '.join(QUERY_REPRESENTATIONS)}"
             )
         if self.max_batch_pairs is not None and (
             not isinstance(self.max_batch_pairs, int)
@@ -150,7 +132,6 @@ class ReachQuery:
             "direction": self.direction,
             "use_cache": self.use_cache,
             "max_batch_pairs": self.max_batch_pairs,
-            "representation": self.representation,
             "trace": self.trace,
             "tenant": self.tenant,
             "deadline_ms": self.deadline_ms,
@@ -210,7 +191,6 @@ def as_reach_query(
 
 __all__ = [
     "DIRECTIONS",
-    "QUERY_REPRESENTATIONS",
     "QueryError",
     "ReachQuery",
     "as_reach_query",

@@ -96,10 +96,13 @@ def register_shard_task(name: str):
     Tasks must live at module level in an importable module (worker processes
     re-import the registry), and must only read the shard — shards are
     immutable epoch snapshots shared by every in-flight query of that epoch.
+    The function carries its registered name as ``fn.task_name``, so a caller
+    holding the function can dispatch it by name to the workers.
     """
 
     def decorator(fn: Callable[[Any, Any], Any]):
         _SHARD_TASKS[name] = fn
+        fn.task_name = name
         return fn
 
     return decorator

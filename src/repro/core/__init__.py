@@ -20,7 +20,9 @@ Layout (Section 3 of the paper → modules):
   (Definition 6) plus forward/backward handle lists.
 * :mod:`repro.core.index` — :class:`DSRIndex`, the distributed index build.
 * :mod:`repro.core.query` — one-round distributed query evaluation
-  (Algorithms 1 and 2).
+  (Algorithms 1 and 2): payloads, the message round, dispatch.
+* :mod:`repro.core.shard_exec` — the two per-slave steps, written once over
+  the shard protocol, and its worker-side / in-process implementations.
 * :mod:`repro.core.naive` / :mod:`repro.core.fan` — the DSR-Naïve and DSR-Fan
   baselines (Sections 3.1 and 3.2).
 * :mod:`repro.core.updates` — incremental edge/vertex insertions and

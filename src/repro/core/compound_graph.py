@@ -51,7 +51,7 @@ query after a build or maintenance flush pays no lazy CSR construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 
 import weakref
 
@@ -158,32 +158,6 @@ class CondensedReachability:
             view.vertex_to_component[source], view.vertex_to_component[target]
         )
 
-    def set_reachability(
-        self, sources: Iterable[int], targets: Iterable[int]
-    ) -> Dict[int, Set[int]]:
-        view = self._view
-        vertex_to_component = view.vertex_to_component
-        sources = list(sources)
-        targets = list(targets)
-        known_sources = [s for s in sources if s in vertex_to_component]
-        known_targets = [t for t in targets if t in vertex_to_component]
-        source_comps = {s: vertex_to_component[s] for s in known_sources}
-        target_comps: Dict[int, List[int]] = {}
-        for target in known_targets:
-            target_comps.setdefault(vertex_to_component[target], []).append(target)
-
-        comp_result = view.index.set_reachability(
-            set(source_comps.values()), set(target_comps)
-        )
-        result: Dict[int, Set[int]] = {source: set() for source in sources}
-        for source in known_sources:
-            reached_comps = comp_result.get(source_comps[source], set())
-            reached: Set[int] = set()
-            for comp in reached_comps:
-                reached.update(target_comps[comp])
-            result[source] = reached
-        return result
-
     def set_reachability_rows(
         self,
         sources: Iterable[int],
@@ -192,7 +166,7 @@ class CondensedReachability:
     ) -> Dict[int, int]:
         """Packed ``{source: row}`` over the graph's :attr:`vertex_rank`.
 
-        The bits-native sibling of :meth:`set_reachability`: sources are
+        ``localSetReachability(.)`` of Algorithms 1 and 2: sources are
         translated to DAG components, the strategy returns packed component
         rows (natively for the bitset MS-BFS / CSR DFS, via the set↔bits
         bridge otherwise), and every reached component expands to its member
@@ -260,14 +234,6 @@ class CompoundGraph:
     def build_reachability(self, strategy: str = "dfs", **kwargs) -> None:
         """(Re)build the condensed local reachability strategy."""
         self.reachability = CondensedReachability(self.graph, strategy=strategy, **kwargs)
-
-    def local_set_reachability(
-        self, sources: Iterable[int], targets: Iterable[int]
-    ) -> Dict[int, Set[int]]:
-        """``localSetReachability(.)`` of Algorithms 1 and 2."""
-        if self.reachability is None:
-            self.build_reachability()
-        return self.reachability.set_reachability(sources, targets)
 
     # -- packed-row pipeline -------------------------------------------- #
     @property

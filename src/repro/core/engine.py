@@ -13,38 +13,22 @@ Example
 >>> graph = generators.social_graph(500, avg_degree=6, seed=1)
 >>> engine = open_engine(graph, DSRConfig(num_partitions=4, local_index="msbfs"))
 >>> result = engine.run(ReachQuery(sources=(0, 1, 2), targets=(100, 200)))
-
-The pre-``repro.api`` entry points — ``DSREngine(graph, num_partitions=...)``
-and ``engine.query(sources, targets)`` — keep working as thin shims but emit
-:class:`DeprecationWarning`; see the README's "Public API" section for the
-migration table.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
-from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional
 
 from repro.api.config import DSRConfig
 from repro.api.query import ReachQuery
 from repro.cluster.cluster import SimulatedCluster
 from repro.core.index import DSRIndex, IndexBuildReport
-from repro.core.query import (
-    DistributedQueryExecutor,
-    QueryResult,
-    choose_representation,
-)
+from repro.core.query import DistributedQueryExecutor, QueryResult
 from repro.core.updates import IncrementalMaintainer, UpdateResult
 from repro.graph.digraph import DiGraph
 from repro.obs.trace import QueryTrace
 from repro.partition.partition import GraphPartitioning, make_partitioning
-
-_INIT_DEPRECATION = (
-    "constructing DSREngine(graph, ...) directly is deprecated; use "
-    "repro.api.open_engine(graph, DSRConfig(...)) or "
-    "DSREngine.from_config(graph, config) instead"
-)
 
 
 class DSREngine:
@@ -53,45 +37,11 @@ class DSREngine:
     def __init__(
         self,
         graph: DiGraph,
-        num_partitions: int = 4,
-        partitioner: str = "metis",
-        local_index: str = "dfs",
-        use_equivalence: bool = True,
-        parallel: bool = False,
-        seed: int = 0,
-        partitioning: Optional[GraphPartitioning] = None,
-        local_index_options: Optional[dict] = None,
-        enable_backward: bool = False,
-    ) -> None:
-        """Deprecated keyword-soup constructor (shim).
-
-        Prefer :meth:`from_config` / :func:`repro.api.open_engine`, which
-        take the same knobs as a validated, serialisable
-        :class:`~repro.api.config.DSRConfig`.
-        """
-        warnings.warn(_INIT_DEPRECATION, DeprecationWarning, stacklevel=2)
-        self._init(
-            graph,
-            num_partitions=num_partitions,
-            partitioner=partitioner,
-            local_index=local_index,
-            use_equivalence=use_equivalence,
-            parallel=parallel,
-            seed=seed,
-            partitioning=partitioning,
-            local_index_options=local_index_options,
-            enable_backward=enable_backward,
-        )
-
-    @classmethod
-    def from_config(
-        cls,
-        graph: DiGraph,
         config: Optional[DSRConfig] = None,
         *,
         partitioning: Optional[GraphPartitioning] = None,
-    ) -> "DSREngine":
-        """Build an engine from a :class:`~repro.api.config.DSRConfig`.
+    ) -> None:
+        """Set up an engine from a :class:`~repro.api.config.DSRConfig`.
 
         ``partitioning`` optionally supplies a pre-computed partitioning to
         share with other engines; the stored :attr:`config` is then
@@ -108,75 +58,35 @@ class DSREngine:
             config = config.replace(num_partitions=partitioning.num_partitions)
         if config.backend != "dsr":
             raise ValueError(
-                f"DSREngine.from_config expects backend='dsr', got "
+                f"DSREngine expects backend='dsr', got "
                 f"{config.backend!r}; use repro.api.open_engine for other backends"
             )
-        engine = cls.__new__(cls)
-        engine._init(
-            graph,
-            num_partitions=config.num_partitions,
-            partitioner=config.partitioner,
-            local_index=config.local_index,
-            use_equivalence=config.use_equivalence,
-            parallel=config.parallel,
-            seed=config.seed,
-            partitioning=partitioning,
-            local_index_options=(
-                dict(config.local_index_options)
-                if config.local_index_options
-                else None
-            ),
-            enable_backward=config.enable_backward,
-            executor=config.executor,
-            epoch_flush=config.epoch_flush,
-            kernels=config.kernels,
-            worker_hosts=config.worker_hosts,
-        )
-        engine.config = config
-        return engine
-
-    def _init(
-        self,
-        graph: DiGraph,
-        num_partitions: int,
-        partitioner: str,
-        local_index: str,
-        use_equivalence: bool,
-        parallel: bool,
-        seed: int,
-        partitioning: Optional[GraphPartitioning],
-        local_index_options: Optional[dict],
-        enable_backward: bool,
-        executor: str = "serial",
-        epoch_flush: str = "inline",
-        kernels: str = "auto",
-        worker_hosts: Optional[Sequence[str]] = None,
-    ) -> None:
         # Select the bitset-kernel backend.  The selection is process-global
         # (see repro.reachability.kernels): safe because every backend is
         # byte-identical — engines only ever disagree about speed — and
         # global is what lets forked shard workers inherit the choice.
         from repro.reachability.kernels import set_kernel_backend
 
-        self.kernels = set_kernel_backend(kernels)
+        self.kernels = set_kernel_backend(config.kernels)
         self.graph = graph
         #: Registry name under which this engine satisfies the Backend protocol.
         self.name = "dsr"
-        #: The config this engine was opened from (``None`` for engines built
-        #: through the deprecated keyword constructor).
-        self.config: Optional[DSRConfig] = None
+        #: The config this engine was opened from.
+        self.config: DSRConfig = config
         if partitioning is not None:
             self.partitioning = partitioning
         else:
             self.partitioning = make_partitioning(
-                graph, num_partitions, strategy=partitioner, seed=seed
+                graph, config.num_partitions, strategy=config.partitioner, seed=config.seed
             )
         # The legacy parallel=True flag maps to the threads executor unless a
         # specific executor was chosen explicitly.
         effective_executor = (
-            executor if executor != "serial" else ("threads" if parallel else "serial")
+            config.executor
+            if config.executor != "serial"
+            else ("threads" if config.parallel else "serial")
         )
-        if worker_hosts is not None:
+        if config.worker_hosts is not None:
             if effective_executor != "tcp":
                 raise ValueError(
                     "worker_hosts requires executor='tcp', "
@@ -184,28 +94,30 @@ class DSREngine:
                 )
             from repro.cluster.tcp import TcpExecutor
 
-            effective_executor = TcpExecutor(worker_hosts=worker_hosts)
+            effective_executor = TcpExecutor(worker_hosts=config.worker_hosts)
         #: How batched updates fold into the index ("inline" | "background").
-        self.epoch_flush = epoch_flush
+        self.epoch_flush = config.epoch_flush
         self.cluster = SimulatedCluster(
             self.partitioning.num_partitions,
-            parallel=parallel,
+            parallel=config.parallel,
             executor=effective_executor,
+        )
+        self._use_equivalence = config.use_equivalence
+        self._local_index = config.local_index
+        self._local_index_options = (
+            dict(config.local_index_options) if config.local_index_options else None
         )
         self.index = DSRIndex(
             self.partitioning,
-            use_equivalence=use_equivalence,
-            local_strategy=local_index,
-            strategy_kwargs=local_index_options,
+            use_equivalence=self._use_equivalence,
+            local_strategy=self._local_index,
+            strategy_kwargs=self._local_index_options,
             cluster=self.cluster,
         )
         # Optional backward-processing support ("Forward vs. Backward
         # Processing", Section 3.3.2): a mirror index over the reversed graph
         # that lets a query start from the target side when |T| < |S|.
-        self.enable_backward = enable_backward
-        self._use_equivalence = use_equivalence
-        self._local_index = local_index
-        self._local_index_options = local_index_options
+        self.enable_backward = config.enable_backward
         self._reverse_index: Optional[DSRIndex] = None
         self._reverse_executor: Optional[DistributedQueryExecutor] = None
         self._reverse_maintainer: Optional[IncrementalMaintainer] = None
@@ -214,6 +126,17 @@ class DSREngine:
         self._maintainer: Optional[IncrementalMaintainer] = None
         self.last_build_report: Optional[IndexBuildReport] = None
         self.last_query_result: Optional[QueryResult] = None
+
+    @classmethod
+    def from_config(
+        cls,
+        graph: DiGraph,
+        config: Optional[DSRConfig] = None,
+        *,
+        partitioning: Optional[GraphPartitioning] = None,
+    ) -> "DSREngine":
+        """Named spelling of the constructor: ``DSREngine(graph, config)``."""
+        return cls(graph, config, partitioning=partitioning)
 
     # ------------------------------------------------------------------ #
     # index lifecycle
@@ -279,10 +202,7 @@ class DSREngine:
         """
         self._require_built()
         if not isinstance(query, ReachQuery):
-            raise TypeError(
-                f"run() takes a ReachQuery, got {type(query).__name__}; "
-                "the positional form lives on the deprecated query() shim"
-            )
+            raise TypeError(f"run() takes a ReachQuery, got {type(query).__name__}")
         # Trivially empty queries short-circuit before the distributed
         # pipeline (and before folding updates — the empty answer is correct
         # regardless of pending changes).
@@ -318,7 +238,6 @@ class DSREngine:
             if flush_start is not None:
                 trace.add("flush_inline", time.perf_counter() - flush_start)
 
-        representation = self._resolve_representation(query)
         use_backward = query.direction == "backward" or (
             query.direction == "auto"
             and self._reverse_executor is not None
@@ -332,74 +251,12 @@ class DSREngine:
                     "backward processing requires enable_backward=True at construction"
                 )
             result = self._reverse_executor.query(
-                query.targets, query.sources,
-                representation=representation,
-                trace=trace,
+                query.targets, query.sources, trace=trace
             ).swapped()
         else:
-            result = self._executor.query(
-                query.sources, query.targets,
-                representation=representation,
-                trace=trace,
-            )
+            result = self._executor.query(query.sources, query.targets, trace=trace)
         self.last_query_result = result
         return result
-
-    def _resolve_representation(self, query: ReachQuery) -> str:
-        """Resolve ``query.representation`` (``"auto"`` → degree heuristic).
-
-        Reads the data graph's cached CSR degree statistics when a snapshot
-        is live (never *builds* one — resolution must stay lock-free), with
-        the O(1) edge/vertex counters as the fallback; the same
-        :func:`~repro.core.query.choose_representation` heuristic the
-        service planner applies, so both entry points agree.
-        """
-        if query.representation != "auto":
-            return query.representation
-        snapshot = self.graph.csr_if_cached()
-        if snapshot is not None:
-            avg_degree = snapshot.degree_stats()["avg_degree"]
-        elif self.graph.num_vertices:
-            avg_degree = self.graph.num_edges / self.graph.num_vertices
-        else:
-            avg_degree = 0.0
-        return choose_representation(
-            len(query.sources), len(query.targets), avg_degree
-        )
-
-    def query(
-        self,
-        sources: Iterable[int],
-        targets: Iterable[int],
-        direction: str = "auto",
-    ) -> Set[Tuple[int, int]]:
-        """Deprecated shim: use ``run(ReachQuery(...)).pairs`` instead."""
-        warnings.warn(
-            "DSREngine.query(sources, targets) is deprecated; use "
-            "run(ReachQuery(sources, targets)).pairs",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(
-            ReachQuery(tuple(sources), tuple(targets), direction=direction)
-        ).pairs
-
-    def query_with_stats(
-        self,
-        sources: Iterable[int],
-        targets: Iterable[int],
-        direction: str = "auto",
-    ) -> QueryResult:
-        """Deprecated shim: use ``run(ReachQuery(...))`` instead."""
-        warnings.warn(
-            "DSREngine.query_with_stats(sources, targets) is deprecated; use "
-            "run(ReachQuery(sources, targets))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(
-            ReachQuery(tuple(sources), tuple(targets), direction=direction)
-        )
 
     def reachable(self, source: int, target: int) -> bool:
         """Single-pair reachability (Algorithm 1)."""
@@ -521,11 +378,10 @@ class DSREngine:
             self._reverse_maintainer.rebuild_index(
                 local_strategy=local_index, strategy_kwargs=local_index_options
             )
-        if self.config is not None:
-            self.config = self.config.replace(
-                local_index=local_index,
-                local_index_options=self._local_index_options,
-            )
+        self.config = self.config.replace(
+            local_index=local_index,
+            local_index_options=self._local_index_options,
+        )
         return result
 
     @property

@@ -1,11 +1,10 @@
-"""The shared core of the bits-native query steps.
+"""Packed ``localSetReachability`` over a condensation.
 
-The packed pipeline runs in two places — in-process
-(:class:`repro.core.query.DistributedQueryExecutor`) and inside hydrated
-worker processes (:mod:`repro.core.shard_exec`) — that must answer
-identically.  Everything that is a pure function of (vertex rank, reached
-rows, masks) lives here, once, so the two call sites shrink to payload
-plumbing and the lockstep surface cannot drift:
+Both shard implementations of :mod:`repro.core.shard_exec` — the hydrated
+worker shard and the in-process view over a compound graph — answer
+reachability rows over an SCC condensation.  What is a pure function of
+(vertex rank, component map, member masks, strategy kernel) lives here,
+once:
 
 * :func:`build_member_masks` — per-SCC-component member masks (component
   row → member row in one OR), built at condensation rebuild / shard
@@ -13,28 +12,14 @@ plumbing and the lockstep surface cannot drift:
 * :func:`condensation_rows` — the complete packed ``localSetReachability``
   over a condensation: translate sources and the target mask to DAG ranks,
   harvest component rows through the strategy kernel, expand them through
-  the member masks;
-* :func:`local_step_groups` — the step-1 core: group sources by reached
-  row, split row hits into answer product groups and per-partition packed
-  handle payloads;
-* :func:`remote_step_groups` — the step-3 core: OR each source's handle
-  rows and regroup by row so overlapping handle answers materialise once.
+  the member masks.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.runtime import global_registry
-from repro.reachability.packed import (
-    VertexRank,
-    iter_bits,
-    pack_ranks,
-    row_to_bytes,
-)
-
-#: One product-form answer group: every source reaches every target.
-Group = Tuple[List[int], List[int]]
+from repro.reachability.packed import iter_bits, pack_ranks
 
 
 def build_member_masks(
@@ -109,107 +94,7 @@ def condensation_rows(
     return rows
 
 
-def local_step_groups(
-    vrank: VertexRank,
-    rows: Mapping[int, int],
-    sources: Iterable[int],
-    target_mask: int,
-    all_handle_mask: int,
-    pid_masks: Sequence[Tuple[int, int]],
-    handle_positions_of: Callable[[int], Mapping[int, int]],
-) -> Tuple[List[Group], Dict[int, Dict[bytes, List[int]]]]:
-    """Step-1 core: reached rows → answer groups + packed handle payloads.
-
-    Sources are grouped by their reached row (one SCC → one row), so each
-    distinct row is intersected with the target mask and decoded exactly
-    once; the handles bound for partition ``pid`` are re-packed into
-    ``pid``'s canonical handle positions and keyed by their byte form, with
-    all sources sharing the row appended to one payload entry.
-    """
-    groups: List[Group] = []
-    outgoing: Dict[int, Dict[bytes, List[int]]] = {}
-    ids = vrank.ids
-
-    num_sources = 0
-    by_row: Dict[int, List[int]] = {}
-    for source in sources:
-        num_sources += 1
-        row = rows.get(source, 0)
-        if row:
-            by_row.setdefault(row, []).append(source)
-
-    for row, row_sources in by_row.items():
-        hits = row & target_mask
-        if hits:
-            groups.append((row_sources, vrank.unpack(hits)))
-        if not all_handle_mask or not row & all_handle_mask:
-            continue
-        for pid, pid_mask in pid_masks:
-            hit = row & pid_mask
-            if not hit:
-                continue
-            positions = handle_positions_of(pid)
-            handle_row = 0
-            for r in iter_bits(hit):
-                handle_row |= 1 << positions[ids[r]]
-            outgoing.setdefault(pid, {}).setdefault(
-                row_to_bytes(handle_row), []
-            ).extend(row_sources)
-    # These totals are a pure function of the inputs, so a serial run and a
-    # sharded process run (whose workers ship deltas back) count identically
-    # — the invariant the delta-shipping exactness tests pin down.
-    registry = global_registry()
-    if registry.enabled:
-        registry.inc("dsr_step_sources_total", num_sources, step="local")
-        registry.inc("dsr_step_groups_total", len(groups), step="local")
-        registry.inc(
-            "dsr_step_handle_bytes_total",
-            sum(len(row_bytes) for per_pid in outgoing.values() for row_bytes in per_pid),
-            step="local",
-        )
-    return groups, outgoing
-
-
-def remote_step_groups(
-    vrank: VertexRank,
-    rows: Mapping[int, int],
-    sources_by_handle: Mapping[int, Iterable[int]],
-    members_by_handle: Mapping[int, Tuple[int, ...]],
-) -> List[Group]:
-    """Step-3 core: per-handle member rows → per-source groups.
-
-    Each source's rows (across all handles it reached) are ORed into one
-    row, then sources are regrouped by that row — overlapping handle
-    answers materialise once, and each distinct row decodes once.
-    """
-    num_pairs = 0
-    row_by_source: Dict[int, int] = {}
-    for handle, handle_sources in sources_by_handle.items():
-        reached_row = 0
-        for member in members_by_handle[handle]:
-            reached_row |= rows.get(member, 0)
-        if not reached_row:
-            continue
-        for source in handle_sources:
-            num_pairs += 1
-            prev = row_by_source.get(source)
-            row_by_source[source] = (
-                reached_row if prev is None else prev | reached_row
-            )
-    by_row: Dict[int, List[int]] = {}
-    for source, row in row_by_source.items():
-        by_row.setdefault(row, []).append(source)
-    registry = global_registry()
-    if registry.enabled:
-        registry.inc("dsr_step_sources_total", num_pairs, step="remote")
-        registry.inc("dsr_step_groups_total", len(by_row), step="remote")
-    return [(row_sources, vrank.unpack(row)) for row, row_sources in by_row.items()]
-
-
 __all__ = [
-    "Group",
     "build_member_masks",
     "condensation_rows",
-    "local_step_groups",
-    "remote_step_groups",
 ]

@@ -25,18 +25,6 @@ The executor follows the paper's three-step protocol:
 
 Single-pair queries (Algorithm 1) are the special case ``|S| = |T| = 1``.
 
-Representations
----------------
-Every step runs in one of two *currencies*, chosen per query
-(``representation=``): ``"bits"`` — the default for anything beyond tiny
-queries on near-edgeless graphs — evaluates local reachability as packed
-rows over the epoch's stable vertex-rank numbering
-(:mod:`repro.reachability.packed`), intersects targets and handles with
-big-int ``AND`` masks, ships ``{packed handle bytes: [sources]}`` messages,
-and keeps answers in product form until the master materialises the
-``(s, t)`` tuples once; ``"sets"`` is the original ``Set[int]`` pipeline.
-Both produce identical answers (``tests/core/test_packed_pipeline.py``).
-
 Concurrency and epochs
 ----------------------
 A query captures the index's published :class:`~repro.core.index.EpochState`
@@ -48,12 +36,25 @@ query is consistent with exactly one epoch (reported as
 queries never interleave inboxes or phase timings — and folds its exact
 counters into the cluster's cumulative statistics when done.
 
-On a sharded executor (``executor="processes"``) the two local steps run as
-registered shard tasks inside the worker processes that were hydrated with
-this epoch's CSR shards; if a worker already retired the captured epoch (the
-query raced two consecutive flushes), the query transparently re-captures the
-newest epoch and retries, falling back to the in-process path as a last
-resort.
+One query path
+--------------
+The per-slave steps are not defined here: steps 1 and 3 are the two shard
+tasks of :mod:`repro.core.shard_exec`, written once over a small shard
+protocol.  This module builds their packed payloads — targets as one row
+over the epoch's stable vertex-rank numbering
+(:mod:`repro.reachability.packed`), handles as ``{packed handle bytes:
+[sources]}`` messages — identically for every executor, and only the
+dispatch differs: a sharded executor (``processes``/``tcp``) runs the tasks
+inside the workers hydrated with this epoch's CSR shards, every other
+configuration runs the same task functions against an in-process view of
+the captured epoch.  Answers stay in product form until the master
+materialises the ``(s, t)`` tuples once.
+
+If a shard no longer matches the captured epoch (the query raced two
+consecutive flushes, or an in-place vertex insert shifted a rank numbering
+under it), the step raises ``StaleEpochError`` and the query transparently
+re-captures the newest epoch and retries, falling back to the in-process
+view — which never depends on hydrated workers — as a last resort.
 """
 
 from __future__ import annotations
@@ -61,13 +62,13 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.cluster.cluster import ClusterStats, SimulatedCluster
 from repro.cluster.executors import StaleEpochError
 from repro.cluster.network import Network
 from repro.core.index import DSRIndex, EpochState
-from repro.core.packed_steps import Group, local_step_groups, remote_step_groups
+from repro.core.shard_exec import EpochShard, local_step, remote_step
 from repro.obs.runtime import global_registry
 from repro.obs.trace import QueryTrace
 from repro.reachability.packed import iter_bits, row_from_bytes, row_to_bytes
@@ -75,31 +76,6 @@ from repro.resilience.deadline import check_deadline
 
 #: How many times a sharded query re-captures the epoch before falling back.
 _MAX_STALE_RETRIES = 2
-
-#: Representations a query can be evaluated in.
-REPRESENTATIONS = ("bits", "sets")
-
-#: Below this |S|x|T| a sparse graph is cheaper to answer with plain sets
-#: (packed rows pay a fixed mask-construction cost per step).
-_SMALL_QUERY_PAIRS = 4
-_SPARSE_AVG_DEGREE = 1.0
-
-
-def choose_representation(
-    num_sources: int, num_targets: int, avg_degree: float
-) -> str:
-    """Pick the evaluation currency for a query from its size and the graph.
-
-    Packed rows win whenever there is batching to amortise — more than a
-    handful of candidate pairs, or a graph dense enough that reached sets
-    grow large; tiny queries over very sparse graphs stay on the set path,
-    whose early-terminating traversals beat building masks.  Shared by
-    :class:`~repro.core.engine.DSREngine` (``representation="auto"``) and
-    the service planner, so both layers make the same call.
-    """
-    if num_sources * num_targets <= _SMALL_QUERY_PAIRS and avg_degree < _SPARSE_AVG_DEGREE:
-        return "sets"
-    return "bits"
 
 
 @dataclass
@@ -167,26 +143,15 @@ class DistributedQueryExecutor:
         self,
         sources: Iterable[int],
         targets: Iterable[int],
-        representation: str = "bits",
         trace: Optional[QueryTrace] = None,
     ) -> QueryResult:
         """Evaluate ``S ⇝ T`` and return every reachable ``(s, t)`` pair.
-
-        ``representation`` selects the evaluation currency of the three-step
-        protocol: ``"bits"`` (the default) runs every local step over packed
-        rows and ships packed handle bytes, ``"sets"`` keeps the original
-        ``Set[int]`` materialisation.  Both produce identical pairs.
 
         ``trace`` — when the caller passes a :class:`~repro.obs.trace.
         QueryTrace`, the three protocol steps, per-partition shard-task
         wall-clock, payload bytes and stale-epoch retries are recorded as
         spans, and the trace is attached to :attr:`QueryResult.trace`.
         """
-        if representation not in REPRESENTATIONS:
-            raise ValueError(
-                f"unknown representation {representation!r}; "
-                f"available: {', '.join(REPRESENTATIONS)}"
-            )
         source_set = set(sources)
         target_set = set(targets)
         self._validate(source_set | target_set)
@@ -206,15 +171,16 @@ class DistributedQueryExecutor:
                     net,
                     stats,
                     sharded=use_shards,
-                    representation=representation,
                     trace=trace,
                 )
                 break
             except StaleEpochError:
                 # The captured epoch was retired under this query (it raced
-                # two consecutive flushes).  Re-capture and retry; after the
-                # retry budget, run in-process against the parent's state,
-                # which is always available.
+                # two consecutive flushes), or an in-place vertex insert
+                # shifted a rank numbering between payload packing and the
+                # step.  Re-capture and retry; after the retry budget, run
+                # against the in-process view of the parent's state, which
+                # is always available.
                 registry = global_registry()
                 if registry.enabled:
                     registry.inc("dsr_query_stale_retries_total")
@@ -226,8 +192,8 @@ class DistributedQueryExecutor:
                     )
                 if attempts <= 0:
                     use_shards = False
-                    continue
-                attempts -= 1
+                else:
+                    attempts -= 1
                 # A deadlined query stops retrying the moment its budget is
                 # gone — the retry would recompute an answer nobody awaits.
                 check_deadline("stale_retry")
@@ -237,15 +203,12 @@ class DistributedQueryExecutor:
         snapshot = net.stats
         registry = global_registry()
         if registry.enabled:
-            registry.inc("dsr_queries_total", representation=representation)
+            registry.inc("dsr_queries_total")
             registry.inc("dsr_query_pairs_total", len(pairs))
             registry.inc("dsr_query_messages_total", snapshot.messages_sent)
             registry.inc("dsr_query_bytes_total", snapshot.bytes_sent)
-            registry.observe(
-                "dsr_query_seconds", stats.real_seconds, representation=representation
-            )
+            registry.observe("dsr_query_seconds", stats.real_seconds)
         if trace is not None:
-            trace.attrs.setdefault("representation", representation)
             trace.attrs["epoch"] = state.epoch
             trace.attrs["sharded"] = use_shards
         return QueryResult(
@@ -324,94 +287,76 @@ class DistributedQueryExecutor:
         net: Network,
         stats: ClusterStats,
         sharded: bool,
-        representation: str = "bits",
         trace: Optional[QueryTrace] = None,
     ) -> Set[Tuple[int, int]]:
         sources_of, targets_of, boundary_targets_of, interior_targets_of = self._split(
             state, source_set, target_set
         )
         pairs: Set[Tuple[int, int]] = set()
-        bits = representation == "bits"
         phases_before = len(stats.phases)
 
-        # ----- Step 1: local evaluation at every slave --------------------- #
-        if sharded:
-            payloads: Dict[int, Dict[str, object]] = {}
-            for rank, local_sources in sources_of.items():
-                if not local_sources:
-                    continue
-                remote_boundary: Set[int] = set()
-                for pid, boundary_targets in boundary_targets_of.items():
-                    if pid != rank:
-                        remote_boundary |= boundary_targets
-                step1_targets = targets_of.get(rank, set()) | remote_boundary
-                payload: Dict[str, object] = {
-                    "sources": sorted(local_sources),
-                    "interior_pids": sorted(
-                        pid
-                        for pid, interior in interior_targets_of.items()
-                        if pid != rank and interior
-                    ),
-                }
-                if bits:
-                    # Packed wire form: targets travel as one row over the
-                    # worker's epoch vertex rank (identical on both sides by
-                    # construction — the blob ships the same id order).
-                    # ``num_ranks`` guards the one way the numbering can
-                    # move without an epoch bump (an in-place isolated-
-                    # vertex insert always changes the cardinality): a
-                    # mismatched worker raises StaleEpochError and the
-                    # query re-captures and retries.
-                    vrank = state.vertex_rank(rank)
-                    payload["targets_bits"] = row_to_bytes(vrank.pack(step1_targets))
-                    payload["num_ranks"] = len(vrank)
-                else:
-                    payload["targets"] = sorted(step1_targets)
-                payloads[rank] = payload
-            step1_results = (
-                self.cluster.run_shard_phase(
-                    "local", "dsr.local_step", payloads, epoch=state.epoch, stats=stats
-                )
-                if payloads
-                else {}
-            )
-        else:
-            step_fn = self._local_step_bits if bits else self._local_step
-
-            def step1(rank: int):
-                return step_fn(
-                    state,
-                    rank,
-                    sources_of.get(rank, set()),
-                    targets_of.get(rank, set()),
-                    boundary_targets_of,
-                    interior_targets_of,
-                )
-
-            step1_results = self.cluster.run_phase("local", step1, stats=stats)
-
-        if trace is not None:
-            request_bytes = 0
+        def dispatch(
+            name: str, step: Callable[[Any, Dict[str, Any]], Any], payloads: Dict[int, Any]
+        ) -> Dict[int, Any]:
+            """Run one per-slave step on every rank that has a payload."""
+            if not payloads:
+                return {}
             if sharded:
-                for payload in payloads.values():
-                    if bits:
-                        request_bytes += len(payload["targets_bits"])  # type: ignore[arg-type]
-                    else:
-                        request_bytes += 8 * len(payload["targets"])  # type: ignore[arg-type]
+                return self.cluster.run_shard_phase(
+                    name, step.task_name, payloads, epoch=state.epoch, stats=stats
+                )
+            return self.cluster.run_phase(
+                name,
+                lambda rank: step(EpochShard(state, rank), payloads[rank]),
+                workers=list(payloads),
+                stats=stats,
+            )
+
+        def packed_targets(rank: int, targets: Set[int]) -> Dict[str, Any]:
+            # Targets travel as one row over the slave's epoch vertex rank
+            # (identical on both sides by construction — the blob ships the
+            # same id order).  ``num_ranks`` guards the one way the
+            # numbering can move without an epoch bump (an in-place
+            # isolated-vertex insert always changes the cardinality): a
+            # mismatched shard raises StaleEpochError and the query
+            # re-captures and retries.
+            vrank = state.vertex_rank(rank)
+            return {
+                "targets_bits": row_to_bytes(vrank.pack(targets)),
+                "num_ranks": len(vrank),
+            }
+
+        # ----- Step 1: local evaluation at every slave --------------------- #
+        payloads: Dict[int, Dict[str, Any]] = {}
+        for rank, local_sources in sources_of.items():
+            if not local_sources:
+                continue
+            # Remote boundary targets are resolvable locally; remote interior
+            # targets need handles shipped to their home slave.
+            step1_targets = set(targets_of.get(rank, ()))
+            for pid, boundary_targets in boundary_targets_of.items():
+                if pid != rank:
+                    step1_targets |= boundary_targets
+            payloads[rank] = {
+                "sources": sorted(local_sources),
+                "interior_pids": sorted(
+                    pid
+                    for pid, interior in interior_targets_of.items()
+                    if pid != rank and interior
+                ),
+                **packed_targets(rank, step1_targets),
+            }
+        step1_results = dispatch("local", local_step, payloads)
+        if trace is not None:
             self._trace_step(
-                trace, stats, phases_before, "step1",
-                sharded=sharded, payload_bytes=request_bytes,
-                partitions=len(step1_results),
+                trace, stats, phases_before, "step1", payloads, sharded=sharded
             )
             phases_before = len(stats.phases)
 
-        for rank, (step1_answer, outgoing) in step1_results.items():
-            if bits:
-                # Product-form groups materialise exactly once, here.
-                for group_sources, group_targets in step1_answer:
-                    pairs.update(product(group_sources, group_targets))
-            else:
-                pairs |= step1_answer
+        for rank, (groups, outgoing) in step1_results.items():
+            # Product-form groups materialise exactly once, here.
+            for group_sources, group_targets in groups:
+                pairs.update(product(group_sources, group_targets))
             for destination, payload in outgoing.items():
                 net.send(rank, destination, payload, tag="handles")
 
@@ -425,69 +370,32 @@ class DistributedQueryExecutor:
             )
 
         # ----- Step 3: resolve received handles at the target slaves ------- #
-        if sharded:
-            payloads3: Dict[int, Dict[str, object]] = {}
-            for rank in range(self.index.num_partitions):
-                interior = interior_targets_of.get(rank, set())
-                messages = net.deliver(rank)
-                if not interior or not messages:
-                    continue
-                if bits:
-                    sources_by_handle = self._invert_messages_bits(
-                        messages, state.summaries[rank].forward_handle_order()
-                    )
-                else:
-                    sources_by_handle = self._invert_messages(messages)
-                if not sources_by_handle:
-                    continue
-                payload3: Dict[str, object] = {
-                    "sources_by_handle": {
-                        handle: sorted(handle_sources)
-                        for handle, handle_sources in sources_by_handle.items()
-                    },
-                }
-                if bits:
-                    vrank = state.vertex_rank(rank)
-                    payload3["targets_bits"] = row_to_bytes(vrank.pack(interior))
-                    payload3["num_ranks"] = len(vrank)
-                else:
-                    payload3["interior_targets"] = sorted(interior)
-                payloads3[rank] = payload3
-            step3_results = (
-                self.cluster.run_shard_phase(
-                    "remote", "dsr.remote_step", payloads3, epoch=state.epoch, stats=stats
-                )
-                if payloads3
-                else {}
+        payloads3: Dict[int, Dict[str, Any]] = {}
+        for rank in range(self.index.num_partitions):
+            interior = interior_targets_of.get(rank, set())
+            messages = net.deliver(rank)
+            if not interior or not messages:
+                continue
+            sources_by_handle = self._invert_handle_messages(
+                messages, state.summaries[rank].forward_handle_order()
             )
-        else:
-            remote_fn = self._remote_step_bits if bits else self._remote_step
-
-            def step3(rank: int):
-                return remote_fn(
-                    state, rank, interior_targets_of.get(rank, set()), net
-                )
-
-            step3_results = self.cluster.run_phase("remote", step3, stats=stats)
+            if not sources_by_handle:
+                continue
+            payloads3[rank] = {
+                "sources_by_handle": {
+                    handle: sorted(handle_sources)
+                    for handle, handle_sources in sources_by_handle.items()
+                },
+                **packed_targets(rank, interior),
+            }
+        step3_results = dispatch("remote", remote_step, payloads3)
         if trace is not None:
-            request_bytes = 0
-            if sharded:
-                for payload3 in payloads3.values():
-                    if bits:
-                        request_bytes += len(payload3["targets_bits"])  # type: ignore[arg-type]
-                    else:
-                        request_bytes += 8 * len(payload3["interior_targets"])  # type: ignore[arg-type]
             self._trace_step(
-                trace, stats, phases_before, "step3",
-                sharded=sharded, payload_bytes=request_bytes,
-                partitions=len(step3_results),
+                trace, stats, phases_before, "step3", payloads3, sharded=sharded
             )
-        for step3_answer in step3_results.values():
-            if bits:
-                for group_sources, group_targets in step3_answer:
-                    pairs.update(product(group_sources, group_targets))
-            else:
-                pairs |= step3_answer
+        for groups in step3_results.values():
+            for group_sources, group_targets in groups:
+                pairs.update(product(group_sources, group_targets))
         return pairs
 
     @staticmethod
@@ -496,6 +404,7 @@ class DistributedQueryExecutor:
         stats: ClusterStats,
         phases_before: int,
         name: str,
+        payloads: Dict[int, Dict[str, Any]],
         **attrs: object,
     ) -> None:
         """Record one protocol step plus its per-partition shard spans.
@@ -509,151 +418,23 @@ class DistributedQueryExecutor:
         trace.add(
             name,
             sum(phase.real_seconds for phase in new_phases),
+            partitions=len(payloads),
+            payload_bytes=sum(
+                len(payload["targets_bits"]) for payload in payloads.values()
+            ),
             **attrs,
         )
         for phase in new_phases:
             for rank, seconds in sorted(phase.per_worker_seconds.items()):
                 trace.add(f"{name}.shard", seconds, partition=rank)
 
-    # ------------------------------------------------------------------ #
-    # per-slave steps (in-process path)
-    #
-    # Kept in deliberate lockstep with the worker-side shard tasks in
-    # repro.core.shard_exec (local_step / remote_step) — change the pair
-    # logic in both places; TestExecutorParity is the tripwire.
-    # ------------------------------------------------------------------ #
-    def _local_step(
-        self,
-        state: EpochState,
-        rank: int,
-        local_sources: Set[int],
-        local_targets: Set[int],
-        boundary_targets_of: Dict[int, Set[int]],
-        interior_targets_of: Dict[int, Set[int]],
-    ) -> Tuple[Set[Tuple[int, int]], Dict[int, Dict[int, List[int]]]]:
-        """Step 1 at slave ``rank``.
-
-        Returns ``(pairs, outgoing)`` where ``outgoing[j]`` is the message
-        payload ``{source: [handles of partition j reached]}`` for slave ``j``.
-        """
-        pairs: Set[Tuple[int, int]] = set()
-        outgoing: Dict[int, Dict[int, List[int]]] = {}
-        if not local_sources:
-            return pairs, outgoing
-        compound = state.compound_graphs[rank]
-
-        # Remote boundary targets are resolvable locally; remote interior
-        # targets need handles shipped to their home slave.
-        remote_boundary_targets: Set[int] = set()
-        handle_targets: Dict[int, Set[int]] = {}
-        for pid, boundary_targets in boundary_targets_of.items():
-            if pid != rank:
-                remote_boundary_targets |= boundary_targets
-        for pid, interior_targets in interior_targets_of.items():
-            if pid != rank and interior_targets:
-                handle_targets[pid] = compound.forward_handles_of(pid)
-
-        all_targets = set(local_targets) | remote_boundary_targets
-        all_handles: Set[int] = set()
-        for handles in handle_targets.values():
-            all_handles |= handles
-
-        reach = compound.local_set_reachability(local_sources, all_targets | all_handles)
-
-        for source in local_sources:
-            reached = reach.get(source, set())
-            for target in reached & all_targets:
-                pairs.add((source, target))
-            if not all_handles:
-                continue
-            reached_handles = reached & all_handles
-            if not reached_handles:
-                continue
-            for pid, handles in handle_targets.items():
-                hit = sorted(reached_handles & handles)
-                if hit:
-                    outgoing.setdefault(pid, {})[source] = hit
-        return pairs, outgoing
-
-    def _local_step_bits(
-        self,
-        state: EpochState,
-        rank: int,
-        local_sources: Set[int],
-        local_targets: Set[int],
-        boundary_targets_of: Dict[int, Set[int]],
-        interior_targets_of: Dict[int, Set[int]],
-    ) -> Tuple[List[Group], Dict[int, Dict[bytes, List[int]]]]:
-        """Step 1 at slave ``rank``, evaluated entirely over packed rows.
-
-        Targets and handles are packed once into masks over the compound
-        graph's vertex rank; the row-grouping/decoding/packing core is
-        :func:`repro.core.packed_steps.local_step_groups`, shared verbatim
-        with the worker-side shard task.  The result stays in product form
-        — ``(sources, targets)`` groups — and only the master materialises
-        ``(s, t)`` tuples, once; the handles bound for slave ``j`` travel
-        as ``{packed handle bytes: [sources]}`` in ``j``'s canonical handle
-        order.
-        """
-        if not local_sources:
-            return [], {}
-        compound = state.compound_graphs[rank]
-        # One view capture per step: every rank, mask and row below shares
-        # its numbering, so an in-place rebuild racing this query cannot
-        # mix bit positions across the swap.
-        view = compound.condensation_view()
-        vrank = view.vertex_rank
-
-        remote_boundary_targets: Set[int] = set()
-        for pid, boundary_targets in boundary_targets_of.items():
-            if pid != rank:
-                remote_boundary_targets |= boundary_targets
-        interior_pids = [
-            pid
-            for pid, interior_targets in interior_targets_of.items()
-            if pid != rank and interior_targets
-        ]
-
-        target_mask = vrank.pack(local_targets | remote_boundary_targets)
-        pid_masks = [
-            (pid, compound.handle_mask_of(pid, vrank)) for pid in interior_pids
-        ]
-        all_handle_mask = 0
-        for _, pid_mask in pid_masks:
-            all_handle_mask |= pid_mask
-
-        rows = compound.local_set_reachability_rows(
-            local_sources, target_mask | all_handle_mask, view
-        )
-        return local_step_groups(
-            vrank,
-            rows,
-            local_sources,
-            target_mask,
-            all_handle_mask,
-            pid_masks,
-            compound.handle_positions_of,
-        )
-
     @staticmethod
-    def _invert_messages(messages) -> Dict[int, Set[int]]:
-        """Invert ``{source: [handles]}`` payloads into handle → sources.
-
-        This is the inverted index ``I_i(Υ, L)`` of Algorithm 2, Step 2.
-        """
-        sources_by_handle: Dict[int, Set[int]] = {}
-        for message in messages:
-            for source, handles in message.payload.items():
-                for handle in handles:
-                    sources_by_handle.setdefault(handle, set()).add(source)
-        return sources_by_handle
-
-    @staticmethod
-    def _invert_messages_bits(
+    def _invert_handle_messages(
         messages, handle_order: Tuple[int, ...]
     ) -> Dict[int, List[int]]:
         """Invert packed ``{handle bytes: [sources]}`` payloads to handle → sources.
 
+        This is the inverted index ``I_i(Υ, L)`` of Algorithm 2, Step 2.
         ``handle_order`` is the receiving partition's canonical handle
         numbering; bit ``p`` of a payload row addresses ``handle_order[p]``.
         The payloads arrive pre-grouped by row (sources of one SCC ship one
@@ -669,74 +450,6 @@ class DistributedQueryExecutor:
                         handle_order[position], []
                     ).extend(row_sources)
         return sources_by_handle
-
-    def _remote_step_bits(
-        self, state: EpochState, rank: int, interior_targets: Set[int], net: Network
-    ) -> List[Group]:
-        """Step 3 at slave ``rank`` over packed rows.
-
-        Received handle bytes are decoded against this partition's canonical
-        handle order and expanded to representative members; the
-        row-ORing/regrouping core is :func:`repro.core.packed_steps.
-        remote_step_groups`, shared verbatim with the worker-side shard
-        task.  Returns product-form ``(sources, targets)`` groups; the
-        master materialises the tuples.
-        """
-        messages = net.deliver(rank)
-        if not interior_targets or not messages:
-            return []
-        compound = state.compound_graphs[rank]
-        summary = state.summaries[rank]
-
-        sources_by_handle = self._invert_messages_bits(
-            messages, summary.forward_handle_order()
-        )
-        if not sources_by_handle:
-            return []
-
-        members_by_handle: Dict[int, Tuple[int, ...]] = {
-            handle: summary.expand_handle(handle) for handle in sources_by_handle
-        }
-        all_members = {
-            member for members in members_by_handle.values() for member in members
-        }
-        # One view capture per step (see _local_step_bits).
-        view = compound.condensation_view()
-        vrank = view.vertex_rank
-        interior_mask = vrank.pack(interior_targets)
-        rows = compound.local_set_reachability_rows(all_members, interior_mask, view)
-        return remote_step_groups(vrank, rows, sources_by_handle, members_by_handle)
-
-    def _remote_step(
-        self, state: EpochState, rank: int, interior_targets: Set[int], net: Network
-    ) -> Set[Tuple[int, int]]:
-        """Step 3 at slave ``rank``: expand received handles, finish locally."""
-        messages = net.deliver(rank)
-        pairs: Set[Tuple[int, int]] = set()
-        if not interior_targets or not messages:
-            return pairs
-        compound = state.compound_graphs[rank]
-        summary = state.summaries[rank]
-
-        sources_by_handle = self._invert_messages(messages)
-        if not sources_by_handle:
-            return pairs
-
-        # Expand handles to concrete member vertices and evaluate once.
-        members_by_handle: Dict[int, Tuple[int, ...]] = {
-            handle: summary.expand_handle(handle) for handle in sources_by_handle
-        }
-        all_members = {member for members in members_by_handle.values() for member in members}
-        reach = compound.local_set_reachability(all_members, interior_targets)
-
-        for handle, handle_sources in sources_by_handle.items():
-            reached: Set[int] = set()
-            for member in members_by_handle[handle]:
-                reached |= reach.get(member, set())
-            for source in handle_sources:
-                for target in reached:
-                    pairs.add((source, target))
-        return pairs
 
     # ------------------------------------------------------------------ #
     def _validate(self, vertices: Set[int]) -> None:

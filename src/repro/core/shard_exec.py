@@ -1,37 +1,38 @@
-"""Worker-side DSR execution over hydrated CSR shards.
+"""The per-slave query steps, written once over a small shard protocol.
 
-When the cluster runs on the ``processes`` executor, the per-slave steps of
-the one-round query protocol (:mod:`repro.core.query`) execute inside
-long-lived worker processes.  Workers never see the engine's Python object
-graph; instead each is *hydrated once per epoch* with a
-:class:`WorkerShard` — the immutable, self-contained slice of the index that
-slave ``i`` needs to answer its part of any query:
+Steps 1 and 3 of the one-round query protocol (:mod:`repro.core.query`,
+Algorithms 1 and 2) are the two shard tasks :func:`local_step` and
+:func:`remote_step` below — their only definitions.  Both are pure reads of
+a *shard*: whatever answers the :class:`QueryShard` protocol for slave ``i``
+of one epoch.  Two things do:
 
-* the CSR snapshot of its **condensed compound graph** (the same DAG the
-  in-process path queries through), shipped via the compact
-  :meth:`repro.graph.csr.CSRGraph.to_bytes` serialisation;
-* the vertex → SCC-component mapping of that condensation;
-* the forward entry handles of every remote partition (so step-1 payloads
-  stay small: the parent names partitions, the worker knows their handles);
-* its own summary's handle → representative expansion table for step 3.
+* :class:`WorkerShard` — the immutable, self-contained slice of the index a
+  worker of a sharded executor (``processes``/``tcp``) is *hydrated once per
+  epoch* with.  Workers never see the engine's Python object graph; the
+  shard carries
 
-Reachability inside a worker is evaluated directly with the bitset
-multi-source BFS kernel (:mod:`repro.reachability.bitset_msbfs`) over the
-condensation CSR — stateless per query, nothing to keep in sync.
+  - the CSR snapshot of the slave's **condensed compound graph**, shipped
+    via the compact :meth:`repro.graph.csr.CSRGraph.to_bytes` serialisation
+    or a shared-memory segment;
+  - the vertex → SCC-component mapping of that condensation;
+  - the forward entry handles of every remote partition (so step-1 payloads
+    stay small: the parent names partitions, the worker knows their handles);
+  - its own summary's handle → representative expansion table for step 3,
 
-The task functions are registered with the executor registry
-(:mod:`repro.cluster.executors`) under ``dsr.local_step`` / ``dsr.remote_step``
-and must stay pure reads of the shard: one hydrated epoch serves every
-in-flight query of that epoch concurrently.
+  and answers reachability rows with the bitset multi-source BFS kernel
+  (:mod:`repro.reachability.bitset_msbfs`) over the condensation CSR —
+  stateless per query, nothing to keep in sync.
 
-.. warning::
-   :func:`local_step` / :func:`remote_step` deliberately mirror
-   ``DistributedQueryExecutor._local_step`` / ``_remote_step`` (the
-   in-process path keeps the *configured* local strategy; workers always
-   use the stateless bitset kernel).  Any semantic change to the pair logic
-   in :mod:`repro.core.query` must be applied here too — the cross-executor
-   parity tests (``tests/core/test_epochs.py::TestExecutorParity``) are the
-   tripwire.
+* :class:`EpochShard` — a thin in-process view over ``(EpochState, rank)``
+  whose rows come from the compound graph's *configured* local strategy.
+  It serves every non-sharded configuration, the reverse index (which
+  shares the forward cluster but not its workers) and the stale-epoch
+  last-resort fallback.
+
+The tasks are registered with the executor registry
+(:mod:`repro.cluster.executors`) under ``dsr.local_step`` /
+``dsr.remote_step`` and must stay pure reads of the shard: one hydrated
+epoch serves every in-flight query of that epoch concurrently.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import struct
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Protocol, Tuple
 
 from repro.cluster import shm as cluster_shm
 from repro.cluster.executors import (
@@ -47,24 +48,52 @@ from repro.cluster.executors import (
     register_shard_loader,
     register_shard_task,
 )
-from repro.core.packed_steps import (
-    build_member_masks,
-    condensation_rows,
-    local_step_groups,
-    remote_step_groups,
-)
+from repro.core.packed_steps import build_member_masks, condensation_rows
 from repro.graph.csr import CSRGraph
 from repro.obs.runtime import global_registry
 from repro.reachability.bitset_msbfs import (
-    set_reachability as _bitset_set_reachability,
     set_reachability_rows as _bitset_set_reachability_rows,
 )
-from repro.reachability.packed import VertexRank, handle_positions, row_from_bytes
+from repro.reachability.packed import (
+    VertexRank,
+    handle_positions,
+    iter_bits,
+    row_from_bytes,
+    row_to_bytes,
+)
 
 #: Registry name of the hydration loader used for DSR shards.
 DSR_SHARD_LOADER = "dsr.load_shard"
 LOCAL_STEP_TASK = "dsr.local_step"
 REMOTE_STEP_TASK = "dsr.remote_step"
+
+#: One product-form answer group: every source reaches every target.
+Group = Tuple[List[int], List[int]]
+
+
+class QueryShard(Protocol):
+    """What one slave of one epoch must answer for the two query steps.
+
+    Every mask and row is addressed in :attr:`vertex_rank`, which an
+    implementation fixes for its whole lifetime — so one step can never mix
+    bit positions of two numberings.
+    """
+
+    rank: int
+    epoch: int
+    vertex_rank: VertexRank
+
+    def handle_mask_of(self, pid: int) -> int:
+        """Remote partition ``pid``'s forward handles as one packed row."""
+
+    def handle_positions_of(self, pid: int) -> Dict[int, int]:
+        """Handle id → canonical wire position for remote partition ``pid``."""
+
+    def expand_handle(self, handle: int) -> Tuple[int, ...]:
+        """A received handle of this partition → concrete member vertices."""
+
+    def rows(self, sources: Iterable[int], mask: int) -> Dict[int, int]:
+        """Packed ``localSetReachability``: ``{source: reached row & mask}``."""
 
 
 @dataclass
@@ -108,6 +137,15 @@ class WorkerShard:
     vertex_rank: Optional[VertexRank] = None
     member_masks: Tuple[int, ...] = ()
     _handle_positions: Dict[int, Dict[int, int]] = field(default_factory=dict)
+    _handle_masks: Dict[int, int] = field(default_factory=dict)
+
+    def handle_mask_of(self, pid: int) -> int:
+        """Remote partition ``pid``'s forward handles as one packed row."""
+        mask = self._handle_masks.get(pid)
+        if mask is None:
+            mask = self.vertex_rank.pack(self.remote_forward_handles.get(pid, ()))
+            self._handle_masks[pid] = mask
+        return mask
 
     def handle_positions_of(self, pid: int) -> Dict[int, int]:
         """Handle id → canonical wire position for remote partition ``pid``.
@@ -123,6 +161,31 @@ class WorkerShard:
             self._handle_positions[pid] = positions
         return positions
 
+    def expand_handle(self, handle: int) -> Tuple[int, ...]:
+        """Class handle → representative member; member handle → itself."""
+        return self.expand_members.get(handle, (handle,))
+
+    def rows(self, sources: Iterable[int], mask: int) -> Dict[int, int]:
+        """Packed ``{source: row}`` from the bitset kernel over the shard's CSR.
+
+        Translate the mask to DAG components, run the packed bitset kernel,
+        expand reached components through the hydrated member masks with
+        single ORs.  Ids unknown to the shard (e.g. a vertex inserted after
+        this epoch) get a zero row.
+        """
+        dag_csr = self.dag_csr
+        return condensation_rows(
+            sources,
+            self.component_of,
+            lambda comps, dag_mask: _bitset_set_reachability_rows(
+                dag_csr, comps, dag_mask
+            ),
+            self.member_masks,
+            self.vertex_rank.ids,
+            VertexRank.from_csr(dag_csr).rank_of,
+            mask,
+        )
+
     def close(self) -> None:
         """Detach from the shard's shared-memory segment, if any.
 
@@ -131,6 +194,40 @@ class WorkerShard:
         """
         if self.dag_csr is not None:
             self.dag_csr.release_shared()
+
+
+class EpochShard:
+    """The in-process shard: a view over ``(EpochState, rank)``.
+
+    Built per step, it captures the compound graph's condensation view
+    **once**: every rank, mask and row of the step shares that view's
+    numbering, so an in-place rebuild racing the query (an isolated-vertex
+    insert) cannot mix bit positions across the swap.
+    """
+
+    __slots__ = ("rank", "epoch", "vertex_rank", "_compound", "_summary", "_view")
+
+    def __init__(self, state, rank: int) -> None:
+        self.rank = rank
+        self.epoch = state.epoch
+        self._compound = state.compound_graphs[rank]
+        self._summary = state.summaries[rank]
+        self._view = self._compound.condensation_view()
+        self.vertex_rank = self._view.vertex_rank
+
+    def handle_mask_of(self, pid: int) -> int:
+        return self._compound.handle_mask_of(pid, self.vertex_rank)
+
+    def handle_positions_of(self, pid: int) -> Dict[int, int]:
+        return self._compound.handle_positions_of(pid)
+
+    def expand_handle(self, handle: int) -> Tuple[int, ...]:
+        return self._summary.expand_handle(handle)
+
+    def rows(self, sources: Iterable[int], mask: int) -> Dict[int, int]:
+        # Looked up on the compound graph per call, never cached here:
+        # per-instance wrappers (tracing hooks) must see every kernel call.
+        return self._compound.local_set_reachability_rows(sources, mask, self._view)
 
 
 # ---------------------------------------------------------------------- #
@@ -353,266 +450,168 @@ def load_shard(blob: WorkerShardBlob) -> WorkerShard:
     )
 
 
-def _check_rank_cardinality(shard: WorkerShard, payload: Dict[str, Any]) -> None:
+def _check_rank_cardinality(shard: QueryShard, payload: Dict[str, Any]) -> None:
     """Reject packed payloads addressed in a different rank numbering.
 
     An in-place isolated-vertex insert shifts the vertex-rank numbering
     without bumping the epoch (it always changes the cardinality), and
-    :meth:`repro.core.index.DSRIndex.rehydrate_partition` reships this
-    shard under the *same* epoch — so a bits payload packed on the other
+    :meth:`repro.core.index.DSRIndex.rehydrate_partition` reships the
+    worker shard under the *same* epoch — so a payload packed on the other
     side of that window must not be decoded here.  Raising
     :class:`StaleEpochError` routes it into the query's existing
     re-capture-and-retry path.
     """
-    expected = payload.get("num_ranks")
-    if expected is not None and expected != len(shard.vertex_rank.ids):
+    if payload["num_ranks"] != len(shard.vertex_rank):
         raise StaleEpochError(shard.rank, shard.epoch, (shard.epoch,))
 
 
 def _record_payload(step: str, payload: Dict[str, Any]) -> None:
-    """Account the request payload that crossed (or would cross) the IPC
-    boundary for one step: packed target bytes in bits form, an 8-byte-per-id
-    estimate in set form.  Recorded in whichever process runs the task, so
-    worker totals ship back via the executor's delta piggybacking."""
+    """Account the packed target bytes one step request carries (what
+    crosses the IPC boundary on a sharded executor).  Recorded in whichever
+    process runs the task, so worker totals ship back via the executor's
+    delta piggybacking."""
     registry = global_registry()
-    if not registry.enabled:
-        return
-    bits = payload.get("targets_bits")
-    if bits is not None:
-        nbytes = len(bits)
-        form = "bits"
-    else:
-        targets = payload.get("targets") or payload.get("interior_targets") or ()
-        nbytes = 8 * len(targets)
-        form = "sets"
-    registry.inc("dsr_shard_payload_bytes_total", nbytes, step=step, form=form)
-
-
-# ---------------------------------------------------------------------- #
-# reachability over the hydrated condensation
-# ---------------------------------------------------------------------- #
-def _shard_set_reachability(
-    shard: WorkerShard, sources: Iterable[int], targets: Iterable[int]
-) -> Dict[int, Set[int]]:
-    """``{source: reachable targets}`` over the shard's condensation CSR.
-
-    Mirrors :meth:`repro.core.compound_graph.CondensedReachability.
-    set_reachability`: translate to component ids, run the batched bitset
-    kernel over the DAG, translate back.  Ids unknown to the shard (e.g. a
-    vertex inserted after this epoch) yield empty results.
-    """
-    sources = list(sources)
-    result: Dict[int, Set[int]] = {source: set() for source in sources}
-    component_of = shard.component_of
-    source_comps = {
-        source: component_of[source] for source in sources if source in component_of
-    }
-    target_comps: Dict[int, List[int]] = {}
-    for target in set(targets):
-        comp = component_of.get(target)
-        if comp is not None:
-            target_comps.setdefault(comp, []).append(target)
-    if not source_comps or not target_comps:
-        return result
-    comp_result = _bitset_set_reachability(
-        shard.dag_csr, set(source_comps.values()), set(target_comps)
-    )
-    for source, comp in source_comps.items():
-        reached: Set[int] = set()
-        for reached_comp in comp_result.get(comp, ()):
-            reached.update(target_comps[reached_comp])
-        result[source] = reached
-    return result
-
-
-def _shard_set_reachability_rows(
-    shard: WorkerShard, sources: Iterable[int], target_mask: int
-) -> Dict[int, int]:
-    """Packed ``{source: row}`` over the shard's vertex rank.
-
-    Mirrors :meth:`repro.core.compound_graph.CondensedReachability.
-    set_reachability_rows`: translate the mask to DAG components, run the
-    packed bitset kernel, expand reached components through the hydrated
-    member masks with single ORs.
-    """
-    dag_csr = shard.dag_csr
-    return condensation_rows(
-        sources,
-        shard.component_of,
-        lambda comps, dag_mask: _bitset_set_reachability_rows(
-            dag_csr, comps, dag_mask
-        ),
-        shard.member_masks,
-        shard.vertex_rank.ids,
-        VertexRank.from_csr(dag_csr).rank_of,
-        target_mask,
-    )
+    if registry.enabled:
+        registry.inc(
+            "dsr_shard_payload_bytes_total", len(payload["targets_bits"]), step=step
+        )
 
 
 # ---------------------------------------------------------------------- #
 # the two per-slave query steps (Algorithms 1 and 2)
 # ---------------------------------------------------------------------- #
 @register_shard_task(LOCAL_STEP_TASK)
-def local_step(shard: WorkerShard, payload: Dict[str, Any]):
-    """Step 1 at this slave: local pairs + handles to ship per partition.
+def local_step(
+    shard: QueryShard, payload: Dict[str, Any]
+) -> Tuple[List[Group], Dict[int, Dict[bytes, List[int]]]]:
+    """Step 1 at this slave: local answer groups + handles to ship per partition.
 
-    Payload: ``{"sources": [...], "interior_pids": [...]}`` plus the targets
-    in one of two wire forms — ``"targets_bits"`` (packed bytes over this
-    shard's vertex rank; the bits-native pipeline) or ``"targets"`` (sorted
-    id list; the set pipeline).  ``targets`` already bundles local targets
-    with remote *boundary* targets (resolvable here without communication)
-    and ``interior_pids`` names the remote partitions whose interior targets
-    need handle shipping.  Returns ``(pairs, outgoing)`` with
-    ``outgoing[pid] = {source: packed handle bytes}`` in bits form and
-    ``{source: [handles]}`` in set form.
+    Payload: ``{"sources": [...], "interior_pids": [...], "targets_bits":
+    packed bytes over the shard's vertex rank, "num_ranks": its
+    cardinality}``.  The targets already bundle local targets with remote
+    *boundary* targets (resolvable here without communication);
+    ``interior_pids`` names the remote partitions whose interior targets
+    need handle shipping.
+
+    Sources are grouped by their reached row (one SCC → one row), so each
+    distinct row is intersected with the target mask and decoded exactly
+    once.  The answer stays in product form — ``(sources, targets)`` groups
+    the master materialises once — and the handles bound for partition
+    ``pid`` are re-packed into ``pid``'s canonical handle positions and
+    keyed by their byte form, ``outgoing[pid] = {packed handle bytes:
+    [sources]}``, with all sources sharing a row appended to one entry.
     """
     _record_payload("local", payload)
-    if "targets_bits" in payload:
-        return _local_step_bits(shard, payload)
-    pairs: Set[Tuple[int, int]] = set()
-    outgoing: Dict[int, Dict[int, List[int]]] = {}
-    sources = payload["sources"]
-    if not sources:
-        return pairs, outgoing
-    handle_targets = {
-        pid: set(shard.remote_forward_handles.get(pid, ()))
-        for pid in payload["interior_pids"]
-        if pid != shard.rank
-    }
-    all_targets = set(payload["targets"])
-    all_handles: Set[int] = set()
-    for handles in handle_targets.values():
-        all_handles |= handles
-
-    reach = _shard_set_reachability(shard, sources, all_targets | all_handles)
-    for source in sources:
-        reached = reach.get(source, set())
-        for target in reached & all_targets:
-            pairs.add((source, target))
-        if not all_handles:
-            continue
-        reached_handles = reached & all_handles
-        if not reached_handles:
-            continue
-        for pid, handles in handle_targets.items():
-            hit = sorted(reached_handles & handles)
-            if hit:
-                outgoing.setdefault(pid, {})[source] = hit
-    return pairs, outgoing
-
-
-def _local_step_bits(shard: WorkerShard, payload: Dict[str, Any]):
-    """Bits-native step 1: masks in, product groups + packed bytes out.
-
-    The row-grouping/decoding/packing core is the same
-    :func:`repro.core.packed_steps.local_step_groups` the in-process path
-    runs — only the mask plumbing differs.  The answer ships as
-    ``(sources, targets)`` product groups (the parent materialises the
-    tuples once) and the handle traffic as ``{packed handle bytes:
-    [sources]}`` per destination partition.
-    """
-    sources = payload["sources"]
-    if not sources:
-        return [], {}
     _check_rank_cardinality(shard, payload)
     vrank = shard.vertex_rank
-    interior_pids = [pid for pid in payload["interior_pids"] if pid != shard.rank]
-
+    ids = vrank.ids
+    sources = payload["sources"]
     target_mask = row_from_bytes(payload["targets_bits"])
-    pid_masks = [
-        (pid, vrank.pack(shard.remote_forward_handles.get(pid, ())))
-        for pid in interior_pids
-    ]
+    pid_masks = [(pid, shard.handle_mask_of(pid)) for pid in payload["interior_pids"]]
     all_handle_mask = 0
     for _, pid_mask in pid_masks:
         all_handle_mask |= pid_mask
 
-    rows = _shard_set_reachability_rows(
-        shard, sources, target_mask | all_handle_mask
-    )
-    return local_step_groups(
-        vrank,
-        rows,
-        sources,
-        target_mask,
-        all_handle_mask,
-        pid_masks,
-        shard.handle_positions_of,
-    )
+    rows = shard.rows(sources, target_mask | all_handle_mask)
+    by_row: Dict[int, List[int]] = {}
+    for source in sources:
+        row = rows.get(source, 0)
+        if row:
+            by_row.setdefault(row, []).append(source)
+
+    groups: List[Group] = []
+    outgoing: Dict[int, Dict[bytes, List[int]]] = {}
+    for row, row_sources in by_row.items():
+        hits = row & target_mask
+        if hits:
+            groups.append((row_sources, vrank.unpack(hits)))
+        if not row & all_handle_mask:
+            continue
+        for pid, pid_mask in pid_masks:
+            hit = row & pid_mask
+            if not hit:
+                continue
+            positions = shard.handle_positions_of(pid)
+            handle_row = 0
+            for r in iter_bits(hit):
+                handle_row |= 1 << positions[ids[r]]
+            outgoing.setdefault(pid, {}).setdefault(
+                row_to_bytes(handle_row), []
+            ).extend(row_sources)
+    # These totals are a pure function of the inputs, so a serial run and a
+    # sharded process run (whose workers ship deltas back) count identically
+    # — the invariant the delta-shipping exactness tests pin down.
+    registry = global_registry()
+    if registry.enabled:
+        registry.inc("dsr_step_sources_total", len(sources), step="local")
+        registry.inc("dsr_step_groups_total", len(groups), step="local")
+        registry.inc(
+            "dsr_step_handle_bytes_total",
+            sum(len(row_bytes) for per_pid in outgoing.values() for row_bytes in per_pid),
+            step="local",
+        )
+    return groups, outgoing
 
 
 @register_shard_task(REMOTE_STEP_TASK)
-def remote_step(shard: WorkerShard, payload: Dict[str, Any]):
+def remote_step(shard: QueryShard, payload: Dict[str, Any]) -> List[Group]:
     """Step 3 at this slave: expand received handles, finish locally.
 
-    Payload: ``{"sources_by_handle": {handle: [sources]}}`` plus the
-    remaining interior targets as either ``"targets_bits"`` (packed bytes
-    over this shard's vertex rank) or ``"interior_targets"`` (sorted list) —
-    the parent has already drained and inverted this slave's inbox.
-    Returns the resolved ``(s, t)`` pairs.
+    Payload: ``{"sources_by_handle": {handle: [sources]}, "targets_bits":
+    the remaining interior targets as packed bytes over the shard's vertex
+    rank, "num_ranks": its cardinality}`` — the parent has already drained
+    and inverted this slave's inbox.
+
+    Each source's rows (across all handles it reached) are ORed into one
+    row, then sources are regrouped by that row — overlapping handle
+    answers materialise once, and each distinct row decodes once.  Returns
+    product-form ``(sources, targets)`` groups; the master materialises
+    the tuples.
     """
-    pairs: Set[Tuple[int, int]] = set()
-    sources_by_handle: Dict[int, List[int]] = payload["sources_by_handle"]
-    if not sources_by_handle:
-        return pairs
     _record_payload("remote", payload)
-    if "targets_bits" in payload:
-        return _remote_step_bits(shard, payload)
-    interior_targets = payload["interior_targets"]
-    if not interior_targets:
-        return pairs
-
-    members_by_handle = {
-        handle: shard.expand_members.get(handle, (handle,))
-        for handle in sources_by_handle
-    }
-    all_members = {
-        member for members in members_by_handle.values() for member in members
-    }
-    reach = _shard_set_reachability(shard, all_members, interior_targets)
-    for handle, sources in sources_by_handle.items():
-        reached: Set[int] = set()
-        for member in members_by_handle[handle]:
-            reached |= reach.get(member, set())
-        for source in sources:
-            for target in reached:
-                pairs.add((source, target))
-    return pairs
-
-
-def _remote_step_bits(shard: WorkerShard, payload: Dict[str, Any]):
-    """Bits-native step 3: expand handles, AND rows against the target mask.
-
-    The row-ORing/regrouping core is the same
-    :func:`repro.core.packed_steps.remote_step_groups` the in-process path
-    runs.  Returns product-form ``(sources, targets)`` groups; the parent
-    materialises the tuples.
-    """
-    sources_by_handle: Dict[int, List[int]] = payload["sources_by_handle"]
     _check_rank_cardinality(shard, payload)
-    interior_mask = row_from_bytes(payload["targets_bits"])
-    if not interior_mask:
-        return []
-
+    sources_by_handle: Dict[int, List[int]] = payload["sources_by_handle"]
     members_by_handle = {
-        handle: shard.expand_members.get(handle, (handle,))
-        for handle in sources_by_handle
+        handle: shard.expand_handle(handle) for handle in sources_by_handle
     }
-    all_members = {
-        member for members in members_by_handle.values() for member in members
-    }
-    rows = _shard_set_reachability_rows(shard, all_members, interior_mask)
-    return remote_step_groups(
-        shard.vertex_rank, rows, sources_by_handle, members_by_handle
+    rows = shard.rows(
+        {member for members in members_by_handle.values() for member in members},
+        row_from_bytes(payload["targets_bits"]),
     )
+
+    num_pairs = 0
+    row_by_source: Dict[int, int] = {}
+    for handle, handle_sources in sources_by_handle.items():
+        reached_row = 0
+        for member in members_by_handle[handle]:
+            reached_row |= rows.get(member, 0)
+        if not reached_row:
+            continue
+        for source in handle_sources:
+            num_pairs += 1
+            row_by_source[source] = row_by_source.get(source, 0) | reached_row
+    by_row: Dict[int, List[int]] = {}
+    for source, row in row_by_source.items():
+        by_row.setdefault(row, []).append(source)
+    registry = global_registry()
+    if registry.enabled:
+        registry.inc("dsr_step_sources_total", num_pairs, step="remote")
+        registry.inc("dsr_step_groups_total", len(by_row), step="remote")
+    vrank = shard.vertex_rank
+    return [(row_sources, vrank.unpack(row)) for row, row_sources in by_row.items()]
 
 
 __all__ = [
     "DSR_SHARD_LOADER",
     "LOCAL_STEP_TASK",
     "REMOTE_STEP_TASK",
+    "EpochShard",
+    "Group",
+    "QueryShard",
     "WorkerShard",
     "WorkerShardBlob",
     "build_shard_blob",
     "load_shard",
+    "local_step",
+    "remote_step",
 ]

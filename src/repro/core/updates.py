@@ -2,9 +2,11 @@
 
 Insertions
 ----------
-* A local edge ``(u, v)`` whose endpoints already lie in the same SCC of the
-  local compound graph cannot change any reachability, so it is applied to the
-  stored graphs and otherwise ignored (the paper makes the same observation).
+* A local edge ``(u, v)`` with ``u ⇝ v`` already holding inside the
+  partition's *local* graph cannot change any reachability, so it is applied
+  to the stored graphs and otherwise ignored.  (Lying in the same SCC of the
+  compound graph is not enough: a pair connected only through another
+  partition gains a local path the partition's summary must report.)
 * Any other local edge marks its partition *dirty*: the partition's summary
   (SCCs, equivalence classes, boundary reachability) must be recomputed and
   re-broadcast so that the other slaves can re-merge it into their compound
@@ -45,6 +47,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.core.index import DSRIndex, EpochState
+from repro.graph.traversal import is_reachable
 from repro.obs.runtime import global_registry
 
 
@@ -370,25 +373,35 @@ class IncrementalMaintainer:
                     "insert-edge", set(), False, time.perf_counter() - start
                 )
             elif pid_u == pid_v:
-                # Keep the per-partition graphs in sync immediately (cheap).
-                self.index.local_graphs[pid_u].add_edge(u, v)
+                local_graph = self.index.local_graphs[pid_u]
                 compound = self.index.compound_graphs.get(pid_u)
-                if compound is not None:
-                    compound.graph.add_edge(u, v)
-                same_scc = False
+                # Non-structural only when ``u ⇝ v`` already holds inside
+                # the partition: its summary depends on the *local* graph
+                # alone, so a pair connected only through other partitions
+                # (same SCC of the compound graph, not of the local one)
+                # still changes what this partition must tell the others.
+                # The O(1) compound-SCC test screens first (it is necessary
+                # for local reachability), so the traversal runs only where
+                # the edge could be skipped at all.
+                already_reachable = False
                 if (
                     pid_u not in self._dirty
                     and compound is not None
                     and compound.reachability is not None
                 ):
                     components = compound.reachability.vertex_to_component
-                    same_scc = (
+                    already_reachable = (
                         components.get(u) is not None
                         and components.get(u) == components.get(v)
+                        and is_reachable(local_graph, u, v)
                     )
-                if same_scc:
-                    # Both endpoints are already mutually reachable: no summary
-                    # or condensation change is possible (Section 3.3.3).
+                # Keep the per-partition graphs in sync immediately (cheap).
+                local_graph.add_edge(u, v)
+                if compound is not None:
+                    compound.graph.add_edge(u, v)
+                if already_reachable:
+                    # The edge adds no local reachability: no summary or
+                    # condensation change is possible (Section 3.3.3).
                     result = UpdateResult(
                         "insert-edge", {pid_u}, False, time.perf_counter() - start
                     )

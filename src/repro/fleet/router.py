@@ -2,7 +2,7 @@
 
 The router answers one question per incoming query: *which replica is
 cheapest for this query class?*  It fingerprints the query (tenant label,
-direction, representation and the log2 buckets of ``|S|`` and ``|T|``), asks
+direction and the log2 buckets of ``|S|`` and ``|T|``), asks
 every replica's planner for its modeled cost through the stable
 :meth:`~repro.service.planner.QueryPlanner.estimate_query_cost` contract, and
 picks the argmin — deterministically, with ties broken by the lowest replica
@@ -36,8 +36,8 @@ from repro.obs.runtime import global_registry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fleet.replica import FleetReplica
 
-#: ``(tenant, direction, representation, |S| bucket, |T| bucket)``.
-QueryFingerprint = Tuple[str, str, str, int, int]
+#: ``(tenant, direction, |S| bucket, |T| bucket)``.
+QueryFingerprint = Tuple[str, str, int, int]
 
 
 def size_bucket(count: int) -> int:
@@ -54,7 +54,6 @@ def fingerprint_query(query: ReachQuery) -> QueryFingerprint:
     return (
         query.tenant or "",
         query.direction,
-        query.representation,
         size_bucket(len(query.sources)),
         size_bucket(len(query.targets)),
     )
@@ -75,7 +74,6 @@ class QueryClass:
             sources=tuple(range(self.num_sources)),
             targets=tuple(range(self.num_sources, self.num_sources + self.num_targets)),
             direction=self.fingerprint[1],
-            representation=self.fingerprint[2],
             tenant=self.fingerprint[0] or None,
         )
 

@@ -3,10 +3,10 @@
 A :class:`QueryTrace` is created when a query carries
 ``ReachQuery(trace=True)`` and travels with the query through the service
 and engine layers, collecting :class:`Span` records for every stage the
-paper's cost model distinguishes: cache lookup, planning + representation
-choice, the three DSR steps (step 1 local evaluation, the single bridge
-exchange, step 3 remote resolution), per-partition shard-task wall-clock,
-payload bytes, and ``StaleEpochError`` retries.
+paper's cost model distinguishes: cache lookup, planning, the three DSR
+steps (step 1 local evaluation, the single bridge exchange, step 3 remote
+resolution), per-partition shard-task wall-clock, payload bytes, and
+``StaleEpochError`` retries.
 
 The model is deliberately flat — spans carry a name, a duration, an offset
 from the trace origin, and free-form attributes — because the DSR pipeline
@@ -67,7 +67,7 @@ class QueryTrace:
     def __init__(self) -> None:
         self._origin = time.perf_counter()
         self.spans: List[Span] = []
-        #: Trace-level attributes (chosen representation, direction, epoch...).
+        #: Trace-level attributes (direction, epoch, sharded...).
         self.attrs: Dict[str, Any] = {}
 
     @contextmanager

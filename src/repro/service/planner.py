@@ -37,7 +37,6 @@ from typing import Any, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.api.query import ReachQuery, as_reach_query
 from repro.core.engine import DSREngine
-from repro.core.query import choose_representation
 from repro.reachability.factory import strategy_class
 
 
@@ -50,12 +49,6 @@ class QueryPlan:
     estimated_cost: float
     reason: str
     split_axis: str = "none"  # "none" | "sources" | "targets"
-    #: Evaluation currency every batch runs in ("bits" | "sets"): packed
-    #: rows whenever there is batching to amortise, plain sets for tiny
-    #: queries over very sparse graphs — resolved once per plan from the
-    #: cached CSR degree statistics (see
-    #: :func:`repro.core.query.choose_representation`).
-    representation: str = "bits"
     #: The index epoch whose statistics informed this plan (-1 pre-build).
     #: Planning never takes the engine lock: the cost model reads one
     #: published epoch state, so a concurrent background flush can at worst
@@ -265,25 +258,6 @@ class QueryPlanner:
             reason=reason,
             split_axis=split_axis,
             epoch=plan_epoch,
-            representation=self._choose_representation(
-                query, len(source_list), len(target_list)
-            ),
-        )
-
-    def _choose_representation(
-        self, query: ReachQuery, num_sources: int, num_targets: int
-    ) -> str:
-        """Resolve the query's evaluation currency for every batch.
-
-        An explicit ``query.representation`` wins; ``"auto"`` consults the
-        shared heuristic with the average degree off the cached CSR
-        snapshot's statistics (``_edge_factor`` is ``1 + avg_degree`` and
-        never builds a snapshot — planning stays lock-free).
-        """
-        if query.representation != "auto":
-            return query.representation
-        return choose_representation(
-            num_sources, num_targets, self._edge_factor() - 1.0
         )
 
     def _split(

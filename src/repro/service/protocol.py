@@ -141,17 +141,7 @@ class QueryRequest(ReachQuery):
         """Wrap a :class:`ReachQuery` for the wire (no-op on instances)."""
         if isinstance(query, cls):
             return query
-        return cls(
-            sources=query.sources,
-            targets=query.targets,
-            direction=query.direction,
-            use_cache=query.use_cache,
-            max_batch_pairs=query.max_batch_pairs,
-            representation=query.representation,
-            trace=query.trace,
-            tenant=query.tenant,
-            deadline_ms=query.deadline_ms,
-        )
+        return cls(**{spec.name: getattr(query, spec.name) for spec in fields(query)})
 
 
 @dataclass(frozen=True)

@@ -478,10 +478,8 @@ class DSRService:
                 plan = planner.plan(request)
             plan_span.attrs.update(
                 direction=plan.direction,
-                representation=plan.representation,
                 num_batches=plan.num_batches,
             )
-            trace.attrs.setdefault("representation", plan.representation)
             if route is not None:
                 trace.attrs["replica"] = route.replica.replica_id
                 trace.attrs["replica_strategy"] = route.replica.strategy
@@ -599,7 +597,6 @@ class DSRService:
                     batch_sources,
                     batch_targets,
                     direction=plan.direction,
-                    representation=plan.representation,
                     trace=trace is not None,
                 )
             )

@@ -51,11 +51,10 @@ class TestConnectedness:
         assert len(sample) == size
 
     def test_reuses_prebuilt_engine(self):
-        from repro.core.engine import DSREngine
+        from repro.api import DSRConfig, open_engine
 
         graph = generators.community_graph(3, 25, seed=8)
-        engine = DSREngine(graph, num_partitions=2, seed=1)
-        engine.build_index()
+        engine = open_engine(graph, DSRConfig(num_partitions=2, seed=1))
         cc = CommunityConnectedness(graph, engine=engine)
         assert cc.engine is engine
         report = cc.analyse(representatives=5)

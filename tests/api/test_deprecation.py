@@ -1,9 +1,9 @@
-"""The old entry points still work — but only via the documented shims.
+"""The public surface is warning-free — and carries no shims.
 
-The pre-``repro.api`` surface (``DSREngine(graph, num_partitions=...)``,
-``engine.query(sources, targets)``, ``engine.query_with_stats(...)``) is kept
-as thin shims that emit :class:`DeprecationWarning`; the new surface must be
-completely silent under ``-W error::DeprecationWarning``.
+The pre-``repro.api`` entry points (``DSREngine(graph, num_partitions=...)``,
+``engine.query(sources, targets)``, ``engine.query_with_stats(...)``) are
+gone; tier-1 runs under ``-W error::DeprecationWarning``, and these tests pin
+the documented construction path.
 """
 
 import warnings
@@ -18,35 +18,6 @@ from repro.graph import generators
 @pytest.fixture(scope="module")
 def graph():
     return generators.random_digraph(40, 110, seed=9)
-
-
-@pytest.fixture(scope="module")
-def engine(graph):
-    return open_engine(graph, DSRConfig(num_partitions=3, local_index="msbfs"))
-
-
-class TestOldSurfaceWarns:
-    def test_direct_constructor_warns(self, graph):
-        with pytest.warns(DeprecationWarning, match="open_engine"):
-            DSREngine(graph, num_partitions=3)
-
-    def test_query_shim_warns_and_matches_run(self, graph, engine):
-        query = ReachQuery((0, 1), (20, 30))
-        expected = engine.run(query).pairs
-        with pytest.warns(DeprecationWarning, match="run\\(ReachQuery"):
-            assert engine.query([0, 1], [20, 30]) == expected
-
-    def test_query_with_stats_shim_warns_and_matches_run(self, engine):
-        query = ReachQuery((0, 1), (20, 30))
-        expected = engine.run(query)
-        with pytest.warns(DeprecationWarning):
-            result = engine.query_with_stats([0, 1], [20, 30])
-        assert result.pairs == expected.pairs
-
-    def test_shim_still_validates_direction(self, engine):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                engine.query([0], [1], direction="sideways")
 
 
 class TestNewSurfaceIsClean:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core.engine import DSREngine
+from repro.api import DSRConfig, ReachQuery, open_engine
 from repro.core.fan import DSRFan
 from repro.core.naive import DSRNaive
 from repro.graph import generators
@@ -100,12 +100,11 @@ class TestBaselinesAgreeWithDSR:
         sources = rng.sample(vertices, 5)
         targets = rng.sample(vertices, 5)
 
-        engine = DSREngine(graph, partitioning=partitioning, local_index="msbfs")
-        engine.build_index()
+        engine = open_engine(graph, DSRConfig(local_index="msbfs"), partitioning=partitioning)
         fan = DSRFan(partitioning)
         naive = DSRNaive(partitioning)
 
         expected = reachable_pairs(graph, sources, targets)
-        assert engine.query(sources, targets) == expected
+        assert engine.run(ReachQuery(sources, targets)).pairs == expected
         assert fan.query(sources, targets).pairs == expected
         assert naive.query(sources, targets).pairs == expected

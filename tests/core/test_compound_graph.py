@@ -49,15 +49,17 @@ class TestCondensedReachability:
     def test_set_reachability_interface(self):
         graph = generators.cycle_graph(6)
         condensed = CondensedReachability(graph, strategy="msbfs")
-        result = condensed.set_reachability([0, 3], [2, 5])
-        assert result[0] == {2, 5}
-        assert result[3] == {2, 5}
+        vrank = condensed.vertex_rank
+        rows = condensed.set_reachability_rows([0, 3], vrank.pack([2, 5]))
+        assert set(vrank.unpack(rows[0])) == {2, 5}
+        assert set(vrank.unpack(rows[3])) == {2, 5}
 
     def test_unknown_vertices_ignored(self):
         graph = generators.path_graph(4)
         condensed = CondensedReachability(graph)
         assert not condensed.reachable(0, 77)
-        assert condensed.set_reachability([77], [0]) == {77: set()}
+        mask = condensed.vertex_rank.pack([0, 77])
+        assert condensed.set_reachability_rows([77], mask) == {77: 0}
 
     def test_dag_smaller_than_original_for_cyclic_graph(self):
         graph = generators.social_graph(200, avg_degree=8, reciprocity=0.6, seed=3)
@@ -97,8 +99,11 @@ class TestCompoundGraphConstruction:
         _, compounds = build_all(graph, partitioning)
         local = partitioning.local_subgraph(0)
         assert not is_reachable(local, labels["b"], labels["f"])
-        reach = compounds[0].local_set_reachability([labels["b"]], [labels["f"]])
-        assert labels["f"] in reach[labels["b"]]
+        vrank = compounds[0].vertex_rank
+        rows = compounds[0].local_set_reachability_rows(
+            [labels["b"]], vrank.pack([labels["f"]])
+        )
+        assert vrank.unpack(rows[labels["b"]]) == [labels["f"]]
 
     @pytest.mark.parametrize("use_equivalence", [True, False])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -111,10 +116,14 @@ class TestCompoundGraphConstruction:
         for pid in range(3):
             local_vertices = sorted(partitioning.vertices_of(pid))[:8]
             compound = compounds[pid]
-            reach = compound.local_set_reachability(local_vertices, local_vertices)
+            vrank = compound.vertex_rank
+            rows = compound.local_set_reachability_rows(
+                local_vertices, vrank.pack(local_vertices)
+            )
             for s in local_vertices:
+                reached = set(vrank.unpack(rows[s]))
                 for t in local_vertices:
-                    assert (t in reach[s]) == truth.reachable(s, t), (
+                    assert (t in reached) == truth.reachable(s, t), (
                         f"seed={seed} pid={pid} {s}->{t}"
                     )
 

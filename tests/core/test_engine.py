@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import DSRConfig, ReachQuery, open_engine
 from repro.core.engine import DSREngine
 from repro.graph import generators
 
@@ -9,21 +10,20 @@ from repro.graph import generators
 @pytest.fixture
 def small_engine():
     graph = generators.social_graph(120, avg_degree=6, seed=2)
-    engine = DSREngine(graph, num_partitions=4, local_index="msbfs", seed=1)
-    engine.build_index()
+    engine = open_engine(graph, DSRConfig(num_partitions=4, local_index="msbfs", seed=1))
     return graph, engine
 
 
 class TestLifecycle:
     def test_query_before_build_raises(self):
         graph = generators.random_digraph(20, 40, seed=1)
-        engine = DSREngine(graph, num_partitions=2)
+        engine = DSREngine(graph, DSRConfig(num_partitions=2))
         with pytest.raises(RuntimeError):
-            engine.query([0], [1])
+            engine.run(ReachQuery([0], [1])).pairs
 
     def test_is_built_flag(self):
         graph = generators.random_digraph(20, 40, seed=1)
-        engine = DSREngine(graph, num_partitions=2)
+        engine = DSREngine(graph, DSRConfig(num_partitions=2))
         assert not engine.is_built
         engine.build_index()
         assert engine.is_built
@@ -36,20 +36,19 @@ class TestLifecycle:
     def test_invalid_partitioner_rejected(self):
         graph = generators.random_digraph(20, 40, seed=1)
         with pytest.raises(ValueError):
-            DSREngine(graph, num_partitions=2, partitioner="nope")
+            DSREngine(graph, DSRConfig(num_partitions=2, partitioner="nope"))
 
     def test_invalid_local_index_rejected(self):
-        graph = generators.random_digraph(20, 40, seed=1)
-        engine = DSREngine(graph, num_partitions=2, local_index="nope")
+        # The config validates eagerly: no engine is ever built from a typo.
         with pytest.raises(ValueError):
-            engine.build_index()
+            DSRConfig(num_partitions=2, local_index="nope")
 
 
 class TestQueryAPI:
     def test_query_returns_pairs(self, small_engine):
         graph, engine = small_engine
         vertices = sorted(graph.vertices())
-        pairs = engine.query(vertices[:5], vertices[5:10])
+        pairs = engine.run(ReachQuery(vertices[:5], vertices[5:10])).pairs
         assert isinstance(pairs, set)
         for s, t in pairs:
             assert s in vertices[:5]
@@ -58,21 +57,21 @@ class TestQueryAPI:
     def test_query_with_stats(self, small_engine):
         graph, engine = small_engine
         vertices = sorted(graph.vertices())
-        result = engine.query_with_stats(vertices[:5], vertices[5:10])
+        result = engine.run(ReachQuery(vertices[:5], vertices[5:10]))
         assert result.rounds == 1
         assert result.parallel_seconds >= 0
         assert engine.last_query_stats["num_pairs"] == result.num_pairs
 
     def test_last_query_stats_empty_before_first_query(self):
         graph = generators.random_digraph(20, 40, seed=1)
-        engine = DSREngine(graph, num_partitions=2)
+        engine = DSREngine(graph, DSRConfig(num_partitions=2))
         assert engine.last_query_stats == {}
 
     def test_accepts_any_iterable(self, small_engine):
         graph, engine = small_engine
         vertices = sorted(graph.vertices())
-        from_set = engine.query(set(vertices[:3]), set(vertices[3:6]))
-        from_tuple = engine.query(tuple(vertices[:3]), tuple(vertices[3:6]))
+        from_set = engine.run(ReachQuery(set(vertices[:3]), set(vertices[3:6]))).pairs
+        from_tuple = engine.run(ReachQuery(tuple(vertices[:3]), tuple(vertices[3:6]))).pairs
         assert from_set == from_tuple
 
 
@@ -92,7 +91,7 @@ class TestIntrospection:
 
     def test_partition_summary_before_build(self):
         graph = generators.random_digraph(20, 40, seed=1)
-        engine = DSREngine(graph, num_partitions=2)
+        engine = DSREngine(graph, DSRConfig(num_partitions=2))
         summary = engine.partition_summary()
         assert "forward_entries" not in summary
 
@@ -100,10 +99,10 @@ class TestIntrospection:
 class TestParallelMode:
     def test_thread_pool_execution_gives_same_answers(self):
         graph = generators.web_graph(100, avg_degree=5, seed=3)
-        serial = DSREngine(graph, num_partitions=3, seed=2, parallel=False)
-        threaded = DSREngine(graph, num_partitions=3, seed=2, parallel=True)
+        serial = DSREngine(graph, DSRConfig(num_partitions=3, seed=2, parallel=False))
+        threaded = DSREngine(graph, DSRConfig(num_partitions=3, seed=2, parallel=True))
         serial.build_index()
         threaded.build_index()
         vertices = sorted(graph.vertices())
         query = (vertices[:6], vertices[6:12])
-        assert serial.query(*query) == threaded.query(*query)
+        assert serial.run(ReachQuery(*query)).pairs == threaded.run(ReachQuery(*query)).pairs

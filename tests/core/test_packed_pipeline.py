@@ -1,10 +1,11 @@
-"""Bits/sets parity of the full query pipeline.
+"""Oracle parity of the packed query pipeline.
 
-The packed-row pipeline must answer every query identically to the set
-pipeline — across every executor backend (the matrix honours
-``REPRO_TEST_EXECUTORS``), in both processing directions, through every
-registered backend, and on the handle-expansion edge cases (overlap
-vertices are kept member-level; class handles expand to representatives).
+The one query path — packed rows from kernel to wire — must answer every
+query exactly like the independent ``reachable_pairs`` oracle: across every
+executor backend (the matrix honours ``REPRO_TEST_EXECUTORS``), in both
+processing directions, through every registered backend, and on the
+handle-expansion edge cases (overlap vertices are kept member-level; class
+handles expand to representatives).
 """
 
 import os
@@ -15,6 +16,7 @@ import pytest
 from repro.api import DSRConfig, ReachQuery, available_backends, open_engine
 from repro.graph import generators
 from repro.graph.digraph import DiGraph
+from repro.graph.traversal import reachable_pairs
 
 EXECUTORS = tuple(
     name.strip()
@@ -41,7 +43,11 @@ def _random_queries(graph, count, size, seed):
 
 @pytest.mark.parametrize("executor", EXECUTORS)
 class TestBitsSetsParityAcrossExecutors:
-    """representation="bits" == representation="sets" on every executor."""
+    """The packed pipeline equals the oracle on every executor.
+
+    (Named for the bits-vs-sets comparison these cases were written as; the
+    set pipeline is gone and the oracle is the reference.)
+    """
 
     def test_forward_parity(self, executor):
         graph = generators.social_graph(220, avg_degree=5, seed=17)
@@ -51,14 +57,9 @@ class TestBitsSetsParityAcrossExecutors:
         )
         try:
             for sources, targets in _random_queries(graph, 6, 8, seed=23):
-                bits = engine.run(
-                    ReachQuery(sources, targets, representation="bits")
-                )
-                sets = engine.run(
-                    ReachQuery(sources, targets, representation="sets")
-                )
-                assert bits.pairs == sets.pairs
-                assert bits.rounds == sets.rounds == 1
+                result = engine.run(ReachQuery(sources, targets))
+                assert result.pairs == reachable_pairs(graph, sources, targets)
+                assert result.rounds == 1
         finally:
             engine.close()
 
@@ -75,21 +76,12 @@ class TestBitsSetsParityAcrossExecutors:
         )
         try:
             for sources, targets in _random_queries(graph, 4, 6, seed=31):
-                results = {
-                    (direction, representation): engine.run(
-                        ReachQuery(
-                            sources,
-                            targets,
-                            direction=direction,
-                            representation=representation,
-                        )
+                reference = reachable_pairs(graph, sources, targets)
+                for direction in ("forward", "backward"):
+                    pairs = engine.run(
+                        ReachQuery(sources, targets, direction=direction)
                     ).pairs
-                    for direction in ("forward", "backward")
-                    for representation in ("bits", "sets")
-                }
-                reference = results[("forward", "sets")]
-                for key, pairs in results.items():
-                    assert pairs == reference, f"{key} diverges"
+                    assert pairs == reference, f"{direction} diverges"
         finally:
             engine.close()
 
@@ -105,15 +97,13 @@ class TestBitsSetsParityAcrossExecutors:
             for u, v in edges:
                 engine.delete_edge(u, v)
             for sources, targets in query_args:
-                bits = engine.run(ReachQuery(sources, targets, representation="bits"))
-                sets = engine.run(ReachQuery(sources, targets, representation="sets"))
-                assert bits.pairs == sets.pairs
+                result = engine.run(ReachQuery(sources, targets))
+                assert result.pairs == reachable_pairs(graph, sources, targets)
             for u, v in edges:
                 engine.insert_edge(u, v)
             for sources, targets in query_args:
-                bits = engine.run(ReachQuery(sources, targets, representation="bits"))
-                sets = engine.run(ReachQuery(sources, targets, representation="sets"))
-                assert bits.pairs == sets.pairs
+                result = engine.run(ReachQuery(sources, targets))
+                assert result.pairs == reachable_pairs(graph, sources, targets)
         finally:
             engine.close()
 
@@ -145,12 +135,10 @@ class TestHandleExpansionEdgeCases:
             graph, DSRConfig(num_partitions=3, partitioner="hash", local_index="msbfs")
         )
         vertices = tuple(sorted(graph.vertices()))
-        bits = engine.run(ReachQuery(vertices, vertices, representation="bits"))
-        sets = engine.run(ReachQuery(vertices, vertices, representation="sets"))
-        assert bits.pairs == sets.pairs
+        result = engine.run(ReachQuery(vertices, vertices))
+        assert result.pairs == reachable_pairs(graph, vertices, vertices)
         # Sanity: the workload really exercised the handle exchange.
-        assert bits.messages_sent == sets.messages_sent
-        assert bits.messages_sent > 0
+        assert result.messages_sent > 0
 
     def test_without_equivalence_member_level_wire(self):
         graph = self._overlap_graph()
@@ -164,20 +152,41 @@ class TestHandleExpansionEdgeCases:
             ),
         )
         vertices = tuple(sorted(graph.vertices()))
-        bits = engine.run(ReachQuery(vertices, vertices, representation="bits"))
-        sets = engine.run(ReachQuery(vertices, vertices, representation="sets"))
-        assert bits.pairs == sets.pairs
+        result = engine.run(ReachQuery(vertices, vertices))
+        assert result.pairs == reachable_pairs(graph, vertices, vertices)
 
-    def test_packed_wire_ships_fewer_bytes(self):
+    def test_packed_wire_ships_fewer_bytes(self, monkeypatch):
+        from repro.cluster.message import payload_size
+        from repro.cluster.network import Network
+        from repro.reachability.packed import iter_bits, row_from_bytes
+
+        sent = []
+        real_send = Network.send
+
+        def recording_send(self, source, destination, payload, tag="data"):
+            if tag == "handles":
+                sent.append(payload)
+            return real_send(self, source, destination, payload, tag=tag)
+
+        monkeypatch.setattr(Network, "send", recording_send)
         graph = generators.social_graph(200, avg_degree=5, seed=43)
         engine = open_engine(graph, DSRConfig(num_partitions=4, local_index="msbfs"))
         sources = tuple(sorted(graph.vertices()))[:40]
         targets = tuple(sorted(graph.vertices()))[-40:]
-        bits = engine.run(ReachQuery(sources, targets, representation="bits"))
-        sets = engine.run(ReachQuery(sources, targets, representation="sets"))
-        assert bits.pairs == sets.pairs
-        if sets.bytes_sent:
-            assert bits.bytes_sent < sets.bytes_sent
+        result = engine.run(ReachQuery(sources, targets))
+        assert result.pairs == reachable_pairs(graph, sources, targets)
+        assert sent and result.bytes_sent == sum(payload_size(p) for p in sent)
+        # The same content as ``{source: [handle, ...]}`` id lists — what the
+        # wire carried before handle rows were packed — costs more.
+        id_list_bytes = 0
+        for payload in sent:
+            per_source = {}
+            for handle_bytes, row_sources in payload.items():
+                handles = list(iter_bits(row_from_bytes(handle_bytes)))
+                for source in row_sources:
+                    per_source.setdefault(source, []).extend(handles)
+            id_list_bytes += payload_size(per_source)
+        assert result.bytes_sent < id_list_bytes
 
 
 class TestCrossBackendParity:
@@ -187,13 +196,12 @@ class TestCrossBackendParity:
         graph = generators.random_digraph(90, 260, seed=47)
         partitions = 3
         queries = _random_queries(graph, 3, 6, seed=53)
-        reference = None
         dsr = open_engine(
             graph, DSRConfig(num_partitions=partitions, local_index="msbfs")
         )
-        reference = [
-            dsr.run(ReachQuery(s, t, representation="bits")).pairs for s, t in queries
-        ]
+        reference = [dsr.run(ReachQuery(s, t)).pairs for s, t in queries]
+        for index, (sources, targets) in enumerate(queries):
+            assert reference[index] == reachable_pairs(graph, sources, targets)
         for backend in available_backends():
             engine = open_engine(
                 graph, DSRConfig(backend=backend, num_partitions=partitions)
@@ -203,53 +211,6 @@ class TestCrossBackendParity:
                 assert result.pairs == reference[index], (
                     f"backend {backend} diverges from packed DSR"
                 )
-
-
-class TestRepresentationPlumbing:
-    def test_reach_query_validates_representation(self):
-        from repro.api.query import QueryError
-
-        with pytest.raises(QueryError):
-            ReachQuery((1,), (2,), representation="packed")
-        query = ReachQuery((1,), (2,), representation="bits")
-        assert query.to_dict()["representation"] == "bits"
-        assert ReachQuery.from_dict(query.to_dict()) == query
-
-    def test_executor_rejects_unknown_representation(self):
-        graph = generators.random_digraph(30, 60, seed=59)
-        engine = open_engine(graph, DSRConfig(num_partitions=2))
-        with pytest.raises(ValueError):
-            engine._executor.query([0], [1], representation="nope")
-
-    def test_planner_resolves_representation(self):
-        from repro.service.planner import QueryPlanner
-
-        graph = generators.social_graph(120, avg_degree=5, seed=61)
-        engine = open_engine(graph, DSRConfig(num_partitions=3))
-        planner = QueryPlanner(engine)
-        vertices = tuple(sorted(graph.vertices()))
-        auto_plan = planner.plan(ReachQuery(vertices[:20], vertices[:20]))
-        assert auto_plan.representation == "bits"
-        forced = planner.plan(
-            ReachQuery(vertices[:20], vertices[:20], representation="sets")
-        )
-        assert forced.representation == "sets"
-
-    def test_engine_auto_picks_sets_for_tiny_sparse(self):
-        # A near-edgeless graph with a single-pair query lands on "sets".
-        graph = DiGraph.from_edges([(0, 1)])
-        for v in range(2, 40):
-            graph.add_vertex(v)
-        engine = open_engine(graph, DSRConfig(num_partitions=2, partitioner="hash"))
-        assert (
-            engine._resolve_representation(ReachQuery((0,), (1,))) == "sets"
-        )
-        assert (
-            engine._resolve_representation(
-                ReachQuery(tuple(range(10)), tuple(range(10, 20)))
-            )
-            == "bits"
-        )
 
 
 class TestInPlaceInsertKeepsMasksFresh:
@@ -266,18 +227,12 @@ class TestInPlaceInsertKeepsMasksFresh:
             graph, DSRConfig(num_partitions=3, partitioner="hash", local_index="msbfs")
         )
         vertices = tuple(sorted(graph.vertices()))
-        query = ReachQuery(vertices[:20], vertices[-20:], representation="bits")
+        query = ReachQuery(vertices[:20], vertices[-20:])
         before = engine.run(query).pairs
-        assert before == engine.run(
-            ReachQuery(vertices[:20], vertices[-20:], representation="sets")
-        ).pairs
+        assert before == reachable_pairs(graph, vertices[:20], vertices[-20:])
         # In-place insert of a non-maximal id: ranks >= rank(15) all shift.
         engine.insert_vertex(vertex=15)
-        after_bits = engine.run(query).pairs
-        after_sets = engine.run(
-            ReachQuery(vertices[:20], vertices[-20:], representation="sets")
-        ).pairs
-        assert after_bits == after_sets == before
+        assert engine.run(query).pairs == before
 
 
 class TestRankShiftGuards:

@@ -9,7 +9,7 @@ the reachable pairs of a plain traversal on the unpartitioned graph.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import DSREngine
+from repro.api import DSRConfig, ReachQuery, open_engine
 from repro.graph.digraph import DiGraph
 from repro.graph.traversal import reachable_pairs
 from repro.partition.partition import GraphPartitioning
@@ -34,13 +34,11 @@ def build_engine(edges, assignment_list, use_equivalence):
     graph = DiGraph.from_edges(edges, vertices=range(NUM_VERTICES))
     assignment = {vertex: assignment_list[vertex] for vertex in range(NUM_VERTICES)}
     partitioning = GraphPartitioning(graph, assignment, 3)
-    engine = DSREngine(
+    engine = open_engine(
         graph,
+        DSRConfig(local_index="dfs", use_equivalence=use_equivalence),
         partitioning=partitioning,
-        local_index="dfs",
-        use_equivalence=use_equivalence,
     )
-    engine.build_index()
     return graph, engine
 
 
@@ -49,7 +47,7 @@ def build_engine(edges, assignment_list, use_equivalence):
 def test_dsr_with_equivalence_matches_ground_truth(edges, assignment, query):
     graph, engine = build_engine(edges, assignment, use_equivalence=True)
     sources, targets = query
-    assert engine.query(sources, targets) == reachable_pairs(graph, sources, targets)
+    assert engine.run(ReachQuery(sources, targets)).pairs == reachable_pairs(graph, sources, targets)
 
 
 @given(edges=graph_strategy, assignment=assignment_strategy, query=query_strategy)
@@ -57,7 +55,7 @@ def test_dsr_with_equivalence_matches_ground_truth(edges, assignment, query):
 def test_dsr_without_equivalence_matches_ground_truth(edges, assignment, query):
     graph, engine = build_engine(edges, assignment, use_equivalence=False)
     sources, targets = query
-    assert engine.query(sources, targets) == reachable_pairs(graph, sources, targets)
+    assert engine.run(ReachQuery(sources, targets)).pairs == reachable_pairs(graph, sources, targets)
 
 
 @given(edges=graph_strategy, assignment=assignment_strategy, query=query_strategy)
@@ -65,7 +63,7 @@ def test_dsr_without_equivalence_matches_ground_truth(edges, assignment, query):
 def test_single_round_guarantee(edges, assignment, query):
     _, engine = build_engine(edges, assignment, use_equivalence=True)
     sources, targets = query
-    result = engine.query_with_stats(sources, targets)
+    result = engine.run(ReachQuery(sources, targets))
     assert result.rounds == 1
 
 
@@ -75,7 +73,7 @@ def test_equivalence_setting_never_changes_answers(edges, assignment, query):
     graph, with_eq = build_engine(edges, assignment, use_equivalence=True)
     _, without_eq = build_engine(edges, assignment, use_equivalence=False)
     sources, targets = query
-    assert with_eq.query(sources, targets) == without_eq.query(sources, targets)
+    assert with_eq.run(ReachQuery(sources, targets)).pairs == without_eq.run(ReachQuery(sources, targets)).pairs
 
 
 @given(
@@ -96,6 +94,6 @@ def test_incremental_insertion_matches_rebuilt_index(edges, assignment, update, 
     else:
         graph_after = graph
     sources, targets = query
-    assert engine.query(sources, targets) == reachable_pairs(
+    assert engine.run(ReachQuery(sources, targets)).pairs == reachable_pairs(
         graph_after, sources, targets
     )

@@ -2,19 +2,17 @@
 
 import pytest
 
-from repro.core.engine import DSREngine
+from repro.api import DSRConfig, ReachQuery, open_engine
 
 
 @pytest.fixture(params=[True, False], ids=["with-eq", "no-eq"])
 def engine(request, paper_example):
     graph, partitioning, labels = paper_example
-    engine = DSREngine(
+    engine = open_engine(
         graph,
+        DSRConfig(local_index="dfs", use_equivalence=request.param),
         partitioning=partitioning,
-        local_index="dfs",
-        use_equivalence=request.param,
     )
-    engine.build_index()
     return engine, labels
 
 
@@ -51,7 +49,7 @@ class TestSetReachability:
         eng, labels = engine
         sources = [labels[x] for x in ("a", "d", "g")]
         targets = [labels[x] for x in ("l", "p")]
-        pairs = eng.query(sources, targets)
+        pairs = eng.run(ReachQuery(sources, targets)).pairs
         assert as_labels(graph, pairs) == {
             ("a", "l"),
             ("a", "p"),
@@ -66,7 +64,7 @@ class TestSetReachability:
         eng, labels = engine
         sources = [labels[x] for x in ("d", "l", "p")]
         targets = [labels[x] for x in ("a", "k", "q")]
-        pairs = eng.query(sources, targets)
+        pairs = eng.run(ReachQuery(sources, targets)).pairs
         assert as_labels(graph, pairs) == {
             (s, t) for s in ("d", "l", "p") for t in ("a", "k", "q")
         }
@@ -75,10 +73,10 @@ class TestSetReachability:
         graph, _, _ = paper_example
         eng, labels = engine
         # Targets m, n, o, i are boundary vertices of remote partitions.
-        pairs = eng.query(
+        pairs = eng.run(ReachQuery(
             [labels["a"], labels["d"]],
             [labels["m"], labels["n"], labels["o"], labels["i"]],
-        )
+        )).pairs
         expected = {
             (s, t)
             for s in ("a", "d")
@@ -89,19 +87,19 @@ class TestSetReachability:
     def test_boundary_vertices_as_sources(self, engine, paper_example):
         graph, _, _ = paper_example
         eng, labels = engine
-        pairs = eng.query([labels["i"], labels["o"]], [labels["k"], labels["q"]])
+        pairs = eng.run(ReachQuery([labels["i"], labels["o"]], [labels["k"], labels["q"]])).pairs
         assert as_labels(graph, pairs) == {("i", "k"), ("i", "q"), ("o", "k"), ("o", "q")}
 
     def test_empty_result(self, engine, paper_example):
         graph, _, _ = paper_example
         eng, labels = engine
-        pairs = eng.query([labels["k"], labels["v"]], [labels["a"]])
+        pairs = eng.run(ReachQuery([labels["k"], labels["v"]], [labels["a"]])).pairs
         assert pairs == set()
 
     def test_unknown_vertex_rejected(self, engine):
         eng, labels = engine
         with pytest.raises(ValueError):
-            eng.query([10_000], [labels["a"]])
+            eng.run(ReachQuery([10_000], [labels["a"]])).pairs
 
 
 class TestCommunicationGuarantee:
@@ -110,15 +108,15 @@ class TestCommunicationGuarantee:
     def test_single_round(self, engine, paper_example):
         graph, _, _ = paper_example
         eng, labels = engine
-        result = eng.query_with_stats(
+        result = eng.run(ReachQuery(
             [labels[x] for x in ("a", "d", "g")], [labels[x] for x in ("l", "p")]
-        )
+        ))
         assert result.rounds == 1
 
     def test_local_query_needs_no_messages(self, engine, paper_example):
         graph, _, _ = paper_example
         eng, labels = engine
-        result = eng.query_with_stats([labels["d"]], [labels["b"]])
+        result = eng.run(ReachQuery([labels["d"]], [labels["b"]]))
         assert result.rounds == 1
         assert result.messages_sent == 0
         assert (labels["d"], labels["b"]) in result.pairs

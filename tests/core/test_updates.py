@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.api import DSRConfig, ReachQuery, open_engine
 from repro.core.engine import DSREngine
 from repro.graph import generators
 from repro.graph.digraph import DiGraph
@@ -11,18 +12,17 @@ from repro.graph.traversal import reachable_pairs
 
 
 def fresh_engine(graph, num_partitions=3, seed=1, **kwargs):
-    engine = DSREngine(
-        graph, num_partitions=num_partitions, partitioner="hash", seed=seed, **kwargs
+    engine = open_engine(
+        graph,
+        DSRConfig(num_partitions=num_partitions, partitioner="hash", seed=seed, **kwargs),
     )
-    engine.build_index()
     return engine
 
 
 class TestEdgeInsertion:
     def test_cross_partition_insertion_changes_answers(self, paper_example):
         graph, partitioning, labels = paper_example
-        engine = DSREngine(graph, partitioning=partitioning, local_index="dfs")
-        engine.build_index()
+        engine = open_engine(graph, DSRConfig(local_index="dfs"), partitioning=partitioning)
         # k is a sink: it cannot reach a.  Adding k -> d (cut edge) changes that.
         assert not engine.reachable(labels["k"], labels["a"])
         result = engine.insert_edge(labels["k"], labels["d"])
@@ -31,8 +31,7 @@ class TestEdgeInsertion:
 
     def test_local_insertion_changes_answers(self, paper_example):
         graph, partitioning, labels = paper_example
-        engine = DSREngine(graph, partitioning=partitioning, local_index="dfs")
-        engine.build_index()
+        engine = open_engine(graph, DSRConfig(local_index="dfs"), partitioning=partitioning)
         assert not engine.reachable(labels["v"], labels["q"])
         engine.insert_edge(labels["v"], labels["p"])  # local edge inside G3
         assert engine.reachable(labels["v"], labels["q"])
@@ -48,17 +47,10 @@ class TestEdgeInsertion:
         result = engine.insert_edge(u, v)
         assert not engine.has_pending_updates or result.structural_change
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="same-SCC inserts skip the summary refresh: the home partition's "
-        "summary stays stale for every other slave (found while reworking the "
-        "summaries; older than that change and independent of their form)",
-    )
     def test_same_scc_insertion_survives_a_later_remote_delete(self):
         """u and v are mutually reachable only through partition 1, so the
-        local edge u -> v is 'non-structural' — until partition 1 loses its
-        own u ⇝ v path and other slaves need the one through partition 0."""
-        from repro.api import DSRConfig, ReachQuery, open_engine
+        local edge u -> v adds a *local* path partition 0 must report: once
+        partition 1 loses its own u ⇝ v path, other slaves need that one."""
         from repro.partition.partition import GraphPartitioning
 
         u, v, p, p2, q, x, y = range(7)
@@ -69,11 +61,23 @@ class TestEdgeInsertion:
             graph, {u: 0, v: 0, p: 1, p2: 1, q: 1, x: 1, y: 1}, 2
         )
         engine = open_engine(graph, DSRConfig(num_partitions=2), partitioning=partitioning)
-        assert not engine.insert_edge(u, v).structural_change
+        # Same SCC of the compound graph, but not locally reachable: structural.
+        assert engine.insert_edge(u, v).structural_change
         engine.delete_edge(p, p2)  # local to partition 1: only it is refreshed
         assert engine.run(ReachQuery((x,), (y,))).pairs == reachable_pairs(
             graph, [x], [y]
         )
+
+    def test_locally_implied_insertion_stays_non_structural(self):
+        # u ⇝ v already holds inside partition 0: the shortcut still applies.
+        from repro.partition.partition import GraphPartitioning
+
+        u, w, v, x = range(4)
+        graph = DiGraph.from_edges([(u, w), (w, v), (v, u), (x, u)])
+        partitioning = GraphPartitioning(graph, {u: 0, w: 0, v: 0, x: 1}, 2)
+        engine = open_engine(graph, DSRConfig(num_partitions=2), partitioning=partitioning)
+        assert not engine.insert_edge(u, v).structural_change
+        assert not engine.has_pending_updates
 
     def test_duplicate_insertion_is_noop(self):
         graph = generators.random_digraph(40, 120, seed=2)
@@ -98,22 +102,25 @@ class TestEdgeInsertion:
         held_out = edges[:30]
         base = DiGraph.from_edges(edges[30:], vertices=full.vertices())
 
-        engine = DSREngine(
+        engine = open_engine(
             base,
-            num_partitions=3,
-            partitioner="hash",
-            seed=2,
-            local_index="msbfs",
-            use_equivalence=use_equivalence,
+            DSRConfig(
+                num_partitions=3,
+                partitioner="hash",
+                seed=2,
+                local_index="msbfs",
+                use_equivalence=use_equivalence,
+            ),
         )
-        engine.build_index()
         for u, v in held_out:
             engine.insert_edge(u, v)
 
         vertices = sorted(full.vertices())
         sources = rng.sample(vertices, 10)
         targets = rng.sample(vertices, 10)
-        assert engine.query(sources, targets) == reachable_pairs(full, sources, targets)
+        assert engine.run(ReachQuery(sources, targets)).pairs == reachable_pairs(
+            full, sources, targets
+        )
 
 
 class TestEdgeDeletion:
@@ -147,14 +154,13 @@ class TestEdgeDeletion:
         vertices = sorted(full.vertices())
         sources = rng.sample(vertices, 10)
         targets = rng.sample(vertices, 10)
-        assert engine.query(sources, targets) == reachable_pairs(
+        assert engine.run(ReachQuery(sources, targets)).pairs == reachable_pairs(
             remaining, sources, targets
         )
 
     def test_cut_edge_deletion(self, paper_example):
         graph, partitioning, labels = paper_example
-        engine = DSREngine(graph, partitioning=partitioning, local_index="dfs")
-        engine.build_index()
+        engine = open_engine(graph, DSRConfig(local_index="dfs"), partitioning=partitioning)
         # o -> f is the only way back into G1; deleting it cuts p off from a.
         assert engine.reachable(labels["p"], labels["a"])
         engine.delete_edge(labels["o"], labels["f"])
@@ -212,7 +218,7 @@ class TestDeferredMaintenance:
         vertices = sorted(graph.vertices())
         engine.insert_edge(vertices[0], vertices[-1])
         assert engine.has_pending_updates
-        engine.query([vertices[0]], [vertices[-1]])
+        engine.run(ReachQuery([vertices[0]], [vertices[-1]]))
         assert not engine.has_pending_updates
 
     def test_flush_without_changes_is_noop(self):
@@ -223,6 +229,6 @@ class TestDeferredMaintenance:
 
     def test_updates_require_built_index(self):
         graph = generators.random_digraph(20, 40, seed=12)
-        engine = DSREngine(graph, num_partitions=2)
+        engine = DSREngine(graph, DSRConfig(num_partitions=2))
         with pytest.raises(RuntimeError):
             engine.insert_edge(0, 1)

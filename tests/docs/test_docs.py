@@ -59,3 +59,13 @@ def test_architecture_doctests_pass():
     )
     assert tests > 0, "ARCHITECTURE.md lost its executable examples"
     assert failures == 0
+
+
+def test_observability_doctests_pass():
+    """The traced-query example in OBSERVABILITY.md runs as written."""
+    failures, tests = doctest.testfile(
+        str(REPO_ROOT / "docs" / "OBSERVABILITY.md"),
+        module_relative=False,
+    )
+    assert tests > 0, "OBSERVABILITY.md lost its executable example"
+    assert failures == 0

@@ -65,7 +65,7 @@ class TestFingerprint:
 
     def test_fingerprint_fields(self):
         query = ReachQuery((1, 2, 3), (4,), direction="forward", tenant="crm")
-        assert fingerprint_query(query) == ("crm", "forward", "auto", 2, 1)
+        assert fingerprint_query(query) == ("crm", "forward", 2, 1)
 
     def test_missing_tenant_normalises_to_empty(self):
         assert fingerprint_query(ReachQuery((1,), (2,)))[0] == ""

@@ -90,14 +90,13 @@ class TestIterativeBehaviour:
         assert with_eq.messages_sent <= plain.messages_sent
 
     def test_dsr_uses_one_round_while_giraph_iterates(self, paper_example):
-        from repro.core.engine import DSREngine
+        from repro.api import DSRConfig, ReachQuery, open_engine
 
         graph, partitioning, labels = paper_example
-        dsr = DSREngine(graph, partitioning=partitioning, local_index="dfs")
-        dsr.build_index()
+        dsr = open_engine(graph, DSRConfig(local_index="dfs"), partitioning=partitioning)
         sources = [labels[x] for x in ("a", "d", "g")]
         targets = [labels[x] for x in ("l", "p")]
-        dsr_result = dsr.query_with_stats(sources, targets)
+        dsr_result = dsr.run(ReachQuery(sources, targets))
         giraph_result = GiraphDSR(graph, partitioning).query(sources, targets)
         assert dsr_result.pairs == giraph_result.pairs
         assert dsr_result.rounds == 1

@@ -13,7 +13,7 @@ from repro.analytics.connectedness import CommunityConnectedness
 from repro.bench.datasets import load_dataset
 from repro.bench.runner import ExperimentRunner
 from repro.bench.workloads import random_query
-from repro.core.engine import DSREngine
+from repro.api import DSRConfig, ReachQuery, open_engine
 from repro.graph import generators
 from repro.graph.traversal import reachable_pairs
 from repro.sparql.baseline import VirtuosoLikeEngine
@@ -25,10 +25,9 @@ from repro.sparql.rdf import TripleStore
 class TestFullPipeline:
     def test_dataset_to_query_pipeline(self):
         graph = load_dataset("berkstan", scale=0.2, seed=5)
-        engine = DSREngine(graph, num_partitions=5, local_index="msbfs", seed=5)
-        engine.build_index()
+        engine = open_engine(graph, DSRConfig(num_partitions=5, local_index="msbfs", seed=5))
         sources, targets = random_query(graph, 10, 10, seed=6)
-        assert engine.query(sources, targets) == reachable_pairs(graph, sources, targets)
+        assert engine.run(ReachQuery(sources, targets)).pairs == reachable_pairs(graph, sources, targets)
 
     def test_every_approach_agrees_on_one_workload(self):
         graph = load_dataset("notredame", scale=0.2, seed=6)
@@ -43,8 +42,7 @@ class TestFullPipeline:
 
     def test_query_after_mixed_update_sequence(self):
         graph = generators.web_graph(180, avg_degree=5, seed=8)
-        engine = DSREngine(graph, num_partitions=4, local_index="msbfs", seed=8)
-        engine.build_index()
+        engine = open_engine(graph, DSRConfig(num_partitions=4, local_index="msbfs", seed=8))
         rng = random.Random(8)
         vertices = sorted(graph.vertices())
 
@@ -60,7 +58,7 @@ class TestFullPipeline:
 
             sources = rng.sample(vertices, 6)
             targets = rng.sample(vertices, 6) + [new_vertex]
-            assert engine.query(sources, targets) == reachable_pairs(
+            assert engine.run(ReachQuery(sources, targets)).pairs == reachable_pairs(
                 graph, sources, targets
             )
 
@@ -91,6 +89,8 @@ class TestFullPipeline:
         sources, targets = random_query(graph, 8, 8, seed=11)
         expected = reachable_pairs(graph, sources, targets)
         for slaves in (1, 3, 6):
-            engine = DSREngine(graph, num_partitions=slaves, local_index="msbfs", seed=11)
-            engine.build_index()
-            assert engine.query(sources, targets) == expected
+            engine = open_engine(
+                graph,
+                DSRConfig(num_partitions=slaves, local_index="msbfs", seed=11),
+            )
+            assert engine.run(ReachQuery(sources, targets)).pairs == expected

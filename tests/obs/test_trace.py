@@ -6,6 +6,7 @@ import pytest
 
 from repro.api import DSRConfig, ReachQuery, open_engine
 from repro.graph import generators
+from repro.graph.traversal import reachable_pairs
 from repro.obs import QueryTrace, Span
 from repro.service import DSRService, QueryRequest
 
@@ -41,19 +42,19 @@ class TestSpanMechanics:
     def test_merge_child_prefixes_and_annotates(self):
         parent, child = QueryTrace(), QueryTrace()
         child.add("step1", 0.01, sharded=True)
-        child.attrs["representation"] = "bits"
+        child.attrs["direction"] = "forward"
         parent.merge_child(child, prefix="batch0.", batch=0)
         merged = parent.find("batch0.step1")
         assert merged is not None
         assert merged.attrs == {"sharded": True, "batch": 0}
-        assert parent.attrs["representation"] == "bits"
+        assert parent.attrs["direction"] == "forward"
 
     def test_wire_round_trip(self):
         trace = QueryTrace()
-        trace.attrs["representation"] = "sets"
+        trace.attrs["direction"] = "backward"
         trace.add("step1", 0.0125, payload_bytes=64)
         rebuilt = QueryTrace.from_dict(trace.to_dict())
-        assert rebuilt.attrs == {"representation": "sets"}
+        assert rebuilt.attrs == {"direction": "backward"}
         assert rebuilt.find("step1").seconds == pytest.approx(0.0125)
         assert rebuilt.find("step1").attrs == {"payload_bytes": 64}
 
@@ -78,7 +79,7 @@ class TestEngineTracing:
         result = engine.run(ReachQuery((0, 1, 2), (40, 50, 60), trace=True))
         trace = result.trace
         assert trace is not None
-        assert trace.attrs["representation"] in ("bits", "sets")
+        assert "representation" not in trace.attrs
         assert trace.attrs["direction"] == "forward"
         assert trace.attrs["epoch"] == engine.epoch
         step1 = trace.find("step1")
@@ -90,13 +91,12 @@ class TestEngineTracing:
         assert bridge.attrs["messages"] >= 0
 
     def test_trace_reports_chosen_representation(self, engine):
-        for representation in ("bits", "sets"):
-            result = engine.run(
-                ReachQuery(
-                    (0, 1), (40, 50), representation=representation, trace=True
-                )
-            )
-            assert result.trace.attrs["representation"] == representation
+        # One representation is left — the packed wire form — and every
+        # executor builds it, so an in-process trace reports its bytes too.
+        result = engine.run(ReachQuery((0, 1), (40, 50), trace=True))
+        assert result.pairs == reachable_pairs(engine.graph, (0, 1), (40, 50))
+        assert result.trace.attrs["sharded"] is False
+        assert result.trace.find("step1").attrs["payload_bytes"] > 0
 
     def test_empty_query_still_returns_a_trace(self, engine):
         result = engine.run(ReachQuery((), (1,), trace=True))

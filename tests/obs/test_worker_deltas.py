@@ -45,17 +45,13 @@ def _graph():
 
 def _queries():
     return [
-        ReachQuery(
-            tuple(range(start, start + 4)),
-            tuple(range(60 + start, 66 + start)),
-            representation="bits",
-        )
+        ReachQuery(tuple(range(start, start + 4)), tuple(range(60 + start, 66 + start)))
         for start in (0, 8, 16)
     ]
 
 
 def _run_workload(executor):
-    """Run the fixed bits-representation workload; return (answers, totals)."""
+    """Run the fixed workload; return (answers, totals, stale retries)."""
     with use_registry() as registry:
         engine = open_engine(
             _graph(),
@@ -101,7 +97,7 @@ class TestProcessesObservability:
                 _graph(), DSRConfig(num_partitions=3, executor="processes")
             )
             try:
-                engine.run(ReachQuery((0, 1, 2), (70, 71), representation="bits"))
+                engine.run(ReachQuery((0, 1, 2), (70, 71)))
             finally:
                 engine.close()
             # These are recorded *inside the worker processes* and can only
@@ -113,24 +109,19 @@ class TestProcessesObservability:
             assert registry.counter_total("dsr_shard_hydrations_total") > 0
 
     def test_traced_bits_query_has_per_partition_spans(self):
-        """The acceptance scenario: executor="processes", representation="bits",
-        trace=True → per-partition shard spans, payload bytes, representation."""
+        """The acceptance scenario: executor="processes", trace=True →
+        per-partition shard spans and payload bytes."""
         engine = open_engine(
             _graph(), DSRConfig(num_partitions=3, executor="processes")
         )
         try:
             result = engine.run(
-                ReachQuery(
-                    (0, 1, 2, 3),
-                    (60, 61, 62, 63, 64, 65),
-                    representation="bits",
-                    trace=True,
-                )
+                ReachQuery((0, 1, 2, 3), (60, 61, 62, 63, 64, 65), trace=True)
             )
         finally:
             engine.close()
         trace = result.trace
-        assert trace.attrs["representation"] == "bits"
+        assert trace.attrs["sharded"] is True
         step1 = trace.find("step1")
         assert step1.attrs["sharded"] is True
         assert step1.attrs["payload_bytes"] > 0

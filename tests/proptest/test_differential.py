@@ -2,18 +2,19 @@
 
 Each seed expands into a full *scenario* — a random graph, an interleaved
 update/query script — which is then replayed across the whole configuration
-matrix: ``kernels=python/numpy`` × ``executor=serial/threads/processes`` ×
-``representation=bits/sets``.  Every cell must produce the exact same pair
-sets at every step of the script; the python/serial/sets cell is the
-reference semantics, everything else is an implementation detail that is not
-allowed to show through.  The reference itself is held to the oracle
-(``reachable_pairs`` on a shadow graph that mirrors the script).
+matrix: ``kernels=python/numpy`` × ``executor=serial/threads/processes``.
+Every cell must produce, at every step of the script, exactly the pair sets
+of the oracle (``reachable_pairs`` on a shadow graph that mirrors the
+script) — the independent reference; kernels and executors are
+implementation details that are not allowed to show through.
 
 Two scenario families: a sparse random digraph under the default (metis)
 partitioning, and an SCC-rich web graph under hash partitioning — a bad cut
 that scatters every SCC over all partitions, so boundary summaries are
 dominated by groups of mutually reachable overlap vertices — whose script
-deletes edges that split an SCC and inserts edges that merge two.
+deletes edges that split an SCC, inserts edges that merge two, and ends on
+a local insert between vertices connected only through *other* partitions
+followed by the remote delete that makes the new local path the only one.
 
 The executor axis honours ``REPRO_TEST_EXECUTORS`` (same contract as
 ``tests/core/test_packed_pipeline.py``); the numpy axis is skipped where
@@ -30,6 +31,7 @@ from repro.api import DSRConfig, ReachQuery, open_engine
 from repro.graph import generators
 from repro.graph.scc import strongly_connected_components
 from repro.graph.traversal import is_reachable, reachable_pairs
+from repro.partition.hash_partitioner import hash_partition
 from repro.reachability.kernels import numpy_available
 
 EXECUTORS = tuple(
@@ -102,6 +104,7 @@ def _build_scc_scenario(seed):
     Every delete of the script splits an SCC of the graph as it stands when
     the delete is applied, every insert merges two; queries run before,
     between and after, so each kind of change is answered across its flush.
+    The script ends with :func:`_remote_only_scc_insert`.
     """
     rng = random.Random(seed)
     graph = generators.web_graph(60, avg_degree=2.0, seed=seed)
@@ -142,7 +145,61 @@ def _build_scc_scenario(seed):
     script += _queries(rng, vertices, 3)
     script += merges
     script += _queries(rng, vertices, 3)
+    script += _remote_only_scc_insert(shadow, rng, hash_partition(graph, 3).assignment)
+    script += _queries(rng, vertices, 2)
     return graph, script, "hash"
+
+
+def _remote_only_scc_insert(shadow, rng, home):
+    """``[insert u -> v, delete a -> b, query x ⇝ y]`` over ``shadow``.
+
+    ``home`` is the vertex → partition assignment the engines will use.
+    ``u`` and ``v`` share a partition and an SCC but ``u ⇝ v`` does not
+    hold inside that partition: the insert looks non-structural on the
+    compound graph yet gives the partition a local path its summary must
+    report.  ``a -> b`` is local to another partition and cuts every other
+    ``u ⇝ v`` path, after which ``x ⇝ y`` (both outside ``u``'s partition)
+    holds only through the inserted edge.
+    """
+    vertices = sorted(home)
+    component = _component_of(shadow)
+    pairs = [
+        (u, v)
+        for u in vertices
+        for v in vertices
+        if u != v and home[u] == home[v] and component[u] == component[v]
+    ]
+    rng.shuffle(pairs)
+    edges = sorted(shadow.edges())
+    rng.shuffle(edges)
+    for u, v in pairs:
+        local = shadow.induced_subgraph(w for w in vertices if home[w] == home[u])
+        if shadow.has_edge(u, v) or is_reachable(local, u, v):
+            continue
+        for a, b in edges:
+            if home[a] != home[b] or home[a] == home[u]:
+                continue
+            after = shadow.copy()
+            after.remove_edge(a, b)
+            if is_reachable(after, u, v):
+                continue
+            outside = [w for w in vertices if home[w] != home[u]]
+            needs_edge = [
+                (x, y)
+                for x in outside
+                for y in outside
+                if is_reachable(after, x, u)
+                and is_reachable(after, v, y)
+                and not is_reachable(after, x, y)
+            ]
+            if needs_edge:
+                x, y = needs_edge[0]
+                return [
+                    ("insert_edge", u, v),
+                    ("delete_edge", a, b),
+                    ("query", (x,), (y,)),
+                ]
+    raise AssertionError("scenario graph has no remote-only SCC pair")
 
 
 def _oracle(graph, script):
@@ -161,7 +218,7 @@ def _oracle(graph, script):
     return answers
 
 
-def _replay(graph, script, partitioner, kernels, executor, representation):
+def _replay(graph, script, partitioner, kernels, executor):
     """Run one matrix cell over the scenario; returns the per-query answers."""
     engine = open_engine(
         graph.copy(),
@@ -178,10 +235,7 @@ def _replay(graph, script, partitioner, kernels, executor, representation):
         for op in script:
             if op[0] == "query":
                 _, sources, targets = op
-                result = engine.run(
-                    ReachQuery(sources, targets, representation=representation)
-                )
-                answers.append(result.pairs)
+                answers.append(engine.run(ReachQuery(sources, targets)).pairs)
             elif op[0] == "delete_edge":
                 engine.delete_edge(op[1], op[2])
             elif op[0] == "insert_edge":
@@ -201,18 +255,13 @@ def _assert_matrix_parity(graph, script, partitioner, with_processes):
     )
     if not executors:
         pytest.skip("no executors selected via REPRO_TEST_EXECUTORS")
-    reference = _replay(graph, script, partitioner, "python", executors[0], "sets")
-    assert reference == _oracle(graph, script)
+    reference = _oracle(graph, script)
     for executor in executors:
         for kernels in KERNELS:
-            for representation in ("bits", "sets"):
-                answers = _replay(
-                    graph, script, partitioner, kernels, executor, representation
-                )
-                assert answers == reference, (
-                    f"kernels={kernels} executor={executor} "
-                    f"representation={representation} diverges from reference"
-                )
+            answers = _replay(graph, script, partitioner, kernels, executor)
+            assert answers == reference, (
+                f"kernels={kernels} executor={executor} diverges from the oracle"
+            )
 
 
 @pytest.mark.parametrize("seed", SEEDS)

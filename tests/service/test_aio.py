@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.api import DSRConfig
 from repro.core.engine import DSREngine
 from repro.graph import generators
 from repro.graph.traversal import reachable_pairs
@@ -44,7 +45,7 @@ def graph():
 
 @pytest.fixture
 def service(graph):
-    engine = DSREngine(graph, num_partitions=3, local_index="msbfs", seed=2)
+    engine = DSREngine(graph, DSRConfig(num_partitions=3, local_index="msbfs", seed=2))
     service = DSRService(engine, num_workers=3)
     yield service
     service.close()
@@ -316,7 +317,7 @@ class TestFramingErrors:
 
 class TestBackpressure:
     def test_watermarks_pause_reads_and_recover(self, graph):
-        engine = DSREngine(graph, num_partitions=3, local_index="msbfs", seed=2)
+        engine = DSREngine(graph, DSRConfig(num_partitions=3, local_index="msbfs", seed=2))
         service = DSRService(engine, num_workers=1, max_queue_depth=4)
         vertices = sorted(graph.vertices())
         big = (vertices[:40], vertices[60:160])

@@ -8,7 +8,7 @@ provably harmless updates leave the cache warm.
 
 import pytest
 
-from repro.core.engine import DSREngine
+from repro.api import DSRConfig, open_engine
 from repro.graph import generators
 from repro.graph.traversal import reachable_pairs
 from repro.service import DSRService, QueryRequest
@@ -17,8 +17,7 @@ from repro.service.cache import ResultCache
 
 def build_service(**kwargs):
     graph = generators.social_graph(220, avg_degree=5, seed=9)
-    engine = DSREngine(graph, num_partitions=3, local_index="msbfs", seed=4)
-    engine.build_index()
+    engine = open_engine(graph, DSRConfig(num_partitions=3, local_index="msbfs", seed=4))
     return graph, engine, DSRService(engine, num_workers=2, **kwargs)
 
 

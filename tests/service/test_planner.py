@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.api import ReachQuery
-from repro.core.engine import DSREngine
+from repro.api import DSRConfig, ReachQuery, open_engine
 from repro.graph import generators
 from repro.graph.traversal import reachable_pairs
 from repro.service.planner import QueryPlanner
@@ -12,18 +11,17 @@ from repro.service.planner import QueryPlanner
 @pytest.fixture(scope="module")
 def engine():
     graph = generators.web_graph(140, avg_degree=5, seed=11)
-    engine = DSREngine(
-        graph, num_partitions=4, local_index="msbfs", seed=2, enable_backward=True
+    engine = open_engine(
+        graph,
+        DSRConfig(num_partitions=4, local_index="msbfs", seed=2, enable_backward=True),
     )
-    engine.build_index()
     return engine
 
 
 @pytest.fixture(scope="module")
 def forward_only_engine():
     graph = generators.random_digraph(60, 160, seed=5)
-    engine = DSREngine(graph, num_partitions=3, seed=1)
-    engine.build_index()
+    engine = open_engine(graph, DSRConfig(num_partitions=3, seed=1))
     return engine
 
 
@@ -164,9 +162,9 @@ class TestSplitCorrectness:
         assert plan.num_batches > 1
         merged = planner.merge(
             [
-                engine.query(batch_sources, batch_targets, direction=plan.direction)
+                engine.run(ReachQuery(batch_sources, batch_targets, direction=plan.direction)).pairs
                 for batch_sources, batch_targets in plan.batches
             ]
         )
         assert merged == reachable_pairs(engine.graph, sources, targets)
-        assert merged == engine.query(sources, targets, direction=direction)
+        assert merged == engine.run(ReachQuery(sources, targets, direction=direction)).pairs

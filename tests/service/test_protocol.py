@@ -271,6 +271,19 @@ class TestReachQueryBridge:
         assert request.direction == "backward"
         assert QueryRequest.from_query(request) is request
 
+    def test_removed_representation_key_is_dropped_on_the_wire_only(self):
+        # Peers up to v6 may still send the removed knob: the wire drops
+        # keys a message class does not know, the API rejects them.
+        from repro.api.query import QueryError
+
+        payload = encode(QueryRequest((1,), (2,)), version=4)
+        payload["representation"] = "sets"
+        assert decode(payload) == QueryRequest((1,), (2,))
+        with pytest.raises(QueryError, match="representation"):
+            ReachQuery.from_dict(
+                {"sources": [1], "targets": [2], "representation": "bits"}
+            )
+
     def test_batch_budget_travels_the_wire(self):
         request = QueryRequest((1,), (2,), max_batch_pairs=64)
         assert loads(dumps(request)).max_batch_pairs == 64

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.api import DSRConfig
 from repro.core.engine import DSREngine
 from repro.graph import generators
 from repro.graph.traversal import reachable_pairs
@@ -29,7 +30,7 @@ def graph():
 
 @pytest.fixture
 def service(graph):
-    engine = DSREngine(graph, num_partitions=3, local_index="msbfs", seed=2)
+    engine = DSREngine(graph, DSRConfig(num_partitions=3, local_index="msbfs", seed=2))
     service = DSRService(engine, num_workers=3)
     yield service
     service.close()
@@ -43,7 +44,7 @@ class TestQueryServing:
         assert response.pair_set == reachable_pairs(graph, vertices[:7], vertices[60:66])
 
     def test_unbuilt_engine_is_built_by_the_service(self, graph):
-        engine = DSREngine(graph, num_partitions=3, seed=2)
+        engine = DSREngine(graph, DSRConfig(num_partitions=3, seed=2))
         assert not engine.is_built
         service = DSRService(engine, num_workers=1)
         assert engine.is_built
@@ -78,7 +79,7 @@ class TestQueryServing:
         assert service.metrics.count("errors") == 1
 
     def test_split_query_matches_direct_engine(self, graph):
-        engine = DSREngine(graph, num_partitions=3, seed=2)
+        engine = DSREngine(graph, DSRConfig(num_partitions=3, seed=2))
         service = DSRService(engine, num_workers=2, max_batch_pairs=50)
         vertices = sorted(graph.vertices())
         sources, targets = vertices[:20], vertices[100:120]
@@ -135,7 +136,7 @@ class TestConcurrentServing:
         assert not errors
 
     def test_admission_queue_rejects_when_full(self, graph):
-        engine = DSREngine(graph, num_partitions=3, seed=2)
+        engine = DSREngine(graph, DSRConfig(num_partitions=3, seed=2))
         service = DSRService(engine, num_workers=1, max_queue_depth=1)
         vertices = sorted(graph.vertices())
         big = QueryRequest(tuple(vertices[:50]), tuple(vertices[50:150]), use_cache=False)
@@ -149,7 +150,7 @@ class TestConcurrentServing:
         service.close()
 
     def test_submit_after_close_rejected(self, graph):
-        engine = DSREngine(graph, num_partitions=3, seed=2)
+        engine = DSREngine(graph, DSRConfig(num_partitions=3, seed=2))
         service = DSRService(engine, num_workers=1)
         service.close()
         with pytest.raises(RuntimeError):
