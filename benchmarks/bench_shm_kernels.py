@@ -14,9 +14,18 @@ quantifies the two claims behind the change on an 8-partition engine:
   bitset kernels on the same batched ``set_reachability_rows`` call, byte
   identical answers required, **>= 2x** required.
 
-Both measurements are merged into ``BENCH_shm_kernels.json``.
+* **one-pass vs. fixpoint** — the kernel speedup above is measured on a raw
+  cyclic dataset graph, which every tier sweeps to fixpoint.  Queries sweep
+  *condensations*, which are topologically numbered and take the one-pass
+  sweep; ``test_onepass_sweep_on_condensation`` times python-fixpoint /
+  python-one-pass / numpy-level-plan on the dataset's condensation and on
+  the measurement spine's DAG at 2, 64 and 256 sources — byte-identical
+  rows required, one-pass no slower than the fixpoint required.
+
+All measurements are merged into ``BENCH_shm_kernels.json``.
 """
 
+import random
 import time
 from pathlib import Path
 
@@ -28,9 +37,16 @@ from repro.bench.datasets import load_dataset
 from repro.bench.reporting import format_table, write_bench_json
 from repro.bench.workloads import random_query
 from repro.cluster.shm import shm_available
+from repro.graph import generators
+from repro.graph.csr import CSRGraph
+from repro.graph.scc import condense
 from repro.obs.runtime import global_registry
 from repro.reachability import bitset_msbfs
-from repro.reachability.kernels import numpy_available, use_kernels
+from repro.reachability.kernels import (
+    np_set_reachability_rows,
+    numpy_available,
+    use_kernels,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,6 +57,11 @@ PUBLISH_BYTES_MAX_FRACTION = 0.10
 KERNEL_SOURCES = 256
 KERNEL_REPEATS = 5
 MIN_KERNEL_SPEEDUP = 2.0
+ONEPASS_SOURCES = (2, 64, 256)
+ONEPASS_REPEATS = 15
+#: Timer noise allowed on "one pass no slower than fixpoint": at 2 sources
+#: over a 41-vertex condensation both take ~10 microseconds.
+ONEPASS_TOLERANCE = 1.05
 
 
 def _publish_stats(graph):
@@ -212,3 +233,76 @@ def test_numpy_kernel_speedup(benchmark):
         f"numpy kernels only {speedup:.2f}x faster than python "
         f"(bar {MIN_KERNEL_SPEEDUP}x)"
     )
+
+
+def _condensations():
+    """``{name: condensation DAG}``: the dataset's and the spine's."""
+    return {
+        DATASET: condense(load_dataset(DATASET, scale=SCALE, seed=BENCH_SEED))[0],
+        # benchmarks/spine: point_uncached / hot_skewed / batch_sharded.
+        "dag_2000_8000": condense(generators.dag(2000, 8000, seed=BENCH_SEED))[0],
+    }
+
+
+def test_onepass_sweep_on_condensation(benchmark):
+    def run_all():
+        report = {}
+        for name, dag in _condensations().items():
+            csr = dag.csr()
+            assert csr.edges_descend()
+            # The same arrays with the numbering property denied: the only
+            # way to time the fixpoint sweep on a snapshot that has it.
+            fixpoint_csr = CSRGraph(csr.ids, csr._index_of, csr.fwd_offsets, csr.fwd_targets)
+            fixpoint_csr._descending = False
+            entry = {"num_vertices": csr.num_vertices, "num_edges": csr.num_edges}
+            for width in ONEPASS_SOURCES:
+                sources = random.Random(BENCH_SEED).choices(csr.ids, k=width)
+                with use_kernels("python"):
+                    fixpoint_s, fixpoint_rows = _best_of(
+                        ONEPASS_REPEATS,
+                        lambda: bitset_msbfs.set_reachability_rows(fixpoint_csr, sources),
+                    )
+                    onepass_s, onepass_rows = _best_of(
+                        ONEPASS_REPEATS,
+                        lambda: bitset_msbfs.set_reachability_rows(csr, sources),
+                    )
+                assert onepass_rows == fixpoint_rows  # byte-identical ints
+                timings = {
+                    "python_fixpoint_seconds": round(fixpoint_s, 6),
+                    "python_onepass_seconds": round(onepass_s, 6),
+                }
+                if numpy_available():
+                    plan_s, plan_rows = _best_of(
+                        ONEPASS_REPEATS, lambda: np_set_reachability_rows(csr, sources)
+                    )
+                    assert plan_rows == fixpoint_rows
+                    timings["numpy_level_plan_seconds"] = round(plan_s, 6)
+                entry[f"sources_{width}"] = timings
+            report[name] = entry
+        return report
+
+    report = run_once(benchmark, run_all)
+    print()
+    print(
+        format_table(
+            [
+                {"condensation": name, "|V|": entry["num_vertices"], "|S|": width,
+                 **{key.replace("_seconds", "_ms"): round(value * 1e3, 3)
+                    for key, value in entry[f"sources_{width}"].items()}}
+                for name, entry in report.items()
+                for width in ONEPASS_SOURCES
+            ],
+            title="set_reachability_rows on a condensation — one pass vs. fixpoint",
+        )
+    )
+    write_bench_json("shm_kernels", {"onepass": report}, directory=REPO_ROOT, merge=True)
+
+    for name, entry in report.items():
+        for width in ONEPASS_SOURCES:
+            timings = entry[f"sources_{width}"]
+            assert (
+                timings["python_onepass_seconds"]
+                <= timings["python_fixpoint_seconds"] * ONEPASS_TOLERANCE
+            ), (
+                f"{name}, {width} sources: one pass slower than the fixpoint sweep"
+            )

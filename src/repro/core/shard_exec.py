@@ -136,6 +136,8 @@ class WorkerShard:
     #: Packed-pipeline structures, derived once at hydration.
     vertex_rank: Optional[VertexRank] = None
     member_masks: Tuple[int, ...] = ()
+    #: Component id → DAG rank (the condensation CSR's own id → index map).
+    component_rank_of: Dict[int, int] = field(default_factory=dict)
     _handle_positions: Dict[int, Dict[int, int]] = field(default_factory=dict)
     _handle_masks: Dict[int, int] = field(default_factory=dict)
 
@@ -182,7 +184,7 @@ class WorkerShard:
             ),
             self.member_masks,
             self.vertex_rank.ids,
-            VertexRank.from_csr(dag_csr).rank_of,
+            self.component_rank_of,
             mask,
         )
 
@@ -432,11 +434,9 @@ def load_shard(blob: WorkerShardBlob) -> WorkerShard:
         dag_csr = CSRGraph.from_bytes(blob.dag_csr_bytes)
     vertex_ids = blob.vertex_ids or tuple(sorted(blob.component_of))
     vertex_rank = VertexRank(vertex_ids)
+    component_rank_of = VertexRank.from_csr(dag_csr).rank_of
     masks = build_member_masks(
-        vertex_ids,
-        blob.component_of,
-        VertexRank.from_csr(dag_csr).rank_of,
-        dag_csr.num_vertices,
+        vertex_ids, blob.component_of, component_rank_of, dag_csr.num_vertices
     )
     return WorkerShard(
         rank=blob.rank,
@@ -447,6 +447,7 @@ def load_shard(blob: WorkerShardBlob) -> WorkerShard:
         expand_members=blob.expand_members,
         vertex_rank=vertex_rank,
         member_masks=tuple(masks),
+        component_rank_of=component_rank_of,
     )
 
 

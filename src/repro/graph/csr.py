@@ -49,6 +49,8 @@ class CSRGraph:
         "_rev_targets",
         "_degree_stats",
         "_successor_table",
+        "_descending",
+        "_level_plan",
         "_shm",
     )
 
@@ -70,6 +72,11 @@ class CSRGraph:
         self._rev_targets: Optional[array] = None
         self._degree_stats: Dict[str, float] = {}
         self._successor_table: Dict[int, Tuple[int, ...]] = {}
+        # Sweep-kernel caches, both derived lazily from the immutable forward
+        # arrays: the verified numbering property (see edges_descend) and the
+        # numpy tier's level plan (owned by repro.reachability.kernels).
+        self._descending: Optional[bool] = None
+        self._level_plan: Optional[object] = None
         # Keepalive for snapshots whose forward buffers are zero-copy views
         # into a shared-memory segment (see from_shared); None otherwise.
         self._shm: Optional[object] = None
@@ -222,6 +229,7 @@ class CSRGraph:
         keepalive, self._shm = self._shm, None
         if keepalive is None:
             return
+        self._level_plan = None
         for name in ("fwd_offsets", "fwd_targets"):
             view = getattr(self, name)
             setattr(self, name, array("q"))
@@ -388,6 +396,37 @@ class CSRGraph:
                 "max_in_degree": float(max_in),
             }
         return dict(self._degree_stats)
+
+    def edges_descend(self) -> bool:
+        """True iff every forward edge goes to a strictly lower dense index.
+
+        Such a snapshot is a DAG whose descending index order is a
+        topological order — the numbering :func:`repro.graph.scc.condense`
+        gives every condensation — which is what lets the bitset kernels
+        relax each edge once in a single pass instead of sweeping to
+        fixpoint (:mod:`repro.reachability.bitset_msbfs`).  The property is
+        *verified* against the adjacency, never taken on trust, once per
+        snapshot: it is derived from the forward arrays alone, so a snapshot
+        rebuilt by :meth:`from_bytes` / :meth:`from_shared` recomputes the
+        same answer and an immutable snapshot can never invalidate it.
+        """
+        if self._descending is None:
+            from repro.reachability import kernels
+
+            if kernels.kernel_backend() == "numpy":
+                self._descending = kernels.np_edges_descend(self)
+            else:
+                offsets, targets = self.fwd_offsets, self.fwd_targets
+                start = 0
+                descending = True
+                for vertex in range(self.num_vertices):
+                    end = offsets[vertex + 1]
+                    if start != end and max(targets[start:end]) >= vertex:
+                        descending = False
+                        break
+                    start = end
+                self._descending = descending
+        return self._descending
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CSRGraph(|V|={self.num_vertices}, |E|={self.num_edges})"

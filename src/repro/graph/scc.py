@@ -96,6 +96,14 @@ def condense(graph: DiGraph) -> Tuple[DiGraph, Dict[int, int]]:
     integers ``0..num_components-1`` and ``dag`` contains an edge between two
     components whenever the original graph has an edge between their members.
     Self-loops in the condensation are dropped.
+
+    Component ids are **reverse-topological**: a component is numbered after
+    every component it can reach (the order :func:`strongly_connected_components`
+    emits them in), so every edge of ``dag`` goes to a strictly *lower* id.
+    The DAG's CSR snapshot numbers its vertices by id, which makes
+    :meth:`repro.graph.csr.CSRGraph.edges_descend` true for every
+    condensation — the bitset kernels' one-pass sweep leans on exactly that
+    (``tests/graph/test_scc.py`` pins it).
     """
     components = strongly_connected_components(graph)
     vertex_to_component: Dict[int, int] = {}

@@ -1,17 +1,17 @@
 """Multi-source BFS (Then et al. [30], the "DSR-MSBFS" local strategy).
 
 All sources are traversed simultaneously: every vertex carries a bitset of the
-sources that have reached it so far, and a BFS level only propagates the
-*newly arrived* source bits.  Each edge is therefore relaxed at most a handful
-of times for the whole source set instead of once per source, which is the
-memoisation benefit the paper observes for large query sets (Figure 7).
+sources that have reached it so far, so an edge is relaxed for the whole
+source set at once instead of once per source — the memoisation benefit the
+paper observes for large query sets (Figure 7).
 
-Since PR 3 the actual propagation lives in the CSR kernel
+The actual propagation lives in the CSR kernel
 (:mod:`repro.reachability.bitset_msbfs`): this class fetches the graph's
 cached :class:`~repro.graph.csr.CSRGraph` snapshot (rebuilt lazily after
 mutations — see :meth:`repro.graph.digraph.DiGraph.csr`) and runs the dense
-bitset frontier over its flat adjacency arrays, instead of walking the
-``dict``/``set`` adjacency one vertex at a time.
+bitset sweep over its flat adjacency arrays — one pass when the snapshot is
+a topologically numbered DAG (every condensation is), a BFS to fixpoint
+otherwise.
 """
 
 from __future__ import annotations
@@ -35,10 +35,15 @@ class MultiSourceBFS(ReachabilityIndex):
     def local_cost_factor(cls, num_roots: int, avg_degree: float) -> float:
         """Shared frontiers amortise roots in machine words.
 
-        One bitset sweep serves up to 64 roots at once, so the per-root
-        traversal cost collapses to ``ceil(roots / 64) / roots`` of a DFS:
-        ~1.0 for a single root (a full frontier sweep regardless), ~1/64th
-        for large root sets.
+        The model: one bitset sweep serves up to 64 roots at once, so the
+        per-root traversal cost is ``ceil(roots / 64) / roots`` of a DFS —
+        ~1.0 for a single root, ~1/64th for large root sets.  It is hand-set,
+        not fitted.  Measured per call (``docs/BENCHMARKS.md``, "Kernel cost
+        by seed count"): the one-pass sweep over a 2140-vertex condensation
+        is near-flat in the root count (0.2 → 0.9 ms from 1 to 256 roots)
+        while the harvest grows with it, and the fixpoint sweep grows
+        linearly, i.e. amortises nothing.  Fitting the factor to that curve
+        is ROADMAP item 4.
         """
         del avg_degree
         if num_roots <= 0:

@@ -28,6 +28,7 @@ from repro.core.shard_exec import (
 from repro.graph import generators
 from repro.graph.digraph import DiGraph
 from repro.graph.traversal import reachable_pairs
+from repro.obs import use_registry
 
 
 def _record_payloads(engine, monkeypatch, sources, targets):
@@ -139,3 +140,38 @@ def test_contract_holds_across_an_in_place_vertex_insert(ledger, monkeypatch):
                 step(shard, payload)
             if name != "in-process":
                 shard.close()
+
+
+def test_every_shard_serves_the_steps_with_onepass_sweeps(ledger, monkeypatch):
+    # Hydration must not lose the condensation's numbering property: a
+    # worker shard that quietly fell back to the fixpoint sweep would still
+    # answer correctly, only slower — so the counter is the only witness.
+    graph = generators.social_graph(240, avg_degree=3, reciprocity=0.4, seed=19)
+    engine = open_engine(graph, DSRConfig(num_partitions=3, local_index="msbfs"))
+    state = engine.index.current_state()
+    vertices = sorted(graph.vertices())
+    recorded = _record_payloads(engine, monkeypatch, vertices[:24], vertices[-24:])
+    assert {step for step, _, _ in recorded} == {local_step, remote_step}
+    sweeps = {}
+    for step, rank, payload in recorded:
+        shards = _shards(state, rank, ledger)
+        try:
+            for name, shard in shards.items():
+                with use_registry() as registry:
+                    step(shard, payload)
+                per_kind = sweeps.setdefault(name, {})
+                for kind in ("onepass", "fixpoint"):
+                    count = sum(
+                        registry.counter_value("dsr_kernel_sweeps_total", kind=kind, tier=tier)
+                        for tier in ("python", "numpy")
+                    )
+                    if count:
+                        per_kind[kind] = per_kind.get(kind, 0) + count
+        finally:
+            for name in ("pickled", "shm"):
+                if name in shards:
+                    shards[name].close()
+    assert set(sweeps) == set(shards)
+    for name, per_kind in sweeps.items():
+        assert set(per_kind) == {"onepass"}, f"{name} shard swept to fixpoint"
+        assert per_kind == sweeps["in-process"]

@@ -5,7 +5,11 @@ import pytest
 from repro.graph import generators
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
+from repro.graph.scc import condense
+from repro.reachability.kernels import numpy_available, use_kernels
 from repro.reachability.msbfs import MultiSourceBFS
+
+KERNEL_TIERS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 def assert_matches_digraph(csr: CSRGraph, graph: DiGraph) -> None:
@@ -139,6 +143,50 @@ class TestCachingAndInvalidation:
         assert not index.reachable(0, 3)
         graph.add_edge(1, 2)
         assert index.reachable(0, 3)
+
+
+class TestEdgesDescend:
+    """The verified numbering property behind the one-pass bitset sweep."""
+
+    @staticmethod
+    def numbered_dag():
+        return condense(generators.random_digraph(60, 150, seed=5))[0]
+
+    @pytest.mark.parametrize("kernels", KERNEL_TIERS)
+    def test_true_for_descending_edges_only(self, kernels):
+        with use_kernels(kernels):
+            assert self.numbered_dag().csr().edges_descend()
+            assert DiGraph().csr().edges_descend()
+            assert DiGraph.from_edges([(5, 2), (9, 5), (9, 2)]).csr().edges_descend()
+            # One ascending edge, a 2-cycle, a self-loop: each spoils it.
+            assert not DiGraph.from_edges([(5, 2), (9, 5), (2, 9)]).csr().edges_descend()
+            assert not DiGraph.from_edges([(5, 2), (2, 5)]).csr().edges_descend()
+            assert not DiGraph.from_edges([(5, 2), (5, 5)]).csr().edges_descend()
+
+    def test_recomputed_from_the_arrays_not_assumed(self):
+        csr = self.numbered_dag().csr()
+        assert csr.edges_descend()
+        # A hand-built snapshot over ascending arrays must not inherit it.
+        flipped = DiGraph.from_edges([(v, u) for u, v in self.numbered_dag().edges()]).csr()
+        rebuilt = CSRGraph(flipped.ids, flipped._index_of, flipped.fwd_offsets, flipped.fwd_targets)
+        assert not rebuilt.edges_descend()
+
+    @pytest.mark.parametrize("kernels", KERNEL_TIERS)
+    def test_survives_to_bytes_and_shared_views(self, kernels):
+        for graph, expected in (
+            (self.numbered_dag(), True),
+            (generators.random_digraph(40, 160, seed=4), False),
+        ):
+            csr = graph.csr()
+            with use_kernels(kernels):
+                assert CSRGraph.from_bytes(csr.to_bytes()).edges_descend() is expected
+                buffer = bytearray(16 + csr.shared_size())
+                assert csr.write_shared(memoryview(buffer), 16) == len(buffer)
+                shared = CSRGraph.from_shared(memoryview(buffer), 16, keepalive=object())
+                try:
+                    assert shared.edges_descend() is expected
+                finally:
+                    shared.release_shared()
 
 
 class TestCompactSerialisation:

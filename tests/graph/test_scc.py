@@ -1,5 +1,6 @@
 """Tests for SCC computation and condensation."""
 
+import pytest
 
 from repro.graph import generators
 from repro.graph.digraph import DiGraph
@@ -65,6 +66,20 @@ class TestCondense:
                 assert is_reachable(graph, u, v) == is_reachable(
                     dag, mapping[u], mapping[v]
                 )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_component_ids_are_reverse_topological(self, seed):
+        # The numbering contract the one-pass bitset sweep leans on: a
+        # component is numbered after everything it reaches, so every DAG
+        # edge goes to a strictly lower id and the DAG's snapshot says so.
+        graph = generators.random_digraph(70, 40 + 25 * seed, seed=seed)
+        components = strongly_connected_components(graph)
+        dag, mapping = condense(graph)
+        for component_id, members in enumerate(components):
+            assert {mapping[vertex] for vertex in members} == {component_id}
+        assert sorted(dag.vertices()) == list(range(len(components)))
+        assert all(v < u for u, v in dag.edges())
+        assert dag.csr().edges_descend()
 
     def test_cycle_condenses_to_single_vertex(self):
         dag, mapping = condense(generators.cycle_graph(7))

@@ -1,4 +1,4 @@
-"""Hypothesis property layer: numpy kernels are byte-identical to python.
+"""Hypothesis property layer: every sweep on every tier computes one table.
 
 Where ``test_differential.py`` replays fixed seeded scenarios through whole
 engines, this file attacks the kernel boundary directly with
@@ -6,16 +6,30 @@ hypothesis-generated graphs, seeds and masks — the raw
 ``propagate`` / ``set_reachability_rows`` / ``pack_ranks`` contracts, where
 "identical" means identical Python ints (same bytes, same everything).
 
-Skipped wholesale when hypothesis or numpy is missing; the pure-python
-backend needs no differential witness — it *is* the reference.
+Two families.  The *parity* tests draw arbitrary (mostly cyclic) graphs,
+which every tier sweeps to fixpoint, and hold numpy to python.  The
+*one-pass* tests draw topologically numbered DAGs — hand-numbered ones and
+``condense()`` of the cyclic graphs — and hold the one-pass sweep of each
+tier to the fixpoint sweep of the same snapshot and to the independent
+oracle ``reachable_pairs``; their negative cases (an ascending edge, a
+2-cycle, a self-loop) must fall back to the fixpoint and stay right.
+
+Skipped wholesale when hypothesis is missing; without numpy the numpy arms
+are skipped and the python arms still run.
 """
+
+import random
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
+from repro.graph.csr import CSRGraph  # noqa: E402
 from repro.graph.digraph import DiGraph  # noqa: E402
+from repro.graph.scc import condense  # noqa: E402
+from repro.graph.traversal import reachable_pairs  # noqa: E402
+from repro.obs import use_registry  # noqa: E402
 from repro.reachability import bitset_msbfs  # noqa: E402
 from repro.reachability.kernels import (  # noqa: E402
     np_pack_ranks,
@@ -26,7 +40,7 @@ from repro.reachability.kernels import (  # noqa: E402
 )
 from repro.reachability.packed import pack_ranks  # noqa: E402
 
-pytestmark = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 
 COMMON_SETTINGS = settings(
     max_examples=60,
@@ -51,6 +65,7 @@ def _graph_of(edges, extra_vertices=()):
     return graph
 
 
+@needs_numpy
 @COMMON_SETTINGS
 @given(
     edges=edge_lists,
@@ -73,6 +88,7 @@ def test_propagate_parity(edges, isolated, seed_positions, seed_widths, reverse)
     assert np_propagate(csr, seeds, reverse=reverse) == reference
 
 
+@needs_numpy
 @COMMON_SETTINGS
 @given(
     edges=edge_lists,
@@ -111,6 +127,7 @@ def test_set_reachability_rows_parity(edges, source_picks, mask_seed, batch_size
         )
 
 
+@needs_numpy
 @COMMON_SETTINGS
 @given(
     ranks=st.lists(st.integers(min_value=0, max_value=5000), max_size=300).map(
@@ -124,3 +141,180 @@ def test_pack_ranks_parity(ranks):
         assert np_pack_ranks(ranks) == reference
     with use_kernels("numpy"):
         assert pack_ranks(ranks) == reference
+
+
+# ---------------------------------------------------------------------- #
+# one-pass sweeps over topologically numbered snapshots
+# ---------------------------------------------------------------------- #
+#: ``python``: the public entry points on the python tier.  ``numpy``: the
+#: numpy implementations called directly (the level plan at every width).
+#: ``numpy-dispatch``: the public entry points with numpy selected, which
+#: hand sweeps narrower than ``NUMPY_MIN_SEEDS`` to the python loop.
+TIERS = [
+    "python",
+    pytest.param("numpy", marks=needs_numpy),
+    pytest.param("numpy-dispatch", marks=needs_numpy),
+]
+
+
+def _propagate_on(tier, csr, seeds, reverse=False):
+    if tier == "numpy":
+        return np_propagate(csr, seeds, reverse=reverse)
+    with use_kernels("python" if tier == "python" else "numpy"):
+        return bitset_msbfs.propagate(csr, seeds, reverse=reverse)
+
+
+def _rows_on(tier, csr, sources, mask, batch_size, reverse):
+    if tier == "numpy":
+        return np_set_reachability_rows(csr, sources, mask, batch_size, reverse)
+    with use_kernels("python" if tier == "python" else "numpy"):
+        return bitset_msbfs.set_reachability_rows(
+            csr, sources, mask, batch_size=batch_size, reverse=reverse
+        )
+
+
+def _fixpoint_twin(csr):
+    """The same snapshot, marked as not topologically numbered."""
+    twin = CSRGraph(csr.ids, csr._index_of, csr.fwd_offsets, csr.fwd_targets)
+    twin._descending = False
+    return twin
+
+
+def _sweep_kinds(registry):
+    return {
+        kind
+        for kind in ("onepass", "fixpoint")
+        for tier in ("python", "numpy")
+        if registry.counter_value("dsr_kernel_sweeps_total", kind=kind, tier=tier)
+    }
+
+
+@st.composite
+def numbered_dags(draw):
+    """A DAG whose every edge goes to a lower vertex id, two ways.
+
+    Edge lists come from a drawn ``random.Random`` seed and a drawn density:
+    hypothesis' own lists are mostly short, which leaves nothing to reach.
+    """
+    size = draw(st.integers(min_value=1, max_value=80))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
+    pairs = [
+        (rng.randrange(size), rng.randrange(size))
+        for _ in range(draw(st.integers(min_value=0, max_value=3 * size)))
+    ]
+    if draw(st.booleans()):
+        graph = DiGraph()
+        # Gaps in the ids: the dense index is the id's rank, not the id.
+        stride = draw(st.sampled_from([1, 3]))
+        for vertex in range(size):
+            graph.add_vertex(vertex * stride)
+        for a, b in pairs:
+            if a != b:
+                graph.add_edge(max(a, b) * stride, min(a, b) * stride)
+        return graph
+    return condense(_graph_of(pairs, extra_vertices=range(size)))[0]
+
+
+def _drawn_sources(graph, count, seed):
+    """``count`` sources with duplicates and a few ids the snapshot lacks."""
+    rng = random.Random(seed)
+    ids = sorted(graph.vertices())
+    return [
+        rng.choice(ids) if rng.random() < 0.95 else -1 - rng.randrange(3)
+        for _ in range(count)
+    ]
+
+
+def _oracle_rows(graph, csr, sources, mask, reverse):
+    """``reachable_pairs``, packed over the snapshot's dense numbering."""
+    keep = (1 << csr.num_vertices) - 1 if mask is None else mask
+    expected = {source: 0 for source in sources}
+    oracle_graph = graph.reverse() if reverse else graph
+    for source, target in reachable_pairs(oracle_graph, set(sources), csr.ids):
+        expected[source] |= (1 << csr.index_of(target)) & keep
+    return expected
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@COMMON_SETTINGS
+@given(
+    graph=numbered_dags(),
+    seed_positions=st.lists(st.integers(min_value=0, max_value=79), max_size=12),
+    seed_widths=st.lists(st.integers(min_value=1, max_value=700), min_size=12, max_size=12),
+    reverse=st.booleans(),
+)
+def test_onepass_propagate_four_ways(tier, graph, seed_positions, seed_widths, reverse):
+    csr = graph.csr()
+    assert csr.edges_descend()
+    seeds = {}
+    for position, width in zip(seed_positions, seed_widths):
+        index = position % csr.num_vertices
+        seeds[index] = seeds.get(index, 0) | (1 << (width - 1)) | (width * 7919)
+    with use_registry() as registry:
+        got = _propagate_on(tier, csr, seeds, reverse)
+    if seeds:
+        assert _sweep_kinds(registry) == {"fixpoint" if reverse else "onepass"}
+    assert got == _propagate_on(tier, _fixpoint_twin(csr), seeds, reverse)
+    # The oracle: a vertex carries the OR of the seed bits of every reacher.
+    expected = [0] * csr.num_vertices
+    oracle_graph = graph.reverse() if reverse else graph
+    seed_ids = [csr.ids[index] for index in seeds]
+    for source, target in reachable_pairs(oracle_graph, seed_ids, csr.ids):
+        expected[csr.index_of(target)] |= seeds[csr.index_of(source)]
+    assert got == expected
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@COMMON_SETTINGS
+@given(
+    graph=numbered_dags(),
+    source_count=st.sampled_from([0, 1, 2, 7, 8, 9, 40, 65, 130, 520, 600]),
+    source_seed=st.integers(min_value=0, max_value=2**16),
+    mask_seed=st.one_of(st.none(), st.just(0), st.integers(min_value=1, max_value=2**90 - 1)),
+    batch_size=st.sampled_from([1, 3, 64, 512]),
+    reverse=st.booleans(),
+)
+def test_onepass_rows_four_ways(
+    tier, graph, source_count, source_seed, mask_seed, batch_size, reverse
+):
+    csr = graph.csr()
+    assert csr.edges_descend()
+    sources = _drawn_sources(graph, source_count, source_seed)
+    mask = None if mask_seed is None else mask_seed % (1 << csr.num_vertices)
+    with use_registry() as registry:
+        got = _rows_on(tier, csr, sources, mask, batch_size, reverse)
+    assert _sweep_kinds(registry) <= {"fixpoint" if reverse else "onepass"}
+    assert got == _rows_on(tier, _fixpoint_twin(csr), sources, mask, batch_size, reverse)
+    assert got == _oracle_rows(graph, csr, sources, mask, reverse)
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("spoiler", ["ascending-edge", "two-cycle", "self-loop"])
+@COMMON_SETTINGS
+@given(
+    graph=numbered_dags(),
+    pick=st.integers(min_value=0, max_value=10**6),
+    source_count=st.sampled_from([1, 3, 20, 70]),
+    source_seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_unnumbered_snapshot_falls_back(tier, spoiler, graph, pick, source_count, source_seed):
+    graph = graph.copy()
+    ids = sorted(graph.vertices())
+    if spoiler == "self-loop":
+        vertex = ids[pick % len(ids)]
+        graph.add_edge(vertex, vertex)
+    else:
+        if len(ids) < 2:
+            ids.append(ids[-1] + 1)
+        low = pick % (len(ids) - 1)
+        high = low + 1 + (pick // len(ids)) % (len(ids) - 1 - low)
+        graph.add_edge(ids[low], ids[high])
+        if spoiler == "two-cycle":
+            graph.add_edge(ids[high], ids[low])
+    csr = graph.csr()
+    assert not csr.edges_descend()
+    sources = _drawn_sources(graph, source_count, source_seed)
+    with use_registry() as registry:
+        got = _rows_on(tier, csr, sources, None, 64, False)
+    assert _sweep_kinds(registry) <= {"fixpoint"}
+    assert got == _oracle_rows(graph, csr, sources, None, False)
