@@ -37,9 +37,6 @@ class ReachQuery:
         (Section 3.3.2, "Forward vs. Backward Processing").
     use_cache:
         Allow the serving layer to answer from its exact-result cache.
-    max_batch_pairs:
-        Optional per-query override of the planner's batching budget — the
-        maximum ``|S| × |T|`` evaluated in a single engine call.
     trace:
         Collect a structured :class:`~repro.obs.trace.QueryTrace` of timed
         spans (cache lookup, planning, the three DSR steps, per-partition
@@ -66,7 +63,6 @@ class ReachQuery:
     targets: Tuple[int, ...]
     direction: str = "auto"
     use_cache: bool = True
-    max_batch_pairs: Optional[int] = None
     trace: bool = False
     tenant: Optional[str] = None
     deadline_ms: Optional[float] = None
@@ -79,15 +75,6 @@ class ReachQuery:
             raise QueryError(
                 f"unknown query direction {self.direction!r}; "
                 f"available: {', '.join(DIRECTIONS)}"
-            )
-        if self.max_batch_pairs is not None and (
-            not isinstance(self.max_batch_pairs, int)
-            or isinstance(self.max_batch_pairs, bool)
-            or self.max_batch_pairs < 1
-        ):
-            raise QueryError(
-                f"max_batch_pairs must be a positive integer or None, "
-                f"got {self.max_batch_pairs!r}"
             )
         if self.tenant is not None and not isinstance(self.tenant, str):
             raise QueryError(
@@ -131,7 +118,6 @@ class ReachQuery:
             "targets": list(self.targets),
             "direction": self.direction,
             "use_cache": self.use_cache,
-            "max_batch_pairs": self.max_batch_pairs,
             "trace": self.trace,
             "tenant": self.tenant,
             "deadline_ms": self.deadline_ms,

@@ -370,6 +370,9 @@ class DistributedQueryExecutor:
             )
 
         # ----- Step 3: resolve received handles at the target slaves ------- #
+        # The one mid-run stop of a deadlined query: a budget that step 1
+        # used up is not spent on a step-3 fan-out nobody is waiting for.
+        check_deadline("step3")
         payloads3: Dict[int, Dict[str, Any]] = {}
         for rank in range(self.index.num_partitions):
             interior = interior_targets_of.get(rank, set())

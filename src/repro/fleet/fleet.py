@@ -411,11 +411,6 @@ class ReplicaFleet:
     # ------------------------------------------------------------------ #
     # service integration & introspection
     # ------------------------------------------------------------------ #
-    def configure_planners(self, max_batch_pairs: int) -> None:
-        """Align every replica planner's batching budget with the service's."""
-        for replica in self.replicas:
-            replica.planner.max_batch_pairs = max_batch_pairs
-
     def stats(self) -> Dict[str, Any]:
         """The ``fleet`` section of ``DSRService.stats()``."""
         route_counts = self.router.route_counts()

@@ -27,15 +27,10 @@ from repro.service.planner import QueryPlanner
 class FleetReplica:
     """A fleet member: one engine, one planner, one current strategy."""
 
-    def __init__(
-        self,
-        replica_id: int,
-        engine: DSREngine,
-        max_batch_pairs: int = 4096,
-    ) -> None:
+    def __init__(self, replica_id: int, engine: DSREngine) -> None:
         self.replica_id = replica_id
         self.engine = engine
-        self.planner = QueryPlanner(engine, max_batch_pairs=max_batch_pairs)
+        self.planner = QueryPlanner(engine)
         self.rebuild_count = 0
         self.rebuild_error: Optional[BaseException] = None
         self._rebuild_lock = threading.Lock()

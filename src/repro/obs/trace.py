@@ -11,7 +11,7 @@ resolution), per-partition shard-task wall-clock, payload bytes, and
 The model is deliberately flat — spans carry a name, a duration, an offset
 from the trace origin, and free-form attributes — because the DSR pipeline
 is a short fixed-shape DAG, not an arbitrary call tree.  Nesting is encoded
-with dotted names (``batch0.step1.shard``), which keeps the wire format a
+with dotted names (``step1.shard``), which keeps the wire format a
 plain list of dicts that any protocol version can carry opaquely.
 
 Traces serialise with :meth:`QueryTrace.to_dict` / :meth:`from_dict` so
@@ -61,7 +61,7 @@ class QueryTrace:
     """Ordered collection of spans for one query execution.
 
     Not thread-safe: a trace belongs to exactly one query, and the service
-    executes a query's batches sequentially on one worker thread.
+    executes a query on one worker thread.
     """
 
     def __init__(self) -> None:
@@ -96,20 +96,13 @@ class QueryTrace:
         """Append an instant (zero-duration) marker, e.g. a stale-epoch retry."""
         return self.add(name, 0.0, **attrs)
 
-    def merge_child(self, child: "QueryTrace", prefix: str = "", **attrs: Any) -> None:
-        """Fold a child trace's spans in, optionally renamed/annotated.
+    def merge_child(self, child: "QueryTrace") -> None:
+        """Fold a child trace's spans and attributes in.
 
-        The service uses this to splice each batch's engine-level trace into
-        the request-level trace (``prefix="batch0."`` etc.).
+        The service uses this to splice the engine-level trace of a
+        request's one engine run into the request-level trace.
         """
-        for span in child.spans:
-            merged = Span(
-                name=prefix + span.name,
-                seconds=span.seconds,
-                offset_seconds=span.offset_seconds,
-                attrs={**span.attrs, **attrs},
-            )
-            self.spans.append(merged)
+        self.spans.extend(child.spans)
         for key, value in child.attrs.items():
             self.attrs.setdefault(key, value)
 

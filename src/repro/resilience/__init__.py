@@ -10,10 +10,10 @@ here, in one package the rest of the codebase imports from —
   ad-hoc ``backoff * attempt`` linear schedules, whose first retry slept
   zero seconds);
 * :mod:`repro.resilience.deadline` — end-to-end query deadlines: a
-  :class:`Deadline` captured once at admission and consulted between
-  batches, between stale-epoch retries and inside per-call RPC socket
-  timeouts via the :func:`deadline_scope` / :func:`current_deadline`
-  propagation pair;
+  :class:`Deadline` captured once at admission and consulted before the
+  engine run, between its steps, between stale-epoch retries and inside
+  per-call RPC socket timeouts via the :func:`deadline_scope` /
+  :func:`current_deadline` propagation pair;
 * :mod:`repro.resilience.failpoints` — named, seeded, deterministic
   fault-injection sites (:func:`failpoint`) wired into the real failure
   seams (TCP RPC, hydration replay, worker dispatch, shm attach/unlink,

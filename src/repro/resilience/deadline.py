@@ -2,10 +2,10 @@
 
 A :class:`Deadline` is captured **once**, at admission, from the query's
 relative ``deadline_ms`` budget and carried — not recomputed — through every
-layer below: the service checks it before dequeuing and between plan
-batches, the core query loop checks it between stale-epoch retries, and the
-TCP executor converts the *remaining* budget into per-call socket timeouts
-so one wedged worker host turns into a typed
+layer below: the service checks it before dequeuing and once it holds the
+engine, the core query loop checks it between step 1 and step 3 and between
+stale-epoch retries, and the TCP executor converts the *remaining* budget
+into per-call socket timeouts so one wedged worker host turns into a typed
 :class:`~repro.resilience.errors.DeadlineExceededError` instead of an
 indefinite hang.
 

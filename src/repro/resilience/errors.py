@@ -9,9 +9,10 @@ class DeadlineExceededError(RuntimeError):
     """A query overran its end-to-end ``deadline_ms`` budget.
 
     Raised (never returned) wherever the budget runs out — at admission, in
-    the queue, between plan batches, between stale-epoch retries, or inside
-    a worker RPC whose socket timeout was derived from the remaining
-    budget.  ``stage`` names that enforcement point, so callers and metrics
+    the queue, after the wait for the engine, between step 1 and step 3,
+    between stale-epoch retries, or inside a worker RPC whose socket
+    timeout was derived from the remaining budget.  ``stage`` names that
+    enforcement point, so callers and metrics
     (``dsr_deadline_exceeded_total{stage=…}``) can tell a query that never
     started from one that timed out mid-RPC.
     """

@@ -1,6 +1,6 @@
 """Online query service over the DSR engine.
 
-Contract: the serving layer — plans each request (direction + batching, cost
+Contract: the serving layer — plans each request's direction (cost
 model fed by boundary-entry and CSR degree statistics), consults an
 exact-answer result cache wired to the engine's update listeners, and
 executes on a thread-pool service exposed in-process or over JSON/TCP.

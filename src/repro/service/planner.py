@@ -17,23 +17,16 @@ the engine:
   counters when none is cached.  The backward direction is only eligible
   when the engine was built with ``enable_backward=True``.
 
-* **Batching.**  The one-round protocol evaluates ``S ⇝ T`` as a whole, and
-  its local phases grow with ``|S|`` (traversal frontiers) while the answer
-  can grow with ``|S| · |T|``.  For very large requests the planner splits the
-  bigger side of the query into chunks so that no single engine call exceeds
-  ``max_batch_pairs`` source×target pairs, keeping per-call latency (and the
-  window during which the engine lock is held) bounded.  Splitting only one
-  side keeps the decomposition lossless::
-
-      S ⇝ T  =  ⋃_i (S_i ⇝ T)        (S = ⊎ S_i)
-
-  so :meth:`QueryPlanner.merge` is a plain union of the per-batch pair sets.
+Direction is all a plan decides.  The one-round protocol evaluates ``S ⇝ T``
+as a whole, so a request of any size is answered by exactly one
+``engine.run`` over the plan's de-duplicated ``sources`` / ``targets``: one
+captured epoch, one round of communication.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Iterable, Optional, Tuple
 
 from repro.api.query import ReachQuery, as_reach_query
 from repro.core.engine import DSREngine
@@ -45,10 +38,12 @@ class QueryPlan:
     """An executable plan for one set-reachability request."""
 
     direction: str  # "forward" or "backward"
-    batches: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
+    #: The request's vertex sets, de-duplicated and sorted — what the one
+    #: engine run of this plan is asked.
+    sources: Tuple[int, ...]
+    targets: Tuple[int, ...]
     estimated_cost: float
     reason: str
-    split_axis: str = "none"  # "none" | "sources" | "targets"
     #: The index epoch whose statistics informed this plan (-1 pre-build).
     #: Planning never takes the engine lock: the cost model reads one
     #: published epoch state, so a concurrent background flush can at worst
@@ -56,22 +51,15 @@ class QueryPlan:
     epoch: int = -1
 
     @property
-    def num_batches(self) -> int:
-        return len(self.batches)
-
-    @property
     def is_empty(self) -> bool:
-        return not self.batches
+        return not self.sources or not self.targets
 
 
 class QueryPlanner:
-    """Chooses direction and batching for queries against one engine."""
+    """Chooses the processing direction for queries against one engine."""
 
-    def __init__(self, engine: DSREngine, max_batch_pairs: int = 4096) -> None:
-        if max_batch_pairs < 1:
-            raise ValueError("max_batch_pairs must be positive")
+    def __init__(self, engine: DSREngine) -> None:
         self.engine = engine
-        self.max_batch_pairs = max_batch_pairs
         #: (epoch_state, stats) memo for :meth:`_entry_stats`.  Epoch states
         #: are immutable, so identity is a sound cache key; a cost-routed
         #: fleet prices every query on several planners, which made the
@@ -204,20 +192,18 @@ class QueryPlanner:
         """Build a :class:`QueryPlan` for ``S ⇝ T``.
 
         Accepts either one :class:`~repro.api.query.ReachQuery` or the legacy
-        positional ``(sources, targets, direction)`` spread.  A query's
-        ``max_batch_pairs`` overrides the planner-wide batching budget for
-        that request.
+        positional ``(sources, targets, direction)`` spread.
         """
         query = as_reach_query(sources, targets, direction)
         direction = query.direction
-        max_batch_pairs = query.max_batch_pairs or self.max_batch_pairs
-        source_list = sorted(set(query.sources))
-        target_list = sorted(set(query.targets))
+        source_list = tuple(sorted(set(query.sources)))
+        target_list = tuple(sorted(set(query.targets)))
         plan_epoch = self.engine.index.epoch
         if not source_list or not target_list:
             return QueryPlan(
                 direction="forward",
-                batches=(),
+                sources=source_list,
+                targets=target_list,
                 estimated_cost=0.0,
                 reason="empty source or target set",
                 epoch=plan_epoch,
@@ -250,46 +236,14 @@ class QueryPlanner:
             cost = self.estimate_cost(len(source_list), len(target_list), chosen)
             reason = f"explicit {chosen} request"
 
-        batches, split_axis = self._split(source_list, target_list, max_batch_pairs)
         return QueryPlan(
             direction=chosen,
-            batches=batches,
+            sources=source_list,
+            targets=target_list,
             estimated_cost=cost,
             reason=reason,
-            split_axis=split_axis,
             epoch=plan_epoch,
         )
-
-    def _split(
-        self, sources: List[int], targets: List[int], max_batch_pairs: int
-    ) -> Tuple[Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...], str]:
-        """Chunk the larger query side so every batch fits the pair budget."""
-        if len(sources) * len(targets) <= max_batch_pairs:
-            return ((tuple(sources), tuple(targets)),), "none"
-        if len(sources) >= len(targets):
-            fixed, split, axis = targets, sources, "sources"
-        else:
-            fixed, split, axis = sources, targets, "targets"
-        chunk = max(1, max_batch_pairs // len(fixed))
-        batches = []
-        for start in range(0, len(split), chunk):
-            piece = tuple(split[start : start + chunk])
-            if axis == "sources":
-                batches.append((piece, tuple(fixed)))
-            else:
-                batches.append((tuple(fixed), piece))
-        return tuple(batches), axis
-
-    # ------------------------------------------------------------------ #
-    # result merging
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def merge(results: Sequence[Set[Tuple[int, int]]]) -> Set[Tuple[int, int]]:
-        """Union the per-batch pair sets back into one answer."""
-        merged: Set[Tuple[int, int]] = set()
-        for pairs in results:
-            merged |= pairs
-        return merged
 
 
 __all__ = ["QueryPlan", "QueryPlanner"]

@@ -201,6 +201,7 @@ class QueryResponse:
     pairs: Tuple[Tuple[int, int], ...]
     cached: bool = False
     direction: str = "forward"
+    #: Engine runs behind this answer: 1, or 0 for a cached/empty reply.
     num_batches: int = 1
     latency_seconds: float = 0.0
     messages_sent: int = 0

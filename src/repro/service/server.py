@@ -7,7 +7,7 @@ batch, single-caller object — into a long-lived service:
   **worker thread pool** (:meth:`DSRService.submit` returns a future;
   :meth:`DSRService.handle` is the synchronous core the workers run);
 * every query goes through the :class:`~repro.service.planner.QueryPlanner`
-  (direction choice + batching) and the
+  (direction choice) and the
   :class:`~repro.service.cache.ResultCache` (exact-answer reuse with precise
   invalidation under updates);
 * per-request **metrics** are recorded: latency percentiles per request kind,
@@ -43,6 +43,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
+from contextlib import nullcontext
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.query import ReachQuery
@@ -205,7 +206,7 @@ class DSRService:
     The engine may also be a :class:`~repro.fleet.ReplicaFleet` — it quacks
     like an engine, so admission, metrics and updates work unchanged.  The
     service then adds the fleet's read path on top: every query is routed to
-    the argmin-cost replica (whose planner also does the batching), and
+    the argmin-cost replica (whose planner picks the direction), and
     updates fan out to all replicas through the fleet's own facade methods.
     Caching becomes *per replica*: each replica owns a ResultCache of the
     configured capacity, attached to that replica's maintainer and epoch
@@ -223,7 +224,6 @@ class DSRService:
         max_queue_depth: int = 64,
         cache_capacity: int = 1024,
         cache_ttl_seconds: Optional[float] = None,
-        max_batch_pairs: int = 4096,
         enable_cache: bool = True,
         health_probe_interval_seconds: Optional[float] = None,
     ) -> None:
@@ -245,11 +245,7 @@ class DSRService:
         self._background_epochs = (
             getattr(engine, "epoch_flush", "inline") == "background"
         )
-        self.planner = QueryPlanner(engine, max_batch_pairs=max_batch_pairs)
-        if self._fleet is not None:
-            # Replica planners do the actual batching for routed queries;
-            # keep their budget aligned with the service's.
-            self._fleet.configure_planners(max_batch_pairs)
+        self.planner = QueryPlanner(engine)
         self.metrics = ServiceMetrics()
         self.cache: Optional[ResultCache] = None
         #: Fleet mode: one cache per replica, indexed by replica id.  Routing
@@ -381,8 +377,8 @@ class DSRService:
         ``deadline`` is the budget captured at admission (:meth:`submit`);
         direct synchronous callers get one started here instead.  The
         deadline is scoped to this thread for the whole execution, so the
-        planner's batch loops and the executors below check it without
-        threading it through every signature.
+        engine call site and the executors below check it without threading
+        it through every signature.
         """
         start = time.perf_counter()
         if deadline is None and isinstance(request, ReachQuery):
@@ -447,27 +443,36 @@ class DSRService:
             # never touches the engine (planning is pure stats arithmetic).
             plan = self.planner.plan(request)
             self.metrics.increment("queries")
-            self.metrics.increment("cache_hits")
-            latency = time.perf_counter() - start
-            self.metrics.record("query_cached", latency)
-            return QueryResponse(
-                pairs=tuple(cached),
-                cached=True,
-                direction=plan.direction,
-                num_batches=0,
-                latency_seconds=latency,
-                epoch=lookup_epoch if lookup_epoch is not None else -1,
-            )
+            return self._cached_response(cached, plan, lookup_epoch, start)
         except Exception as exc:
             self.metrics.increment("errors")
             return ErrorResponse(error=type(exc).__name__, message=str(exc))
 
+    def _cached_response(
+        self, cached, plan, lookup_epoch: Optional[int], start: float,
+        trace: Optional[QueryTrace] = None,
+    ) -> QueryResponse:
+        """Account for and build the reply to a cache hit."""
+        latency = time.perf_counter() - start
+        self.metrics.increment("cache_hits")
+        # Cache hits skip the engine entirely; recording them as full
+        # queries used to drag the "query" percentiles down.
+        self.metrics.record("query_cached", latency)
+        return QueryResponse(
+            pairs=tuple(cached),
+            cached=True,
+            direction=plan.direction,
+            num_batches=0,
+            latency_seconds=latency,
+            epoch=lookup_epoch if lookup_epoch is not None else -1,
+            trace=trace.to_dict() if trace is not None else None,
+        )
+
     def _handle_query(self, request: ReachQuery, start: float) -> QueryResponse:
         self.metrics.increment("queries")
-        # Fleet mode: pick the serving replica up front — its planner does
-        # the batching and its engine runs every batch of this plan, so the
-        # whole answer comes from one replica (one epoch counter to agree
-        # on).  Routing is recorded even when the cache ends up answering:
+        # Fleet mode: pick the serving replica up front — its planner picks
+        # the direction, its engine runs the query and its cache holds the
+        # answer.  Routing is recorded even when the cache ends up answering:
         # the workload histogram should reflect demand, not cache luck.
         route = self._fleet.route(request) if self._fleet is not None else None
         planner = self.planner if route is None else route.replica.planner
@@ -476,10 +481,7 @@ class DSRService:
         if trace is not None:
             with trace.span("plan") as plan_span:
                 plan = planner.plan(request)
-            plan_span.attrs.update(
-                direction=plan.direction,
-                num_batches=plan.num_batches,
-            )
+            plan_span.attrs["direction"] = plan.direction
             if route is not None:
                 trace.attrs["replica"] = route.replica.replica_id
                 trace.attrs["replica_strategy"] = route.replica.strategy
@@ -521,157 +523,64 @@ class DSRService:
                     request.sources, request.targets, epoch=lookup_epoch
                 )
             if cached is not None:
-                latency = time.perf_counter() - start
-                self.metrics.increment("cache_hits")
-                # Cache hits skip the engine entirely; recording them as
-                # full queries used to drag the "query" percentiles down.
-                self.metrics.record("query_cached", latency)
-                return QueryResponse(
-                    pairs=tuple(cached),
-                    cached=True,
-                    direction=plan.direction,
-                    num_batches=0,
-                    latency_seconds=latency,
-                    epoch=lookup_epoch if lookup_epoch is not None else -1,
-                    trace=trace.to_dict() if trace is not None else None,
+                return self._cached_response(
+                    cached, plan, lookup_epoch, start, trace
                 )
 
-        if self._background_epochs:
-            pairs, epoch, messages, byte_count = self._run_batches_lock_free(
-                plan, use_cache, request, trace, engine=engine, cache=cache,
-                planner=planner,
-            )
-        else:
-            with self._engine_lock:
-                results, epochs, messages, byte_count = self._run_plan_batches(
-                    plan, trace, engine=engine
-                )
-                epoch = max(epochs)
-                pairs = planner.merge(results)
-                if use_cache:
-                    # Store under the lock: an update cannot interleave
-                    # between computing the answer and caching it, so entries
-                    # always reflect the current graph.
-                    cache.put(request.sources, request.targets, pairs)
-        self.metrics.increment("messages_sent", messages)
-        self.metrics.increment("bytes_sent", byte_count)
-        latency = time.perf_counter() - start
-        self.metrics.record("query", latency)
-        if trace is not None:
-            trace.attrs["epoch"] = epoch
-        return QueryResponse(
-            pairs=tuple(pairs),
-            cached=False,
-            direction=plan.direction,
-            num_batches=plan.num_batches,
-            latency_seconds=latency,
-            messages_sent=messages,
-            bytes_sent=byte_count,
-            epoch=epoch,
-            trace=trace.to_dict() if trace is not None else None,
-        )
-
-    def _run_plan_batches(
-        self, plan, trace: Optional[QueryTrace] = None, engine=None
-    ):
-        """Run every batch of a plan, accumulating the shared accounting.
-
-        Returns ``(per_batch_pair_sets, epochs_observed, messages, bytes)``.
-        When tracing, each batch's engine-level trace is spliced into
-        ``trace`` (prefixed ``batchN.`` when the plan has several batches).
-        ``engine`` pins all batches to one engine (the routed replica in
-        fleet mode); by default the service's own engine runs them.
-        """
-        if engine is None:
-            engine = self.engine
-        results, epochs = [], set()
-        messages = byte_count = 0
-        multi_batch = plan.num_batches > 1
-        for index, (batch_sources, batch_targets) in enumerate(plan.batches):
-            # Deadline checkpoint between engine calls: a multi-batch plan
-            # stops (typed error) the moment its budget runs out instead of
-            # finishing batches nobody is waiting for.
-            check_deadline("batch")
+        # One engine run answers the whole request from one captured epoch.
+        # A background engine never flushes on the query path, so it runs
+        # without the engine lock; an inline engine folds pending updates in
+        # first, so its run and its cache store serialise behind the lock.
+        guard = nullcontext() if self._background_epochs else self._engine_lock
+        with guard:
+            # The lock wait may have outlasted the budget (a flush ahead of
+            # us): stop here rather than start a run nobody is waiting for.
+            check_deadline("engine")
             result = engine.run(
                 ReachQuery(
-                    batch_sources,
-                    batch_targets,
+                    plan.sources,
+                    plan.targets,
                     direction=plan.direction,
                     trace=trace is not None,
                 )
             )
-            if trace is not None and result.trace is not None:
-                trace.merge_child(
-                    result.trace, prefix=f"batch{index}." if multi_batch else ""
+            if use_cache and not self._background_epochs:
+                # Store under the lock: an update cannot interleave between
+                # computing the answer and caching it, so entries always
+                # reflect the current graph.
+                cache.put(request.sources, request.targets, result.pairs)
+            elif use_cache and plan.direction == "forward":
+                # No lock needed: the entry is tagged with the epoch it was
+                # computed at, and lookups reject entries from any other
+                # epoch — a result stored after a swap can never be served
+                # after it.  Backward results are deliberately not cached
+                # here: their epoch counter belongs to the *reverse* index,
+                # which flushes on its own coalescing thread, so tagging them
+                # with it could collide numerically with a different forward
+                # epoch at lookup time.
+                cache.put(
+                    request.sources, request.targets, result.pairs,
+                    epoch=result.epoch,
                 )
-            results.append(result.pairs)
-            epochs.add(result.epoch)
-            messages += result.messages_sent
-            byte_count += result.bytes_sent
-        return results, epochs, messages, byte_count
-
-    def _run_batches_lock_free(
-        self,
-        plan,
-        use_cache: bool,
-        request: ReachQuery,
-        trace: Optional[QueryTrace] = None,
-        engine=None,
-        cache: Optional[ResultCache] = None,
-        planner=None,
-    ):
-        """Run a plan's batches without the engine lock (background engines).
-
-        Every batch independently captures the published epoch, so a flush
-        swapping epochs mid-plan could hand different batches different
-        versions; the whole plan is retried until every batch agrees on one
-        epoch (epoch swaps are rare — a retry is the exception, not the
-        rule), falling back to briefly serialising against updates.  The
-        merged answer is therefore always consistent with a single epoch.
-
-        In fleet mode all batches run on the routed replica's ``engine``,
-        the answer goes into that replica's own ``cache``, and the tag is
-        the replica's epoch observed while running — identical semantics to
-        the single-engine path, instantiated once per replica.
-        """
-        if cache is None:
-            cache = self.cache
-        if planner is None:
-            planner = self.planner
-        for attempt in range(3):
-            if attempt:
-                check_deadline("epoch_retry")
-            if trace is not None and attempt:
-                trace.event("plan_epoch_retry", attempt=attempt)
-            results, epochs, messages, byte_count = self._run_plan_batches(
-                plan, trace, engine=engine
-            )
-            if len(epochs) == 1:
-                break
-        else:
-            # Keep updates out while re-running so the epoch cannot move:
-            # updates take the engine lock, flush_updates() waits out any
-            # in-flight forward *and* reverse flush, and with the dirty sets
-            # drained a queued background flush publishes nothing new.
-            if trace is not None:
-                trace.event("plan_epoch_retry", attempt=3, serialized=True)
-            with self._engine_lock:
-                self.engine.flush_updates()
-                results, epochs, messages, byte_count = self._run_plan_batches(
-                    plan, trace, engine=engine
-                )
-        epoch = epochs.pop()
-        pairs = planner.merge(results)
-        if use_cache and plan.direction == "forward":
-            # No lock needed: the entry is tagged with the epoch it was
-            # computed at, and lookups reject entries from any other epoch —
-            # a result stored after a swap can never be served after it.
-            # Backward results are deliberately not cached here: their epoch
-            # counter belongs to the *reverse* index, which flushes on its
-            # own coalescing thread, so tagging them with it could collide
-            # numerically with a different forward epoch at lookup time.
-            cache.put(request.sources, request.targets, pairs, epoch=epoch)
-        return pairs, epoch, messages, byte_count
+        self.metrics.increment("messages_sent", result.messages_sent)
+        self.metrics.increment("bytes_sent", result.bytes_sent)
+        latency = time.perf_counter() - start
+        self.metrics.record("query", latency)
+        if trace is not None:
+            if result.trace is not None:
+                trace.merge_child(result.trace)
+            trace.attrs["epoch"] = result.epoch
+        return QueryResponse(
+            pairs=tuple(result.pairs),
+            cached=False,
+            direction=plan.direction,
+            num_batches=1,
+            latency_seconds=latency,
+            messages_sent=result.messages_sent,
+            bytes_sent=result.bytes_sent,
+            epoch=result.epoch,
+            trace=trace.to_dict() if trace is not None else None,
+        )
 
     def _handle_update(self, request: UpdateRequest, start: float) -> UpdateResponse:
         self.metrics.increment("updates")

@@ -15,7 +15,6 @@ class TestConstruction:
         query = ReachQuery((1,), (2,))
         assert query.direction == "auto"
         assert query.use_cache is True
-        assert query.max_batch_pairs is None
 
     def test_frozen_and_hashable(self):
         query = ReachQuery((1,), (2,))
@@ -33,10 +32,16 @@ class TestConstruction:
         with pytest.raises(QueryError):
             ReachQuery((1,), (2,), direction="sideways")
 
-    @pytest.mark.parametrize("bad", [0, -3, 2.5, True, "many"])
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, True, "many", 16])
     def test_invalid_batch_budget_rejected(self, bad):
-        with pytest.raises(QueryError):
+        # The per-query batching budget is gone: every value, including the
+        # once-valid 16, fails loudly instead of being silently ignored.
+        with pytest.raises(TypeError):
             ReachQuery((1,), (2,), max_batch_pairs=bad)
+        with pytest.raises(QueryError, match="unknown query keys: max_batch_pairs"):
+            ReachQuery.from_dict(
+                {"sources": [1], "targets": [2], "max_batch_pairs": bad}
+            )
 
 
 class TestIntrospection:
@@ -52,7 +57,7 @@ class TestIntrospection:
 class TestRoundTrip:
     def test_from_dict_inverts_to_dict(self):
         query = ReachQuery(
-            (1, 2), (3,), direction="backward", use_cache=False, max_batch_pairs=10
+            (1, 2), (3,), direction="backward", use_cache=False, tenant="crm"
         )
         assert ReachQuery.from_dict(query.to_dict()) == query
 

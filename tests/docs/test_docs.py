@@ -69,3 +69,28 @@ def test_observability_doctests_pass():
     )
     assert tests > 0, "OBSERVABILITY.md lost its executable example"
     assert failures == 0
+
+
+#: Surfaces deleted together with the planner's batch splitting.
+REMOVED_SURFACES = re.compile(r"max_batch_pairs|batch[0-9N]\.|plan_epoch_retry")
+
+
+def _lines_outside_migration_notes(path: Path):
+    """Numbered lines of a file, minus README-style "Migrating ..." sections
+    (the one place that must keep naming what was removed)."""
+    migrating = False
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if line.startswith("#"):
+            migrating = line.lstrip("#").strip().startswith("Migrating")
+        if not migrating:
+            yield number, line
+
+
+def test_no_doc_or_source_names_a_removed_surface():
+    offenders = [
+        f"{path.relative_to(REPO_ROOT)}:{number}: {line.strip()}"
+        for path in DOC_FILES + sorted((REPO_ROOT / "src").rglob("*.py"))
+        for number, line in _lines_outside_migration_notes(path)
+        if REMOVED_SURFACES.search(line)
+    ]
+    assert not offenders, "\n".join(offenders)

@@ -1,8 +1,9 @@
 """End-to-end deadline tests: query field, protocol gating, enforcement.
 
 Enforcement points exercised here: admission/queue shedding in the service,
-the between-batches checkpoint, and the TCP executor's remaining-budget
-socket timeout (a wedged worker host yields a typed error, not a hang).
+the checkpoints after the engine-lock wait and between steps 1 and 3, and
+the TCP executor's remaining-budget socket timeout (a wedged worker host
+yields a typed error, not a hang).
 """
 
 import os
@@ -90,7 +91,7 @@ class TestScope:
         with deadline_scope(outer):
             with deadline_scope(None):
                 assert current_deadline() is None
-                check_deadline("batch")  # no-op despite expired outer
+                check_deadline("engine")  # no-op despite expired outer
             assert current_deadline() is outer
 
     def test_check_deadline_is_noop_without_scope(self):
@@ -99,8 +100,8 @@ class TestScope:
     def test_check_deadline_raises_in_expired_scope(self):
         with deadline_scope(Deadline(10, started_at=time.monotonic() - 1.0)):
             with pytest.raises(DeadlineExceededError) as info:
-                check_deadline("batch")
-        assert info.value.stage == "batch"
+                check_deadline("engine")
+        assert info.value.stage == "engine"
 
 
 class TestQueryField:
@@ -193,18 +194,79 @@ class TestServiceEnforcement:
         finally:
             service.close()
 
-    def test_batch_checkpoint_stops_a_multi_batch_plan(self, engine):
-        service = DSRService(engine, num_workers=1, max_batch_pairs=4)
+    def test_engine_checkpoint_fires_after_a_lock_wait(self, engine, monkeypatch):
+        """The budget runs out while another thread (a flush, say) holds the
+        engine lock: typed error at ``engine``, and the run never starts."""
+        service = DSRService(engine, num_workers=1)
+        runs = []
+        monkeypatch.setattr(engine, "run", lambda query: runs.append(query))
         try:
             vertices = sorted(engine.graph.vertices())
-            plan = service.planner.plan(
-                ReachQuery(tuple(vertices[:8]), tuple(vertices[-8:]))
+            with use_registry() as registry:
+                with service._engine_lock:
+                    future = service.submit(
+                        ReachQuery(
+                            tuple(vertices[:4]), tuple(vertices[-4:]), deadline_ms=50
+                        )
+                    )
+                    time.sleep(0.15)
+                response = future.result(timeout=10.0)
+            assert isinstance(response, ErrorResponse)
+            assert response.error == "DeadlineExceededError"
+            assert "(engine)" in response.message
+            assert runs == []
+            assert (
+                registry.counter_value("dsr_deadline_exceeded_total", stage="engine")
+                == 1
             )
-            assert plan.num_batches > 1
-            with deadline_scope(Deadline(10, started_at=time.monotonic() - 1.0)):
-                with pytest.raises(DeadlineExceededError) as info:
-                    service._run_plan_batches(plan)
-            assert info.value.stage == "batch"
+        finally:
+            service.close()
+
+    def test_step3_checkpoint_stops_a_run_between_its_steps(self, engine, monkeypatch):
+        """Step 1 outlives the budget: typed error at ``step3``, and step 3
+        is never dispatched — no partial answer, no wasted fan-out."""
+        service = DSRService(engine, num_workers=1, enable_cache=False)
+        phases = []
+        slow_step1 = [False]
+
+        def recording(method):
+            def run(name, *args, **kwargs):
+                phases.append(name)
+                if name == "local" and slow_step1[0]:
+                    time.sleep(0.3)
+                return method(name, *args, **kwargs)
+
+            return run
+
+        cluster = engine.cluster
+        monkeypatch.setattr(cluster, "run_phase", recording(cluster.run_phase))
+        monkeypatch.setattr(
+            cluster, "run_shard_phase", recording(cluster.run_shard_phase)
+        )
+        try:
+            vertices = tuple(sorted(engine.graph.vertices()))
+            # Every vertex on both sides: some target is interior to a
+            # remote partition, so an unhurried run does reach step 3.
+            assert not isinstance(
+                service.handle(ReachQuery(vertices, vertices)), ErrorResponse
+            )
+            assert phases == ["local", "remote"]
+            del phases[:]
+            slow_step1[0] = True
+            started = time.monotonic()
+            with use_registry() as registry:
+                response = service.handle(
+                    ReachQuery(vertices, vertices, deadline_ms=200)
+                )
+            assert isinstance(response, ErrorResponse)
+            assert response.error == "DeadlineExceededError"
+            assert "(step3)" in response.message
+            assert phases == ["local"]
+            assert time.monotonic() - started < 5.0
+            assert (
+                registry.counter_value("dsr_deadline_exceeded_total", stage="step3")
+                == 1
+            )
         finally:
             service.close()
 

@@ -1,10 +1,9 @@
-"""Tests for the service query planner (direction choice + batching)."""
+"""Tests for the service query planner (direction choice)."""
 
 import pytest
 
 from repro.api import DSRConfig, ReachQuery, open_engine
 from repro.graph import generators
-from repro.graph.traversal import reachable_pairs
 from repro.service.planner import QueryPlanner
 
 
@@ -52,32 +51,20 @@ class TestDirectionChoice:
 
 
 class TestBatching:
+    """There is none: a plan is a direction plus the request's whole,
+    normalised vertex sets, at any size."""
+
     def test_small_query_is_one_batch(self, engine):
-        plan = QueryPlanner(engine, max_batch_pairs=4096).plan([0, 1], [2, 3])
-        assert plan.num_batches == 1
-        assert plan.split_axis == "none"
+        plan = QueryPlanner(engine).plan([1, 0, 1], [3, 2])
+        assert (plan.sources, plan.targets) == ((0, 1), (2, 3))
 
-    def test_large_query_is_split_within_budget(self, engine):
+    def test_large_query_is_one_batch_too(self, engine):
         vertices = sorted(engine.graph.vertices())
-        sources, targets = vertices[:60], vertices[60:80]
-        planner = QueryPlanner(engine, max_batch_pairs=200)
-        plan = planner.plan(sources, targets)
-        assert plan.num_batches > 1
-        assert plan.split_axis == "sources"
-        covered = []
-        for batch_sources, batch_targets in plan.batches:
-            assert len(batch_sources) * len(batch_targets) <= 200
-            assert set(batch_targets) == set(targets)
-            covered.extend(batch_sources)
-        assert sorted(covered) == sorted(set(sources))
-
-    def test_split_prefers_larger_side(self, engine):
-        vertices = sorted(engine.graph.vertices())
-        planner = QueryPlanner(engine, max_batch_pairs=100)
-        plan = planner.plan(vertices[:5], vertices[5:80])
-        assert plan.split_axis == "targets"
-        for batch_sources, _ in plan.batches:
-            assert set(batch_sources) == set(vertices[:5])
+        sources, targets = vertices[:70], vertices[60:135]  # 5250 pairs
+        plan = QueryPlanner(engine).plan(sources[::-1] + sources[:3], targets)
+        assert plan.sources == tuple(sources)
+        assert plan.targets == tuple(targets)
+        assert not plan.is_empty
 
     def test_empty_query_yields_empty_plan(self, engine):
         plan = QueryPlanner(engine).plan([], [1, 2])
@@ -85,7 +72,8 @@ class TestBatching:
         assert plan.estimated_cost == 0.0
 
     def test_invalid_budget_rejected(self, engine):
-        with pytest.raises(ValueError):
+        # The batching budget is gone; naming it fails loudly.
+        with pytest.raises(TypeError):
             QueryPlanner(engine, max_batch_pairs=0)
 
 
@@ -129,18 +117,7 @@ class TestReachQueryPlanning:
         planner = QueryPlanner(engine)
         plan = planner.plan(ReachQuery((0, 1), (2,), direction="forward"))
         assert plan.direction == "forward"
-        assert plan.num_batches == 1
-
-    def test_query_level_batch_budget_overrides_planner_default(self, engine):
-        vertices = sorted(engine.graph.vertices())
-        planner = QueryPlanner(engine, max_batch_pairs=4096)
-        query = ReachQuery(
-            tuple(vertices[:40]), tuple(vertices[40:60]), max_batch_pairs=100
-        )
-        plan = planner.plan(query)
-        assert plan.num_batches > 1
-        for batch_sources, batch_targets in plan.batches:
-            assert len(batch_sources) * len(batch_targets) <= 100
+        assert (plan.sources, plan.targets) == ((0, 1), (2,))
 
     def test_reach_query_plus_targets_rejected(self, engine):
         with pytest.raises(TypeError):
@@ -148,23 +125,3 @@ class TestReachQueryPlanning:
 
     def test_empty_reach_query_yields_empty_plan(self, engine):
         assert QueryPlanner(engine).plan(ReachQuery((), (1,))).is_empty
-
-
-class TestSplitCorrectness:
-    """A split plan unions back to exactly the unsplit answer."""
-
-    @pytest.mark.parametrize("direction", ["forward", "backward"])
-    def test_batched_execution_matches_direct_query(self, engine, direction):
-        vertices = sorted(engine.graph.vertices())
-        sources, targets = vertices[:30], vertices[100:130]
-        planner = QueryPlanner(engine, max_batch_pairs=150)
-        plan = planner.plan(sources, targets, direction=direction)
-        assert plan.num_batches > 1
-        merged = planner.merge(
-            [
-                engine.run(ReachQuery(batch_sources, batch_targets, direction=plan.direction)).pairs
-                for batch_sources, batch_targets in plan.batches
-            ]
-        )
-        assert merged == reachable_pairs(engine.graph, sources, targets)
-        assert merged == engine.run(ReachQuery(sources, targets, direction=direction)).pairs

@@ -254,16 +254,14 @@ class TestReachQueryBridge:
         request = QueryRequest((1, 2), (3,), direction="forward")
         assert isinstance(request, ReachQuery)
         assert request.sources == (1, 2)
-        assert request.max_batch_pairs is None
 
     def test_plain_reach_query_encodes_as_query_message(self):
-        query = ReachQuery((1, 2), (3,), use_cache=False, max_batch_pairs=16)
+        query = ReachQuery((1, 2), (3,), use_cache=False)
         decoded = decode(encode(query))
         assert isinstance(decoded, QueryRequest)
         assert decoded.sources == query.sources
         assert decoded.targets == query.targets
         assert decoded.use_cache is False
-        assert decoded.max_batch_pairs == 16
 
     def test_from_query_round_trip(self):
         query = ReachQuery((4,), (5,), direction="backward")
@@ -285,8 +283,17 @@ class TestReachQueryBridge:
             )
 
     def test_batch_budget_travels_the_wire(self):
-        request = QueryRequest((1,), (2,), max_batch_pairs=64)
-        assert loads(dumps(request)).max_batch_pairs == 64
+        # ...from peers of every live version that still send the removed
+        # optional field, and is dropped on arrival: the frame stays a valid
+        # query and the protocol version did not move.
+        assert PROTOCOL_VERSION == 6
+        for version in range(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION + 1):
+            payload = encode(QueryRequest((1,), (2,)), version=version)
+            payload["max_batch_pairs"] = 16
+            decoded = decode(payload)
+            assert decoded == QueryRequest((1,), (2,))
+            assert not hasattr(decoded, "max_batch_pairs")
+        assert "max_batch_pairs" not in encode(QueryRequest((1,), (2,)))
 
 
 class TestBinaryFraming:

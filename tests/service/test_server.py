@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.api import DSRConfig
+from repro.api import DSRConfig, ReachQuery, open_engine
 from repro.core.engine import DSREngine
 from repro.graph import generators
 from repro.graph.traversal import reachable_pairs
@@ -78,15 +78,101 @@ class TestQueryServing:
         assert response.error == "ValueError"
         assert service.metrics.count("errors") == 1
 
-    def test_split_query_matches_direct_engine(self, graph):
+    def test_removed_batch_budget_option_is_rejected(self, graph):
         engine = DSREngine(graph, DSRConfig(num_partitions=3, seed=2))
-        service = DSRService(engine, num_workers=2, max_batch_pairs=50)
-        vertices = sorted(graph.vertices())
-        sources, targets = vertices[:20], vertices[100:120]
-        response = service.handle(QueryRequest(tuple(sources), tuple(targets)))
-        assert response.num_batches > 1
-        assert response.pair_set == reachable_pairs(graph, sources, targets)
-        service.close()
+        with pytest.raises(TypeError):
+            DSRService(engine, num_workers=1, max_batch_pairs=50)
+
+
+# (|S|, |T|) at and beyond the 4096-pair budget the planner used to cut
+# requests at, the long axis on either side.
+SINGLE_RUN_SHAPES = {
+    4096: [(16, 256), (256, 16)],
+    4097: [(17, 241), (241, 17)],
+    16384: [(64, 256), (256, 64)],
+    65536: [(64, 1024), (1024, 64)],
+}
+
+
+@pytest.fixture(scope="module")
+def big_graph():
+    return generators.web_graph(1100, avg_degree=4, seed=5)
+
+
+@pytest.fixture(scope="module")
+def big_oracle(big_graph):
+    vertices = sorted(big_graph.vertices())
+    oracle = {}
+    for shapes in SINGLE_RUN_SHAPES.values():
+        for num_sources, num_targets in shapes:
+            sources, targets = vertices[:num_sources], vertices[-num_targets:]
+            oracle[num_sources, num_targets] = (
+                tuple(sources),
+                tuple(targets),
+                reachable_pairs(big_graph, sources, targets),
+            )
+    return oracle
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        {"executor": "serial", "epoch_flush": "inline"},
+        {"executor": "serial", "epoch_flush": "background"},
+        {"executor": "processes", "epoch_flush": "inline"},
+        {"executor": "processes", "epoch_flush": "background"},
+        {"replicas": 2},
+    ],
+    ids=[
+        "serial-inline", "serial-background",
+        "processes-inline", "processes-background", "fleet",
+    ],
+)
+def big_service(request, big_graph):
+    engine = open_engine(
+        big_graph.copy(),
+        DSRConfig(num_partitions=3, seed=2, enable_backward=True, **request.param),
+    )
+    with DSRService(engine, num_workers=1, enable_cache=False) as service:
+        yield service
+    engine.close()
+
+
+class TestOneEngineRunPerRequest:
+    """Differential: a request of any size is one ``engine.run``."""
+
+    @pytest.mark.parametrize("num_pairs", sorted(SINGLE_RUN_SHAPES))
+    def test_large_query_is_one_exact_engine_run(
+        self, big_service, big_oracle, num_pairs
+    ):
+        for shape in SINGLE_RUN_SHAPES[num_pairs]:
+            sources, targets, expected = big_oracle[shape]
+            assert len(sources) * len(targets) == num_pairs
+            for direction in ("forward", "backward"):
+                response = big_service.handle(
+                    QueryRequest(sources, targets, direction=direction, trace=True)
+                )
+                assert response.pair_set == expected, (shape, direction)
+                assert response.num_batches == 1
+                assert response.direction == direction
+                trace = response.query_trace
+                replica = trace.attrs.get("replica")
+                engine = (
+                    big_service.engine
+                    if replica is None
+                    else big_service.engine.replicas[replica].engine
+                )
+                direct = engine.run(ReachQuery(sources, targets, direction=direction))
+                assert direct.pairs == expected
+                assert response.messages_sent == direct.messages_sent
+                assert response.bytes_sent == direct.bytes_sent
+                # One run: its spans arrive unprefixed, each step once.
+                assert {span.name for span in trace.spans} == {
+                    "plan", "step1", "step1.shard", "step2_bridge",
+                    "step3", "step3.shard",
+                }
+                for once in ("step1", "step2_bridge", "step3"):
+                    assert len([s for s in trace.spans if s.name == once]) == 1
 
 
 class TestConcurrentServing:
@@ -274,6 +360,36 @@ class TestSocketTransport:
             payload = json.loads(stream.readline())
             assert payload["kind"] == "error"
             raw.close()
+
+
+    @pytest.mark.parametrize("version", [2, 3, 4, 5, 6])
+    def test_frame_with_removed_batch_budget_is_answered(
+        self, graph, service, version
+    ):
+        """Peers of every live version may still send ``max_batch_pairs``."""
+        import json
+        import socket as socket_module
+
+        vertices = sorted(graph.vertices())
+        frame = {
+            "kind": "query",
+            "version": version,
+            "sources": vertices[:4],
+            "targets": vertices[60:64],
+            "max_batch_pairs": 16,
+        }
+        with DSRSocketServer(service) as server:
+            with socket_module.create_connection(server.address, timeout=5.0) as raw:
+                stream = raw.makefile("rw", encoding="utf-8", newline="\n")
+                stream.write(json.dumps(frame) + "\n")
+                stream.flush()
+                payload = json.loads(stream.readline())
+        assert payload["kind"] == "query-result", payload
+        assert payload["version"] == version
+        assert payload["num_batches"] == 1
+        assert {tuple(pair) for pair in payload["pairs"]} == reachable_pairs(
+            graph, vertices[:4], vertices[60:64]
+        )
 
 
 class TestLineCap:

@@ -27,6 +27,8 @@ from repro.api import DSRConfig, ReachQuery, open_engine
 from repro.cluster.shm import shm_available
 from repro.fleet import ReplicaFleet
 from repro.graph.digraph import DiGraph
+from repro.graph.traversal import reachable_pairs
+from repro.service import DSRService
 
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="shared memory unavailable or disabled"
@@ -48,14 +50,21 @@ BRIDGE_QUERY = ReachQuery((0,), (20, 21, 22, 23))
 FULL_ANSWER = {(0, 20), (0, 21), (0, 22), (0, 23)}
 
 
-def _hammer(run_query, rounds, assert_monotonic=True):
+def _all_or_nothing(result):
+    assert result.pairs in (set(), FULL_ANSWER), (
+        f"torn answer at epoch {result.epoch}: {result.pairs}"
+    )
+
+
+def _hammer(run_query, rounds, assert_monotonic=True, check=_all_or_nothing):
     """Run QUERY_THREADS query loops while ``rounds()`` mutates the index.
 
     Returns the list of failures collected from the query threads; each
-    thread asserts all-or-nothing answers and (against a single engine,
-    where it is well-defined) monotonic epochs.  A fleet interleaves
-    replicas that flush at different moments, so its per-thread epoch
-    sequence legitimately zig-zags — pass ``assert_monotonic=False``.
+    thread ``check``s every answer (all-or-nothing by default) and (against
+    a single engine, where it is well-defined) asserts monotonic epochs.  A
+    fleet interleaves replicas that flush at different moments, so its
+    per-thread epoch sequence legitimately zig-zags — pass
+    ``assert_monotonic=False``.
     """
     errors = []
     stop = threading.Event()
@@ -65,9 +74,7 @@ def _hammer(run_query, rounds, assert_monotonic=True):
         try:
             while not stop.is_set():
                 result = run_query()
-                assert result.pairs in (set(), FULL_ANSWER), (
-                    f"torn answer at epoch {result.epoch}: {result.pairs}"
-                )
+                check(result)
                 if assert_monotonic:
                     assert result.epoch >= last_epoch, (
                         f"epoch went backwards: {last_epoch} -> {result.epoch}"
@@ -159,6 +166,63 @@ class TestEngineShmEpochRace:
             assert not errors, errors[0]
         finally:
             engine.maintainer._before_publish = None
+            engine.close()
+
+
+class TestServiceShmEpochRace:
+    def test_large_single_run_query_vs_background_flushes(self):
+        """A 4900-pair request — one the planner used to cut into batches
+        that each captured their own epoch — is now one engine run, raced
+        lock-free against background shm flushes: every response equals the
+        oracle of the epoch it is stamped with."""
+        width = 70
+        sources = tuple(range(100, 100 + width))
+        targets = tuple(range(300, 300 + width))
+        # s_i → t_i always; s_i → 1 and 2 → t_j make the 1 → 2 bridge flip
+        # all 4900 pairs at once.
+        graph = DiGraph.from_edges(
+            [(s, t) for s, t in zip(sources, targets)]
+            + [(s, 1) for s in sources]
+            + [(2, t) for t in targets]
+        )
+        engine = open_engine(
+            graph,
+            DSRConfig(
+                num_partitions=3,
+                partitioner="hash",
+                executor="processes",
+                epoch_flush="background",
+            ),
+        )
+        request = ReachQuery(sources, targets, use_cache=False)
+        oracle_at = {engine.epoch: reachable_pairs(engine.graph, sources, targets)}
+        responses = []
+        try:
+            with DSRService(engine, num_workers=2) as service:
+
+                def rounds():
+                    for _ in range(4):
+                        for update in (engine.insert_edge, engine.delete_edge):
+                            update(1, 2)
+                            assert engine.wait_for_maintenance(timeout=30)
+                            oracle_at[engine.epoch] = reachable_pairs(
+                                engine.graph, sources, targets
+                            )
+
+                def check(response):
+                    assert response.num_batches == 1, response
+                    responses.append(response)
+
+                errors = _hammer(lambda: service.handle(request), rounds, check=check)
+            assert not errors, errors[0]
+            assert engine.maintainer.background_flush_error is None
+            assert {len(oracle) for oracle in oracle_at.values()} == {
+                width, width * width
+            }
+            assert len({response.epoch for response in responses}) > 1
+            for response in responses:
+                assert response.pair_set == oracle_at[response.epoch], response.epoch
+        finally:
             engine.close()
 
 
