@@ -9,7 +9,7 @@ Walks through the serving layer on top of the batch engine:
    cache hit rate climb;
 4. apply incremental updates — the cache invalidates itself precisely, so
    answers stay exact;
-5. talk to the very same service over a local socket with the JSON protocol.
+5. talk to the very same service over a local socket (binary frames).
 
 Run with:  python examples/service_demo.py
 """
@@ -19,9 +19,9 @@ from repro.bench.reporting import format_table
 from repro.bench.workloads import random_query
 from repro.graph import generators
 from repro.service import (
+    DSRAsyncServer,
     DSRClient,
     DSRService,
-    DSRSocketServer,
     StatsRequest,
     UpdateRequest,
 )
@@ -81,13 +81,13 @@ def main() -> None:
     )
 
     # 5. The same service over a local socket.
-    with DSRSocketServer(service) as server:
+    with DSRAsyncServer(service) as server:
         host, port = server.address
         print(f"\nsocket server on {host}:{port}")
         with DSRClient(host, port) as client:
             remote = client.query(pool[0][0], pool[0][1])
             print(
-                f"remote query over JSON protocol: {len(remote.pairs)} pairs, "
+                f"remote query over binary frames: {len(remote.pairs)} pairs, "
                 f"cached={remote.cached}"
             )
     service.close()

@@ -15,11 +15,10 @@ The CLI exposes the most common workflows without writing any Python:
 * ``repro-dsr communities`` — run the community-connectedness application.
 * ``repro-dsr serve <dataset>`` — build an index and run the online query
   service (planner + result cache + concurrent workers), either listening on
-  a local socket or driving a built-in mixed workload (``--self-test``);
-  ``--replicas N`` serves a workload-adaptive fleet of N heterogeneous
-  replicas with cost-routed reads instead of a single engine; ``--async``
-  swaps the thread-per-connection front door for the asyncio binary-framed
-  server (backpressure watermarks, per-tenant rate limits).
+  a socket behind the asyncio binary-framed front door (backpressure
+  watermarks, per-tenant rate limits) or driving a built-in mixed workload
+  (``--self-test``); ``--replicas N`` serves a workload-adaptive fleet of N
+  heterogeneous replicas with cost-routed reads instead of a single engine.
 * ``repro-dsr worker-host`` — run a standalone TCP worker host that serves
   hydrated shards to ``executor="tcp"`` engines (``--worker-hosts`` on
   ``serve``).
@@ -49,7 +48,6 @@ from repro.graph import generators
 from repro.service import (
     DSRAsyncServer,
     DSRService,
-    DSRSocketServer,
     ErrorResponse,
     QueryRequest,
     UpdateRequest,
@@ -148,35 +146,26 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0, help="0 picks a free port")
     serve.add_argument(
-        "--max-requests", type=int, default=None,
-        help="stop after serving this many socket requests",
-    )
-    serve.add_argument(
         "--self-test", action="store_true",
         help="drive a built-in mixed query/update workload instead of listening",
     )
     serve.add_argument(
-        "--async", dest="async_server", action="store_true",
-        help="serve with the asyncio binary-framed front door "
-        "(connection multiplexing, backpressure, per-tenant rate limits)",
-    )
-    serve.add_argument(
         "--high-watermark", type=int, default=None,
-        help="async only: in-flight requests before reads pause "
+        help="in-flight requests before reads pause "
         "(default: the admission queue depth)",
     )
     serve.add_argument(
         "--low-watermark", type=int, default=None,
-        help="async only: in-flight requests before paused reads resume "
+        help="in-flight requests before paused reads resume "
         "(default: half the high watermark)",
     )
     serve.add_argument(
         "--rate-limit-qps", type=float, default=None,
-        help="async only: per-tenant token-bucket refill rate (default: off)",
+        help="per-tenant token-bucket refill rate (default: off)",
     )
     serve.add_argument(
         "--rate-limit-burst", type=int, default=None,
-        help="async only: per-tenant token-bucket burst size "
+        help="per-tenant token-bucket burst size "
         "(default: equal to the qps)",
     )
     serve.add_argument(
@@ -426,47 +415,30 @@ def _command_serve(args: argparse.Namespace) -> int:
     try:
         if args.self_test:
             return _serve_self_test(graph, service, seed=args.seed)
-        if args.async_server:
-            server = DSRAsyncServer(
-                service,
-                host=args.host,
-                port=args.port,
-                high_watermark=args.high_watermark,
-                low_watermark=args.low_watermark,
-                rate_limit_qps=args.rate_limit_qps,
-                rate_limit_burst=args.rate_limit_burst,
-            )
-            server.start_in_thread()
-            host, port = server.address
-            print(
-                f"serving (async, binary frames) on {host}:{port} — "
-                f"watermarks {server.low_watermark}/{server.high_watermark}, "
-                f"rate limit "
-                f"{server.rate_limit_qps or 'off'} qps — Ctrl-C to stop"
-            )
-            try:
-                server.wait()
-            except KeyboardInterrupt:  # pragma: no cover - interactive only
-                pass
-            finally:
-                server.stop_from_thread()
-            print(format_table([_stats_row(service)], title="serving metrics"))
-            _print_health(service)
-            return 0
-        server = DSRSocketServer(
-            service, host=args.host, port=args.port, max_requests=args.max_requests
+        server = DSRAsyncServer(
+            service,
+            host=args.host,
+            port=args.port,
+            high_watermark=args.high_watermark,
+            low_watermark=args.low_watermark,
+            rate_limit_qps=args.rate_limit_qps,
+            rate_limit_burst=args.rate_limit_burst,
         )
-        server.start()
+        server.start_in_thread()
         host, port = server.address
-        print(f"serving on {host}:{port} with {args.workers} workers "
-              f"(cache {'off' if args.no_cache else 'on'}) — Ctrl-C to stop")
+        print(
+            f"serving (binary frames) on {host}:{port} with {args.workers} "
+            f"workers (cache {'off' if args.no_cache else 'on'}) — "
+            f"watermarks {server.low_watermark}/{server.high_watermark}, "
+            f"rate limit {server.rate_limit_qps or 'off'} qps — Ctrl-C to stop",
+            flush=True,
+        )
         try:
             server.wait()
-        except KeyboardInterrupt:  # pragma: no cover - interactive only
+        except KeyboardInterrupt:
             pass
         finally:
-            server.stop()
-        print(f"served {server.requests_served} requests")
+            server.stop_from_thread()
         print(format_table([_stats_row(service)], title="serving metrics"))
         _print_health(service)
         return 0

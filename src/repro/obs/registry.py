@@ -232,6 +232,17 @@ class MetricsRegistry:
             histogram = self._histograms.get(_key(name, labels))
             return histogram.percentile(percent) if histogram is not None else 0.0
 
+    def label_values(self, name: str, label: str) -> Tuple[str, ...]:
+        """Sorted distinct values ``label`` takes across one histogram's series."""
+        with self._lock:
+            return tuple(sorted({
+                value
+                for series, labels in self._histograms
+                if series == name
+                for key, value in labels
+                if key == label
+            }))
+
     # ------------------------------------------------------------------ #
     # delta shipping (worker → master)
     # ------------------------------------------------------------------ #

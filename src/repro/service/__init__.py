@@ -3,13 +3,14 @@
 Contract: the serving layer — plans each request's direction (cost
 model fed by boundary-entry and CSR degree statistics), consults an
 exact-answer result cache wired to the engine's update listeners, and
-executes on a thread-pool service exposed in-process or over JSON/TCP.
-Sits strictly above :mod:`repro.api` (see ``docs/ARCHITECTURE.md``).
+executes on a thread-pool service exposed in-process or over TCP (binary
+frames behind one async front door).  Sits strictly above
+:mod:`repro.api` (see ``docs/ARCHITECTURE.md``).
 
 The :mod:`repro.service` package is the serving layer of the reproduction: it
 wraps a built :class:`~repro.core.engine.DSREngine` behind a planner, an
 exact-answer result cache and a concurrent request loop, and exposes the
-whole thing in-process or over a local socket.
+whole thing in-process or over a socket (:class:`DSRAsyncServer`).
 
 >>> from repro.api import DSRConfig, ReachQuery, open_engine
 >>> from repro.graph import generators
@@ -28,9 +29,7 @@ from repro.service.aio import DSRAsyncClient, DSRAsyncServer, RateLimitedError, 
 from repro.service.cache import CacheStats, ResultCache
 from repro.service.planner import QueryPlan, QueryPlanner
 from repro.service.protocol import (
-    BINARY_FRAMING_MIN_VERSION,
     MAX_FRAME_BYTES,
-    MAX_LINE_BYTES,
     MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     ErrorResponse,
@@ -50,7 +49,6 @@ from repro.service.protocol import (
 from repro.service.server import (
     DSRClient,
     DSRService,
-    DSRSocketServer,
     ServiceMetrics,
     ServiceOverloadedError,
 )
@@ -58,9 +56,7 @@ from repro.service.server import (
 __all__ = [
     "PROTOCOL_VERSION",
     "MIN_PROTOCOL_VERSION",
-    "BINARY_FRAMING_MIN_VERSION",
     "MAX_FRAME_BYTES",
-    "MAX_LINE_BYTES",
     "OversizedFrameError",
     "DSRAsyncClient",
     "DSRAsyncServer",
@@ -84,7 +80,6 @@ __all__ = [
     "ErrorResponse",
     "DSRClient",
     "DSRService",
-    "DSRSocketServer",
     "ServiceMetrics",
     "ServiceOverloadedError",
 ]

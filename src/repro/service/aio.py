@@ -1,24 +1,23 @@
-"""Async binary front door for the DSR query service.
+"""The front door of the DSR query service.
 
 :class:`DSRAsyncServer` serves an existing :class:`~repro.service.server.DSRService`
-on an :mod:`asyncio` event loop.  One acceptor loop and zero threads per
-connection replace the thread-per-connection :class:`DSRSocketServer`, which
-is what lets the front door hold tens of thousands of idle connections: a
-parked connection costs a transport object, not a stack.
+on an :mod:`asyncio` event loop: one acceptor loop and zero threads per
+connection, which is what lets it hold tens of thousands of idle
+connections — a parked connection costs a transport object, not a stack.
+It is the only server; :class:`DSRAsyncClient` (multiplexing, asyncio) and
+:class:`~repro.service.server.DSRClient` (blocking, one request at a time)
+are its two clients.
 
 Framing
 -------
-Connections speak the protocol-v5 **binary length-prefixed framing**
-(:func:`repro.service.protocol.pack_frame` / :func:`unpack_frame`):
+Every connection speaks the **binary length-prefixed framing** of
+:mod:`repro.service.protocol` (:func:`pack_frame` / :func:`unpack_frame`):
 ``[u32 length][u8 version][JSON body]``, with a connection-scoped request
 ``id`` in the body so many requests can be in flight per connection and
-responses may return out of order (**multiplexing**).  The first byte of a
-connection picks its framing: ``{`` (0x7b) means a legacy newline-JSON peer
-(every v2..v4 client, including :class:`~repro.service.server.DSRClient`)
-and the connection is served line-framed, one request at a time, replies
-encoded at the peer's wire version; any frame under the size cap starts
-with 0x00, so the detection is unambiguous.  Both framings share the
-per-frame version negotiation of :mod:`repro.service.protocol`.
+responses may return out of order (**multiplexing**).  Each reply is encoded
+at the version its request's frame header carried.  There is no second
+framing and no sniffing: bytes that do not parse as a frame of a live
+version get one typed ``error`` frame and the connection is closed.
 
 Backpressure
 ------------
@@ -31,13 +30,12 @@ The server never buffers unboundedly ahead of the service:
 * requests the service sheds (:class:`ServiceOverloadedError`) come back as
   a typed ``error`` response, so an overloaded server degrades by rejecting
   crisply instead of collapsing;
-* per-connection frame reassembly is capped (:data:`MAX_FRAME_BYTES` /
-  :data:`MAX_LINE_BYTES`) — an oversized frame gets a clean error and the
-  connection closed.
+* per-connection frame reassembly is capped (:data:`MAX_FRAME_BYTES`) — an
+  oversized frame gets a clean error and the connection closed.
 
 Tenancy
 -------
-Query messages may carry a ``tenant`` label (protocol v4+).  The front door
+Query messages may carry a ``tenant`` label.  The front door
 gives each tenant a **token bucket** (``rate_limit_qps`` sustained,
 ``rate_limit_burst`` burst); a tenant over budget receives a typed
 ``RateLimitedError`` response without the request ever touching the
@@ -69,7 +67,6 @@ from repro.api.query import ReachQuery
 from repro.service.protocol import (
     ErrorResponse,
     MAX_FRAME_BYTES,
-    MAX_LINE_BYTES,
     OversizedFrameError,
     PROTOCOL_VERSION,
     ProtocolError,
@@ -77,12 +74,14 @@ from repro.service.protocol import (
     REQUEST_TYPES,
     StatsRequest,
     UpdateRequest,
-    dumps,
-    loads_versioned,
     pack_frame,
     unpack_frame,
 )
-from repro.service.server import DSRService, ServiceOverloadedError
+from repro.service.server import (
+    DSRService,
+    ServiceOverloadedError,
+    _count_stuck_threads,
+)
 
 
 class RateLimitedError(RuntimeError):
@@ -122,23 +121,15 @@ class TokenBucket:
 # per-connection protocol
 # ---------------------------------------------------------------------- #
 class _Connection(asyncio.Protocol):
-    """One client connection: framing autodetect, multiplexing, flow control."""
+    """One client connection: frame reassembly, multiplexing, flow control."""
 
     def __init__(self, server: "DSRAsyncServer") -> None:
         self.server = server
         self.transport: Optional[asyncio.Transport] = None
         self._buffer = bytearray()
-        #: None until the first byte decides: True = binary frames,
-        #: False = newline-JSON compat.
-        self._binary: Optional[bool] = None
         self._paused = False
         self._closing = False
         self._tasks: Set[asyncio.Task] = set()
-        #: Compat mode answers strictly in order (old clients expect it):
-        #: requests chain on this future instead of running concurrently.
-        #: The slot is reserved synchronously in _dispatch, so a later
-        #: request in the same read batch can never overtake an earlier one.
-        self._compat_tail: Optional[asyncio.Future] = None
         #: Replies produced synchronously while draining one read batch are
         #: coalesced here and written with a single transport.write — one
         #: send syscall for a whole pipelined burst instead of one each.
@@ -182,15 +173,8 @@ class _Connection(asyncio.Protocol):
     # -- inbound bytes --------------------------------------------------- #
     def data_received(self, data: bytes) -> None:
         self._buffer.extend(data)
-        if self._binary is None and self._buffer:
-            # First byte decides the framing for the whole connection:
-            # JSON lines start with '{'; binary frames under the cap with 0x00.
-            self._binary = self._buffer[0] != 0x7B
         try:
-            if self._binary:
-                self._drain_binary()
-            else:
-                self._drain_lines()
+            self._drain_frames()
         except OversizedFrameError as exc:
             self._fail("OversizedFrameError", str(exc))
         except ProtocolError as exc:
@@ -210,7 +194,7 @@ class _Connection(asyncio.Protocol):
         except (OSError, RuntimeError):  # pragma: no cover - peer went away
             self._closing = True
 
-    def _drain_binary(self) -> None:
+    def _drain_frames(self) -> None:
         while not self._closing:
             framed = unpack_frame(self._buffer, self.server.max_frame_bytes)
             if framed is None:
@@ -223,23 +207,6 @@ class _Connection(asyncio.Protocol):
             message, version, request_id, consumed = framed
             del self._buffer[:consumed]
             self._dispatch(message, version, request_id)
-
-    def _drain_lines(self) -> None:
-        while not self._closing:
-            newline = self._buffer.find(b"\n")
-            if newline < 0:
-                if len(self._buffer) > self.server.max_line_bytes:
-                    raise OversizedFrameError(
-                        f"line frame exceeds the {self.server.max_line_bytes}"
-                        "-byte cap"
-                    )
-                return
-            line = bytes(self._buffer[:newline]).strip()
-            del self._buffer[: newline + 1]
-            if not line:
-                continue
-            message, version = loads_versioned(line.decode("utf-8"))
-            self._dispatch(message, version, None)
 
     # -- request handling ------------------------------------------------ #
     def _dispatch(self, message: Any, version: int, request_id: Optional[int]) -> None:
@@ -255,51 +222,29 @@ class _Connection(asyncio.Protocol):
             return
         server = self.server
         # Synchronous fast path: a throttle or a cache hit is answered right
-        # here — no task object, no compat future chain, no worker handoff.
-        # Binary peers are multiplexed by id, so reply order never matters;
-        # compat (in-order) peers may only take it when no request is
-        # pending at all — neither a reserved ordering slot nor a task
-        # still waiting for its first run.
-        admitted = False
-        if self._binary is not False or (
-            not self._tasks
-            and (self._compat_tail is None or self._compat_tail.done())
-        ):
-            started = time.perf_counter()
-            tenant = getattr(message, "tenant", None)
-            if not server._admit_tenant(tenant):
-                self._send(
-                    _throttled_response(server, tenant),
-                    version,
-                    request_id,
-                    buffered=True,
-                )
-                return
-            fast = server.service.handle_nowait(message)
-            if fast is not None:
-                self._send(fast, version, request_id, buffered=True)
-                server._observe(tenant, message, time.perf_counter() - started)
-                return
-            admitted = True
-        previous: Optional[asyncio.Future] = None
-        tail: Optional[asyncio.Future] = None
-        if self._binary is False:
-            # Reserve the ordering slot *now*, at dispatch time — if it were
-            # claimed only when the task first runs, a second pipelined
-            # request in the same read batch could fast-path its reply ahead
-            # of this one and a positional legacy client would mismatch.
-            previous = self._compat_tail
-            tail = server._loop.create_future()
-            self._compat_tail = tail
-        task = server._loop.create_task(
-            self._run_request(
-                message,
+        # here — no task object, no worker handoff.  Replies are matched by
+        # request id, so their order never matters.
+        started = time.perf_counter()
+        tenant = getattr(message, "tenant", None)
+        if not server._admit_tenant(tenant):
+            self._send(
+                _throttled_response(server, tenant),
                 version,
                 request_id,
-                admitted=admitted,
-                previous=previous,
-                tail=tail,
+                buffered=True,
             )
+            return
+        # Cache hits are answered directly on the event loop — no
+        # worker-pool round trip (two thread handoffs) per request.  This
+        # is the front door's main throughput edge: only work that can
+        # block is admitted to the queue.
+        fast = server.service.handle_nowait(message)
+        if fast is not None:
+            self._send(fast, version, request_id, buffered=True)
+            server._observe(tenant, message, time.perf_counter() - started)
+            return
+        task = server._loop.create_task(
+            self._run_request(message, version, request_id)
         )
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
@@ -309,37 +254,19 @@ class _Connection(asyncio.Protocol):
         request: Any,
         version: int,
         request_id: Optional[int],
-        admitted: bool = False,
-        previous: Optional[asyncio.Future] = None,
-        tail: Optional[asyncio.Future] = None,
     ) -> None:
+        """Run one admitted request that may block, then reply by id."""
         server = self.server
         started = time.perf_counter()
         tenant = getattr(request, "tenant", None)
-        if previous is not None:
-            # Compat peers expect replies in request order: serialise behind
-            # the previous request of this connection.
-            try:
-                await previous
-            except asyncio.CancelledError:
-                raise
         try:
             executed = False
-            if not admitted and not server._admit_tenant(tenant):
-                response = _throttled_response(server, tenant)
-            elif isinstance(request, StatsRequest):
+            if isinstance(request, StatsRequest):
                 # Served by the front door itself so the reply includes the
                 # ``async`` section (connections, watermarks, tenant SLOs).
                 response = await server._loop.run_in_executor(
                     None, lambda: _stats_response(server)
                 )
-            elif (fast := server.service.handle_nowait(request)) is not None:
-                # Cache hits are answered directly on the event loop — no
-                # worker-pool round trip (two thread handoffs) per request.
-                # This is the front door's main throughput edge: only work
-                # that can block is admitted to the queue.
-                response = fast
-                executed = True
             else:
                 try:
                     future = server.service.submit(request)
@@ -360,15 +287,12 @@ class _Connection(asyncio.Protocol):
             self._send(response, version, request_id)
             if executed:
                 # Only executed requests feed the tenant SLO histogram —
-                # throttles and sheds would drag percentiles toward zero.
+                # sheds would drag percentiles toward zero.
                 server._observe(tenant, request, time.perf_counter() - started)
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # pragma: no cover - defensive
             self._send(ErrorResponse(type(exc).__name__, str(exc)), version, request_id)
-        finally:
-            if tail is not None and not tail.done():
-                tail.set_result(None)
 
     # -- outbound -------------------------------------------------------- #
     def _send(
@@ -381,28 +305,25 @@ class _Connection(asyncio.Protocol):
         if self.transport is None or self._closing:
             return
         try:
-            if self._binary:
-                # Cap replies at the receiver-side frame limit: clients
-                # enforce MAX_FRAME_BYTES in unpack_frame, so an oversized
-                # reply would kill their read loop and fail every pending
-                # request on the connection.  Answer with a typed error
-                # (small by construction) instead.
-                cap = min(self.server.max_frame_bytes, MAX_FRAME_BYTES)
-                try:
-                    payload = pack_frame(
-                        message,
-                        version=version,
-                        request_id=request_id,
-                        max_frame_bytes=cap,
-                    )
-                except OversizedFrameError as exc:
-                    payload = pack_frame(
-                        ErrorResponse("OversizedReplyError", str(exc)),
-                        version=version,
-                        request_id=request_id,
-                    )
-            else:
-                payload = (dumps(message, version=version) + "\n").encode("utf-8")
+            # Cap replies at the receiver-side frame limit: clients
+            # enforce MAX_FRAME_BYTES in unpack_frame, so an oversized
+            # reply would kill their read loop and fail every pending
+            # request on the connection.  Answer with a typed error
+            # (small by construction) instead.
+            cap = min(self.server.max_frame_bytes, MAX_FRAME_BYTES)
+            try:
+                payload = pack_frame(
+                    message,
+                    version=version,
+                    request_id=request_id,
+                    max_frame_bytes=cap,
+                )
+            except OversizedFrameError as exc:
+                payload = pack_frame(
+                    ErrorResponse("OversizedReplyError", str(exc)),
+                    version=version,
+                    request_id=request_id,
+                )
             if buffered:
                 # Caller is inside the data_received drain loop; the batch
                 # flushes as one write when the loop finishes.
@@ -413,7 +334,7 @@ class _Connection(asyncio.Protocol):
             self._closing = True
 
     def _fail(self, error: str, detail: str) -> None:
-        """Protocol failure: report once at the connection's framing, close."""
+        """Protocol failure: report once, then close the connection."""
         self._flush_out()  # keep replies already produced ahead of the error
         self._send(ErrorResponse(error, detail), PROTOCOL_VERSION, None)
         self._closing = True
@@ -442,7 +363,7 @@ def _stats_response(server: "DSRAsyncServer"):
 # the server
 # ---------------------------------------------------------------------- #
 class DSRAsyncServer:
-    """Asyncio front door over a :class:`DSRService` (binary v5 framing).
+    """Asyncio front door over a :class:`DSRService` (binary framing).
 
     Parameters
     ----------
@@ -456,8 +377,8 @@ class DSRAsyncServer:
         backpressure engages just before the queue sheds.
     rate_limit_qps / rate_limit_burst:
         Per-tenant token bucket (``None`` disables rate limiting).
-    max_frame_bytes / max_line_bytes:
-        Per-connection framing caps (oversized ⇒ typed error + close).
+    max_frame_bytes:
+        Per-connection frame cap (oversized ⇒ typed error + close).
     """
 
     def __init__(
@@ -470,7 +391,6 @@ class DSRAsyncServer:
         rate_limit_qps: Optional[float] = None,
         rate_limit_burst: Optional[float] = None,
         max_frame_bytes: int = MAX_FRAME_BYTES,
-        max_line_bytes: int = MAX_LINE_BYTES,
     ) -> None:
         self.service = service
         self.metrics = service.metrics.registry
@@ -494,7 +414,6 @@ class DSRAsyncServer:
             else (rate_limit_qps if rate_limit_qps is not None else None)
         )
         self.max_frame_bytes = max_frame_bytes
-        self.max_line_bytes = max_line_bytes
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -558,6 +477,9 @@ class DSRAsyncServer:
             return
         self._loop.call_soon_threadsafe(self._shutdown_event.set)
         self._thread.join(timeout=timeout)
+        # A loop wedged past the join timeout must be visible, not silently
+        # abandoned.
+        _count_stuck_threads([self._thread], "DSRAsyncServer.stop_from_thread")
         self._thread = None
 
     def wait(self) -> None:
@@ -680,7 +602,9 @@ class DSRAsyncServer:
                     )
                 ),
             }
-        for tenant in self._tenants_seen():
+        for tenant in self.metrics.label_values(
+            "dsr_tenant_request_seconds", "tenant"
+        ):
             entry = tenants.setdefault(tenant, {"throttled": 0})
             entry["requests"] = self.metrics.histogram_count(
                 "dsr_tenant_request_seconds", tenant=tenant
@@ -701,14 +625,6 @@ class DSRAsyncServer:
             "tenants": tenants,
         }
         return stats
-
-    def _tenants_seen(self) -> Tuple[str, ...]:
-        seen = set()
-        for key, _ in getattr(self.metrics, "_histograms", {}).items():
-            name, labels = key
-            if name == "dsr_tenant_request_seconds":
-                seen.update(value for label, value in labels if label == "tenant")
-        return tuple(sorted(seen))
 
 
 # ---------------------------------------------------------------------- #

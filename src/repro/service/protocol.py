@@ -2,20 +2,18 @@
 
 Requests and responses are plain dataclasses so they can be passed to
 :meth:`~repro.service.server.DSRService.handle` in-process without any
-serialisation.  For remote clients the same messages travel over a local
-socket as newline-delimited JSON: :func:`encode` / :func:`decode` map a
-message to/from a JSON-safe dict tagged with its ``kind`` and the protocol
-``version``, and :func:`send_message` / :func:`recv_message` frame one
-message per line on a file-like stream.
+serialisation.  For remote clients the same messages travel over TCP as
+binary length-prefixed frames: :func:`encode` / :func:`decode` map a message
+to/from a JSON-safe dict tagged with its ``kind`` and the protocol
+``version``, and :func:`pack_frame` / :func:`unpack_frame` put one such dict
+in one frame.
 
-The query message is not a parallel definition of the query shape: since
-protocol version 2, :class:`QueryRequest` *is* a
-:class:`~repro.api.query.ReachQuery` (a subclass that only translates
-validation failures into :class:`ProtocolError`), so the service, the engine
-and the wire all share one query object.
+The query message is not a parallel definition of the query shape:
+:class:`QueryRequest` *is* a :class:`~repro.api.query.ReachQuery` (a subclass
+that only translates validation failures into :class:`ProtocolError`), so
+the service, the engine and the wire all share one query object.
 
-The message set mirrors the four things a client can do with a running
-engine:
+The message set mirrors the things a client can do with a running engine:
 
 * ``QueryRequest`` — a set-reachability query ``S ⇝ T`` (a serialised
   :class:`~repro.api.query.ReachQuery`);
@@ -24,42 +22,34 @@ engine:
 * ``SnapshotRequest`` — the simulated cluster's execution/communication
   counters (:meth:`SimulatedCluster.snapshot`);
 * ``MetricsRequest`` — the combined metrics registries in Prometheus text
-  exposition format (protocol version 3+).
-
-Versioning
-----------
-Every encoded frame carries a ``version`` tag (:data:`PROTOCOL_VERSION`).
-Since version 3 the protocol negotiates per-frame: :func:`decode` accepts any
-version in ``[MIN_PROTOCOL_VERSION, PROTOCOL_VERSION]`` (and reports the
-frame's version through :func:`wire_version` / :func:`recv_message_versioned`
-so a server can answer at the client's version), while :func:`encode` takes a
-target ``version`` and strips fields the older peer does not know
-(:data:`_VERSION_GATED_FIELDS`).  Frames outside the supported range are
-rejected with a clear :class:`ProtocolError`, so the wire format can evolve
-without silent misinterpretation.  Frames without a ``version`` tag
-(hand-rolled payloads, pre-versioning peers) are accepted and treated as the
-current version.
+  exposition format.
 
 Framing
 -------
-Two stream framings carry the same tagged dicts:
+One framing, spoken by :class:`~repro.service.aio.DSRAsyncServer`,
+:class:`~repro.service.aio.DSRAsyncClient` and the blocking
+:class:`~repro.service.server.DSRClient`:
+``[u32 length][u8 version][body]``, big-endian, where ``length`` covers the
+version byte plus the body and the body is the tagged dict as UTF-8 JSON,
+optionally carrying a connection-scoped integer request ``id`` so many
+requests can be in flight on one connection (multiplexing).  Frames are
+bounded: one above the cap raises :class:`OversizedFrameError` (a
+:class:`ProtocolError`) from the header alone instead of buffering without
+limit.  Bytes that are not a frame — a ``{"kind": ...}`` line from a
+pre-framing peer, say — read as an absurd length and fail the same way.
 
-* **newline-delimited JSON** (:func:`send_message` / :func:`recv_message`) —
-  one JSON object per line; every protocol version speaks it, and it stays
-  the compatibility path for old peers;
-* **binary length-prefixed frames** (:func:`pack_frame` /
-  :func:`unpack_frame`) — ``[u32 length][u8 version][body]`` where ``length``
-  covers the version byte plus the body and the body is the same JSON
-  payload, optionally tagged with a connection-scoped request ``id`` so many
-  requests can be in flight on one connection (multiplexing).  Binary framing
-  is a *capability of protocol version 5+*
-  (:data:`BINARY_FRAMING_MIN_VERSION`): the async front door
-  (:mod:`repro.service.aio`) speaks it natively and auto-detects old
-  newline-JSON peers from the first byte.
-
-Both framings are bounded: oversized frames/lines raise
-:class:`OversizedFrameError` (a :class:`ProtocolError`) instead of buffering
-without limit.
+Versioning
+----------
+Two versions are live: :data:`MIN_PROTOCOL_VERSION` (5, the first with binary
+framing) and :data:`PROTOCOL_VERSION` (6, which adds the optional
+``deadline_ms`` budget on query messages).  The frame header's version byte
+is authoritative: a body without a ``version`` tag inherits it, a body whose
+tag disagrees with it is a :class:`ProtocolError`, and so is any version
+outside the live range.  A server answers each request at the version its
+frame arrived at — :func:`encode` takes the target ``version`` and strips
+the fields that version does not know (:data:`_VERSION_GATED_FIELDS`).
+Dicts handed to :func:`decode` directly (no frame around them) may omit the
+tag and are then treated as the current version.
 """
 
 from __future__ import annotations
@@ -73,34 +63,17 @@ import struct
 from repro.api.query import ReachQuery
 
 #: Version of the wire format emitted by :func:`encode` by default.  Bump
-#: whenever the shape or meaning of a message changes.  Version 1 was the
-#: unversioned pre-``repro.api`` format; version 2 serialises
-#: :class:`~repro.api.query.ReachQuery` as the query message; version 3 adds
-#: the optional ``trace`` fields on query messages and the ``metrics``
-#: exposition request; version 4 adds the optional ``tenant`` label on query
-#: messages (the fleet router's workload fingerprint); version 5 adds the
-#: binary length-prefixed framing capability (with per-frame request ids)
-#: spoken by the async front door; version 6 adds the optional
-#: ``deadline_ms`` end-to-end budget on query messages.
+#: whenever the shape or meaning of a message changes.  Version 6 added the
+#: optional ``deadline_ms`` end-to-end budget on query messages.
 PROTOCOL_VERSION = 6
 
-#: Oldest peer version this side still understands.  Version-2 and -3 peers
-#: simply never see the later additions (all of which are optional fields or
-#: new message kinds).
-MIN_PROTOCOL_VERSION = 2
-
-#: First protocol version whose peers may speak the binary length-prefixed
-#: framing.  Older peers keep speaking newline-delimited JSON; a version-5
-#: server accepts both on the same port.
-BINARY_FRAMING_MIN_VERSION = 5
+#: Oldest peer version this side still understands: the first version with
+#: binary framing.  A version-5 peer never sees ``deadline_ms``.
+MIN_PROTOCOL_VERSION = 5
 
 #: Default cap on one binary frame (version byte + body).  Frames above the
 #: cap are rejected with :class:`OversizedFrameError` before any buffering.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
-
-#: Default cap on one newline-JSON line.  Connections exceeding it get a
-#: clean protocol error instead of growing an unbounded read buffer.
-MAX_LINE_BYTES = 1024 * 1024
 
 #: Update operations accepted by :class:`UpdateRequest`.
 UPDATE_OPS = ("insert-edge", "delete-edge", "insert-vertex", "delete-vertex", "flush")
@@ -111,7 +84,7 @@ class ProtocolError(ValueError):
 
 
 class OversizedFrameError(ProtocolError):
-    """A frame (binary) or line (JSON) exceeds the configured size cap.
+    """A frame exceeds the configured size cap.
 
     Servers treat this as a fatal per-connection error: the peer gets a
     clean ``error`` response naming the cap, then the connection closes —
@@ -185,7 +158,7 @@ class SnapshotRequest:
 class MetricsRequest:
     """Ask the service for its metrics in Prometheus text exposition format.
 
-    Protocol version 3+.  The reply combines the service's own serving
+    The reply combines the service's own serving
     registry with the process-global engine registry (see
     :mod:`repro.obs`), ready to be scraped or dumped to a terminal.
     """
@@ -210,7 +183,7 @@ class QueryResponse:
     epoch: int = -1
     #: Structured per-query trace as a JSON-safe dict
     #: (:meth:`repro.obs.trace.QueryTrace.to_dict`) when the query asked for
-    #: one, else ``None``.  Protocol version 3+; stripped for older peers.
+    #: one, else ``None``.
     trace: Optional[Dict[str, Any]] = None
 
     def __post_init__(self) -> None:
@@ -300,19 +273,11 @@ _FIELD_NAMES_OF = {
     cls: tuple(f.name for f in fields(cls)) for cls in _MESSAGE_TYPES.values()
 }
 
-#: First protocol version that knows each message kind.  Kinds absent here
-#: exist since the first versioned protocol.
-_KIND_MIN_VERSION = {
-    "metrics": 3,
-    "metrics-result": 3,
-}
-
 #: Per-kind fields that only exist from a given protocol version on.
 #: :func:`encode` strips them when targeting an older peer; :func:`decode`
 #: tolerates their absence (they are all optional with defaults).
 _VERSION_GATED_FIELDS = {
-    "query": {"trace": 3, "tenant": 4, "deadline_ms": 6},
-    "query-result": {"trace": 3},
+    "query": {"deadline_ms": 6},
 }
 
 #: Message types the service accepts as requests.  ``ReachQuery`` covers both
@@ -328,16 +293,14 @@ REQUEST_TYPES = (
 
 
 # ---------------------------------------------------------------------- #
-# JSON encoding
+# dict encoding
 # ---------------------------------------------------------------------- #
-def _check_target_version(version: int) -> None:
-    if not isinstance(version, int) or isinstance(version, bool) or not (
-        MIN_PROTOCOL_VERSION <= version <= PROTOCOL_VERSION
-    ):
-        raise ProtocolError(
-            f"cannot encode for protocol version {version!r}; this side "
-            f"speaks versions {MIN_PROTOCOL_VERSION}..{PROTOCOL_VERSION}"
-        )
+def _is_live_version(version: Any) -> bool:
+    return (
+        isinstance(version, int)
+        and not isinstance(version, bool)
+        and MIN_PROTOCOL_VERSION <= version <= PROTOCOL_VERSION
+    )
 
 
 def encode(message: Any, version: int = PROTOCOL_VERSION) -> Dict[str, Any]:
@@ -345,9 +308,13 @@ def encode(message: Any, version: int = PROTOCOL_VERSION) -> Dict[str, Any]:
 
     ``version`` selects the wire version to emit (a server answering an
     older client passes the client's version).  Fields the target version
-    does not know are stripped; message kinds it does not know raise.
+    does not know are stripped.
     """
-    _check_target_version(version)
+    if not _is_live_version(version):
+        raise ProtocolError(
+            f"cannot encode for protocol version {version!r}; this side "
+            f"speaks versions {MIN_PROTOCOL_VERSION}..{PROTOCOL_VERSION}"
+        )
     if type(message) is ReachQuery:
         # A plain API query is a valid query message: promote it to its wire
         # form so the kind lookup and round-tripping stay uniform.
@@ -355,11 +322,6 @@ def encode(message: Any, version: int = PROTOCOL_VERSION) -> Dict[str, Any]:
     kind = _KIND_OF.get(type(message))
     if kind is None:
         raise ProtocolError(f"not a protocol message: {type(message).__name__}")
-    if version < _KIND_MIN_VERSION.get(kind, MIN_PROTOCOL_VERSION):
-        raise ProtocolError(
-            f"message kind {kind!r} requires protocol version "
-            f"{_KIND_MIN_VERSION[kind]}, encoding for version {version}"
-        )
     payload = {
         name: getattr(message, name) for name in _FIELD_NAMES_OF[type(message)]
     }
@@ -374,17 +336,13 @@ def encode(message: Any, version: int = PROTOCOL_VERSION) -> Dict[str, Any]:
 def wire_version(payload: Dict[str, Any]) -> int:
     """The protocol version a tagged dict was encoded at.
 
-    Frames without a ``version`` tag are treated as the current version.
+    Dicts without a ``version`` tag are treated as the current version.
     Raises :class:`ProtocolError` for versions outside the supported range.
     """
     version = payload.get("version", PROTOCOL_VERSION) if isinstance(
         payload, dict
     ) else PROTOCOL_VERSION
-    if (
-        not isinstance(version, int)
-        or isinstance(version, bool)
-        or not (MIN_PROTOCOL_VERSION <= version <= PROTOCOL_VERSION)
-    ):
+    if not _is_live_version(version):
         raise ProtocolError(
             f"protocol version mismatch: peer speaks version {version!r}, "
             f"this side speaks versions "
@@ -396,22 +354,17 @@ def wire_version(payload: Dict[str, Any]) -> int:
 def decode(payload: Dict[str, Any]) -> Any:
     """Decode a tagged dict (as produced by :func:`encode`) into a message.
 
-    Frames carrying a ``version`` outside
-    ``[MIN_PROTOCOL_VERSION, PROTOCOL_VERSION]`` are rejected; frames
+    Dicts carrying a ``version`` outside
+    ``[MIN_PROTOCOL_VERSION, PROTOCOL_VERSION]`` are rejected; dicts
     without one are treated as the current version.
     """
     if not isinstance(payload, dict) or "kind" not in payload:
         raise ProtocolError("message payload must be a dict with a 'kind' tag")
-    version = wire_version(payload)
+    wire_version(payload)
     kind = payload["kind"]
-    cls = _MESSAGE_TYPES.get(kind)
+    cls = _MESSAGE_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ProtocolError(f"unknown message kind {kind!r}")
-    if version < _KIND_MIN_VERSION.get(kind, MIN_PROTOCOL_VERSION):
-        raise ProtocolError(
-            f"message kind {kind!r} requires protocol version "
-            f"{_KIND_MIN_VERSION[kind]}, frame claims version {version}"
-        )
     known = {f.name for f in fields(cls)}
     kwargs = {name: value for name, value in payload.items() if name in known}
     try:
@@ -420,67 +373,8 @@ def decode(payload: Dict[str, Any]) -> Any:
         raise ProtocolError(f"malformed {kind!r} message: {exc}") from exc
 
 
-def dumps(message: Any, version: int = PROTOCOL_VERSION) -> str:
-    """Serialise one message to a single JSON line (no trailing newline)."""
-    return json.dumps(encode(message, version=version), separators=(",", ":"))
-
-
-def loads(line: str) -> Any:
-    """Parse one JSON line back into a protocol message."""
-    return loads_versioned(line)[0]
-
-
-def loads_versioned(line: str) -> Tuple[Any, int]:
-    """Parse one JSON line into ``(message, wire_version)``."""
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(f"invalid JSON frame: {exc}") from exc
-    message = decode(payload)
-    return message, wire_version(payload)
-
-
 # ---------------------------------------------------------------------- #
-# stream framing (newline-delimited JSON)
-# ---------------------------------------------------------------------- #
-def send_message(stream, message: Any, version: int = PROTOCOL_VERSION) -> None:
-    """Write one message to a text-mode file-like stream and flush."""
-    stream.write(dumps(message, version=version) + "\n")
-    stream.flush()
-
-
-def recv_message(stream) -> Optional[Any]:
-    """Read one message from a text-mode stream; ``None`` at end of stream."""
-    framed = recv_message_versioned(stream)
-    return None if framed is None else framed[0]
-
-
-def recv_message_versioned(
-    stream, max_bytes: Optional[int] = None
-) -> Optional[Tuple[Any, int]]:
-    """Read one message plus the wire version its frame was encoded at.
-
-    Servers use the version to answer each client at the version it spoke
-    (:func:`send_message` with ``version=...``).  ``None`` at end of stream.
-    ``max_bytes`` caps the line length: a longer line raises
-    :class:`OversizedFrameError` instead of buffering the rest of the frame
-    (the stream is then mid-frame, so callers should close the connection).
-    """
-    line = stream.readline() if max_bytes is None else stream.readline(max_bytes)
-    if not line:
-        return None
-    if max_bytes is not None and len(line) >= max_bytes and not line.endswith("\n"):
-        raise OversizedFrameError(
-            f"line frame exceeds the {max_bytes}-byte cap"
-        )
-    line = line.strip()
-    if not line:
-        return None
-    return loads_versioned(line)
-
-
-# ---------------------------------------------------------------------- #
-# binary framing ([u32 length][u8 version][JSON body]) — protocol v5+
+# framing ([u32 length][u8 version][JSON body])
 # ---------------------------------------------------------------------- #
 _FRAME_HEADER = struct.Struct(">IB")
 
@@ -495,8 +389,7 @@ def pack_frame(
 
     ``request_id`` tags the frame with a connection-scoped id (the ``id``
     key of the body) so responses can be matched to requests out of order —
-    the multiplexing contract of the async front door.  Binary framing is a
-    version-5 capability; asking for an older ``version`` raises.
+    the multiplexing contract of the front door.
 
     ``max_frame_bytes`` mirrors the receiver-side cap of
     :func:`unpack_frame`: an encoded frame longer than the cap raises
@@ -504,11 +397,6 @@ def pack_frame(
     sender can substitute a typed error instead of shipping a frame the
     peer is guaranteed to reject (and kill the connection over).
     """
-    if version < BINARY_FRAMING_MIN_VERSION:
-        raise ProtocolError(
-            f"binary framing requires protocol version "
-            f"{BINARY_FRAMING_MIN_VERSION}+, encoding for version {version}"
-        )
     payload = encode(message, version=version)
     if request_id is not None:
         payload["id"] = request_id
@@ -530,21 +418,25 @@ def unpack_frame(
     ``None`` when the buffer does not yet hold a complete frame (read more
     and retry).  Frames longer than ``max_frame_bytes`` raise
     :class:`OversizedFrameError` *from the header alone* — the oversized
-    body is never buffered.
+    body is never buffered.  ``wire_version`` is the header's version byte:
+    a body ``version`` tag that disagrees with it, a version outside the
+    live range and a request ``id`` that is not an integer are all
+    :class:`ProtocolError`.
     """
     if len(buffer) < _FRAME_HEADER.size:
         return None
-    length, version_byte = _FRAME_HEADER.unpack_from(buffer, 0)
+    length, version = _FRAME_HEADER.unpack_from(buffer, 0)
     if length < 1:
         raise ProtocolError(f"invalid binary frame length {length}")
     if length > max_frame_bytes:
         raise OversizedFrameError(
             f"binary frame of {length} bytes exceeds the {max_frame_bytes}-byte cap"
         )
-    if version_byte < BINARY_FRAMING_MIN_VERSION:
+    if not _is_live_version(version):
         raise ProtocolError(
-            f"binary framing requires protocol version "
-            f"{BINARY_FRAMING_MIN_VERSION}+, frame claims version {version_byte}"
+            f"protocol version mismatch: frame header claims version "
+            f"{version}, this side speaks versions "
+            f"{MIN_PROTOCOL_VERSION}..{PROTOCOL_VERSION}"
         )
     total = _FRAME_HEADER.size - 1 + length
     if len(buffer) < total:
@@ -552,22 +444,31 @@ def unpack_frame(
     body = bytes(buffer[_FRAME_HEADER.size : total])
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integer
+        # literals; RecursionError a body nested deeper than the parser goes.
         raise ProtocolError(f"invalid binary frame body: {exc}") from exc
     request_id: Optional[int] = None
     if isinstance(payload, dict):
-        payload.setdefault("version", version_byte)
+        if payload.setdefault("version", version) != version:
+            raise ProtocolError(
+                f"protocol version mismatch: frame header claims version "
+                f"{version}, its body version {payload['version']!r}"
+            )
         request_id = payload.pop("id", None)
-    message = decode(payload)
-    return message, wire_version(payload), request_id, total
+        if request_id is not None and (
+            not isinstance(request_id, int) or isinstance(request_id, bool)
+        ):
+            raise ProtocolError(
+                f"request id must be an integer, got {request_id!r}"
+            )
+    return decode(payload), version, request_id, total
 
 
 __all__ = [
     "PROTOCOL_VERSION",
     "MIN_PROTOCOL_VERSION",
-    "BINARY_FRAMING_MIN_VERSION",
     "MAX_FRAME_BYTES",
-    "MAX_LINE_BYTES",
     "UPDATE_OPS",
     "ProtocolError",
     "OversizedFrameError",
@@ -586,12 +487,6 @@ __all__ = [
     "encode",
     "decode",
     "wire_version",
-    "dumps",
-    "loads",
-    "loads_versioned",
-    "send_message",
-    "recv_message",
-    "recv_message_versioned",
     "pack_frame",
     "unpack_frame",
 ]

@@ -28,9 +28,9 @@ epoch and lookups reject entries from any other epoch, which is what makes
 the lock-free path safe (a result computed just before an epoch swap can be
 stored after it, but can never be *served* after it).
 
-:class:`DSRSocketServer` exposes the same service over a local TCP socket
-speaking the newline-delimited JSON framing of
-:mod:`repro.service.protocol`; :class:`DSRClient` is the matching client.
+:class:`~repro.service.aio.DSRAsyncServer` exposes the service over TCP in
+the binary framing of :mod:`repro.service.protocol`; :class:`DSRClient` here
+is its blocking, one-request-at-a-time client.
 """
 
 from __future__ import annotations
@@ -55,24 +55,19 @@ from repro.service.cache import ResultCache
 from repro.service.planner import QueryPlanner
 from repro.service.protocol import (
     ErrorResponse,
-    MAX_LINE_BYTES,
     MetricsRequest,
     MetricsResponse,
-    OversizedFrameError,
-    PROTOCOL_VERSION,
     ProtocolError,
     QueryRequest,
     QueryResponse,
-    REQUEST_TYPES,
     SnapshotRequest,
     SnapshotResponse,
     StatsRequest,
     StatsResponse,
     UpdateRequest,
     UpdateResponse,
-    recv_message,
-    recv_message_versioned,
-    send_message,
+    pack_frame,
+    unpack_frame,
 )
 from repro.resilience.deadline import Deadline, check_deadline, deadline_scope
 from repro.resilience.failpoints import failpoint
@@ -728,187 +723,13 @@ class DSRService:
 
 
 # ---------------------------------------------------------------------- #
-# socket transport
+# blocking client
 # ---------------------------------------------------------------------- #
-class DSRSocketServer:
-    """Serves a :class:`DSRService` over newline-delimited JSON on TCP.
-
-    ``max_line_bytes`` bounds one request line: a peer sending a longer
-    frame gets a clean ``OversizedFrameError`` response and its connection
-    closed, instead of this server buffering the line without limit.
-    """
-
-    def __init__(
-        self,
-        service: DSRService,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_requests: Optional[int] = None,
-        max_line_bytes: int = MAX_LINE_BYTES,
-    ) -> None:
-        self.service = service
-        self.max_requests = max_requests
-        self.max_line_bytes = max_line_bytes
-        self._socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._socket.bind((host, port))
-        self._socket.listen()
-        self.address: Tuple[str, int] = self._socket.getsockname()
-        self._stopped = threading.Event()
-        self._requests_served = 0
-        self._count_lock = threading.Lock()
-        self._acceptor: Optional[threading.Thread] = None
-        self._connections: set = set()
-        self._connections_lock = threading.Lock()
-
-    # ------------------------------------------------------------------ #
-    def start(self) -> "DSRSocketServer":
-        """Start accepting connections on a background thread."""
-        self._acceptor = threading.Thread(
-            target=self._accept_loop, name="dsr-acceptor", daemon=True
-        )
-        self._acceptor.start()
-        return self
-
-    def _accept_loop(self) -> None:
-        while not self._stopped.is_set():
-            try:
-                connection, _ = self._socket.accept()
-            except OSError:
-                break  # listening socket closed by stop()
-            with self._connections_lock:
-                self._connections.add(connection)
-            threading.Thread(
-                target=self._serve_connection, args=(connection,), daemon=True
-            ).start()
-
-    def _serve_connection(self, connection: socket.socket) -> None:
-        try:
-            self._serve_connection_inner(connection)
-        finally:
-            with self._connections_lock:
-                self._connections.discard(connection)
-
-    def _serve_connection_inner(self, connection: socket.socket) -> None:
-        with connection:
-            # Separate read/write streams: a single makefile("rw") wraps one
-            # TextIOWrapper over both directions, and TextIOWrapper discards
-            # its read-ahead buffer on write for non-seekable streams — a
-            # pipelining client's buffered requests would be silently lost.
-            reader = connection.makefile("r", encoding="utf-8", newline="\n")
-            writer = connection.makefile("w", encoding="utf-8", newline="\n")
-            while not self._stopped.is_set():
-                # Answer each request at the version its frame was encoded
-                # at, so version-2 clients keep working against a version-3
-                # server (newer optional fields are stripped from replies).
-                reply_version = PROTOCOL_VERSION
-                try:
-                    framed = recv_message_versioned(
-                        reader, max_bytes=self.max_line_bytes
-                    )
-                except OversizedFrameError as exc:
-                    # The stream is mid-frame: after reporting the cap the
-                    # only safe continuation is closing the connection.
-                    try:
-                        send_message(
-                            writer, ErrorResponse("OversizedFrameError", str(exc))
-                        )
-                    except (OSError, ValueError):
-                        pass
-                    break
-                except ProtocolError as exc:
-                    send_message(writer, ErrorResponse("ProtocolError", str(exc)))
-                    continue
-                except (OSError, ValueError):
-                    break
-                if framed is None:
-                    break
-                request, reply_version = framed
-                if not isinstance(request, REQUEST_TYPES):
-                    response = ErrorResponse(
-                        "ProtocolError",
-                        f"{type(request).__name__} is not a request message",
-                    )
-                else:
-                    try:
-                        response = self.service.submit(request).result()
-                    except ServiceOverloadedError as exc:
-                        response = ErrorResponse("ServiceOverloadedError", str(exc))
-                # Count before replying so a client that has its response in
-                # hand never observes a stale requests_served — but stop()
-                # only after the reply flushed, since stop() now closes live
-                # connections and would otherwise eat this final response.
-                limit_reached = self._count_request()
-                try:
-                    send_message(writer, response, version=reply_version)
-                except (OSError, ValueError):
-                    break
-                if limit_reached:
-                    self.stop()
-                    break
-
-    def _count_request(self) -> bool:
-        """Count one served request; True when max_requests is reached."""
-        with self._count_lock:
-            self._requests_served += 1
-            return (
-                self.max_requests is not None
-                and self._requests_served >= self.max_requests
-            )
-
-    @property
-    def requests_served(self) -> int:
-        with self._count_lock:
-            return self._requests_served
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until the server stops (returns False on timeout)."""
-        return self._stopped.wait(timeout)
-
-    def stop(self) -> None:
-        """Stop accepting and close the listening socket."""
-        if self._stopped.is_set():
-            return
-        self._stopped.set()
-        try:
-            # shutdown() wakes an acceptor thread blocked in accept();
-            # close() alone leaves the kernel socket listening (the blocked
-            # syscall pins it), which keeps the port bound after stop().
-            self._socket.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._socket.close()
-        except OSError:  # pragma: no cover - close is best-effort
-            pass
-        # Close live connections too: a stopped server must look stopped to
-        # its clients (EOF ⇒ DSRClient's retry logic reconnects), not keep
-        # serving from lingering per-connection threads.
-        with self._connections_lock:
-            connections, self._connections = set(self._connections), set()
-        for connection in connections:
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                connection.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
-        acceptor = self._acceptor
-        if acceptor is not None and acceptor is not threading.current_thread():
-            acceptor.join(timeout=5.0)
-            _count_stuck_threads([acceptor], "DSRSocketServer.stop")
-
-    def __enter__(self) -> "DSRSocketServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
 class DSRClient:
-    """Blocking client for :class:`DSRSocketServer` (one request at a time).
+    """Blocking client for :class:`~repro.service.aio.DSRAsyncServer`.
+
+    Speaks the same binary frames as the async client, one request at a
+    time on a plain socket.
 
     Timeouts and retries make a restarting server a bounded inconvenience
     instead of a hung caller:
@@ -947,8 +768,6 @@ class DSRClient:
         self._retry_backoff_seconds = retry_backoff_seconds
         self._lock = threading.Lock()
         self._socket: Optional[socket.socket] = None
-        self._reader = None
-        self._writer = None
         self._reconnects = 0
         self._connect()
 
@@ -957,27 +776,26 @@ class DSRClient:
             (self._host, self._port), timeout=self._connect_timeout
         )
         self._socket.settimeout(self._request_timeout)
-        # Split streams: a combined makefile("rw") TextIOWrapper drops its
-        # read-ahead buffer on every write (non-seekable stream), losing any
-        # server bytes that arrived early.
-        self._reader = self._socket.makefile("r", encoding="utf-8", newline="\n")
-        self._writer = self._socket.makefile("w", encoding="utf-8", newline="\n")
 
     def _drop_connection(self) -> None:
-        for stream in (self._reader, self._writer):
-            if stream is not None:
-                try:
-                    stream.close()
-                except OSError:
-                    pass
-        self._reader = None
-        self._writer = None
         if self._socket is not None:
             try:
                 self._socket.close()
             except OSError:
                 pass
             self._socket = None
+
+    def _recv_reply(self):
+        """Read one reply frame; ``None`` when the server closed first."""
+        # One request is in flight at a time, so one frame is all that can
+        # arrive: no bytes outlive this call.
+        inbound = bytearray()
+        while (framed := unpack_frame(inbound)) is None:
+            chunk = self._socket.recv(65536)
+            if not chunk:
+                return None
+            inbound.extend(chunk)
+        return framed[0]
 
     @property
     def reconnects(self) -> int:
@@ -995,6 +813,7 @@ class DSRClient:
         before any bytes left is still safe to retry.
         """
         idempotent = not isinstance(message, UpdateRequest)
+        frame = pack_frame(message)
         with self._lock:
             last_error: Optional[BaseException] = None
             for attempt in range(self._retries + 1):
@@ -1008,8 +827,12 @@ class DSRClient:
                     # From here on bytes may reach the server even if we
                     # error out mid-call.
                     sent = True
-                    send_message(self._writer, message)
-                    response = recv_message(self._reader)
+                    self._socket.sendall(frame)
+                    response = self._recv_reply()
+                except ProtocolError:
+                    # An unparseable reply leaves the stream unusable.
+                    self._drop_connection()
+                    raise
                 except socket.timeout as exc:
                     # The stream may now be mid-frame and the server may
                     # still run the request — never retry, just fail fast.
@@ -1030,9 +853,9 @@ class DSRClient:
                     continue
                 if response is None:
                     # EOF before a reply: the server went away (restart,
-                    # max_requests shutdown) — retriable like a reset, but
-                    # only for idempotent requests (the server may have
-                    # applied an update before dying).
+                    # shutdown) — retriable like a reset, but only for
+                    # idempotent requests (the server may have applied an
+                    # update before dying).
                     last_error = ConnectionResetError(
                         "server closed the connection before replying"
                     )
@@ -1103,7 +926,6 @@ class DSRClient:
 __all__ = [
     "DSRClient",
     "DSRService",
-    "DSRSocketServer",
     "ServiceMetrics",
     "ServiceOverloadedError",
 ]

@@ -14,8 +14,8 @@ from repro.api import DSRConfig, ReachQuery, open_engine
 from repro.graph import generators
 from repro.graph.traversal import reachable_pairs
 from repro.service import (
+    DSRAsyncServer,
     DSRService,
-    DSRSocketServer,
     ErrorResponse,
     QueryRequest,
     StatsRequest,
@@ -198,7 +198,7 @@ class TestRebuildRace:
 class TestSocketTransport:
     def test_tenants_and_fleet_stats_travel_the_wire(self, graph):
         service, fleet = make_service(graph, num_workers=2)
-        server = DSRSocketServer(service).start()
+        server = DSRAsyncServer(service).start_in_thread()
         try:
             host, port = server.address
             with DSRClient(host, port) as client:
@@ -217,6 +217,6 @@ class TestSocketTransport:
                 }
                 assert "wire" in tenants
         finally:
-            server.stop()
+            server.stop_from_thread()
             service.close()
             fleet.close()

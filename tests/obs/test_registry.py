@@ -234,6 +234,29 @@ class TestThreadSafety:
         assert registry.counter_value("c") == 4000
         assert registry.histogram_count("h") == 4000
 
+    def test_label_values_reads_under_the_lock(self):
+        # One thread keeps inserting first-seen label values (a new dict key
+        # per observe) while another lists them: an unlocked iteration dies
+        # with "dictionary changed size during iteration".
+        registry = MetricsRegistry()
+        registry.observe("other", 0.001, tenant="elsewhere")
+
+        def fresh_tenants():
+            for serial in range(3000):
+                registry.observe("h", 0.001, tenant=f"t{serial}", zone="a")
+
+        writer = threading.Thread(target=fresh_tenants)
+        writer.start()
+        sizes = []
+        while writer.is_alive():
+            sizes.append(len(registry.label_values("h", "tenant")))
+        writer.join()
+        assert sizes == sorted(sizes)  # only ever grows
+        final = registry.label_values("h", "tenant")
+        assert final == tuple(sorted(f"t{serial}" for serial in range(3000)))
+        assert registry.label_values("h", "zone") == ("a",)
+        assert registry.label_values("unseen", "tenant") == ()
+
 
 def test_default_buckets_are_sorted():
     assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)

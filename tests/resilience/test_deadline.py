@@ -24,7 +24,13 @@ from repro.resilience import (
     current_deadline,
     deadline_scope,
 )
-from repro.service.protocol import QueryRequest, decode, dumps, encode, loads
+from repro.service.protocol import (
+    QueryRequest,
+    decode,
+    encode,
+    pack_frame,
+    unpack_frame,
+)
 from repro.service.server import DSRService, ErrorResponse
 
 
@@ -126,7 +132,7 @@ class TestProtocolGating:
 
     def test_wire_round_trip(self):
         request = QueryRequest((1,), (2,), deadline_ms=75.0)
-        assert loads(dumps(request)).deadline_ms == 75.0
+        assert unpack_frame(pack_frame(request))[0].deadline_ms == 75.0
         # A v5 frame decodes to a query without a budget.
         assert decode(encode(request, version=5)).deadline_ms is None
 

@@ -17,13 +17,14 @@ from repro.service.protocol import (
     ErrorResponse,
     StatsRequest,
     UpdateRequest,
-    dumps,
+    pack_frame,
 )
 from repro.service.server import DSRClient, _count_stuck_threads
+from tests.service.wire import read_frames
 
 
 class FlakyServer:
-    """Line-framed fake server: drops the first ``fail_first`` requests
+    """Binary-framed fake server: drops the first ``fail_first`` requests
     (connection closed before any reply), answers the rest.  ``received``
     counts request frames that actually arrived at the server."""
 
@@ -46,31 +47,19 @@ class FlakyServer:
                 continue
             except OSError:
                 break
-            # A makefile() stream holds an io-ref on the socket: close the
-            # streams explicitly or conn.close() leaves the fd open and the
-            # client sees a hang instead of the EOF this server simulates.
-            reader = conn.makefile("r", encoding="utf-8", newline="\n")
-            writer = conn.makefile("w", encoding="utf-8", newline="\n")
-            try:
-                line = reader.readline()
-                if not line:
+            with conn:
+                conn.settimeout(5.0)
+                frames, _closed = read_frames(conn, expect=1)
+                if not frames:
                     continue
-                self.received.append(line)
-                if len(self.received) <= self.fail_first or not self.reply:
-                    if not self.reply:
-                        # Hold the connection open without answering until
-                        # the client's own timeout fires.
-                        self._stop.wait(5.0)
-                    continue  # close without replying
-                writer.write(dumps(ErrorResponse("TestReply", "ok")) + "\n")
-                writer.flush()
-            finally:
-                for stream in (reader, writer):
-                    try:
-                        stream.close()
-                    except OSError:
-                        pass
-                conn.close()
+                self.received.append(frames[0][0])
+                if not self.reply:
+                    # Hold the connection open without answering until the
+                    # client's own timeout fires.
+                    self._stop.wait(5.0)
+                elif len(self.received) > self.fail_first:
+                    conn.sendall(pack_frame(ErrorResponse("TestReply", "ok")))
+                # else: close without replying
 
     def close(self):
         self._stop.set()

@@ -1,15 +1,16 @@
-"""Tests for the asyncio binary front door (protocol v5).
+"""Tests for the asyncio binary front door — the one serving edge.
 
-Covers the v5 framing end to end (multiplexed binary clients), the
-newline-JSON compatibility path for v2/v3/v4 peers (version negotiation
-with gated-field stripping in both directions), oversized-frame handling,
+Covers the framing end to end (multiplexed async clients, the blocking
+client, v5 peers answered at v5), what happens to peers that do not speak
+it (retired versions, newline-JSON text, hostile frames: one typed error,
+connection closed, neighbours unaffected), oversized-frame handling,
 watermark backpressure, per-tenant rate limiting and tenant SLO stats.
 """
 
 import asyncio
 import json
-import socket
 import struct
+import threading
 import time
 
 import pytest
@@ -29,13 +30,15 @@ from repro.service import (
     StatsResponse,
     TokenBucket,
 )
+from repro.obs import use_registry
 from repro.service.protocol import (
+    MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
+    ProtocolError,
     StatsRequest,
-    encode,
     pack_frame,
-    unpack_frame,
 )
+from tests.service.wire import exchange, raw_frame
 
 
 @pytest.fixture
@@ -142,18 +145,8 @@ class TestBinaryTransport:
         assert all(results)
 
 
-def _compat_roundtrip(address, payloads):
-    """Send newline-JSON payloads over a raw socket; return reply payloads."""
-    with socket.create_connection(address, timeout=10.0) as raw:
-        stream = raw.makefile("rw", encoding="utf-8", newline="\n")
-        for payload in payloads:
-            stream.write(json.dumps(payload) + "\n")
-        stream.flush()
-        return [json.loads(stream.readline()) for _ in payloads]
-
-
-class TestCompatPath:
-    def test_newline_json_client_still_works(self, graph, service):
+class TestBlockingClient:
+    def test_blocking_client_speaks_binary_frames(self, graph, service):
         vertices = sorted(graph.vertices())
         with DSRAsyncServer(service) as server:
             host, port = server.address
@@ -165,59 +158,106 @@ class TestCompatPath:
                 assert client.query(vertices[:6], vertices[60:66]).cached
                 assert client.stats().stats["queries"] == 2
 
-    @pytest.mark.parametrize("version", [2, 3, 4])
-    def test_old_version_peers_answered_at_their_version(
-        self, graph, service, version
-    ):
-        """Satellite: v2/v3/v4 peers against the async compat path."""
+    def test_every_request_kind_matches_the_oracle(self, graph, service):
+        vertices = sorted(graph.vertices())
+        sources, targets = vertices[:6], vertices[60:66]
+        with DSRAsyncServer(service) as server:
+            with DSRClient(*server.address) as client:
+                assert client.query(sources, targets).pair_set == reachable_pairs(
+                    graph, sources, targets
+                )
+                update = client.insert_edge(vertices[0], vertices[-1])
+                assert update.op == "insert-edge"
+                assert client.flush().op == "flush"
+                traced = client.query(sources, targets, trace=True)
+                assert traced.query_trace is not None and not traced.cached
+                bounded = client.query(
+                    sources, targets, use_cache=False, deadline_ms=30_000.0
+                )
+                # The graph object was mutated in place by the update.
+                expected = reachable_pairs(graph, sources, targets)
+                assert traced.pair_set == bounded.pair_set == expected
+                late = client.query(
+                    sources, targets, use_cache=False, deadline_ms=1e-6
+                )
+                assert isinstance(late, ErrorResponse)
+                assert late.error == "DeadlineExceededError"
+                stats = client.stats().stats
+                assert stats["errors"] == 1 and stats["async"]["connections"] == 1
+                assert client.snapshot().snapshot["rounds"] >= 0
+                assert "dsr_service_requests_total" in client.metrics().text
+
+
+class TestVersions:
+    def test_v5_peer_is_answered_at_v5(self, graph, service):
         vertices = sorted(graph.vertices())
         request = QueryRequest(
-            tuple(vertices[:4]), tuple(vertices[50:54]),
-            trace=True, tenant="legacy",
+            tuple(vertices[:3]), tuple(vertices[40:43]),
+            trace=True, tenant="crm", deadline_ms=30_000.0,
         )
-        payload = encode(request, version=version)
-        # encode() already strips what the old peer cannot say...
-        assert ("trace" in payload) == (version >= 3)
-        assert ("tenant" in payload) == (version >= 4)
+        frame = pack_frame(request, version=MIN_PROTOCOL_VERSION, request_id=3)
+        assert b"deadline_ms" not in frame  # a v5 peer cannot say it
         with DSRAsyncServer(service) as server:
-            (reply,) = _compat_roundtrip(server.address, [payload])
-        # ...and the server answers at the version the peer spoke, stripping
-        # response-side gated fields the same way.
-        assert reply["kind"] == "query-result"
-        assert reply["version"] == version
-        assert ("trace" in reply) == (version >= 3)
-        expected = reachable_pairs(graph, vertices[:4], vertices[50:54])
-        assert {tuple(pair) for pair in reply["pairs"]} == expected
-
-    def test_v5_line_peer_gets_trace_and_tenant_echo(self, graph, service):
-        vertices = sorted(graph.vertices())
-        payload = encode(
-            QueryRequest(
-                tuple(vertices[:3]), tuple(vertices[40:43]),
-                trace=True, tenant="crm",
-            )
-        )
-        with DSRAsyncServer(service) as server:
-            (reply,) = _compat_roundtrip(server.address, [payload])
+            (reply,), _closed = exchange(server.address, frame, expect=1)
             assert server.tenant_percentile("crm", 50) >= 0.0
-        assert reply["version"] == PROTOCOL_VERSION
-        assert reply["trace"] is not None  # traced at v5, never stripped
+        message, version, request_id = reply
+        assert (version, request_id) == (MIN_PROTOCOL_VERSION, 3)
+        assert message.trace is not None
+        assert message.pair_set == reachable_pairs(
+            graph, vertices[:3], vertices[40:43]
+        )
 
-    def test_compat_replies_stay_in_request_order(self, service):
-        # Old clients read responses strictly in request order; the async
-        # server must not let a fast request overtake a slow one.
-        payloads = [encode(QueryRequest((0, 1), (2, 3)))]
-        payloads += [{"kind": "stats", "version": 2}, {"kind": "snapshot"}] * 3
+    @pytest.mark.parametrize("version", [2, 3, 4])
+    @pytest.mark.parametrize("framing", ["line", "frame"])
+    def test_retired_peer_gets_one_typed_error_and_a_closed_connection(
+        self, service, framing, version
+    ):
+        payload = {"kind": "stats", "version": version}
+        if framing == "line":
+            data = (json.dumps(payload) + "\n").encode("utf-8")
+            error = "OversizedFrameError"  # '{"ki' read as a length
+        else:
+            data = raw_frame(payload, version)
+            error = "ProtocolError"
         with DSRAsyncServer(service) as server:
-            replies = _compat_roundtrip(server.address, payloads)
-        kinds = [reply["kind"] for reply in replies]
-        assert kinds == ["query-result"] + ["stats-result", "snapshot-result"] * 3
+            frames, closed = exchange(server.address, data, timeout=2.0)
+        assert closed
+        ((message, reply_version, request_id),) = frames
+        assert isinstance(message, ErrorResponse) and message.error == error
+        assert (reply_version, request_id) == (PROTOCOL_VERSION, None)
 
-    def test_pipelined_cache_hit_cannot_overtake_miss(self, graph, service):
-        # Two pipelined legacy requests in ONE read batch, where the first
-        # misses the cache (goes to a worker) and the second hits it: the
-        # hit's synchronous fast path must not flush its reply ahead of the
-        # miss, or a positional client silently mismatches every answer.
+    def test_body_version_below_the_header_is_answered_not_hung(
+        self, graph, service
+    ):
+        """Regression: header byte 6, body ``"version": 2`` used to be run
+        and then never answered (the reply could not be packed at v2)."""
+        vertices = sorted(graph.vertices())
+        frame = raw_frame(
+            {"kind": "query", "version": 2, "id": 1,
+             "sources": vertices[:2], "targets": vertices[40:42]},
+            PROTOCOL_VERSION,
+        )
+        with DSRAsyncServer(service) as server:
+            with DSRClient(*server.address) as neighbour:
+                started = time.perf_counter()
+                frames, closed = exchange(server.address, frame, timeout=1.0)
+                assert time.perf_counter() - started < 1.0
+                # The neighbouring connection never noticed.
+                assert neighbour.query(
+                    vertices[:2], vertices[40:42]
+                ).pair_set == reachable_pairs(graph, vertices[:2], vertices[40:42])
+        assert closed
+        ((message, _version, _id),) = frames
+        assert isinstance(message, ErrorResponse)
+        assert message.error == "ProtocolError" and "version" in message.message
+        assert service.metrics.count("queries") == 1  # only the neighbour's
+
+
+class TestMultiplexing:
+    def test_pipelined_hit_and_miss_are_matched_by_id(self, graph, service):
+        # Two requests in ONE write, the first a cache miss (goes to a
+        # worker) and the second a hit (answered on the loop): whichever
+        # reply lands first, each carries its own request's id.
         vertices = sorted(graph.vertices())
         hot = QueryRequest(tuple(vertices[:4]), tuple(vertices[40:44]))
         cold = QueryRequest(
@@ -227,50 +267,104 @@ class TestCompatPath:
         hot_pairs = reachable_pairs(graph, vertices[:4], vertices[40:44])
         assert cold_pairs != hot_pairs  # else a swap would be invisible
         with DSRAsyncServer(service) as server:
-            _compat_roundtrip(server.address, [encode(hot)])  # prime the cache
-            with socket.create_connection(server.address, timeout=10.0) as raw:
-                batch = "".join(
-                    json.dumps(encode(request)) + "\n" for request in (cold, hot)
+            exchange(server.address, pack_frame(hot), expect=1)  # prime
+            batch = pack_frame(cold, request_id=1) + pack_frame(hot, request_id=2)
+            frames, _closed = exchange(server.address, batch, expect=2)
+        by_id = {request_id: message for message, _version, request_id in frames}
+        assert by_id[1].pair_set == cold_pairs and not by_id[1].cached
+        assert by_id[2].pair_set == hot_pairs and by_id[2].cached
+
+class TestRequestIds:
+    @pytest.mark.parametrize("bad_id", [[1, 2], {"a": 1}])
+    def test_server_rejects_a_non_integer_id(self, service, bad_id):
+        frame = raw_frame({"kind": "stats", "id": bad_id})
+        with DSRAsyncServer(service) as server:
+            frames, closed = exchange(server.address, frame, timeout=2.0)
+        assert closed
+        ((message, _version, request_id),) = frames
+        assert isinstance(message, ErrorResponse)
+        assert message.error == "ProtocolError" and "request id" in message.message
+        assert request_id is None
+
+    def test_client_fails_pending_requests_with_the_protocol_error(self):
+        """Regression: an unhashable reply id raised TypeError out of the
+        client's read loop instead of failing its pending futures."""
+
+        async def drive():
+            async def answer_with_a_list_id(reader, writer):
+                await reader.read(65536)
+                writer.write(raw_frame({"kind": "stats-result", "id": [1, 2]}))
+                await writer.drain()
+
+            fake = await asyncio.start_server(answer_with_a_list_id, "127.0.0.1", 0)
+            try:
+                host, port = fake.sockets[0].getsockname()[:2]
+                async with DSRAsyncClient(host, port, timeout=2.0) as client:
+                    with pytest.raises(ProtocolError, match="request id"):
+                        await client.stats()
+            finally:
+                fake.close()
+                await fake.wait_closed()
+
+        asyncio.run(drive())
+
+
+class TestHostileNeighbour:
+    @pytest.mark.parametrize(
+        "garbage",
+        [
+            b'{"kind":"stats"}\n',
+            struct.pack(">IB", 0, PROTOCOL_VERSION),
+            struct.pack(">IB", 0xFFFFFFFF, PROTOCOL_VERSION),
+            struct.pack(">IB", 12, PROTOCOL_VERSION) + b"\xff\xfenot json!",
+            struct.pack(">IB", 3, PROTOCOL_VERSION) + b"[]",
+            pack_frame(StatsRequest())[:4] + b"\x09" + pack_frame(StatsRequest())[5:],
+        ],
+        ids=["json-line", "zero-length", "huge-length", "bad-utf8", "not-a-dict",
+             "future-version"],
+    )
+    def test_one_typed_error_then_closed_while_a_neighbour_is_served(
+        self, graph, service, garbage
+    ):
+        vertices = sorted(graph.vertices())
+        big = (vertices[:40], vertices[60:160])
+
+        async def neighbour(address, hostile_done):
+            async with DSRAsyncClient(*address, timeout=30.0) as client:
+                inflight = asyncio.ensure_future(
+                    client.query(*big, use_cache=False)
                 )
-                raw.sendall(batch.encode("utf-8"))
-                stream = raw.makefile("r", encoding="utf-8", newline="\n")
-                cold_reply, hot_reply = (
-                    json.loads(stream.readline()) for _ in range(2)
+                await asyncio.sleep(0)  # the request is on the wire
+                loop = asyncio.get_running_loop()
+                hostile = await loop.run_in_executor(
+                    None, lambda: exchange(address, garbage, timeout=2.0)
                 )
-        assert {tuple(pair) for pair in cold_reply["pairs"]} == cold_pairs
-        assert {tuple(pair) for pair in hot_reply["pairs"]} == hot_pairs
+                hostile_done.append(hostile)
+                return await inflight
+
+        hostile_done = []
+        with DSRAsyncServer(service) as server:
+            answer = asyncio.run(neighbour(server.address, hostile_done))
+        assert answer.pair_set == reachable_pairs(graph, *big)
+        ((frames, closed),) = hostile_done
+        assert closed
+        ((message, _version, request_id),) = frames
+        assert isinstance(message, ErrorResponse)
+        assert message.error in ("ProtocolError", "OversizedFrameError")
+        assert request_id is None
 
 
 class TestFramingErrors:
     def test_oversized_binary_frame_errors_and_closes(self, service):
         with DSRAsyncServer(service, max_frame_bytes=1024) as server:
-            with socket.create_connection(server.address, timeout=10.0) as raw:
-                raw.sendall(struct.pack(">IB", 64 * 1024 * 1024, PROTOCOL_VERSION))
-                buffer = bytearray()
-                while True:
-                    try:
-                        chunk = raw.recv(65536)
-                    except ConnectionResetError:
-                        break
-                    if not chunk:
-                        break
-                    buffer.extend(chunk)
-                message, _version, _id, _consumed = unpack_frame(buffer)
-                assert isinstance(message, ErrorResponse)
-                assert message.error == "OversizedFrameError"
-
-    def test_oversized_line_errors_and_closes(self, service):
-        with DSRAsyncServer(service, max_line_bytes=512) as server:
-            with socket.create_connection(server.address, timeout=10.0) as raw:
-                # Looks like a JSON line ('{' first) but never ends.
-                raw.sendall(b"{" + b"a" * 4096)
-                stream = raw.makefile("r", encoding="utf-8", newline="\n")
-                try:
-                    reply = json.loads(stream.readline())
-                except (ConnectionResetError, ValueError):
-                    return  # peer reset before the error flushed: also closed
-                assert reply["kind"] == "error"
-                assert reply["error"] == "OversizedFrameError"
+            frames, closed = exchange(
+                server.address,
+                struct.pack(">IB", 64 * 1024 * 1024, PROTOCOL_VERSION),
+            )
+        assert closed
+        ((message, _version, _id),) = frames
+        assert isinstance(message, ErrorResponse)
+        assert message.error == "OversizedFrameError"
 
     def test_oversized_reply_typed_error_connection_lives(self, graph, service):
         # A reply bigger than the frame cap must come back as a typed error
@@ -313,6 +407,31 @@ class TestFramingErrors:
         assert isinstance(rejected, ErrorResponse)
         assert rejected.error == "ProtocolError"
         assert isinstance(alive, StatsResponse)
+
+
+class TestShutdown:
+    def test_loop_wedged_past_the_join_timeout_is_counted(self, service):
+        """Regression: a stuck loop thread used to be silently abandoned."""
+        server = DSRAsyncServer(service).start_in_thread()
+        thread = server._thread
+        release = threading.Event()
+        server._loop.call_soon_threadsafe(release.wait)
+        try:
+            with use_registry() as registry:
+                server.stop_from_thread(timeout=0.2)
+                assert registry.counter_value(
+                    "dsr_shutdown_stuck_threads",
+                    where="DSRAsyncServer.stop_from_thread",
+                ) == 1
+        finally:
+            release.set()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+    def test_clean_stop_counts_nothing(self, service):
+        with use_registry() as registry:
+            DSRAsyncServer(service).start_in_thread().stop_from_thread()
+            assert registry.counter_total("dsr_shutdown_stuck_threads") == 0
 
 
 class TestBackpressure:
@@ -414,6 +533,7 @@ class TestTenantSLOs:
             host, port = server.address
             asyncio.run(drive(host, port))
             crm = server.stats()["async"]["tenants"]["crm"]
+            assert set(server.stats()["async"]["tenants"]) == {"crm"}
             assert crm["requests"] == 5
             assert crm["p50_ms"] >= 0.0
             assert crm["p99_ms"] >= crm["p50_ms"]

@@ -1,15 +1,14 @@
 """Round-trip and validation tests for the service wire protocol."""
 
-import io
+import json
+import struct
 
 import pytest
 
 from repro.api import ReachQuery
 from repro.service.protocol import (
-    BINARY_FRAMING_MIN_VERSION,
     OversizedFrameError,
     pack_frame,
-    recv_message_versioned,
     unpack_frame,
     MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
@@ -26,14 +25,10 @@ from repro.service.protocol import (
     UpdateRequest,
     UpdateResponse,
     decode,
-    dumps,
     encode,
-    loads,
-    loads_versioned,
-    recv_message,
-    send_message,
     wire_version,
 )
+from tests.service.wire import frame_around as _frame
 
 ALL_MESSAGES = [
     QueryRequest((1, 2, 3), (9, 8), direction="forward", use_cache=False),
@@ -60,27 +55,14 @@ ALL_MESSAGES = [
 ]
 
 
-class TestRoundTrip:
-    @pytest.mark.parametrize("message", ALL_MESSAGES, ids=lambda m: type(m).__name__)
-    def test_json_line_round_trip(self, message):
-        assert loads(dumps(message)) == message
+def _through_a_frame(message):
+    return unpack_frame(pack_frame(message))[0]
 
+
+class TestRoundTrip:
     @pytest.mark.parametrize("message", ALL_MESSAGES, ids=lambda m: type(m).__name__)
     def test_dict_round_trip(self, message):
         assert decode(encode(message)) == message
-
-    def test_stream_framing_preserves_order(self):
-        stream = io.StringIO()
-        for message in ALL_MESSAGES:
-            send_message(stream, message)
-        stream.seek(0)
-        received = []
-        while True:
-            message = recv_message(stream)
-            if message is None:
-                break
-            received.append(message)
-        assert received == ALL_MESSAGES
 
 
 class TestNormalisation:
@@ -117,7 +99,11 @@ class TestValidation:
 
     def test_invalid_json_rejected(self):
         with pytest.raises(ProtocolError):
-            loads("{not json")
+            unpack_frame(_frame(b"{not json"))
+
+    def test_unhashable_kind_rejected(self):
+        with pytest.raises(ProtocolError, match="unknown message kind"):
+            decode({"kind": ["query"]})
 
     def test_encode_rejects_foreign_objects(self):
         with pytest.raises(ProtocolError):
@@ -134,7 +120,9 @@ class TestVersioning:
         payload = encode(StatsRequest())
         assert payload["version"] == PROTOCOL_VERSION
 
-    @pytest.mark.parametrize("foreign", [1, PROTOCOL_VERSION + 1, "2", None])
+    @pytest.mark.parametrize(
+        "foreign", [1, 2, 3, 4, PROTOCOL_VERSION + 1, "5", None, True, 6.0]
+    )
     def test_mismatched_version_rejected(self, foreign):
         payload = encode(StatsRequest())
         payload["version"] = foreign
@@ -155,64 +143,50 @@ class TestVersioning:
         assert decode(payload) == StatsRequest()
 
     def test_version_survives_the_wire(self):
-        import json
+        frame = pack_frame(QueryRequest((1,), (2,)))
+        assert frame[4] == PROTOCOL_VERSION
+        assert json.loads(frame[5:])["version"] == PROTOCOL_VERSION
 
-        frame = json.loads(dumps(QueryRequest((1,), (2,))))
-        assert frame["version"] == PROTOCOL_VERSION
+    def test_two_versions_are_live(self):
+        assert (MIN_PROTOCOL_VERSION, PROTOCOL_VERSION) == (5, 6)
 
 
 class TestVersionNegotiation:
-    """Version-3 additions degrade cleanly when talking to version-2 peers."""
+    """Version-6 additions degrade cleanly when talking to version-5 peers."""
 
-    def test_encode_for_v2_strips_query_trace(self):
-        payload = encode(QueryRequest((1,), (2,), trace=True), version=2)
-        assert "trace" not in payload
-        assert payload["version"] == 2
-        # The stripped frame still decodes — trace falls back to its default.
-        assert decode(payload) == QueryRequest((1,), (2,), trace=False)
-
-    def test_encode_for_v2_strips_response_trace(self):
-        response = QueryResponse(
-            pairs=((1, 2),), trace={"attrs": {}, "spans": []}
+    def test_encode_for_v5_strips_the_deadline(self):
+        request = QueryRequest((1,), (2,), trace=True, tenant="crm", deadline_ms=50.0)
+        # The stripped frame still decodes — the deadline falls back to its
+        # default, everything a v5 peer does know is kept.
+        assert decode(encode(request, version=5)) == QueryRequest(
+            (1,), (2,), trace=True, tenant="crm"
         )
-        payload = encode(response, version=2)
-        assert "trace" not in payload
-        assert decode(payload) == QueryResponse(pairs=((1, 2),), trace=None)
 
     def test_trace_round_trips_at_current_version(self):
         trace = {"attrs": {"representation": "bits"}, "spans": []}
         request = QueryRequest((1,), (2,), trace=True)
         response = QueryResponse(pairs=(), trace=trace)
-        assert loads(dumps(request)).trace is True
-        assert loads(dumps(response)).trace == trace
+        assert _through_a_frame(request).trace is True
+        assert _through_a_frame(response).trace == trace
 
-    def test_v2_frame_from_old_client_decodes(self):
-        # An old client has no idea trace exists: its frames omit the field
-        # and claim version 2.  The server must accept them unchanged.
+    def test_v5_frame_from_old_client_decodes(self):
+        # An old client has no idea deadline_ms exists: its frames omit the
+        # field and claim version 5.  The server must accept them unchanged.
         payload = encode(QueryRequest((3,), (4,), direction="forward"))
-        payload.pop("trace")
-        payload["version"] = 2
+        payload.pop("deadline_ms")
+        payload["version"] = 5
         decoded = decode(payload)
         assert decoded == QueryRequest((3,), (4,), direction="forward")
-        assert decoded.trace is False
-
-    def test_metrics_kind_requires_v3(self):
-        with pytest.raises(ProtocolError, match="metrics"):
-            encode(MetricsRequest(), version=2)
-        payload = encode(MetricsRequest())
-        payload["version"] = 2
-        with pytest.raises(ProtocolError, match="metrics"):
-            decode(payload)
+        assert decoded.deadline_ms is None
 
     def test_encode_rejects_unsupported_target_version(self):
-        with pytest.raises(ProtocolError, match="version"):
-            encode(StatsRequest(), version=1)
-        with pytest.raises(ProtocolError, match="version"):
-            encode(StatsRequest(), version=PROTOCOL_VERSION + 1)
+        for version in (1, MIN_PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1):
+            with pytest.raises(ProtocolError, match="version"):
+                encode(StatsRequest(), version=version)
 
-    def test_loads_versioned_reports_wire_version(self):
-        message, version = loads_versioned(
-            dumps(StatsRequest(), version=MIN_PROTOCOL_VERSION)
+    def test_unpack_reports_the_frame_header_version(self):
+        message, version, _id, _consumed = unpack_frame(
+            pack_frame(StatsRequest(), version=MIN_PROTOCOL_VERSION)
         )
         assert message == StatsRequest()
         assert version == MIN_PROTOCOL_VERSION
@@ -220,25 +194,18 @@ class TestVersionNegotiation:
 
 
 class TestVersionFourTenants:
-    """Version-4 adds the fleet's tenant label; older peers never see it."""
-
-    def test_encode_for_v3_strips_tenant(self):
-        payload = encode(QueryRequest((1,), (2,), tenant="analytics"), version=3)
-        assert "tenant" not in payload
-        assert payload["version"] == 3
-        # The stripped frame still decodes — tenant falls back to None.
-        assert decode(payload) == QueryRequest((1,), (2,), tenant=None)
+    """The tenant label (added in version 4) travels at every live version."""
 
     def test_tenant_round_trips_at_current_version(self):
         request = QueryRequest((1,), (2,), tenant="analytics")
-        decoded = loads(dumps(request))
+        decoded = _through_a_frame(request)
         assert decoded.tenant == "analytics"
         assert decoded == request
 
     def test_old_client_frame_without_tenant_decodes(self):
         payload = encode(QueryRequest((3,), (4,)))
         payload.pop("tenant")
-        payload["version"] = 3
+        payload["version"] = MIN_PROTOCOL_VERSION
         decoded = decode(payload)
         assert decoded.tenant is None
 
@@ -274,7 +241,7 @@ class TestReachQueryBridge:
         # keys a message class does not know, the API rejects them.
         from repro.api.query import QueryError
 
-        payload = encode(QueryRequest((1,), (2,)), version=4)
+        payload = encode(QueryRequest((1,), (2,)), version=5)
         payload["representation"] = "sets"
         assert decode(payload) == QueryRequest((1,), (2,))
         with pytest.raises(QueryError, match="representation"):
@@ -296,8 +263,54 @@ class TestReachQueryBridge:
         assert "max_batch_pairs" not in encode(QueryRequest((1,), (2,)))
 
 
+#: One message per kind, and the exact bytes ``pack_frame`` produced for it
+#: at the commit before versions 2-4 were retired (ids 7..17).
+GOLDEN_MESSAGES = [
+    QueryRequest((1, 2, 3), (9, 8), direction="forward", use_cache=False,
+                 trace=True, tenant="crm", deadline_ms=75.0),
+    UpdateRequest("insert-edge", 4, 7),
+    StatsRequest(),
+    SnapshotRequest(),
+    MetricsRequest(),
+    QueryResponse(pairs=((1, 9), (2, 8)), cached=True, direction="backward",
+                  num_batches=0, latency_seconds=0.25, messages_sent=3,
+                  bytes_sent=512, epoch=4,
+                  trace={"attrs": {"epoch": 4}, "spans": []}),
+    UpdateResponse(op="delete-edge", structural_change=True,
+                   affected_partitions=(2, 0), latency_seconds=0.01),
+    StatsResponse(stats={"queries": 5, "cache_hit_rate": 0.6}),
+    SnapshotResponse(snapshot={"messages_sent": 2, "rounds": 1}),
+    MetricsResponse(text="# TYPE dsr_queries_total counter\ndsr_queries_total 3\n"),
+    ErrorResponse(error="ValueError", message="unknown vertex 42"),
+]
+GOLDEN_FRAMES = {
+    (0, 5): b'\x00\x00\x00\x8a\x05{"sources":[1,2,3],"targets":[9,8],"direction":"forward","use_cache":false,"trace":true,"tenant":"crm","kind":"query","version":5,"id":7}',
+    (0, 6): b'\x00\x00\x00\x9d\x06{"sources":[1,2,3],"targets":[9,8],"direction":"forward","use_cache":false,"trace":true,"tenant":"crm","deadline_ms":75.0,"kind":"query","version":6,"id":7}',
+    (1, 5): b'\x00\x00\x00X\x05{"op":"insert-edge","u":4,"v":7,"partition_id":null,"kind":"update","version":5,"id":8}',
+    (1, 6): b'\x00\x00\x00X\x06{"op":"insert-edge","u":4,"v":7,"partition_id":null,"kind":"update","version":6,"id":8}',
+    (2, 5): b'\x00\x00\x00$\x05{"kind":"stats","version":5,"id":9}',
+    (2, 6): b'\x00\x00\x00$\x06{"kind":"stats","version":6,"id":9}',
+    (3, 5): b'\x00\x00\x00(\x05{"kind":"snapshot","version":5,"id":10}',
+    (3, 6): b'\x00\x00\x00(\x06{"kind":"snapshot","version":6,"id":10}',
+    (4, 5): b'\x00\x00\x00\'\x05{"kind":"metrics","version":5,"id":11}',
+    (4, 6): b'\x00\x00\x00\'\x06{"kind":"metrics","version":6,"id":11}',
+    (5, 5): b'\x00\x00\x00\xe4\x05{"pairs":[[1,9],[2,8]],"cached":true,"direction":"backward","num_batches":0,"latency_seconds":0.25,"messages_sent":3,"bytes_sent":512,"epoch":4,"trace":{"attrs":{"epoch":4},"spans":[]},"kind":"query-result","version":5,"id":12}',
+    (5, 6): b'\x00\x00\x00\xe4\x06{"pairs":[[1,9],[2,8]],"cached":true,"direction":"backward","num_batches":0,"latency_seconds":0.25,"messages_sent":3,"bytes_sent":512,"epoch":4,"trace":{"attrs":{"epoch":4},"spans":[]},"kind":"query-result","version":6,"id":12}',
+    (6, 5): b'\x00\x00\x00\x9a\x05{"op":"delete-edge","structural_change":true,"affected_partitions":[0,2],"vertex":null,"latency_seconds":0.01,"kind":"update-result","version":5,"id":13}',
+    (6, 6): b'\x00\x00\x00\x9a\x06{"op":"delete-edge","structural_change":true,"affected_partitions":[0,2],"vertex":null,"latency_seconds":0.01,"kind":"update-result","version":6,"id":13}',
+    (7, 5): b'\x00\x00\x00W\x05{"stats":{"queries":5,"cache_hit_rate":0.6},"kind":"stats-result","version":5,"id":14}',
+    (7, 6): b'\x00\x00\x00W\x06{"stats":{"queries":5,"cache_hit_rate":0.6},"kind":"stats-result","version":6,"id":14}',
+    (8, 5): b'\x00\x00\x00Y\x05{"snapshot":{"messages_sent":2,"rounds":1},"kind":"snapshot-result","version":5,"id":15}',
+    (8, 6): b'\x00\x00\x00Y\x06{"snapshot":{"messages_sent":2,"rounds":1},"kind":"snapshot-result","version":6,"id":15}',
+    (9, 5): b'\x00\x00\x00o\x05{"text":"# TYPE dsr_queries_total counter\\ndsr_queries_total 3\\n","kind":"metrics-result","version":5,"id":16}',
+    (9, 6): b'\x00\x00\x00o\x06{"text":"# TYPE dsr_queries_total counter\\ndsr_queries_total 3\\n","kind":"metrics-result","version":6,"id":16}',
+    (10, 5): b'\x00\x00\x00X\x05{"error":"ValueError","message":"unknown vertex 42","kind":"error","version":5,"id":17}',
+    (10, 6): b'\x00\x00\x00X\x06{"error":"ValueError","message":"unknown vertex 42","kind":"error","version":6,"id":17}',
+}
+
+
 class TestBinaryFraming:
-    """Version-5 adds length-prefixed binary frames for the async front door."""
+    """Length-prefixed binary frames: the one framing on the wire."""
 
     @pytest.mark.parametrize("message", ALL_MESSAGES, ids=lambda m: type(m).__name__)
     def test_frame_round_trip(self, message):
@@ -309,6 +322,23 @@ class TestBinaryFraming:
         assert version == PROTOCOL_VERSION
         assert request_id is None
         assert consumed == len(frame)
+
+    @pytest.mark.parametrize("index,version", sorted(GOLDEN_FRAMES))
+    def test_live_versions_are_byte_identical_to_the_recorded_frames(
+        self, index, version
+    ):
+        message = GOLDEN_MESSAGES[index]
+        frame = pack_frame(message, version=version, request_id=index + 7)
+        assert frame == GOLDEN_FRAMES[index, version]
+        decoded, wire, request_id, consumed = unpack_frame(frame)
+        assert (wire, request_id, consumed) == (version, index + 7, len(frame))
+        if version == PROTOCOL_VERSION:
+            assert decoded == message
+
+    def test_golden_frames_cover_every_message_kind(self):
+        from repro.service.protocol import _MESSAGE_TYPES
+
+        assert {type(m) for m in GOLDEN_MESSAGES} == set(_MESSAGE_TYPES.values())
 
     def test_request_id_round_trips(self):
         frame = pack_frame(StatsRequest(), request_id=42)
@@ -334,17 +364,14 @@ class TestBinaryFraming:
         assert received == list(enumerate(messages))
 
     def test_oversized_frame_rejected_from_header_alone(self):
-        frame = pack_frame(StatsRequest())
-        header = frame[:5]  # u32 length + u8 version, no body attached
-        import struct
-
-        huge = struct.pack(">I", 64 * 1024 * 1024) + header[4:5]
+        huge = struct.pack(">IB", 64 * 1024 * 1024, PROTOCOL_VERSION)
         with pytest.raises(OversizedFrameError, match="exceeds"):
             unpack_frame(huge, max_frame_bytes=1024)
 
     def test_pack_frame_refuses_pre_framing_versions(self):
-        with pytest.raises(ProtocolError, match="version"):
-            pack_frame(StatsRequest(), version=BINARY_FRAMING_MIN_VERSION - 1)
+        for version in range(1, MIN_PROTOCOL_VERSION):
+            with pytest.raises(ProtocolError, match="version"):
+                pack_frame(StatsRequest(), version=version)
 
     def test_pack_frame_sender_side_cap(self):
         # Senders can enforce the receiver's cap before the frame hits the
@@ -359,65 +386,74 @@ class TestBinaryFraming:
             pack_frame(message, max_frame_bytes=len(frame) - 5)
 
     def test_frame_with_old_version_byte_rejected(self):
-        import struct
-
-        body = b'{"kind": "stats"}'
-        frame = struct.pack(">IB", 1 + len(body), 4) + body
-        with pytest.raises(ProtocolError, match="version"):
-            unpack_frame(frame)
+        for version in (0, 2, 3, 4, PROTOCOL_VERSION + 1, 255):
+            with pytest.raises(ProtocolError, match="version"):
+                unpack_frame(_frame(b'{"kind": "stats"}', version))
 
     def test_frame_with_garbage_body_rejected(self):
-        import struct
-
-        body = b"\x00\x01 not json"
-        frame = struct.pack(">IB", 1 + len(body), PROTOCOL_VERSION) + body
         with pytest.raises(ProtocolError):
-            unpack_frame(frame)
+            unpack_frame(_frame(b"\x00\x01 not json"))
 
-    def test_binary_frames_never_start_with_a_brace(self):
-        # The async server autodetects newline-JSON peers by a leading '{';
-        # the frame cap keeps the length's first byte 0x00 so the two
-        # framings can never be confused.
-        for message in ALL_MESSAGES:
-            assert pack_frame(message)[0] == 0x00
+    def test_newline_json_line_is_not_a_frame(self):
+        # A pre-framing peer's first bytes, read as a length, are ~2 GB:
+        # rejected from the header, before anything is buffered.
+        line = b'{"kind":"stats","version":4}\n'
+        with pytest.raises(OversizedFrameError, match="exceeds"):
+            unpack_frame(line)
 
-    def test_line_cap_raises_oversized(self):
-        stream = io.StringIO(dumps(StatsRequest()) * 100)
-        with pytest.raises(OversizedFrameError, match="line"):
-            recv_message_versioned(stream, max_bytes=64)
 
-    def test_line_under_cap_still_decodes(self):
-        stream = io.StringIO(dumps(StatsRequest()))
-        message, version = recv_message_versioned(stream, max_bytes=65536)
-        assert message == StatsRequest()
-        assert version == PROTOCOL_VERSION
+class TestHeaderVersionIsAuthoritative:
+    def test_body_without_version_inherits_the_header(self):
+        message, version, _id, _consumed = unpack_frame(
+            _frame(b'{"kind":"stats"}', MIN_PROTOCOL_VERSION)
+        )
+        assert (message, version) == (StatsRequest(), MIN_PROTOCOL_VERSION)
+
+    @pytest.mark.parametrize("body_version", [2, 5, 7, "6", None, 6.5])
+    def test_body_version_that_disagrees_is_rejected(self, body_version):
+        body = json.dumps({"kind": "stats", "version": body_version}).encode()
+        with pytest.raises(ProtocolError, match="version"):
+            unpack_frame(_frame(body, PROTOCOL_VERSION))
+
 
 
 class TestVersionFiveNegotiation:
-    """v5 frames carry every gated field; packing for old peers strips them."""
+    """v5 frames carry every field but the v6 deadline."""
 
     def test_v5_frame_keeps_trace_and_tenant(self):
-        request = QueryRequest((1,), (2,), trace=True, tenant="analytics")
-        message, version, _id, _consumed = unpack_frame(pack_frame(request))
-        assert version == PROTOCOL_VERSION
+        request = QueryRequest(
+            (1,), (2,), trace=True, tenant="analytics", deadline_ms=20.0
+        )
+        message, version, _id, _consumed = unpack_frame(
+            pack_frame(request, version=5)
+        )
+        assert version == 5
         assert message.trace is True
         assert message.tenant == "analytics"
+        assert message.deadline_ms is None
 
-    @pytest.mark.parametrize(
-        "version,keeps_trace,keeps_tenant",
-        [(2, False, False), (3, True, False), (4, True, True)],
-    )
+    @pytest.mark.parametrize("version,keeps_deadline", [(5, False), (6, True)])
     def test_json_encode_strips_gated_fields_per_version(
-        self, version, keeps_trace, keeps_tenant
+        self, version, keeps_deadline
     ):
-        request = QueryRequest((1,), (2,), trace=True, tenant="analytics")
+        request = QueryRequest(
+            (1,), (2,), trace=True, tenant="analytics", deadline_ms=20.0
+        )
         payload = encode(request, version=version)
         assert payload["version"] == version
-        assert ("trace" in payload) == keeps_trace
-        assert ("tenant" in payload) == keeps_tenant
+        assert "trace" in payload and "tenant" in payload
+        assert ("deadline_ms" in payload) == keeps_deadline
 
-    def test_response_trace_stripped_for_v2_peer(self):
-        response = QueryResponse(pairs=((1, 2),), trace={"attrs": {}, "spans": []})
-        payload = encode(response, version=2)
-        assert "trace" not in payload
-        assert decode(payload) == QueryResponse(pairs=((1, 2),), trace=None)
+
+class TestRequestIds:
+    @pytest.mark.parametrize("bad_id", [[1, 2], {"a": 1}, "7", 1.5, True])
+    def test_non_integer_id_rejected(self, bad_id):
+        body = json.dumps({"kind": "stats", "id": bad_id}).encode()
+        with pytest.raises(ProtocolError, match="request id"):
+            unpack_frame(_frame(body))
+
+    def test_null_id_means_untagged(self):
+        _message, _version, request_id, _consumed = unpack_frame(
+            _frame(b'{"kind":"stats","id":null}')
+        )
+        assert request_id is None

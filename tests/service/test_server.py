@@ -1,4 +1,4 @@
-"""Tests for the concurrent serving layer and the socket transport."""
+"""Tests for the concurrent serving layer and the blocking socket client."""
 
 import threading
 
@@ -9,9 +9,9 @@ from repro.core.engine import DSREngine
 from repro.graph import generators
 from repro.graph.traversal import reachable_pairs
 from repro.service import (
+    DSRAsyncServer,
     DSRClient,
     DSRService,
-    DSRSocketServer,
     ErrorResponse,
     QueryRequest,
     QueryResponse,
@@ -20,7 +20,9 @@ from repro.service import (
     StatsRequest,
     UpdateRequest,
 )
+from repro.service.protocol import pack_frame
 from repro.service.server import ServiceMetrics
+from tests.service.wire import exchange, raw_frame, read_frames
 
 
 @pytest.fixture
@@ -289,7 +291,7 @@ class TestStatsAndMetrics:
 class TestSocketTransport:
     def test_end_to_end_over_socket(self, graph, service):
         vertices = sorted(graph.vertices())
-        with DSRSocketServer(service) as server:
+        with DSRAsyncServer(service) as server:
             host, port = server.address
             with DSRClient(host, port) as client:
                 response = client.query(vertices[:6], vertices[60:66])
@@ -307,11 +309,12 @@ class TestSocketTransport:
                 stats = client.stats().stats
                 assert stats["queries"] == 3
                 assert client.snapshot().snapshot["rounds"] >= 0
-            assert server.requests_served == 6
+                assert client.reconnects == 0
+        assert service.stats()["requests"] == 4  # 3 queries + 1 update
 
     def test_multiple_concurrent_clients(self, graph, service):
         vertices = sorted(graph.vertices())
-        with DSRSocketServer(service) as server:
+        with DSRAsyncServer(service) as server:
             host, port = server.address
             errors = []
 
@@ -330,96 +333,77 @@ class TestSocketTransport:
             for thread in threads:
                 thread.join()
             assert not errors
-            assert server.requests_served == 20
-
-    def test_max_requests_stops_server(self, graph, service):
-        server = DSRSocketServer(service, max_requests=2).start()
-        host, port = server.address
-        with DSRClient(host, port) as client:
-            client.stats()
-            client.stats()
-        assert server.wait(timeout=5.0)
-        assert server.requests_served == 2
+        assert service.metrics.count("queries") == 20
 
     def test_malformed_frame_gets_error_response(self, graph, service):
-        import json
         import socket as socket_module
 
-        with DSRSocketServer(service) as server:
-            host, port = server.address
-            raw = socket_module.create_connection((host, port), timeout=5.0)
-            stream = raw.makefile("rw", encoding="utf-8", newline="\n")
-            stream.write(json.dumps({"kind": "teleport"}) + "\n")
-            stream.flush()
-            line = stream.readline()
-            payload = json.loads(line)
-            assert payload["kind"] == "error"
-            # A response message sent as a request is rejected, connection lives.
-            stream.write(json.dumps({"kind": "error", "error": "x", "message": "y"}) + "\n")
-            stream.flush()
-            payload = json.loads(stream.readline())
-            assert payload["kind"] == "error"
-            raw.close()
+        with DSRAsyncServer(service) as server:
+            with socket_module.create_connection(server.address, timeout=5.0) as raw:
+                # A response message sent as a request is rejected with a
+                # typed error and the connection lives on...
+                raw.sendall(pack_frame(ErrorResponse("x", "y"), request_id=1))
+                ((reply, _version, request_id),), _ = read_frames(raw, 1)
+                assert isinstance(reply, ErrorResponse)
+                assert (reply.error, request_id) == ("ProtocolError", 1)
+                raw.sendall(pack_frame(StatsRequest(), request_id=2))
+                ((reply, _version, request_id),), _ = read_frames(raw, 1)
+                assert not isinstance(reply, ErrorResponse) and request_id == 2
+                # ...while a frame that does not decode at all (unknown kind)
+                # is answered once and the connection closed.
+                raw.sendall(raw_frame({"kind": "teleport"}))
+                ((reply, _version, _id),), closed = read_frames(raw)
+                assert isinstance(reply, ErrorResponse)
+                assert reply.error == "ProtocolError" and closed
 
-
-    @pytest.mark.parametrize("version", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("version", [5, 6])
     def test_frame_with_removed_batch_budget_is_answered(
         self, graph, service, version
     ):
         """Peers of every live version may still send ``max_batch_pairs``."""
-        import json
-        import socket as socket_module
-
         vertices = sorted(graph.vertices())
-        frame = {
-            "kind": "query",
-            "version": version,
-            "sources": vertices[:4],
-            "targets": vertices[60:64],
-            "max_batch_pairs": 16,
-        }
-        with DSRSocketServer(service) as server:
-            with socket_module.create_connection(server.address, timeout=5.0) as raw:
-                stream = raw.makefile("rw", encoding="utf-8", newline="\n")
-                stream.write(json.dumps(frame) + "\n")
-                stream.flush()
-                payload = json.loads(stream.readline())
-        assert payload["kind"] == "query-result", payload
-        assert payload["version"] == version
-        assert payload["num_batches"] == 1
-        assert {tuple(pair) for pair in payload["pairs"]} == reachable_pairs(
+        frame = raw_frame(
+            {
+                "kind": "query",
+                "version": version,
+                "sources": vertices[:4],
+                "targets": vertices[60:64],
+                "max_batch_pairs": 16,
+            },
+            version,
+        )
+        with DSRAsyncServer(service) as server:
+            ((reply, reply_version, _id),), _ = exchange(
+                server.address, frame, expect=1
+            )
+        assert not isinstance(reply, ErrorResponse), reply
+        assert reply_version == version
+        assert reply.num_batches == 1
+        assert reply.pair_set == reachable_pairs(
             graph, vertices[:4], vertices[60:64]
         )
 
 
-class TestLineCap:
-    """Satellite fix: the line reader must not buffer unbounded input."""
+class TestFrameCap:
+    """The frame reader must not buffer unbounded input."""
 
-    def test_oversized_line_gets_error_then_close(self, graph, service):
-        import json
-        import socket as socket_module
+    def test_oversized_frame_gets_error_then_close(self, graph, service):
+        import struct
 
-        with DSRSocketServer(service, max_line_bytes=1024) as server:
-            host, port = server.address
-            with socket_module.create_connection((host, port), timeout=5.0) as raw:
-                raw.sendall(b"{" + b"x" * 8192 + b"\n")
-                stream = raw.makefile("r", encoding="utf-8", newline="\n")
-                try:
-                    payload = json.loads(stream.readline())
-                except (ConnectionResetError, ValueError):
-                    return  # reset before the error flushed: also closed
-                assert payload["kind"] == "error"
-                assert payload["error"] == "OversizedFrameError"
-                # The connection is closed afterwards: EOF or a reset, but
-                # never another successful exchange.
-                try:
-                    assert stream.readline() == ""
-                except ConnectionResetError:
-                    pass
+        with DSRAsyncServer(service, max_frame_bytes=1024) as server:
+            # One byte over the cap: refused from the header, the 8 KiB that
+            # follow are never reassembled.
+            frames, closed = exchange(
+                server.address, struct.pack(">IB", 1025, 6) + b"x" * 8192
+            )
+        assert closed  # never another successful exchange
+        ((reply, _version, _id),) = frames
+        assert isinstance(reply, ErrorResponse)
+        assert reply.error == "OversizedFrameError"
 
-    def test_normal_lines_unaffected_by_cap(self, graph, service):
+    def test_normal_frames_unaffected_by_cap(self, graph, service):
         vertices = sorted(graph.vertices())
-        with DSRSocketServer(service, max_line_bytes=65536) as server:
+        with DSRAsyncServer(service, max_frame_bytes=65536) as server:
             host, port = server.address
             with DSRClient(host, port) as client:
                 response = client.query(vertices[:4], vertices[40:44])
@@ -463,56 +447,49 @@ class TestClientTimeoutsAndRetries:
 
     def test_reconnects_across_server_restart(self, graph, service):
         vertices = sorted(graph.vertices())
-        first = DSRSocketServer(service).start()
+        first = DSRAsyncServer(service).start_in_thread()
         host, port = first.address
         client = DSRClient(host, port, retries=3, retry_backoff_seconds=0.05)
         try:
             response = client.query(vertices[:4], vertices[40:44])
             assert not isinstance(response, ErrorResponse)
-            first.stop()
+            first.stop_from_thread()
             # Same port, fresh server: the client's next request sees a dead
             # socket, reconnects within its retry budget and succeeds.
-            second = DSRSocketServer(service, host=host, port=port).start()
+            second = DSRAsyncServer(service, host=host, port=port).start_in_thread()
             try:
                 after = client.query(vertices[:4], vertices[44:48])
                 assert not isinstance(after, ErrorResponse)
                 assert client.reconnects >= 1  # the restart forced a retry
             finally:
-                second.stop()
+                second.stop_from_thread()
         finally:
             client.close()
-            first.stop()
+            first.stop_from_thread()
 
 
 class TestPipelinedRequests:
-    """A client may write several requests before reading any reply.
-
-    Regression guard: the serve loop must use split read/write streams — a
-    combined ``makefile("rw")`` TextIOWrapper discards its read-ahead buffer
-    on every write (sockets are not seekable), silently dropping whatever
-    pipelined requests it had already pulled off the wire.
-    """
+    """A client may write several requests before reading any reply."""
 
     def test_pipelined_requests_all_answered(self, graph, service):
-        import json
         import socket as socket_module
 
-        from repro.service.protocol import QueryRequest, dumps
-
         vertices = sorted(graph.vertices())
-        line = (
-            dumps(QueryRequest(tuple(vertices[:3]), tuple(vertices[40:43]))) + "\n"
-        ).encode("utf-8")
-        with DSRSocketServer(service) as server:
-            host, port = server.address
-            with socket_module.create_connection((host, port), timeout=10.0) as raw:
-                reader = raw.makefile("r", encoding="utf-8", newline="\n")
+        expected = reachable_pairs(graph, vertices[:3], vertices[40:43])
+        request = QueryRequest(tuple(vertices[:3]), tuple(vertices[40:43]))
+        with DSRAsyncServer(service) as server:
+            with socket_module.create_connection(server.address, timeout=10.0) as raw:
                 # Burst of 4 up front, then lock-step: one new request per
-                # reply received — the pattern that exposed the data loss.
-                raw.sendall(line * 4)
+                # reply received.
+                raw.sendall(
+                    b"".join(pack_frame(request, request_id=i) for i in range(4))
+                )
+                buffer, seen = bytearray(), set()
                 for received in range(1, 11):
-                    payload = json.loads(reader.readline())
-                    assert payload["kind"] == "query-result", payload
+                    ((reply, _version, request_id),), _ = read_frames(raw, 1, buffer)
+                    assert reply.pair_set == expected, reply
+                    seen.add(request_id)
                     if received <= 6:
-                        raw.sendall(line)
-        assert server.requests_served == 10
+                        raw.sendall(pack_frame(request, request_id=3 + received))
+        assert seen == set(range(10))
+        assert service.metrics.count("queries") == 10

@@ -96,50 +96,64 @@ class TestCliCommands:
         )
         assert code == 0
 
-    def test_serve_socket_with_max_requests(self, capsys):
+    def test_serve_end_to_end_until_sigint(self):
+        """The real thing: ``python -m repro.cli serve`` as a subprocess, a
+        blocking client against it, Ctrl-C, exit code 0 and the metrics."""
+        import os
+        import signal
         import socket
-        import threading
-        import time
+        import subprocess
+        import sys
+        from pathlib import Path
 
-        from repro.service import DSRClient
+        from repro.bench.datasets import load_dataset
+        from repro.graph.traversal import reachable_pairs
+        from repro.service import DSRClient, QueryResponse, StatsResponse
 
-        # Reserve a free port, then run the server on it in a helper thread;
-        # --max-requests makes it exit once the client uses up the budget.
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
         probe.close()
-        result = {}
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "amazon",
+             "--scale", "0.15", "--partitions", "3", "--port", str(port)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            # A parent that ignores SIGINT (a backgrounded test run) would
+            # hand that down, and the child's Ctrl-C handler with it.
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            banner = ""
+            while "serving (binary frames)" not in banner:
+                banner = server.stdout.readline()
+                assert banner, f"server exited early: {server.stderr.read()}"
+            assert f"127.0.0.1:{port}" in banner
+            graph = load_dataset("amazon", scale=0.15, seed=7)
+            vertices = sorted(graph.vertices())
+            sources, targets = vertices[:6], vertices[40:46]
+            with DSRClient("127.0.0.1", port, timeout=10.0) as client:
+                stats = client.stats()
+                response = client.query(sources, targets)
+            assert isinstance(stats, StatsResponse)
+            assert isinstance(response, QueryResponse) and not response.cached
+            assert response.pair_set == reachable_pairs(graph, sources, targets)
+            server.send_signal(signal.SIGINT)
+            output, errors = server.communicate(timeout=30)
+            assert server.returncode == 0, errors
+            assert "serving metrics" in output
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
 
-        def run_server():
-            try:
-                result["code"] = main(
-                    ["serve", "amazon", "--scale", "0.15", "--partitions", "3",
-                     "--port", str(port), "--max-requests", "2"]
-                )
-            except BaseException as exc:  # surfaced by the asserts below
-                result["error"] = exc
-
-        thread = threading.Thread(target=run_server)
-        thread.start()
-        response = None
-        for _ in range(100):
-            if "error" in result:
-                break
-            try:
-                with DSRClient("127.0.0.1", port, timeout=5.0) as client:
-                    client.stats()
-                    response = client.query([0, 1], [40, 41])
-                break
-            except OSError:
-                time.sleep(0.05)
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert result.get("error") is None
-        assert result.get("code") == 0
-        assert response is not None and not response.cached
-        output = capsys.readouterr().out
-        assert "served 2 requests" in output
+    @pytest.mark.parametrize("flag", [["--async"], ["--max-requests", "2"]])
+    def test_removed_serve_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "amazon", "--scale", "0.1", "--self-test", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -161,13 +175,13 @@ class TestAsyncServeCli:
         code = main(
             [
                 "serve", "amazon", "--scale", "0.1", "--partitions", "2",
-                "--async", "--rate-limit-qps", "100",
+                "--rate-limit-qps", "100",
                 "--high-watermark", "8", "--low-watermark", "2",
             ]
         )
         assert code == 0
         output = capsys.readouterr().out
-        assert "serving (async, binary frames)" in output
+        assert "serving (binary frames)" in output
         assert "watermarks 2/8" in output
         assert "rate limit 100" in output
         assert "serving metrics" in output
@@ -179,11 +193,11 @@ class TestAsyncServeCli:
         code = main(
             [
                 "serve", "amazon", "--scale", "0.1", "--partitions", "2",
-                "--async", "--executor", "tcp",
+                "--executor", "tcp",
             ]
         )
         assert code == 0
-        assert "serving (async" in capsys.readouterr().out
+        assert "serving (binary frames)" in capsys.readouterr().out
 
     def test_worker_host_command(self, capsys, monkeypatch):
         from repro.cluster.tcp import WorkerHost
