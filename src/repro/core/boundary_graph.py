@@ -7,18 +7,21 @@ partition ``G_j``.  Without the equivalence-set optimisation every reachable
 with it, the transitive part is a minimum equivalent graph routed through
 virtual class vertices — same reachability, a fraction of the edges.
 
-The boundary graph is not used directly at query time (the compound graph
-subsumes it); it exists as its own artefact because the paper reports its size
-with and without the equivalence optimisation (Table 4) and because building
-it in isolation makes the index logic much easier to test.
+:func:`boundary_graph_parts` is the one definition of ``G^B_i``'s vertices
+and edges: the compound graph ``G^C_i`` (:mod:`repro.core.compound_graph`)
+is those parts plus the local subgraph, assembled straight into a CSR
+snapshot.  The boundary graph as a graph of its own exists because the paper
+reports its size with and without the equivalence optimisation (Table 4) and
+because building it in isolation makes the index logic much easier to test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Tuple
+from typing import Iterable, List, Mapping, Tuple
 
 from repro.core.summary import PartitionSummary
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 
 
@@ -32,26 +35,25 @@ class BoundaryGraphStats:
     num_backward_entries: int
 
 
-def add_summary_to_graph(graph: DiGraph, summary: PartitionSummary) -> None:
-    """Add one remote partition's summary (vertices + edges) to ``graph``."""
-    for vertex in summary.boundary_vertices:
-        graph.add_vertex(vertex)
-    if summary.use_equivalence:
-        member_to_forward = summary.member_to_forward_class()
-        member_to_backward = summary.member_to_backward_class()
-        for cls in summary.forward_classes:
-            graph.add_vertex(cls.class_id)
-        for cls in summary.backward_classes:
-            graph.add_vertex(cls.class_id)
-        # Connectors: member -> its forward class, backward class -> member.
-        for member, class_id in member_to_forward.items():
-            graph.add_edge(member, class_id)
-        for member, class_id in member_to_backward.items():
-            graph.add_edge(class_id, member)
-    for source, target in summary.class_edges:
-        graph.add_edge(source, target)
-    for source, target in summary.member_edges:
-        graph.add_edge(source, target)
+def boundary_graph_parts(
+    partition_id: int,
+    summaries: Mapping[int, PartitionSummary],
+    cut_edges: Iterable[Tuple[int, int]],
+) -> Tuple[List[int], List[Tuple[int, int]]]:
+    """``(vertices, edges)`` of ``G^B_i``: every *other* summary's
+    :meth:`~repro.core.summary.PartitionSummary.graph_contribution` plus the
+    cut.  Fresh lists (callers extend them); duplicates are left for the
+    graph constructor to collapse."""
+    vertices: List[int] = []
+    edges: List[Tuple[int, int]] = []
+    for other_id, summary in summaries.items():
+        if other_id == partition_id:
+            continue
+        summary_vertices, summary_edges = summary.graph_contribution()
+        vertices.extend(summary_vertices)
+        edges.extend(summary_edges)
+    edges.extend(cut_edges)
+    return vertices, edges
 
 
 def build_boundary_graph(
@@ -60,14 +62,8 @@ def build_boundary_graph(
     cut_edges: Iterable[Tuple[int, int]],
 ) -> DiGraph:
     """Build ``G^B_i``: the cut plus every *other* partition's summary."""
-    graph = DiGraph()
-    for u, v in cut_edges:
-        graph.add_edge(u, v)
-    for other_id, summary in summaries.items():
-        if other_id == partition_id:
-            continue
-        add_summary_to_graph(graph, summary)
-    return graph
+    vertices, edges = boundary_graph_parts(partition_id, summaries, cut_edges)
+    return DiGraph.from_edges(edges, vertices)
 
 
 def boundary_graph_stats(
@@ -81,7 +77,7 @@ def boundary_graph_stats(
     handles contributed by the other partitions — the quantity Table 4 reports
     as ``#forward; #backward``.
     """
-    graph = build_boundary_graph(partition_id, summaries, cut_edges)
+    graph = CSRGraph.from_edges(*boundary_graph_parts(partition_id, summaries, cut_edges))
     forward_entries = 0
     backward_entries = 0
     for other_id, summary in summaries.items():

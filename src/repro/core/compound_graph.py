@@ -41,11 +41,16 @@ handles step 1 ships are the closure's.
 
 At query time local set-reachability is evaluated over the *SCC-condensed*
 compound graph (as the paper does for all three local strategies), wrapped so
-that callers keep using original vertex ids.  Both the condensation and the
-traversal-based strategies run over CSR snapshots (:mod:`repro.graph.csr`):
-:meth:`CondensedReachability.rebuild` condenses via the compound graph's
-snapshot and pre-warms the condensation DAG's own snapshot, so the first
-query after a build or maintenance flush pays no lazy CSR construction.
+that callers keep using original vertex ids.
+
+Both are immutable CSR snapshots (:mod:`repro.graph.csr`), built in bulk
+with no ``DiGraph`` in between: :func:`assemble_compound_graph` sorts the
+local edges, the remote summaries' memoised contributions and the cut into
+one snapshot (:meth:`~repro.graph.csr.CSRGraph.from_edges`), and
+:func:`~repro.graph.scc.condense` emits the condensation as a snapshot in
+one pass over it, which every strategy then runs over directly.  A
+published compound graph is never edited in place except by
+:meth:`CompoundGraph.add_isolated_vertex`, which swaps in a new snapshot.
 """
 
 from __future__ import annotations
@@ -55,11 +60,12 @@ from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 
 import weakref
 
-from repro.core.boundary_graph import add_summary_to_graph
+from repro.core.boundary_graph import boundary_graph_parts
 from repro.core.packed_steps import build_member_masks, condensation_rows
 from repro.core.summary import PartitionSummary
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
-from repro.graph.scc import condense
+from repro.graph.scc import GraphLike, condense
 from repro.reachability.base import ReachabilityIndex
 from repro.reachability.factory import make_reachability_index
 from repro.reachability.packed import VertexRank, handle_positions
@@ -81,7 +87,7 @@ class _CondensedView:
     expanding a reached component to its member vertices is a single OR.
     """
 
-    dag: DiGraph
+    dag: CSRGraph
     vertex_to_component: Dict[int, int]
     index: ReachabilityIndex
     vertex_rank: VertexRank
@@ -93,29 +99,25 @@ class CondensedReachability:
     """Set-reachability over the SCC-condensed view of a graph.
 
     Wraps any centralized strategy built over the condensation and translates
-    between original vertex ids and component ids.
+    between original vertex ids and component ids.  ``graph`` is a snapshot
+    (a compound graph) or a ``DiGraph``, whose current snapshot is frozen in.
     """
 
-    def __init__(self, graph: DiGraph, strategy: str = "dfs", **kwargs) -> None:
-        self.graph = graph
+    def __init__(self, graph: GraphLike, strategy: str = "dfs", **kwargs) -> None:
         self.strategy = strategy
         self._kwargs = kwargs
-        self.rebuild()
+        self.rebuild(graph)
 
-    def rebuild(self) -> None:
-        dag, vertex_to_component = condense(self.graph)
-        # Pre-warm the DAG's CSR snapshot: the traversal strategies would
-        # otherwise build it lazily on the first query, charging one-off
-        # construction cost to query latency instead of build time.  (The
-        # label/closure indexes reach it anyway through their own internal
-        # condensation, so this is never wasted work.)
-        dag_csr = dag.csr()
+    def rebuild(self, graph: GraphLike) -> None:
+        """Condense ``graph`` and publish the complete view in one swap."""
+        self.graph = graph
+        dag, vertex_to_component = condense(graph)
         index = make_reachability_index(self.strategy, dag, **self._kwargs)
         # Packed-pipeline structures, frozen with the view: the stable
         # vertex/component rank numberings and the per-component member
         # masks used to expand component rows to member rows in one OR.
-        vertex_rank = VertexRank.from_csr(self.graph.csr())
-        dag_rank = VertexRank.from_csr(dag_csr)
+        vertex_rank = VertexRank.from_csr(graph.csr())
+        dag_rank = VertexRank.from_csr(dag)
         masks = build_member_masks(
             vertex_rank.ids, vertex_to_component, dag_rank.rank_of, len(dag_rank)
         )
@@ -126,7 +128,7 @@ class CondensedReachability:
 
     # Legacy attribute access (read-only snapshots of the current view).
     @property
-    def dag(self) -> DiGraph:
+    def dag(self) -> CSRGraph:
         return self._view.dag
 
     @property
@@ -142,8 +144,8 @@ class CondensedReachability:
         """Capture the published condensation view (one consistent tuple).
 
         Packed query steps capture the view **once** and derive every rank,
-        mask and row from it: the sanctioned in-place rebuild (an
-        isolated-vertex insert) swaps in a view with a *shifted* rank
+        mask and row from it: the sanctioned rebuild (an isolated-vertex
+        insert) swaps in a view with a *shifted* rank
         numbering, and mixing pre-/post-swap reads within one step would
         AND masks against rows of a different numbering.
         """
@@ -207,7 +209,9 @@ class CompoundGraph:
     """The compound graph of one partition plus its query-time helpers."""
 
     partition_id: int
-    graph: DiGraph
+    #: ``G^C_i`` as an immutable snapshot; only :meth:`add_isolated_vertex`
+    #: ever replaces it on a published compound graph.
+    graph: CSRGraph
     local_vertices: Set[int]
     # Entry handles of every *remote* partition, keyed by partition id.
     remote_forward_handles: Dict[int, Set[int]] = field(default_factory=dict)
@@ -217,10 +221,9 @@ class CompoundGraph:
     # Local strategy evaluated over the condensed compound graph.
     reachability: Optional[CondensedReachability] = None
     # Packed handle masks, cached per VertexRank *object*: every rebuild —
-    # including the sanctioned *in-place* one after an isolated-vertex
-    # insert, which calls ``reachability.rebuild()`` without going through
-    # this class — installs a fresh rank, so entries keyed by a retired
-    # rank are unreachable (and garbage-collected with it) rather than
+    # including the sanctioned one after an isolated-vertex insert
+    # (:meth:`add_isolated_vertex`) — installs a fresh rank, so entries keyed
+    # by a retired rank are unreachable (and garbage-collected with it) rather than
     # cleared-and-restamped, which a racing reader could re-poison.  Handle
     # *positions* are rank-independent (sorted handle ids) and never stale.
     _handle_masks: "weakref.WeakKeyDictionary" = field(
@@ -234,6 +237,25 @@ class CompoundGraph:
     def build_reachability(self, strategy: str = "dfs", **kwargs) -> None:
         """(Re)build the condensed local reachability strategy."""
         self.reachability = CondensedReachability(self.graph, strategy=strategy, **kwargs)
+
+    def add_isolated_vertex(self, vertex: int) -> None:
+        """Register a new isolated local vertex with this published graph.
+
+        The one sanctioned edit of a published compound graph: a new
+        snapshot — this one's vertices plus ``vertex``, the same edges — is
+        swapped in and, when the condensation exists, re-condensed into a
+        new view.  It never reads anything but this epoch's own snapshot,
+        so no answer of the epoch changes (an isolated vertex reaches and is
+        reached by nothing); only the rank numbering shifts, which pinned
+        views (:meth:`condensation_view`) and the worker payloads' rank
+        cardinality check absorb.
+        """
+        self.graph = CSRGraph.from_edges(
+            (*self.graph.ids, vertex), tuple(self.graph.edges())
+        )
+        self.local_vertices.add(vertex)
+        if self.reachability is not None:
+            self.reachability.rebuild(self.graph)
 
     # -- packed-row pipeline -------------------------------------------- #
     @property
@@ -331,10 +353,17 @@ def assemble_compound_graph(
 ) -> CompoundGraph:
     """Merge the local subgraph, remote summaries and cut into ``G^C_i``.
 
-    The returned compound graph has no reachability strategy yet (it is
-    built on first use, or explicitly by :func:`build_compound_graph`).
+    ``G^C_i`` is ``G^B_i``'s parts (:func:`~repro.core.boundary_graph.
+    boundary_graph_parts`) plus the local vertices and edges, built into
+    one CSR snapshot in bulk — byte-identical to snapshotting the
+    ``DiGraph`` the same edges would make, so vertex ranks, packed masks
+    and wire positions are a function of the graph alone.  The returned
+    compound graph has no reachability strategy yet (it is built on first
+    use, or explicitly by :func:`build_compound_graph`).
     """
-    graph = local_graph.copy()
+    vertices, edges = boundary_graph_parts(partition_id, summaries, cut_edges)
+    vertices.extend(local_graph.vertices())
+    edges.extend(local_graph.edges())
     remote_forward: Dict[int, Set[int]] = {}
     remote_backward: Dict[int, Set[int]] = {}
     remote_boundary: Set[int] = set()
@@ -342,17 +371,13 @@ def assemble_compound_graph(
     for other_id, summary in summaries.items():
         if other_id == partition_id:
             continue
-        add_summary_to_graph(graph, summary)
         remote_forward[other_id] = summary.forward_handles()
         remote_backward[other_id] = summary.backward_handles()
         remote_boundary |= summary.boundary_vertices
 
-    for u, v in cut_edges:
-        graph.add_edge(u, v)
-
     return CompoundGraph(
         partition_id=partition_id,
-        graph=graph,
+        graph=CSRGraph.from_edges(vertices, edges),
         local_vertices=set(local_graph.vertices()),
         remote_forward_handles=remote_forward,
         remote_backward_handles=remote_backward,

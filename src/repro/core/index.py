@@ -85,9 +85,14 @@ class EpochState:
     """One consistent, published version of every per-partition structure.
 
     A state is immutable by contract once published: maintenance builds a
-    *new* state and swaps it in, it never edits a published one (the single
-    sanctioned exception is the provably answer-preserving in-place edits for
-    non-structural updates, e.g. an edge insert inside an existing SCC).
+    *new* state and swaps it in.  Its compound graphs and condensations are
+    immutable CSR snapshots that no update edits; the one exception is an
+    isolated-vertex insert, which registers the vertex in ``assignment`` and
+    ``local_graphs`` and swaps a rebuilt snapshot into its partition's
+    compound graph (:meth:`~repro.core.compound_graph.CompoundGraph.
+    add_isolated_vertex`) — provably answer-preserving.  ``local_graphs``
+    also mirror non-structural edge inserts (``u ⇝ v`` already held
+    locally) and edge deletions: the next flush reads them, no query does.
     """
 
     epoch: int
@@ -100,8 +105,8 @@ class EpochState:
     boundary_sets: Dict[int, Set[int]] = field(default_factory=dict)
     #: Vertex → partition assignment as of this epoch.  Queries split and
     #: route against this snapshot, so a racing vertex deletion on the live
-    #: partitioning can never crash or tear a lock-free read (the one
-    #: sanctioned in-place edit: an isolated-vertex insert registers here).
+    #: partitioning can never crash or tear a lock-free read (an
+    #: isolated-vertex insert registers here, see above).
     assignment: Dict[int, int] = field(default_factory=dict)
     #: How long :meth:`DSRIndex.build_epoch_state` held the mutation lock
     #: (cut recompute + local-graph copies) building this state.
@@ -189,9 +194,8 @@ class DSRIndex:
             raise RuntimeError("index not built")
         return state
 
-    # Legacy dict attributes now delegate to the published epoch state so
-    # existing read paths (and the sanctioned in-place non-structural edits)
-    # keep working unchanged.
+    # Legacy dict attributes delegate to the published epoch state, so read
+    # paths and the update mirrors (see EpochState) address the current one.
     @property
     def local_graphs(self) -> Dict[int, DiGraph]:
         return self.current_state().local_graphs
@@ -320,16 +324,16 @@ class DSRIndex:
         compound graphs, condensations) runs unlocked, which is what lets
         queries keep being answered from the current epoch while this builds.
 
-        Known tradeoff: the snapshot copies *all* partitions' graphs, not
-        just the dirty ones, so updates stall for an O(V+E) copy per flush
-        (4–10 ms on the spine's 1–2k-vertex graphs, against a heavy phase of
-        50–180 ms now that summaries are minimum equivalent graphs — no
-        longer negligible, but still the smaller lever: every compound graph
-        is reassembled and recondensed below whether or not its inputs
-        changed).  Sharing clean partitions with the published state is not
-        an option — a sanctioned in-place edit (same-SCC edge insert) could
-        mutate a shared graph while the unlocked heavy phase iterates it.
-        Queries are never stalled either way.
+        The snapshot copies *all* partitions' local graphs, not just the
+        dirty ones (bulk set copies, see :meth:`DiGraph.copy`), and
+        re-derives the cut from every edge of the data graph, so updates
+        stall for O(V+E) per flush; queries are never stalled.  A clean
+        partition's published local graph cannot be shared instead: the
+        update mirrors (a non-structural edge insert, an isolated vertex)
+        edit it in place while the unlocked heavy phase would iterate it.
+        The heavy phase reassembles every compound graph straight into a
+        CSR snapshot and condenses it into another, whether or not its
+        inputs changed.
         """
         current = self.current_state()
         dirty = set(dirty)
@@ -346,8 +350,8 @@ class DSRIndex:
             cut_edges = self.partitioning.cut_edges()
             # Every partition's local graph is copied under the lock — clean
             # ones included.  Sharing a clean partition's DiGraph with the
-            # published state would let a concurrent in-place edge edit
-            # mutate it while the unlocked heavy phase below iterates it.
+            # published state would let a concurrent update mirror mutate
+            # it while the unlocked heavy phase below iterates it.
             local_graphs = {
                 pid: (
                     self.partitioning.local_subgraph(pid)
@@ -555,8 +559,8 @@ class DSRIndex:
     def rehydrate_partition(self, partition_id: int) -> None:
         """Refresh one rank's worker shard for the *current* epoch.
 
-        Used after the sanctioned in-place non-structural edits (e.g. an
-        isolated-vertex insert) so sharded workers learn the new vertex
+        Used after an isolated-vertex insert (the one sanctioned edit of a
+        published compound graph) so sharded workers learn the new vertex
         without waiting for a full epoch flush.
         """
         if not self.uses_sharded_queries or not self.is_built:

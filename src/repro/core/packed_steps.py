@@ -33,12 +33,15 @@ def build_member_masks(
     ``vertex_ids`` is the epoch's vertex-rank id order.  Member ranks are
     collected per component first and packed with one ``int.from_bytes``
     each (see :func:`repro.reachability.packed.pack_ranks`) — O(V + bytes)
-    instead of the O(V·width/64) growing-bigint OR loop.
+    instead of the O(V·width/64) growing-bigint OR loop; a singleton
+    component (every vertex of a DAG) is one shift.
     """
     members_of: List[List[int]] = [[] for _ in range(num_components)]
     for r, vertex in enumerate(vertex_ids):
         members_of[component_rank_of[vertex_to_component[vertex]]].append(r)
-    return tuple(pack_ranks(ranks) for ranks in members_of)
+    return tuple(
+        1 << ranks[0] if len(ranks) == 1 else pack_ranks(ranks) for ranks in members_of
+    )
 
 
 def condensation_rows(

@@ -353,7 +353,8 @@ def build_shard_blob(
 
     ``compound`` is the partition's :class:`~repro.core.compound_graph.
     CompoundGraph` (its condensed reachability is built if missing) and
-    ``summary`` its :class:`~repro.core.summary.PartitionSummary`.
+    ``summary`` its :class:`~repro.core.summary.PartitionSummary`.  The
+    condensation is already a CSR snapshot; it ships as it is.
 
     With a :class:`~repro.cluster.shm.ShmLedger`, the bulk payload (CSR
     image, vertex-rank order, component mapping, handle tables, expansion
@@ -365,7 +366,7 @@ def build_shard_blob(
     if compound.reachability is None:
         compound.build_reachability()
     reach = compound.reachability
-    csr = reach.dag.csr()
+    csr = reach.dag
     vertex_ids = reach.vertex_rank.ids
     component_of = reach.vertex_to_component
     remote_forward_handles = {

@@ -67,6 +67,9 @@ class PartitionSummary:
     _forward_handle_order: Optional[Tuple[int, ...]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    _contribution: Optional[Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------ #
     # derived accessors
@@ -170,16 +173,41 @@ class PartitionSummary:
             for cls in list(self.forward_classes) + list(self.backward_classes)
         }
 
+    def graph_contribution(
+        self,
+    ) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]:
+        """``(vertices, edges)`` this summary adds to every remote graph (memoised).
+
+        The single definition of what partition ``j`` contributes to the
+        boundary graph ``G^B_i`` and the compound graph ``G^C_i`` of every
+        other partition ``i``: its boundary vertices, and — with the
+        equivalence optimisation — its class vertices with their connectors
+        (member → forward class, backward class → member), plus the stored
+        transitive edges.  Computed once per summary: a clean partition's
+        summary is reused across epochs, so every later flush assembles from
+        the memo.
+        """
+        if self._contribution is None:
+            vertices = list(self.boundary_vertices)
+            edges = list(self.class_edges)
+            edges.extend(self.member_edges)
+            if self.use_equivalence:
+                vertices.extend(cls.class_id for cls in self.forward_classes)
+                vertices.extend(cls.class_id for cls in self.backward_classes)
+                edges.extend(self.member_to_forward_class().items())
+                edges.extend(
+                    (class_id, member)
+                    for member, class_id in self.member_to_backward_class().items()
+                )
+            self._contribution = (tuple(vertices), tuple(edges))
+        return self._contribution
+
     # ------------------------------------------------------------------ #
     # size accounting (Table 2 / Table 4)
     # ------------------------------------------------------------------ #
     def num_transitive_edges(self) -> int:
         """Edges this summary contributes to every remote boundary graph."""
-        connectors = 0
-        if self.use_equivalence:
-            connectors = sum(len(cls.members) for cls in self.forward_classes)
-            connectors += sum(len(cls.members) for cls in self.backward_classes)
-        return len(self.class_edges) + len(self.member_edges) + connectors
+        return len(self.graph_contribution()[1])
 
     def message_size(self) -> int:
         """Estimated size (bytes) of shipping this summary to another slave."""

@@ -395,10 +395,12 @@ class IncrementalMaintainer:
                         and components.get(u) == components.get(v)
                         and is_reachable(local_graph, u, v)
                     )
-                # Keep the per-partition graphs in sync immediately (cheap).
+                # Mirror the edge into the epoch's local graph, which the next
+                # flush copies for a clean partition.  The published compound
+                # snapshot is left alone: when ``u ⇝ v`` already holds it
+                # answers identically without the edge, and otherwise the
+                # partition is dirty and the next epoch reassembles it.
                 local_graph.add_edge(u, v)
-                if compound is not None:
-                    compound.graph.add_edge(u, v)
                 if already_reachable:
                     # The edge adds no local reachability: no summary or
                     # condensation change is possible (Section 3.3.3).
@@ -443,10 +445,9 @@ class IncrementalMaintainer:
                 pid_v = self.partitioning.partition_of(v)
                 self.graph.remove_edge(u, v)
                 if pid_u == pid_v:
+                    # The published compound snapshot keeps the edge: the
+                    # epoch answers as of its own graph until the flush.
                     self.index.local_graphs[pid_u].remove_edge(u, v)
-                    compound = self.index.compound_graphs.get(pid_u)
-                    if compound is not None:
-                        compound.graph.remove_edge(u, v)
                     affected = {pid_u}
                 else:
                     affected = {pid_u, pid_v}
@@ -489,20 +490,18 @@ class IncrementalMaintainer:
                 state = self.index.current_state()
                 state.local_graphs[partition_id].add_vertex(new_vertex)
                 # Queries split against the epoch's assignment snapshot, so
-                # the new vertex must register there too (isolated vertex:
-                # provably answer-preserving, the one sanctioned in-place
-                # edit of a published state).
+                # the new vertex must register there too, and with the
+                # partition's compound graph — rebuilt from the epoch's own
+                # snapshot plus the vertex (isolated vertex: provably
+                # answer-preserving, the one sanctioned edit of a published
+                # state).
                 state.assignment[new_vertex] = partition_id
-                compound = state.compound_graphs[partition_id]
-                compound.graph.add_vertex(new_vertex)
-                compound.local_vertices.add(new_vertex)
-                if compound.reachability is not None:
-                    compound.reachability.rebuild()
+                state.compound_graphs[partition_id].add_isolated_vertex(new_vertex)
                 if self._flush_lock.locked():
                     # A flush is in flight and its snapshot may predate this
                     # insert — the epoch it publishes would then lack the
-                    # vertex (the in-place edits above touched only the
-                    # *current* state).  Mark the partition dirty so a
+                    # vertex (the edits above touched only the *current*
+                    # state).  Mark the partition dirty so a
                     # follow-up flush re-derives it from the live graph.
                     # With no flush in flight this is unnecessary: the next
                     # snapshot copies the current state/live assignment,

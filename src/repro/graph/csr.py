@@ -18,6 +18,14 @@ graph's cached one (a dirty flag inside ``DiGraph``), so the next call to
 ``DiGraph.csr()`` rebuilds lazily.  Hold onto a snapshot only for as long as
 you want a frozen view.
 
+A snapshot need not come from a ``DiGraph`` at all: :meth:`CSRGraph.from_edges`
+builds one in bulk from vertex and edge lists (how every compound graph is
+assembled), and :func:`repro.graph.scc.condense` emits its condensation
+straight into one.  Snapshots answer the read side of the ``DiGraph`` API
+(``csr``, ``vertices``, ``edges``, ``has_vertex``, ``successors``,
+``predecessors``, ``num_vertices``, ``num_edges``), so strategies and the
+reference traversals accept either.
+
 Dense indices vs. vertex ids
 ----------------------------
 ``ids[i]`` maps the dense index ``i`` back to the original vertex id and
@@ -31,7 +39,8 @@ from __future__ import annotations
 
 import struct
 from array import array
-from typing import Dict, Optional, Tuple, TYPE_CHECKING
+from bisect import bisect_left
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (digraph imports us)
     from repro.graph.digraph import DiGraph
@@ -97,6 +106,35 @@ class CSRGraph:
             fwd_targets.extend(sorted(index_of[w] for w in graph.successors(vertex)))
             fwd_offsets[i + 1] = len(fwd_targets)
         return cls(ids, index_of, fwd_offsets, fwd_targets)
+
+    @classmethod
+    def from_edges(
+        cls, vertices: Iterable[int], edges: Sequence[Tuple[int, int]]
+    ) -> "CSRGraph":
+        """Build a snapshot in bulk from vertex ids and ``(u, v)`` id pairs.
+
+        Edge endpoints join the vertex set and duplicate edges collapse, so
+        the result is byte-identical to :meth:`from_digraph` of the
+        ``DiGraph`` those ``add_vertex`` / ``add_edge`` calls would build —
+        without building it: every edge becomes one integer key
+        ``u * n + v`` over the dense indices, and one sort of the key set
+        yields every adjacency run de-duplicated and in order.
+        """
+        vertex_set = set(vertices)
+        vertex_set.update([u for u, _ in edges])
+        vertex_set.update([v for _, v in edges])
+        ids = tuple(sorted(vertex_set))
+        index_of = {vertex: i for i, vertex in enumerate(ids)}
+        n = len(ids)
+        # Sorted distinct keys are exactly the forward CSR order.
+        keys = sorted({index_of[u] * n + index_of[v] for u, v in edges})
+        fwd_offsets = array("q", [bisect_left(keys, u * n) for u in range(n + 1)])
+        fwd_targets = array("q", [key % n for key in keys])
+        return cls(ids, index_of, fwd_offsets, fwd_targets)
+
+    def csr(self) -> "CSRGraph":
+        """A snapshot is its own snapshot (the read API shared with ``DiGraph``)."""
+        return self
 
     # ------------------------------------------------------------------ #
     # compact serialisation
@@ -310,6 +348,17 @@ class CSRGraph:
     def vertex_at(self, index: int) -> int:
         """Original vertex id at dense index ``index``."""
         return self.ids[index]
+
+    def vertices(self) -> Iterator[int]:
+        """Iterate over all vertex ids, ascending."""
+        return iter(self.ids)
+
+    def edges(self) -> Iterator[Tuple[int, int]]:
+        """Iterate over all ``(u, v)`` edges as original ids."""
+        ids, offsets, targets = self.ids, self.fwd_offsets, self.fwd_targets
+        for i, vertex in enumerate(ids):
+            for w in targets[offsets[i] : offsets[i + 1]]:
+                yield (vertex, ids[w])
 
     # ------------------------------------------------------------------ #
     # adjacency

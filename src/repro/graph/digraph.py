@@ -27,6 +27,32 @@ class GraphError(Exception):
     """Raised for invalid graph operations (missing vertices, bad labels...)."""
 
 
+def _filled_sets(
+    succ: Dict[int, Set[int]], selected: Optional[Set[int]] = None
+) -> Dict[int, Set[int]]:
+    """Copies of the successor sets of ``selected`` (default: every vertex).
+
+    Each copy is filled element by element in the source set's order, so
+    it iterates exactly like the set the equivalent ``add_edge`` calls
+    would leave behind — a bulk ``set(s)`` or ``s & selected`` can size
+    its table differently and iterate in another order, and the
+    partitioners' region growing walks these sets: a different order is a
+    different partition.
+    """
+    if selected is None:
+        return {vertex: {w for w in succs} for vertex, succs in succ.items()}
+    return {vertex: {w for w in succ[vertex] if w in selected} for vertex in selected}
+
+
+def _predecessor_sets(succ: Dict[int, Set[int]]) -> Dict[int, Set[int]]:
+    """Predecessor sets of ``succ``, filled in source order (see above)."""
+    pred: Dict[int, Set[int]] = {vertex: set() for vertex in succ}
+    for u, targets in succ.items():
+        for v in targets:
+            pred[v].add(u)
+    return pred
+
+
 class DiGraph:
     """A mutable directed graph with integer vertices and optional labels."""
 
@@ -93,13 +119,20 @@ class DiGraph:
         return graph
 
     def copy(self) -> "DiGraph":
-        """Return a deep copy of the graph (labels included)."""
+        """Return a deep copy of the graph (labels included).
+
+        The adjacency sets are built in bulk, not through ``add_edge``, and
+        the cached CSR snapshot (immutable) is shared with the copy —
+        whichever graph mutates first drops only its own reference.
+        """
         clone = DiGraph()
-        for vertex in self._succ:
-            clone.add_vertex(vertex, label=self._labels.get(vertex))
-        for u, v in self.edges():
-            clone.add_edge(u, v)
+        clone._succ = _filled_sets(self._succ)
+        clone._pred = _predecessor_sets(clone._succ)
+        clone._labels = dict(self._labels)
+        clone._label_index = dict(self._label_index)
+        clone._num_edges = self._num_edges
         clone._next_vertex = self._next_vertex
+        clone._csr = self._csr
         return clone
 
     # ------------------------------------------------------------------ #
@@ -249,14 +282,17 @@ class DiGraph:
         vertex-induced subgraph over ``V_i``.
         """
         selected = set(vertices)
-        sub = DiGraph()
-        for vertex in selected:
+        for vertex in selected - self._succ.keys():
             self._require_vertex(vertex)
-            sub.add_vertex(vertex, label=self._labels.get(vertex))
-        for vertex in selected:
-            for succ in self._succ[vertex]:
-                if succ in selected:
-                    sub.add_edge(vertex, succ)
+        sub = DiGraph()
+        sub._succ = _filled_sets(self._succ, selected)
+        sub._pred = _predecessor_sets(sub._succ)
+        sub._labels = {
+            vertex: self._labels[vertex] for vertex in selected if vertex in self._labels
+        }
+        sub._label_index = {label: vertex for vertex, label in sub._labels.items()}
+        sub._num_edges = sum(map(len, sub._succ.values()))
+        sub._next_vertex = max(selected) + 1 if selected else 0
         return sub
 
     def reverse(self) -> "DiGraph":

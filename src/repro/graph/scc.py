@@ -6,32 +6,32 @@ sets start from SCC grouping (Algorithm 3, line 2), and incremental updates
 maintain condensed compound graphs (Section 3.3.3).
 
 The implementation is an iterative Tarjan so that large, deep graphs do not
-exhaust Python's recursion limit.  It runs over the graph's cached CSR
-snapshot (:meth:`repro.graph.digraph.DiGraph.csr`): the DFS state lives in
-dense lists indexed by CSR position and edges are scanned straight out of the
-flat ``array('q')`` adjacency, so condensing a compound graph — which happens
-on every index build and on every maintenance flush — costs no per-visit
-hashing.
+exhaust Python's recursion limit.  It runs over a CSR snapshot — a
+``DiGraph``'s cached one (:meth:`repro.graph.digraph.DiGraph.csr`) or a
+:class:`~repro.graph.csr.CSRGraph` passed directly, as every compound graph
+is: the DFS state lives in dense lists indexed by CSR position and edges are
+scanned straight out of the flat ``array('q')`` adjacency, so condensing a
+compound graph — which happens on every index build and on every
+maintenance flush — costs no per-visit hashing, and the condensation itself
+is emitted as a snapshot in one pass.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from array import array
+from typing import Dict, List, Tuple, Union
 
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 
+#: Anything with a CSR snapshot: a mutable graph or a snapshot itself.
+GraphLike = Union[DiGraph, CSRGraph]
 
-def strongly_connected_components(graph: DiGraph) -> List[List[int]]:
-    """Return the SCCs of ``graph`` as a list of vertex lists.
 
-    The components are returned in reverse topological order of the
-    condensation (i.e. a component appears after every component it can
-    reach), which is a useful property for downstream dynamic programming.
-    """
-    csr = graph.csr()
+def _dense_components(csr: CSRGraph) -> List[List[int]]:
+    """Tarjan over ``csr``: SCCs as lists of dense indices, reverse-topological."""
     n = csr.num_vertices
     offsets, targets = csr.fwd_offsets, csr.fwd_targets
-    ids = csr.ids
 
     UNVISITED = -1
     index: List[int] = [UNVISITED] * n
@@ -82,50 +82,83 @@ def strongly_connected_components(graph: DiGraph) -> List[List[int]]:
                 while True:
                     member = stack.pop()
                     on_stack[member] = 0
-                    component.append(ids[member])
+                    component.append(member)
                     if member == vertex:
                         break
                 components.append(component)
     return components
 
 
-def condense(graph: DiGraph) -> Tuple[DiGraph, Dict[int, int]]:
+def strongly_connected_components(graph: GraphLike) -> List[List[int]]:
+    """Return the SCCs of ``graph`` as a list of vertex lists.
+
+    The components are returned in reverse topological order of the
+    condensation (i.e. a component appears after every component it can
+    reach), which is a useful property for downstream dynamic programming.
+    """
+    csr = graph.csr()
+    ids = csr.ids
+    return [[ids[member] for member in component] for component in _dense_components(csr)]
+
+
+def condense(graph: GraphLike) -> Tuple[CSRGraph, Dict[int, int]]:
     """Condense ``graph`` into its DAG of SCCs.
 
     Returns ``(dag, vertex_to_component)`` where component ids are dense
-    integers ``0..num_components-1`` and ``dag`` contains an edge between two
-    components whenever the original graph has an edge between their members.
-    Self-loops in the condensation are dropped.
+    integers ``0..num_components-1`` and ``dag`` — an immutable
+    :class:`~repro.graph.csr.CSRGraph` whose vertex ids *are* the component
+    ids — contains an edge between two components whenever the original
+    graph has an edge between their members.  Self-loops in the
+    condensation are dropped.
 
     Component ids are **reverse-topological**: a component is numbered after
     every component it can reach (the order :func:`strongly_connected_components`
-    emits them in), so every edge of ``dag`` goes to a strictly *lower* id.
-    The DAG's CSR snapshot numbers its vertices by id, which makes
-    :meth:`repro.graph.csr.CSRGraph.edges_descend` true for every
+    emits them in), so every edge of ``dag`` goes to a strictly *lower* id
+    and :meth:`repro.graph.csr.CSRGraph.edges_descend` is true for every
     condensation — the bitset kernels' one-pass sweep leans on exactly that
     (``tests/graph/test_scc.py`` pins it).
-    """
-    components = strongly_connected_components(graph)
-    vertex_to_component: Dict[int, int] = {}
-    for component_id, members in enumerate(components):
-        for vertex in members:
-            vertex_to_component[vertex] = component_id
 
+    The DAG's CSR arrays are emitted in one pass over the components in id
+    order: a component's run is the set of components its members' edges
+    point into, minus itself, sorted — byte-identical to snapshotting a
+    ``DiGraph`` built from the same edges, without building one.
+    """
     csr = graph.csr()
     offsets, targets = csr.fwd_offsets, csr.fwd_targets
-    ids = csr.ids
-    component_of = [vertex_to_component[vertex] for vertex in ids]
+    components = _dense_components(csr)
+    component_of = [0] * csr.num_vertices
+    for component_id, members in enumerate(components):
+        for member in members:
+            component_of[member] = component_id
 
-    dag = DiGraph()
-    for component_id in range(len(components)):
-        dag.add_vertex(component_id)
-    for dense in range(csr.num_vertices):
-        cu = component_of[dense]
-        for succ in targets[offsets[dense] : offsets[dense + 1]]:
-            cv = component_of[succ]
-            if cu != cv:
-                dag.add_edge(cu, cv)
-    return dag, vertex_to_component
+    component_at = component_of.__getitem__
+    dag_offsets = array("q", [0])
+    dag_targets = array("q")
+    for component_id, members in enumerate(components):
+        run = set()
+        for member in members:
+            run.update(map(component_at, targets[offsets[member] : offsets[member + 1]]))
+        run.discard(component_id)
+        dag_targets.extend(sorted(run))
+        dag_offsets.append(len(dag_targets))
+    dag_ids = tuple(range(len(components)))
+    dag = CSRGraph(dag_ids, dict(zip(dag_ids, dag_ids)), dag_offsets, dag_targets)
+    return dag, dict(zip(csr.ids, component_of))
+
+
+def numbered_dag(graph: GraphLike) -> Tuple[CSRGraph, Dict[int, int]]:
+    """``graph`` as a topologically numbered DAG snapshot, plus vertex → dense index.
+
+    A snapshot whose every edge already descends (every condensation, see
+    :meth:`~repro.graph.csr.CSRGraph.edges_descend`) is used as it is;
+    anything else is condensed first.  Either way ascending dense indices
+    are a reverse topological order, which is all the label-building
+    strategies (closure, FERRARI, GRAIL) need to number and sweep the DAG.
+    """
+    csr = graph.csr()
+    if csr.edges_descend():
+        return csr, csr._index_of
+    return condense(csr)
 
 
 def component_members(

@@ -5,7 +5,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Dict, Iterable, Optional, Set
 
-from repro.graph.digraph import DiGraph
+from repro.graph.scc import GraphLike
 from repro.reachability.packed import VertexRank
 
 
@@ -16,12 +16,14 @@ class ReachabilityIndex(ABC):
     set-reachability queries (:meth:`set_reachability`), which is exactly the
     ``localSetReachability(.)`` abstraction of Algorithms 1 and 2.
 
-    The index is built eagerly in ``__init__`` (or lazily on first use for
-    index-free strategies); :meth:`rebuild` must be called after the
-    underlying graph has been mutated.
+    ``graph`` is a mutable ``DiGraph`` or an immutable CSR snapshot (the
+    engine hands every strategy its condensation's snapshot).  The index is
+    built eagerly in ``__init__`` (or lazily on first use for index-free
+    strategies); :meth:`rebuild` must be called after a ``DiGraph``
+    underneath has been mutated.
     """
 
-    def __init__(self, graph: DiGraph) -> None:
+    def __init__(self, graph: GraphLike) -> None:
         self.graph = graph
 
     # ------------------------------------------------------------------ #

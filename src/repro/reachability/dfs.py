@@ -19,7 +19,7 @@ import threading
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.graph.csr import CSRGraph
-from repro.graph.digraph import DiGraph
+from repro.graph.scc import GraphLike
 from repro.reachability.base import ReachabilityIndex
 from repro.reachability.packed import VertexRank
 
@@ -33,7 +33,7 @@ class DFSReachability(ReachabilityIndex):
     one instance is safe under concurrent queries.
     """
 
-    def __init__(self, graph: DiGraph) -> None:
+    def __init__(self, graph: GraphLike) -> None:
         super().__init__(graph)
         # Per-thread generation-stamped visited buffer, lazily sized to the
         # current snapshot.  ``visited[i] == stamp`` means "visited this

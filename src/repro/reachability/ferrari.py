@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.graph.digraph import DiGraph
-from repro.graph.scc import condense
-from repro.graph.traversal import topological_order
+from repro.graph.scc import GraphLike, numbered_dag
 from repro.reachability.base import ReachabilityIndex
 
 # An interval is a closed range [lo, hi] over post-order ids, plus a flag that
@@ -62,7 +60,7 @@ class FerrariIndex(ReachabilityIndex):
 
     def __init__(
         self,
-        graph: DiGraph,
+        graph: GraphLike,
         max_intervals: int = 4,
         num_seeds: int = 32,
     ) -> None:
@@ -86,28 +84,24 @@ class FerrariIndex(ReachabilityIndex):
     # construction
     # ------------------------------------------------------------------ #
     def _build(self) -> None:
-        self._dag, self._vertex_to_component = condense(self.graph)
-        order = topological_order(self._dag)
-        # Post-order id per component: process in reverse topological order so
-        # that every successor is numbered before its predecessors.
-        self._post_id: Dict[int, int] = {}
-        for position, component in enumerate(reversed(order)):
-            self._post_id[component] = position
-
+        self._dag, self._vertex_to_component = numbered_dag(self.graph)
+        dag = self._dag
+        # Components are the DAG's dense indices, which ascend in reverse
+        # topological order: every successor is labelled before its
+        # predecessors, and a component's index doubles as its post-order id.
         self._intervals: Dict[int, List[Interval]] = {}
-        for component in reversed(order):
-            own = self._post_id[component]
-            collected: List[Interval] = [(own, own, True)]
-            for succ in self._dag.successors(component):
+        for component in range(dag.num_vertices):
+            collected: List[Interval] = [(component, component, True)]
+            for succ in dag.out_neighbors(component):
                 collected.extend(self._intervals[succ])
             self._intervals[component] = _merge_intervals(collected, self.max_intervals)
 
         # Seeds: highest total-degree components keep exact reachable sets.
         self._seed_reach: Dict[int, Set[int]] = {}
-        if self.num_seeds and self._dag.num_vertices:
+        if self.num_seeds and dag.num_vertices:
             by_degree = sorted(
-                self._dag.vertices(),
-                key=lambda c: self._dag.out_degree(c) + self._dag.in_degree(c),
+                range(dag.num_vertices),
+                key=lambda c: dag.out_degree(c) + dag.in_degree(c),
                 reverse=True,
             )
             for component in by_degree[: self.num_seeds]:
@@ -118,7 +112,7 @@ class FerrariIndex(ReachabilityIndex):
         stack = [component]
         while stack:
             current = stack.pop()
-            for succ in self._dag.successors(current):
+            for succ in self._dag.out_neighbors(current):
                 if succ not in visited:
                     visited.add(succ)
                     stack.append(succ)
@@ -137,10 +131,9 @@ class FerrariIndex(ReachabilityIndex):
     # ------------------------------------------------------------------ #
     def _label_check(self, source_comp: int, target_comp: int) -> Optional[bool]:
         """Tri-state interval test: True / False / None (= undecided)."""
-        target_id = self._post_id[target_comp]
         undecided = False
         for lo, hi, exact in self._intervals[source_comp]:
-            if lo <= target_id <= hi:
+            if lo <= target_comp <= hi:
                 if exact:
                     return True
                 undecided = True
@@ -172,7 +165,7 @@ class FerrariIndex(ReachabilityIndex):
                 # The seed's full reachable set is known and excludes the
                 # target, so nothing below this branch can succeed.
                 continue
-            for succ in self._dag.successors(current):
+            for succ in self._dag.out_neighbors(current):
                 if succ in visited:
                     continue
                 if succ == target_comp:

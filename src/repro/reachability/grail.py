@@ -16,15 +16,14 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterable, List, Set, Tuple
 
-from repro.graph.digraph import DiGraph
-from repro.graph.scc import condense
+from repro.graph.scc import GraphLike, numbered_dag
 from repro.reachability.base import ReachabilityIndex
 
 
 class GrailIndex(ReachabilityIndex):
     """Randomised interval labelling with online search confirmation."""
 
-    def __init__(self, graph: DiGraph, num_labels: int = 3, seed: int = 0) -> None:
+    def __init__(self, graph: GraphLike, num_labels: int = 3, seed: int = 0) -> None:
         super().__init__(graph)
         self.num_labels = max(1, num_labels)
         self.seed = seed
@@ -42,7 +41,7 @@ class GrailIndex(ReachabilityIndex):
         return 0.5
 
     def _build(self) -> None:
-        self._dag, self._vertex_to_component = condense(self.graph)
+        self._dag, self._vertex_to_component = numbered_dag(self.graph)
         self._labels: List[Dict[int, Tuple[int, int]]] = []
         rng = random.Random(self.seed)
         for _ in range(self.num_labels):
@@ -53,8 +52,10 @@ class GrailIndex(ReachabilityIndex):
         rank = 0
         labels: Dict[int, Tuple[int, int]] = {}
         visited: Set[int] = set()
-        roots = [v for v in self._dag.vertices() if self._dag.in_degree(v) == 0]
-        others = [v for v in self._dag.vertices() if v not in roots]
+        # Components are the DAG's dense indices.
+        dag = self._dag
+        roots = [v for v in range(dag.num_vertices) if dag.in_degree(v) == 0]
+        others = [v for v in range(dag.num_vertices) if dag.in_degree(v) != 0]
         rng.shuffle(roots)
         rng.shuffle(others)
         for start in roots + others:
@@ -66,7 +67,7 @@ class GrailIndex(ReachabilityIndex):
                 vertex, expanded = stack.pop()
                 if expanded:
                     rank += 1
-                    children_min = [labels[c][0] for c in self._dag.successors(vertex) if c in labels]
+                    children_min = [labels[c][0] for c in dag.out_neighbors(vertex) if c in labels]
                     low = min(children_min + [rank])
                     labels[vertex] = (low, rank)
                     continue
@@ -74,7 +75,7 @@ class GrailIndex(ReachabilityIndex):
                     continue
                 visited.add(vertex)
                 stack.append((vertex, True))
-                children = list(self._dag.successors(vertex))
+                children = list(dag.out_neighbors(vertex))
                 rng.shuffle(children)
                 for child in children:
                     if child not in visited:
@@ -110,7 +111,7 @@ class GrailIndex(ReachabilityIndex):
         stack = [source_comp]
         while stack:
             current = stack.pop()
-            for succ in self._dag.successors(current):
+            for succ in self._dag.out_neighbors(current):
                 if succ in visited:
                     continue
                 if succ == target_comp:

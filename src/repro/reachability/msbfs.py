@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Set
 
-from repro.graph.digraph import DiGraph
+from repro.graph.scc import GraphLike
 from repro.reachability import bitset_msbfs
 from repro.reachability.base import ReachabilityIndex
 from repro.reachability.packed import VertexRank
@@ -27,7 +27,7 @@ from repro.reachability.packed import VertexRank
 class MultiSourceBFS(ReachabilityIndex):
     """Shared-frontier multi-source BFS over the graph's CSR snapshot."""
 
-    def __init__(self, graph: DiGraph, batch_size: int = 512) -> None:
+    def __init__(self, graph: GraphLike, batch_size: int = 512) -> None:
         super().__init__(graph)
         self.batch_size = batch_size
 

@@ -8,18 +8,16 @@ strategy for tiny partitions.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Set
+from typing import Dict, Iterable, List, Set
 
-from repro.graph.digraph import DiGraph
-from repro.graph.scc import condense
-from repro.graph.traversal import topological_order
+from repro.graph.scc import GraphLike, numbered_dag
 from repro.reachability.base import ReachabilityIndex
 
 
 class TransitiveClosureIndex(ReachabilityIndex):
     """Materialises reachable component sets over the condensed DAG."""
 
-    def __init__(self, graph: DiGraph) -> None:
+    def __init__(self, graph: GraphLike) -> None:
         super().__init__(graph)
         self._build()
 
@@ -38,21 +36,22 @@ class TransitiveClosureIndex(ReachabilityIndex):
         return 0.12
 
     def _build(self) -> None:
-        self._dag, self._vertex_to_component = condense(self.graph)
-        order = topological_order(self._dag)
-        # closure[c] = set of components reachable from c (including c).
-        self._closure: Dict[int, Set[int]] = {}
-        for component in reversed(order):
+        dag, self._vertex_to_component = numbered_dag(self.graph)
+        # closure[c] = set of components reachable from c (including c);
+        # ascending indices are reverse-topological, so every successor's
+        # closure is complete before it is merged.
+        self._closure: List[Set[int]] = []
+        for component in range(dag.num_vertices):
             reach = {component}
-            for succ in self._dag.successors(component):
+            for succ in dag.out_neighbors(component):
                 reach |= self._closure[succ]
-            self._closure[component] = reach
+            self._closure.append(reach)
 
     def rebuild(self) -> None:
         self._build()
 
     def index_size(self) -> int:
-        return sum(len(reach) for reach in self._closure.values())
+        return sum(len(reach) for reach in self._closure)
 
     def reachable(self, source: int, target: int) -> bool:
         if not self.graph.has_vertex(source) or not self.graph.has_vertex(target):

@@ -286,6 +286,51 @@ class TestBackgroundEpochFlush:
             engine.maintainer._before_publish = None
             engine.close()
 
+    def test_vertex_insert_does_not_tear_the_published_epoch(self, executor):
+        """An edge deletion pending its flush, then an isolated-vertex insert
+        on the same partition, must not change epoch 0's answers: the insert
+        rebuilds the partition's compound graph from epoch 0's own snapshot,
+        which the deletion never edited."""
+        graph = generators.dag(60, 150, seed=3)
+        engine = open_engine(
+            graph,
+            DSRConfig(
+                num_partitions=2,
+                partitioner="metis",
+                epoch_flush="background",
+                executor=executor,
+            ),
+        )
+        query = ReachQuery((0,), (5,))
+        try:
+            pid = engine.partitioning.partition_of(0)
+            assert engine.partitioning.partition_of(5) == pid
+            assert engine.run(query).pairs == {(0, 5)}
+            entered = threading.Event()
+            hold = threading.Event()
+
+            def stall(state):
+                entered.set()
+                assert hold.wait(timeout=10)
+
+            engine.maintainer._before_publish = stall
+            engine.delete_edge(0, 5)  # epoch 1 is built but held unpublished
+            assert entered.wait(timeout=10)
+            engine.insert_vertex(1000, partition_id=pid)
+            result = engine.run(query)
+            assert result.epoch == 0
+            assert result.pairs == {(0, 5)}
+            hold.set()
+            engine.maintainer._before_publish = None
+            assert engine.wait_for_maintenance(timeout=10)
+            result = engine.run(query)
+            assert result.epoch > 0
+            assert result.pairs == set()
+        finally:
+            hold.set()
+            engine.maintainer._before_publish = None
+            engine.close()
+
     def test_split_survives_vertex_deleted_after_capture(self, executor):
         """A vertex deletion racing a lock-free query (after the query
         captured its epoch, before it split) must not crash the split: the

@@ -266,7 +266,7 @@ class TestRankShiftGuards:
     def test_pinned_view_survives_in_place_rebuild(self):
         # Masks packed from a captured view must evaluate against that same
         # view even if the condensation is rebuilt in between (the
-        # sanctioned in-place insert path).
+        # sanctioned isolated-vertex insert path).
         graph = generators.social_graph(80, avg_degree=4, seed=101)
         engine = open_engine(graph, DSRConfig(num_partitions=2, local_index="msbfs"))
         compound = engine.index.current_state().compound_graphs[0]
@@ -275,8 +275,8 @@ class TestRankShiftGuards:
         sources = sorted(compound.local_vertices)[:5]
         mask = vrank.full_mask()
         before = compound.local_set_reachability_rows(sources, mask, view)
-        compound.graph.add_vertex(max(graph.vertices()) + 1)
-        compound.reachability.rebuild()  # installs a new, shifted rank
+        # A new snapshot with one more vertex: installs a new, shifted rank.
+        compound.add_isolated_vertex(max(graph.vertices()) + 1)
         assert compound.vertex_rank is not vrank
         after = compound.local_set_reachability_rows(sources, mask, view)
         assert after == before

@@ -3,11 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.boundary_graph import (
-    add_summary_to_graph,
-    boundary_graph_stats,
-    build_boundary_graph,
-)
+from repro.core.boundary_graph import boundary_graph_stats, build_boundary_graph
 from repro.core.equivalence import ClassIdAllocator
 from repro.core.summary import build_partition_summary
 from repro.graph import generators
@@ -159,8 +155,8 @@ def test_summary_graph_reachability_equals_local_reachability(edges, assignment)
     for pid in range(3):
         local = partitioning.local_subgraph(pid)
         summary = make_summary(partitioning, pid, True, allocator)
-        stored = DiGraph()
-        add_summary_to_graph(stored, summary)
+        summary_vertices, summary_edges = summary.graph_contribution()
+        stored = DiGraph.from_edges(summary_edges, summary_vertices)
         boundary = summary.boundary_vertices
         for source in summary.in_boundaries:
             reached = bfs_reachable_set(stored, source)

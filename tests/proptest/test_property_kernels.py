@@ -53,6 +53,11 @@ vertex_ids = st.integers(min_value=0, max_value=60)
 edge_lists = st.lists(st.tuples(vertex_ids, vertex_ids), max_size=200)
 
 
+def _reversed(graph):
+    """``graph`` (a ``DiGraph`` or a snapshot) with every edge reversed."""
+    return DiGraph.from_edges(((v, u) for u, v in graph.edges()), graph.vertices())
+
+
 def _graph_of(edges, extra_vertices=()):
     graph = DiGraph()
     for vertex in extra_vertices:
@@ -229,7 +234,7 @@ def _oracle_rows(graph, csr, sources, mask, reverse):
     """``reachable_pairs``, packed over the snapshot's dense numbering."""
     keep = (1 << csr.num_vertices) - 1 if mask is None else mask
     expected = {source: 0 for source in sources}
-    oracle_graph = graph.reverse() if reverse else graph
+    oracle_graph = _reversed(graph) if reverse else graph
     for source, target in reachable_pairs(oracle_graph, set(sources), csr.ids):
         expected[source] |= (1 << csr.index_of(target)) & keep
     return expected
@@ -257,7 +262,7 @@ def test_onepass_propagate_four_ways(tier, graph, seed_positions, seed_widths, r
     assert got == _propagate_on(tier, _fixpoint_twin(csr), seeds, reverse)
     # The oracle: a vertex carries the OR of the seed bits of every reacher.
     expected = [0] * csr.num_vertices
-    oracle_graph = graph.reverse() if reverse else graph
+    oracle_graph = _reversed(graph) if reverse else graph
     seed_ids = [csr.ids[index] for index in seeds]
     for source, target in reachable_pairs(oracle_graph, seed_ids, csr.ids):
         expected[csr.index_of(target)] |= seeds[csr.index_of(source)]
@@ -298,19 +303,22 @@ def test_onepass_rows_four_ways(
     source_seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_unnumbered_snapshot_falls_back(tier, spoiler, graph, pick, source_count, source_seed):
-    graph = graph.copy()
+    # The spoiled graph is built as a new snapshot: a condensation is
+    # immutable, so its edges are copied and the spoiler added to the copy.
+    edges = list(graph.edges())
     ids = sorted(graph.vertices())
     if spoiler == "self-loop":
         vertex = ids[pick % len(ids)]
-        graph.add_edge(vertex, vertex)
+        edges.append((vertex, vertex))
     else:
         if len(ids) < 2:
             ids.append(ids[-1] + 1)
         low = pick % (len(ids) - 1)
         high = low + 1 + (pick // len(ids)) % (len(ids) - 1 - low)
-        graph.add_edge(ids[low], ids[high])
+        edges.append((ids[low], ids[high]))
         if spoiler == "two-cycle":
-            graph.add_edge(ids[high], ids[low])
+            edges.append((ids[high], ids[low]))
+    graph = CSRGraph.from_edges(ids, edges)
     csr = graph.csr()
     assert not csr.edges_descend()
     sources = _drawn_sources(graph, source_count, source_seed)
