@@ -3,7 +3,7 @@
 Not a table/figure of the paper, but the knobs a practitioner would tune:
 
 * number of partitions per fixed graph (index size vs. query cost trade-off);
-* the local strategy used while *building* summaries (DFS vs MS-BFS);
+* the local strategy used at query time;
 * SCC condensation of the compound graphs on/off is implicit in Table 2, so
   here we measure the query-time effect of the condensation indirectly via
   dense vs. sparse graphs.
@@ -17,8 +17,6 @@ from repro.bench.datasets import load_dataset
 from repro.bench.reporting import format_series, format_table
 from repro.bench.workloads import random_query
 from repro.api import DSRConfig, ReachQuery, open_engine
-from repro.core.index import DSRIndex
-from repro.partition.partition import make_partitioning
 
 SCALE = 0.4
 
@@ -59,28 +57,6 @@ def test_partition_count_ablation(benchmark):
     print(format_table(rows, title="Ablation — number of partitions (livej68 analogue)"))
     # The cut (and hence the handle count) grows with the partition count.
     assert rows[-1]["cut_edges"] >= rows[0]["cut_edges"]
-
-
-def test_summary_strategy_ablation(benchmark):
-    """MS-BFS summaries amortise traversals over the boundary set vs plain DFS."""
-    graph = load_dataset("berkstan", scale=SCALE, seed=BENCH_SEED)
-    partitioning = make_partitioning(graph, 5, strategy="metis", seed=BENCH_SEED)
-
-    def build(strategy):
-        start = time.perf_counter()
-        index = DSRIndex(partitioning, summary_strategy=strategy, local_strategy="dfs")
-        index.build()
-        return time.perf_counter() - start
-
-    msbfs_seconds = run_once(benchmark, build, "msbfs")
-    dfs_seconds = build("dfs")
-    print(
-        f"\nAblation — summary strategy on berkstan analogue: "
-        f"msbfs {msbfs_seconds:.3f}s vs dfs {dfs_seconds:.3f}s"
-    )
-    # Both must produce a working index; relative speed depends on boundary
-    # sizes, so only sanity-bound the ratio.
-    assert msbfs_seconds <= dfs_seconds * 5 + 0.2
 
 
 def test_local_strategy_query_ablation(benchmark):

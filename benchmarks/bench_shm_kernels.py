@@ -11,16 +11,15 @@ quantifies the two claims behind the change on an 8-partition engine:
   name-only husks; the acceptance bar is **<= 10%** of the pickled baseline
   (``REPRO_SHM=0``), and in practice it is well under 1%.
 * **kernel speedup** — the vectorised numpy backend vs. the pure-python
-  bitset kernels on the same batched ``set_reachability_rows`` call, byte
-  identical answers required, **>= 2x** required.
+  bitset kernels on the same batched ``set_reachability_rows`` call over
+  the measurement spine's ``dag(2000, 8000)`` condensation (the kernels
+  sweep topologically numbered DAGs only), byte identical answers
+  required, **>= 2x** required.
 
-* **one-pass vs. fixpoint** — the kernel speedup above is measured on a raw
-  cyclic dataset graph, which every tier sweeps to fixpoint.  Queries sweep
-  *condensations*, which are topologically numbered and take the one-pass
-  sweep; ``test_onepass_sweep_on_condensation`` times python-fixpoint /
-  python-one-pass / numpy-level-plan on the dataset's condensation and on
-  the measurement spine's DAG at 2, 64 and 256 sources — byte-identical
-  rows required, one-pass no slower than the fixpoint required.
+* **one-pass sweeps** — ``test_onepass_sweep_on_condensation`` times the
+  python loop and the numpy level plan on the dataset's condensation and on
+  the spine's DAG at 2, 64 and 256 sources, forward and reverse; the two
+  tiers' rows must be identical and equal to ``reachable_pairs``.
 
 All measurements are merged into ``BENCH_shm_kernels.json``.
 """
@@ -38,8 +37,9 @@ from repro.bench.reporting import format_table, write_bench_json
 from repro.bench.workloads import random_query
 from repro.cluster.shm import shm_available
 from repro.graph import generators
-from repro.graph.csr import CSRGraph
+from repro.graph.digraph import DiGraph
 from repro.graph.scc import condense
+from repro.graph.traversal import reachable_pairs
 from repro.obs.runtime import global_registry
 from repro.reachability import bitset_msbfs
 from repro.reachability.kernels import (
@@ -59,9 +59,7 @@ KERNEL_REPEATS = 5
 MIN_KERNEL_SPEEDUP = 2.0
 ONEPASS_SOURCES = (2, 64, 256)
 ONEPASS_REPEATS = 15
-#: Timer noise allowed on "one pass no slower than fixpoint": at 2 sources
-#: over a 41-vertex condensation both take ~10 microseconds.
-ONEPASS_TOLERANCE = 1.05
+SPINE_DAG = "dag_2000_8000"
 
 
 def _publish_stats(graph):
@@ -176,9 +174,8 @@ def _best_of(repeats, fn):
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_numpy_kernel_speedup(benchmark):
-    graph = load_dataset(DATASET, scale=SCALE, seed=BENCH_SEED)
-    sources, _ = random_query(graph, KERNEL_SOURCES, KERNEL_SOURCES, seed=BENCH_SEED)
-    csr = graph.csr()
+    csr = _condensations()[SPINE_DAG]
+    sources = random.Random(BENCH_SEED).sample(csr.ids, KERNEL_SOURCES)
 
     def run_both():
         with use_kernels("python"):
@@ -209,8 +206,8 @@ def test_numpy_kernel_speedup(benchmark):
                 },
             ],
             title=(
-                f"set_reachability_rows — {DATASET} (scale {SCALE}, "
-                f"|S|={KERNEL_SOURCES}, |V|={csr.num_vertices}, m={csr.num_edges})"
+                f"set_reachability_rows — {SPINE_DAG} condensation, "
+                f"|S|={KERNEL_SOURCES}, |V|={csr.num_vertices}, m={csr.num_edges}"
             ),
         )
     )
@@ -240,44 +237,50 @@ def _condensations():
     return {
         DATASET: condense(load_dataset(DATASET, scale=SCALE, seed=BENCH_SEED))[0],
         # benchmarks/spine: point_uncached / hot_skewed / batch_sharded.
-        "dag_2000_8000": condense(generators.dag(2000, 8000, seed=BENCH_SEED))[0],
+        SPINE_DAG: condense(generators.dag(2000, 8000, seed=BENCH_SEED))[0],
     }
+
+
+def _oracle_rows(csr, sources, reverse):
+    """``reachable_pairs`` packed over the snapshot's dense numbering."""
+    graph = DiGraph.from_edges(
+        ((v, u) if reverse else (u, v) for u, v in csr.edges()), csr.vertices()
+    )
+    rows = {source: 0 for source in sources}
+    for source, target in reachable_pairs(graph, set(sources), csr.ids):
+        rows[source] |= 1 << csr.index_of(target)
+    return rows
 
 
 def test_onepass_sweep_on_condensation(benchmark):
     def run_all():
         report = {}
-        for name, dag in _condensations().items():
-            csr = dag.csr()
+        for name, csr in _condensations().items():
             assert csr.edges_descend()
-            # The same arrays with the numbering property denied: the only
-            # way to time the fixpoint sweep on a snapshot that has it.
-            fixpoint_csr = CSRGraph(csr.ids, csr._index_of, csr.fwd_offsets, csr.fwd_targets)
-            fixpoint_csr._descending = False
             entry = {"num_vertices": csr.num_vertices, "num_edges": csr.num_edges}
             for width in ONEPASS_SOURCES:
                 sources = random.Random(BENCH_SEED).choices(csr.ids, k=width)
-                with use_kernels("python"):
-                    fixpoint_s, fixpoint_rows = _best_of(
-                        ONEPASS_REPEATS,
-                        lambda: bitset_msbfs.set_reachability_rows(fixpoint_csr, sources),
-                    )
-                    onepass_s, onepass_rows = _best_of(
-                        ONEPASS_REPEATS,
-                        lambda: bitset_msbfs.set_reachability_rows(csr, sources),
-                    )
-                assert onepass_rows == fixpoint_rows  # byte-identical ints
-                timings = {
-                    "python_fixpoint_seconds": round(fixpoint_s, 6),
-                    "python_onepass_seconds": round(onepass_s, 6),
-                }
-                if numpy_available():
-                    plan_s, plan_rows = _best_of(
-                        ONEPASS_REPEATS, lambda: np_set_reachability_rows(csr, sources)
-                    )
-                    assert plan_rows == fixpoint_rows
-                    timings["numpy_level_plan_seconds"] = round(plan_s, 6)
-                entry[f"sources_{width}"] = timings
+                for reverse in (False, True):
+                    with use_kernels("python"):
+                        python_s, python_rows = _best_of(
+                            ONEPASS_REPEATS,
+                            lambda: bitset_msbfs.set_reachability_rows(
+                                csr, sources, reverse=reverse
+                            ),
+                        )
+                    assert python_rows == _oracle_rows(csr, sources, reverse)
+                    direction = "reverse" if reverse else "forward"
+                    timings = {"python_onepass_seconds": round(python_s, 6)}
+                    if numpy_available():
+                        plan_s, plan_rows = _best_of(
+                            ONEPASS_REPEATS,
+                            lambda: np_set_reachability_rows(
+                                csr, sources, reverse=reverse
+                            ),
+                        )
+                        assert plan_rows == python_rows  # byte-identical ints
+                        timings["numpy_level_plan_seconds"] = round(plan_s, 6)
+                    entry[f"{direction}_sources_{width}"] = timings
             report[name] = entry
         return report
 
@@ -286,23 +289,14 @@ def test_onepass_sweep_on_condensation(benchmark):
     print(
         format_table(
             [
-                {"condensation": name, "|V|": entry["num_vertices"], "|S|": width,
-                 **{key.replace("_seconds", "_ms"): round(value * 1e3, 3)
-                    for key, value in entry[f"sources_{width}"].items()}}
+                {"condensation": name, "|V|": entry["num_vertices"], "sweep": key,
+                 **{k.replace("_seconds", "_ms"): round(v * 1e3, 3)
+                    for k, v in timings.items()}}
                 for name, entry in report.items()
-                for width in ONEPASS_SOURCES
+                for key, timings in entry.items()
+                if isinstance(timings, dict)
             ],
-            title="set_reachability_rows on a condensation — one pass vs. fixpoint",
+            title="set_reachability_rows on a condensation — python loop vs. numpy plan",
         )
     )
     write_bench_json("shm_kernels", {"onepass": report}, directory=REPO_ROOT, merge=True)
-
-    for name, entry in report.items():
-        for width in ONEPASS_SOURCES:
-            timings = entry[f"sources_{width}"]
-            assert (
-                timings["python_onepass_seconds"]
-                <= timings["python_fixpoint_seconds"] * ONEPASS_TOLERANCE
-            ), (
-                f"{name}, {width} sources: one pass slower than the fixpoint sweep"
-            )

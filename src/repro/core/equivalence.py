@@ -13,6 +13,12 @@ reachability signatures over the *direct successors* ``S(I_i) − I_i`` only,
 which is sufficient because any path to a vertex outside ``I_i`` must pass
 through such a successor.
 
+Both builders follow the algorithm literally: the partition is condensed
+once (:class:`LocalCondensation`) and every signature is a row over the
+*components* of the targets, harvested by one pass over the condensation —
+equal component rows mean equal vertex rows, since a component's members are
+reached together.
+
 Two refinements relative to the paper (both strictly conservative — they can
 only split classes, never merge inequivalent vertices — and they make the
 compressed index lossless *without* per-edge member labels):
@@ -27,13 +33,13 @@ compressed index lossless *without* per-edge member labels):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set
 
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
+from repro.graph.scc import numbered_dag
 from repro.reachability import bitset_msbfs
-from repro.reachability.base import ReachabilityIndex
-from repro.reachability.factory import make_reachability_index
-from repro.reachability.packed import VertexRank
+from repro.reachability.packed import pack_ranks
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -76,6 +82,41 @@ class ClassIdAllocator:
     @property
     def next_id(self) -> int:
         return self._next
+
+
+class LocalCondensation(NamedTuple):
+    """A partition's local graph as a topologically numbered DAG.
+
+    ``component_of`` maps every local vertex to its dense index in ``dag``
+    (:func:`repro.graph.scc.numbered_dag`: the local snapshot itself when it
+    is already numbered, its SCC condensation otherwise).
+    """
+
+    dag: CSRGraph
+    component_of: Dict[int, int]
+
+    @classmethod
+    def of(cls, local_graph: DiGraph) -> "LocalCondensation":
+        return cls(*numbered_dag(local_graph))
+
+    def rows(
+        self, sources: Iterable[int], targets: Iterable[int], reverse: bool = False
+    ) -> Dict[int, int]:
+        """``{component: row}`` for the components of ``sources``.
+
+        A row packs, over dense DAG indices, the components of ``targets``
+        the component reaches (with ``reverse=True``: is reached by), its
+        own included when it holds a target — one pass over the DAG per
+        kernel batch.
+        """
+        component_of = self.component_of
+        ids = self.dag.ids
+        components = sorted({component_of[vertex] for vertex in sources})
+        mask = pack_ranks(sorted({component_of[vertex] for vertex in targets}))
+        rows = bitset_msbfs.set_reachability_rows(
+            self.dag, [ids[c] for c in components], mask, reverse=reverse
+        )
+        return {c: rows[ids[c]] for c in components}
 
 
 def _successor_targets(
@@ -128,24 +169,28 @@ def compute_forward_classes(
     out_boundaries: Set[int],
     partition_id: int,
     allocator: ClassIdAllocator,
-    local_index: ReachabilityIndex = None,
+    local: Optional[LocalCondensation] = None,
 ) -> List[EquivalenceClass]:
     """Compute the forward-equivalent classes of ``in_boundaries``.
 
     Classes cover only ``I_i \\ O_i``; overlap vertices stay at member level.
-    A candidate's signature is its packed reachability row masked to the
-    signature targets, so grouping compares one int per candidate.
+    A candidate's signature is its component's packed row over the target
+    components, so grouping compares one int per candidate.  ``local`` is
+    the partition's condensation when the caller already holds it.
     """
     overlap = in_boundaries & out_boundaries
     candidates = in_boundaries - out_boundaries
     if not candidates:
         return []
-    if local_index is None:
-        local_index = make_reachability_index("msbfs", local_graph)
-    rank = VertexRank.from_csr(local_graph.csr())
-    target_mask = rank.pack(_successor_targets(local_graph, in_boundaries, overlap))
-    signatures = local_index.set_reachability_bits(candidates, rank, target_mask)
-    return _classes_by_signature(signatures, partition_id, FORWARD, allocator)
+    return _classes_by_rows(
+        local or LocalCondensation.of(local_graph),
+        candidates,
+        _successor_targets(local_graph, in_boundaries, overlap),
+        False,
+        partition_id,
+        FORWARD,
+        allocator,
+    )
 
 
 def compute_backward_classes(
@@ -154,53 +199,42 @@ def compute_backward_classes(
     out_boundaries: Set[int],
     partition_id: int,
     allocator: ClassIdAllocator,
+    local: Optional[LocalCondensation] = None,
 ) -> List[EquivalenceClass]:
     """Compute the backward-equivalent classes of ``out_boundaries``.
 
     Backward equivalence over the original graph is forward equivalence over
     the reversed graph, so the signature rows come from a reverse sweep of
-    the same CSR snapshot — no reversed graph is materialised.
+    the same condensation — no reversed graph is materialised.
     """
     overlap = in_boundaries & out_boundaries
     candidates = out_boundaries - in_boundaries
     if not candidates:
         return []
-    csr = local_graph.csr()
-    target_mask = VertexRank.from_csr(csr).pack(
-        _predecessor_targets(local_graph, out_boundaries, overlap)
+    return _classes_by_rows(
+        local or LocalCondensation.of(local_graph),
+        candidates,
+        _predecessor_targets(local_graph, out_boundaries, overlap),
+        True,
+        partition_id,
+        BACKWARD,
+        allocator,
     )
-    signatures = bitset_msbfs.set_reachability_rows(
-        csr, candidates, target_mask, reverse=True
-    )
-    return _classes_by_signature(signatures, partition_id, BACKWARD, allocator)
 
 
-def compute_equivalence_sets(
-    local_graph: DiGraph,
-    in_boundaries: Set[int],
-    out_boundaries: Set[int],
+def _classes_by_rows(
+    local: LocalCondensation,
+    candidates: Set[int],
+    targets: Set[int],
+    reverse: bool,
     partition_id: int,
+    kind: str,
     allocator: ClassIdAllocator,
-    local_index_name: str = "msbfs",
-) -> Tuple[List[EquivalenceClass], List[EquivalenceClass]]:
-    """Convenience wrapper computing both directions at once."""
-    forward_index = make_reachability_index(local_index_name, local_graph)
-    forward = compute_forward_classes(
-        local_graph,
-        in_boundaries,
-        out_boundaries,
-        partition_id,
-        allocator,
-        local_index=forward_index,
-    )
-    backward = compute_backward_classes(
-        local_graph,
-        in_boundaries,
-        out_boundaries,
-        partition_id,
-        allocator,
-    )
-    return forward, backward
+) -> List[EquivalenceClass]:
+    rows = local.rows(candidates, targets, reverse)
+    component_of = local.component_of
+    signatures = {vertex: rows[component_of[vertex]] for vertex in candidates}
+    return _classes_by_signature(signatures, partition_id, kind, allocator)
 
 
 def singleton_classes(

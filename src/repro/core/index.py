@@ -41,7 +41,7 @@ from repro.core.compound_graph import (
     build_compound_graph,
 )
 from repro.core.equivalence import ClassIdAllocator
-from repro.core.summary import PartitionSummary, build_partition_summary
+from repro.core.summary import SUMMARY_STRATEGY, PartitionSummary, build_partition_summary
 from repro.graph.digraph import DiGraph
 from repro.partition.partition import GraphPartitioning
 
@@ -134,12 +134,15 @@ class EpochState:
 class DSRIndex:
     """Precomputed index structures for distributed set reachability."""
 
+    #: What partition summaries are swept with (see
+    #: :func:`repro.core.summary.build_partition_summary`); fixed.
+    summary_strategy = SUMMARY_STRATEGY
+
     def __init__(
         self,
         partitioning: GraphPartitioning,
         use_equivalence: bool = True,
         local_strategy: str = "dfs",
-        summary_strategy: str = "msbfs",
         strategy_kwargs: Optional[dict] = None,
         cluster: Optional[SimulatedCluster] = None,
         shard_hydration: bool = True,
@@ -147,7 +150,6 @@ class DSRIndex:
         self.partitioning = partitioning
         self.use_equivalence = use_equivalence
         self.local_strategy = local_strategy
-        self.summary_strategy = summary_strategy
         self.strategy_kwargs = strategy_kwargs or {}
         self.cluster = cluster or SimulatedCluster(partitioning.num_partitions)
         #: Whether this index ships worker shards to a sharded executor.
@@ -234,7 +236,6 @@ class DSRIndex:
                 out_boundaries=self.partitioning.out_boundaries(rank),
                 allocator=self.allocator,
                 use_equivalence=self.use_equivalence,
-                local_index_name=self.summary_strategy,
             )
 
         summaries = self.cluster.run_phase("summarise", summarise)
@@ -388,7 +389,6 @@ class DSRIndex:
                 out_boundaries=boundaries[rank][1],
                 allocator=self.allocator,
                 use_equivalence=self.use_equivalence,
-                local_index_name=self.summary_strategy,
             )
 
         if dirty:
@@ -591,7 +591,6 @@ class DSRIndex:
             out_boundaries=self.partitioning.out_boundaries(partition_id),
             allocator=self.allocator,
             use_equivalence=self.use_equivalence,
-            local_index_name=self.summary_strategy,
         )
 
     def broadcast_summaries(self, partition_ids) -> None:

@@ -23,13 +23,16 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.core.equivalence import (
     ClassIdAllocator,
     EquivalenceClass,
+    LocalCondensation,
     compute_backward_classes,
     compute_forward_classes,
 )
 from repro.graph.digraph import DiGraph
-from repro.reachability.base import ReachabilityIndex
-from repro.reachability.factory import make_reachability_index
-from repro.reachability.packed import VertexRank, iter_bits
+from repro.reachability.packed import iter_bits, pack_ranks
+
+#: The one strategy partition summaries are computed with: one-pass bitset
+#: sweeps over each local condensation.
+SUMMARY_STRATEGY = "msbfs"
 
 
 @dataclass
@@ -225,16 +228,18 @@ def build_partition_summary(
     out_boundaries: Set[int],
     allocator: ClassIdAllocator,
     use_equivalence: bool = True,
-    local_index: ReachabilityIndex = None,
-    local_index_name: str = "msbfs",
+    local_index_name: str = SUMMARY_STRATEGY,
 ) -> PartitionSummary:
     """Compute the summary of one partition (runs at its home slave).
 
-    ``local_index`` may be provided to reuse an existing index over
-    ``local_graph``; otherwise one is created with ``local_index_name`` (the
-    default ``"msbfs"`` evaluates the whole ``I_j ⇝ (I_j ∪ O_j)`` batch with
-    the CSR bitset kernel of :mod:`repro.reachability.bitset_msbfs` — one
-    frontier pass for all in-boundaries instead of one BFS each).
+    The local graph is condensed once (:class:`LocalCondensation`) and every
+    pass below — forward signatures, backward signatures, the boundary rows
+    — is one sweep of that condensation with the bitset kernel of
+    :mod:`repro.reachability.bitset_msbfs`, harvested per *component*: the
+    members of a component reach the same vertices, so rows are never
+    expanded back to vertices where a component row says the same thing.
+    ``local_index_name`` names the kernel and admits only
+    :data:`SUMMARY_STRATEGY`.
 
     The transitive reachability is materialised as follows:
 
@@ -245,6 +250,10 @@ def build_partition_summary(
       in-boundary reachability is part of it so that remote boundary
       *targets* resolve without an extra communication round).
     """
+    if local_index_name != SUMMARY_STRATEGY:
+        raise ValueError(
+            f"partition summaries sweep with {SUMMARY_STRATEGY!r}, not {local_index_name!r}"
+        )
     in_boundaries = set(in_boundaries)
     out_boundaries = set(out_boundaries)
     summary = PartitionSummary(
@@ -255,124 +264,121 @@ def build_partition_summary(
     )
     if not in_boundaries and not out_boundaries:
         return summary
-    if local_index is None:
-        local_index = make_reachability_index(local_index_name, local_graph)
-
-    # All boundary reachability is harvested through packed rows over the
-    # local snapshot's vertex ranks: the kernel covers the B boundary
-    # vertices in ceil(B/W) passes and only touches the *reached* target
-    # bits, instead of probing every (source, boundary) combination.
-    rank = VertexRank.from_csr(local_graph.csr())
+    local = LocalCondensation.of(local_graph)
 
     if not use_equivalence:
-        out_mask = rank.pack(out_boundaries)
-        rows = local_index.set_reachability_bits(in_boundaries, rank, out_mask)
-        for source in in_boundaries:
-            for target in rank.unpack(rows.get(source, 0)):
-                if source != target:
-                    summary.member_edges.add((source, target))
+        _add_closure_edges(summary, local)
         return summary
 
     summary.forward_classes = compute_forward_classes(
-        local_graph,
-        in_boundaries,
-        out_boundaries,
-        partition_id,
-        allocator,
-        local_index=local_index,
+        local_graph, in_boundaries, out_boundaries, partition_id, allocator, local
     )
     summary.backward_classes = compute_backward_classes(
-        local_graph,
-        in_boundaries,
-        out_boundaries,
-        partition_id,
-        allocator,
+        local_graph, in_boundaries, out_boundaries, partition_id, allocator, local
     )
 
     # Reachability from every in-boundary to every boundary vertex; this is
     # the same O(|I_j| * |O_j|)-style computation the paper performs, the
     # compression happens in what gets *stored*.
-    boundary_mask = rank.pack(in_boundaries | out_boundaries)
-    rows = local_index.set_reachability_bits(in_boundaries, rank, boundary_mask)
-    _add_minimum_equivalent_edges(summary, rank, rows)
+    rows = local.rows(in_boundaries, in_boundaries | out_boundaries)
+    _add_minimum_equivalent_edges(summary, local.component_of, rows)
     return summary
 
 
+def _add_closure_edges(summary: PartitionSummary, local: LocalCondensation) -> None:
+    """Store every member-level ``I_j ⇝ O_j`` pair (Definition 4 verbatim).
+
+    An in-boundary reaches the out-boundaries of the components its own
+    component reaches; sources sharing a component row share the expansion.
+    """
+    component_of = local.component_of
+    outs_of: Dict[int, List[int]] = {}
+    for vertex in summary.out_boundaries:
+        outs_of.setdefault(component_of[vertex], []).append(vertex)
+    rows = local.rows(summary.in_boundaries, summary.out_boundaries)
+    expanded: Dict[int, List[int]] = {}
+    member_edges = summary.member_edges
+    for source in summary.in_boundaries:
+        row = rows[component_of[source]]
+        targets = expanded.get(row)
+        if targets is None:
+            targets = expanded[row] = [t for c in iter_bits(row) for t in outs_of[c]]
+        member_edges.update((source, target) for target in targets if target != source)
+
+
 def _add_minimum_equivalent_edges(
-    summary: PartitionSummary, rank: VertexRank, rows: Dict[int, int]
+    summary: PartitionSummary, component_of: Dict[int, int], rows: Dict[int, int]
 ) -> None:
     """Store ``I_j ⇝ (I_j ∪ O_j)`` as a minimum equivalent graph.
 
-    ``rows[b]`` is the packed row (over ``rank``) of boundary vertices the
-    in-boundary ``b`` reaches locally.  The closure those rows spell out is
-    quadratic in the boundary; what is stored instead has the same
+    ``rows[c]`` is the packed row (over the local condensation's dense
+    indices) of the boundary-holding components that the component ``c`` of
+    an in-boundary reaches, ``c`` included.  The closure those rows spell
+    out is quadratic in the boundary; what is stored instead has the same
     reachability from every in-boundary onto every boundary vertex and
     class vertex, and is linear in the boundary on the graphs measured:
 
-    * in-boundaries with equal *closed* rows (row plus own bit) are exactly
-      the mutually reachable ones; each such group becomes one cycle;
+    * in-boundaries sharing a component are exactly the mutually reachable
+      ones; each such group becomes one cycle, and its component's bit
+      stands for it (its smallest member is the group's *head*);
     * between groups, and from groups onto backward classes (all members of
-      a backward class are reached by the same in-boundaries, so one
-      representative bit stands for the class), only the transitive
-      *reduction* is kept: group ``g`` keeps an edge onto ``h`` unless
-      another group it reaches already reaches ``h``.
+      a backward class are reached by the same in-boundaries, so the
+      component of its representative stands for the class), only the
+      transitive *reduction* is kept: group ``g`` keeps an edge onto ``h``
+      unless another group it reaches already reaches ``h``.
 
-    The reduction runs on the rows themselves.  ``below[h]`` — the closed
-    row of ``h`` minus its own members — is everything ``h`` makes
-    redundant; ORing it over the groups ``g`` reaches leaves exactly the
+    The reduction runs on the rows themselves.  ``below[h]`` — the row of
+    ``h`` minus its own bit — is everything ``h`` makes redundant among the
+    groups; ORing it over the groups ``g`` reaches leaves exactly the
     reduction edges uncovered.  A group already below a visited one is
     skipped (its ``below`` row is contained in the visitor's), so ``g``
-    costs three big-int operations per group *visited*, in ascending id
-    order: exactly the groups it keeps edges onto when ids follow the
-    topological order, every group it reaches when they run against it, in
-    between otherwise — never a tuple per closure pair.
+    costs three big-int operations per group *visited*.  Visiting in
+    descending component order — a component only reaches lower ones —
+    visits exactly the groups ``g`` keeps edges onto, never a tuple per
+    closure pair.  A backward class is redundant once any reached group
+    reaches it, its own component included.
 
     An edge onto a backward class leaves the group through the forward
     class of one of its members when it has one (``class_edges``; sound
     because forward-equivalent members reach the same out-boundaries) and
     through its head vertex when the group is overlap-only.
     """
-    ids = rank.ids
-    rank_of = rank.rank_of
     member_to_forward = summary.member_to_forward_class()
-    member_to_backward = summary.member_to_backward_class()
 
     groups: Dict[int, List[int]] = {}
     for vertex in sorted(summary.in_boundaries):
-        groups.setdefault(rows.get(vertex, 0) | 1 << rank_of[vertex], []).append(vertex)
-
-    # One bit stands for each group (its smallest member, the *head*).
-    head_mask = 0
-    below: Dict[int, int] = {}
-    for closed_row, members in groups.items():
-        head_bit = 1 << rank_of[members[0]]
-        head_mask |= head_bit
-        below[head_bit] = closed_row & ~rank.pack(members)
-    sink_mask = rank.pack(cls.representative for cls in summary.backward_classes)
+        groups.setdefault(component_of[vertex], []).append(vertex)
+    group_mask = pack_ranks(sorted(groups))
+    # A component never holds members of two backward classes.
+    sink_class = {
+        component_of[cls.representative]: cls.class_id for cls in summary.backward_classes
+    }
+    sink_mask = pack_ranks(sorted(sink_class))
 
     member_edges = summary.member_edges
     class_edges = summary.class_edges
-    for closed_row, members in groups.items():
+    for component, members in groups.items():
         head = members[0]
         if len(members) > 1:
             member_edges.update(zip(members, members[1:] + members[:1]))
-        reached = closed_row & head_mask & ~(1 << rank_of[head])
+        row = rows[component]
+        reached = row & group_mask & ~(1 << component)
         covered = 0
         pending = reached
         while pending:
-            head_bit = pending & -pending
-            covered |= below[head_bit]
-            pending &= ~(covered | head_bit)
-        for r in iter_bits(reached & ~covered):
-            member_edges.add((head, ids[r]))
-        sinks = closed_row & sink_mask & ~covered
+            top = pending.bit_length() - 1
+            bit = 1 << top
+            covered |= rows[top] & ~bit
+            pending &= ~(covered | bit)
+        for c in iter_bits(reached & ~covered):
+            member_edges.add((head, groups[c][0]))
+        sinks = row & sink_mask & ~(covered | reached)
         if sinks:
             exit_class = next(
                 (member_to_forward[m] for m in members if m in member_to_forward), None
             )
-            for r in iter_bits(sinks):
-                backward_class = member_to_backward[ids[r]]
+            for c in iter_bits(sinks):
                 if exit_class is None:
-                    member_edges.add((head, backward_class))
+                    member_edges.add((head, sink_class[c]))
                 else:
-                    class_edges.add((exit_class, backward_class))
+                    class_edges.add((exit_class, sink_class[c]))

@@ -60,6 +60,7 @@ class CSRGraph:
         "_successor_table",
         "_descending",
         "_level_plan",
+        "_rev_level_plan",
         "_shm",
     )
 
@@ -81,11 +82,13 @@ class CSRGraph:
         self._rev_targets: Optional[array] = None
         self._degree_stats: Dict[str, float] = {}
         self._successor_table: Dict[int, Tuple[int, ...]] = {}
-        # Sweep-kernel caches, both derived lazily from the immutable forward
+        # Sweep-kernel caches, all derived lazily from the immutable forward
         # arrays: the verified numbering property (see edges_descend) and the
-        # numpy tier's level plan (owned by repro.reachability.kernels).
+        # numpy tier's forward and reverse level plans (owned by
+        # repro.reachability.kernels).
         self._descending: Optional[bool] = None
         self._level_plan: Optional[object] = None
+        self._rev_level_plan: Optional[object] = None
         # Keepalive for snapshots whose forward buffers are zero-copy views
         # into a shared-memory segment (see from_shared); None otherwise.
         self._shm: Optional[object] = None
@@ -267,7 +270,7 @@ class CSRGraph:
         keepalive, self._shm = self._shm, None
         if keepalive is None:
             return
-        self._level_plan = None
+        self._level_plan = self._rev_level_plan = None
         for name in ("fwd_offsets", "fwd_targets"):
             view = getattr(self, name)
             setattr(self, name, array("q"))
@@ -451,9 +454,10 @@ class CSRGraph:
 
         Such a snapshot is a DAG whose descending index order is a
         topological order — the numbering :func:`repro.graph.scc.condense`
-        gives every condensation — which is what lets the bitset kernels
-        relax each edge once in a single pass instead of sweeping to
-        fixpoint (:mod:`repro.reachability.bitset_msbfs`).  The property is
+        gives every condensation — and it is the only kind the bitset
+        kernels sweep (:mod:`repro.reachability.bitset_msbfs`): a forward
+        sweep descends the indices, a reverse sweep ascends them, and either
+        relaxes each edge once; any other snapshot is refused.  The property is
         *verified* against the adjacency, never taken on trust, once per
         snapshot: it is derived from the forward arrays alone, so a snapshot
         rebuilt by :meth:`from_bytes` / :meth:`from_shared` recomputes the

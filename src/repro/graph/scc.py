@@ -121,28 +121,43 @@ def condense(graph: GraphLike) -> Tuple[CSRGraph, Dict[int, int]]:
     The DAG's CSR arrays are emitted in one pass over the components in id
     order: a component's run is the set of components its members' edges
     point into, minus itself, sorted — byte-identical to snapshotting a
-    ``DiGraph`` built from the same edges, without building one.
+    ``DiGraph`` built from the same edges, without building one.  Every
+    edge target is mapped to its component once, up front; a singleton
+    component's run is then a slice of that list, sorted and de-duplicated
+    only when it holds more than one entry.
     """
     csr = graph.csr()
-    offsets, targets = csr.fwd_offsets, csr.fwd_targets
     components = _dense_components(csr)
     component_of = [0] * csr.num_vertices
     for component_id, members in enumerate(components):
         for member in members:
             component_of[member] = component_id
 
-    component_at = component_of.__getitem__
-    dag_offsets = array("q", [0])
-    dag_targets = array("q")
+    offsets = csr.fwd_offsets.tolist()
+    mapped = list(map(component_of.__getitem__, csr.fwd_targets))
+    dag_offsets = [0]
+    dag_targets: List[int] = []
     for component_id, members in enumerate(components):
-        run = set()
-        for member in members:
-            run.update(map(component_at, targets[offsets[member] : offsets[member + 1]]))
-        run.discard(component_id)
-        dag_targets.extend(sorted(run))
+        if len(members) == 1:
+            member = members[0]
+            run = mapped[offsets[member] : offsets[member + 1]]
+            if len(run) > 1:
+                run = sorted(set(run))
+            # A component only reaches lower ids, so a self-loop sorts last.
+            if run and run[-1] == component_id:
+                run.pop()
+        else:
+            merged = set()
+            for member in members:
+                merged.update(mapped[offsets[member] : offsets[member + 1]])
+            merged.discard(component_id)
+            run = sorted(merged)
+        dag_targets.extend(run)
         dag_offsets.append(len(dag_targets))
     dag_ids = tuple(range(len(components)))
-    dag = CSRGraph(dag_ids, dict(zip(dag_ids, dag_ids)), dag_offsets, dag_targets)
+    dag = CSRGraph(
+        dag_ids, dict(zip(dag_ids, dag_ids)), array("q", dag_offsets), array("q", dag_targets)
+    )
     return dag, dict(zip(csr.ids, component_of))
 
 

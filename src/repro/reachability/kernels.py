@@ -7,33 +7,35 @@ rank packing behind the per-SCC member masks
 (:func:`repro.reachability.packed.pack_ranks`) — have two implementations:
 
 ``python``
-    The arbitrary-width-int loops of :mod:`~repro.reachability.bitset_msbfs`
-    (one descending pass over a topologically numbered snapshot, a BFS to
-    fixpoint otherwise).  No dependencies, always available, and the
-    reference semantics every other backend must match byte for byte.
+    The arbitrary-width-int loops of :mod:`~repro.reachability.bitset_msbfs`:
+    one descending pass for a forward sweep, one ascending pass over the
+    reverse adjacency for a reverse sweep.  No dependencies, always
+    available, and the reference semantics every other backend must match
+    byte for byte.
 
 ``numpy``
-    The same two sweeps over a dense ``(num_vertices, words)`` uint64 matrix.
-    A topologically numbered snapshot
-    (:meth:`~repro.graph.csr.CSRGraph.edges_descend` — every condensation)
-    is swept in **one pass over a level plan**: the edges grouped by the
-    height of their destination and pre-sorted by it, so a level is one
-    gather of the sources' rows, one ``np.bitwise_or.reduceat`` over the
-    destination runs and one OR-assign — each edge gathered once, each
-    vertex written once, no ``np.unique``, no ``ufunc.at``.  Any other
-    snapshot, and every reverse sweep, runs the **level-synchronous BFS to
-    fixpoint**: each level gathers the whole frontier's adjacency with one
-    fancy-index, scatter-ORs the frontier bits into the successors with one
-    unbuffered ``np.bitwise_or.at``, and keeps only the vertices that gained
-    new bits.  The harvest transposes the seen matrix byte plane by byte
-    plane (``np.packbits``) so a source's packed row is built without
-    per-bit Python work.
+    The same sweeps over a dense ``(num_vertices, words)`` uint64 matrix,
+    each **one pass over a level plan**: the edges grouped by the level of
+    their destination and pre-sorted by it, so a level is one gather of the
+    sources' rows, one ``np.bitwise_or.reduceat`` over the destination runs
+    and one OR-assign — each edge gathered once, each vertex written once,
+    no ``np.unique``, no ``ufunc.at``.  A forward plan levels by height
+    (longest path to a sink), a reverse plan by depth (longest path from a
+    source); each is built once per snapshot and cached on it.  The harvest
+    transposes the seen matrix byte plane by byte plane (``np.packbits``)
+    so a source's packed row is built without per-bit Python work.
 
-Both backends compute the same unique fixpoint — the set of (source, vertex)
+Every sweep runs over a topologically numbered snapshot
+(:meth:`~repro.graph.csr.CSRGraph.edges_descend` — every condensation, see
+:func:`repro.graph.scc.numbered_dag`) and relaxes each edge once; any other
+snapshot is refused with ``ValueError`` (:func:`require_numbered`).
+
+Both backends compute the same table — the set of (source, vertex)
 reachability facts is fully determined by the graph and the seeds — so their
 outputs are **byte-identical** by construction, and every consumer from
 :mod:`repro.core.packed_steps` to the wire format is untouched by the switch.
-The differential harness in ``tests/proptest/`` pins this down.
+The property tests in ``tests/proptest/`` hold both to
+:func:`repro.graph.traversal.reachable_pairs`.
 
 Selection is **process-global** (`DSRConfig(kernels=...)` applies it at
 engine construction; the ``REPRO_KERNELS`` environment variable seeds the
@@ -43,7 +45,7 @@ and it is what lets forked shard workers inherit the choice without any
 payload plumbing.  ``auto`` resolves to ``numpy`` when importable (and the
 host is little-endian), else ``python``.  The functions here are the numpy
 implementations themselves and always run vectorised; the per-call choice
-to serve a *narrow* one-pass sweep with the python loop instead is made by
+to serve a *narrow* sweep with the python loop instead is made by
 the dispatchers in :mod:`~repro.reachability.bitset_msbfs`
 (``NUMPY_MIN_SEEDS``), which byte-identity makes invisible.
 """
@@ -181,66 +183,79 @@ def np_edges_descend(csr: "CSRGraph") -> bool:
     return bool((targets < sources).all())
 
 
-def one_pass_applies(csr: "CSRGraph", reverse: bool) -> bool:
-    """Whether a sweep of ``csr`` takes the one-pass form — on either tier."""
-    return not reverse and csr.edges_descend()
+def require_numbered(csr: "CSRGraph") -> None:
+    """Refuse a snapshot the one-pass sweeps cannot serve, on either tier.
+
+    A sweep relaxes each edge once in index order, which is only right when
+    every edge goes to a strictly lower dense index
+    (:meth:`~repro.graph.csr.CSRGraph.edges_descend`).  Condense anything
+    else first: :func:`repro.graph.scc.numbered_dag`.
+    """
+    if not csr.edges_descend():
+        raise ValueError(
+            "bitset sweeps need a topologically numbered snapshot (every edge to a "
+            "lower dense index); condense the graph first (repro.graph.scc.numbered_dag)"
+        )
 
 
-def count_sweep(kind: str, tier: str) -> None:
-    """Count one frontier sweep by the algorithm and the tier that served it."""
+def count_sweep(tier: str) -> None:
+    """Count one frontier sweep by the tier that served it."""
     registry = global_registry()
     if registry.enabled:
-        registry.inc("dsr_kernel_sweeps_total", kind=kind, tier=tier)
+        registry.inc("dsr_kernel_sweeps_total", tier=tier)
 
 
 def np_propagate_matrix(csr: "CSRGraph", seed_bits: Dict[int, int], reverse: bool = False):
     """The ``(n, words)`` uint64 table of source bits reaching each vertex.
 
-    A forward sweep of a topologically numbered snapshot
-    (:meth:`~repro.graph.csr.CSRGraph.edges_descend`) runs the one-pass
-    level plan; everything else — cyclic or arbitrarily numbered snapshots,
-    reverse sweeps — runs the level-synchronous BFS to fixpoint.  The
-    fixpoint is unique, so both return the same table.
+    With ``reverse=True`` the bits flow against the edges: a vertex carries
+    the bits of every seed it *reaches*.  Either way one pass over the
+    snapshot's level plan for that direction.
     """
     np = _numpy()
+    require_numbered(csr)
     if not seed_bits:
         return np.zeros((csr.num_vertices, 1), dtype=np.uint64)
-    if one_pass_applies(csr, reverse):
-        count_sweep("onepass", "numpy")
-        return _np_sweep_levels(np, csr, seed_bits)
-    count_sweep("fixpoint", "numpy")
-    return _np_sweep_fixpoint(np, csr, seed_bits, reverse)
+    count_sweep("numpy")
+    return _np_sweep_levels(np, csr, seed_bits, reverse)
 
 
-def _level_plan(np, csr: "CSRGraph"):
+def _level_plan(np, csr: "CSRGraph", reverse: bool = False):
     """The per-snapshot level plan of a topologically numbered snapshot.
 
-    ``height[v]`` is the longest path from ``v`` to a sink, so every edge
-    goes from a strictly greater height to a lower one and the vertices of
-    one height never feed each other.  The plan groups the edges by the
-    height of their *destination*, highest first, and sorts each group by
-    destination; a level is ``(edge sources, run starts, destinations)``:
-    gathering the sources' rows, OR-reducing each destination's run and
-    OR-assigning the result finishes every vertex of the level at once,
-    from predecessors that are all final already.  Each vertex is written
-    once and each edge gathered once per sweep.
+    A forward plan levels the vertices by ``height[v]``, the longest path
+    from ``v`` to a sink, so every edge goes from a strictly greater height
+    to a lower one and the vertices of one height never feed each other.  A
+    reverse plan does the same over the reverse adjacency, where every edge
+    goes *up* in index, with ``depth[v]`` (the longest path from a source to
+    ``v``) as the level.  The plan groups the edges by the level of their
+    *destination*, highest first, and sorts each group by destination; a
+    level is ``(edge sources, run starts, destinations)``: gathering the
+    sources' rows, OR-reducing each destination's run and OR-assigning the
+    result finishes every vertex of the level at once, from predecessors
+    that are all final already.  Each vertex is written once and each edge
+    gathered once per sweep.
 
-    Built lazily on a snapshot's first numpy one-pass sweep and cached on
-    it: 8 B per edge plus at most 24 B per vertex (14.6 B per edge and
-    2.5 ms to build on a 2140-vertex, 7546-edge condensation).
+    Built lazily on a snapshot's first numpy sweep in that direction and
+    cached on it: 8 B per edge plus at most 24 B per vertex (14.6 B per edge
+    and 2.5 ms to build on a 2140-vertex, 7546-edge condensation).
     """
-    plan = csr._level_plan
+    plan = csr._rev_level_plan if reverse else csr._level_plan
     if plan is None:
         n = csr.num_vertices
-        offsets, targets = csr.fwd_offsets, csr.fwd_targets
+        if reverse:
+            offsets, targets = csr.rev_offsets, csr.rev_targets
+            # Reverse successors carry higher indices: a descending pass
+            # sees them final.
+            order = range(n - 1, -1, -1)
+        else:
+            offsets, targets = csr.fwd_offsets, csr.fwd_targets
+            order = range(n)
         height = [0] * n
-        start = 0
-        # Successors carry lower indices, so an ascending pass sees them final.
-        for vertex in range(n):
-            end = offsets[vertex + 1]
+        for vertex in order:
+            start, end = offsets[vertex], offsets[vertex + 1]
             if start != end:
                 height[vertex] = 1 + max(map(height.__getitem__, targets[start:end]))
-            start = end
         heights = np.array(height, dtype=np.int64)
         levels = []
         if len(targets):
@@ -263,76 +278,26 @@ def _level_plan(np, csr: "CSRGraph"):
                     written[first:last],
                 ))
                 first = last
-        plan = csr._level_plan = (heights, levels)
+        plan = (heights, levels)
+        if reverse:
+            csr._rev_level_plan = plan
+        else:
+            csr._level_plan = plan
     return plan
 
 
-def _np_sweep_levels(np, csr: "CSRGraph", seed_bits: Dict[int, int]):
+def _np_sweep_levels(np, csr: "CSRGraph", seed_bits: Dict[int, int], reverse: bool):
     """One pass over the level plan: every edge gathered exactly once."""
     seed_idx, seed_rows, words = _seed_matrix(np, csr, seed_bits)
     seen = np.zeros((csr.num_vertices, words), dtype=np.uint64)
     seen[seed_idx] = seed_rows
     reduceat = np.bitwise_or.reduceat
-    heights, levels = _level_plan(np, csr)
-    # Level i holds the vertices of height len(levels) - 1 - i, and a seed
-    # only reaches vertices of lower height than its own.
+    heights, levels = _level_plan(np, csr, reverse)
+    # Level i holds the vertices of level len(levels) - 1 - i, and a seed
+    # only reaches vertices of a lower level than its own.
     for sources, runs, written in levels[len(levels) - int(heights[seed_idx].max()) :]:
         seen[written] |= reduceat(seen[sources], runs, axis=0)
     return seen
-
-
-def _np_sweep_fixpoint(np, csr: "CSRGraph", seed_bits: Dict[int, int], reverse: bool):
-    """Level-synchronous BFS to fixpoint, for snapshots of any shape.
-
-    One BFS level = one adjacency gather over the whole frontier + one
-    scatter-OR into the successors; a vertex re-enters the frontier only
-    with the bits it *gained* this level, mirroring the python kernel's
-    termination exactly (the fixpoint itself is unique either way).
-    """
-    n = csr.num_vertices
-    if reverse:
-        offsets = _as_int64(np, csr.rev_offsets)
-        targets = _as_int64(np, csr.rev_targets)
-    else:
-        offsets = _as_int64(np, csr.fwd_offsets)
-        targets = _as_int64(np, csr.fwd_targets)
-
-    frontier_idx, frontier_bits, words = _seed_matrix(np, csr, seed_bits)
-    seen = np.zeros((n, words), dtype=np.uint64)
-    # Seeds may repeat a vertex; scatter-OR folds duplicates correctly.
-    np.bitwise_or.at(seen, frontier_idx, frontier_bits)
-    frontier_idx, frontier_bits = _nonzero_rows(np, frontier_idx, seen[frontier_idx])
-
-    while frontier_idx.size:
-        starts = offsets[frontier_idx]
-        degrees = (offsets[frontier_idx + 1] - starts).astype(np.int64)
-        total = int(degrees.sum())
-        if not total:
-            break
-        # Concatenate the frontier's adjacency runs without a Python loop:
-        # positions k in [0, total) map to targets[starts[i] + local_k].
-        run_ids = np.repeat(np.arange(frontier_idx.size, dtype=np.int64), degrees)
-        run_starts = np.repeat(starts, degrees)
-        run_first = np.repeat(np.cumsum(degrees) - degrees, degrees)
-        successors = targets[run_starts + (np.arange(total, dtype=np.int64) - run_first)]
-        carried = frontier_bits[run_ids]
-
-        unique_succ, inverse = np.unique(successors, return_inverse=True)
-        gathered = np.zeros((unique_succ.size, words), dtype=np.uint64)
-        np.bitwise_or.at(gathered, inverse, carried)
-        new_bits = gathered & ~seen[unique_succ]
-        gained = new_bits.any(axis=1)
-        if not gained.any():
-            break
-        frontier_idx = unique_succ[gained]
-        frontier_bits = new_bits[gained]
-        seen[frontier_idx] |= frontier_bits
-    return seen
-
-
-def _nonzero_rows(np, indices, rows):
-    keep = rows.any(axis=1)
-    return indices[keep], rows[keep]
 
 
 def np_propagate(csr: "CSRGraph", seed_bits: Dict[int, int], reverse: bool = False) -> List[int]:
@@ -363,6 +328,7 @@ def np_set_reachability_rows(
     batch instead of in a per-(target, source-bit) Python loop.
     """
     np = _numpy()
+    require_numbered(csr)
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
     source_list = list(sources)
@@ -415,12 +381,12 @@ __all__ = [
     "count_sweep",
     "kernel_backend",
     "numpy_available",
-    "one_pass_applies",
     "np_edges_descend",
     "np_pack_ranks",
     "np_propagate",
     "np_propagate_matrix",
     "np_set_reachability_rows",
+    "require_numbered",
     "resolve_kernels",
     "set_kernel_backend",
     "use_kernels",

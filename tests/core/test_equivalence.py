@@ -9,7 +9,6 @@ from repro.core.equivalence import (
     EquivalenceClass,
     compute_backward_classes,
     compute_forward_classes,
-    compute_equivalence_sets,
     singleton_classes,
 )
 from repro.graph import generators
@@ -166,9 +165,10 @@ class TestEquivalenceSemantics:
             in_b = partitioning.in_boundaries(pid)
             out_b = partitioning.out_boundaries(pid)
             overlap = in_b & out_b
-            forward, backward = compute_equivalence_sets(
-                partitioning.local_subgraph(pid), in_b, out_b, pid, ClassIdAllocator(9999)
-            )
+            local = partitioning.local_subgraph(pid)
+            allocator = ClassIdAllocator(9999)
+            forward = compute_forward_classes(local, in_b, out_b, pid, allocator)
+            backward = compute_backward_classes(local, in_b, out_b, pid, allocator)
             for cls in forward + backward:
                 assert not (set(cls.members) & overlap)
 

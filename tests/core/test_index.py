@@ -94,13 +94,7 @@ class TestStatistics:
         assert report.max_dag_edges >= 0.5 * report.max_original_edges
 
 
-class TestSummaryStrategyOption:
-    def test_custom_summary_strategy(self, paper_example):
-        _, partitioning, _ = paper_example
-        index = DSRIndex(partitioning, summary_strategy="dfs")
-        index.build()
-        assert index.is_built
-
+class TestStrategyOptions:
     def test_custom_local_strategy_kwargs(self, paper_example):
         _, partitioning, _ = paper_example
         index = DSRIndex(

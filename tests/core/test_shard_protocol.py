@@ -143,9 +143,10 @@ def test_contract_holds_across_an_in_place_vertex_insert(ledger, monkeypatch):
 
 
 def test_every_shard_serves_the_steps_with_onepass_sweeps(ledger, monkeypatch):
-    # Hydration must not lose the condensation's numbering property: a
-    # worker shard that quietly fell back to the fixpoint sweep would still
-    # answer correctly, only slower — so the counter is the only witness.
+    # Hydration must not lose the condensation's numbering property: the
+    # sweeps refuse a snapshot whose edges do not descend, so a shard that
+    # lost it raises ValueError here instead of answering.  Every shard must
+    # also sweep exactly as often, on the same tiers, as the in-process one.
     graph = generators.social_graph(240, avg_degree=3, reciprocity=0.4, seed=19)
     engine = open_engine(graph, DSRConfig(num_partitions=3, local_index="msbfs"))
     state = engine.index.current_state()
@@ -159,19 +160,16 @@ def test_every_shard_serves_the_steps_with_onepass_sweeps(ledger, monkeypatch):
             for name, shard in shards.items():
                 with use_registry() as registry:
                     step(shard, payload)
-                per_kind = sweeps.setdefault(name, {})
-                for kind in ("onepass", "fixpoint"):
-                    count = sum(
-                        registry.counter_value("dsr_kernel_sweeps_total", kind=kind, tier=tier)
-                        for tier in ("python", "numpy")
-                    )
+                per_tier = sweeps.setdefault(name, {})
+                for tier in ("python", "numpy"):
+                    count = registry.counter_value("dsr_kernel_sweeps_total", tier=tier)
                     if count:
-                        per_kind[kind] = per_kind.get(kind, 0) + count
+                        per_tier[tier] = per_tier.get(tier, 0) + count
         finally:
             for name in ("pickled", "shm"):
                 if name in shards:
                     shards[name].close()
     assert set(sweeps) == set(shards)
-    for name, per_kind in sweeps.items():
-        assert set(per_kind) == {"onepass"}, f"{name} shard swept to fixpoint"
-        assert per_kind == sweeps["in-process"]
+    assert sweeps["in-process"]
+    for name, per_tier in sweeps.items():
+        assert per_tier == sweeps["in-process"], name

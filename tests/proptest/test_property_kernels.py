@@ -6,13 +6,14 @@ hypothesis-generated graphs, seeds and masks — the raw
 ``propagate`` / ``set_reachability_rows`` / ``pack_ranks`` contracts, where
 "identical" means identical Python ints (same bytes, same everything).
 
-Two families.  The *parity* tests draw arbitrary (mostly cyclic) graphs,
-which every tier sweeps to fixpoint, and hold numpy to python.  The
-*one-pass* tests draw topologically numbered DAGs — hand-numbered ones and
-``condense()`` of the cyclic graphs — and hold the one-pass sweep of each
-tier to the fixpoint sweep of the same snapshot and to the independent
-oracle ``reachable_pairs``; their negative cases (an ascending edge, a
-2-cycle, a self-loop) must fall back to the fixpoint and stay right.
+Every sweep is one pass over a topologically numbered DAG, so every graph
+drawn here is one: hand-numbered DAGs and ``condense()`` of arbitrary
+(mostly cyclic) graphs.  The *parity* tests hold numpy to python on the
+condensations; the *one-pass* tests hold each tier, in both directions, to
+the independent oracle ``reachable_pairs``; their negative cases (an
+ascending edge, a 2-cycle, a self-loop) must be refused with
+``ValueError``.  Last, a partition summary built over random cyclic local
+graphs must give every in-boundary exactly its ``reachable_pairs`` reach.
 
 Skipped wholesale when hypothesis is missing; without numpy the numpy arms
 are skipped and the python arms still run.
@@ -25,11 +26,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
+from repro.core.equivalence import ClassIdAllocator  # noqa: E402
+from repro.core.summary import build_partition_summary  # noqa: E402
 from repro.graph.csr import CSRGraph  # noqa: E402
 from repro.graph.digraph import DiGraph  # noqa: E402
 from repro.graph.scc import condense  # noqa: E402
 from repro.graph.traversal import reachable_pairs  # noqa: E402
 from repro.obs import use_registry  # noqa: E402
+from repro.partition.partition import GraphPartitioning  # noqa: E402
 from repro.reachability import bitset_msbfs  # noqa: E402
 from repro.reachability.kernels import (  # noqa: E402
     np_pack_ranks,
@@ -83,7 +87,7 @@ def test_propagate_parity(edges, isolated, seed_positions, seed_widths, reverse)
     graph = _graph_of(edges, isolated)
     if not graph.num_vertices:
         return
-    csr = graph.csr()
+    csr = condense(graph)[0]
     seeds = {}
     for position, width in zip(seed_positions, seed_widths):
         index = position % csr.num_vertices
@@ -106,19 +110,15 @@ def test_set_reachability_rows_parity(edges, source_picks, mask_seed, batch_size
     graph = _graph_of(edges)
     if not graph.num_vertices:
         return
-    csr = graph.csr()
+    csr, component_of = condense(graph)
     ids = sorted(graph.vertices())
-    sources = [ids[p % len(ids)] for p in source_picks]
+    sources = [component_of[ids[p % len(ids)]] for p in source_picks]
     mask = None if mask_seed is None else mask_seed % (1 << csr.num_vertices)
     with use_kernels("python"):
         reference = bitset_msbfs.set_reachability_rows(
             csr, sources, mask, batch_size=batch_size, reverse=reverse
         )
-        # A reverse row is the forward row of the reversed graph.
-        assert reference == bitset_msbfs.set_reachability_rows(
-            (graph.reverse() if reverse else graph).csr(), sources, mask,
-            batch_size=batch_size,
-        )
+    assert reference == _oracle_rows(csr, csr, sources, mask, reverse)
     got = np_set_reachability_rows(
         csr, sources, mask, batch_size=batch_size, reverse=reverse
     )
@@ -178,20 +178,20 @@ def _rows_on(tier, csr, sources, mask, batch_size, reverse):
         )
 
 
-def _fixpoint_twin(csr):
-    """The same snapshot, marked as not topologically numbered."""
-    twin = CSRGraph(csr.ids, csr._index_of, csr.fwd_offsets, csr.fwd_targets)
-    twin._descending = False
-    return twin
-
-
-def _sweep_kinds(registry):
+def _sweep_tiers(registry):
     return {
-        kind
-        for kind in ("onepass", "fixpoint")
+        tier
         for tier in ("python", "numpy")
-        if registry.counter_value("dsr_kernel_sweeps_total", kind=kind, tier=tier)
+        if registry.counter_value("dsr_kernel_sweeps_total", tier=tier)
     }
+
+
+#: Which tiers may serve a sweep on each arm.
+SERVING_TIERS = {
+    "python": {"python"},
+    "numpy": {"numpy"},
+    "numpy-dispatch": {"python", "numpy"},
+}
 
 
 @st.composite
@@ -258,8 +258,8 @@ def test_onepass_propagate_four_ways(tier, graph, seed_positions, seed_widths, r
     with use_registry() as registry:
         got = _propagate_on(tier, csr, seeds, reverse)
     if seeds:
-        assert _sweep_kinds(registry) == {"fixpoint" if reverse else "onepass"}
-    assert got == _propagate_on(tier, _fixpoint_twin(csr), seeds, reverse)
+        assert len(_sweep_tiers(registry)) == 1
+        assert _sweep_tiers(registry) <= SERVING_TIERS[tier]
     # The oracle: a vertex carries the OR of the seed bits of every reacher.
     expected = [0] * csr.num_vertices
     oracle_graph = _reversed(graph) if reverse else graph
@@ -288,21 +288,30 @@ def test_onepass_rows_four_ways(
     mask = None if mask_seed is None else mask_seed % (1 << csr.num_vertices)
     with use_registry() as registry:
         got = _rows_on(tier, csr, sources, mask, batch_size, reverse)
-    assert _sweep_kinds(registry) <= {"fixpoint" if reverse else "onepass"}
-    assert got == _rows_on(tier, _fixpoint_twin(csr), sources, mask, batch_size, reverse)
+    assert _sweep_tiers(registry) <= SERVING_TIERS[tier]
     assert got == _oracle_rows(graph, csr, sources, mask, reverse)
 
 
-@pytest.mark.parametrize("tier", TIERS)
+#: The public sweep entry points, each called on a spoiled snapshot.
+ENTRY_POINTS = {
+    "propagate": lambda csr: bitset_msbfs.propagate(csr, {0: 1}),
+    "set_reachability_rows": lambda csr: bitset_msbfs.set_reachability_rows(csr, csr.ids),
+    "np_set_reachability_rows": lambda csr: np_set_reachability_rows(csr, csr.ids),
+}
+
+
+@pytest.mark.parametrize(
+    "entry_point",
+    [
+        "propagate",
+        "set_reachability_rows",
+        pytest.param("np_set_reachability_rows", marks=needs_numpy),
+    ],
+)
 @pytest.mark.parametrize("spoiler", ["ascending-edge", "two-cycle", "self-loop"])
 @COMMON_SETTINGS
-@given(
-    graph=numbered_dags(),
-    pick=st.integers(min_value=0, max_value=10**6),
-    source_count=st.sampled_from([1, 3, 20, 70]),
-    source_seed=st.integers(min_value=0, max_value=2**16),
-)
-def test_unnumbered_snapshot_falls_back(tier, spoiler, graph, pick, source_count, source_seed):
+@given(graph=numbered_dags(), pick=st.integers(min_value=0, max_value=10**6))
+def test_unnumbered_snapshot_is_refused(entry_point, spoiler, graph, pick):
     # The spoiled graph is built as a new snapshot: a condensation is
     # immutable, so its edges are copied and the spoiler added to the copy.
     edges = list(graph.edges())
@@ -318,11 +327,50 @@ def test_unnumbered_snapshot_falls_back(tier, spoiler, graph, pick, source_count
         edges.append((ids[low], ids[high]))
         if spoiler == "two-cycle":
             edges.append((ids[high], ids[low]))
-    graph = CSRGraph.from_edges(ids, edges)
-    csr = graph.csr()
+    csr = CSRGraph.from_edges(ids, edges)
     assert not csr.edges_descend()
-    sources = _drawn_sources(graph, source_count, source_seed)
-    with use_registry() as registry:
-        got = _rows_on(tier, csr, sources, None, 64, False)
-    assert _sweep_kinds(registry) <= {"fixpoint"}
-    assert got == _oracle_rows(graph, csr, sources, None, False)
+    with pytest.raises(ValueError, match="topologically numbered"):
+        ENTRY_POINTS[entry_point](csr)
+
+
+# ---------------------------------------------------------------------- #
+# partition summaries over cyclic local graphs
+# ---------------------------------------------------------------------- #
+@st.composite
+def partitioned_cyclic_graphs(draw):
+    """A random graph with self-loops and 2-cycles, split into 2-4 parts."""
+    size = draw(st.integers(min_value=2, max_value=40))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
+    graph = DiGraph()
+    for vertex in range(size):
+        graph.add_vertex(vertex)
+    for _ in range(draw(st.integers(min_value=0, max_value=3 * size))):
+        u, v = rng.randrange(size), rng.randrange(size)
+        graph.add_edge(u, v)
+        if rng.random() < 0.15:
+            graph.add_edge(v, u)
+        if rng.random() < 0.1:
+            graph.add_edge(u, u)
+    num_partitions = draw(st.integers(min_value=2, max_value=4))
+    assignment = {vertex: rng.randrange(num_partitions) for vertex in range(size)}
+    return GraphPartitioning(graph, assignment, num_partitions)
+
+
+@COMMON_SETTINGS
+@given(partitioning=partitioned_cyclic_graphs(), use_equivalence=st.booleans())
+def test_summary_contribution_reproduces_local_reach(partitioning, use_equivalence):
+    allocator = ClassIdAllocator(partitioning.graph.num_vertices)
+    for pid in range(partitioning.num_partitions):
+        local = partitioning.local_subgraph(pid)
+        in_b = partitioning.in_boundaries(pid)
+        out_b = partitioning.out_boundaries(pid)
+        summary = build_partition_summary(pid, local, in_b, out_b, allocator, use_equivalence)
+        vertices, edges = summary.graph_contribution()
+        contribution = DiGraph.from_edges(edges, vertices)
+        # Without equivalence only the I ⇝ O pairs are stored (Definition 4).
+        targets = (in_b | out_b) if use_equivalence else out_b
+        expected = {pair for pair in reachable_pairs(local, in_b, targets) if pair[0] != pair[1]}
+        got = {
+            pair for pair in reachable_pairs(contribution, in_b, targets) if pair[0] != pair[1]
+        }
+        assert got == expected

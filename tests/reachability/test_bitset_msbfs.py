@@ -1,8 +1,10 @@
 """Property tests for the CSR bitset multi-source BFS kernel.
 
-The kernel must agree with per-source :class:`DFSReachability` (and the
-reference traversal) on random DAGs and cyclic graphs, including queries
-where sources and targets overlap and pairs that are unreachable.
+The kernel sweeps topologically numbered DAGs only; over any other graph it
+runs on the graph's condensation, the way :class:`MultiSourceBFS` serves
+it.  Either way it must agree with per-source :class:`DFSReachability` (and
+the reference traversal) on random DAGs and cyclic graphs, including
+queries where sources and targets overlap and pairs that are unreachable.
 """
 
 import pytest
@@ -12,10 +14,11 @@ from repro.graph.digraph import DiGraph
 from repro.graph.traversal import multi_source_reachability
 from repro.reachability import bitset_msbfs
 from repro.reachability.dfs import DFSReachability
+from repro.reachability.msbfs import MultiSourceBFS
 
 
-def kernel_answer(graph, sources, targets, **kwargs):
-    return bitset_msbfs.set_reachability(graph.csr(), sources, targets, **kwargs)
+def kernel_answer(graph, sources, targets, batch_size=512):
+    return MultiSourceBFS(graph, batch_size=batch_size).set_reachability(sources, targets)
 
 
 class TestAgainstPerSourceDFS:
@@ -90,14 +93,20 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             kernel_answer(graph, [0], [1], batch_size=0)
 
-    def test_reverse_propagation(self):
+    def test_raw_kernel_refuses_unnumbered_snapshots(self):
         graph = DiGraph.from_edges([(0, 1), (1, 2)])
+        with pytest.raises(ValueError):
+            bitset_msbfs.set_reachability_rows(graph.csr(), [0], None)
+
+    def test_reverse_propagation(self):
+        graph = DiGraph.from_edges([(2, 1), (1, 0)])
         csr = graph.csr()
-        seen = bitset_msbfs.propagate(csr, {csr.index_of(2): 1}, reverse=True)
+        seen = bitset_msbfs.propagate(csr, {csr.index_of(0): 1}, reverse=True)
         reached = {csr.vertex_at(i) for i, bits in enumerate(seen) if bits}
         assert reached == {0, 1, 2}
 
     def test_single_pair_helper(self):
-        graph = DiGraph.from_edges([(0, 1), (1, 2)])
-        assert bitset_msbfs.reachable(graph.csr(), 0, 2)
-        assert not bitset_msbfs.reachable(graph.csr(), 2, 0)
+        index = MultiSourceBFS(DiGraph.from_edges([(0, 1), (1, 2), (2, 1)]))
+        assert index.reachable(0, 2)
+        assert index.reachable(2, 1)
+        assert not index.reachable(2, 0)

@@ -68,7 +68,7 @@ class TestGlobalSwitch:
         from repro.graph.digraph import DiGraph
         from repro.reachability.bitset_msbfs import set_reachability_rows
 
-        graph = DiGraph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
+        graph = DiGraph.from_edges([(1, 0), (2, 1), (3, 2), (3, 0), (4, 3)])
         csr = graph.csr()
         sources = sorted(graph.vertices())
         with use_kernels("python"):
