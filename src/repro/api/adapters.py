@@ -79,10 +79,6 @@ class QueryAdapter:
 def _open_dsr(graph, config, partitioning):
     from repro.core.engine import DSREngine
 
-    if config.fleet:
-        from repro.fleet import ReplicaFleet
-
-        return ReplicaFleet.from_config(graph, config, partitioning=partitioning)
     engine = DSREngine.from_config(graph, config, partitioning=partitioning)
     engine.build_index()
     return engine

@@ -96,15 +96,6 @@ class DSRConfig:
         processed from the target side (Section 3.3.2).
     local_index_options:
         Extra keyword arguments for the local reachability strategy.
-    fleet:
-        Open a :class:`~repro.fleet.ReplicaFleet` of heterogeneous replicas
-        instead of a single engine (``backend="dsr"`` only).  Implied by
-        setting ``replicas``.
-    replicas:
-        Fleet composition: an integer replica count (strategies drawn
-        round-robin from the default heterogeneous trio), an explicit
-        sequence of local-index strategy names (one replica each), or
-        ``None`` with ``fleet=True`` for the default fleet-of-3.
     """
 
     backend: str = "dsr"
@@ -119,8 +110,6 @@ class DSRConfig:
     executor: str = "serial"
     epoch_flush: str = "inline"
     kernels: str = "auto"
-    fleet: bool = False
-    replicas: Optional[Any] = None
     worker_hosts: Optional[Any] = None
 
     def __post_init__(self) -> None:
@@ -185,39 +174,6 @@ class DSRConfig:
             object.__setattr__(
                 self, "local_index_options", dict(self.local_index_options)
             )
-        _require(
-            isinstance(self.fleet, bool),
-            f"fleet must be a bool, got {self.fleet!r}",
-        )
-        if self.replicas is not None:
-            if isinstance(self.replicas, int) and not isinstance(self.replicas, bool):
-                _require(
-                    self.replicas >= 1,
-                    f"replicas must be a positive integer, got {self.replicas!r}",
-                )
-            else:
-                _require(
-                    isinstance(self.replicas, (list, tuple))
-                    and len(self.replicas) >= 1
-                    and all(isinstance(name, str) for name in self.replicas),
-                    "replicas must be a positive integer or a non-empty "
-                    f"sequence of strategy names, got {self.replicas!r}",
-                )
-                for name in self.replicas:
-                    _require(
-                        name in available_strategies(),
-                        f"unknown replica strategy {name!r}; "
-                        f"available: {', '.join(available_strategies())}",
-                    )
-                # Normalise to a tuple so equality and hashing behave.
-                object.__setattr__(self, "replicas", tuple(self.replicas))
-            # Naming a fleet composition *is* asking for a fleet.
-            object.__setattr__(self, "fleet", True)
-        if self.fleet:
-            _require(
-                self.backend == "dsr",
-                f"fleet mode requires backend='dsr', got {self.backend!r}",
-            )
         if self.worker_hosts is not None:
             _require(
                 self.executor == "tcp",
@@ -251,8 +207,6 @@ class DSRConfig:
         }
         if payload["local_index_options"] is not None:
             payload["local_index_options"] = dict(payload["local_index_options"])
-        if isinstance(payload["replicas"], tuple):
-            payload["replicas"] = list(payload["replicas"])
         if isinstance(payload["worker_hosts"], tuple):
             payload["worker_hosts"] = list(payload["worker_hosts"])
         return payload

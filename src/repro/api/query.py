@@ -45,10 +45,8 @@ class ReachQuery:
         bookkeeping per step.  Backends without tracing ignore it.
     tenant:
         Optional workload label (e.g. ``"analytics"``).  Tenants never change
-        the answer; they feed the fleet router's query fingerprint so a
-        :class:`~repro.fleet.ReplicaFleet` can learn per-tenant query classes
-        and keep routing stable for each of them.  Single-engine backends
-        ignore it.
+        the answer; the async front door keys its per-tenant token buckets
+        and SLO latency histograms on it.  Backends ignore it.
     deadline_ms:
         Optional end-to-end budget in milliseconds.  The clock starts at
         admission (service submit / direct engine call); once it runs out

@@ -17,8 +17,7 @@ The CLI exposes the most common workflows without writing any Python:
   service (planner + result cache + concurrent workers), either listening on
   a socket behind the asyncio binary-framed front door (backpressure
   watermarks, per-tenant rate limits) or driving a built-in mixed workload
-  (``--self-test``); ``--replicas N`` serves a workload-adaptive fleet of N
-  heterogeneous replicas with cost-routed reads instead of a single engine.
+  (``--self-test``).
 * ``repro-dsr worker-host`` — run a standalone TCP worker host that serves
   hydrated shards to ``executor="tcp"`` engines (``--worker-hosts`` on
   ``serve``).
@@ -133,11 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backward", action="store_true",
         help="also build the mirror index so the planner can go backward",
     )
-    serve.add_argument(
-        "--replicas", type=int, default=None,
-        help="serve a workload-adaptive fleet of N heterogeneous replicas "
-        "instead of a single engine (see docs/FLEET.md)",
-    )
     serve.add_argument("--workers", type=int, default=4)
     serve.add_argument("--queue-depth", type=int, default=64)
     serve.add_argument("--cache-capacity", type=int, default=1024)
@@ -179,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--health-interval", type=float, default=None, metavar="SECONDS",
-        help="probe fleet replicas / tcp worker hosts every SECONDS behind "
+        help="probe tcp worker hosts every SECONDS behind "
         "per-target circuit breakers (default: off; see docs/RESILIENCE.md)",
     )
     _add_common_arguments(serve)
@@ -384,7 +378,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             local_index=args.local_index,
             seed=args.seed,
             enable_backward=args.backward,
-            replicas=args.replicas,
             executor=args.executor,
             worker_hosts=worker_hosts,
         ),
@@ -394,10 +387,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         f"{args.dataset}: {graph.num_vertices} vertices, {graph.num_edges} edges — "
         f"index built in {report.parallel_build_seconds:.3f}s simulated-parallel"
     )
-    if args.replicas:
-        strategies = ", ".join(replica.strategy for replica in engine.replicas)
-        print(f"fleet: {args.replicas} replicas [{strategies}] — reads route, "
-              f"updates fan out, tuner re-specialises in the background")
     service = DSRService(
         engine,
         num_workers=args.workers,
@@ -410,7 +399,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     if service.health is not None:
         print(
             f"health: probing {len(service.health.target_names())} target(s) "
-            f"every {args.health_interval:g}s (circuit breakers + auto eject)"
+            f"every {args.health_interval:g}s (circuit breakers)"
         )
     try:
         if args.self_test:
@@ -454,7 +443,6 @@ def _print_health(service: DSRService) -> None:
         {
             "target": name,
             "state": target["state"],
-            "ejected": target["ejected"],
             "fails": target["consecutive_failures"],
             "opens": target["opens"],
         }
@@ -517,22 +505,6 @@ def _serve_self_test(graph, service: DSRService, seed: int) -> int:
             return 1
     print("self-test passed: answers stayed exact across cache + updates")
     print(format_table([_stats_row(service)], title="serving metrics"))
-    fleet_stats = service.stats().get("fleet")
-    if fleet_stats is not None:
-        print(
-            format_table(
-                [
-                    {
-                        "replica": entry["replica"],
-                        "strategy": entry["strategy"],
-                        "routes": entry["routes"],
-                        "rebuilds": entry["rebuilds"],
-                    }
-                    for entry in fleet_stats["replicas"]
-                ],
-                title="fleet routing",
-            )
-        )
     return 0
 
 

@@ -343,52 +343,6 @@ class DSREngine:
             self._reverse_maintainer.flush()
         return result
 
-    def rebuild_local_strategy(
-        self, local_index: str, local_index_options: Optional[dict] = None
-    ):
-        """Swap the local reachability strategy by publishing a new epoch.
-
-        The fleet tuner's online re-specialisation path: the index keeps
-        serving the current epoch while every compound graph is reassembled
-        with the new strategy off the hot path, then the new epoch swaps in
-        atomically (the same machinery as an update flush — see
-        :meth:`IncrementalMaintainer.rebuild_index`).  Any pending updates
-        fold into the same epoch.  All registered strategies answer
-        identically, so the swap is invisible to in-flight queries beyond
-        the epoch bump.  Synchronous; run it on a worker thread to keep a
-        serving loop unblocked.  Returns the forward index's
-        :class:`~repro.core.updates.FlushResult`.
-        """
-        self._require_built()
-        from repro.reachability.factory import available_strategies
-
-        if local_index.lower() not in available_strategies():
-            raise ValueError(
-                f"unknown reachability strategy {local_index!r}; "
-                f"available: {', '.join(available_strategies())}"
-            )
-        result = self._maintainer.rebuild_index(
-            local_strategy=local_index, strategy_kwargs=local_index_options
-        )
-        self._local_index = local_index
-        self._local_index_options = (
-            dict(local_index_options) if local_index_options else None
-        )
-        if self._reverse_maintainer is not None:
-            self._reverse_maintainer.rebuild_index(
-                local_strategy=local_index, strategy_kwargs=local_index_options
-            )
-        self.config = self.config.replace(
-            local_index=local_index,
-            local_index_options=self._local_index_options,
-        )
-        return result
-
-    @property
-    def local_index(self) -> str:
-        """Registry name of the local reachability strategy currently served."""
-        return self._local_index
-
     def wait_for_maintenance(self, timeout: Optional[float] = None) -> bool:
         """Block until no background epoch flush is pending (False on timeout)."""
         done = True

@@ -186,47 +186,12 @@ class IncrementalMaintainer:
                     seconds=time.perf_counter() - start,
                     epoch=self.index.epoch,
                 )
-            result = self._build_and_publish(dirty, start, outcome="published")
+            result = self._build_and_publish(dirty, start)
         for listener in self._flush_listeners:
             listener(result)
         return result
 
-    def rebuild_index(
-        self,
-        local_strategy: Optional[str] = None,
-        strategy_kwargs: Optional[Dict[str, Any]] = None,
-    ) -> FlushResult:
-        """Republish the index as a new epoch, optionally swapping strategy.
-
-        The fleet tuner's rebuild path: unlike :meth:`flush`, this *always*
-        builds and publishes a full next epoch — an empty dirty set still
-        reassembles every compound graph, which is exactly what re-reading
-        ``index.local_strategy`` needs to take effect everywhere.  Pending
-        dirty partitions are folded into the same epoch, so no maintenance is
-        lost or double-applied.  Queries keep reading the current epoch for
-        the whole heavy rebuild and flip at the atomic publish; the strategy
-        attributes are only mutated under the mutation lock while no other
-        epoch build can be in flight (the flush lock is held), so no epoch
-        ever mixes planning state mid-build.  Answers are strategy-invariant
-        by construction, which is why in-flight queries need no coordination
-        beyond the usual epoch swap.
-        """
-        start = time.perf_counter()
-        with self._flush_lock:
-            with self._mutation_lock:
-                dirty = set(self._dirty)
-                self._dirty.clear()
-                if local_strategy is not None:
-                    self.index.local_strategy = local_strategy
-                    self.index.strategy_kwargs = dict(strategy_kwargs or {})
-            result = self._build_and_publish(dirty, start, outcome="rebuild")
-        for listener in self._flush_listeners:
-            listener(result)
-        return result
-
-    def _build_and_publish(
-        self, dirty: Set[int], start: float, outcome: str
-    ) -> FlushResult:
+    def _build_and_publish(self, dirty: Set[int], start: float) -> FlushResult:
         """Build the next epoch from ``dirty``, publish it, account for it.
 
         Runs under the flush lock.  On failure the batch was not applied:
@@ -262,7 +227,7 @@ class IncrementalMaintainer:
         self._flush_count += 1
         self.last_flush = result
         if registry.enabled:
-            registry.inc("dsr_flushes_total", outcome=outcome)
+            registry.inc("dsr_flushes_total", outcome="published")
             registry.observe("dsr_flush_seconds", result.seconds)
             for stage, seconds in stages.items():
                 registry.observe("dsr_flush_stage_seconds", seconds, stage=stage)

@@ -89,28 +89,6 @@ class ReachabilityIndex(ABC):
         return pairs
 
     # ------------------------------------------------------------------ #
-    # cost model
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def local_cost_factor(cls, num_roots: int, avg_degree: float) -> float:
-        """Modeled cost of this strategy *relative to* one root-by-root DFS.
-
-        The service planner's baseline traversal cost is
-        ``num_roots × (1 + entries) × (1 + avg_degree)`` — one full frontier
-        expansion per traversal root.  Each strategy scales that term by a
-        multiplicative factor in ``(0, 1]`` describing how much of the
-        per-root traversal it actually performs (shared frontiers, interval
-        pruning, precomputed closures...).  The factors are deterministic,
-        depend only on the query cardinality and the graph's average degree,
-        and only their *relative order* matters: they let a router compare
-        heterogeneous replicas with one cost currency.
-
-        The base class is the plain per-root traversal: factor ``1.0``.
-        """
-        del num_roots, avg_degree
-        return 1.0
-
-    # ------------------------------------------------------------------ #
     # maintenance
     # ------------------------------------------------------------------ #
     def rebuild(self) -> None:

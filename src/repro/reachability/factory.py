@@ -37,23 +37,6 @@ def available_strategies() -> list:
     return sorted(_STRATEGIES)
 
 
-def strategy_class(name: str) -> type:
-    """The strategy class registered under ``name`` (without instantiating).
-
-    Used by the planner's cost model and the fleet tuner to consult a
-    strategy's :meth:`~repro.reachability.base.ReachabilityIndex.local_cost_factor`
-    for *hypothetical* strategies — costing a rebuild candidate must not
-    require building its index first.
-    """
-    try:
-        return _STRATEGIES[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown reachability strategy {name!r}; "
-            f"available: {', '.join(available_strategies())}"
-        ) from None
-
-
 def make_reachability_index(name: str, graph: GraphLike, **kwargs) -> ReachabilityIndex:
     """Instantiate the named local reachability strategy over ``graph``."""
     try:

@@ -69,17 +69,6 @@ class FerrariIndex(ReachabilityIndex):
         self.num_seeds = max(0, num_seeds)
         self._build()
 
-    @classmethod
-    def local_cost_factor(cls, num_roots: int, avg_degree: float) -> float:
-        """Interval labels prune most of every per-root traversal.
-
-        Queries still walk the condensed DAG when the bounded labels are
-        inconclusive, so the factor is a constant fraction of a DFS rather
-        than the near-free closure lookup.
-        """
-        del num_roots, avg_degree
-        return 0.35
-
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #

@@ -29,17 +29,6 @@ class GrailIndex(ReachabilityIndex):
         self.seed = seed
         self._build()
 
-    @classmethod
-    def local_cost_factor(cls, num_roots: int, avg_degree: float) -> float:
-        """Randomised labels only filter; positives re-run a pruned search.
-
-        GRAIL's containment test rejects quickly but must confirm positives
-        with an online search, so its modeled fraction of a DFS sits above
-        FERRARI's deterministic intervals.
-        """
-        del num_roots, avg_degree
-        return 0.5
-
     def _build(self) -> None:
         self._dag, self._vertex_to_component = numbered_dag(self.graph)
         self._labels: List[Dict[int, Tuple[int, int]]] = []

@@ -39,24 +39,6 @@ class MultiSourceBFS(ReachabilityIndex):
         # the graph's current snapshot on first use.
         self._numbering: Optional[Tuple[CSRGraph, CSRGraph, Dict[int, int]]] = None
 
-    @classmethod
-    def local_cost_factor(cls, num_roots: int, avg_degree: float) -> float:
-        """Shared frontiers amortise roots in machine words.
-
-        The model: one bitset sweep serves up to 64 roots at once, so the
-        per-root traversal cost is ``ceil(roots / 64) / roots`` of a DFS —
-        ~1.0 for a single root, ~1/64th for large root sets.  It is hand-set,
-        not fitted.  Measured per call (``docs/BENCHMARKS.md``, "Kernel cost
-        by seed count"): the one-pass sweep over a 2140-vertex condensation
-        is near-flat in the root count (0.2 → 0.9 ms from 1 to 256 roots)
-        while the harvest grows with it.  The factor has not been fitted to
-        that curve; the planner's cost model is still open for review.
-        """
-        del avg_degree
-        if num_roots <= 0:
-            return 1.0
-        return -(-num_roots // 64) / num_roots
-
     def _numbered(self) -> Tuple[CSRGraph, CSRGraph, Dict[int, int]]:
         """The graph's numbered DAG, re-derived when its snapshot changed."""
         csr = self.graph.csr()

@@ -21,20 +21,6 @@ class TransitiveClosureIndex(ReachabilityIndex):
         super().__init__(graph)
         self._build()
 
-    @classmethod
-    def local_cost_factor(cls, num_roots: int, avg_degree: float) -> float:
-        """Per-root set membership over the materialised closure.
-
-        A query never expands a frontier — each root costs a component
-        lookup plus target membership tests — so the modeled fraction of a
-        DFS is a small constant.  It stays above the large-root-set MS-BFS
-        amortisation (``1/64`` per root) because the per-root constant never
-        shrinks with the root count: closure wins small, repeated queries;
-        shared-frontier sweeps win huge root sets.
-        """
-        del num_roots, avg_degree
-        return 0.12
-
     def _build(self) -> None:
         dag, self._vertex_to_component = numbered_dag(self.graph)
         # closure[c] = set of components reachable from c (including c);

@@ -17,11 +17,10 @@ here, in one package the rest of the codebase imports from —
 * :mod:`repro.resilience.failpoints` — named, seeded, deterministic
   fault-injection sites (:func:`failpoint`) wired into the real failure
   seams (TCP RPC, hydration replay, worker dispatch, shm attach/unlink,
-  replica rebuild, the service flush path), zero-cost when disabled;
+  the service flush path), zero-cost when disabled;
 * :mod:`repro.resilience.supervisor` — per-target circuit breakers
   (closed/open/half-open) and the :class:`HealthSupervisor` that probes
-  worker hosts and fleet replicas, ejects unhealthy replicas from routing
-  and re-admits them after a successful probe.
+  TCP worker hosts behind them.
 
 See ``docs/RESILIENCE.md`` for the failpoint catalog, the deadline
 semantics, the breaker state machine and the degraded-mode matrix.

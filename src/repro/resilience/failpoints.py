@@ -26,7 +26,6 @@ site                        seam
 ``executor.dispatch``       :meth:`ProcessExecutor._call_worker`
 ``shm.attach``              worker-side shared-memory attach
 ``shm.unlink``              master-side segment destroy
-``fleet.rebuild``           :meth:`FleetReplica._do_rebuild`
 ``service.flush``           the service's explicit-flush update path
 ==========================  =====================================================
 

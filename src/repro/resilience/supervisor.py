@@ -14,14 +14,9 @@
 :class:`HealthSupervisor` owns one breaker per registered target and a
 probe function for each.  It can run its probe loop on a daemon thread
 (:meth:`start`) or be driven synchronously (:meth:`probe_now` — the
-deterministic test path).  Targets also receive *inline* observations
-(:meth:`report_failure` / :meth:`report_success`) from the serving path, so
-a breaker can open from real traffic between probe rounds.
-
-State changes drive the eject/admit callbacks: the fleet wires these to
-:meth:`QueryRouter.eject` / :meth:`~QueryRouter.readmit`, which is what
-makes an open breaker mean *zero routed queries* and a recovered probe mean
-automatic re-admission.
+deterministic test path).  The service registers one ``worker:<rank>``
+target per TCP worker host; its probe is a ``ping`` round trip, which also
+reconnects or respawns a dead host.
 
 Metrics: ``dsr_breaker_state{target=…}`` (0 closed, 1 half-open, 2 open),
 ``dsr_breaker_transitions_total{target=…,to=…}`` and
@@ -44,8 +39,8 @@ BREAKER_HALF_OPEN = "half_open"
 _STATE_GAUGE = {BREAKER_CLOSED: 0.0, BREAKER_HALF_OPEN: 1.0, BREAKER_OPEN: 2.0}
 
 #: Default probe backoff: first re-probe half a second after an open, then
-#: 1s, 2s, … capped at 30s — jittered so a fleet of breakers never
-#: synchronises its probes.
+#: 1s, 2s, … capped at 30s — jittered so many breakers never synchronise
+#: their probes.
 DEFAULT_BREAKER_BACKOFF = BackoffPolicy(
     base_seconds=0.5, multiplier=2.0, cap_seconds=30.0, jitter=0.1
 )
@@ -170,15 +165,12 @@ class CircuitBreaker:
 
 
 class _Target:
-    __slots__ = ("name", "probe", "on_eject", "on_admit", "breaker", "ejected")
+    __slots__ = ("name", "probe", "breaker")
 
-    def __init__(self, name, probe, on_eject, on_admit, breaker) -> None:
+    def __init__(self, name, probe, breaker) -> None:
         self.name = name
         self.probe = probe
-        self.on_eject = on_eject
-        self.on_admit = on_admit
         self.breaker = breaker
-        self.ejected = False
 
 
 class HealthSupervisor:
@@ -210,18 +202,10 @@ class HealthSupervisor:
     # ------------------------------------------------------------------ #
     # registration
     # ------------------------------------------------------------------ #
-    def add_target(
-        self,
-        name: str,
-        probe: Callable[[], bool],
-        on_eject: Optional[Callable[[], None]] = None,
-        on_admit: Optional[Callable[[], None]] = None,
-    ) -> CircuitBreaker:
+    def add_target(self, name: str, probe: Callable[[], bool]) -> CircuitBreaker:
         """Register ``name`` with its probe; returns the target's breaker.
 
         ``probe`` returns truthy for healthy (exceptions count as failures).
-        ``on_eject`` fires when the breaker opens, ``on_admit`` when a
-        previously ejected target's breaker closes again.
         """
         breaker = CircuitBreaker(
             name,
@@ -229,7 +213,7 @@ class HealthSupervisor:
             backoff=self._backoff,
             clock=self._clock,
         )
-        target = _Target(name, probe, on_eject, on_admit, breaker)
+        target = _Target(name, probe, breaker)
         with self._lock:
             if name in self._targets:
                 raise ValueError(f"target {name!r} is already supervised")
@@ -243,30 +227,6 @@ class HealthSupervisor:
     def target_names(self) -> List[str]:
         with self._lock:
             return sorted(self._targets)
-
-    # ------------------------------------------------------------------ #
-    # observations from the serving path
-    # ------------------------------------------------------------------ #
-    def report_failure(self, name: str) -> None:
-        """Inline failure observation (e.g. a routed query blew up)."""
-        target = self._get(name)
-        if target is not None:
-            target.breaker.record_failure()
-            self._reconcile(target)
-
-    def report_success(self, name: str) -> None:
-        target = self._get(name)
-        if target is not None:
-            target.breaker.record_success()
-            self._reconcile(target)
-
-    def is_healthy(self, name: str) -> bool:
-        target = self._get(name)
-        return target is None or not target.breaker.is_open
-
-    def _get(self, name: str) -> Optional[_Target]:
-        with self._lock:
-            return self._targets.get(name)
 
     # ------------------------------------------------------------------ #
     # probing
@@ -300,21 +260,8 @@ class HealthSupervisor:
                 target.breaker.record_success()
             else:
                 target.breaker.record_failure()
-            self._reconcile(target)
             results[target.name] = healthy
         return results
-
-    def _reconcile(self, target: _Target) -> None:
-        """Fire eject/admit callbacks on breaker state edges (idempotent)."""
-        open_now = target.breaker.is_open
-        if open_now and not target.ejected:
-            target.ejected = True
-            if target.on_eject is not None:
-                target.on_eject()
-        elif not open_now and target.ejected:
-            target.ejected = False
-            if target.on_admit is not None:
-                target.on_admit()
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -362,7 +309,6 @@ class HealthSupervisor:
             "targets": {
                 target.name: {
                     "state": target.breaker.state,
-                    "ejected": target.ejected,
                     "consecutive_failures": target.breaker.consecutive_failures,
                     "opens": target.breaker.open_count,
                     "next_probe_seconds": round(

@@ -30,7 +30,6 @@ from typing import Any, Iterable, Optional, Tuple
 
 from repro.api.query import ReachQuery, as_reach_query
 from repro.core.engine import DSREngine
-from repro.reachability.factory import strategy_class
 
 
 @dataclass(frozen=True)
@@ -61,9 +60,8 @@ class QueryPlanner:
     def __init__(self, engine: DSREngine) -> None:
         self.engine = engine
         #: (epoch_state, stats) memo for :meth:`_entry_stats`.  Epoch states
-        #: are immutable, so identity is a sound cache key; a cost-routed
-        #: fleet prices every query on several planners, which made the
-        #: per-call summary walk the dominant routing cost.
+        #: are immutable, so identity is a sound cache key; the memo spares
+        #: every :meth:`plan` a walk over all partition summaries.
         self._entry_stats_memo: Optional[Tuple[Any, Tuple[float, float]]] = None
 
     # ------------------------------------------------------------------ #
@@ -73,9 +71,8 @@ class QueryPlanner:
         """Average forward/backward entry handles per partition.
 
         Computed once per published epoch state and memoised: the walk over
-        every partition summary is far too slow to repeat on each of the
-        thousands of cost estimates a router issues between epoch swaps.
-        A racing recompute is benign — both threads derive the same value
+        every partition summary is far too slow to repeat for every planned
+        query between epoch swaps.  A racing recompute is benign — both threads derive the same value
         from the same immutable state.
         """
         index = self.engine.index
@@ -127,58 +124,6 @@ class QueryPlanner:
         if direction == "backward":
             return num_targets * (1.0 + forward_entries) * edge_factor + num_sources
         return num_sources * (1.0 + backward_entries) * edge_factor + num_targets
-
-    def estimate_query_cost(
-        self, query: ReachQuery, local_index: Optional[str] = None
-    ) -> float:
-        """Modeled cost of answering ``query`` on this planner's engine.
-
-        This is the **stable public cost entry point** for routers and
-        tuners — the one place where the planner's traversal model meets the
-        local strategy's :meth:`~repro.reachability.base.ReachabilityIndex.local_cost_factor`.
-
-        Contract
-        --------
-        * Input is any valid :class:`~repro.api.query.ReachQuery`; only its
-          source/target cardinalities and ``direction`` influence the cost
-          (never the concrete vertex ids, ``tenant`` or cache options).
-        * ``local_index`` overrides the engine's current local strategy with
-          a *hypothetical* one by registry name, so a tuner can cost a
-          rebuild candidate without building it.  ``None`` costs the
-          strategy the engine is running now.
-        * Returns a finite non-negative float in the planner's relative
-          cost currency.  Callers must only compare these values against
-          other ``estimate_query_cost`` results (same or different
-          ``local_index``); the absolute scale carries no unit.
-        * Deterministic: identical engine statistics and arguments yield
-          an identical cost, so argmin routing over replicas is stable.
-        * Lock-free: reads only published epoch statistics and the cached
-          CSR degree stats, never building snapshots or taking engine
-          locks (safe on a serving hot path).
-
-        A ``direction="auto"`` query is costed at the cheapest eligible
-        direction, mirroring what :meth:`plan` would pick.
-        """
-        num_sources = len(set(query.sources))
-        num_targets = len(set(query.targets))
-        if not num_sources or not num_targets:
-            return 0.0
-        if local_index is None:
-            local_index = getattr(self.engine.index, "local_strategy", "dfs")
-        strategy = strategy_class(local_index)
-        avg_degree = self._edge_factor() - 1.0
-
-        def directed(direction: str) -> float:
-            num_roots = num_targets if direction == "backward" else num_sources
-            factor = strategy.local_cost_factor(num_roots, avg_degree)
-            return self.estimate_cost(num_sources, num_targets, direction) * factor
-
-        if query.direction == "auto":
-            directions = ["forward"]
-            if self.engine.enable_backward and self.engine.is_built:
-                directions.append("backward")
-            return min(directed(direction) for direction in directions)
-        return directed(query.direction)
 
     # ------------------------------------------------------------------ #
     # planning

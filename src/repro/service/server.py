@@ -196,21 +196,7 @@ class ServiceMetrics:
 # the service
 # ---------------------------------------------------------------------- #
 class DSRService:
-    """Concurrent query/update service over one :class:`DSREngine`.
-
-    The engine may also be a :class:`~repro.fleet.ReplicaFleet` — it quacks
-    like an engine, so admission, metrics and updates work unchanged.  The
-    service then adds the fleet's read path on top: every query is routed to
-    the argmin-cost replica (whose planner picks the direction), and
-    updates fan out to all replicas through the fleet's own facade methods.
-    Caching becomes *per replica*: each replica owns a ResultCache of the
-    configured capacity, attached to that replica's maintainer and epoch
-    counter exactly like a single engine's cache.  Because routing is a pure
-    function of the query fingerprint, a query class always lands on the
-    same replica (cache affinity) — the fleet's aggregate cache capacity
-    absorbs working sets that would thrash one engine's cache, which is
-    where a fleet wins on a one-core substrate where strategies tie.
-    """
+    """Concurrent query/update service over one :class:`DSREngine`."""
 
     def __init__(
         self,
@@ -227,14 +213,6 @@ class DSRService:
         if not engine.is_built:
             engine.build_index()
         self.engine = engine
-        # Imported here, not at module scope: repro.fleet imports the planner
-        # from this package, so a top-level import would be circular.
-        from repro.fleet.fleet import ReplicaFleet
-
-        #: The fleet behind ``engine``, when serving one (None otherwise).
-        self._fleet: Optional[ReplicaFleet] = (
-            engine if isinstance(engine, ReplicaFleet) else None
-        )
         #: True when the engine maintains epochs in the background: queries
         #: run lock-free against the published epoch and never flush.
         self._background_epochs = (
@@ -243,31 +221,16 @@ class DSRService:
         self.planner = QueryPlanner(engine)
         self.metrics = ServiceMetrics()
         self.cache: Optional[ResultCache] = None
-        #: Fleet mode: one cache per replica, indexed by replica id.  Routing
-        #: is deterministic per query fingerprint, so each query class keeps
-        #: hitting the same replica's cache (affinity).
-        self._replica_caches: Optional[List[ResultCache]] = None
         if enable_cache:
             # Staleness protection matches the maintenance mode: inline
             # engines clear the cache the moment a structural update is
             # recorded; background engines invalidate at the epoch swap (and
             # every entry is epoch-tagged, so lookups are version-checked).
             invalidate_on = "flush" if self._background_epochs else "update"
-            if self._fleet is not None:
-                self._replica_caches = []
-                for replica in self._fleet.replicas:
-                    cache = ResultCache(
-                        capacity=cache_capacity, ttl_seconds=cache_ttl_seconds
-                    )
-                    cache.attach(
-                        replica.engine.maintainer, invalidate_on=invalidate_on
-                    )
-                    self._replica_caches.append(cache)
-            else:
-                self.cache = ResultCache(
-                    capacity=cache_capacity, ttl_seconds=cache_ttl_seconds
-                )
-                self.cache.attach(engine.maintainer, invalidate_on=invalidate_on)
+            self.cache = ResultCache(
+                capacity=cache_capacity, ttl_seconds=cache_ttl_seconds
+            )
+            self.cache.attach(engine.maintainer, invalidate_on=invalidate_on)
 
         self._engine_lock = threading.Lock()
         self._queue: "queue.Queue" = queue.Queue(maxsize=max_queue_depth)
@@ -280,8 +243,8 @@ class DSRService:
             )
             worker.start()
             self._workers.append(worker)
-        #: Optional self-healing loop: heartbeat probes of fleet replicas
-        #: and TCP worker hosts behind per-target circuit breakers.
+        #: Optional self-healing loop: heartbeat probes of TCP worker hosts
+        #: behind per-target circuit breakers.
         self.health: Optional[HealthSupervisor] = None
         if health_probe_interval_seconds is not None:
             self._enable_health(health_probe_interval_seconds)
@@ -290,10 +253,6 @@ class DSRService:
         supervisor = HealthSupervisor(
             probe_interval_seconds=probe_interval_seconds
         )
-        if self._fleet is not None:
-            # Fleet replicas: probe rebuild state, eject from / re-admit to
-            # the router on breaker edges.
-            self._fleet.enable_health(supervisor=supervisor, start=False)
         executor = getattr(self.engine.cluster, "executor", None)
         ping = getattr(executor, "ping", None)
         if callable(ping):
@@ -412,15 +371,14 @@ class DSRService:
         The fast path for front doors that must not stall their calling
         thread (the async server's event loop): a plain cached query is
         answered inline — same response shape and same metrics as
-        :meth:`handle` — while anything that needs the engine, a fleet
-        route or a trace returns ``None`` for the caller to
+        :meth:`handle` — while anything that needs the engine or a trace
+        returns ``None`` for the caller to
         :meth:`submit` to the worker pool instead.
         """
         if (
             not isinstance(request, ReachQuery)
             or request.trace
             or not request.use_cache
-            or self._fleet is not None
             or self.cache is None
         ):
             return None
@@ -465,23 +423,13 @@ class DSRService:
 
     def _handle_query(self, request: ReachQuery, start: float) -> QueryResponse:
         self.metrics.increment("queries")
-        # Fleet mode: pick the serving replica up front — its planner picks
-        # the direction, its engine runs the query and its cache holds the
-        # answer.  Routing is recorded even when the cache ends up answering:
-        # the workload histogram should reflect demand, not cache luck.
-        route = self._fleet.route(request) if self._fleet is not None else None
-        planner = self.planner if route is None else route.replica.planner
-        engine = self.engine if route is None else route.replica.engine
         trace = QueryTrace() if request.trace else None
         if trace is not None:
             with trace.span("plan") as plan_span:
-                plan = planner.plan(request)
+                plan = self.planner.plan(request)
             plan_span.attrs["direction"] = plan.direction
-            if route is not None:
-                trace.attrs["replica"] = route.replica.replica_id
-                trace.attrs["replica_strategy"] = route.replica.strategy
         else:
-            plan = planner.plan(request)
+            plan = self.planner.plan(request)
         if plan.is_empty:
             latency = time.perf_counter() - start
             # A trivially empty plan never touches the engine: account it
@@ -493,19 +441,9 @@ class DSRService:
                 trace=trace.to_dict() if trace is not None else None,
             )
 
-        # Fleet mode serves from the routed replica's own cache, tagged and
-        # looked up with that replica's epoch counter — exactly the single
-        # engine contract, replicated per replica.
-        if route is None:
-            cache = self.cache
-        else:
-            cache = (
-                self._replica_caches[route.replica.replica_id]
-                if self._replica_caches is not None
-                else None
-            )
+        cache = self.cache
         use_cache = cache is not None and request.use_cache
-        lookup_epoch = engine.epoch if self._background_epochs else None
+        lookup_epoch = self.engine.epoch if self._background_epochs else None
         if use_cache:
             if trace is not None:
                 with trace.span("cache_lookup") as cache_span:
@@ -531,7 +469,7 @@ class DSRService:
             # The lock wait may have outlasted the budget (a flush ahead of
             # us): stop here rather than start a run nobody is waiting for.
             check_deadline("engine")
-            result = engine.run(
+            result = self.engine.run(
                 ReachQuery(
                     plan.sources,
                     plan.targets,
@@ -634,35 +572,8 @@ class DSRService:
         if self.cache is not None:
             combined["cache"] = self.cache.stats.as_dict()
             combined["cache_entries"] = len(self.cache)
-        elif self._replica_caches is not None:
-            # Fleet mode: one cache per replica — the top-level section sums
-            # them so dashboards keep one hit/miss stream either way.
-            merged: Dict[str, Any] = {}
-            entries = 0
-            for cache in self._replica_caches:
-                for key, value in cache.stats.as_dict().items():
-                    if key != "hit_rate":
-                        merged[key] = merged.get(key, 0) + value
-                entries += len(cache)
-            lookups = merged.get("hits", 0) + merged.get("misses", 0)
-            merged["hit_rate"] = (
-                round(merged.get("hits", 0) / lookups, 4) if lookups else 0.0
-            )
-            combined["cache"] = merged
-            combined["cache_entries"] = entries
         if self.health is not None:
             combined["health"] = self.health.stats()
-        if self._fleet is not None:
-            # Per-replica strategy/epoch/routes, routing-table size, workload
-            # classes and the last retune round — the fleet control plane.
-            combined["fleet"] = self._fleet.stats()
-            if self._replica_caches is not None:
-                for row, cache in zip(
-                    combined["fleet"]["replicas"], self._replica_caches
-                ):
-                    row["cache_entries"] = len(cache)
-                    row["cache_hits"] = cache.stats.hits
-                    row["cache_misses"] = cache.stats.misses
         return combined
 
     def metrics_text(self) -> str:
@@ -679,11 +590,6 @@ class DSRService:
         registry.set_gauge("dsr_service_workers", float(len(self._workers)))
         if self.cache is not None:
             registry.set_gauge("dsr_service_cache_entries", float(len(self.cache)))
-        elif self._replica_caches is not None:
-            registry.set_gauge(
-                "dsr_service_cache_entries",
-                float(sum(len(cache) for cache in self._replica_caches)),
-            )
         age = self.engine.index.epoch_age_seconds()
         if age is not None:
             # Epoch lag: how stale the published epoch is, in wall seconds.
@@ -711,9 +617,6 @@ class DSRService:
             self.engine.wait_for_maintenance(timeout=5.0)
         if self.cache is not None:
             self.cache.detach()
-        if self._replica_caches is not None:
-            for cache in self._replica_caches:
-                cache.detach()
 
     def __enter__(self) -> "DSRService":
         return self

@@ -126,6 +126,19 @@ class TestRoundTrip:
             DSRConfig.from_dict({"num_partitions": 0})
 
 
+class TestRemovedFleetFields:
+    @pytest.mark.parametrize(
+        "field", [{"replicas": 3}, {"fleet": True}], ids=["replicas", "fleet"]
+    )
+    def test_constructor_rejects_them(self, field):
+        with pytest.raises(TypeError):
+            DSRConfig(**field)
+
+    def test_from_dict_rejects_them(self):
+        with pytest.raises(ConfigError, match="unknown config keys: replicas"):
+            DSRConfig.from_dict({"backend": "dsr", "replicas": 3})
+
+
 class TestWorkerHosts:
     def test_requires_tcp_executor(self):
         with pytest.raises(ConfigError, match="executor='tcp'"):
@@ -157,3 +170,39 @@ class TestWorkerHosts:
     def test_tcp_without_hosts_is_valid_managed_mode(self):
         config = DSRConfig(executor="tcp")
         assert config.worker_hosts is None
+
+
+#: A valid non-default value for every field (``worker_hosts`` needs tcp).
+NON_DEFAULTS = {
+    "backend": {"backend": "giraph"},
+    "num_partitions": {"num_partitions": 7},
+    "partitioner": {"partitioner": "hash"},
+    "local_index": {"local_index": "ferrari"},
+    "use_equivalence": {"use_equivalence": False},
+    "parallel": {"parallel": True},
+    "seed": {"seed": 41},
+    "enable_backward": {"enable_backward": True},
+    "local_index_options": {"local_index_options": {"k": 2}},
+    "executor": {"executor": "tcp"},
+    "epoch_flush": {"epoch_flush": "background"},
+    "kernels": {"kernels": "python"},
+    "worker_hosts": {"executor": "tcp", "worker_hosts": ["127.0.0.1:9000"]},
+}
+
+
+class TestEveryField:
+    def test_table_names_every_field(self):
+        from dataclasses import fields
+
+        assert set(NON_DEFAULTS) == {spec.name for spec in fields(DSRConfig)}
+        assert set(DSRConfig().to_dict()) == set(NON_DEFAULTS)
+
+    @pytest.mark.parametrize("field", sorted(NON_DEFAULTS))
+    def test_non_default_value_survives_a_json_round_trip(self, field):
+        import json
+
+        config = DSRConfig(**NON_DEFAULTS[field])
+        assert getattr(config, field) != getattr(DSRConfig(), field)
+        restored = DSRConfig.from_dict(json.loads(json.dumps(config.to_dict())))
+        assert restored == config
+        assert getattr(restored, field) == getattr(config, field)

@@ -73,14 +73,17 @@ def test_observability_doctests_pass():
 
 #: Surfaces deleted together with the planner's batch splitting, then with
 #: the thread-per-connection server, the newline-JSON framing and wire
-#: versions 2-4.  (``ctx.send_message`` is Pregel's vertex API in
-#: ``repro.giraph`` — a different, live thing.)
+#: versions 2-4, then with the replica fleet.  (``ctx.send_message`` is
+#: Pregel's vertex API in ``repro.giraph`` — a different, live thing.)
+#: The ``[x]`` classes keep the fleet names out of a plain grep of this file.
 REMOVED_SURFACES = re.compile(
     r"max_batch_pairs|batch[0-9N]\.|plan_epoch_retry"
     r"|DSRSocketServer|(?<!ctx\.)(?<!def )\bsend_message|recv_message"
     r"|loads_versioned|MAX_LINE_BYTES|max_line_bytes|_drain_lines|_compat_tail"
     r"|BINARY_FRAMING_MIN_VERSION|_KIND_MIN_VERSION|async_server|max_requests"
     r"|--max-requests|serve\b.*--async|bench_async_front_door|BENCH_async_qps"
+    r"|Replica[F]leet|repro\.fleet|estimate_query_[c]ost|local_cost_[f]actor"
+    r"|rebuild_local_[s]trategy|fleet\.rebuild|dsr_fleet_|dsr_replica_ejections_total"
 )
 
 

@@ -1,11 +1,17 @@
-"""Circuit-breaker state machine + HealthSupervisor probe/eject/admit tests.
+"""Circuit-breaker state machine + HealthSupervisor probe tests.
 
 Every test drives the breaker's backoff window with an injected fake clock —
 no sleeping through wall time, fully deterministic transitions.
 """
 
+import threading
+
 import pytest
 
+from repro.api import DSRConfig
+from repro.cli import _print_health
+from repro.core.engine import DSREngine
+from repro.graph import generators
 from repro.obs import use_registry
 from repro.resilience import (
     BREAKER_CLOSED,
@@ -15,6 +21,7 @@ from repro.resilience import (
     CircuitBreaker,
     HealthSupervisor,
 )
+from repro.service.server import DSRService
 
 FAST = BackoffPolicy(base_seconds=1.0, multiplier=2.0, cap_seconds=60.0, jitter=0.0)
 
@@ -114,30 +121,29 @@ class TestHealthSupervisor:
         kwargs.setdefault("backoff", FAST)
         return HealthSupervisor(probe_interval_seconds=60.0, clock=clock, **kwargs)
 
-    def test_probe_now_drives_eject_and_admit_callbacks(self):
+    def test_probe_now_opens_and_recloses_the_breaker(self):
         clock = FakeClock()
         supervisor = self._supervisor(clock)
         health = {"value": False}
-        events = []
-        supervisor.add_target(
-            "replica:0",
-            probe=lambda: health["value"],
-            on_eject=lambda: events.append("eject"),
-            on_admit=lambda: events.append("admit"),
-        )
-        assert supervisor.probe_now() == {"replica:0": False}
+        probes = []
+
+        def probe():
+            probes.append(clock())
+            return health["value"]
+
+        breaker = supervisor.add_target("worker:0", probe=probe)
+        assert supervisor.probe_now() == {"worker:0": False}
         supervisor.probe_now()
-        # Threshold reached: breaker open, exactly one eject callback.
-        assert events == ["eject"]
-        # Still open, inside backoff: target not touched, stays ejected.
-        assert supervisor.probe_now() == {"replica:0": False}
-        assert events == ["eject"]
-        # Recovery: advance past the window, probe goes healthy → admit.
+        # Threshold reached: breaker open.
+        assert breaker.state == BREAKER_OPEN
+        # Still open, inside backoff: the target is not touched.
+        assert supervisor.probe_now() == {"worker:0": False}
+        assert len(probes) == 2
+        # Recovery: advance past the window, the probe goes healthy → closed.
         health["value"] = True
         clock.advance(FAST.delay(1))
-        assert supervisor.probe_now() == {"replica:0": True}
-        assert events == ["eject", "admit"]
-        assert supervisor.is_healthy("replica:0")
+        assert supervisor.probe_now() == {"worker:0": True}
+        assert breaker.state == BREAKER_CLOSED
 
     def test_probe_exceptions_count_as_failures(self):
         clock = FakeClock()
@@ -146,42 +152,19 @@ class TestHealthSupervisor:
         def explode():
             raise RuntimeError("probe blew up")
 
-        supervisor.add_target("replica:1", probe=explode)
-        assert supervisor.probe_now() == {"replica:1": False}
-        assert supervisor.breaker("replica:1").state == BREAKER_OPEN
+        supervisor.add_target("worker:1", probe=explode)
+        assert supervisor.probe_now() == {"worker:1": False}
+        assert supervisor.breaker("worker:1").state == BREAKER_OPEN
 
-    def test_half_open_probe_failure_keeps_target_ejected(self):
+    def test_half_open_probe_failure_reopens_the_breaker(self):
         clock = FakeClock()
         supervisor = self._supervisor(clock, failure_threshold=1)
-        events = []
-        supervisor.add_target(
-            "replica:2",
-            probe=lambda: False,
-            on_eject=lambda: events.append("eject"),
-            on_admit=lambda: events.append("admit"),
-        )
+        supervisor.add_target("worker:2", probe=lambda: False)
         supervisor.probe_now()
         clock.advance(FAST.delay(1))
         supervisor.probe_now()  # half-open probe fails → reopen
-        assert events == ["eject"]
-        assert supervisor.breaker("replica:2").open_count == 2
-
-    def test_inline_reports_open_a_breaker_between_probe_rounds(self):
-        clock = FakeClock()
-        supervisor = self._supervisor(clock)
-        ejected = []
-        supervisor.add_target(
-            "worker:0", probe=lambda: True, on_eject=lambda: ejected.append(True)
-        )
-        supervisor.report_failure("worker:0")
-        supervisor.report_failure("worker:0")
-        assert ejected == [True]
-        assert not supervisor.is_healthy("worker:0")
-        supervisor.report_success("worker:0")
-        assert supervisor.is_healthy("worker:0")
-        # Unknown targets are ignored (callers need no registration check).
-        supervisor.report_failure("worker:99")
-        assert supervisor.is_healthy("worker:99")
+        assert supervisor.breaker("worker:2").state == BREAKER_OPEN
+        assert supervisor.breaker("worker:2").open_count == 2
 
     def test_duplicate_target_rejected(self):
         supervisor = self._supervisor(FakeClock())
@@ -214,13 +197,12 @@ class TestHealthSupervisor:
     def test_stats_shape(self):
         clock = FakeClock()
         supervisor = self._supervisor(clock, failure_threshold=1)
-        supervisor.add_target("replica:0", probe=lambda: False)
+        supervisor.add_target("worker:0", probe=lambda: False)
         supervisor.probe_now()
         stats = supervisor.stats()
         assert stats["running"] is False
-        row = stats["targets"]["replica:0"]
+        row = stats["targets"]["worker:0"]
         assert row["state"] == BREAKER_OPEN
-        assert row["ejected"] is True
         assert row["opens"] == 1
         assert row["next_probe_seconds"] == pytest.approx(1.0)
 
@@ -243,3 +225,99 @@ class TestHealthSupervisor:
     def test_interval_must_be_positive(self):
         with pytest.raises(ValueError):
             HealthSupervisor(probe_interval_seconds=0)
+
+    @pytest.mark.parametrize("callback", ["on_eject", "on_admit"])
+    def test_add_target_takes_no_callbacks(self, callback):
+        supervisor = self._supervisor(FakeClock())
+        with pytest.raises(TypeError):
+            supervisor.add_target(
+                "worker:0", probe=lambda: True, **{callback: lambda: None}
+            )
+        assert supervisor.target_names() == []
+
+    def test_background_loop_probes_until_stopped(self):
+        probed = threading.Event()
+        supervisor = HealthSupervisor(probe_interval_seconds=0.01)
+        supervisor.add_target("worker:0", probe=lambda: probed.set() or True)
+        assert supervisor.start() is supervisor
+        try:
+            assert probed.wait(timeout=10.0)
+            assert supervisor.running
+            assert supervisor.stats()["running"] is True
+        finally:
+            supervisor.stop()
+        assert not supervisor.running
+        assert supervisor.breaker("worker:0").state == BREAKER_CLOSED
+
+
+class TestServiceIntegration:
+    @pytest.fixture
+    def graph(self):
+        return generators.social_graph(120, avg_degree=3, seed=4)
+
+    def test_service_supervises_tcp_worker_hosts(self, graph):
+        engine = DSREngine.from_config(
+            graph.copy(),
+            DSRConfig(num_partitions=2, local_index="msbfs", seed=2, executor="tcp"),
+        )
+        engine.build_index()
+        service = DSRService(
+            engine, num_workers=1, health_probe_interval_seconds=300.0
+        )
+        try:
+            assert service.health is not None
+            assert service.health.target_names() == ["worker:0", "worker:1"]
+            # ping() round-trips through the live hosts.
+            assert service.health.probe_now() == {
+                "worker:0": True,
+                "worker:1": True,
+            }
+        finally:
+            service.close()
+            engine.close()
+
+    def test_health_disabled_by_default(self, graph):
+        engine = DSREngine.from_config(graph, DSRConfig(num_partitions=2, seed=2))
+        service = DSRService(engine, num_workers=1)
+        try:
+            assert service.health is None
+            assert "health" not in service.stats()
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("executor", ["serial", "processes"])
+    def test_engines_without_worker_hosts_get_no_supervisor(self, graph, executor):
+        engine = DSREngine.from_config(
+            graph, DSRConfig(num_partitions=2, seed=2, executor=executor)
+        )
+        service = DSRService(
+            engine, num_workers=1, health_probe_interval_seconds=300.0
+        )
+        try:
+            assert service.health is None
+            assert "health" not in service.stats()
+        finally:
+            service.close()
+            engine.close()
+
+    def test_health_table_and_close_for_tcp_worker_hosts(self, graph, capsys):
+        engine = DSREngine.from_config(
+            graph.copy(),
+            DSRConfig(num_partitions=2, seed=2, executor="tcp"),
+        )
+        engine.build_index()
+        service = DSRService(
+            engine, num_workers=1, health_probe_interval_seconds=300.0
+        )
+        try:
+            service.health.probe_now()
+            _print_health(service)
+            table = capsys.readouterr().out
+            header = next(line for line in table.splitlines() if "target" in line)
+            assert header.split() == ["target", "state", "fails", "opens"]
+            assert "worker:0" in table and "worker:1" in table
+            assert service.health.running
+        finally:
+            service.close()
+            engine.close()
+        assert not service.health.running

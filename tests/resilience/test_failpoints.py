@@ -1,6 +1,8 @@
 """Unit tests for the deterministic fault-injection registry."""
 
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from repro.resilience import (
     global_failpoints,
     use_failpoints,
 )
+from repro.resilience import failpoints
 
 
 class TestSpecValidation:
@@ -176,3 +179,46 @@ class TestEnvBootstrap:
             FailPointRegistry.from_env("{nope")
         with pytest.raises(ValueError, match="JSON list"):
             FailPointRegistry.from_env('{"site": "x"}')
+
+
+#: The site catalog of ``repro.resilience.failpoints`` and docs/RESILIENCE.md.
+CATALOG = (
+    "tcp.call",
+    "tcp.recv",
+    "tcp.hydrate",
+    "tcp.hydrate.replay",
+    "executor.dispatch",
+    "shm.attach",
+    "shm.unlink",
+    "service.flush",
+)
+
+REPO = Path(__file__).resolve().parents[2]
+SITE_CALL = re.compile(r"""\bfailpoint\(\s*["']([a-z.]+)["']""")
+
+
+def wired_sites():
+    """Site names of every ``failpoint("...")`` call in the package source."""
+    sites = set()
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        if path.name == "failpoints.py":
+            continue  # its docstring quotes a call as an example
+        sites.update(SITE_CALL.findall(path.read_text()))
+    return sites
+
+
+class TestSiteCatalog:
+    """The documented sites are exactly the ones compiled into the code."""
+
+    @pytest.mark.parametrize("site", CATALOG)
+    def test_catalogued_site_is_wired_into_the_code(self, site):
+        assert site in wired_sites()
+
+    def test_module_docstring_lists_every_wired_site(self):
+        documented = set(re.findall(r"^``([a-z.]+)``\s", failpoints.__doc__, re.M))
+        assert documented == wired_sites() == set(CATALOG)
+
+    def test_resilience_doc_lists_every_wired_site(self):
+        text = (REPO / "docs" / "RESILIENCE.md").read_text()
+        documented = set(re.findall(r"^\| `([a-z]+(?:\.[a-z]+)+)` \|", text, re.M))
+        assert documented == wired_sites() == set(CATALOG)

@@ -1,5 +1,6 @@
 """Tests for the concurrent serving layer and the blocking socket client."""
 
+import random
 import threading
 
 import pytest
@@ -123,11 +124,10 @@ def big_oracle(big_graph):
         {"executor": "serial", "epoch_flush": "background"},
         {"executor": "processes", "epoch_flush": "inline"},
         {"executor": "processes", "epoch_flush": "background"},
-        {"replicas": 2},
     ],
     ids=[
         "serial-inline", "serial-background",
-        "processes-inline", "processes-background", "fleet",
+        "processes-inline", "processes-background",
     ],
 )
 def big_service(request, big_graph):
@@ -158,13 +158,9 @@ class TestOneEngineRunPerRequest:
                 assert response.num_batches == 1
                 assert response.direction == direction
                 trace = response.query_trace
-                replica = trace.attrs.get("replica")
-                engine = (
-                    big_service.engine
-                    if replica is None
-                    else big_service.engine.replicas[replica].engine
+                direct = big_service.engine.run(
+                    ReachQuery(sources, targets, direction=direction)
                 )
-                direct = engine.run(ReachQuery(sources, targets, direction=direction))
                 assert direct.pairs == expected
                 assert response.messages_sent == direct.messages_sent
                 assert response.bytes_sent == direct.bytes_sent
@@ -493,3 +489,115 @@ class TestPipelinedRequests:
                         raw.sendall(pack_frame(request, request_id=3 + received))
         assert seen == set(range(10))
         assert service.metrics.count("queries") == 10
+
+
+def structural_edge(graph, seed=0):
+    """An absent edge whose insert adds at least one reachable pair."""
+    vertices = sorted(graph.vertices())
+    candidates = [(u, v) for u in vertices for v in vertices if u != v]
+    random.Random(seed).shuffle(candidates)
+    return next(
+        (u, v) for u, v in candidates if not reachable_pairs(graph, [u], [v])
+    )
+
+
+class TestUpdatesWhileServing:
+    """Writes through the service under both epoch-flush modes."""
+
+    @pytest.fixture
+    def sparse(self):
+        # About half of all ordered pairs unreachable: inserts are structural.
+        return generators.random_digraph(150, 240, seed=8)
+
+    @pytest.fixture(params=["inline", "background"])
+    def served(self, request, sparse):
+        engine = open_engine(
+            sparse.copy(),
+            DSRConfig(num_partitions=3, seed=2, epoch_flush=request.param),
+        )
+        with DSRService(engine, num_workers=3) as service:
+            yield service
+        engine.close()
+
+    def test_structural_update_invalidates_the_cache(self, sparse, served):
+        u, v = structural_edge(sparse)
+        request = QueryRequest((u,), (v,))
+        assert served.handle(request).pairs == ()
+        assert served.handle(request).cached
+        update = served.handle(UpdateRequest("insert-edge", u, v))
+        assert update.structural_change
+        served.handle(UpdateRequest("flush"))
+        answer = served.handle(request)
+        assert not answer.cached
+        assert answer.pair_set == {(u, v)}
+
+    def test_stats_epoch_tracks_the_engine(self, sparse, served):
+        before = served.stats()
+        assert before["epoch"] == served.engine.epoch
+        assert before["epoch_flush"] == served.engine.epoch_flush
+        served.handle(UpdateRequest("insert-edge", *structural_edge(sparse)))
+        served.handle(UpdateRequest("flush"))
+        after = served.stats()
+        assert after["epoch"] == served.engine.epoch > before["epoch"]
+        assert after["pending_maintenance"] is False
+        assert after["maintenance_error"] is None
+
+    def test_reads_see_one_graph_or_the_other_while_updates_flush(
+        self, sparse, served
+    ):
+        u, v = structural_edge(sparse, seed=1)
+        vertices = sorted(sparse.vertices())
+        sources, targets = tuple(vertices[:12] + [u]), tuple(vertices[-12:] + [v])
+        without = reachable_pairs(sparse, sources, targets)
+        with_edge = sparse.copy()
+        with_edge.add_edge(u, v)
+        with_ = reachable_pairs(with_edge, sources, targets)
+        assert without != with_
+        errors, stop = [], threading.Event()
+
+        def reader(use_cache):
+            while not stop.is_set():
+                response = served.handle(
+                    QueryRequest(sources, targets, use_cache=use_cache)
+                )
+                if isinstance(response, ErrorResponse) or response.pair_set not in (
+                    without, with_,
+                ):
+                    errors.append(response)
+                    return
+
+        threads = [
+            threading.Thread(target=reader, args=(use_cache,))
+            for use_cache in (False, False, True)
+        ]
+        for thread in threads:
+            thread.start()
+        try:
+            for _ in range(4):
+                served.handle(UpdateRequest("insert-edge", u, v))
+                served.handle(UpdateRequest("flush"))
+                served.handle(UpdateRequest("delete-edge", u, v))
+                served.handle(UpdateRequest("flush"))
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        assert not errors, errors[:3]
+        final = served.handle(QueryRequest(sources, targets, use_cache=False))
+        assert final.pair_set == without
+
+    def test_vertex_updates_round_trip(self, sparse, served):
+        vertices = sorted(sparse.vertices())
+        head, tail = vertices[0], vertices[-1]
+        inserted = served.handle(UpdateRequest("insert-vertex"))
+        new_vertex = inserted.vertex
+        assert new_vertex is not None and new_vertex not in vertices
+        served.handle(UpdateRequest("insert-edge", head, new_vertex))
+        served.handle(UpdateRequest("insert-edge", new_vertex, tail))
+        served.handle(UpdateRequest("flush"))
+        through = served.handle(QueryRequest((head,), (new_vertex, tail)))
+        assert through.pair_set == {(head, new_vertex), (head, tail)}
+        served.handle(UpdateRequest("delete-vertex", new_vertex))
+        served.handle(UpdateRequest("flush"))
+        after = served.handle(QueryRequest((head,), (tail,)))
+        assert after.pair_set == reachable_pairs(sparse, [head], [tail])

@@ -25,7 +25,6 @@ import pytest
 
 from repro.api import DSRConfig, ReachQuery, open_engine
 from repro.cluster.shm import shm_available
-from repro.fleet import ReplicaFleet
 from repro.graph.digraph import DiGraph
 from repro.graph.traversal import reachable_pairs
 from repro.service import DSRService
@@ -56,15 +55,12 @@ def _all_or_nothing(result):
     )
 
 
-def _hammer(run_query, rounds, assert_monotonic=True, check=_all_or_nothing):
+def _hammer(run_query, rounds, check=_all_or_nothing):
     """Run QUERY_THREADS query loops while ``rounds()`` mutates the index.
 
     Returns the list of failures collected from the query threads; each
-    thread ``check``s every answer (all-or-nothing by default) and (against
-    a single engine, where it is well-defined) asserts monotonic epochs.  A
-    fleet interleaves replicas that flush at different moments, so its
-    per-thread epoch sequence legitimately zig-zags — pass
-    ``assert_monotonic=False``.
+    thread ``check``s every answer (all-or-nothing by default) and asserts
+    monotonic epochs.
     """
     errors = []
     stop = threading.Event()
@@ -75,10 +71,9 @@ def _hammer(run_query, rounds, assert_monotonic=True, check=_all_or_nothing):
             while not stop.is_set():
                 result = run_query()
                 check(result)
-                if assert_monotonic:
-                    assert result.epoch >= last_epoch, (
-                        f"epoch went backwards: {last_epoch} -> {result.epoch}"
-                    )
+                assert result.epoch >= last_epoch, (
+                    f"epoch went backwards: {last_epoch} -> {result.epoch}"
+                )
                 last_epoch = result.epoch
         except BaseException as exc:  # pragma: no cover - failure path
             errors.append(exc)
@@ -225,32 +220,3 @@ class TestServiceShmEpochRace:
         finally:
             engine.close()
 
-
-class TestFleetShmEpochRace:
-    def test_fleet_routes_through_background_shm_flushes(self):
-        """Same hammer through a ReplicaFleet: routed reads race fan-out
-        writes while every replica republishes its shm segments."""
-        fleet = ReplicaFleet.from_config(
-            _bridge_graph(),
-            DSRConfig(
-                num_partitions=3,
-                replicas=2,
-                executor="processes",
-                fleet=True,
-            ),
-        )
-        try:
-
-            def rounds():
-                for _ in range(3):
-                    fleet.insert_edge(0, 1)
-                    fleet.flush_updates()
-                    fleet.delete_edge(0, 1)
-                    fleet.flush_updates()
-
-            errors = _hammer(
-                lambda: fleet.run(BRIDGE_QUERY), rounds, assert_monotonic=False
-            )
-            assert not errors, errors[0]
-        finally:
-            fleet.close()

@@ -148,7 +148,9 @@ class TestCliCommands:
                 server.kill()
                 server.communicate()
 
-    @pytest.mark.parametrize("flag", [["--async"], ["--max-requests", "2"]])
+    @pytest.mark.parametrize(
+        "flag", [["--async"], ["--max-requests", "2"], ["--replicas", "3"]]
+    )
     def test_removed_serve_flags_are_usage_errors(self, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["serve", "amazon", "--scale", "0.1", "--self-test", *flag])
