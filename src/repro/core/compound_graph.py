@@ -61,19 +61,19 @@ from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 import weakref
 
 from repro.core.boundary_graph import boundary_graph_parts
-from repro.core.packed_steps import build_member_masks, condensation_rows
+from repro.core.packed_steps import build_expansion, condensation_rows
 from repro.core.summary import PartitionSummary
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import GraphLike, condense
 from repro.reachability.base import ReachabilityIndex
 from repro.reachability.factory import make_reachability_index
-from repro.reachability.packed import VertexRank, handle_positions
+from repro.reachability.packed import BitGather, VertexRank, handle_gather
 
 
 @dataclass(frozen=True)
 class _CondensedView:
-    """One immutable condensation view (graph ranks, DAG, masks, strategy).
+    """One immutable condensation view (graph ranks, DAG, expansion, strategy).
 
     :class:`CondensedReachability` publishes a complete view through a single
     attribute assignment so a :meth:`CondensedReachability.rebuild` racing a
@@ -82,9 +82,9 @@ class _CondensedView:
 
     ``vertex_rank`` is the stable per-epoch numbering of the underlying
     (compound) graph's vertices and ``dag_rank`` the numbering of the
-    condensation's components; ``member_masks[c]`` packs the members of the
-    component at DAG rank ``c`` as one row over ``vertex_rank``, so
-    expanding a reached component to its member vertices is a single OR.
+    condensation's components; ``expansion`` maps component rows to member
+    rows over ``vertex_rank`` (:func:`~repro.core.packed_steps.
+    build_expansion`), one batch per kernel call.
     """
 
     dag: CSRGraph
@@ -92,7 +92,7 @@ class _CondensedView:
     index: ReachabilityIndex
     vertex_rank: VertexRank
     dag_rank: VertexRank
-    member_masks: Tuple[int, ...]
+    expansion: BitGather
 
 
 class CondensedReachability:
@@ -114,16 +114,16 @@ class CondensedReachability:
         dag, vertex_to_component = condense(graph)
         index = make_reachability_index(self.strategy, dag, **self._kwargs)
         # Packed-pipeline structures, frozen with the view: the stable
-        # vertex/component rank numberings and the per-component member
-        # masks used to expand component rows to member rows in one OR.
+        # vertex/component rank numberings and the component → member
+        # transform that expands component rows to member rows.
         vertex_rank = VertexRank.from_csr(graph.csr())
         dag_rank = VertexRank.from_csr(dag)
-        masks = build_member_masks(
+        expansion = build_expansion(
             vertex_rank.ids, vertex_to_component, dag_rank.rank_of, len(dag_rank)
         )
         # Single atomic publication of the complete rebuilt view.
         self._view = _CondensedView(
-            dag, vertex_to_component, index, vertex_rank, dag_rank, masks
+            dag, vertex_to_component, index, vertex_rank, dag_rank, expansion
         )
 
     # Legacy attribute access (read-only snapshots of the current view).
@@ -171,11 +171,10 @@ class CondensedReachability:
         ``localSetReachability(.)`` of Algorithms 1 and 2: sources are
         translated to DAG components, the strategy returns packed component
         rows (natively for the bitset MS-BFS / CSR DFS, via the set↔bits
-        bridge otherwise), and every reached component expands to its member
-        vertices with one OR of the precomputed member mask — no per-vertex
-        loops anywhere.  ``target_mask`` (a row over :attr:`vertex_rank`)
-        restricts both the harvest and the expansion; ``None`` returns the
-        full reachable rows.  Sources unknown to the graph get a zero row.
+        bridge otherwise), and the reached components expand to their member
+        vertices in one batched transform of the view.  ``target_mask`` (a
+        row over :attr:`vertex_rank`) restricts both the harvest and the
+        expansion; ``None`` returns the full reachable rows.  Sources unknown to the graph get a zero row.
         ``view`` pins the evaluation to a previously captured
         :meth:`current_view` so callers that built their masks from it can
         never race an in-place rebuild.
@@ -188,9 +187,7 @@ class CondensedReachability:
             lambda comps, dag_mask: view.index.set_reachability_bits(
                 comps, view.dag_rank, dag_mask
             ),
-            view.member_masks,
-            view.vertex_rank.ids,
-            view.dag_rank.rank_of,
+            view.expansion,
             target_mask,
         )
 
@@ -220,17 +217,17 @@ class CompoundGraph:
     remote_boundary_vertices: Set[int] = field(default_factory=set)
     # Local strategy evaluated over the condensed compound graph.
     reachability: Optional[CondensedReachability] = None
-    # Packed handle masks, cached per VertexRank *object*: every rebuild —
-    # including the sanctioned one after an isolated-vertex insert
-    # (:meth:`add_isolated_vertex`) — installs a fresh rank, so entries keyed
-    # by a retired rank are unreachable (and garbage-collected with it) rather than
-    # cleared-and-restamped, which a racing reader could re-poison.  Handle
-    # *positions* are rank-independent (sorted handle ids) and never stale.
+    # Packed handle masks and handle re-pack transforms, cached per
+    # VertexRank *object*: every rebuild — including the sanctioned one
+    # after an isolated-vertex insert (:meth:`add_isolated_vertex`) —
+    # installs a fresh rank, so entries keyed by a retired rank are
+    # unreachable (and garbage-collected with it) rather than
+    # cleared-and-restamped, which a racing reader could re-poison.
     _handle_masks: "weakref.WeakKeyDictionary" = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False
     )
-    _handle_positions: Dict[int, Dict[int, int]] = field(
-        default_factory=dict, init=False, repr=False
+    _handle_gathers: "weakref.WeakKeyDictionary" = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False
     )
 
     # ------------------------------------------------------------------ #
@@ -311,19 +308,24 @@ class CompoundGraph:
             per_rank[partition_id] = mask
         return mask
 
-    def handle_positions_of(self, partition_id: int) -> Dict[int, int]:
-        """Map a remote partition's handle ids to canonical wire positions.
+    def handle_gather_of(self, partition_id: int, rank: VertexRank) -> BitGather:
+        """Re-pack rows over ``rank`` into a remote partition's wire positions.
 
         Positions index the partition's sorted handle order (see
         :meth:`repro.core.summary.PartitionSummary.forward_handle_order`),
         which every slave derives identically from the broadcast summary —
         this is the numbering packed handle messages are addressed in.
+        Cached per rank object, like :meth:`handle_mask_of`.
         """
-        positions = self._handle_positions.get(partition_id)
-        if positions is None:
-            positions = handle_positions(self.forward_handles_of(partition_id))
-            self._handle_positions[partition_id] = positions
-        return positions
+        per_rank = self._handle_gathers.get(rank)
+        if per_rank is None:
+            per_rank = {}
+            self._handle_gathers[rank] = per_rank
+        gather = per_rank.get(partition_id)
+        if gather is None:
+            gather = handle_gather(self.forward_handles_of(partition_id), rank)
+            per_rank[partition_id] = gather
+        return gather
 
     # -- size statistics (Table 2) --------------------------------------- #
     def original_num_edges(self) -> int:

@@ -32,6 +32,7 @@ compressed index lossless *without* per-edge member labels):
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set
 
@@ -69,19 +70,68 @@ class EquivalenceClass:
 
 
 class ClassIdAllocator:
-    """Allocates globally unique virtual-vertex ids above the real id range."""
+    """Allocates globally unique virtual-vertex ids above the real id range.
+
+    Real vertices inserted after the build share the id space: each one
+    claims its id here first (:meth:`reserve`, through
+    :func:`claim_real_id`), so the allocator skips it, and an id already
+    handed to a class is refused as a real one.  The class ids are exactly
+    ``[first_id, next_id)`` minus the reserved real ids.  Thread-safe: a
+    background flush allocates while an update thread reserves.
+    """
 
     def __init__(self, first_id: int) -> None:
+        self._first = first_id
         self._next = first_id
+        #: Real ids reserved at or above ``first_id``.
+        self._real: Set[int] = set()
+        self._lock = threading.Lock()
 
     def allocate(self) -> int:
-        value = self._next
-        self._next += 1
-        return value
+        with self._lock:
+            while self._next in self._real:
+                self._next += 1
+            value = self._next
+            self._next += 1
+            return value
+
+    def reserve(self, vertex: int) -> bool:
+        """Claim ``vertex`` as a real id; ``False`` if it was handed to a class."""
+        with self._lock:
+            if self._first <= vertex < self._next and vertex not in self._real:
+                return False
+            if vertex >= self._first:
+                self._real.add(vertex)
+            return True
 
     @property
     def next_id(self) -> int:
         return self._next
+
+
+def claim_real_id(
+    allocators: Iterable[ClassIdAllocator], vertex: Optional[int], fresh: int
+) -> int:
+    """The id a newly inserted real vertex takes, reserved on every allocator.
+
+    ``vertex=None`` takes the lowest id from ``fresh`` (the graph's next
+    unused id) up that no allocator has handed to a class or will hand out
+    next.  An explicit ``vertex`` that one of them already handed to a
+    class raises ``ValueError``: a real vertex with a class's id would be
+    merged with the class vertex in every compound graph and reach whatever
+    the class reaches.
+    """
+    allocators = list(allocators)
+    if vertex is not None:
+        if not all(allocator.reserve(vertex) for allocator in allocators):
+            raise ValueError(f"vertex id {vertex} is a virtual class id of the index")
+        return vertex
+    candidate = max([fresh, *(allocator.next_id for allocator in allocators)])
+    # A concurrent flush may allocate the candidate between the read above
+    # and the reservation; the next id up is then free.
+    while not all(allocator.reserve(candidate) for allocator in allocators):
+        candidate += 1
+    return candidate
 
 
 class LocalCondensation(NamedTuple):

@@ -3,64 +3,70 @@
 Both shard implementations of :mod:`repro.core.shard_exec` — the hydrated
 worker shard and the in-process view over a compound graph — answer
 reachability rows over an SCC condensation.  What is a pure function of
-(vertex rank, component map, member masks, strategy kernel) lives here,
+(vertex rank, component map, expansion, strategy kernel) lives here,
 once:
 
-* :func:`build_member_masks` — per-SCC-component member masks (component
-  row → member row in one OR), built at condensation rebuild / shard
-  hydration;
+* :func:`build_expansion` — the component → member transform of a
+  condensation (a :class:`~repro.reachability.packed.BitGather`), built at
+  condensation rebuild / shard hydration;
 * :func:`condensation_rows` — the complete packed ``localSetReachability``
   over a condensation: translate sources and the target mask to DAG ranks,
-  harvest component rows through the strategy kernel, expand them through
-  the member masks.
+  harvest component rows through the strategy kernel, expand them to
+  member rows in one batch.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
-from repro.reachability.packed import iter_bits, pack_ranks
+from repro.reachability.packed import BitGather, pack_ranks
 
 
-def build_member_masks(
+def build_expansion(
     vertex_ids: Sequence[int],
     vertex_to_component: Mapping[int, int],
     component_rank_of: Mapping[int, int],
     num_components: int,
-) -> Tuple[int, ...]:
-    """``masks[c]``: the members of DAG-rank-``c``'s component as one row.
+) -> BitGather:
+    """The component → member transform of one condensation.
 
-    ``vertex_ids`` is the epoch's vertex-rank id order.  Member ranks are
-    collected per component first and packed with one ``int.from_bytes``
-    each (see :func:`repro.reachability.packed.pack_ranks`) — O(V + bytes)
-    instead of the O(V·width/64) growing-bigint OR loop; a singleton
-    component (every vertex of a DAG) is one shift.
+    ``index[r]`` is the DAG rank of vertex rank ``r``'s component, so
+    gathering a component row through it sets every member of every reached
+    component, and scattering a vertex row through it marks the components
+    of its vertices.  ``vertex_ids`` is the epoch's vertex-rank id order.
+    The python tier ORs per-component member masks (``masks[c]``: the
+    members of DAG-rank ``c``'s component as one row), collected per
+    component first and packed with one ``int.from_bytes`` each (see
+    :func:`repro.reachability.packed.pack_ranks`) — O(V + bytes) instead of
+    the O(V·width/64) growing-bigint OR loop; a singleton component (every
+    vertex of a DAG) is one shift.
     """
+    index = [component_rank_of[vertex_to_component[vertex]] for vertex in vertex_ids]
     members_of: List[List[int]] = [[] for _ in range(num_components)]
-    for r, vertex in enumerate(vertex_ids):
-        members_of[component_rank_of[vertex_to_component[vertex]]].append(r)
-    return tuple(
+    for r, component in enumerate(index):
+        members_of[component].append(r)
+    masks = tuple(
         1 << ranks[0] if len(ranks) == 1 else pack_ranks(ranks) for ranks in members_of
     )
+    return BitGather(index, masks)
 
 
 def condensation_rows(
     sources: Iterable[int],
     vertex_to_component: Mapping[int, int],
     comp_rows_for: Callable[[Iterable[int], Optional[int]], Dict[int, int]],
-    member_masks: Sequence[int],
-    vertex_ids: Sequence[int],
-    component_rank_of: Mapping[int, int],
+    expansion: BitGather,
     target_mask: Optional[int],
 ) -> Dict[int, int]:
     """Packed ``{source: row}`` over a condensation's member vertex ranks.
 
     Sources unknown to the condensation get a zero row;
     ``comp_rows_for(comps, dag_mask)`` returns packed component rows over
-    the DAG ranks (the strategy kernel); each reached component expands to
-    its members with one OR of the precomputed mask, and sources sharing a
-    component row share the expansion.  ``target_mask`` restricts both the
-    harvest and the expansion (``None`` keeps everything).
+    the DAG ranks (the strategy kernel).  The distinct component rows
+    expand to member rows in one batched :meth:`BitGather.gather` (see
+    :func:`build_expansion`), and sources sharing a component row share
+    the expansion.  ``target_mask`` restricts both the harvest and the
+    expansion (``None`` keeps everything).
     """
     sources = list(sources)
     rows: Dict[int, int] = {source: 0 for source in sources}
@@ -72,32 +78,20 @@ def condensation_rows(
     if not source_comps or target_mask == 0:
         return rows
 
-    if target_mask is None:
-        dag_mask: Optional[int] = None
-    else:
-        # The mask is small (targets + handles): derive the DAG-level mask
-        # from its set bits rather than scanning every component.
-        dag_mask = 0
-        for r in iter_bits(target_mask):
-            dag_mask |= 1 << component_rank_of[vertex_to_component[vertex_ids[r]]]
-
+    # The mask is small (targets + handles): derive the DAG-level mask from
+    # its set bits rather than scanning every component.
+    dag_mask = None if target_mask is None else expansion.scatter(target_mask)
     comp_rows = comp_rows_for(set(source_comps.values()), dag_mask)
-    expanded: Dict[int, int] = {}
+    by_comp_row = dict.fromkeys([comp_rows.get(comp, 0) for comp in source_comps.values()])
+    distinct = list(by_comp_row)
+    for comp_row, row in zip(distinct, expansion.gather(distinct)):
+        by_comp_row[comp_row] = row if target_mask is None else row & target_mask
     for source, comp in source_comps.items():
-        comp_row = comp_rows.get(comp, 0)
-        row = expanded.get(comp_row)
-        if row is None:
-            row = 0
-            for comp_rank in iter_bits(comp_row):
-                row |= member_masks[comp_rank]
-            if target_mask is not None:
-                row &= target_mask
-            expanded[comp_row] = row
-        rows[source] = row
+        rows[source] = by_comp_row[comp_rows.get(comp, 0)]
     return rows
 
 
 __all__ = [
-    "build_member_masks",
+    "build_expansion",
     "condensation_rows",
 ]

@@ -60,18 +60,19 @@ view — which never depends on hydrated workers — as a last resort.
 from __future__ import annotations
 
 import dataclasses
+import time
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.cluster.cluster import ClusterStats, SimulatedCluster
 from repro.cluster.executors import StaleEpochError
 from repro.cluster.network import Network
 from repro.core.index import DSRIndex, EpochState
-from repro.core.shard_exec import EpochShard, local_step, remote_step
+from repro.core.shard_exec import EpochShard, Group, local_step, remote_step
 from repro.obs.runtime import global_registry
 from repro.obs.trace import QueryTrace
-from repro.reachability.packed import iter_bits, row_from_bytes, row_to_bytes
+from repro.reachability.packed import invert_rows, row_from_bytes, row_to_bytes
 from repro.resilience.deadline import check_deadline
 
 #: How many times a sharded query re-captures the epoch before falling back.
@@ -353,26 +354,24 @@ class DistributedQueryExecutor:
             )
             phases_before = len(stats.phases)
 
-        for rank, (groups, outgoing) in step1_results.items():
-            # Product-form groups materialise exactly once, here.
-            for group_sources, group_targets in groups:
-                pairs.update(product(group_sources, group_targets))
+        self._materialise(
+            pairs, chain.from_iterable(groups for groups, _ in step1_results.values()), trace
+        )
+        for rank, (_, outgoing) in step1_results.items():
             for destination, payload in outgoing.items():
                 net.send(rank, destination, payload, tag="handles")
 
-        # ----- Step 2: the single round of message exchange ---------------- #
-        net.complete_round()
-        if trace is not None:
-            trace.event(
-                "step2_bridge",
-                messages=net.stats.messages_sent,
-                payload_bytes=net.stats.per_tag_bytes.get("handles", 0),
-            )
-
-        # ----- Step 3: resolve received handles at the target slaves ------- #
         # The one mid-run stop of a deadlined query: a budget that step 1
-        # used up is not spent on a step-3 fan-out nobody is waiting for.
+        # used up is not spent on the bridge and a step-3 fan-out nobody is
+        # waiting for.
         check_deadline("step3")
+
+        # ----- Step 2: the single round of message exchange ---------------- #
+        # The bridge: the round completes, each home slave's inbox is
+        # delivered and inverted to handle → sources, and its step-3 payload
+        # is assembled.
+        bridge_start = time.perf_counter()
+        net.complete_round()
         payloads3: Dict[int, Dict[str, Any]] = {}
         for rank in range(self.index.num_partitions):
             interior = interior_targets_of.get(rank, set())
@@ -385,21 +384,44 @@ class DistributedQueryExecutor:
             if not sources_by_handle:
                 continue
             payloads3[rank] = {
-                "sources_by_handle": {
-                    handle: sorted(handle_sources)
-                    for handle, handle_sources in sources_by_handle.items()
-                },
+                "sources_by_handle": sources_by_handle,
                 **packed_targets(rank, interior),
             }
+        if trace is not None:
+            trace.add(
+                "step2_bridge",
+                time.perf_counter() - bridge_start,
+                messages=net.stats.messages_sent,
+                payload_bytes=net.stats.per_tag_bytes.get("handles", 0),
+            )
+
+        # ----- Step 3: resolve received handles at the target slaves ------- #
         step3_results = dispatch("remote", remote_step, payloads3)
         if trace is not None:
             self._trace_step(
                 trace, stats, phases_before, "step3", payloads3, sharded=sharded
             )
-        for groups in step3_results.values():
+        self._materialise(pairs, chain.from_iterable(step3_results.values()), trace)
+        return pairs
+
+    @staticmethod
+    def _materialise(
+        pairs: Set[Tuple[int, int]], groups: Iterable[Group], trace: Optional[QueryTrace]
+    ) -> None:
+        """Product-form groups become ``(s, t)`` tuples exactly once, here.
+
+        Traced as a ``materialise`` span whose ``pairs`` attribute counts
+        the pairs this call added.
+        """
+        if trace is None:
             for group_sources, group_targets in groups:
                 pairs.update(product(group_sources, group_targets))
-        return pairs
+            return
+        before = len(pairs)
+        with trace.span("materialise") as span:
+            for group_sources, group_targets in groups:
+                pairs.update(product(group_sources, group_targets))
+            span.attrs["pairs"] = len(pairs) - before
 
     @staticmethod
     def _trace_step(
@@ -441,18 +463,19 @@ class DistributedQueryExecutor:
         ``handle_order`` is the receiving partition's canonical handle
         numbering; bit ``p`` of a payload row addresses ``handle_order[p]``.
         The payloads arrive pre-grouped by row (sources of one SCC ship one
-        byte-identical row), so each distinct row decodes exactly once; the
+        byte-identical row), and every row of the inbox is inverted in one
+        batch (:func:`repro.reachability.packed.invert_rows`): handles come
+        in position order, each with its sources in inbox order.  The
         source lists are duplicate-free because every source lives in
         exactly one partition and ships exactly one row per destination.
         """
-        sources_by_handle: Dict[int, List[int]] = {}
+        rows: List[int] = []
+        row_sources: List[List[int]] = []
         for message in messages:
-            for handle_bytes, row_sources in message.payload.items():
-                for position in iter_bits(row_from_bytes(handle_bytes)):
-                    sources_by_handle.setdefault(
-                        handle_order[position], []
-                    ).extend(row_sources)
-        return sources_by_handle
+            for handle_bytes, sources in message.payload.items():
+                rows.append(row_from_bytes(handle_bytes))
+                row_sources.append(sources)
+        return invert_rows(rows, row_sources, handle_order)
 
     # ------------------------------------------------------------------ #
     def _validate(self, vertices: Set[int]) -> None:

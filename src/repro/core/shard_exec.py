@@ -48,16 +48,16 @@ from repro.cluster.executors import (
     register_shard_loader,
     register_shard_task,
 )
-from repro.core.packed_steps import build_member_masks, condensation_rows
+from repro.core.packed_steps import build_expansion, condensation_rows
 from repro.graph.csr import CSRGraph
 from repro.obs.runtime import global_registry
 from repro.reachability.bitset_msbfs import (
     set_reachability_rows as _bitset_set_reachability_rows,
 )
 from repro.reachability.packed import (
+    BitGather,
     VertexRank,
-    handle_positions,
-    iter_bits,
+    handle_gather,
     row_from_bytes,
     row_to_bytes,
 )
@@ -86,8 +86,8 @@ class QueryShard(Protocol):
     def handle_mask_of(self, pid: int) -> int:
         """Remote partition ``pid``'s forward handles as one packed row."""
 
-    def handle_positions_of(self, pid: int) -> Dict[int, int]:
-        """Handle id → canonical wire position for remote partition ``pid``."""
+    def handle_gather_of(self, pid: int) -> BitGather:
+        """Rows over :attr:`vertex_rank` → remote partition ``pid``'s wire positions."""
 
     def expand_handle(self, handle: int) -> Tuple[int, ...]:
         """A received handle of this partition → concrete member vertices."""
@@ -135,10 +135,9 @@ class WorkerShard:
     expand_members: Dict[int, Tuple[int, ...]]
     #: Packed-pipeline structures, derived once at hydration.
     vertex_rank: Optional[VertexRank] = None
-    member_masks: Tuple[int, ...] = ()
-    #: Component id → DAG rank (the condensation CSR's own id → index map).
-    component_rank_of: Dict[int, int] = field(default_factory=dict)
-    _handle_positions: Dict[int, Dict[int, int]] = field(default_factory=dict)
+    #: Component rows → member rows over ``vertex_rank``.
+    expansion: Optional[BitGather] = None
+    _handle_gathers: Dict[int, BitGather] = field(default_factory=dict)
     _handle_masks: Dict[int, int] = field(default_factory=dict)
 
     def handle_mask_of(self, pid: int) -> int:
@@ -149,19 +148,19 @@ class WorkerShard:
             self._handle_masks[pid] = mask
         return mask
 
-    def handle_positions_of(self, pid: int) -> Dict[int, int]:
-        """Handle id → canonical wire position for remote partition ``pid``.
+    def handle_gather_of(self, pid: int) -> BitGather:
+        """Rows over :attr:`vertex_rank` → remote partition ``pid``'s wire positions.
 
         Derived through the shared
-        :func:`repro.reachability.packed.handle_positions`, so positions
-        agree with every other slave's
+        :func:`repro.reachability.packed.handle_gather`, so positions agree
+        with every other slave's
         :meth:`~repro.core.summary.PartitionSummary.forward_handle_order`.
         """
-        positions = self._handle_positions.get(pid)
-        if positions is None:
-            positions = handle_positions(self.remote_forward_handles.get(pid, ()))
-            self._handle_positions[pid] = positions
-        return positions
+        gather = self._handle_gathers.get(pid)
+        if gather is None:
+            gather = handle_gather(self.remote_forward_handles.get(pid, ()), self.vertex_rank)
+            self._handle_gathers[pid] = gather
+        return gather
 
     def expand_handle(self, handle: int) -> Tuple[int, ...]:
         """Class handle → representative member; member handle → itself."""
@@ -171,8 +170,8 @@ class WorkerShard:
         """Packed ``{source: row}`` from the bitset kernel over the shard's CSR.
 
         Translate the mask to DAG components, run the packed bitset kernel,
-        expand reached components through the hydrated member masks with
-        single ORs.  Ids unknown to the shard (e.g. a vertex inserted after
+        expand the reached components' rows to member rows in one batch.
+        Ids unknown to the shard (e.g. a vertex inserted after
         this epoch) get a zero row.
         """
         dag_csr = self.dag_csr
@@ -182,9 +181,7 @@ class WorkerShard:
             lambda comps, dag_mask: _bitset_set_reachability_rows(
                 dag_csr, comps, dag_mask
             ),
-            self.member_masks,
-            self.vertex_rank.ids,
-            self.component_rank_of,
+            self.expansion,
             mask,
         )
 
@@ -220,8 +217,8 @@ class EpochShard:
     def handle_mask_of(self, pid: int) -> int:
         return self._compound.handle_mask_of(pid, self.vertex_rank)
 
-    def handle_positions_of(self, pid: int) -> Dict[int, int]:
-        return self._compound.handle_positions_of(pid)
+    def handle_gather_of(self, pid: int) -> BitGather:
+        return self._compound.handle_gather_of(pid, self.vertex_rank)
 
     def expand_handle(self, handle: int) -> Tuple[int, ...]:
         return self._summary.expand_handle(handle)
@@ -410,9 +407,8 @@ def load_shard(blob: WorkerShardBlob) -> WorkerShard:
     stays a zero-copy view into the master-owned mapping (pointer flip, no
     ``from_bytes`` pass).  A self-contained blob re-inflates the CSR from
     its pickled bytes.  Either way the packed-pipeline structures — the
-    vertex rank and the per-component member masks — are derived here, once
-    per epoch, so every query of the epoch expands component rows with
-    plain ORs.
+    vertex rank and the component → member transform — are derived here,
+    once per epoch, and every query of the epoch reuses them.
     """
     if blob.shm_segment is not None:
         vertex_ids, component_map, handles, expand, dag_csr = _read_shard_segment(
@@ -435,9 +431,11 @@ def load_shard(blob: WorkerShardBlob) -> WorkerShard:
         dag_csr = CSRGraph.from_bytes(blob.dag_csr_bytes)
     vertex_ids = blob.vertex_ids or tuple(sorted(blob.component_of))
     vertex_rank = VertexRank(vertex_ids)
-    component_rank_of = VertexRank.from_csr(dag_csr).rank_of
-    masks = build_member_masks(
-        vertex_ids, blob.component_of, component_rank_of, dag_csr.num_vertices
+    expansion = build_expansion(
+        vertex_ids,
+        blob.component_of,
+        VertexRank.from_csr(dag_csr).rank_of,
+        dag_csr.num_vertices,
     )
     return WorkerShard(
         rank=blob.rank,
@@ -447,8 +445,7 @@ def load_shard(blob: WorkerShardBlob) -> WorkerShard:
         remote_forward_handles=blob.remote_forward_handles,
         expand_members=blob.expand_members,
         vertex_rank=vertex_rank,
-        member_masks=tuple(masks),
-        component_rank_of=component_rank_of,
+        expansion=expansion,
     )
 
 
@@ -479,6 +476,19 @@ def _record_payload(step: str, payload: Dict[str, Any]) -> None:
         )
 
 
+def _unpacked_groups(
+    vrank: VertexRank, by_row: Dict[int, List[int]], mask: Optional[int]
+) -> List[Group]:
+    """``(sources, target ids)`` per distinct row (``& mask``), one batched decode."""
+    hits, hit_sources = [], []
+    for row, row_sources in by_row.items():
+        hit = row if mask is None else row & mask
+        if hit:
+            hits.append(hit)
+            hit_sources.append(row_sources)
+    return list(zip(hit_sources, vrank.unpack_rows(hits)))
+
+
 # ---------------------------------------------------------------------- #
 # the two per-slave query steps (Algorithms 1 and 2)
 # ---------------------------------------------------------------------- #
@@ -497,16 +507,15 @@ def local_step(
 
     Sources are grouped by their reached row (one SCC → one row), so each
     distinct row is intersected with the target mask and decoded exactly
-    once.  The answer stays in product form — ``(sources, targets)`` groups
-    the master materialises once — and the handles bound for partition
-    ``pid`` are re-packed into ``pid``'s canonical handle positions and
-    keyed by their byte form, ``outgoing[pid] = {packed handle bytes:
-    [sources]}``, with all sources sharing a row appended to one entry.
+    once, all rows in one batch.  The answer stays in product form —
+    ``(sources, targets)`` groups the master materialises once — and the
+    handles bound for partition ``pid`` are re-packed into ``pid``'s
+    canonical handle positions, one batch per partition, and keyed by their
+    byte form, ``outgoing[pid] = {packed handle bytes: [sources]}``, with
+    all sources sharing a row appended to one entry.
     """
     _record_payload("local", payload)
     _check_rank_cardinality(shard, payload)
-    vrank = shard.vertex_rank
-    ids = vrank.ids
     sources = payload["sources"]
     target_mask = row_from_bytes(payload["targets_bits"])
     pid_masks = [(pid, shard.handle_mask_of(pid)) for pid in payload["interior_pids"]]
@@ -521,25 +530,21 @@ def local_step(
         if row:
             by_row.setdefault(row, []).append(source)
 
-    groups: List[Group] = []
+    groups = _unpacked_groups(shard.vertex_rank, by_row, target_mask)
     outgoing: Dict[int, Dict[bytes, List[int]]] = {}
-    for row, row_sources in by_row.items():
-        hits = row & target_mask
-        if hits:
-            groups.append((row_sources, vrank.unpack(hits)))
-        if not row & all_handle_mask:
-            continue
-        for pid, pid_mask in pid_masks:
+    shipping = [(row, row_sources) for row, row_sources in by_row.items() if row & all_handle_mask]
+    for pid, pid_mask in pid_masks:
+        hits, hit_sources = [], []
+        for row, row_sources in shipping:
             hit = row & pid_mask
-            if not hit:
-                continue
-            positions = shard.handle_positions_of(pid)
-            handle_row = 0
-            for r in iter_bits(hit):
-                handle_row |= 1 << positions[ids[r]]
-            outgoing.setdefault(pid, {}).setdefault(
-                row_to_bytes(handle_row), []
-            ).extend(row_sources)
+            if hit:
+                hits.append(hit)
+                hit_sources.append(row_sources)
+        if not hits:
+            continue
+        per_pid: Dict[bytes, List[int]] = outgoing.setdefault(pid, {})
+        for handle_row, row_sources in zip(shard.handle_gather_of(pid).gather(hits), hit_sources):
+            per_pid.setdefault(row_to_bytes(handle_row), []).extend(row_sources)
     # These totals are a pure function of the inputs, so a serial run and a
     # sharded process run (whose workers ship deltas back) count identically
     # — the invariant the delta-shipping exactness tests pin down.
@@ -599,8 +604,7 @@ def remote_step(shard: QueryShard, payload: Dict[str, Any]) -> List[Group]:
     if registry.enabled:
         registry.inc("dsr_step_sources_total", num_pairs, step="remote")
         registry.inc("dsr_step_groups_total", len(by_row), step="remote")
-    vrank = shard.vertex_rank
-    return [(row_sources, vrank.unpack(row)) for row, row_sources in by_row.items()]
+    return _unpacked_groups(shard.vertex_rank, by_row, None)
 
 
 __all__ = [

@@ -46,6 +46,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set
 
+from repro.core.equivalence import claim_real_id
 from repro.core.index import DSRIndex, EpochState
 from repro.graph.traversal import is_reachable
 from repro.obs.runtime import global_registry
@@ -120,6 +121,19 @@ class IncrementalMaintainer:
         self._bg_coalesced_count = 0
         #: The most recent non-trivial flush (None until one happens).
         self.last_flush: Optional[FlushResult] = None
+        #: Indexes whose class ids a new real vertex id must avoid: this
+        #: one, plus any mirror over the same vertices (see
+        #: :meth:`share_vertex_ids_with`).
+        self._id_indexes: List[DSRIndex] = [index]
+
+    def share_vertex_ids_with(self, index: DSRIndex) -> None:
+        """Keep new vertex ids clear of ``index``'s class ids too.
+
+        The engine links its reverse index here: a vertex inserted through
+        this maintainer is mirrored there under the same id, so the id must
+        be free in both id spaces.
+        """
+        self._id_indexes.append(index)
 
     # ------------------------------------------------------------------ #
     # observers
@@ -434,7 +448,12 @@ class IncrementalMaintainer:
     def insert_vertex(
         self, vertex: Optional[int] = None, partition_id: Optional[int] = None
     ) -> int:
-        """Insert an isolated vertex and assign it to a partition."""
+        """Insert an isolated vertex and assign it to a partition.
+
+        Without ``vertex`` the new id is the lowest one above every real id
+        that no linked index has handed to a virtual class vertex; naming
+        an existing vertex or a class id raises ``ValueError``.
+        """
         with self._mutation_lock:
             if vertex is not None and self.graph.has_vertex(vertex):
                 # Re-inserting must not silently reassign the vertex's
@@ -442,7 +461,17 @@ class IncrementalMaintainer:
                 # new one claims the vertex, corrupting every later
                 # dirty-marking decision.
                 raise ValueError(f"vertex {vertex} already exists")
-            new_vertex = self.graph.add_vertex(vertex)
+            new_vertex = self.graph.add_vertex(
+                claim_real_id(
+                    (
+                        index.allocator
+                        for index in self._id_indexes
+                        if index.allocator is not None
+                    ),
+                    vertex,
+                    self.graph.next_vertex_id,
+                )
+            )
             if partition_id is None:
                 sizes = [
                     (len(self.partitioning.vertices_of(pid)), pid)

@@ -138,6 +138,11 @@ class DiGraph:
     # ------------------------------------------------------------------ #
     # vertices
     # ------------------------------------------------------------------ #
+    @property
+    def next_vertex_id(self) -> int:
+        """The id :meth:`add_vertex` allocates when given none (above every id used)."""
+        return self._next_vertex
+
     def add_vertex(self, vertex: Optional[int] = None, label: Hashable = None) -> int:
         """Add a vertex and return its id.
 

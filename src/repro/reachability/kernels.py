@@ -25,6 +25,13 @@ rank packing behind the per-SCC member masks
     transposes the seen matrix byte plane by byte plane (``np.packbits``)
     so a source's packed row is built without per-bit Python work.
 
+The batched row transforms of :mod:`repro.reachability.packed` (component
+expansion and handle re-pack through ``BitGather``, group unpack, inbox
+inversion) have their numpy tiers here too (``np_gather_rows``,
+``np_unpack_rows``, ``np_invert_rows``): each unpacks its batch of packed
+rows into one bit matrix with ``np.unpackbits``, moves columns, and packs
+or decodes the result, identical to the per-bit python loops.
+
 Every sweep runs over a topologically numbered snapshot
 (:meth:`~repro.graph.csr.CSRGraph.edges_descend` — every condensation, see
 :func:`repro.graph.scc.numbered_dag`) and relaxes each edge once; any other
@@ -56,6 +63,7 @@ import os
 import sys
 import threading
 from contextlib import contextmanager
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.obs.runtime import global_registry
@@ -363,6 +371,107 @@ def np_set_reachability_rows(
     return rows
 
 
+def np_objects(values: Sequence[int]):
+    """``values`` as an object array: gathering from it and ``tolist()``
+    hand back the very int objects, where an int64 array would box a new
+    int per element (a vertex-id table for :func:`np_unpack_rows`)."""
+    np = _numpy()
+    array = np.empty(len(values), dtype=object)
+    array[:] = values
+    return array
+
+
+def np_gather_plan(index: Sequence[int]):
+    """The numpy form of a ``BitGather`` index: ``(columns, input bytes)``."""
+    np = _numpy()
+    columns = np.asarray(index, dtype=np.intp)
+    return columns, (int(columns.max()) >> 3) + 1
+
+
+def _byte_matrix(np, rows: Sequence[int], nbytes: int):
+    """The rows as one ``(len(rows), nbytes)`` little-endian byte matrix."""
+    data = b"".join(row.to_bytes(nbytes, "little") for row in rows)
+    return np.frombuffer(data, dtype=np.uint8).reshape(len(rows), nbytes)
+
+
+def _bit_matrix(np, rows: Sequence[int], nbytes: int):
+    """The rows as one ``(len(rows), 8 * nbytes)`` 0/1 matrix, bit ``j`` in column ``j``."""
+    return np.unpackbits(_byte_matrix(np, rows, nbytes), axis=1, bitorder="little")
+
+
+def _row_bytes(rows: Sequence[int]) -> int:
+    """The byte width of the widest row."""
+    return (max((row.bit_length() for row in rows), default=0) + 7) >> 3
+
+
+def _set_bits(np, rows: Sequence[int]):
+    """``(row, position)`` of every set bit of the batch, by row, then position.
+
+    Only the nonzero bytes are unpacked, so a sparse batch costs its set
+    bits, not its width.
+    """
+    matrix = _byte_matrix(np, rows, _row_bytes(rows))
+    row_of, byte_of = np.nonzero(matrix)
+    bits = np.unpackbits(matrix[row_of, byte_of][:, None], axis=1, bitorder="little")
+    which, bit = np.nonzero(bits)
+    return row_of[which], byte_of[which] * 8 + bit
+
+
+def np_gather_rows(rows: Sequence[int], plan) -> List[int]:
+    """Numpy tier of ``BitGather.gather``: unpack, gather columns, pack."""
+    np = _numpy()
+    columns, nbytes = plan
+    bits = _bit_matrix(np, rows, max(nbytes, _row_bytes(rows)))
+    packed = np.packbits(bits[:, columns], axis=1, bitorder="little")
+    raw, stride = packed.tobytes(), packed.shape[1]
+    return [
+        int.from_bytes(raw[start : start + stride], "little")
+        for start in range(0, len(raw), stride)
+    ]
+
+
+def np_unpack_rows(rows: Sequence[int], ids) -> List[List[int]]:
+    """Numpy tier of ``VertexRank.unpack_rows``: one pass over the set bits."""
+    np = _numpy()
+    row_of, positions = _set_bits(np, rows)
+    values = ids[positions].tolist()
+    out: List[List[int]] = []
+    start = 0
+    for end in np.cumsum(np.bincount(row_of, minlength=len(rows))).tolist():
+        out.append(values[start:end])
+        start = end
+    return out
+
+
+def np_invert_rows(
+    rows: Sequence[int], members: Sequence[Sequence[int]], labels: Sequence[int]
+) -> Dict[int, List[int]]:
+    """Numpy tier of ``packed.invert_rows``: repeat, transpose, ``nonzero``.
+
+    Each row's bits are repeated once per member, so ``nonzero`` of the
+    transposed matrix lists the (position, member) pairs by position and,
+    within one, in member order — the python tier's output order.
+    """
+    np = _numpy()
+    nbytes = _row_bytes(rows)
+    if not nbytes:
+        return {}
+    bits = _bit_matrix(np, rows, nbytes)
+    counts = np.fromiter(map(len, members), dtype=np.intp, count=len(members))
+    positions, member_of = np.nonzero(np.repeat(bits, counts, axis=0).T)
+    values = np_objects(list(chain.from_iterable(members)))[member_of].tolist()
+    # Every position some row sets is a key, even one whose rows have no
+    # members.
+    keys = np.flatnonzero(bits.any(axis=0))
+    sizes = np.bincount(positions, minlength=bits.shape[1])[keys]
+    inverted: Dict[int, List[int]] = {}
+    start = 0
+    for position, size in zip(keys.tolist(), sizes.tolist()):
+        inverted[labels[position]] = values[start : start + size]
+        start += size
+    return inverted
+
+
 def np_pack_ranks(ranks: Sequence[int]) -> int:
     """Numpy sibling of :func:`repro.reachability.packed.pack_ranks`."""
     np = _numpy()
@@ -382,10 +491,15 @@ __all__ = [
     "kernel_backend",
     "numpy_available",
     "np_edges_descend",
+    "np_gather_plan",
+    "np_gather_rows",
+    "np_invert_rows",
+    "np_objects",
     "np_pack_ranks",
     "np_propagate",
     "np_propagate_matrix",
     "np_set_reachability_rows",
+    "np_unpack_rows",
     "require_numbered",
     "resolve_kernels",
     "set_kernel_backend",

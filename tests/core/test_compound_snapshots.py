@@ -89,7 +89,7 @@ def assert_matches_reference(compound, reference_graph):
     assert_same_snapshot(view.dag, dag)
     assert view.vertex_to_component == vertex_to_component
     assert view.vertex_rank.ids == compound.graph.ids
-    assert view.member_masks == reference_member_masks(
+    assert view.expansion.fanout == reference_member_masks(
         view.vertex_rank.ids, vertex_to_component, dag.num_vertices
     )
 

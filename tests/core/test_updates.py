@@ -201,6 +201,87 @@ class TestVertexUpdates:
         assert not graph.has_vertex(4)
 
 
+def _class_ids(index):
+    """Every virtual class id of ``index``'s published epoch."""
+    return {
+        cls.class_id
+        for summary in index.current_state().summaries.values()
+        for cls in (*summary.forward_classes, *summary.backward_classes)
+    }
+
+
+class TestVertexIdsAvoidClassIds:
+    """A new real vertex never takes the id of a virtual class vertex.
+
+    Class ids count up from ``max(V) + 1``, which is also the id a graph
+    hands out next; a vertex inserted under a class's id is merged with the
+    class vertex in every remote compound graph and reaches whatever the
+    class reaches.
+    """
+
+    @pytest.mark.parametrize("enable_backward", [False, True])
+    @pytest.mark.parametrize("seed", [0, 3, 4, 5])
+    def test_auto_id_vertex_reaches_only_itself(self, seed, enable_backward):
+        graph = generators.web_graph(300, 5.5, seed=seed)
+        engine = open_engine(
+            graph, DSRConfig(num_partitions=4, enable_backward=enable_backward)
+        )
+        try:
+            vertex = engine.insert_vertex()
+            assert vertex not in _class_ids(engine.index)
+            vertices = sorted(engine.graph.vertices())
+            for query in (ReachQuery([vertex], vertices), ReachQuery(vertices, [vertex])):
+                assert engine.run(query).pairs == {(vertex, vertex)}
+            # Connected, it reaches exactly what the oracle says, after the
+            # flush that hands out fresh class ids.
+            engine.insert_edge(vertex, vertices[0])
+            expected = reachable_pairs(engine.graph, [vertex], vertices)
+            assert engine.run(ReachQuery([vertex], vertices)).pairs == expected
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("enable_backward", [False, True])
+    def test_explicit_class_id_is_refused(self, enable_backward):
+        graph = generators.web_graph(300, 5.5, seed=0)
+        engine = open_engine(
+            graph, DSRConfig(num_partitions=4, enable_backward=enable_backward)
+        )
+        try:
+            indexes = [engine.index]
+            if enable_backward:
+                indexes.append(engine._reverse_index)
+            for index in indexes:
+                class_id = min(_class_ids(index))
+                with pytest.raises(ValueError, match="class id"):
+                    engine.insert_vertex(class_id)
+                assert not engine.graph.has_vertex(class_id)
+        finally:
+            engine.close()
+
+    def test_explicit_id_above_the_classes_is_never_handed_to_one(self):
+        graph = generators.web_graph(300, 5.5, seed=0)
+        engine = open_engine(
+            graph, DSRConfig(num_partitions=4, enable_backward=True)
+        )
+        try:
+            allocator = engine.index.allocator
+            vertex = allocator.next_id + 2  # a future class id
+            assert engine.insert_vertex(vertex) == vertex
+            # Re-summarise every partition: the allocator hands out fresh
+            # ids past ``vertex`` and skips it.
+            vertices = sorted(graph.vertices())
+            for u in vertices[::40]:
+                engine.insert_edge(u, vertex)
+            engine.flush_updates()
+            assert allocator.next_id > vertex
+            assert vertex not in _class_ids(engine.index)
+            assert vertex not in _class_ids(engine._reverse_index)
+            expected = reachable_pairs(engine.graph, vertices, [vertex])
+            assert engine.run(ReachQuery(vertices, [vertex])).pairs == expected
+        finally:
+            engine.close()
+
+
 class TestDeferredMaintenance:
     def test_updates_are_batched_until_flush(self):
         graph = generators.random_digraph(50, 140, seed=9)

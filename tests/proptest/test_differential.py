@@ -82,10 +82,13 @@ def _build_scenario(seed):
     for u, v in edges[:4]:
         script.append(("delete_edge", u, v))
     script += _queries(rng, vertices, 2)
-    script.append(("insert_vertex", max(vertices) + 1))
+    # Class ids count up from max(vertices) + 1, and an insert naming one is
+    # refused; the new vertex takes an id far above any class's.
+    fresh = max(vertices) + 10**6
+    script.append(("insert_vertex", fresh))
     for u, v in edges[4:7]:
         script.append(("insert_edge", u, v))
-    script.append(("insert_edge", max(vertices) + 1, vertices[0]))
+    script.append(("insert_edge", fresh, vertices[0]))
     script += _queries(rng, vertices, 3)
     return graph, script, "metis"
 

@@ -3,8 +3,10 @@
 Where ``test_differential.py`` replays fixed seeded scenarios through whole
 engines, this file attacks the kernel boundary directly with
 hypothesis-generated graphs, seeds and masks — the raw
-``propagate`` / ``set_reachability_rows`` / ``pack_ranks`` contracts, where
-"identical" means identical Python ints (same bytes, same everything).
+``propagate`` / ``set_reachability_rows`` / ``pack_ranks`` contracts and
+the batched row transforms (``BitGather``, ``unpack_rows``,
+``invert_rows``), where "identical" means identical Python ints (same
+bytes, same everything).
 
 Every sweep is one pass over a topologically numbered DAG, so every graph
 drawn here is one: hand-numbered DAGs and ``condense()`` of arbitrary
@@ -36,13 +38,24 @@ from repro.obs import use_registry  # noqa: E402
 from repro.partition.partition import GraphPartitioning  # noqa: E402
 from repro.reachability import bitset_msbfs  # noqa: E402
 from repro.reachability.kernels import (  # noqa: E402
+    np_gather_plan,
+    np_gather_rows,
+    np_invert_rows,
+    np_objects,
     np_pack_ranks,
     np_propagate,
     np_set_reachability_rows,
+    np_unpack_rows,
     numpy_available,
     use_kernels,
 )
-from repro.reachability.packed import pack_ranks  # noqa: E402
+from repro.reachability.packed import (  # noqa: E402
+    NUMPY_MIN_ROWS,
+    BitGather,
+    VertexRank,
+    invert_rows,
+    pack_ranks,
+)
 
 needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 
@@ -146,6 +159,96 @@ def test_pack_ranks_parity(ranks):
         assert np_pack_ranks(ranks) == reference
     with use_kernels("numpy"):
         assert pack_ranks(ranks) == reference
+
+
+# ---------------------------------------------------------------------- #
+# batched row transforms: gather, scatter, unpack, invert
+# ---------------------------------------------------------------------- #
+#: Batch sizes around the numpy threshold, plus the empty batch.
+BATCH_SIZES = sorted({0, 1, NUMPY_MIN_ROWS - 1, NUMPY_MIN_ROWS, NUMPY_MIN_ROWS + 1})
+
+
+@st.composite
+def row_batches(draw):
+    """``(in_width, index, rows, mask)``: a bit map and a batch of rows over it.
+
+    Widths are drawn freely (mostly not multiples of 8) and rows include
+    zeros.  Rows are ANDed with the mask first, as the query steps do, and
+    it may be zero; each test then keeps the bits its call accepts.
+    """
+    in_width = draw(st.integers(min_value=1, max_value=150))
+    index = draw(
+        st.lists(st.integers(min_value=0, max_value=in_width - 1), max_size=170)
+    )
+    count = draw(
+        st.one_of(st.sampled_from(BATCH_SIZES), st.integers(min_value=0, max_value=40))
+    )
+    rows = draw(
+        st.lists(
+            st.one_of(st.just(0), st.integers(min_value=0, max_value=2 ** (in_width + 9) - 1)),
+            min_size=count,
+            max_size=count,
+        )
+    )
+    mask = draw(st.one_of(st.just(0), st.just(-1), st.integers(min_value=0, max_value=2**160)))
+    return in_width, index, [row & mask for row in rows], mask
+
+
+def _gathered(row, index):
+    """Oracle: output bit ``j`` is input bit ``index[j]``."""
+    return sum((row >> i & 1) << j for j, i in enumerate(index))
+
+
+@COMMON_SETTINGS
+@given(batch=row_batches())
+def test_bit_gather_matches_the_oracle(batch):
+    _, index, rows, _ = batch
+    # A gathered row sets only bits some output reads (component rows,
+    # hits masked to the handles).
+    read = pack_ranks(sorted(set(index)))
+    rows = [row & read for row in rows]
+    expected = [_gathered(row, index) for row in rows]
+    with use_kernels("python"):
+        assert BitGather(index).gather(rows) == expected
+    if numpy_available():
+        with use_kernels("numpy"):
+            assert BitGather(index).gather(rows) == expected
+        if rows and index:
+            assert np_gather_rows(rows, np_gather_plan(index)) == expected
+    # The scatter runs the map the other way: output bit index[j] ORs input
+    # bit j, for a row over the index's own positions.
+    for row in rows[:4]:
+        row &= (1 << len(index)) - 1
+        scattered = 0
+        for j, i in enumerate(index):
+            scattered |= (row >> j & 1) << i
+        assert BitGather(index).scatter(row) == scattered
+
+
+@COMMON_SETTINGS
+@given(batch=row_batches())
+def test_unpack_and_invert_rows_agree_across_tiers(batch):
+    in_width, _, rows, _ = batch
+    rows = [row & ((1 << in_width) - 1) for row in rows]
+    rank = VertexRank([1000 + 7 * r for r in range(in_width)])
+    labels = [3 * position for position in range(in_width)]
+    members = [[source, source + 1][: source % 3] for source in range(len(rows))]
+    with use_kernels("python"):
+        unpacked = rank.unpack_rows(rows)
+        inverted = invert_rows(rows, members, labels)
+    assert unpacked == [rank.unpack(row) for row in rows]
+    expected: dict = {}
+    for position in range(in_width):
+        for row, row_members in zip(rows, members):
+            if row >> position & 1:
+                expected.setdefault(labels[position], []).extend(row_members)
+    assert list(inverted.items()) == list(expected.items())
+    if numpy_available():
+        with use_kernels("numpy"):
+            assert VertexRank(rank.ids).unpack_rows(rows) == unpacked
+            assert list(invert_rows(rows, members, labels).items()) == list(inverted.items())
+        assert np_unpack_rows(rows, np_objects(rank.ids)) == unpacked
+        assert list(np_invert_rows(rows, members, labels).items()) == list(inverted.items())
 
 
 # ---------------------------------------------------------------------- #

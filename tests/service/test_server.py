@@ -167,10 +167,15 @@ class TestOneEngineRunPerRequest:
                 # One run: its spans arrive unprefixed, each step once.
                 assert {span.name for span in trace.spans} == {
                     "plan", "step1", "step1.shard", "step2_bridge",
-                    "step3", "step3.shard",
+                    "step3", "step3.shard", "materialise",
                 }
                 for once in ("step1", "step2_bridge", "step3"):
                     assert len([s for s in trace.spans if s.name == once]) == 1
+                # Pairs materialise after step 1 and after step 3, and the
+                # two spans count every answer pair exactly once.
+                materialised = trace.find_all("materialise")
+                assert len(materialised) == 2
+                assert sum(s.attrs["pairs"] for s in materialised) == len(expected)
 
 
 class TestConcurrentServing:
