@@ -46,9 +46,11 @@ that callers keep using original vertex ids.
 Both are immutable CSR snapshots (:mod:`repro.graph.csr`), built in bulk
 with no ``DiGraph`` in between: :func:`assemble_compound_graph` sorts the
 local edges, the remote summaries' memoised contributions and the cut into
-one snapshot (:meth:`~repro.graph.csr.CSRGraph.from_edges`), and
-:func:`~repro.graph.scc.condense` emits the condensation as a snapshot in
-one pass over it, which every strategy then runs over directly.  A
+one snapshot (:meth:`~repro.graph.csr.CSRGraph.from_edges`; on the numpy
+kernel tier the same sort over int64 arrays), and
+:func:`~repro.graph.scc.condense_dense` emits the condensation straight
+into another, which every strategy then runs over directly; its
+``component_of`` is the component → member expansion's index as it is.  A
 published compound graph is never edited in place except by
 :meth:`CompoundGraph.add_isolated_vertex`, which swaps in a new snapshot.
 """
@@ -56,7 +58,7 @@ published compound graph is never edited in place except by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
 import weakref
 
@@ -65,7 +67,8 @@ from repro.core.packed_steps import build_expansion, condensation_rows
 from repro.core.summary import PartitionSummary
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
-from repro.graph.scc import GraphLike, condense
+from repro.graph.scc import GraphLike, condense_dense
+from repro.reachability import kernels
 from repro.reachability.base import ReachabilityIndex
 from repro.reachability.factory import make_reachability_index
 from repro.reachability.packed import BitGather, VertexRank, handle_gather
@@ -111,16 +114,17 @@ class CondensedReachability:
     def rebuild(self, graph: GraphLike) -> None:
         """Condense ``graph`` and publish the complete view in one swap."""
         self.graph = graph
-        dag, vertex_to_component = condense(graph)
+        csr = graph.csr()
+        dag, component_of = condense_dense(csr)
+        vertex_to_component = dict(zip(csr.ids, component_of))
         index = make_reachability_index(self.strategy, dag, **self._kwargs)
         # Packed-pipeline structures, frozen with the view: the stable
-        # vertex/component rank numberings and the component → member
-        # transform that expands component rows to member rows.
-        vertex_rank = VertexRank.from_csr(graph.csr())
+        # vertex/component rank numberings (the two snapshots' dense
+        # indices) and the component → member transform that expands
+        # component rows to member rows — indexed by ``component_of``.
+        vertex_rank = VertexRank.from_csr(csr)
         dag_rank = VertexRank.from_csr(dag)
-        expansion = build_expansion(
-            vertex_rank.ids, vertex_to_component, dag_rank.rank_of, len(dag_rank)
-        )
+        expansion = build_expansion(component_of, dag.num_vertices)
         # Single atomic publication of the complete rebuilt view.
         self._view = _CondensedView(
             dag, vertex_to_component, index, vertex_rank, dag_rank, expansion
@@ -351,7 +355,7 @@ def assemble_compound_graph(
     partition_id: int,
     local_graph: DiGraph,
     summaries: Mapping[int, PartitionSummary],
-    cut_edges: Iterable[Tuple[int, int]],
+    cut_edges: Sequence[Tuple[int, int]],
 ) -> CompoundGraph:
     """Merge the local subgraph, remote summaries and cut into ``G^C_i``.
 
@@ -359,13 +363,34 @@ def assemble_compound_graph(
     boundary_graph_parts`) plus the local vertices and edges, built into
     one CSR snapshot in bulk — byte-identical to snapshotting the
     ``DiGraph`` the same edges would make, so vertex ranks, packed masks
-    and wire positions are a function of the graph alone.  The returned
-    compound graph has no reachability strategy yet (it is built on first
-    use, or explicitly by :func:`build_compound_graph`).
+    and wire positions are a function of the graph alone.  The numpy tier
+    merges int64 array pieces instead of id tuples: the local snapshot's
+    buffers, each remote summary's memoised
+    :meth:`~repro.core.summary.PartitionSummary.contribution_arrays` and
+    the cut — one sort of the vertices, one remap of the endpoints, one
+    sort of the edge keys (:func:`repro.reachability.kernels.np_union_csr`).
+    The returned compound graph has no reachability strategy yet (it is
+    built on first use, or explicitly by :func:`build_compound_graph`).
     """
-    vertices, edges = boundary_graph_parts(partition_id, summaries, cut_edges)
-    vertices.extend(local_graph.vertices())
-    edges.extend(local_graph.edges())
+    if kernels.kernel_backend() == "numpy":
+        graph = CSRGraph.from_sorted(
+            *kernels.np_union_csr(
+                [
+                    kernels.np_csr_piece(local_graph.csr()),
+                    *(
+                        summary.contribution_arrays()
+                        for other_id, summary in summaries.items()
+                        if other_id != partition_id
+                    ),
+                    kernels.np_edges_piece((), cut_edges),
+                ]
+            )
+        )
+    else:
+        vertices, edges = boundary_graph_parts(partition_id, summaries, cut_edges)
+        vertices.extend(local_graph.vertices())
+        edges.extend(local_graph.edges())
+        graph = CSRGraph.from_edges(vertices, edges)
     remote_forward: Dict[int, Set[int]] = {}
     remote_backward: Dict[int, Set[int]] = {}
     remote_boundary: Set[int] = set()
@@ -379,7 +404,7 @@ def assemble_compound_graph(
 
     return CompoundGraph(
         partition_id=partition_id,
-        graph=CSRGraph.from_edges(vertices, edges),
+        graph=graph,
         local_vertices=set(local_graph.vertices()),
         remote_forward_handles=remote_forward,
         remote_backward_handles=remote_backward,
@@ -391,7 +416,7 @@ def build_compound_graph(
     partition_id: int,
     local_graph: DiGraph,
     summaries: Mapping[int, PartitionSummary],
-    cut_edges: Iterable[Tuple[int, int]],
+    cut_edges: Sequence[Tuple[int, int]],
     local_strategy: str = "dfs",
     strategy_kwargs: Optional[dict] = None,
 ) -> CompoundGraph:

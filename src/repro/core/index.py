@@ -109,7 +109,7 @@ class EpochState:
     #: isolated-vertex insert registers here, see above).
     assignment: Dict[int, int] = field(default_factory=dict)
     #: How long :meth:`DSRIndex.build_epoch_state` held the mutation lock
-    #: (cut recompute + local-graph copies) building this state.
+    #: (cut and boundary copies + local-graph copies) building this state.
     build_snapshot_seconds: float = 0.0
     #: How long the unlocked heavy part (summaries, compound graphs,
     #: condensations) of the build took.
@@ -318,36 +318,33 @@ class DSRIndex:
     ) -> EpochState:
         """Build the next epoch's state off the hot path (no publication).
 
-        The *snapshot* part — re-deriving the cut, boundaries and a private
-        copy of every partition's local subgraph from the live data graph —
-        runs under ``mutation_lock`` (the maintainer's update lock) so it can
-        never race a concurrent graph mutation; the *heavy* part (summaries,
-        compound graphs, condensations) runs unlocked, which is what lets
-        queries keep being answered from the current epoch while this builds.
+        The *snapshot* part — copying the cut and the dirty partitions'
+        boundaries, which the partitioning maintains as updates arrive
+        (:meth:`~repro.partition.partition.GraphPartitioning.edge_added`
+        and friends), and a private copy of every partition's local
+        subgraph from the live data graph — runs under ``mutation_lock``
+        (the maintainer's update lock) so it can never race a concurrent
+        graph mutation; the *heavy* part (summaries, compound graphs,
+        condensations) runs unlocked, which is what lets queries keep being
+        answered from the current epoch while this builds.
 
         The snapshot copies *all* partitions' local graphs, not just the
-        dirty ones (bulk set copies, see :meth:`DiGraph.copy`), and
-        re-derives the cut from every edge of the data graph, so updates
+        dirty ones (bulk set copies, see :meth:`DiGraph.copy`), so updates
         stall for O(V+E) per flush; queries are never stalled.  A clean
         partition's published local graph cannot be shared instead: the
         update mirrors (a non-structural edge insert, an isolated vertex)
         edit it in place while the unlocked heavy phase would iterate it.
         The heavy phase reassembles every compound graph straight into a
         CSR snapshot and condenses it into another, whether or not its
-        inputs changed.
+        inputs changed; on the numpy kernel tier both are array
+        constructions.
         """
         current = self.current_state()
         dirty = set(dirty)
         lock = mutation_lock if mutation_lock is not None else threading.RLock()
         snapshot_start = time.perf_counter()
         with lock:
-            # Snapshot phase: recompute the cut from the mutated graph, then
-            # freeze everything the heavy phase will read.
-            self.partitioning._cut_edges = [
-                (u, v)
-                for u, v in self.partitioning.graph.edges()
-                if self.partitioning.assignment[u] != self.partitioning.assignment[v]
-            ]
+            # Snapshot phase: freeze everything the heavy phase will read.
             cut_edges = self.partitioning.cut_edges()
             # Every partition's local graph is copied under the lock — clean
             # ones included.  Sharing a clean partition's DiGraph with the
@@ -576,40 +573,6 @@ class DSRIndex:
             ledger=self._ensure_ledger(),
         )
         self.cluster.hydrate_shards(state.epoch, {partition_id: blob}, DSR_SHARD_LOADER)
-
-    # ------------------------------------------------------------------ #
-    # legacy eager-maintenance entry points (now epoch-publishing)
-    # ------------------------------------------------------------------ #
-    def rebuild_summary(self, partition_id: int) -> PartitionSummary:
-        """Recompute one partition's summary from its current local subgraph."""
-        if not self.is_built:
-            raise RuntimeError("index must be built before incremental updates")
-        return build_partition_summary(
-            partition_id=partition_id,
-            local_graph=self.local_graphs[partition_id],
-            in_boundaries=self.partitioning.in_boundaries(partition_id),
-            out_boundaries=self.partitioning.out_boundaries(partition_id),
-            allocator=self.allocator,
-            use_equivalence=self.use_equivalence,
-        )
-
-    def broadcast_summaries(self, partition_ids) -> None:
-        """Re-broadcast refreshed summaries to every other slave (one round)."""
-        self._broadcast(self.summaries, tag="summary-update", only=partition_ids)
-
-    def rebuild_partition(self, partition_id: int) -> None:
-        """Recompute one partition's summary and refresh every compound graph.
-
-        This is the eager form of incremental maintenance
-        (:mod:`repro.core.updates` batches it): built as a full next-epoch
-        state and atomically published, so concurrent readers never observe
-        the intermediate steps.
-        """
-        self.publish(self.build_epoch_state({partition_id}))
-
-    def refresh_compound_graphs(self) -> None:
-        """Re-assemble every compound graph from the current summaries."""
-        self.publish(self.build_epoch_state(set()))
 
     # ------------------------------------------------------------------ #
     # statistics

@@ -22,26 +22,23 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 from repro.reachability.packed import BitGather, pack_ranks
 
 
-def build_expansion(
-    vertex_ids: Sequence[int],
-    vertex_to_component: Mapping[int, int],
-    component_rank_of: Mapping[int, int],
-    num_components: int,
-) -> BitGather:
+def build_expansion(index: Sequence[int], num_components: int) -> BitGather:
     """The component → member transform of one condensation.
 
     ``index[r]`` is the DAG rank of vertex rank ``r``'s component, so
     gathering a component row through it sets every member of every reached
     component, and scattering a vertex row through it marks the components
-    of its vertices.  ``vertex_ids`` is the epoch's vertex-rank id order.
-    The python tier ORs per-component member masks (``masks[c]``: the
-    members of DAG-rank ``c``'s component as one row), collected per
-    component first and packed with one ``int.from_bytes`` each (see
+    of its vertices.  A condensation's component ids are its DAG ranks and
+    its graph's dense indices are the vertex ranks, so the index is the
+    condensation's ``component_of`` itself
+    (:func:`repro.graph.scc.condense_dense`).  The python tier ORs
+    per-component member masks (``masks[c]``: the members of DAG-rank
+    ``c``'s component as one row), collected per component first and
+    packed with one ``int.from_bytes`` each (see
     :func:`repro.reachability.packed.pack_ranks`) — O(V + bytes) instead of
     the O(V·width/64) growing-bigint OR loop; a singleton component (every
     vertex of a DAG) is one shift.
     """
-    index = [component_rank_of[vertex_to_component[vertex]] for vertex in vertex_ids]
     members_of: List[List[int]] = [[] for _ in range(num_components)]
     for r, component in enumerate(index):
         members_of[component].append(r)

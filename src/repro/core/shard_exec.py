@@ -431,11 +431,9 @@ def load_shard(blob: WorkerShardBlob) -> WorkerShard:
         dag_csr = CSRGraph.from_bytes(blob.dag_csr_bytes)
     vertex_ids = blob.vertex_ids or tuple(sorted(blob.component_of))
     vertex_rank = VertexRank(vertex_ids)
+    # The DAG's ids are its dense indices, so a component id is its rank.
     expansion = build_expansion(
-        vertex_ids,
-        blob.component_of,
-        VertexRank.from_csr(dag_csr).rank_of,
-        dag_csr.num_vertices,
+        [blob.component_of[vertex] for vertex in vertex_ids], dag_csr.num_vertices
     )
     return WorkerShard(
         rank=blob.rank,

@@ -28,6 +28,7 @@ from repro.core.equivalence import (
     compute_forward_classes,
 )
 from repro.graph.digraph import DiGraph
+from repro.reachability import kernels
 from repro.reachability.packed import iter_bits, pack_ranks
 
 #: The one strategy partition summaries are computed with: one-pass bitset
@@ -71,6 +72,9 @@ class PartitionSummary:
         default=None, init=False, repr=False, compare=False
     )
     _contribution: Optional[Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _contribution_arrays: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -191,19 +195,40 @@ class PartitionSummary:
         the memo.
         """
         if self._contribution is None:
-            vertices = list(self.boundary_vertices)
-            edges = list(self.class_edges)
-            edges.extend(self.member_edges)
-            if self.use_equivalence:
-                vertices.extend(cls.class_id for cls in self.forward_classes)
-                vertices.extend(cls.class_id for cls in self.backward_classes)
-                edges.extend(self.member_to_forward_class().items())
-                edges.extend(
-                    (class_id, member)
-                    for member, class_id in self.member_to_backward_class().items()
-                )
+            vertices, edges = self._contribution_lists()
             self._contribution = (tuple(vertices), tuple(edges))
         return self._contribution
+
+    def _contribution_lists(self) -> Tuple[List[int], List[Tuple[int, int]]]:
+        vertices = list(self.boundary_vertices)
+        edges = list(self.class_edges)
+        edges.extend(self.member_edges)
+        if self.use_equivalence:
+            vertices.extend(cls.class_id for cls in self.forward_classes)
+            vertices.extend(cls.class_id for cls in self.backward_classes)
+            edges.extend(self.member_to_forward_class().items())
+            edges.extend(
+                (class_id, member)
+                for member, class_id in self.member_to_backward_class().items()
+            )
+        return vertices, edges
+
+    def contribution_arrays(self) -> tuple:
+        """:meth:`graph_contribution` as int64 arrays (memoised).
+
+        ``(vertex objects, vertices, sources, targets)``: the piece the
+        numpy tier of :func:`repro.core.compound_graph.
+        assemble_compound_graph` merges
+        (:func:`repro.reachability.kernels.np_edges_piece`).  Converted once
+        per summary, so a clean partition's summary is reused as arrays
+        across epochs; the tuple form is not memoised along the way, as the
+        numpy tier never reads it.
+        """
+        if self._contribution_arrays is None:
+            self._contribution_arrays = kernels.np_edges_piece(
+                *(self._contribution or self._contribution_lists())
+            )
+        return self._contribution_arrays
 
     # ------------------------------------------------------------------ #
     # size accounting (Table 2 / Table 4)

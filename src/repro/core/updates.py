@@ -6,13 +6,20 @@ Insertions
   partition's *local* graph cannot change any reachability, so it is applied
   to the stored graphs and otherwise ignored.  (Lying in the same SCC of the
   compound graph is not enough: a pair connected only through another
-  partition gains a local path the partition's summary must report.)
+  partition gains a local path the partition's summary must report.  It is
+  still asked for, as a cheap screen before the local traversal, so on an
+  acyclic compound graph such an edge marks its partition dirty anyway.)
 * Any other local edge marks its partition *dirty*: the partition's summary
   (SCCs, equivalence classes, boundary reachability) must be recomputed and
   re-broadcast so that the other slaves can re-merge it into their compound
   graphs.
 * A cut edge never changes intra-partition reachability but may create new
   boundary vertices, so it marks *both* incident partitions dirty.
+
+Every update also reports its edit to the partitioning, which maintains the
+cut and the boundary sets (:meth:`~repro.partition.partition.
+GraphPartitioning.edge_added` and friends) under the same mutation lock, so a
+flush reads them instead of re-deriving them from every edge.
 
 Deletions
 ---------
@@ -359,9 +366,12 @@ class IncrementalMaintainer:
                 # alone, so a pair connected only through other partitions
                 # (same SCC of the compound graph, not of the local one)
                 # still changes what this partition must tell the others.
-                # The O(1) compound-SCC test screens first (it is necessary
-                # for local reachability), so the traversal runs only where
-                # the edge could be skipped at all.
+                # The skip also asks for ``u`` and ``v`` to share an SCC of
+                # the compound graph, an O(1) screen run before the
+                # traversal.  Local reachability does not imply it: it is an
+                # extra condition of the skip, so while the compound graph
+                # is acyclic an edge between two distinct vertices is never
+                # skipped, even when ``u ⇝ v`` already holds locally.
                 already_reachable = False
                 if (
                     pid_u not in self._dirty
@@ -398,6 +408,7 @@ class IncrementalMaintainer:
                     )
             else:
                 # Cut edge: boundary sets of both incident partitions change.
+                self.partitioning.edge_added(u, v)
                 self._mark_dirty({pid_u, pid_v})
                 marked = True
                 result = UpdateResult(
@@ -423,6 +434,7 @@ class IncrementalMaintainer:
                 pid_u = self.partitioning.partition_of(u)
                 pid_v = self.partitioning.partition_of(v)
                 self.graph.remove_edge(u, v)
+                self.partitioning.edge_removed(u, v)
                 if pid_u == pid_v:
                     # The published compound snapshot keeps the edge: the
                     # epoch answers as of its own graph until the flush.
@@ -478,8 +490,7 @@ class IncrementalMaintainer:
                     for pid in range(self.partitioning.num_partitions)
                 ]
                 partition_id = min(sizes)[1]
-            self.partitioning.assignment[new_vertex] = partition_id
-            self.partitioning.vertices_of(partition_id).add(new_vertex)
+            self.partitioning.vertex_added(new_vertex, partition_id)
             if self.index.is_built:
                 state = self.index.current_state()
                 state.local_graphs[partition_id].add_vertex(new_vertex)
@@ -519,9 +530,8 @@ class IncrementalMaintainer:
                 self.graph.predecessors(vertex)
             ):
                 touched.add(self.partitioning.partition_of(neighbour))
+            self.partitioning.vertex_removed(vertex)
             self.graph.remove_vertex(vertex)
-            self.partitioning.vertices_of(pid).discard(vertex)
-            del self.partitioning.assignment[vertex]
             # Removing a vertex can change the local structure of every
             # touched partition, so recompute them at flush time.
             self._mark_dirty(touched)

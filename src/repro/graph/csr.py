@@ -135,6 +135,18 @@ class CSRGraph:
         fwd_targets = array("q", [key % n for key in keys])
         return cls(ids, index_of, fwd_offsets, fwd_targets)
 
+    @classmethod
+    def from_sorted(
+        cls, ids: Tuple[int, ...], fwd_offsets: array, fwd_targets: array
+    ) -> "CSRGraph":
+        """A snapshot over ascending ``ids`` and ready-made forward buffers.
+
+        For constructions that emit the CSR buffers themselves (the numpy
+        tier of a compound graph's assembly, every condensation); only the
+        id → index dict is derived here.
+        """
+        return cls(ids, dict(zip(ids, range(len(ids)))), fwd_offsets, fwd_targets)
+
     def csr(self) -> "CSRGraph":
         """A snapshot is its own snapshot (the read API shared with ``DiGraph``)."""
         return self

@@ -13,7 +13,7 @@ is: the DFS state lives in dense lists indexed by CSR position and edges are
 scanned straight out of the flat ``array('q')`` adjacency, so condensing a
 compound graph — which happens on every index build and on every
 maintenance flush — costs no per-visit hashing, and the condensation itself
-is emitted as a snapshot in one pass.
+is emitted straight into a snapshot's buffers.
 """
 
 from __future__ import annotations
@@ -116,18 +116,48 @@ def condense(graph: GraphLike) -> Tuple[CSRGraph, Dict[int, int]]:
     emits them in), so every edge of ``dag`` goes to a strictly *lower* id
     and :meth:`repro.graph.csr.CSRGraph.edges_descend` is true for every
     condensation — the bitset kernels' one-pass sweep leans on exactly that
-    (``tests/graph/test_scc.py`` pins it).
-
-    The DAG's CSR arrays are emitted in one pass over the components in id
-    order: a component's run is the set of components its members' edges
-    point into, minus itself, sorted — byte-identical to snapshotting a
-    ``DiGraph`` built from the same edges, without building one.  Every
-    edge target is mapped to its component once, up front; a singleton
-    component's run is then a slice of that list, sorted and de-duplicated
-    only when it holds more than one entry.
+    (``tests/graph/test_scc.py`` pins it).  :func:`condense_dense` is the
+    same condensation keyed by dense index.
     """
     csr = graph.csr()
+    dag, component_of = condense_dense(csr)
+    return dag, dict(zip(csr.ids, component_of))
+
+
+def condense_dense(graph: GraphLike) -> Tuple[CSRGraph, List[int]]:
+    """:func:`condense` with ``component_of[i]`` for dense vertex index ``i``.
+
+    Tarjan (:func:`_dense_components`) fixes the component numbering on
+    both kernel tiers; the DAG is then emitted as CSR buffers directly —
+    byte-identical to snapshotting a ``DiGraph`` built from the same edges,
+    without building one.  The numpy tier sorts the component pairs of all
+    edges at once (:func:`repro.reachability.kernels.np_condense`); the
+    python tier emits one run per component in id order.
+    """
+    # Imported here: repro.reachability imports this module.
+    from repro.reachability import kernels
+
+    csr = graph.csr()
     components = _dense_components(csr)
+    if kernels.kernel_backend() == "numpy":
+        component_of, dag_offsets, dag_targets = kernels.np_condense(csr, components)
+    else:
+        component_of, dag_offsets, dag_targets = _condense_runs(csr, components)
+    dag = CSRGraph.from_sorted(tuple(range(len(components))), dag_offsets, dag_targets)
+    return dag, component_of
+
+
+def _condense_runs(
+    csr: CSRGraph, components: List[List[int]]
+) -> Tuple[List[int], array, array]:
+    """Python tier of :func:`condense_dense`: ``(component_of, offsets, targets)``.
+
+    A component's run is the set of components its members' edges point
+    into, minus itself, sorted.  Every edge target is mapped to its
+    component once, up front; a singleton component's run is then a slice
+    of that list, sorted and de-duplicated only when it holds more than one
+    entry.
+    """
     component_of = [0] * csr.num_vertices
     for component_id, members in enumerate(components):
         for member in members:
@@ -154,11 +184,7 @@ def condense(graph: GraphLike) -> Tuple[CSRGraph, Dict[int, int]]:
             run = sorted(merged)
         dag_targets.extend(run)
         dag_offsets.append(len(dag_targets))
-    dag_ids = tuple(range(len(components)))
-    dag = CSRGraph(
-        dag_ids, dict(zip(dag_ids, dag_ids)), array("q", dag_offsets), array("q", dag_targets)
-    )
-    return dag, dict(zip(csr.ids, component_of))
+    return component_of, array("q", dag_offsets), array("q", dag_targets)
 
 
 def numbered_dag(graph: GraphLike) -> Tuple[CSRGraph, Dict[int, int]]:

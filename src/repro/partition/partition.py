@@ -4,6 +4,13 @@ A ``GraphPartitioning`` fixes the partitioning function ``rho: V -> {0..k-1}``
 and exposes everything Section 2 of the paper derives from it: the local
 subgraphs ``G_i``, the cut ``C``, and the in-/out-boundary sets ``I_i`` and
 ``O_i``.
+
+The cut and the boundary sets are *maintained*, not re-derived: an update
+that edits the data graph reports the edit (:meth:`GraphPartitioning.
+edge_added`, :meth:`~GraphPartitioning.edge_removed`,
+:meth:`~GraphPartitioning.vertex_added`, :meth:`~GraphPartitioning.
+vertex_removed`) and the cut follows in O(1) per cut edge touched, so
+reading the cut or a partition's boundaries never walks the graph.
 """
 
 from __future__ import annotations
@@ -49,9 +56,15 @@ class GraphPartitioning:
         ]
         for vertex, pid in self.assignment.items():
             self._partition_vertices[pid].add(vertex)
-        self._cut_edges: List[Tuple[int, int]] = [
-            (u, v) for u, v in graph.edges() if self.assignment[u] != self.assignment[v]
-        ]
+        # The cut as an insertion-ordered edge set (a delete is O(1)), and
+        # per partition the boundary vertices with their number of incoming
+        # (outgoing) cut edges: a vertex stays a boundary until its last
+        # cut edge goes.
+        self._cut: Dict[Tuple[int, int], None] = {}
+        self._in_counts: List[Dict[int, int]] = [{} for _ in range(self.num_partitions)]
+        self._out_counts: List[Dict[int, int]] = [{} for _ in range(self.num_partitions)]
+        for u, v in graph.edges():
+            self.edge_added(u, v)
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -77,12 +90,12 @@ class GraphPartitioning:
     # ------------------------------------------------------------------ #
     def cut_edges(self) -> List[Tuple[int, int]]:
         """Return all edges of the cut ``C`` (endpoints in distinct partitions)."""
-        return list(self._cut_edges)
+        return list(self._cut)
 
     def cut_graph(self) -> DiGraph:
         """Return the cut ``C`` as its own graph (boundary vertices + cut edges)."""
         cut = DiGraph()
-        for u, v in self._cut_edges:
+        for u, v in self._cut:
             cut.add_vertex(u, label=self.graph.label_of(u))
             cut.add_vertex(v, label=self.graph.label_of(v))
             cut.add_edge(u, v)
@@ -91,28 +104,65 @@ class GraphPartitioning:
     def in_boundaries(self, partition_id: int) -> Set[int]:
         """Vertices of ``G_i`` with an incoming cut edge (``I_i``)."""
         self._check_partition(partition_id)
-        return {
-            v
-            for u, v in self._cut_edges
-            if self.assignment[v] == partition_id
-        }
+        return set(self._in_counts[partition_id])
 
     def out_boundaries(self, partition_id: int) -> Set[int]:
         """Vertices of ``G_i`` with an outgoing cut edge (``O_i``)."""
         self._check_partition(partition_id)
-        return {
-            u
-            for u, v in self._cut_edges
-            if self.assignment[u] == partition_id
-        }
+        return set(self._out_counts[partition_id])
 
     def boundary_vertices(self) -> Set[int]:
         """All boundary vertices across all partitions (vertices of ``C``)."""
         vertices: Set[int] = set()
-        for u, v in self._cut_edges:
-            vertices.add(u)
-            vertices.add(v)
+        for counts in (*self._in_counts, *self._out_counts):
+            vertices.update(counts)
         return vertices
+
+    # ------------------------------------------------------------------ #
+    # maintenance: the data graph reports its edits
+    # ------------------------------------------------------------------ #
+    def edge_added(self, u: int, v: int) -> None:
+        """Record the new graph edge ``(u, v)`` (a no-op unless it is cut)."""
+        pid_u, pid_v = self.assignment[u], self.assignment[v]
+        if pid_u == pid_v or (u, v) in self._cut:
+            return
+        self._cut[(u, v)] = None
+        out_counts, in_counts = self._out_counts[pid_u], self._in_counts[pid_v]
+        out_counts[u] = out_counts.get(u, 0) + 1
+        in_counts[v] = in_counts.get(v, 0) + 1
+
+    def edge_removed(self, u: int, v: int) -> None:
+        """Record that the graph lost edge ``(u, v)`` (a no-op unless it is cut)."""
+        if (u, v) not in self._cut:
+            return
+        del self._cut[(u, v)]
+        for counts, vertex in (
+            (self._out_counts[self.assignment[u]], u),
+            (self._in_counts[self.assignment[v]], v),
+        ):
+            if counts[vertex] == 1:
+                del counts[vertex]
+            else:
+                counts[vertex] -= 1
+
+    def vertex_added(self, vertex: int, partition_id: int) -> None:
+        """Assign the new isolated vertex ``vertex`` to ``partition_id``."""
+        self._check_partition(partition_id)
+        self.assignment[vertex] = partition_id
+        self._partition_vertices[partition_id].add(vertex)
+
+    def vertex_removed(self, vertex: int) -> None:
+        """Unassign ``vertex`` and drop its cut edges.
+
+        Call it while ``vertex`` is still in the graph: its incident edges
+        are read from there.
+        """
+        for succ in self.graph.successors(vertex):
+            self.edge_removed(vertex, succ)
+        for pred in self.graph.predecessors(vertex):
+            self.edge_removed(pred, vertex)
+        self._partition_vertices[self.partition_of(vertex)].discard(vertex)
+        del self.assignment[vertex]
 
     # ------------------------------------------------------------------ #
     # query partitioning and statistics
@@ -144,7 +194,7 @@ class GraphPartitioning:
 
     def cut_size(self) -> int:
         """Number of edges in the cut ``C``."""
-        return len(self._cut_edges)
+        return len(self._cut)
 
     def edge_balance(self) -> float:
         """Max-over-average edge imbalance across partitions (1.0 = perfect)."""

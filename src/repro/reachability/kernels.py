@@ -32,6 +32,18 @@ inversion) have their numpy tiers here too (``np_gather_rows``,
 rows into one bit matrix with ``np.unpackbits``, moves columns, and packs
 or decodes the result, identical to the per-bit python loops.
 
+The maintenance flush has a numpy tier here too: a compound graph is
+assembled from int64 array *pieces* — the local snapshot's edges
+(``np_csr_piece``), every remote summary's memoised contribution and the
+cut (``np_edges_piece``) — by one sort of the vertices for the ids, one
+dense remap of the endpoints and one sort of edge keys (``np_union_csr``),
+and a condensation's DAG is one sort of component-pair keys
+(``np_condense``).  Distinct values come from a sort and an adjacent
+difference, never ``np.unique``, whose first call maps a further ≈ 1.5 MiB
+of numpy code into a process that otherwise never needs it.  Both return
+plain ``array('q')`` buffers, byte-identical to the python constructions in
+:mod:`repro.graph.csr` and :mod:`repro.graph.scc`.
+
 Every sweep runs over a topologically numbered snapshot
 (:meth:`~repro.graph.csr.CSRGraph.edges_descend` — every condensation, see
 :func:`repro.graph.scc.numbered_dag`) and relaxes each edge once; any other
@@ -62,9 +74,10 @@ from __future__ import annotations
 import os
 import sys
 import threading
+from array import array
 from contextlib import contextmanager
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.obs.runtime import global_registry
 
@@ -472,6 +485,128 @@ def np_invert_rows(
     return inverted
 
 
+def _first_of_runs(np, ordered):
+    """Mask of the entries of a sorted array that differ from their predecessor."""
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first
+
+
+def _sorted_distinct(np, values):
+    """``values`` sorted, duplicates dropped: one sort, one adjacent difference."""
+    ordered = np.sort(values)
+    return ordered[_first_of_runs(np, ordered)]
+
+
+def _dense_index(np, ids, values):
+    """Each of ``values``' index in the sorted distinct ``ids``.
+
+    One binary search per value (``np.searchsorted``): no temporary beyond
+    the result, whatever the ids' span.  ``ValueError`` when a value is not
+    one of the ids.
+    """
+    if not values.size:
+        return values
+    if not ids.size or values.min() < ids[0] or values.max() > ids[-1]:
+        raise ValueError("an edge endpoint is not a vertex of any piece")
+    dense = np.searchsorted(ids, values)
+    if not np.array_equal(ids[dense], values):
+        raise ValueError("an edge endpoint is not a vertex of any piece")
+    return dense
+
+
+def _as_array(values) -> array:
+    """An int64 numpy array copied straight into an ``array('q')``."""
+    out = array("q")
+    out.frombytes(memoryview(values).cast("B"))
+    return out
+
+
+def _csr_buffers(np, keys, n: int) -> Tuple[array, array]:
+    """``(offsets, targets)`` of sorted distinct edge keys ``u * n + v``."""
+    sources, targets = np.divmod(keys, max(n, 1))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=n), out=offsets[1:])
+    return _as_array(offsets), _as_array(targets)
+
+
+def np_edges_piece(vertices: Sequence[int], edges: Sequence[Tuple[int, int]]):
+    """A graph piece ``(vertex objects, vertices, sources, targets)``.
+
+    The vertices as the given Python ints and as an int64 array, the edges
+    as two int64 arrays of endpoint ids.
+    """
+    np = _numpy()
+    vertices = tuple(vertices)
+    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+    return (
+        vertices,
+        np.fromiter(vertices, dtype=np.int64, count=len(vertices)),
+        flat[0::2].copy(),
+        flat[1::2].copy(),
+    )
+
+
+def np_csr_piece(csr: "CSRGraph"):
+    """A snapshot as a graph piece, read off its CSR buffers."""
+    np = _numpy()
+    ids = np.fromiter(csr.ids, dtype=np.int64, count=csr.num_vertices)
+    sources = np.repeat(ids, np.diff(_as_int64(np, csr.fwd_offsets)))
+    return csr.ids, ids, sources, ids[_as_int64(np, csr.fwd_targets)]
+
+
+def np_union_csr(pieces) -> Tuple[Tuple[int, ...], array, array]:
+    """``(ids, offsets, targets)`` of the graph the pieces make together.
+
+    Numpy tier of :meth:`repro.graph.csr.CSRGraph.from_edges`, byte for
+    byte, for pieces whose every edge endpoint is a vertex of some piece
+    (``ValueError`` otherwise): the ids are the sorted distinct vertices,
+    the endpoints are remapped onto their dense indices
+    (:func:`_dense_index`), and the sorted distinct keys ``u * n + v`` are
+    the forward CSR order.  The ids are the pieces' own Python ints, not
+    new ones: a compound graph's ids then share the objects of the local
+    graph and the summaries, as the python tier's do, instead of boxing
+    thousands of fresh ints per flush whose turnover fragments the heap.
+    """
+    np = _numpy()
+    object_parts, vertex_parts, source_parts, target_parts = zip(*pieces)
+    vertices = np.concatenate(vertex_parts)
+    order = np.argsort(vertices)
+    ordered = vertices[order]
+    first = _first_of_runs(np, ordered)
+    ids = ordered[first]
+    n = ids.size
+    dense = _dense_index(np, ids, np.concatenate((*source_parts, *target_parts)))
+    m = dense.size // 2
+    keys = dense[:m] * n
+    keys += dense[m:]
+    id_objects = np_objects(list(chain.from_iterable(object_parts)))[order[first]]
+    return (tuple(id_objects.tolist()), *_csr_buffers(np, _sorted_distinct(np, keys), n))
+
+
+def np_condense(csr: "CSRGraph", components: Sequence[Sequence[int]]):
+    """``(component_of, offsets, targets)`` of ``csr``'s condensation.
+
+    Numpy tier of the DAG emission in :func:`repro.graph.scc.condense`:
+    ``components`` are the SCCs as dense-index lists in component-id order,
+    ``component_of`` (a list) maps every dense index to its component, and
+    the DAG's CSR is the sorted distinct component pairs of every edge
+    between two components.
+    """
+    np = _numpy()
+    n, k = csr.num_vertices, len(components)
+    members = np.fromiter(chain.from_iterable(components), dtype=np.int64, count=n)
+    sizes = np.fromiter(map(len, components), dtype=np.int64, count=k)
+    component_of = np.empty(n, dtype=np.int64)
+    component_of[members] = np.repeat(np.arange(k, dtype=np.int64), sizes)
+    sources = np.repeat(component_of, np.diff(_as_int64(np, csr.fwd_offsets)))
+    targets = component_of[_as_int64(np, csr.fwd_targets)]
+    between = sources != targets
+    keys = _sorted_distinct(np, sources[between] * k + targets[between])
+    return (component_of.tolist(), *_csr_buffers(np, keys, k))
+
+
 def np_pack_ranks(ranks: Sequence[int]) -> int:
     """Numpy sibling of :func:`repro.reachability.packed.pack_ranks`."""
     np = _numpy()
@@ -490,7 +625,10 @@ __all__ = [
     "count_sweep",
     "kernel_backend",
     "numpy_available",
+    "np_condense",
+    "np_csr_piece",
     "np_edges_descend",
+    "np_edges_piece",
     "np_gather_plan",
     "np_gather_rows",
     "np_invert_rows",
@@ -499,6 +637,7 @@ __all__ = [
     "np_propagate",
     "np_propagate_matrix",
     "np_set_reachability_rows",
+    "np_union_csr",
     "np_unpack_rows",
     "require_numbered",
     "resolve_kernels",

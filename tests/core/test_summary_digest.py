@@ -6,7 +6,7 @@ what it says may not.  The digests below were recorded with the summaries
 built by sweeping each raw local graph; the condensation-based builders
 must reproduce them exactly — at index build and after three seeded
 flushes — on the spine's two graph shapes: a numbered DAG (every component
-a singleton) and an SCC-rich web graph.
+a singleton) and an SCC-rich web graph — on both kernel tiers.
 """
 
 import hashlib
@@ -66,11 +66,15 @@ def summary_digest(summaries) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def epoch_digests(graph_name, use_equivalence):
+def epoch_digests(graph_name, use_equivalence, kernels="auto"):
     engine = open_engine(
         GRAPHS[graph_name](),
         DSRConfig(
-            num_partitions=4, partitioner="metis", use_equivalence=use_equivalence, seed=0
+            num_partitions=4,
+            partitioner="metis",
+            use_equivalence=use_equivalence,
+            seed=0,
+            kernels=kernels,
         ),
     )
     rng = random.Random(0)
@@ -93,7 +97,8 @@ def epoch_digests(graph_name, use_equivalence):
 
 @pytest.mark.parametrize("use_equivalence", [True, False], ids=["eq", "plain"])
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
-def test_summaries_match_the_recorded_digests(graph_name, use_equivalence):
-    assert epoch_digests(graph_name, use_equivalence) == EXPECTED[
+def test_summaries_match_the_recorded_digests(graph_name, use_equivalence, kernel_tier):
+    assert epoch_digests(graph_name, use_equivalence, kernel_tier.name) == EXPECTED[
         (graph_name, use_equivalence)
     ]
+    kernel_tier.assert_took_its_path()

@@ -5,10 +5,12 @@ import random
 import pytest
 
 from repro.api import DSRConfig, ReachQuery, open_engine
+from repro.core.compound_graph import assemble_compound_graph
 from repro.core.engine import DSREngine
 from repro.graph import generators
 from repro.graph.digraph import DiGraph
 from repro.graph.traversal import reachable_pairs
+from repro.partition.partition import GraphPartitioning
 
 
 def fresh_engine(graph, num_partitions=3, seed=1, **kwargs):
@@ -313,3 +315,120 @@ class TestDeferredMaintenance:
         engine = DSREngine(graph, DSRConfig(num_partitions=2))
         with pytest.raises(RuntimeError):
             engine.insert_edge(0, 1)
+
+
+def recomputed_cut(partitioning):
+    """The cut and every partition's in/out boundaries, derived from every edge."""
+    assignment = partitioning.assignment
+    cut = {(u, v) for u, v in partitioning.graph.edges() if assignment[u] != assignment[v]}
+    pids = range(partitioning.num_partitions)
+    return (
+        cut,
+        [{v for _, v in cut if assignment[v] == pid} for pid in pids],
+        [{u for u, _ in cut if assignment[u] == pid} for pid in pids],
+    )
+
+
+def maintained_cut(partitioning):
+    cut = partitioning.cut_edges()
+    assert len(cut) == len(set(cut)), "an edge is in the maintained cut twice"
+    pids = range(partitioning.num_partitions)
+    return (
+        set(cut),
+        [partitioning.in_boundaries(pid) for pid in pids],
+        [partitioning.out_boundaries(pid) for pid in pids],
+    )
+
+
+class TestMaintainedCut:
+    """Updates keep the cut and the boundary sets; nothing re-derives them.
+
+    Driven through the engine with the reverse index on, so the mirrored
+    updates keep the reverse partitioning's cut too.
+    """
+
+    def _partitionings(self, engine):
+        return (engine.partitioning, engine._reverse_index.partitioning)
+
+    def _assert_maintained(self, engine):
+        for partitioning in self._partitionings(engine):
+            assert maintained_cut(partitioning) == recomputed_cut(partitioning)
+
+    def test_every_update_kind_keeps_the_cut(self):
+        graph = generators.web_graph(200, 5.5, seed=3)
+        engine = fresh_engine(graph, num_partitions=3, enable_backward=True)
+        part_of = engine.partitioning.partition_of
+        vertices = sorted(graph.vertices())
+        rng = random.Random(5)
+
+        def pick(same_partition, edge):
+            while True:
+                u, v = rng.sample(vertices, 2)
+                if (part_of(u) == part_of(v)) == same_partition and graph.has_edge(u, v) == edge:
+                    return u, v
+
+        try:
+            self._assert_maintained(engine)
+            local_edge, cut_edge = pick(True, False), pick(False, False)
+            engine.insert_edge(*local_edge)
+            self._assert_maintained(engine)
+            engine.insert_edge(*cut_edge)
+            self._assert_maintained(engine)
+            # A duplicate insert of a cut edge must not count it twice: one
+            # delete then takes it out of the cut altogether.
+            assert not engine.insert_edge(*cut_edge).structural_change
+            self._assert_maintained(engine)
+            engine.delete_edge(*cut_edge)
+            assert cut_edge not in engine.partitioning.cut_edges()
+            self._assert_maintained(engine)
+            engine.delete_edge(*pick(True, True))
+            self._assert_maintained(engine)
+            engine.delete_edge(*pick(False, True))
+            self._assert_maintained(engine)
+            missing = pick(False, False)
+            assert not engine.delete_edge(*missing).structural_change
+            self._assert_maintained(engine)
+            isolated = engine.insert_vertex(partition_id=2)
+            self._assert_maintained(engine)
+            engine.insert_edge(isolated, vertices[0])
+            self._assert_maintained(engine)
+            # A vertex with cut edges both ways: all of them leave the cut.
+            doomed = next(
+                vertex
+                for vertex in vertices
+                if any(part_of(w) != part_of(vertex) for w in graph.successors(vertex))
+                and any(part_of(w) != part_of(vertex) for w in graph.predecessors(vertex))
+            )
+            engine.delete_vertex(doomed)
+            assert not any(doomed in edge for edge in engine.partitioning.cut_edges())
+            self._assert_maintained(engine)
+            self._assert_epochs_match_a_full_recompute(engine)
+        finally:
+            engine.close()
+
+    def _assert_epochs_match_a_full_recompute(self, engine):
+        """The flushed epochs equal ones built on a from-scratch partitioning."""
+        engine.flush_updates()
+        for index in (engine.index, engine._reverse_index):
+            live = index.partitioning
+            fresh = GraphPartitioning(live.graph, live.assignment, live.num_partitions)
+            cut, ins, outs = recomputed_cut(live)
+            assert set(fresh.cut_edges()) == cut
+            state = index.current_state()
+            assert state.assignment == fresh.assignment
+            for pid in range(fresh.num_partitions):
+                local = fresh.local_subgraph(pid)
+                assert set(state.local_graphs[pid].vertices()) == set(local.vertices())
+                assert set(state.local_graphs[pid].edges()) == set(local.edges())
+                assert state.boundary_sets[pid] == ins[pid] | outs[pid]
+                summary = state.summaries[pid]
+                assert summary.in_boundaries == ins[pid]
+                assert summary.out_boundaries == outs[pid]
+                rebuilt = assemble_compound_graph(
+                    pid, state.local_graphs[pid], state.summaries, fresh.cut_edges()
+                )
+                assert rebuilt.graph.to_bytes() == state.compound_graphs[pid].graph.to_bytes()
+        vertices = sorted(engine.graph.vertices())
+        assert engine.run(ReachQuery(vertices[:20], vertices[-20:])).pairs == reachable_pairs(
+            engine.graph, vertices[:20], vertices[-20:]
+        )
