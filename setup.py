@@ -1,8 +1,9 @@
 """Packaging for the DSR (SIGMOD 2016) reproduction.
 
-The project is pure-Python with no runtime dependencies, so the classic
-``setup.py`` path works even in fully offline environments without the
-``wheel`` package::
+The project is pure Python with one runtime dependency, numpy (the bitset
+kernels and the flush builders).  The classic ``setup.py`` path works even
+in fully offline environments without the ``wheel`` package, as long as
+numpy is already installed::
 
     pip install -e . --no-build-isolation
 
@@ -27,17 +28,14 @@ setup(
     python_requires=">=3.9",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    install_requires=["numpy"],
     entry_points={
         "console_scripts": [
             "repro-dsr = repro.cli:main",
         ]
     },
     extras_require={
-        "test": ["pytest", "pytest-benchmark"],
-        # Optional vectorised kernel backend (DSRConfig(kernels="numpy")):
-        # byte-identical answers, just faster.  Nothing imports numpy unless
-        # it is selected, so the base install stays dependency-free.
-        "numpy": ["numpy"],
+        "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },
     classifiers=[
         "Development Status :: 4 - Beta",

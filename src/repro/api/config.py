@@ -25,7 +25,6 @@ from typing import Any, Dict, Mapping, Optional
 
 from repro.cluster.executors import EXECUTOR_NAMES
 from repro.reachability.factory import available_strategies
-from repro.reachability.kernels import KERNEL_NAMES, resolve_kernels
 
 #: Partitioning strategies understood by ``repro.partition.make_partitioning``.
 PARTITIONERS = ("metis", "min-cut", "mincut", "hash")
@@ -81,11 +80,11 @@ class DSRConfig:
         ``N+1`` while queries keep reading epoch ``N``; queries never block
         on maintenance).
     kernels:
-        Bitset-kernel backend for the hot traversal/harvest loops:
-        ``"python"`` (pure-python reference), ``"numpy"`` (vectorized;
-        requires numpy) or ``"auto"`` (default — numpy when importable).
-        All backends produce byte-identical results; only speed differs.
-        Asking for ``"numpy"`` without numpy installed raises here.
+        Only ``"auto"``, and nothing reads it.  numpy is a requirement, and
+        each kernel call picks the python loop or the numpy function by its
+        input size alone (see :mod:`repro.reachability.kernels`); the
+        removed ``"python"`` and ``"numpy"`` values raise
+        :class:`ConfigError`.
     parallel:
         Deprecated alias: ``parallel=True`` with the default executor maps
         to ``executor="threads"``.
@@ -144,16 +143,11 @@ class DSRConfig:
             f"available: {', '.join(EPOCH_FLUSH_MODES)}",
         )
         _require(
-            self.kernels in KERNEL_NAMES,
-            f"unknown kernels backend {self.kernels!r}; "
-            f"available: {', '.join(KERNEL_NAMES)}",
+            self.kernels == "auto",
+            f"kernels={self.kernels!r} is not supported: the kernel tier is no "
+            "longer selectable (numpy is required, and each call picks its tier "
+            "by input size); kernels accepts only 'auto'",
         )
-        try:
-            # Fail at configuration time, not first query: kernels="numpy"
-            # on a host without numpy is a ConfigError, not a silent fallback.
-            resolve_kernels(self.kernels)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         for flag in ("use_equivalence", "parallel", "enable_backward"):
             _require(
                 isinstance(getattr(self, flag), bool),

@@ -46,8 +46,8 @@ that callers keep using original vertex ids.
 Both are immutable CSR snapshots (:mod:`repro.graph.csr`), built in bulk
 with no ``DiGraph`` in between: :func:`assemble_compound_graph` sorts the
 local edges, the remote summaries' memoised contributions and the cut into
-one snapshot (:meth:`~repro.graph.csr.CSRGraph.from_edges`; on the numpy
-kernel tier the same sort over int64 arrays), and
+one snapshot (one sort over int64 arrays, byte-identical to
+:meth:`~repro.graph.csr.CSRGraph.from_edges` over the same edges), and
 :func:`~repro.graph.scc.condense_dense` emits the condensation straight
 into another, which every strategy then runs over directly; its
 ``component_of`` is the component → member expansion's index as it is.  A
@@ -62,7 +62,6 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
 import weakref
 
-from repro.core.boundary_graph import boundary_graph_parts
 from repro.core.packed_steps import build_expansion, condensation_rows
 from repro.core.summary import PartitionSummary
 from repro.graph.csr import CSRGraph
@@ -359,38 +358,30 @@ def assemble_compound_graph(
 ) -> CompoundGraph:
     """Merge the local subgraph, remote summaries and cut into ``G^C_i``.
 
-    ``G^C_i`` is ``G^B_i``'s parts (:func:`~repro.core.boundary_graph.
-    boundary_graph_parts`) plus the local vertices and edges, built into
-    one CSR snapshot in bulk — byte-identical to snapshotting the
+    ``G^C_i`` is ``G^B_i``'s parts plus the local vertices and edges,
+    built into one CSR snapshot in bulk — byte-identical to snapshotting the
     ``DiGraph`` the same edges would make, so vertex ranks, packed masks
-    and wire positions are a function of the graph alone.  The numpy tier
-    merges int64 array pieces instead of id tuples: the local snapshot's
-    buffers, each remote summary's memoised
-    :meth:`~repro.core.summary.PartitionSummary.contribution_arrays` and
-    the cut — one sort of the vertices, one remap of the endpoints, one
+    and wire positions are a function of the graph alone.  It merges int64
+    array pieces: the local snapshot's buffers, each remote summary's
+    memoised :meth:`~repro.core.summary.PartitionSummary.contribution_arrays`
+    and the cut — one sort of the vertices, one remap of the endpoints, one
     sort of the edge keys (:func:`repro.reachability.kernels.np_union_csr`).
     The returned compound graph has no reachability strategy yet (it is
     built on first use, or explicitly by :func:`build_compound_graph`).
     """
-    if kernels.kernel_backend() == "numpy":
-        graph = CSRGraph.from_sorted(
-            *kernels.np_union_csr(
-                [
-                    kernels.np_csr_piece(local_graph.csr()),
-                    *(
-                        summary.contribution_arrays()
-                        for other_id, summary in summaries.items()
-                        if other_id != partition_id
-                    ),
-                    kernels.np_edges_piece((), cut_edges),
-                ]
-            )
+    graph = CSRGraph.from_sorted(
+        *kernels.np_union_csr(
+            [
+                kernels.np_csr_piece(local_graph.csr()),
+                *(
+                    summary.contribution_arrays()
+                    for other_id, summary in summaries.items()
+                    if other_id != partition_id
+                ),
+                kernels.np_edges_piece((), cut_edges),
+            ]
         )
-    else:
-        vertices, edges = boundary_graph_parts(partition_id, summaries, cut_edges)
-        vertices.extend(local_graph.vertices())
-        edges.extend(local_graph.edges())
-        graph = CSRGraph.from_edges(vertices, edges)
+    )
     remote_forward: Dict[int, Set[int]] = {}
     remote_backward: Dict[int, Set[int]] = {}
     remote_boundary: Set[int] = set()

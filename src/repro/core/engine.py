@@ -61,13 +61,6 @@ class DSREngine:
                 f"DSREngine expects backend='dsr', got "
                 f"{config.backend!r}; use repro.api.open_engine for other backends"
             )
-        # Select the bitset-kernel backend.  The selection is process-global
-        # (see repro.reachability.kernels): safe because every backend is
-        # byte-identical — engines only ever disagree about speed — and
-        # global is what lets forked shard workers inherit the choice.
-        from repro.reachability.kernels import set_kernel_backend
-
-        self.kernels = set_kernel_backend(config.kernels)
         self.graph = graph
         #: Registry name under which this engine satisfies the Backend protocol.
         self.name = "dsr"

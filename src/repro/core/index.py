@@ -336,8 +336,7 @@ class DSRIndex:
         edit it in place while the unlocked heavy phase would iterate it.
         The heavy phase reassembles every compound graph straight into a
         CSR snapshot and condenses it into another, whether or not its
-        inputs changed; on the numpy kernel tier both are array
-        constructions.
+        inputs changed; both are numpy array constructions.
         """
         current = self.current_state()
         dirty = set(dirty)

@@ -31,7 +31,7 @@ def build_expansion(index: Sequence[int], num_components: int) -> BitGather:
     of its vertices.  A condensation's component ids are its DAG ranks and
     its graph's dense indices are the vertex ranks, so the index is the
     condensation's ``component_of`` itself
-    (:func:`repro.graph.scc.condense_dense`).  The python tier ORs
+    (:func:`repro.graph.scc.condense_dense`).  A narrow gather ORs
     per-component member masks (``masks[c]``: the members of DAG-rank
     ``c``'s component as one row), collected per component first and
     packed with one ``int.from_bytes`` each (see

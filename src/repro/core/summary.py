@@ -216,13 +216,12 @@ class PartitionSummary:
     def contribution_arrays(self) -> tuple:
         """:meth:`graph_contribution` as int64 arrays (memoised).
 
-        ``(vertex objects, vertices, sources, targets)``: the piece the
-        numpy tier of :func:`repro.core.compound_graph.
-        assemble_compound_graph` merges
+        ``(vertex objects, vertices, sources, targets)``: the piece
+        :func:`repro.core.compound_graph.assemble_compound_graph` merges
         (:func:`repro.reachability.kernels.np_edges_piece`).  Converted once
         per summary, so a clean partition's summary is reused as arrays
-        across epochs; the tuple form is not memoised along the way, as the
-        numpy tier never reads it.
+        across epochs; the tuple form is not memoised along the way, as
+        assembly never reads it.
         """
         if self._contribution_arrays is None:
             self._contribution_arrays = kernels.np_edges_piece(

@@ -84,7 +84,7 @@ class CSRGraph:
         self._successor_table: Dict[int, Tuple[int, ...]] = {}
         # Sweep-kernel caches, all derived lazily from the immutable forward
         # arrays: the verified numbering property (see edges_descend) and the
-        # numpy tier's forward and reverse level plans (owned by
+        # numpy sweeps' forward and reverse level plans (owned by
         # repro.reachability.kernels).
         self._descending: Optional[bool] = None
         self._level_plan: Optional[object] = None
@@ -473,24 +473,15 @@ class CSRGraph:
         *verified* against the adjacency, never taken on trust, once per
         snapshot: it is derived from the forward arrays alone, so a snapshot
         rebuilt by :meth:`from_bytes` / :meth:`from_shared` recomputes the
-        same answer and an immutable snapshot can never invalidate it.
+        same answer and an immutable snapshot can never invalidate it.  The
+        check is one vectorised comparison over the whole edge array
+        (:func:`repro.reachability.kernels.np_edges_descend`).
         """
         if self._descending is None:
+            # Imported here: repro.reachability imports this module.
             from repro.reachability import kernels
 
-            if kernels.kernel_backend() == "numpy":
-                self._descending = kernels.np_edges_descend(self)
-            else:
-                offsets, targets = self.fwd_offsets, self.fwd_targets
-                start = 0
-                descending = True
-                for vertex in range(self.num_vertices):
-                    end = offsets[vertex + 1]
-                    if start != end and max(targets[start:end]) >= vertex:
-                        descending = False
-                        break
-                    start = end
-                self._descending = descending
+            self._descending = kernels.np_edges_descend(self)
         return self._descending
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

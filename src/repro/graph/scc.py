@@ -18,7 +18,6 @@ is emitted straight into a snapshot's buffers.
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict, List, Tuple, Union
 
 from repro.graph.csr import CSRGraph
@@ -127,64 +126,21 @@ def condense(graph: GraphLike) -> Tuple[CSRGraph, Dict[int, int]]:
 def condense_dense(graph: GraphLike) -> Tuple[CSRGraph, List[int]]:
     """:func:`condense` with ``component_of[i]`` for dense vertex index ``i``.
 
-    Tarjan (:func:`_dense_components`) fixes the component numbering on
-    both kernel tiers; the DAG is then emitted as CSR buffers directly —
-    byte-identical to snapshotting a ``DiGraph`` built from the same edges,
-    without building one.  The numpy tier sorts the component pairs of all
-    edges at once (:func:`repro.reachability.kernels.np_condense`); the
-    python tier emits one run per component in id order.
+    Tarjan (:func:`_dense_components`) fixes the component numbering; the
+    DAG is then emitted as CSR buffers directly, by one sort of the
+    component pairs of all edges
+    (:func:`repro.reachability.kernels.np_condense`) — byte-identical to
+    snapshotting a ``DiGraph`` built from the same edges, without building
+    one.
     """
     # Imported here: repro.reachability imports this module.
     from repro.reachability import kernels
 
     csr = graph.csr()
     components = _dense_components(csr)
-    if kernels.kernel_backend() == "numpy":
-        component_of, dag_offsets, dag_targets = kernels.np_condense(csr, components)
-    else:
-        component_of, dag_offsets, dag_targets = _condense_runs(csr, components)
+    component_of, dag_offsets, dag_targets = kernels.np_condense(csr, components)
     dag = CSRGraph.from_sorted(tuple(range(len(components))), dag_offsets, dag_targets)
     return dag, component_of
-
-
-def _condense_runs(
-    csr: CSRGraph, components: List[List[int]]
-) -> Tuple[List[int], array, array]:
-    """Python tier of :func:`condense_dense`: ``(component_of, offsets, targets)``.
-
-    A component's run is the set of components its members' edges point
-    into, minus itself, sorted.  Every edge target is mapped to its
-    component once, up front; a singleton component's run is then a slice
-    of that list, sorted and de-duplicated only when it holds more than one
-    entry.
-    """
-    component_of = [0] * csr.num_vertices
-    for component_id, members in enumerate(components):
-        for member in members:
-            component_of[member] = component_id
-
-    offsets = csr.fwd_offsets.tolist()
-    mapped = list(map(component_of.__getitem__, csr.fwd_targets))
-    dag_offsets = [0]
-    dag_targets: List[int] = []
-    for component_id, members in enumerate(components):
-        if len(members) == 1:
-            member = members[0]
-            run = mapped[offsets[member] : offsets[member + 1]]
-            if len(run) > 1:
-                run = sorted(set(run))
-            # A component only reaches lower ids, so a self-loop sorts last.
-            if run and run[-1] == component_id:
-                run.pop()
-        else:
-            merged = set()
-            for member in members:
-                merged.update(mapped[offsets[member] : offsets[member + 1]])
-            merged.discard(component_id)
-            run = sorted(merged)
-        dag_targets.extend(run)
-        dag_offsets.append(len(dag_targets))
-    return component_of, array("q", dag_offsets), array("q", dag_targets)
 
 
 def numbered_dag(graph: GraphLike) -> Tuple[CSRGraph, Dict[int, int]]:

@@ -22,11 +22,11 @@ a graph that may have cycles is condensed first
 :class:`~repro.reachability.msbfs.MultiSourceBFS` and the partition
 summaries do.
 
-The numpy tier (:mod:`repro.reachability.kernels`) returns identical tables
-from a per-snapshot level plan.  With numpy selected, a sweep narrower than
-:data:`NUMPY_MIN_SEEDS` still runs the python loop here: it is the cheaper
-of the two until the python harvest's per-(target, source) work outgrows
-the plan's fixed per-level cost.
+A sweep of at least :data:`NUMPY_MIN_SEEDS` seeds is served by the numpy
+kernels (:mod:`repro.reachability.kernels`), which return identical tables
+from a per-snapshot level plan.  A narrower one runs the python loop here:
+it is the cheaper of the two until the python harvest's per-(target,
+source) work outgrows the plan's fixed per-level cost.
 
 The kernel operates on the flat ``array('q')`` adjacency of a
 :class:`~repro.graph.csr.CSRGraph` (see :mod:`repro.graph.csr`) with the
@@ -52,8 +52,8 @@ from repro.reachability.packed import iter_bits
 #: Default number of sources propagated per kernel pass.
 DEFAULT_BATCH_SIZE = 512
 
-#: Seed count from which the numpy tier serves a sweep itself;
-#: narrower ones run the python loop.  Measured per ``set_reachability_rows``
+#: Seed count from which the numpy kernels serve a sweep; narrower ones run
+#: the python loop.  Measured per ``set_reachability_rows``
 #: call, python loop / numpy level plan, on the 2140-vertex, 7546-edge,
 #: 48-level condensation of the spine's ``dag(2000, 8000)`` compound graph 0.
 #: Under an 8-bit target mask — 77 % of the kernel calls of an 8x8 query, and
@@ -88,8 +88,8 @@ def propagate(csr: CSRGraph, seed_bits: Dict[int, int], reverse: bool = False) -
 
 
 def _numpy_serves(num_seeds: int) -> bool:
-    """Tier choice for one call: numpy selected and the sweep wide enough."""
-    return _kernels.kernel_backend() == "numpy" and num_seeds >= NUMPY_MIN_SEEDS
+    """Tier choice for one call, by its width alone."""
+    return num_seeds >= NUMPY_MIN_SEEDS
 
 
 def _propagate_python(csr: CSRGraph, seed_bits: Dict[int, int], reverse: bool) -> List[int]:
@@ -151,6 +151,17 @@ def set_reachability_rows(
         return _kernels.np_set_reachability_rows(
             csr, source_list, target_mask, batch_size, reverse
         )
+    return _rows_python(csr, source_list, target_mask, batch_size, reverse)
+
+
+def _rows_python(
+    csr: CSRGraph,
+    source_list: List[int],
+    target_mask: Optional[int],
+    batch_size: int,
+    reverse: bool,
+) -> Dict[int, int]:
+    """The python loop of :func:`set_reachability_rows`: sweep, then harvest."""
     rows: Dict[int, int] = {source: 0 for source in source_list}
     valid_sources = [source for source in source_list if csr.has_vertex(source)]
     if not valid_sources or target_mask == 0:

@@ -1,187 +1,95 @@
-"""Pluggable bitset-kernel backends: pure-python vs. vectorized numpy.
+"""The numpy kernels: bitset sweeps, batched row transforms, flush builders.
 
-The hot kernels of the packed pipeline — the multi-source BFS frontier sweep
+numpy is a requirement of the package, and this module is its one home.
+The hot kernels of the packed pipeline — the multi-source frontier sweep
 (:func:`repro.reachability.bitset_msbfs.propagate`), the packed-row harvest
 (:func:`~repro.reachability.bitset_msbfs.set_reachability_rows`) and the
 rank packing behind the per-SCC member masks
-(:func:`repro.reachability.packed.pack_ranks`) — have two implementations:
-
-``python``
-    The arbitrary-width-int loops of :mod:`~repro.reachability.bitset_msbfs`:
-    one descending pass for a forward sweep, one ascending pass over the
-    reverse adjacency for a reverse sweep.  No dependencies, always
-    available, and the reference semantics every other backend must match
-    byte for byte.
-
-``numpy``
-    The same sweeps over a dense ``(num_vertices, words)`` uint64 matrix,
-    each **one pass over a level plan**: the edges grouped by the level of
-    their destination and pre-sorted by it, so a level is one gather of the
-    sources' rows, one ``np.bitwise_or.reduceat`` over the destination runs
-    and one OR-assign — each edge gathered once, each vertex written once,
-    no ``np.unique``, no ``ufunc.at``.  A forward plan levels by height
-    (longest path to a sink), a reverse plan by depth (longest path from a
-    source); each is built once per snapshot and cached on it.  The harvest
-    transposes the seen matrix byte plane by byte plane (``np.packbits``)
-    so a source's packed row is built without per-bit Python work.
+(:func:`repro.reachability.packed.pack_ranks`) — run here over a dense
+``(num_vertices, words)`` uint64 matrix, each sweep **one pass over a level
+plan**: the edges grouped by the level of their destination and pre-sorted
+by it, so a level is one gather of the sources' rows, one
+``np.bitwise_or.reduceat`` over the destination runs and one OR-assign —
+each edge gathered once, each vertex written once, no ``np.unique``, no
+``ufunc.at``.  A forward plan levels by height (longest path to a sink), a
+reverse plan by depth (longest path from a source); each is built once per
+snapshot and cached on it.  The harvest transposes the seen matrix byte
+plane by byte plane (``np.packbits``) so a source's packed row is built
+without per-bit Python work.
 
 The batched row transforms of :mod:`repro.reachability.packed` (component
 expansion and handle re-pack through ``BitGather``, group unpack, inbox
-inversion) have their numpy tiers here too (``np_gather_rows``,
-``np_unpack_rows``, ``np_invert_rows``): each unpacks its batch of packed
-rows into one bit matrix with ``np.unpackbits``, moves columns, and packs
-or decodes the result, identical to the per-bit python loops.
+inversion) are here too (``np_gather_rows``, ``np_unpack_rows``,
+``np_invert_rows``): each unpacks its batch of packed rows into one bit
+matrix with ``np.unpackbits``, moves columns, and packs or decodes the
+result.
 
-The maintenance flush has a numpy tier here too: a compound graph is
-assembled from int64 array *pieces* — the local snapshot's edges
-(``np_csr_piece``), every remote summary's memoised contribution and the
-cut (``np_edges_piece``) — by one sort of the vertices for the ids, one
-dense remap of the endpoints and one sort of edge keys (``np_union_csr``),
-and a condensation's DAG is one sort of component-pair keys
-(``np_condense``).  Distinct values come from a sort and an adjacent
-difference, never ``np.unique``, whose first call maps a further ≈ 1.5 MiB
-of numpy code into a process that otherwise never needs it.  Both return
-plain ``array('q')`` buffers, byte-identical to the python constructions in
-:mod:`repro.graph.csr` and :mod:`repro.graph.scc`.
+A narrow call does not come here: below a measured crossover the python
+loop in the calling module is cheaper than the fixed cost of a numpy call,
+and it serves the call instead — a sweep of fewer than
+``bitset_msbfs.NUMPY_MIN_SEEDS`` seeds, a row batch of fewer than
+``packed.NUMPY_MIN_ROWS`` rows, a rank list shorter than
+``packed._NUMPY_PACK_THRESHOLD``.  Each crossover reads the input size and
+nothing else, and both sides return the same Python ints (same bytes), so
+the choice never shows past the call.  The property tests in
+``tests/proptest/`` hold both sides to
+:func:`repro.graph.traversal.reachable_pairs`.
+
+The maintenance flush is built here, once: a compound graph is assembled
+from int64 array *pieces* — the local snapshot's edges (``np_csr_piece``),
+every remote summary's memoised contribution and the cut
+(``np_edges_piece``) — by one sort of the vertices for the ids, one dense
+remap of the endpoints and one sort of edge keys (``np_union_csr``), and a
+condensation's DAG is one sort of component-pair keys (``np_condense``).
+Distinct values come from a sort and an adjacent difference, never
+``np.unique``, whose first call maps a further ≈ 1.5 MiB of numpy code into
+a process that otherwise never needs it.  Both return plain ``array('q')``
+buffers, byte-identical to :meth:`repro.graph.csr.CSRGraph.from_edges` over
+the same vertices and edges.
 
 Every sweep runs over a topologically numbered snapshot
 (:meth:`~repro.graph.csr.CSRGraph.edges_descend` — every condensation, see
 :func:`repro.graph.scc.numbered_dag`) and relaxes each edge once; any other
 snapshot is refused with ``ValueError`` (:func:`require_numbered`).
 
-Both backends compute the same table — the set of (source, vertex)
-reachability facts is fully determined by the graph and the seeds — so their
-outputs are **byte-identical** by construction, and every consumer from
-:mod:`repro.core.packed_steps` to the wire format is untouched by the switch.
-The property tests in ``tests/proptest/`` hold both to
-:func:`repro.graph.traversal.reachable_pairs`.
-
-Selection is **process-global** (`DSRConfig(kernels=...)` applies it at
-engine construction; the ``REPRO_KERNELS`` environment variable seeds the
-default).  A global is semantically safe precisely because the outputs are
-identical — two engines with different preferences only contend on speed —
-and it is what lets forked shard workers inherit the choice without any
-payload plumbing.  ``auto`` resolves to ``numpy`` when importable (and the
-host is little-endian), else ``python``.  The functions here are the numpy
-implementations themselves and always run vectorised; the per-call choice
-to serve a *narrow* sweep with the python loop instead is made by
-the dispatchers in :mod:`~repro.reachability.bitset_msbfs`
-(``NUMPY_MIN_SEEDS``), which byte-identity makes invisible.
+The kernels view uint64 word matrices as little-endian byte buffers, so
+importing this module on a big-endian host raises ``ImportError``.
 """
 
 from __future__ import annotations
 
-import os
 import sys
-import threading
 from array import array
-from contextlib import contextmanager
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+
+import numpy as np
 
 from repro.obs.runtime import global_registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graph.csr import CSRGraph
 
-#: Names accepted by ``DSRConfig.kernels`` / :func:`set_kernel_backend`.
-KERNEL_NAMES = ("auto", "python", "numpy")
-
-_np = None
-_np_checked = False
-_lock = threading.Lock()
-
-
-def numpy_available() -> bool:
-    """True when the numpy backend can run here (import + little-endian)."""
-    return _numpy() is not None
-
-
-def _numpy():
-    """Import numpy once; ``None`` when missing or on a big-endian host.
-
-    The numpy kernels view uint64 word matrices as little-endian byte
-    buffers (`.view(uint8)` + ``int.from_bytes(..., "little")``), which is
-    only an identity on little-endian hosts — everywhere this project runs,
-    but gated anyway so a big-endian port degrades to the python backend
-    instead of corrupting rows.
-    """
-    global _np, _np_checked
-    if _np_checked:
-        return _np
-    with _lock:
-        if _np_checked:
-            return _np
-        module = None
-        if sys.byteorder == "little":
-            try:
-                import numpy as module  # noqa: F811
-            except ImportError:  # pragma: no cover - numpy-less environments
-                module = None
-        _np = module
-        _np_checked = True
-    return _np
-
-
-def resolve_kernels(name: str) -> str:
-    """Resolve a configured kernels name to a concrete backend.
-
-    ``auto`` picks ``numpy`` when available; asking for ``numpy`` explicitly
-    when it cannot run raises so the failure is loud at configuration time,
-    not silent at query time.
-    """
-    if name not in KERNEL_NAMES:
-        raise ValueError(
-            f"unknown kernels backend {name!r}; available: {', '.join(KERNEL_NAMES)}"
-        )
-    if name == "auto":
-        return "numpy" if numpy_available() else "python"
-    if name == "numpy" and not numpy_available():
-        raise ValueError(
-            "kernels='numpy' requested but numpy is not importable "
-            "(install with `pip install repro-dsr[numpy]` or use kernels='auto')"
-        )
-    return name
-
-
-_backend = resolve_kernels(os.environ.get("REPRO_KERNELS", "auto"))
+if sys.byteorder != "little":  # pragma: no cover - every supported host is little-endian
+    # The kernels view uint64 word matrices as little-endian byte buffers
+    # (``.view(uint8)`` + ``int.from_bytes(..., "little")``), an identity
+    # only on a little-endian host.
+    raise ImportError("repro's numpy kernels need a little-endian host")
 
 
 def kernel_backend() -> str:
-    """The currently selected backend (``"python"`` or ``"numpy"``)."""
-    return _backend
+    """The kernel tier: always ``"numpy"`` (kept for benchmark fingerprints)."""
+    return "numpy"
 
 
-def set_kernel_backend(name: str) -> str:
-    """Select the process-global kernel backend; returns the resolved name."""
-    global _backend
-    _backend = resolve_kernels(name)
-    return _backend
-
-
-@contextmanager
-def use_kernels(name: str):
-    """Temporarily switch the kernel backend (test/bench helper)."""
-    global _backend
-    previous = _backend
-    _backend = resolve_kernels(name)
-    try:
-        yield _backend
-    finally:
-        _backend = previous
-
-
-# ---------------------------------------------------------------------- #
-# numpy implementations
-# ---------------------------------------------------------------------- #
-def _as_int64(np, buffer):
+def _as_int64(buffer):
     """Zero-copy int64 view of an ``array('q')`` or shared memoryview."""
     if len(buffer) == 0:
         return np.empty(0, dtype=np.int64)
     return np.frombuffer(buffer, dtype=np.int64)
 
 
-def _seed_matrix(np, csr: "CSRGraph", seed_bits: Dict[int, int]):
+def _seed_matrix(csr: "CSRGraph", seed_bits: Dict[int, int]):
     """``(indices, bits_matrix, words)`` for the seeds of one sweep."""
     width = max((bits.bit_length() for bits in seed_bits.values()), default=0)
     words = max(1, (width + 63) >> 6)
@@ -197,9 +105,8 @@ def _seed_matrix(np, csr: "CSRGraph", seed_bits: Dict[int, int]):
 
 def np_edges_descend(csr: "CSRGraph") -> bool:
     """Vectorised check behind :meth:`repro.graph.csr.CSRGraph.edges_descend`."""
-    np = _numpy()
-    offsets = _as_int64(np, csr.fwd_offsets)
-    targets = _as_int64(np, csr.fwd_targets)
+    offsets = _as_int64(csr.fwd_offsets)
+    targets = _as_int64(csr.fwd_targets)
     sources = np.repeat(np.arange(csr.num_vertices, dtype=np.int64), np.diff(offsets))
     return bool((targets < sources).all())
 
@@ -233,15 +140,14 @@ def np_propagate_matrix(csr: "CSRGraph", seed_bits: Dict[int, int], reverse: boo
     the bits of every seed it *reaches*.  Either way one pass over the
     snapshot's level plan for that direction.
     """
-    np = _numpy()
     require_numbered(csr)
     if not seed_bits:
         return np.zeros((csr.num_vertices, 1), dtype=np.uint64)
     count_sweep("numpy")
-    return _np_sweep_levels(np, csr, seed_bits, reverse)
+    return _np_sweep_levels(csr, seed_bits, reverse)
 
 
-def _level_plan(np, csr: "CSRGraph", reverse: bool = False):
+def _level_plan(csr: "CSRGraph", reverse: bool = False):
     """The per-snapshot level plan of a topologically numbered snapshot.
 
     A forward plan levels the vertices by ``height[v]``, the longest path
@@ -280,8 +186,8 @@ def _level_plan(np, csr: "CSRGraph", reverse: bool = False):
         heights = np.array(height, dtype=np.int64)
         levels = []
         if len(targets):
-            dst = _as_int64(np, targets)
-            src = np.repeat(np.arange(n, dtype=np.int64), np.diff(_as_int64(np, offsets)))
+            dst = _as_int64(targets)
+            src = np.repeat(np.arange(n, dtype=np.int64), np.diff(_as_int64(offsets)))
             order = np.lexsort((dst, -heights[dst]))
             src, dst = src[order], dst[order]
             # One run of equal destinations per written vertex; a change of
@@ -307,13 +213,13 @@ def _level_plan(np, csr: "CSRGraph", reverse: bool = False):
     return plan
 
 
-def _np_sweep_levels(np, csr: "CSRGraph", seed_bits: Dict[int, int], reverse: bool):
+def _np_sweep_levels(csr: "CSRGraph", seed_bits: Dict[int, int], reverse: bool):
     """One pass over the level plan: every edge gathered exactly once."""
-    seed_idx, seed_rows, words = _seed_matrix(np, csr, seed_bits)
+    seed_idx, seed_rows, words = _seed_matrix(csr, seed_bits)
     seen = np.zeros((csr.num_vertices, words), dtype=np.uint64)
     seen[seed_idx] = seed_rows
     reduceat = np.bitwise_or.reduceat
-    heights, levels = _level_plan(np, csr, reverse)
+    heights, levels = _level_plan(csr, reverse)
     # Level i holds the vertices of level len(levels) - 1 - i, and a seed
     # only reaches vertices of a lower level than its own.
     for sources, runs, written in levels[len(levels) - int(heights[seed_idx].max()) :]:
@@ -322,9 +228,9 @@ def _np_sweep_levels(np, csr: "CSRGraph", seed_bits: Dict[int, int], reverse: bo
 
 
 def np_propagate(csr: "CSRGraph", seed_bits: Dict[int, int], reverse: bool = False) -> List[int]:
-    """Numpy sibling of :func:`repro.reachability.bitset_msbfs.propagate`."""
+    """The wide side of :func:`repro.reachability.bitset_msbfs.propagate`."""
     seen = np_propagate_matrix(csr, seed_bits, reverse=reverse)
-    row_bytes = seen.view("uint8" if seen.size else "uint8")
+    row_bytes = seen.view(np.uint8)
     return [
         int.from_bytes(row_bytes[i].tobytes(), "little") for i in range(seen.shape[0])
     ]
@@ -341,14 +247,13 @@ def np_set_reachability_rows(
     batch_size: int = 512,
     reverse: bool = False,
 ) -> Dict[int, int]:
-    """Numpy sibling of ``bitset_msbfs.set_reachability_rows`` (byte-identical).
+    """The wide side of ``bitset_msbfs.set_reachability_rows`` (byte-identical).
 
     The harvest transposes the seen matrix with eight ``np.packbits`` passes
     over its byte planes (bit order ``little``, matching the row encoding),
     so every source's packed row materialises vectorised over the whole
     batch instead of in a per-(target, source-bit) Python loop.
     """
-    np = _numpy()
     require_numbered(csr)
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
@@ -388,7 +293,6 @@ def np_objects(values: Sequence[int]):
     """``values`` as an object array: gathering from it and ``tolist()``
     hand back the very int objects, where an int64 array would box a new
     int per element (a vertex-id table for :func:`np_unpack_rows`)."""
-    np = _numpy()
     array = np.empty(len(values), dtype=object)
     array[:] = values
     return array
@@ -396,20 +300,19 @@ def np_objects(values: Sequence[int]):
 
 def np_gather_plan(index: Sequence[int]):
     """The numpy form of a ``BitGather`` index: ``(columns, input bytes)``."""
-    np = _numpy()
     columns = np.asarray(index, dtype=np.intp)
     return columns, (int(columns.max()) >> 3) + 1
 
 
-def _byte_matrix(np, rows: Sequence[int], nbytes: int):
+def _byte_matrix(rows: Sequence[int], nbytes: int):
     """The rows as one ``(len(rows), nbytes)`` little-endian byte matrix."""
     data = b"".join(row.to_bytes(nbytes, "little") for row in rows)
     return np.frombuffer(data, dtype=np.uint8).reshape(len(rows), nbytes)
 
 
-def _bit_matrix(np, rows: Sequence[int], nbytes: int):
+def _bit_matrix(rows: Sequence[int], nbytes: int):
     """The rows as one ``(len(rows), 8 * nbytes)`` 0/1 matrix, bit ``j`` in column ``j``."""
-    return np.unpackbits(_byte_matrix(np, rows, nbytes), axis=1, bitorder="little")
+    return np.unpackbits(_byte_matrix(rows, nbytes), axis=1, bitorder="little")
 
 
 def _row_bytes(rows: Sequence[int]) -> int:
@@ -417,13 +320,13 @@ def _row_bytes(rows: Sequence[int]) -> int:
     return (max((row.bit_length() for row in rows), default=0) + 7) >> 3
 
 
-def _set_bits(np, rows: Sequence[int]):
+def _set_bits(rows: Sequence[int]):
     """``(row, position)`` of every set bit of the batch, by row, then position.
 
     Only the nonzero bytes are unpacked, so a sparse batch costs its set
     bits, not its width.
     """
-    matrix = _byte_matrix(np, rows, _row_bytes(rows))
+    matrix = _byte_matrix(rows, _row_bytes(rows))
     row_of, byte_of = np.nonzero(matrix)
     bits = np.unpackbits(matrix[row_of, byte_of][:, None], axis=1, bitorder="little")
     which, bit = np.nonzero(bits)
@@ -431,10 +334,9 @@ def _set_bits(np, rows: Sequence[int]):
 
 
 def np_gather_rows(rows: Sequence[int], plan) -> List[int]:
-    """Numpy tier of ``BitGather.gather``: unpack, gather columns, pack."""
-    np = _numpy()
+    """``BitGather.gather`` of a wide batch: unpack, gather columns, pack."""
     columns, nbytes = plan
-    bits = _bit_matrix(np, rows, max(nbytes, _row_bytes(rows)))
+    bits = _bit_matrix(rows, max(nbytes, _row_bytes(rows)))
     packed = np.packbits(bits[:, columns], axis=1, bitorder="little")
     raw, stride = packed.tobytes(), packed.shape[1]
     return [
@@ -444,9 +346,8 @@ def np_gather_rows(rows: Sequence[int], plan) -> List[int]:
 
 
 def np_unpack_rows(rows: Sequence[int], ids) -> List[List[int]]:
-    """Numpy tier of ``VertexRank.unpack_rows``: one pass over the set bits."""
-    np = _numpy()
-    row_of, positions = _set_bits(np, rows)
+    """``VertexRank.unpack_rows`` of a wide batch: one pass over the set bits."""
+    row_of, positions = _set_bits(rows)
     values = ids[positions].tolist()
     out: List[List[int]] = []
     start = 0
@@ -459,17 +360,16 @@ def np_unpack_rows(rows: Sequence[int], ids) -> List[List[int]]:
 def np_invert_rows(
     rows: Sequence[int], members: Sequence[Sequence[int]], labels: Sequence[int]
 ) -> Dict[int, List[int]]:
-    """Numpy tier of ``packed.invert_rows``: repeat, transpose, ``nonzero``.
+    """``packed.invert_rows`` of a wide batch: repeat, transpose, ``nonzero``.
 
     Each row's bits are repeated once per member, so ``nonzero`` of the
     transposed matrix lists the (position, member) pairs by position and,
-    within one, in member order — the python tier's output order.
+    within one, in member order — the python loop's output order.
     """
-    np = _numpy()
     nbytes = _row_bytes(rows)
     if not nbytes:
         return {}
-    bits = _bit_matrix(np, rows, nbytes)
+    bits = _bit_matrix(rows, nbytes)
     counts = np.fromiter(map(len, members), dtype=np.intp, count=len(members))
     positions, member_of = np.nonzero(np.repeat(bits, counts, axis=0).T)
     values = np_objects(list(chain.from_iterable(members)))[member_of].tolist()
@@ -485,7 +385,7 @@ def np_invert_rows(
     return inverted
 
 
-def _first_of_runs(np, ordered):
+def _first_of_runs(ordered):
     """Mask of the entries of a sorted array that differ from their predecessor."""
     first = np.empty(ordered.size, dtype=bool)
     first[:1] = True
@@ -493,13 +393,13 @@ def _first_of_runs(np, ordered):
     return first
 
 
-def _sorted_distinct(np, values):
+def _sorted_distinct(values):
     """``values`` sorted, duplicates dropped: one sort, one adjacent difference."""
     ordered = np.sort(values)
-    return ordered[_first_of_runs(np, ordered)]
+    return ordered[_first_of_runs(ordered)]
 
 
-def _dense_index(np, ids, values):
+def _dense_index(ids, values):
     """Each of ``values``' index in the sorted distinct ``ids``.
 
     One binary search per value (``np.searchsorted``): no temporary beyond
@@ -523,7 +423,7 @@ def _as_array(values) -> array:
     return out
 
 
-def _csr_buffers(np, keys, n: int) -> Tuple[array, array]:
+def _csr_buffers(keys, n: int) -> Tuple[array, array]:
     """``(offsets, targets)`` of sorted distinct edge keys ``u * n + v``."""
     sources, targets = np.divmod(keys, max(n, 1))
     offsets = np.zeros(n + 1, dtype=np.int64)
@@ -537,7 +437,6 @@ def np_edges_piece(vertices: Sequence[int], edges: Sequence[Tuple[int, int]]):
     The vertices as the given Python ints and as an int64 array, the edges
     as two int64 arrays of endpoint ids.
     """
-    np = _numpy()
     vertices = tuple(vertices)
     flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
     return (
@@ -550,66 +449,61 @@ def np_edges_piece(vertices: Sequence[int], edges: Sequence[Tuple[int, int]]):
 
 def np_csr_piece(csr: "CSRGraph"):
     """A snapshot as a graph piece, read off its CSR buffers."""
-    np = _numpy()
     ids = np.fromiter(csr.ids, dtype=np.int64, count=csr.num_vertices)
-    sources = np.repeat(ids, np.diff(_as_int64(np, csr.fwd_offsets)))
-    return csr.ids, ids, sources, ids[_as_int64(np, csr.fwd_targets)]
+    sources = np.repeat(ids, np.diff(_as_int64(csr.fwd_offsets)))
+    return csr.ids, ids, sources, ids[_as_int64(csr.fwd_targets)]
 
 
 def np_union_csr(pieces) -> Tuple[Tuple[int, ...], array, array]:
     """``(ids, offsets, targets)`` of the graph the pieces make together.
 
-    Numpy tier of :meth:`repro.graph.csr.CSRGraph.from_edges`, byte for
-    byte, for pieces whose every edge endpoint is a vertex of some piece
+    Byte for byte what :meth:`repro.graph.csr.CSRGraph.from_edges` builds
+    from the same vertices and edges, for pieces whose every edge endpoint is a vertex of some piece
     (``ValueError`` otherwise): the ids are the sorted distinct vertices,
     the endpoints are remapped onto their dense indices
     (:func:`_dense_index`), and the sorted distinct keys ``u * n + v`` are
     the forward CSR order.  The ids are the pieces' own Python ints, not
     new ones: a compound graph's ids then share the objects of the local
-    graph and the summaries, as the python tier's do, instead of boxing
-    thousands of fresh ints per flush whose turnover fragments the heap.
+    graph and the summaries instead of boxing thousands of fresh ints per flush whose turnover fragments the heap.
     """
-    np = _numpy()
     object_parts, vertex_parts, source_parts, target_parts = zip(*pieces)
     vertices = np.concatenate(vertex_parts)
     order = np.argsort(vertices)
     ordered = vertices[order]
-    first = _first_of_runs(np, ordered)
+    first = _first_of_runs(ordered)
     ids = ordered[first]
     n = ids.size
-    dense = _dense_index(np, ids, np.concatenate((*source_parts, *target_parts)))
+    dense = _dense_index(ids, np.concatenate((*source_parts, *target_parts)))
     m = dense.size // 2
     keys = dense[:m] * n
     keys += dense[m:]
     id_objects = np_objects(list(chain.from_iterable(object_parts)))[order[first]]
-    return (tuple(id_objects.tolist()), *_csr_buffers(np, _sorted_distinct(np, keys), n))
+    return (tuple(id_objects.tolist()), *_csr_buffers(_sorted_distinct(keys), n))
 
 
 def np_condense(csr: "CSRGraph", components: Sequence[Sequence[int]]):
     """``(component_of, offsets, targets)`` of ``csr``'s condensation.
 
-    Numpy tier of the DAG emission in :func:`repro.graph.scc.condense`:
+    The DAG emission of :func:`repro.graph.scc.condense_dense`:
     ``components`` are the SCCs as dense-index lists in component-id order,
     ``component_of`` (a list) maps every dense index to its component, and
     the DAG's CSR is the sorted distinct component pairs of every edge
     between two components.
     """
-    np = _numpy()
     n, k = csr.num_vertices, len(components)
     members = np.fromiter(chain.from_iterable(components), dtype=np.int64, count=n)
     sizes = np.fromiter(map(len, components), dtype=np.int64, count=k)
     component_of = np.empty(n, dtype=np.int64)
     component_of[members] = np.repeat(np.arange(k, dtype=np.int64), sizes)
-    sources = np.repeat(component_of, np.diff(_as_int64(np, csr.fwd_offsets)))
-    targets = component_of[_as_int64(np, csr.fwd_targets)]
+    sources = np.repeat(component_of, np.diff(_as_int64(csr.fwd_offsets)))
+    targets = component_of[_as_int64(csr.fwd_targets)]
     between = sources != targets
-    keys = _sorted_distinct(np, sources[between] * k + targets[between])
-    return (component_of.tolist(), *_csr_buffers(np, keys, k))
+    keys = _sorted_distinct(sources[between] * k + targets[between])
+    return (component_of.tolist(), *_csr_buffers(keys, k))
 
 
 def np_pack_ranks(ranks: Sequence[int]) -> int:
-    """Numpy sibling of :func:`repro.reachability.packed.pack_ranks`."""
-    np = _numpy()
+    """The long side of :func:`repro.reachability.packed.pack_ranks`."""
     if not len(ranks):
         return 0
     rank_arr = np.asarray(ranks, dtype=np.int64)
@@ -621,10 +515,8 @@ def np_pack_ranks(ranks: Sequence[int]) -> int:
 
 
 __all__ = [
-    "KERNEL_NAMES",
     "count_sweep",
     "kernel_backend",
-    "numpy_available",
     "np_condense",
     "np_csr_piece",
     "np_edges_descend",
@@ -640,7 +532,4 @@ __all__ = [
     "np_union_csr",
     "np_unpack_rows",
     "require_numbered",
-    "resolve_kernels",
-    "set_kernel_backend",
-    "use_kernels",
 ]

@@ -20,11 +20,11 @@ A query step moves whole *batches* of rows between numberings — component
 rows to member rows, vertex rows to a partition's handle positions, rows to
 vertex-id lists, handle rows to per-handle source lists.  Each of those is
 one batched call here (:class:`BitGather`, :meth:`VertexRank.unpack_rows`,
-:func:`invert_rows`) with two tiers: the per-bit python loop, which is the
-reference, and a numpy tier (:mod:`repro.reachability.kernels`) that
-unpacks the batch into one bit matrix, moves columns and packs it back.
-The outputs are identical; a call picks its tier from its row count
-(:data:`NUMPY_MIN_ROWS`).
+:func:`invert_rows`) with two tiers: the per-bit python loop and the numpy
+kernels (:mod:`repro.reachability.kernels`), which unpack the batch into
+one bit matrix, move columns and pack it back.  The outputs are identical;
+a call picks its tier from its row count alone (:data:`NUMPY_MIN_ROWS`),
+and :func:`pack_ranks` from its rank count (``_NUMPY_PACK_THRESHOLD``).
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from repro.reachability import kernels as _kernels
 
-#: Rank count below which the numpy ``pack_ranks`` is not worth its call
-#: overhead; tiny SCC member lists stay on the byte-buffer loop.
+#: Rank count from which the numpy ``pack_ranks`` is worth its call
+#: overhead; shorter member lists stay on the byte-buffer loop.
 _NUMPY_PACK_THRESHOLD = 64
 
-#: Row count from which the numpy tier serves a batched row call
+#: Row count from which the numpy kernels serve a batched row call
 #: (:meth:`BitGather.gather`, :meth:`VertexRank.unpack_rows`,
 #: :func:`invert_rows`); smaller batches run the per-bit python loop.  The
 #: python loop costs a step per set bit, the numpy tier a fixed call plus
@@ -85,8 +85,8 @@ def popcount(row: int) -> int:
 
 
 def _numpy_serves(num_rows: int) -> bool:
-    """Tier choice for one batched call: numpy selected and the batch wide enough."""
-    return num_rows >= NUMPY_MIN_ROWS and _kernels.kernel_backend() == "numpy"
+    """Tier choice for one batched call, by its row count alone."""
+    return num_rows >= NUMPY_MIN_ROWS
 
 
 def handle_gather(handles: Iterable[int], rank: "VertexRank") -> "BitGather":
@@ -113,7 +113,7 @@ def pack_ranks(ranks: Sequence[int]) -> int:
     """
     if not ranks:
         return 0
-    if len(ranks) >= _NUMPY_PACK_THRESHOLD and _kernels.kernel_backend() == "numpy":
+    if len(ranks) >= _NUMPY_PACK_THRESHOLD:
         return _kernels.np_pack_ranks(ranks)
     buffer = bytearray((ranks[-1] >> 3) + 1)
     for r in ranks:
@@ -141,12 +141,12 @@ class BitGather:
     callers' rows are component rows, or hits already masked to the
     handles).
 
-    * python tier — per row, OR the output bits each set input bit feeds
-      (``fanout[i]``; a component's member mask for the expansion), one
-      OR per set bit;
-    * numpy tier — stack the rows as bytes, unpack the batch into one bit
-      matrix, gather its columns through ``index`` and pack it back
-      (:func:`repro.reachability.kernels.np_gather_rows`).
+    * fewer than :data:`NUMPY_MIN_ROWS` rows, the python loop — per row,
+      OR the output bits each set input bit feeds (``fanout[i]``; a
+      component's member mask for the expansion), one OR per set bit;
+    * a wider batch, the numpy kernels — stack the rows as bytes, unpack
+      the batch into one bit matrix, gather its columns through ``index``
+      and pack it back (:func:`repro.reachability.kernels.np_gather_rows`).
 
     :meth:`scatter` runs the map the other way on one row (output bit
     ``index[j]`` is the OR of every input bit ``j`` that maps there): the
@@ -203,8 +203,8 @@ def invert_rows(
 
     ``members[i]`` belongs to ``rows[i]``; each output list concatenates
     the members of the rows that set bit ``p``, in row order, and the keys
-    come in ascending ``p``.  The python tier walks every (row, bit) pair;
-    the numpy tier transposes the batch's bit matrix and gathers the member
+    come in ascending ``p``.  The python loop walks every (row, bit) pair;
+    a batch of :data:`NUMPY_MIN_ROWS` rows or more transposes the batch's bit matrix and gathers the member
     segments in one pass (:func:`repro.reachability.kernels.np_invert_rows`).
     """
     if _numpy_serves(len(rows)):

@@ -139,6 +139,26 @@ class TestRemovedFleetFields:
             DSRConfig.from_dict({"backend": "dsr", "replicas": 3})
 
 
+class TestRemovedKernelTiers:
+    """The kernel tier is no longer selectable: ``kernels`` keeps only
+    ``"auto"``, and the removed tier names, like any other, are refused,
+    not ignored."""
+
+    @pytest.mark.parametrize("name", ["python", "numpy", "simd"])
+    def test_constructor_refuses_them(self, name):
+        with pytest.raises(ConfigError, match="kernels accepts only 'auto'"):
+            DSRConfig(kernels=name)
+
+    @pytest.mark.parametrize("name", ["python", "numpy"])
+    def test_from_dict_refuses_them(self, name):
+        with pytest.raises(ConfigError, match="kernels accepts only 'auto'"):
+            DSRConfig.from_dict({"backend": "dsr", "kernels": name})
+
+    def test_auto_is_the_default_and_round_trips(self):
+        assert DSRConfig().kernels == "auto"
+        assert DSRConfig.from_dict(DSRConfig().to_dict()).kernels == "auto"
+
+
 class TestWorkerHosts:
     def test_requires_tcp_executor(self):
         with pytest.raises(ConfigError, match="executor='tcp'"):
@@ -185,17 +205,21 @@ NON_DEFAULTS = {
     "local_index_options": {"local_index_options": {"k": 2}},
     "executor": {"executor": "tcp"},
     "epoch_flush": {"epoch_flush": "background"},
-    "kernels": {"kernels": "python"},
     "worker_hosts": {"executor": "tcp", "worker_hosts": ["127.0.0.1:9000"]},
 }
+
+
+#: Fields with one accepted value, so no non-default one to round-trip.
+SINGLE_VALUED = {"kernels"}
 
 
 class TestEveryField:
     def test_table_names_every_field(self):
         from dataclasses import fields
 
-        assert set(NON_DEFAULTS) == {spec.name for spec in fields(DSRConfig)}
-        assert set(DSRConfig().to_dict()) == set(NON_DEFAULTS)
+        every_field = {spec.name for spec in fields(DSRConfig)}
+        assert set(NON_DEFAULTS) == every_field - SINGLE_VALUED
+        assert set(DSRConfig().to_dict()) == every_field
 
     @pytest.mark.parametrize("field", sorted(NON_DEFAULTS))
     def test_non_default_value_survives_a_json_round_trip(self, field):

@@ -9,8 +9,8 @@ construction, written out in the test: copy the local ``DiGraph``, add every
 remote summary's vertices and edges and the cut one ``add_edge`` at a time,
 snapshot it; condense it into a ``DiGraph`` one component edge at a time and
 snapshot that; OR every member into its component's mask one bit at a time.
-Both kernel tiers are held to it: the python constructions and the numpy
-tier's array ones.
+The flush builds both snapshots one way only, from numpy arrays
+(:mod:`repro.reachability.kernels`), and is held to it.
 """
 
 import random
@@ -106,17 +106,18 @@ GRAPHS = {
 @pytest.mark.parametrize("use_equivalence", [True, False], ids=["eq", "plain"])
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
 class TestByteIdentity:
-    """On both kernel tiers (``kernel_tier``): the python constructions and
-    the numpy tier's array ones must both give the reference bytes."""
+    """The array constructions of the index build and of every flush give
+    the reference bytes, with every size-picked kernel call on its python
+    loop and on numpy (``crossover``): the summaries the compound graphs
+    are assembled from are swept and packed on that side."""
 
-    def _engine(self, graph_name, use_equivalence, kernel_tier):
+    def _engine(self, graph_name, use_equivalence):
         return open_engine(
             GRAPHS[graph_name](),
             DSRConfig(
                 num_partitions=4,
                 local_index="msbfs",
                 use_equivalence=use_equivalence,
-                kernels=kernel_tier.name,
             ),
         )
 
@@ -129,16 +130,15 @@ class TestByteIdentity:
             )
             assert_matches_reference(compound, reference)
 
-    def test_index_build(self, graph_name, use_equivalence, kernel_tier):
-        engine = self._engine(graph_name, use_equivalence, kernel_tier)
+    def test_index_build(self, graph_name, use_equivalence, crossover):
+        engine = self._engine(graph_name, use_equivalence)
         try:
             self._check_state(engine)
-            kernel_tier.assert_took_its_path()
         finally:
             engine.close()
 
-    def test_after_flushes(self, graph_name, use_equivalence, kernel_tier):
-        engine = self._engine(graph_name, use_equivalence, kernel_tier)
+    def test_after_flushes(self, graph_name, use_equivalence, crossover):
+        engine = self._engine(graph_name, use_equivalence)
         rng = random.Random(11)
         try:
             for _ in range(3):
@@ -151,12 +151,11 @@ class TestByteIdentity:
                     engine.insert_edge(u, v)
                 assert engine.flush_updates().epoch == engine.epoch
                 self._check_state(engine)
-            kernel_tier.assert_took_its_path()
         finally:
             engine.close()
 
-    def test_after_isolated_vertex_insert(self, graph_name, use_equivalence, kernel_tier):
-        engine = self._engine(graph_name, use_equivalence, kernel_tier)
+    def test_after_isolated_vertex_insert(self, graph_name, use_equivalence, crossover):
+        engine = self._engine(graph_name, use_equivalence)
         try:
             state = engine.index.current_state()
             before = {
@@ -175,7 +174,6 @@ class TestByteIdentity:
                 if pid == 1:
                     before[pid].add_vertex(vertex)
                 assert_matches_reference(compound, before[pid])
-            kernel_tier.assert_took_its_path()
         finally:
             engine.close()
 
@@ -194,12 +192,10 @@ class TestBulkSnapshots:
         reference = DiGraph.from_edges(edges, vertices)
         assert_same_snapshot(CSRGraph.from_edges(vertices, edges), reference.csr())
 
-    @pytest.mark.skipif(not kernels.numpy_available(), reason="numpy not installed")
     @pytest.mark.parametrize("stride", [1, 10**6], ids=["dense", "sparse"])
     @pytest.mark.parametrize("seed", range(4))
     def test_union_of_pieces_matches_from_edges(self, seed, stride):
-        """The numpy tier's assembly from array pieces, on dense ids and on
-        sparse ones."""
+        """Assembly from array pieces, on dense ids and on sparse ones."""
         rng = random.Random(seed)
         # Ints built at run time, so sharing them is observable.
         vertices = [int(str(v * stride + 10**6)) for v in rng.sample(range(500), 80)]
@@ -221,7 +217,6 @@ class TestBulkSnapshots:
         by_value = {v: v for v in vertices}
         assert all(vertex is by_value[vertex] for vertex in got.ids)
 
-    @pytest.mark.skipif(not kernels.numpy_available(), reason="numpy not installed")
     @pytest.mark.parametrize("top", [7, 10**9], ids=["dense", "sparse"])
     @pytest.mark.parametrize("outside", [0, 5, 10**10])
     def test_union_refuses_an_endpoint_outside_the_pieces(self, outside, top):
@@ -239,7 +234,7 @@ class TestBulkSnapshots:
         )
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_condense_matches_per_edge_dag(self, seed, kernel_tier):
+    def test_condense_matches_per_edge_dag(self, seed):
         graph = generators.random_digraph(120, 60 + 40 * seed, seed=seed)
         graph.add_edge(3, 3)  # a self-loop never becomes a DAG edge
         dag, vertex_to_component = condense(graph)
@@ -250,8 +245,6 @@ class TestBulkSnapshots:
         again, again_map = condense(graph.csr())
         assert_same_snapshot(again, expected_dag)
         assert again_map == expected_map
-        # Only the numpy tier emits the DAG through the array kernel.
-        assert (kernel_tier.calls["np_condense"] > 0) == (kernel_tier.name == "numpy")
 
     def test_snapshot_read_api_matches_digraph(self):
         graph = generators.random_digraph(40, 120, seed=3)

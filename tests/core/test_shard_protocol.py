@@ -8,8 +8,8 @@ blob, one hydrated from a shared-memory segment, and the in-process
 ``EpochShard`` view.  Checked on a graph with overlap handles, with the
 equivalence optimisation on and off, and across an in-place
 isolated-vertex insert (which shifts the rank numbering mid-epoch).  A
-query wider than the batched row calls' numpy threshold gives the same
-answers on the python and the numpy tier, on every shard.
+wide query gives the same payloads and answers with every kernel call on
+its python loop and on numpy, on every shard.
 """
 
 import pickle
@@ -33,8 +33,6 @@ from repro.graph.digraph import DiGraph
 from repro.graph.traversal import reachable_pairs
 from repro.obs import use_registry
 from repro.reachability import kernels
-from repro.reachability.kernels import numpy_available, use_kernels
-from repro.reachability.packed import NUMPY_MIN_ROWS
 
 
 def _record_payloads(engine, monkeypatch, sources, targets):
@@ -181,18 +179,18 @@ def test_every_shard_serves_the_steps_with_onepass_sweeps(ledger, monkeypatch):
         assert per_tier == sweeps["in-process"], name
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-def test_wide_step_answers_are_identical_on_both_tiers(ledger, monkeypatch):
-    # A query wide enough that step 1 and step 3 batch at least
-    # NUMPY_MIN_ROWS rows per call: the numpy tier must serve those calls
-    # and give byte-identical answers, on every shard, to the python loop.
+def test_wide_step_answers_are_identical_on_both_tiers(ledger, monkeypatch, crossover):
+    # A 128x128 query, run from the fixture's side and then from the other:
+    # the numpy side must serve the batched row calls and give
+    # byte-identical payloads and answers, on every shard, to the python
+    # loops.
     graph = generators.dag(600, 2400, seed=7)
     engine = open_engine(graph, DSRConfig(num_partitions=2, local_index="msbfs"))
     state = engine.index.current_state()
     rng = random.Random(3)
     vertices = sorted(graph.vertices())
-    sources = rng.sample(vertices, 8 * NUMPY_MIN_ROWS)
-    targets = rng.sample(vertices, 8 * NUMPY_MIN_ROWS)
+    sources = rng.sample(vertices, 128)
+    targets = rng.sample(vertices, 128)
     served = {}
     for name in ("np_gather_rows", "np_unpack_rows", "np_invert_rows"):
         def spy(*args, _name=name, _real=getattr(kernels, name)):
@@ -200,23 +198,24 @@ def test_wide_step_answers_are_identical_on_both_tiers(ledger, monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(kernels, name, spy)
-    by_tier = {}
-    for tier in ("python", "numpy"):
-        with use_kernels(tier):
-            by_tier[tier] = _record_payloads(engine, monkeypatch, sources, targets)
-    # The parent inverts the inbox on both tiers identically: the step-3
+    sides = (crossover.side, "numpy" if crossover.side == "python" else "python")
+    by_side = {}
+    for side in sides:
+        crossover.force(side)
+        by_side[side] = _record_payloads(engine, monkeypatch, sources, targets)
+    # The parent inverts the inbox on both sides identically: the step-3
     # payloads (and so every payload) are byte-identical.
-    assert pickle.dumps(by_tier["python"]) == pickle.dumps(by_tier["numpy"])
-    recorded = by_tier["numpy"]
+    assert pickle.dumps(by_side["python"]) == pickle.dumps(by_side["numpy"])
+    recorded = by_side["numpy"]
     assert {step for step, _, _ in recorded} == {local_step, remote_step}
     for step, rank, payload in recorded:
         shards = _shards(state, rank, ledger)
         try:
             answers = {}
-            for tier in ("python", "numpy"):
-                with use_kernels(tier):
-                    for name, shard in shards.items():
-                        answers[tier, name] = pickle.dumps(step(shard, payload))
+            for side in sides:
+                crossover.force(side)
+                for name, shard in shards.items():
+                    answers[side, name] = pickle.dumps(step(shard, payload))
         finally:
             for name in ("pickled", "shm"):
                 if name in shards:

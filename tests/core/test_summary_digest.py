@@ -6,7 +6,8 @@ what it says may not.  The digests below were recorded with the summaries
 built by sweeping each raw local graph; the condensation-based builders
 must reproduce them exactly — at index build and after three seeded
 flushes — on the spine's two graph shapes: a numbered DAG (every component
-a singleton) and an SCC-rich web graph — on both kernel tiers.
+a singleton) and an SCC-rich web graph — with every size-picked kernel
+call on its python loop and on numpy (the ``crossover`` fixture).
 """
 
 import hashlib
@@ -66,7 +67,7 @@ def summary_digest(summaries) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def epoch_digests(graph_name, use_equivalence, kernels="auto"):
+def epoch_digests(graph_name, use_equivalence):
     engine = open_engine(
         GRAPHS[graph_name](),
         DSRConfig(
@@ -74,7 +75,6 @@ def epoch_digests(graph_name, use_equivalence, kernels="auto"):
             partitioner="metis",
             use_equivalence=use_equivalence,
             seed=0,
-            kernels=kernels,
         ),
     )
     rng = random.Random(0)
@@ -97,8 +97,7 @@ def epoch_digests(graph_name, use_equivalence, kernels="auto"):
 
 @pytest.mark.parametrize("use_equivalence", [True, False], ids=["eq", "plain"])
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
-def test_summaries_match_the_recorded_digests(graph_name, use_equivalence, kernel_tier):
-    assert epoch_digests(graph_name, use_equivalence, kernel_tier.name) == EXPECTED[
+def test_summaries_match_the_recorded_digests(graph_name, use_equivalence, crossover):
+    assert epoch_digests(graph_name, use_equivalence) == EXPECTED[
         (graph_name, use_equivalence)
     ]
-    kernel_tier.assert_took_its_path()

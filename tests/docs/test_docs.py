@@ -73,9 +73,10 @@ def test_observability_doctests_pass():
 
 #: Surfaces deleted together with the planner's batch splitting, then with
 #: the thread-per-connection server, the newline-JSON framing and wire
-#: versions 2-4, then with the replica fleet.  (``ctx.send_message`` is
+#: versions 2-4, then with the replica fleet, then with the selectable
+#: kernel tier.  (``ctx.send_message`` is
 #: Pregel's vertex API in ``repro.giraph`` — a different, live thing.)
-#: The ``[x]`` classes keep the fleet names out of a plain grep of this file.
+#: The ``[x]`` classes keep the removed names out of a plain grep of this file.
 REMOVED_SURFACES = re.compile(
     r"max_batch_pairs|batch[0-9N]\.|plan_epoch_retry"
     r"|DSRSocketServer|(?<!ctx\.)(?<!def )\bsend_message|recv_message"
@@ -84,6 +85,8 @@ REMOVED_SURFACES = re.compile(
     r"|--max-requests|serve\b.*--async|bench_async_front_door|BENCH_async_qps"
     r"|Replica[F]leet|repro\.fleet|estimate_query_[c]ost|local_cost_[f]actor"
     r"|rebuild_local_[s]trategy|fleet\.rebuild|dsr_fleet_|dsr_replica_ejections_total"
+    r"|REPRO_[K]ERNELS|use_[k]ernels|set_kernel_[b]ackend|numpy_[a]vailable"
+    r"|resolve_[k]ernels|KERNEL_[N]AMES|_condense_[r]uns|\.\[numpy\]"
 )
 
 

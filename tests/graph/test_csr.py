@@ -6,10 +6,7 @@ from repro.graph import generators
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import condense
-from repro.reachability.kernels import numpy_available, use_kernels
 from repro.reachability.msbfs import MultiSourceBFS
-
-KERNEL_TIERS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 def assert_matches_digraph(csr: CSRGraph, graph: DiGraph) -> None:
@@ -152,16 +149,14 @@ class TestEdgesDescend:
     def numbered_dag():
         return condense(generators.random_digraph(60, 150, seed=5))[0]
 
-    @pytest.mark.parametrize("kernels", KERNEL_TIERS)
-    def test_true_for_descending_edges_only(self, kernels):
-        with use_kernels(kernels):
-            assert self.numbered_dag().csr().edges_descend()
-            assert DiGraph().csr().edges_descend()
-            assert DiGraph.from_edges([(5, 2), (9, 5), (9, 2)]).csr().edges_descend()
-            # One ascending edge, a 2-cycle, a self-loop: each spoils it.
-            assert not DiGraph.from_edges([(5, 2), (9, 5), (2, 9)]).csr().edges_descend()
-            assert not DiGraph.from_edges([(5, 2), (2, 5)]).csr().edges_descend()
-            assert not DiGraph.from_edges([(5, 2), (5, 5)]).csr().edges_descend()
+    def test_true_for_descending_edges_only(self):
+        assert self.numbered_dag().csr().edges_descend()
+        assert DiGraph().csr().edges_descend()
+        assert DiGraph.from_edges([(5, 2), (9, 5), (9, 2)]).csr().edges_descend()
+        # One ascending edge, a 2-cycle, a self-loop: each spoils it.
+        assert not DiGraph.from_edges([(5, 2), (9, 5), (2, 9)]).csr().edges_descend()
+        assert not DiGraph.from_edges([(5, 2), (2, 5)]).csr().edges_descend()
+        assert not DiGraph.from_edges([(5, 2), (5, 5)]).csr().edges_descend()
 
     def test_recomputed_from_the_arrays_not_assumed(self):
         csr = self.numbered_dag().csr()
@@ -171,22 +166,20 @@ class TestEdgesDescend:
         rebuilt = CSRGraph(flipped.ids, flipped._index_of, flipped.fwd_offsets, flipped.fwd_targets)
         assert not rebuilt.edges_descend()
 
-    @pytest.mark.parametrize("kernels", KERNEL_TIERS)
-    def test_survives_to_bytes_and_shared_views(self, kernels):
+    def test_survives_to_bytes_and_shared_views(self):
         for graph, expected in (
             (self.numbered_dag(), True),
             (generators.random_digraph(40, 160, seed=4), False),
         ):
             csr = graph.csr()
-            with use_kernels(kernels):
-                assert CSRGraph.from_bytes(csr.to_bytes()).edges_descend() is expected
-                buffer = bytearray(16 + csr.shared_size())
-                assert csr.write_shared(memoryview(buffer), 16) == len(buffer)
-                shared = CSRGraph.from_shared(memoryview(buffer), 16, keepalive=object())
-                try:
-                    assert shared.edges_descend() is expected
-                finally:
-                    shared.release_shared()
+            assert CSRGraph.from_bytes(csr.to_bytes()).edges_descend() is expected
+            buffer = bytearray(16 + csr.shared_size())
+            assert csr.write_shared(memoryview(buffer), 16) == len(buffer)
+            shared = CSRGraph.from_shared(memoryview(buffer), 16, keepalive=object())
+            try:
+                assert shared.edges_descend() is expected
+            finally:
+                shared.release_shared()
 
 
 class TestCompactSerialisation:

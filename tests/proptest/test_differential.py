@@ -1,8 +1,9 @@
 """Differential harness: one random scenario, every configuration axis.
 
 Each seed expands into a full *scenario* — a random graph, an interleaved
-update/query script — which is then replayed across the whole configuration
-matrix: ``kernels=python/numpy`` × ``executor=serial/threads/processes``.
+update/query script — which is then replayed across the whole matrix: every
+kernel call on its python loop or on numpy (the ``crossover`` fixture) ×
+``executor=serial/threads/processes``.
 Every cell must produce, at every step of the script, exactly the pair sets
 of the oracle (``reachable_pairs`` on a shadow graph that mirrors the
 script) — the independent reference; kernels and executors are
@@ -17,9 +18,8 @@ a local insert between vertices connected only through *other* partitions
 followed by the remote delete that makes the new local path the only one.
 
 The executor axis honours ``REPRO_TEST_EXECUTORS`` (same contract as
-``tests/core/test_packed_pipeline.py``); the numpy axis is skipped where
-numpy is unavailable, which is itself the fallback contract under test in
-the default CI job.
+``tests/core/test_packed_pipeline.py``).  Process workers are forked, so
+they inherit the crossover side the test forced.
 """
 
 import os
@@ -32,7 +32,6 @@ from repro.graph import generators
 from repro.graph.scc import strongly_connected_components
 from repro.graph.traversal import is_reachable, reachable_pairs
 from repro.partition.hash_partitioner import hash_partition
-from repro.reachability.kernels import numpy_available
 
 EXECUTORS = tuple(
     name.strip()
@@ -41,8 +40,6 @@ EXECUTORS = tuple(
     ).split(",")
     if name.strip()
 )
-
-KERNELS = ("python",) + (("numpy",) if numpy_available() else ())
 
 #: Scenario seeds.  Every executor runs the first seed of each family; the
 #: (spawn-heavy) processes executor is limited to it, the in-process
@@ -221,7 +218,7 @@ def _oracle(graph, script):
     return answers
 
 
-def _replay(graph, script, partitioner, kernels, executor):
+def _replay(graph, script, partitioner, executor):
     """Run one matrix cell over the scenario; returns the per-query answers."""
     engine = open_engine(
         graph.copy(),
@@ -230,7 +227,6 @@ def _replay(graph, script, partitioner, kernels, executor):
             partitioner=partitioner,
             local_index="msbfs",
             executor=executor,
-            kernels=kernels,
         ),
     )
     answers = []
@@ -252,7 +248,7 @@ def _replay(graph, script, partitioner, kernels, executor):
     return answers
 
 
-def _assert_matrix_parity(graph, script, partitioner, with_processes):
+def _assert_matrix_parity(graph, script, partitioner, with_processes, side):
     executors = EXECUTORS if with_processes else tuple(
         name for name in EXECUTORS if name != "processes"
     )
@@ -260,35 +256,23 @@ def _assert_matrix_parity(graph, script, partitioner, with_processes):
         pytest.skip("no executors selected via REPRO_TEST_EXECUTORS")
     reference = _oracle(graph, script)
     for executor in executors:
-        for kernels in KERNELS:
-            answers = _replay(graph, script, partitioner, kernels, executor)
-            assert answers == reference, (
-                f"kernels={kernels} executor={executor} diverges from the oracle"
-            )
+        answers = _replay(graph, script, partitioner, executor)
+        assert answers == reference, (
+            f"{side} side, executor={executor} diverges from the oracle"
+        )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_full_matrix_parity(seed):
-    _assert_matrix_parity(*_build_scenario(seed), with_processes=seed == SEEDS[0])
-
-
-@pytest.mark.parametrize("seed", SCC_SEEDS)
-def test_scc_rich_bad_cut_matrix_parity(seed):
+def test_full_matrix_parity(seed, crossover):
     _assert_matrix_parity(
-        *_build_scc_scenario(seed), with_processes=seed == SCC_SEEDS[0]
+        *_build_scenario(seed), with_processes=seed == SEEDS[0], side=crossover.side
     )
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-def test_kernels_config_round_trip_and_validation():
-    from repro.api.config import ConfigError
-
-    config = DSRConfig(kernels="numpy")
-    assert DSRConfig.from_dict(config.to_dict()) == config
-    with pytest.raises(ConfigError):
-        DSRConfig(kernels="simd")
-
-
-def test_python_kernels_always_accepted():
-    config = DSRConfig(kernels="python")
-    assert config.to_dict()["kernels"] == "python"
+@pytest.mark.parametrize("seed", SCC_SEEDS)
+def test_scc_rich_bad_cut_matrix_parity(seed, crossover):
+    _assert_matrix_parity(
+        *_build_scc_scenario(seed),
+        with_processes=seed == SCC_SEEDS[0],
+        side=crossover.side,
+    )

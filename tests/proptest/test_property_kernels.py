@@ -1,4 +1,4 @@
-"""Hypothesis property layer: every sweep on every tier computes one table.
+"""Hypothesis property layer: every sweep on either side computes one table.
 
 Where ``test_differential.py`` replays fixed seeded scenarios through whole
 engines, this file attacks the kernel boundary directly with
@@ -8,17 +8,21 @@ the batched row transforms (``BitGather``, ``unpack_rows``,
 ``invert_rows``), where "identical" means identical Python ints (same
 bytes, same everything).
 
+Each of those calls picks the python loop or the numpy function by its
+input size; the ``crossover`` fixture forces every call onto one side, so
+a test that takes it runs once on the python loops and once on numpy.
+
 Every sweep is one pass over a topologically numbered DAG, so every graph
 drawn here is one: hand-numbered DAGs and ``condense()`` of arbitrary
-(mostly cyclic) graphs.  The *parity* tests hold numpy to python on the
-condensations; the *one-pass* tests hold each tier, in both directions, to
-the independent oracle ``reachable_pairs``; their negative cases (an
-ascending edge, a 2-cycle, a self-loop) must be refused with
-``ValueError``.  Last, a partition summary built over random cyclic local
-graphs must give every in-boundary exactly its ``reachable_pairs`` reach.
+(mostly cyclic) graphs.  The *parity* tests hold the python loops to the
+numpy functions on the condensations; the *one-pass* tests hold each side,
+in both directions, to the independent oracle ``reachable_pairs``; their
+negative cases (an ascending edge, a 2-cycle, a self-loop) must be refused
+with ``ValueError``.  Last, a partition summary built over random cyclic
+local graphs must give every in-boundary exactly its ``reachable_pairs``
+reach.
 
-Skipped wholesale when hypothesis is missing; without numpy the numpy arms
-are skipped and the python arms still run.
+Skipped wholesale when hypothesis is missing.
 """
 
 import random
@@ -46,8 +50,6 @@ from repro.reachability.kernels import (  # noqa: E402
     np_propagate,
     np_set_reachability_rows,
     np_unpack_rows,
-    numpy_available,
-    use_kernels,
 )
 from repro.reachability.packed import (  # noqa: E402
     NUMPY_MIN_ROWS,
@@ -57,13 +59,13 @@ from repro.reachability.packed import (  # noqa: E402
     pack_ranks,
 )
 
-needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-
 COMMON_SETTINGS = settings(
     max_examples=60,
     deadline=None,
     derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow],
+    # The crossover fixture patches module constants once per test, and
+    # every example of the test runs on the side it chose.
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
 
 vertex_ids = st.integers(min_value=0, max_value=60)
@@ -87,7 +89,6 @@ def _graph_of(edges, extra_vertices=()):
     return graph
 
 
-@needs_numpy
 @COMMON_SETTINGS
 @given(
     edges=edge_lists,
@@ -105,12 +106,10 @@ def test_propagate_parity(edges, isolated, seed_positions, seed_widths, reverse)
     for position, width in zip(seed_positions, seed_widths):
         index = position % csr.num_vertices
         seeds[index] = seeds.get(index, 0) | (1 << (width - 1)) | (width * 7919)
-    with use_kernels("python"):
-        reference = bitset_msbfs.propagate(csr, seeds, reverse=reverse)
+    reference = bitset_msbfs._propagate_python(csr, seeds, reverse)
     assert np_propagate(csr, seeds, reverse=reverse) == reference
 
 
-@needs_numpy
 @COMMON_SETTINGS
 @given(
     edges=edge_lists,
@@ -119,7 +118,9 @@ def test_propagate_parity(edges, isolated, seed_positions, seed_widths, reverse)
     batch_size=st.sampled_from([1, 3, 64, 512]),
     reverse=st.booleans(),
 )
-def test_set_reachability_rows_parity(edges, source_picks, mask_seed, batch_size, reverse):
+def test_set_reachability_rows_parity(
+    crossover, edges, source_picks, mask_seed, batch_size, reverse
+):
     graph = _graph_of(edges)
     if not graph.num_vertices:
         return
@@ -127,10 +128,9 @@ def test_set_reachability_rows_parity(edges, source_picks, mask_seed, batch_size
     ids = sorted(graph.vertices())
     sources = [component_of[ids[p % len(ids)]] for p in source_picks]
     mask = None if mask_seed is None else mask_seed % (1 << csr.num_vertices)
-    with use_kernels("python"):
-        reference = bitset_msbfs.set_reachability_rows(
-            csr, sources, mask, batch_size=batch_size, reverse=reverse
-        )
+    reference = bitset_msbfs.set_reachability_rows(
+        csr, sources, mask, batch_size=batch_size, reverse=reverse
+    )
     assert reference == _oracle_rows(csr, csr, sources, mask, reverse)
     got = np_set_reachability_rows(
         csr, sources, mask, batch_size=batch_size, reverse=reverse
@@ -145,20 +145,17 @@ def test_set_reachability_rows_parity(edges, source_picks, mask_seed, batch_size
         )
 
 
-@needs_numpy
 @COMMON_SETTINGS
 @given(
     ranks=st.lists(st.integers(min_value=0, max_value=5000), max_size=300).map(
         lambda values: sorted(set(values))
     )
 )
-def test_pack_ranks_parity(ranks):
-    with use_kernels("python"):
-        reference = pack_ranks(ranks)
+def test_pack_ranks_parity(crossover, ranks):
+    reference = pack_ranks(ranks)
+    assert reference == sum(1 << rank for rank in ranks)
     if ranks:
         assert np_pack_ranks(ranks) == reference
-    with use_kernels("numpy"):
-        assert pack_ranks(ranks) == reference
 
 
 # ---------------------------------------------------------------------- #
@@ -201,20 +198,16 @@ def _gathered(row, index):
 
 @COMMON_SETTINGS
 @given(batch=row_batches())
-def test_bit_gather_matches_the_oracle(batch):
+def test_bit_gather_matches_the_oracle(crossover, batch):
     _, index, rows, _ = batch
     # A gathered row sets only bits some output reads (component rows,
     # hits masked to the handles).
     read = pack_ranks(sorted(set(index)))
     rows = [row & read for row in rows]
     expected = [_gathered(row, index) for row in rows]
-    with use_kernels("python"):
-        assert BitGather(index).gather(rows) == expected
-    if numpy_available():
-        with use_kernels("numpy"):
-            assert BitGather(index).gather(rows) == expected
-        if rows and index:
-            assert np_gather_rows(rows, np_gather_plan(index)) == expected
+    assert BitGather(index).gather(rows) == expected
+    if rows and index:
+        assert np_gather_rows(rows, np_gather_plan(index)) == expected
     # The scatter runs the map the other way: output bit index[j] ORs input
     # bit j, for a row over the index's own positions.
     for row in rows[:4]:
@@ -227,15 +220,14 @@ def test_bit_gather_matches_the_oracle(batch):
 
 @COMMON_SETTINGS
 @given(batch=row_batches())
-def test_unpack_and_invert_rows_agree_across_tiers(batch):
+def test_unpack_and_invert_rows_agree_across_tiers(crossover, batch):
     in_width, _, rows, _ = batch
     rows = [row & ((1 << in_width) - 1) for row in rows]
     rank = VertexRank([1000 + 7 * r for r in range(in_width)])
     labels = [3 * position for position in range(in_width)]
     members = [[source, source + 1][: source % 3] for source in range(len(rows))]
-    with use_kernels("python"):
-        unpacked = rank.unpack_rows(rows)
-        inverted = invert_rows(rows, members, labels)
+    unpacked = rank.unpack_rows(rows)
+    inverted = invert_rows(rows, members, labels)
     assert unpacked == [rank.unpack(row) for row in rows]
     expected: dict = {}
     for position in range(in_width):
@@ -243,58 +235,19 @@ def test_unpack_and_invert_rows_agree_across_tiers(batch):
             if row >> position & 1:
                 expected.setdefault(labels[position], []).extend(row_members)
     assert list(inverted.items()) == list(expected.items())
-    if numpy_available():
-        with use_kernels("numpy"):
-            assert VertexRank(rank.ids).unpack_rows(rows) == unpacked
-            assert list(invert_rows(rows, members, labels).items()) == list(inverted.items())
-        assert np_unpack_rows(rows, np_objects(rank.ids)) == unpacked
-        assert list(np_invert_rows(rows, members, labels).items()) == list(inverted.items())
+    assert np_unpack_rows(rows, np_objects(rank.ids)) == unpacked
+    assert list(np_invert_rows(rows, members, labels).items()) == list(inverted.items())
 
 
 # ---------------------------------------------------------------------- #
 # one-pass sweeps over topologically numbered snapshots
 # ---------------------------------------------------------------------- #
-#: ``python``: the public entry points on the python tier.  ``numpy``: the
-#: numpy implementations called directly (the level plan at every width).
-#: ``numpy-dispatch``: the public entry points with numpy selected, which
-#: hand sweeps narrower than ``NUMPY_MIN_SEEDS`` to the python loop.
-TIERS = [
-    "python",
-    pytest.param("numpy", marks=needs_numpy),
-    pytest.param("numpy-dispatch", marks=needs_numpy),
-]
-
-
-def _propagate_on(tier, csr, seeds, reverse=False):
-    if tier == "numpy":
-        return np_propagate(csr, seeds, reverse=reverse)
-    with use_kernels("python" if tier == "python" else "numpy"):
-        return bitset_msbfs.propagate(csr, seeds, reverse=reverse)
-
-
-def _rows_on(tier, csr, sources, mask, batch_size, reverse):
-    if tier == "numpy":
-        return np_set_reachability_rows(csr, sources, mask, batch_size, reverse)
-    with use_kernels("python" if tier == "python" else "numpy"):
-        return bitset_msbfs.set_reachability_rows(
-            csr, sources, mask, batch_size=batch_size, reverse=reverse
-        )
-
-
 def _sweep_tiers(registry):
     return {
         tier
         for tier in ("python", "numpy")
         if registry.counter_value("dsr_kernel_sweeps_total", tier=tier)
     }
-
-
-#: Which tiers may serve a sweep on each arm.
-SERVING_TIERS = {
-    "python": {"python"},
-    "numpy": {"numpy"},
-    "numpy-dispatch": {"python", "numpy"},
-}
 
 
 @st.composite
@@ -343,7 +296,6 @@ def _oracle_rows(graph, csr, sources, mask, reverse):
     return expected
 
 
-@pytest.mark.parametrize("tier", TIERS)
 @COMMON_SETTINGS
 @given(
     graph=numbered_dags(),
@@ -351,7 +303,7 @@ def _oracle_rows(graph, csr, sources, mask, reverse):
     seed_widths=st.lists(st.integers(min_value=1, max_value=700), min_size=12, max_size=12),
     reverse=st.booleans(),
 )
-def test_onepass_propagate_four_ways(tier, graph, seed_positions, seed_widths, reverse):
+def test_onepass_propagate_both_ways(crossover, graph, seed_positions, seed_widths, reverse):
     csr = graph.csr()
     assert csr.edges_descend()
     seeds = {}
@@ -359,10 +311,9 @@ def test_onepass_propagate_four_ways(tier, graph, seed_positions, seed_widths, r
         index = position % csr.num_vertices
         seeds[index] = seeds.get(index, 0) | (1 << (width - 1)) | (width * 7919)
     with use_registry() as registry:
-        got = _propagate_on(tier, csr, seeds, reverse)
+        got = bitset_msbfs.propagate(csr, seeds, reverse=reverse)
     if seeds:
-        assert len(_sweep_tiers(registry)) == 1
-        assert _sweep_tiers(registry) <= SERVING_TIERS[tier]
+        assert _sweep_tiers(registry) == {crossover.side}
     # The oracle: a vertex carries the OR of the seed bits of every reacher.
     expected = [0] * csr.num_vertices
     oracle_graph = _reversed(graph) if reverse else graph
@@ -372,7 +323,6 @@ def test_onepass_propagate_four_ways(tier, graph, seed_positions, seed_widths, r
     assert got == expected
 
 
-@pytest.mark.parametrize("tier", TIERS)
 @COMMON_SETTINGS
 @given(
     graph=numbered_dags(),
@@ -382,16 +332,18 @@ def test_onepass_propagate_four_ways(tier, graph, seed_positions, seed_widths, r
     batch_size=st.sampled_from([1, 3, 64, 512]),
     reverse=st.booleans(),
 )
-def test_onepass_rows_four_ways(
-    tier, graph, source_count, source_seed, mask_seed, batch_size, reverse
+def test_onepass_rows_both_ways(
+    crossover, graph, source_count, source_seed, mask_seed, batch_size, reverse
 ):
     csr = graph.csr()
     assert csr.edges_descend()
     sources = _drawn_sources(graph, source_count, source_seed)
     mask = None if mask_seed is None else mask_seed % (1 << csr.num_vertices)
     with use_registry() as registry:
-        got = _rows_on(tier, csr, sources, mask, batch_size, reverse)
-    assert _sweep_tiers(registry) <= SERVING_TIERS[tier]
+        got = bitset_msbfs.set_reachability_rows(
+            csr, sources, mask, batch_size=batch_size, reverse=reverse
+        )
+    assert _sweep_tiers(registry) <= {crossover.side}
     assert got == _oracle_rows(graph, csr, sources, mask, reverse)
 
 
@@ -403,14 +355,7 @@ ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize(
-    "entry_point",
-    [
-        "propagate",
-        "set_reachability_rows",
-        pytest.param("np_set_reachability_rows", marks=needs_numpy),
-    ],
-)
+@pytest.mark.parametrize("entry_point", sorted(ENTRY_POINTS))
 @pytest.mark.parametrize("spoiler", ["ascending-edge", "two-cycle", "self-loop"])
 @COMMON_SETTINGS
 @given(graph=numbered_dags(), pick=st.integers(min_value=0, max_value=10**6))

@@ -1,110 +1,145 @@
-"""Unit tests for the kernel backend switch (`repro.reachability.kernels`).
+"""Unit tests for the kernel module (`repro.reachability.kernels`).
 
-Parity of the numpy kernels themselves is covered by ``tests/proptest``;
-this file tests the selection machinery — resolution, the process-global
-switch, the context manager, and the dispatch points in
-``bitset_msbfs``/``packed``.
+Parity of the numpy kernels with the python loops is covered by
+``tests/proptest``; this file pins what is left of the module's surface —
+the constant tier name and the refusal of a big-endian host — and the
+three input-size crossovers that pick a call's side.
 """
+
+import importlib.util
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-from repro.reachability import kernels
-from repro.reachability.kernels import (
-    KERNEL_NAMES,
-    kernel_backend,
-    numpy_available,
-    resolve_kernels,
-    set_kernel_backend,
-    use_kernels,
-)
+from repro.graph.digraph import DiGraph
+from repro.reachability import bitset_msbfs, kernels, packed
+from repro.reachability.packed import _NUMPY_PACK_THRESHOLD, pack_ranks
 
 
-class TestResolution:
-    def test_python_always_resolves(self):
-        assert resolve_kernels("python") == "python"
-
-    def test_auto_resolves_to_a_concrete_backend(self):
-        assert resolve_kernels("auto") in ("python", "numpy")
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_kernels("simd")
-
-    def test_names_constant_covers_all_accepted_spellings(self):
-        assert set(KERNEL_NAMES) == {"auto", "python", "numpy"}
-        for name in KERNEL_NAMES:
-            if name != "numpy" or numpy_available():
-                resolve_kernels(name)  # none raise where the backend can run
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_auto_prefers_numpy_when_available(self):
-        assert resolve_kernels("auto") == "numpy"
+def test_kernel_backend_is_the_numpy_constant():
+    assert kernels.kernel_backend() == "numpy"
 
 
-class TestGlobalSwitch:
-    def test_set_and_restore(self):
-        previous = kernel_backend()
+def test_a_big_endian_host_is_refused_at_import(monkeypatch):
+    # A fresh copy of the module, so the loaded one is left untouched.
+    monkeypatch.setattr(sys, "byteorder", "big")
+    spec = importlib.util.spec_from_file_location("_kernels_on_big_endian", kernels.__file__)
+    module = importlib.util.module_from_spec(spec)
+    with pytest.raises(ImportError, match="little-endian"):
+        spec.loader.exec_module(module)
+
+
+def test_repro_kernels_in_the_environment_selects_nothing():
+    # The variable once seeded a process-global tier at import; now an
+    # engine opened under it has no tier and a wide sweep still runs on
+    # numpy.
+    script = textwrap.dedent(
+        """
+        from repro.api import DSRConfig, open_engine
+        from repro.graph import generators
+        from repro.graph.scc import condense
+        from repro.reachability import bitset_msbfs, kernels
+
+        engine = open_engine(generators.dag(60, 180, seed=1), DSRConfig(num_partitions=2))
         try:
-            assert set_kernel_backend("python") == "python"
-            assert kernel_backend() == "python"
+            assert not hasattr(engine, "kernels")
+            assert engine.config.kernels == "auto"
         finally:
-            set_kernel_backend(previous)
-
-    def test_use_kernels_restores_on_exit(self):
-        previous = kernel_backend()
-        with use_kernels("python"):
-            assert kernel_backend() == "python"
-        assert kernel_backend() == previous
-
-    def test_use_kernels_restores_on_error(self):
-        previous = kernel_backend()
-        with pytest.raises(RuntimeError):
-            with use_kernels("python"):
-                raise RuntimeError("boom")
-        assert kernel_backend() == previous
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_switch_changes_dispatch_not_answers(self):
-        from repro.graph.digraph import DiGraph
-        from repro.reachability.bitset_msbfs import set_reachability_rows
-
-        graph = DiGraph.from_edges([(1, 0), (2, 1), (3, 2), (3, 0), (4, 3)])
-        csr = graph.csr()
-        sources = sorted(graph.vertices())
-        with use_kernels("python"):
-            reference = set_reachability_rows(csr, sources)
-        with use_kernels("numpy"):
-            assert set_reachability_rows(csr, sources) == reference
+            engine.close()
+        calls = []
+        serve = kernels.np_propagate
+        kernels.np_propagate = lambda *args, **kw: calls.append(1) or serve(*args, **kw)
+        csr = condense(generators.dag(40, 120, seed=2))[0].csr()
+        bitset_msbfs.propagate(csr, {v: 1 << v for v in range(bitset_msbfs.NUMPY_MIN_SEEDS)})
+        assert calls == [1], calls
+        """
+    )
+    env = dict(os.environ, REPRO_KERNELS="python")
+    src = os.path.join(os.path.dirname(kernels.__file__), "..", "..")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.abspath(src), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestPackDispatchThreshold:
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
     def test_small_and_large_rank_lists_agree(self):
-        from repro.reachability.packed import _NUMPY_PACK_THRESHOLD, pack_ranks
-
+        # One list on each side of the crossover, both held to the oracle
+        # and to the numpy function.
         small = list(range(_NUMPY_PACK_THRESHOLD - 1))
         large = list(range(0, 10 * _NUMPY_PACK_THRESHOLD, 3))
-        with use_kernels("python"):
-            small_ref, large_ref = pack_ranks(small), pack_ranks(large)
-        with use_kernels("numpy"):
-            assert pack_ranks(small) == small_ref
-            assert pack_ranks(large) == large_ref
+        for ranks in (small, large):
+            expected = sum(1 << rank for rank in ranks)
+            assert pack_ranks(ranks) == expected
+            assert kernels.np_pack_ranks(ranks) == expected
 
 
-class TestEnvSeeding:
-    def test_module_default_matches_environment(self, monkeypatch):
-        # The module-level default was computed at import from REPRO_KERNELS;
-        # what we can still test here is that an explicit re-seed through
-        # set_kernel_backend honours the same resolution rules.
-        previous = kernel_backend()
-        try:
-            assert set_kernel_backend("auto") == resolve_kernels("auto")
-        finally:
-            set_kernel_backend(previous)
+def _path_sweep(size):
+    """A forward sweep of ``size`` seeds over a descending path."""
+    length = max(size, 1) + 3
+    csr = DiGraph.from_edges([(v + 1, v) for v in range(length - 1)], range(length)).csr()
+    return bitset_msbfs.propagate(csr, {csr.index_of(v): 1 << v for v in range(size)})
 
-    def test_numpy_unavailability_is_a_config_error_not_a_crash(self):
-        if numpy_available():
-            pytest.skip("numpy installed: the unavailable branch is dead here")
-        with pytest.raises(ValueError):
-            resolve_kernels("numpy")
-        assert kernels.resolve_kernels("auto") == "python"
+
+def _row_inversion(size):
+    """An inversion of ``size`` rows, row ``i`` setting bits ``i`` and ``i + 2``."""
+    rows = [1 << i | 1 << (i + 2) for i in range(size)]
+    return packed.invert_rows(rows, [[i] for i in range(size)], range(size + 2))
+
+
+def _rank_packing(size):
+    """``size`` ranks, every third position."""
+    return packed.pack_ranks(list(range(0, 3 * size, 3)))
+
+
+#: Each crossover: the module constant that holds it, a call whose input
+#: size is the argument, and the numpy function that serves that call from
+#: the constant on.
+CROSSOVER_CALLS = {
+    "seeds": (bitset_msbfs, "NUMPY_MIN_SEEDS", _path_sweep, "np_propagate"),
+    "rows": (packed, "NUMPY_MIN_ROWS", _row_inversion, "np_invert_rows"),
+    "ranks": (packed, "_NUMPY_PACK_THRESHOLD", _rank_packing, "np_pack_ranks"),
+}
+
+
+def _spy(monkeypatch, function_name):
+    """Count the calls of one numpy kernel, which still serves them."""
+    calls = []
+    serve = getattr(kernels, function_name)
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return serve(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, function_name, spy)
+    return calls
+
+
+class TestCrossovers:
+    @pytest.mark.parametrize("name", sorted(CROSSOVER_CALLS))
+    def test_the_input_size_alone_picks_the_side(self, name, monkeypatch):
+        module, constant, call, function_name = CROSSOVER_CALLS[name]
+        threshold = getattr(module, constant)
+        calls = _spy(monkeypatch, function_name)
+        below = call(threshold - 1)
+        assert calls == []
+        at = call(threshold)
+        assert calls == [1]
+        # Each side also answers the other side's input identically.
+        monkeypatch.setattr(module, constant, 0)
+        assert call(threshold - 1) == below
+        monkeypatch.setattr(module, constant, sys.maxsize)
+        assert call(threshold) == at
+
+    def test_the_fixture_forces_every_size(self, crossover, monkeypatch):
+        for name, (module, constant, call, function_name) in sorted(CROSSOVER_CALLS.items()):
+            calls = _spy(monkeypatch, function_name)
+            # One narrow call and one far past every measured crossover.
+            for size in (1, 200):
+                call(size)
+            expected = 2 if crossover.side == "numpy" else 0
+            assert len(calls) == expected, (name, crossover.side)
