@@ -333,7 +333,7 @@ class DSREngine:
         result = self._maintainer.flush()
         if self._reverse_maintainer is not None:
             # Unconditional (not gated on has_pending_changes): an in-flight
-            # background reverse flush drains the dirty set before it
+            # background reverse flush drains the pending batch before it
             # publishes, and flush() on a clean maintainer still serialises
             # on its flush lock — so when this returns, no reverse epoch
             # publication can be pending either.

@@ -30,7 +30,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.cluster.cluster import ClusterStats, SimulatedCluster
 from repro.obs.runtime import global_registry
@@ -43,6 +43,7 @@ from repro.core.compound_graph import (
 from repro.core.equivalence import ClassIdAllocator
 from repro.core.summary import SUMMARY_STRATEGY, PartitionSummary, build_partition_summary
 from repro.graph.digraph import DiGraph
+from repro.graph.traversal import is_reachable
 from repro.partition.partition import GraphPartitioning
 
 
@@ -118,6 +119,9 @@ class EpochState:
     #: ``condense`` split the heavy part, ``hydrate`` is added by
     #: :meth:`DSRIndex.publish` just before the swap.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
+    #: The partitions whose summaries this state rebuilt; every other
+    #: summary is the previous epoch's object.
+    resummarised: FrozenSet[int] = frozenset()
 
     def vertex_rank(self, partition_id: int):
         """The stable vertex-rank numbering of one partition's compound graph.
@@ -314,32 +318,52 @@ class DSRIndex:
     def build_epoch_state(
         self,
         dirty: Set[int],
+        local_deletes: Dict[int, List[Tuple[int, int]]],
         mutation_lock: Optional[threading.RLock] = None,
     ) -> EpochState:
         """Build the next epoch's state off the hot path (no publication).
 
-        The *snapshot* part — copying the cut and the dirty partitions'
+        A partition's summary is a function of its local graph, ``I_i`` and
+        ``O_i`` alone, so only two kinds of partition are re-summarised:
+        the ``dirty`` ones, and those of ``local_deletes`` (partition →
+        local edges deleted since its summary) where some deleted
+        ``(u, v)`` no longer has a local ``u ⇝ v`` path.  A delete whose
+        path survives removes no local reachable pair, and every other
+        update that can change a summary's inputs marks its partition
+        dirty, so every other summary is carried over as the same object
+        (:attr:`EpochState.resummarised` names the rebuilt ones).
+
+        The *snapshot* part — copying the cut and the candidate partitions'
         boundaries, which the partitioning maintains as updates arrive
         (:meth:`~repro.partition.partition.GraphPartitioning.edge_added`
         and friends), and a private copy of every partition's local
-        subgraph from the live data graph — runs under ``mutation_lock``
+        subgraph — runs under ``mutation_lock``
         (the maintainer's update lock) so it can never race a concurrent
-        graph mutation; the *heavy* part (summaries, compound graphs,
-        condensations) runs unlocked, which is what lets queries keep being
-        answered from the current epoch while this builds.
+        graph mutation; the *heavy* part (the delete check on those copies,
+        summaries, compound graphs, condensations) runs unlocked, which is
+        what lets queries keep being answered from the current epoch while
+        this builds.
 
         The snapshot copies *all* partitions' local graphs, not just the
-        dirty ones (bulk set copies, see :meth:`DiGraph.copy`), so updates
-        stall for O(V+E) per flush; queries are never stalled.  A clean
-        partition's published local graph cannot be shared instead: the
-        update mirrors (a non-structural edge insert, an isolated vertex)
-        edit it in place while the unlocked heavy phase would iterate it.
+        candidate ones (bulk set copies, see :meth:`DiGraph.copy`), so
+        updates stall for O(V+E) per flush; queries are never stalled.  A
+        clean partition's published local graph cannot be shared instead:
+        the update mirrors (a non-structural edge insert, a local delete, an
+        isolated vertex) edit it in place while the unlocked heavy phase
+        would iterate it.  A candidate partition is copied from the live
+        data graph, never from the published copy: a mirror that lands
+        while an earlier flush is in flight edits the epoch that flush
+        replaces, so the copy it publishes can still hold an edge deleted
+        since — the delete check must not read it.
         The heavy phase reassembles every compound graph straight into a
         CSR snapshot and condenses it into another, whether or not its
         inputs changed; both are numpy array constructions.
         """
         current = self.current_state()
         dirty = set(dirty)
+        local_deletes = {
+            pid: edges for pid, edges in local_deletes.items() if pid not in dirty
+        }
         lock = mutation_lock if mutation_lock is not None else threading.RLock()
         snapshot_start = time.perf_counter()
         with lock:
@@ -348,34 +372,43 @@ class DSRIndex:
             # Every partition's local graph is copied under the lock — clean
             # ones included.  Sharing a clean partition's DiGraph with the
             # published state would let a concurrent update mirror mutate
-            # it while the unlocked heavy phase below iterates it.
+            # it while the unlocked heavy phase below iterates it.  Dirty
+            # and recorded partitions come from the live graph: a published
+            # copy can miss a mirror that raced an earlier flush.
             local_graphs = {
                 pid: (
                     self.partitioning.local_subgraph(pid)
-                    if pid in dirty
+                    if pid in dirty or pid in local_deletes
                     else current.local_graphs[pid].copy()
                 )
                 for pid in range(self.num_partitions)
             }
             assignment = dict(self.partitioning.assignment)
             boundary_sets = dict(current.boundary_sets)
-            boundaries: Dict[int, Tuple[Set[int], Set[int]]] = {}
-            for pid in dirty:
-                boundaries[pid] = (
+            boundaries: Dict[int, Tuple[Set[int], Set[int]]] = {
+                pid: (
                     self.partitioning.in_boundaries(pid),
                     self.partitioning.out_boundaries(pid),
                 )
-                boundary_sets[pid] = boundaries[pid][0] | boundaries[pid][1]
+                for pid in dirty | local_deletes.keys()
+            }
 
         snapshot_seconds = time.perf_counter() - snapshot_start
         heavy_start = time.perf_counter()
 
-        # Heavy phase (no locks held): summarise dirty partitions...
+        # Heavy phase (no locks held): re-summarise the dirty partitions and
+        # those a recorded delete cut a local path in...
         # Timings go to a private record folded into the cumulative totals
         # as O(1) aggregates (same as queries): a long-lived service under a
         # steady update stream must not grow the phase list per flush.
         flush_stats = ClusterStats()
         summaries = dict(current.summaries)
+        for pid, edges in local_deletes.items():
+            graph = local_graphs[pid]
+            if not all(is_reachable(graph, u, v) for u, v in edges):
+                dirty.add(pid)
+        for pid in dirty:
+            boundary_sets[pid] = boundaries[pid][0] | boundaries[pid][1]
 
         def summarise(rank: int) -> PartitionSummary:
             return build_partition_summary(
@@ -437,6 +470,7 @@ class DSRIndex:
                 "assemble": assembled - summarised,
                 "condense": condensed - assembled,
             },
+            resummarised=frozenset(dirty),
         )
 
     def publish(self, state: EpochState) -> None:

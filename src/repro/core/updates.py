@@ -1,5 +1,13 @@
 """Incremental maintenance of the DSR index (Section 3.3.3), epoch-versioned.
 
+A partition's summary (its boundaries, Definition-5 classes and boundary
+reachability) is a function of three inputs only: its local graph ``G_i``,
+``I_i`` and ``O_i``.  So every update makes two separate decisions: whether
+the published epoch is *stale* (a compound graph changed, so the next flush
+must publish), and whether a partition is *dirty* (its summary may have
+changed, so the next flush must re-summarise it and re-broadcast it for the
+other slaves to re-merge into their compound graphs).
+
 Insertions
 ----------
 * A local edge ``(u, v)`` with ``u ⇝ v`` already holding inside the
@@ -9,31 +17,44 @@ Insertions
   partition gains a local path the partition's summary must report.  It is
   still asked for, as a cheap screen before the local traversal, so on an
   acyclic compound graph such an edge marks its partition dirty anyway.)
-* Any other local edge marks its partition *dirty*: the partition's summary
-  (SCCs, equivalence classes, boundary reachability) must be recomputed and
-  re-broadcast so that the other slaves can re-merge it into their compound
-  graphs.
-* A cut edge never changes intra-partition reachability but may create new
-  boundary vertices, so it marks *both* incident partitions dirty.
+* Any other local edge marks its partition dirty.
+* A cut edge ``(u, v)`` with ``u ∈ V_p`` and ``v ∈ V_q`` never changes
+  intra-partition reachability, but it is in every compound graph, so it
+  always makes the epoch stale.  It marks ``p`` dirty only if ``u`` enters
+  ``O_p``, and ``q`` only if ``v`` enters ``I_q``: between existing
+  boundaries it re-summarises nothing.
 
 Every update also reports its edit to the partitioning, which maintains the
 cut and the boundary sets (:meth:`~repro.partition.partition.
 GraphPartitioning.edge_added` and friends) under the same mutation lock, so a
-flush reads them instead of re-deriving them from every edge.
+flush reads them instead of re-deriving them from every edge; the cut-edge
+calls return which partitions' boundary sets changed.
 
 Deletions
 ---------
-Deletions always mark the incident partition(s) dirty; the affected summary is
-recomputed from the stored (uncondensed) local subgraph — the same strategy as
-the paper, whose deletion cost is therefore close to rebuilding that
-partition's boundary information.
+* A cut edge follows the insert rule: the epoch is stale, and a side is
+  dirty only if its endpoint leaves ``O_p`` (``I_q``).
+* A local edge ``(u, v)`` makes the epoch stale and is *recorded*, not
+  marked dirty.  The flush checks it in its unlocked heavy phase, on its
+  snapshot of ``G_p`` (read from the live graph, as a dirty partition's
+  is): ``p`` is re-summarised only if some recorded ``(u, v)`` no longer
+  has a local ``u ⇝ v`` path.  That is sound because a skipped insert
+  already had its ``u ⇝ v`` path and a delete whose path survives removes
+  no reachable pair, so local reachability is unchanged, and the classes,
+  representatives and stored boundary edges are functions of local
+  reachability and the boundaries.
+* A vertex delete marks every partition it touches dirty; its summary is
+  recomputed from the stored (uncondensed) local subgraph — the same
+  strategy as the paper, whose deletion cost is therefore close to
+  rebuilding that partition's boundary information.
 
 Batching and epochs
 -------------------
 Recomputing summaries and re-merging compound graphs per *individual* edge
 would be wasteful, so maintenance is deferred: updates mutate the graph and
-record dirty partitions; :meth:`IncrementalMaintainer.flush` performs the
-recomputation once for the whole batch — as a **new epoch**.  The flush asks
+record staleness, dirty partitions and local deletes;
+:meth:`IncrementalMaintainer.flush` performs the recomputation once for the
+whole batch — as a **new epoch**.  The flush asks
 the index for the next :class:`~repro.core.index.EpochState` (built off the
 hot path, with only a brief snapshot section under the mutation lock) and
 atomically publishes it, so a query running concurrently with a flush always
@@ -51,7 +72,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.equivalence import claim_real_id
 from repro.core.index import DSRIndex, EpochState
@@ -74,16 +95,24 @@ class UpdateResult:
 class FlushResult:
     """Outcome of one maintenance flush."""
 
+    #: The partitions whose summaries this flush rebuilt.  A published flush
+    #: may have none: a cut edge between existing boundaries, or a local
+    #: delete that leaves local reachability intact, changes compound graphs
+    #: only.  Read :attr:`published` to know whether an epoch was swapped in.
     refreshed_partitions: Set[int] = field(default_factory=set)
     seconds: float = 0.0
-    #: The epoch this flush published (the pre-flush epoch if nothing was dirty).
+    #: The epoch this flush published (the pre-flush epoch if nothing was
+    #: pending).
     epoch: int = -1
+    #: Whether this flush published a new epoch (False for no-op flushes).
+    published: bool = False
     #: Time the epoch build held the mutation lock (0.0 for no-op flushes).
     snapshot_seconds: float = 0.0
     #: Time of the unlocked heavy rebuild (0.0 for no-op flushes).
     heavy_seconds: float = 0.0
-    #: The heavy rebuild by stage — re-summarising the dirty partitions,
-    #: reassembling every compound graph, condensing them — and the shard
+    #: The heavy rebuild by stage — re-summarising (the delete check and
+    #: :attr:`refreshed_partitions`), reassembling every compound graph,
+    #: condensing them — and the shard
     #: hydration of the publish that followed (a no-op unless the executor
     #: keeps worker shards).
     summarise_seconds: float = 0.0
@@ -101,7 +130,15 @@ class IncrementalMaintainer:
         self.partitioning = index.partitioning
         self.graph = index.partitioning.graph
         self.auto_flush = auto_flush
+        #: Partitions whose summary the next flush must rebuild.
         self._dirty: Set[int] = set()
+        #: Local edge deletes of partitions not (yet) dirty: the next flush
+        #: re-summarises such a partition only if one of them broke local
+        #: reachability (see :meth:`DSRIndex.build_epoch_state`).
+        self._local_deletes: Dict[int, List[Tuple[int, int]]] = {}
+        #: Whether the published epoch lags the graph (set by every update a
+        #: compound graph can see, dirty or not; ``_dirty`` implies it).
+        self._stale = False
         self._update_listeners: List[Callable[[UpdateResult], None]] = []
         self._flush_listeners: List[Callable[[FlushResult], None]] = []
         #: Serialises graph/partitioning mutations against the flush's
@@ -157,7 +194,7 @@ class IncrementalMaintainer:
         self._update_listeners.append(listener)
 
     def add_flush_listener(self, listener: Callable[[FlushResult], None]) -> None:
-        """Call ``listener(flush_result)`` after every maintenance flush."""
+        """Call ``listener(flush_result)`` after every flush that published an epoch."""
         self._flush_listeners.append(listener)
 
     def remove_listener(self, listener: Callable) -> None:
@@ -177,7 +214,8 @@ class IncrementalMaintainer:
     # ------------------------------------------------------------------ #
     @property
     def has_pending_changes(self) -> bool:
-        return bool(self._dirty)
+        """Whether the next flush publishes an epoch (read-your-writes)."""
+        return self._stale
 
     @property
     def epoch(self) -> int:
@@ -185,20 +223,24 @@ class IncrementalMaintainer:
         return self.index.epoch
 
     def flush(self) -> FlushResult:
-        """Build the next epoch from the dirty partitions and swap it in.
+        """Build the next epoch if the published one is stale, and swap it in.
 
-        The heavy recomputation (summaries, compound graphs, condensations)
-        runs without holding the mutation lock; queries keep reading the
-        current epoch throughout and flip to the new one at the atomic
-        publish.  Safe to call from any thread; concurrent flushes serialise.
+        The epoch re-summarises the dirty partitions, plus any partition a
+        recorded local delete cut a path in.  The heavy recomputation
+        (that check, summaries, compound graphs, condensations) runs without
+        holding the mutation lock; queries keep reading the current epoch
+        throughout and flip to the new one at the atomic publish.  Safe to
+        call from any thread; concurrent flushes serialise.
         """
         start = time.perf_counter()
         with self._flush_lock:
             with self._mutation_lock:
-                dirty = set(self._dirty)
+                stale, dirty = self._stale, set(self._dirty)
+                local_deletes, self._local_deletes = self._local_deletes, {}
+                self._stale = False
                 self._dirty.clear()
             registry = global_registry()
-            if not dirty:
+            if not stale:
                 self._noop_flush_count += 1
                 if registry.enabled:
                     registry.inc("dsr_flushes_total", outcome="noop")
@@ -207,37 +249,45 @@ class IncrementalMaintainer:
                     seconds=time.perf_counter() - start,
                     epoch=self.index.epoch,
                 )
-            result = self._build_and_publish(dirty, start)
+            result = self._build_and_publish(dirty, local_deletes, start)
         for listener in self._flush_listeners:
             listener(result)
         return result
 
-    def _build_and_publish(self, dirty: Set[int], start: float) -> FlushResult:
-        """Build the next epoch from ``dirty``, publish it, account for it.
+    def _build_and_publish(
+        self,
+        dirty: Set[int],
+        local_deletes: Dict[int, List[Tuple[int, int]]],
+        start: float,
+    ) -> FlushResult:
+        """Build the next epoch, publish it, account for it.
 
         Runs under the flush lock.  On failure the batch was not applied:
-        the dirt goes back so the next flush retries it rather than silently
-        dropping maintenance.
+        the staleness, the dirt and the recorded deletes go back so the next
+        flush retries it rather than silently dropping maintenance.
         """
         registry = global_registry()
         try:
             state = self.index.build_epoch_state(
-                dirty, mutation_lock=self._mutation_lock
+                dirty, local_deletes, mutation_lock=self._mutation_lock
             )
             if self._before_publish is not None:
                 self._before_publish(state)
             self.index.publish(state)
         except BaseException:
             with self._mutation_lock:
-                self._dirty.update(dirty)
+                self._mark_stale(dirty)
+                for pid, edges in local_deletes.items():
+                    self._local_deletes.setdefault(pid, []).extend(edges)
             if registry.enabled:
                 registry.inc("dsr_flushes_total", outcome="error")
             raise
         stages = state.stage_seconds
         result = FlushResult(
-            refreshed_partitions=dirty,
+            refreshed_partitions=set(state.resummarised),
             seconds=time.perf_counter() - start,
             epoch=state.epoch,
+            published=True,
             snapshot_seconds=state.build_snapshot_seconds,
             heavy_seconds=state.build_heavy_seconds,
             summarise_seconds=stages["summarise"],
@@ -263,7 +313,7 @@ class IncrementalMaintainer:
         Multiple requests while a flush is running fold into one follow-up
         flush; the worker exits when no request is pending.  Errors are kept
         in :attr:`background_flush_error` — surfaced through
-        ``DSRService.stats()`` — and the dirty set is restored by
+        ``DSRService.stats()`` — and the pending batch is restored by
         :meth:`flush`, so the next request (cleared below) retries the whole
         batch.
         """
@@ -332,12 +382,14 @@ class IncrementalMaintainer:
             "last_flush_epoch": last.epoch if last else None,
         }
 
-    def _mark_dirty(self, partition_ids) -> None:
-        self._dirty.update(partition_ids)
+    def _mark_stale(self, dirty=()) -> None:
+        """The published epoch lags the graph; ``dirty`` need re-summarising."""
+        self._stale = True
+        self._dirty.update(dirty)
 
-    def _after_update(self, marked: bool) -> None:
+    def _after_update(self, stale: bool) -> None:
         """Run the auto-flush *outside* the mutation lock (deadlock-free)."""
-        if marked and self.auto_flush:
+        if stale and self.auto_flush:
             self.flush()
 
     # ------------------------------------------------------------------ #
@@ -346,7 +398,7 @@ class IncrementalMaintainer:
     def insert_edge(self, u: int, v: int) -> UpdateResult:
         """Insert edge ``(u, v)``; endpoints must already exist."""
         start = time.perf_counter()
-        marked = False
+        stale = False
         with self._mutation_lock:
             for vertex in (u, v):
                 if not self.graph.has_vertex(vertex):
@@ -397,8 +449,8 @@ class IncrementalMaintainer:
                         "insert-edge", {pid_u}, False, time.perf_counter() - start
                     )
                 else:
-                    self._mark_dirty({pid_u})
-                    marked = True
+                    self._mark_stale({pid_u})
+                    stale = True
                     result = UpdateResult(
                         "insert-edge",
                         {pid_u},
@@ -407,10 +459,10 @@ class IncrementalMaintainer:
                         flushed=self.auto_flush,
                     )
             else:
-                # Cut edge: boundary sets of both incident partitions change.
-                self.partitioning.edge_added(u, v)
-                self._mark_dirty({pid_u, pid_v})
-                marked = True
+                # Cut edge: it is in every compound graph, so the epoch is
+                # stale, but a summary changes only with its boundaries.
+                self._mark_stale(self.partitioning.edge_added(u, v))
+                stale = True
                 result = UpdateResult(
                     "insert-edge",
                     {pid_u, pid_v},
@@ -418,13 +470,13 @@ class IncrementalMaintainer:
                     time.perf_counter() - start,
                     flushed=self.auto_flush,
                 )
-        self._after_update(marked)
+        self._after_update(stale)
         return self._notify(result)
 
     def delete_edge(self, u: int, v: int) -> UpdateResult:
         """Delete edge ``(u, v)`` if present."""
         start = time.perf_counter()
-        marked = False
+        stale = False
         with self._mutation_lock:
             if not self.graph.has_edge(u, v):
                 result = UpdateResult(
@@ -434,16 +486,19 @@ class IncrementalMaintainer:
                 pid_u = self.partitioning.partition_of(u)
                 pid_v = self.partitioning.partition_of(v)
                 self.graph.remove_edge(u, v)
-                self.partitioning.edge_removed(u, v)
                 if pid_u == pid_v:
                     # The published compound snapshot keeps the edge: the
-                    # epoch answers as of its own graph until the flush.
+                    # epoch answers as of its own graph until the flush,
+                    # which decides whether the partition's summary changed.
                     self.index.local_graphs[pid_u].remove_edge(u, v)
+                    if pid_u not in self._dirty:
+                        self._local_deletes.setdefault(pid_u, []).append((u, v))
+                    self._mark_stale()
                     affected = {pid_u}
                 else:
+                    self._mark_stale(self.partitioning.edge_removed(u, v))
                     affected = {pid_u, pid_v}
-                self._mark_dirty(affected)
-                marked = True
+                stale = True
                 result = UpdateResult(
                     "delete-edge",
                     affected,
@@ -451,7 +506,7 @@ class IncrementalMaintainer:
                     time.perf_counter() - start,
                     flushed=self.auto_flush,
                 )
-        self._after_update(marked)
+        self._after_update(stale)
         return self._notify(result)
 
     # ------------------------------------------------------------------ #
@@ -511,7 +566,7 @@ class IncrementalMaintainer:
                     # With no flush in flight this is unnecessary: the next
                     # snapshot copies the current state/live assignment,
                     # both of which now contain the vertex.
-                    self._mark_dirty({partition_id})
+                    self._mark_stale({partition_id})
         # Sharded workers must learn the new vertex id even though the update
         # is non-structural (no epoch flush will follow it).
         self.index.rehydrate_partition(partition_id)
@@ -534,7 +589,7 @@ class IncrementalMaintainer:
             self.graph.remove_vertex(vertex)
             # Removing a vertex can change the local structure of every
             # touched partition, so recompute them at flush time.
-            self._mark_dirty(touched)
+            self._mark_stale(touched)
             result = UpdateResult(
                 "delete-vertex",
                 touched,

@@ -9,11 +9,12 @@ The implementation is an iterative Tarjan so that large, deep graphs do not
 exhaust Python's recursion limit.  It runs over a CSR snapshot — a
 ``DiGraph``'s cached one (:meth:`repro.graph.digraph.DiGraph.csr`) or a
 :class:`~repro.graph.csr.CSRGraph` passed directly, as every compound graph
-is: the DFS state lives in dense lists indexed by CSR position and edges are
-scanned straight out of the flat ``array('q')`` adjacency, so condensing a
-compound graph — which happens on every index build and on every
-maintenance flush — costs no per-visit hashing, and the condensation itself
-is emitted straight into a snapshot's buffers.
+is: the DFS state lives in dense lists indexed by CSR position, the flat
+adjacency is read into Python lists once, and each DFS frame resumes its own
+iterator over its vertex's successor slice, so condensing a compound graph —
+which happens on every index build and on every maintenance flush — costs
+no per-visit hashing or cursor bookkeeping, and the condensation itself is
+emitted straight into a snapshot's buffers.
 """
 
 from __future__ import annotations
@@ -30,12 +31,14 @@ GraphLike = Union[DiGraph, CSRGraph]
 def _dense_components(csr: CSRGraph) -> List[List[int]]:
     """Tarjan over ``csr``: SCCs as lists of dense indices, reverse-topological."""
     n = csr.num_vertices
-    offsets, targets = csr.fwd_offsets, csr.fwd_targets
+    offsets, targets = csr.fwd_offsets.tolist(), csr.fwd_targets.tolist()
 
     UNVISITED = -1
+    #: A finished vertex's DFS number: above every live one, so it never
+    #: lowers a lowlink (the "on the stack" test of the textbook version).
+    DONE = n
     index: List[int] = [UNVISITED] * n
     lowlink: List[int] = [0] * n
-    on_stack = bytearray(n)
     stack: List[int] = []
     components: List[List[int]] = []
     counter = 0
@@ -46,45 +49,38 @@ def _dense_components(csr: CSRGraph) -> List[List[int]]:
         index[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = 1
-        # Iterative Tarjan: each frame is [vertex, next-edge cursor].
-        work: List[List[int]] = [[root, offsets[root]]]
+        # Iterative Tarjan: each frame is (vertex, its successor iterator),
+        # resumed where the descent into a fresh successor left it.
+        work = [(root, iter(targets[offsets[root] : offsets[root + 1]]))]
 
         while work:
-            frame = work[-1]
-            vertex, cursor = frame
-            end = offsets[vertex + 1]
-            advanced = False
-            while cursor < end:
-                succ = targets[cursor]
-                cursor += 1
-                if index[succ] == UNVISITED:
-                    frame[1] = cursor
+            vertex, successor_iter = work[-1]
+            for succ in successor_iter:
+                number = index[succ]
+                if number == UNVISITED:
                     index[succ] = lowlink[succ] = counter
                     counter += 1
                     stack.append(succ)
-                    on_stack[succ] = 1
-                    work.append([succ, offsets[succ]])
-                    advanced = True
+                    work.append((succ, iter(targets[offsets[succ] : offsets[succ + 1]])))
                     break
-                if on_stack[succ] and index[succ] < lowlink[vertex]:
-                    lowlink[vertex] = index[succ]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if lowlink[vertex] < lowlink[parent]:
-                    lowlink[parent] = lowlink[vertex]
-            if lowlink[vertex] == index[vertex]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = 0
-                    component.append(member)
-                    if member == vertex:
-                        break
-                components.append(component)
+                if number < lowlink[vertex]:
+                    lowlink[vertex] = number
+            else:
+                work.pop()
+                low = lowlink[vertex]
+                if work:
+                    parent = work[-1][0]
+                    if low < lowlink[parent]:
+                        lowlink[parent] = low
+                if low == index[vertex]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        index[member] = DONE
+                        component.append(member)
+                        if member == vertex:
+                            break
+                    components.append(component)
     return components
 
 

@@ -121,29 +121,48 @@ class GraphPartitioning:
     # ------------------------------------------------------------------ #
     # maintenance: the data graph reports its edits
     # ------------------------------------------------------------------ #
-    def edge_added(self, u: int, v: int) -> None:
-        """Record the new graph edge ``(u, v)`` (a no-op unless it is cut)."""
+    def edge_added(self, u: int, v: int) -> Set[int]:
+        """Record the new graph edge ``(u, v)`` (a no-op unless it is cut).
+
+        Returns the partitions whose boundary sets changed: ``u``'s if ``u``
+        entered its ``O_i``, ``v``'s if ``v`` entered its ``I_j``.
+        """
         pid_u, pid_v = self.assignment[u], self.assignment[v]
         if pid_u == pid_v or (u, v) in self._cut:
-            return
+            return set()
         self._cut[(u, v)] = None
-        out_counts, in_counts = self._out_counts[pid_u], self._in_counts[pid_v]
-        out_counts[u] = out_counts.get(u, 0) + 1
-        in_counts[v] = in_counts.get(v, 0) + 1
+        changed = set()
+        for counts, vertex, pid in (
+            (self._out_counts[pid_u], u, pid_u),
+            (self._in_counts[pid_v], v, pid_v),
+        ):
+            count = counts.get(vertex, 0)
+            counts[vertex] = count + 1
+            if not count:
+                changed.add(pid)
+        return changed
 
-    def edge_removed(self, u: int, v: int) -> None:
-        """Record that the graph lost edge ``(u, v)`` (a no-op unless it is cut)."""
+    def edge_removed(self, u: int, v: int) -> Set[int]:
+        """Record that the graph lost edge ``(u, v)`` (a no-op unless it is cut).
+
+        Returns the partitions whose boundary sets changed: ``u``'s if ``u``
+        left its ``O_i``, ``v``'s if ``v`` left its ``I_j``.
+        """
         if (u, v) not in self._cut:
-            return
+            return set()
         del self._cut[(u, v)]
-        for counts, vertex in (
-            (self._out_counts[self.assignment[u]], u),
-            (self._in_counts[self.assignment[v]], v),
+        pid_u, pid_v = self.assignment[u], self.assignment[v]
+        changed = set()
+        for counts, vertex, pid in (
+            (self._out_counts[pid_u], u, pid_u),
+            (self._in_counts[pid_v], v, pid_v),
         ):
             if counts[vertex] == 1:
                 del counts[vertex]
+                changed.add(pid)
             else:
                 counts[vertex] -= 1
+        return changed
 
     def vertex_added(self, vertex: int, partition_id: int) -> None:
         """Assign the new isolated vertex ``vertex`` to ``partition_id``."""

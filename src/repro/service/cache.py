@@ -14,7 +14,7 @@ The cache registers itself on the engine's
 
 * ``invalidate_on="update"`` (for ``epoch_flush="inline"`` engines): every
   applied update is observed *immediately* (before the batched flush), and
-  any **structural** update — one that marks partitions dirty — clears the
+  any **structural** update — one that can change an answer — clears the
   cache.  Invalidation cannot wait for the flush here: an inline engine only
   folds pending updates into the index right before its next query, so a
   cache that invalidated at flush time would happily serve stale answers in
@@ -238,11 +238,11 @@ class ResultCache:
     def _on_flush(self, result: FlushResult) -> None:
         with self._lock:
             self.stats.flushes_observed += 1
-        # Structural updates already cleared the cache when they were applied;
-        # a flush of previously recorded dirt must still never leave entries
-        # behind (e.g. a maintainer attached after updates were queued).
-        if result.refreshed_partitions:
-            self.invalidate_all()
+        # Listeners fire only for published epochs.  Structural updates
+        # already cleared the cache when they were applied; an epoch must
+        # still never leave entries behind (e.g. a maintainer attached after
+        # updates were queued), whether or not it re-summarised a partition.
+        self.invalidate_all()
 
 
 __all__ = ["CacheKey", "CacheStats", "ResultCache"]

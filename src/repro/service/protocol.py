@@ -207,7 +207,12 @@ class QueryResponse:
 
 @dataclass(frozen=True)
 class UpdateResponse:
-    """Answer to an :class:`UpdateRequest`."""
+    """Answer to an :class:`UpdateRequest`.
+
+    For ``op="flush"``, ``structural_change`` says whether a new epoch was
+    published and ``affected_partitions`` lists the partitions whose
+    summaries it rebuilt (possibly none).
+    """
 
     op: str
     structural_change: bool = False

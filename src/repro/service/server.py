@@ -535,6 +535,9 @@ class DSRService:
             else:  # "flush"
                 failpoint("service.flush")
                 flushed = self.engine.flush_updates()
+                # A flush reply is structural iff it published an epoch; the
+                # partitions are those it re-summarised (possibly none).
+                structural = flushed.published
                 affected = tuple(flushed.refreshed_partitions)
         latency = time.perf_counter() - start
         self.metrics.record("update", latency)

@@ -128,14 +128,15 @@ def test_deleted_vertex_cuts_paths_through_it(strategy, mirror):
 def test_flush_publishes_a_new_epoch_only_for_real_changes(strategy, mirror):
     engine = make_engine(mirror, strategy)
     built = engine.epoch
-    assert not engine.flush_updates().refreshed_partitions
+    assert not engine.flush_updates().published
     assert engine.epoch == built
     ((u, v),) = structural_edges(mirror, 1, seed=5)
     engine.insert_edge(u, v)
     mirror.add_edge(u, v)
     assert engine.has_pending_updates
-    assert engine.flush_updates().refreshed_partitions
-    assert engine.epoch > built
+    flush = engine.flush_updates()
+    assert flush.published
+    assert engine.epoch == flush.epoch > built
     assert not engine.has_pending_updates
     assert engine.reachable(u, v)
     assert_exact(engine, mirror, seed=6)

@@ -2,12 +2,14 @@
 
 A summary is what every other partition imports (its classes, its
 ``class_edges`` and ``member_edges``), so how it is computed may change but
-what it says may not.  The digests below were recorded with the summaries
-built by sweeping each raw local graph; the condensation-based builders
-must reproduce them exactly — at index build and after three seeded
-flushes — on the spine's two graph shapes: a numbered DAG (every component
-a singleton) and an SCC-rich web graph — with every size-picked kernel
-call on its python loop and on numpy (the ``crossover`` fixture).
+what it says may not.  The digests below name classes canonically (see
+:func:`summary_digest`) and were recorded with every dirty partition
+re-summarised on every flush; a flush that re-summarises only the
+partitions whose summary can change must reproduce them exactly — at index
+build and after three seeded flushes — on the spine's two graph shapes: a
+numbered DAG (every component a singleton) and an SCC-rich web graph — with
+every size-picked kernel call on its python loop and on numpy (the
+``crossover`` fixture).
 """
 
 import hashlib
@@ -26,44 +28,57 @@ GRAPHS = {
 #: ``(graph, use_equivalence)`` -> one digest per epoch: build, then 3 flushes.
 EXPECTED = {
     ("dag", True): (
-        "2b53b6be9f133e71b44b9d3610d83c6af1629457917fdc288311792d6037694a",
-        "5381ebfb551a22adb970a15be19c3047ed5fa0d89848bb10f93504dd9ed5840d",
-        "b97883b72c9d412e596907e612c31c1ea72b08842eebc7421ca6a72cd11f8d7d",
-        "fedef45be47cf6f43c2079eff1bc860b474b9c3cc60205414b7888b41c31a668",
+        "965bc8e9cc5f48868064a3f86105e856cdba1d5cc9b6edfd586f46c94fbaf4cf",
+        "487faf1d03f972f8d9d96a7ad58b7e0ba866f8c2928073728c579c15ac3efa75",
+        "08f1600074907edaed6c739ea9138bf0223f0df7686bc0f59d71f3ef7e0e0a24",
+        "ecf1d8120496473f31fadf7812fd3eaf9de92308cdad2c4df382743928687309",
     ),
     ("dag", False): (
-        "abe0ea9a4e94b13ce8691a3799bd0132226a24e067c022bf45b1ecf8c33e7e98",
-        "a17c80d628472d777b9ff665557f9ba07dff31cf2829c4d26f170be789311f3c",
-        "2439d006d92d61d1a3ac2be89677b19a9f244a07c93fab8ae726d0550c4fcf46",
-        "840d8414feebe6d2b9228123b3195d84f7083f9ad496fa7a6b970fdc2f68f972",
+        "ccc3fdf6cbe4e821149d73d3ed02d368fe0f77d33650c7f32fe97b299765199b",
+        "32453d96bf8cf64b65c5eb1b8296f8dd0baf5193b16a5bf5cc911f0480c4f14e",
+        "4b8f257570933d0144720422f76b62a4fdef969ca2093932ef32abd18b70c30a",
+        "2308fa0fc0edb879ce04c8f4b3ae6e3335beb2dd1e8ad8f60703811702eb46d8",
     ),
     ("web", True): (
-        "b56dcab246106fa6de2750618f613c66821d499b7bee5cb6e6b4f1b10dcd5aa3",
-        "cd17f51cea1619ba34e5b7beaebc039a91fe73d0009cb86aff7068b75755f727",
-        "b6c09f3ec4424bd9e4fd9020e643468d94d7a8de2a1d68d6e8766cb802892eb1",
-        "d228be180f361fe9c62c2eafc8ba674836fddef543bb1fbed00f4126709674de",
+        "24d4be168ef3ddd8eae10fec31efeb2a9653f8fe56c3fc37562094618272412e",
+        "e7e81cc4e53c7cad9c589a96f3cef9b805a14dc1fb9989e433e4fcaa0ffd38f5",
+        "e094b551207920d1448f8bc69943f163c00a7c180d7145fd73121fb0f04f45a8",
+        "e094b551207920d1448f8bc69943f163c00a7c180d7145fd73121fb0f04f45a8",
     ),
     ("web", False): (
-        "82f1fed848bb7ee8123051ba36304e90703e6226bff3a9ea07e82525a7d8ae0c",
-        "e639e30ed3514ec37cb2952fbe7cf4a917deae5920c344910eb4d3e1db5ceba3",
-        "8251ca6969669b5c4cfbb9d72bfbe200379c0e71cc17e3dd1689e0f5be674723",
-        "8251ca6969669b5c4cfbb9d72bfbe200379c0e71cc17e3dd1689e0f5be674723",
+        "8963b7a9bed17e484601b8a0c636535800e4e73046feb1f91ea3c473af8d10e5",
+        "bd7c29c2364018a055f83216d695fd709da81751ad705b0891e552ab911d0274",
+        "4beb8337f4a55719ddd98cdcd9328573fc9f11a4999cfa2680561517888b3e3a",
+        "4beb8337f4a55719ddd98cdcd9328573fc9f11a4999cfa2680561517888b3e3a",
     ),
 }
 
 
 def summary_digest(summaries) -> str:
-    """sha256 over every partition's classes, class edges and member edges."""
+    """sha256 over every partition's classes, class edges and member edges.
+
+    A class is named by ``(kind, representative)``, not by its id: ids are
+    handed out afresh on every re-summarise, so which partitions a flush
+    re-summarises shifts later ids while what the summaries say stays the
+    same.
+    """
     lines = []
     for pid in sorted(summaries):
         summary = summaries[pid]
+        classes = list(summary.forward_classes) + list(summary.backward_classes)
+        names = {cls.class_id: (cls.kind, cls.representative) for cls in classes}
+
+        def name(vertex):
+            return names.get(vertex, ("vertex", vertex))
+
         lines.append(f"partition {pid}")
-        for cls in list(summary.forward_classes) + list(summary.backward_classes):
-            lines.append(
-                f"class {cls.class_id} {cls.kind} {cls.representative} {sorted(cls.members)}"
-            )
-        lines.append(f"class_edges {sorted(summary.class_edges)}")
-        lines.append(f"member_edges {sorted(summary.member_edges)}")
+        for cls in classes:
+            lines.append(f"class {names[cls.class_id]} {sorted(cls.members)}")
+        for label, edges in (
+            ("class_edges", summary.class_edges),
+            ("member_edges", summary.member_edges),
+        ):
+            lines.append(f"{label} {sorted((name(a), name(b)) for a, b in edges)}")
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 

@@ -269,8 +269,9 @@ class TestVertexIdsAvoidClassIds:
             allocator = engine.index.allocator
             vertex = allocator.next_id + 2  # a future class id
             assert engine.insert_vertex(vertex) == vertex
-            # Re-summarise every partition: the allocator hands out fresh
-            # ids past ``vertex`` and skips it.
+            # Re-summarise the partitions whose boundaries the new edges
+            # change: the allocator hands out fresh ids past ``vertex`` and
+            # skips it.
             vertices = sorted(graph.vertices())
             for u in vertices[::40]:
                 engine.insert_edge(u, vertex)
@@ -291,9 +292,11 @@ class TestDeferredMaintenance:
         vertices = sorted(graph.vertices())
         engine.insert_edge(vertices[0], vertices[-1])
         assert engine.has_pending_updates
+        built = engine.epoch
         flush = engine.flush_updates()
         assert not engine.has_pending_updates
-        assert flush.refreshed_partitions
+        assert flush.published
+        assert engine.epoch == flush.epoch == built + 1
 
     def test_query_auto_flushes(self):
         graph = generators.random_digraph(50, 140, seed=10)

@@ -1,10 +1,20 @@
 """Tests for SCC computation and condensation."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.api import DSRConfig, open_engine
 from repro.graph import generators
 from repro.graph.digraph import DiGraph
-from repro.graph.scc import component_members, condense, strongly_connected_components
+from repro.graph.scc import (
+    _dense_components,
+    component_members,
+    condense,
+    strongly_connected_components,
+)
 from repro.graph.traversal import is_reachable, topological_order
 
 
@@ -95,3 +105,119 @@ class TestCondense:
             for vertex in vertices:
                 assert mapping[vertex] == component
         assert sum(len(v) for v in members.values()) == graph.num_vertices
+
+
+def _dense_components_reference(csr):
+    """The original Tarjan, frozen: each DFS frame is a ``[vertex, cursor]``
+    pair scanning the flat CSR arrays.  The production version resumes one
+    successor iterator per frame and must emit the very same components, in
+    the same order, each listing its members in the same order."""
+    n = csr.num_vertices
+    offsets, targets = csr.fwd_offsets, csr.fwd_targets
+
+    UNVISITED = -1
+    index = [UNVISITED] * n
+    lowlink = [0] * n
+    on_stack = bytearray(n)
+    stack = []
+    components = []
+    counter = 0
+
+    for root in range(n):
+        if index[root] != UNVISITED:
+            continue
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = 1
+        work = [[root, offsets[root]]]
+
+        while work:
+            frame = work[-1]
+            vertex, cursor = frame
+            end = offsets[vertex + 1]
+            advanced = False
+            while cursor < end:
+                succ = targets[cursor]
+                cursor += 1
+                if index[succ] == UNVISITED:
+                    frame[1] = cursor
+                    index[succ] = lowlink[succ] = counter
+                    counter += 1
+                    stack.append(succ)
+                    on_stack[succ] = 1
+                    work.append([succ, offsets[succ]])
+                    advanced = True
+                    break
+                if on_stack[succ] and index[succ] < lowlink[vertex]:
+                    lowlink[vertex] = index[succ]
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                if lowlink[vertex] < lowlink[parent]:
+                    lowlink[parent] = lowlink[vertex]
+            if lowlink[vertex] == index[vertex]:
+                component = []
+                while True:
+                    member = stack.pop()
+                    on_stack[member] = 0
+                    component.append(member)
+                    if member == vertex:
+                        break
+                components.append(component)
+    return components
+
+
+def _spine_snapshots(graph):
+    """The graph, and every local and compound graph an engine over it
+    condenses at build and over two seeded flushes."""
+    snapshots = [graph.csr()]
+    engine = open_engine(graph, DSRConfig(num_partitions=4, local_index="msbfs"))
+    rng = random.Random(3)
+    try:
+        for flush in range(3):
+            state = engine.index.current_state()
+            for pid in sorted(state.compound_graphs):
+                snapshots.append(state.local_graphs[pid].csr())
+                snapshots.append(state.compound_graphs[pid].graph)
+            if flush == 2:
+                break
+            for u, v in rng.sample(sorted(engine.graph.edges()), 4):
+                engine.delete_edge(u, v)
+            vertices = sorted(engine.graph.vertices())
+            for _ in range(8):
+                engine.insert_edge(*rng.sample(vertices, 2))
+            engine.flush_updates()
+    finally:
+        engine.close()
+    return snapshots
+
+
+class TestTarjanMatchesTheFrozenOriginal:
+    @pytest.mark.parametrize(
+        "make_graph",
+        [
+            lambda: generators.dag(2000, 8000, seed=7),
+            lambda: generators.web_graph(1000, 5.5, seed=7),
+        ],
+        ids=["spine-dag", "spine-web"],
+    )
+    def test_spine_graphs(self, make_graph):
+        for csr in _spine_snapshots(make_graph()):
+            assert _dense_components(csr) == _dense_components_reference(csr)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 24), st.integers(0, 24)), max_size=90
+        ),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_hypothesis_graphs(self, edges, isolated):
+        graph = DiGraph.from_edges(edges)
+        for extra in range(isolated):
+            graph.add_vertex(100 + extra)
+        csr = graph.csr()
+        assert _dense_components(csr) == _dense_components_reference(csr)

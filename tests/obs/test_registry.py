@@ -1,6 +1,7 @@
 """Unit tests for the metrics registry: recording, deltas, exposition."""
 
 import pickle
+import sys
 import threading
 
 import pytest
@@ -237,20 +238,30 @@ class TestThreadSafety:
     def test_label_values_reads_under_the_lock(self):
         # One thread keeps inserting first-seen label values (a new dict key
         # per observe) while another lists them: an unlocked iteration dies
-        # with "dictionary changed size during iteration".
+        # with "dictionary changed size during iteration".  Other series
+        # make every read a long iteration and the interpreter switches
+        # threads often, so a switch lands inside a read.  The reader spins
+        # without yielding but makes a bounded number of reads: each one
+        # holds the lock, and an unbounded spin can starve the writer of it.
         registry = MetricsRegistry()
-        registry.observe("other", 0.001, tenant="elsewhere")
+        for serial in range(6000):
+            registry.observe("other", 0.001, tenant=f"elsewhere{serial}")
 
         def fresh_tenants():
             for serial in range(3000):
                 registry.observe("h", 0.001, tenant=f"t{serial}", zone="a")
 
-        writer = threading.Thread(target=fresh_tenants)
-        writer.start()
-        sizes = []
-        while writer.is_alive():
-            sizes.append(len(registry.label_values("h", "tenant")))
-        writer.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(5e-4)
+        try:
+            writer = threading.Thread(target=fresh_tenants)
+            writer.start()
+            sizes = []
+            while writer.is_alive() and len(sizes) < 400:
+                sizes.append(len(registry.label_values("h", "tenant")))
+            writer.join()
+        finally:
+            sys.setswitchinterval(interval)
         assert sizes == sorted(sizes)  # only ever grows
         final = registry.label_values("h", "tenant")
         assert final == tuple(sorted(f"t{serial}" for serial in range(3000)))

@@ -66,6 +66,29 @@ class TestCutAndBoundaries:
         assert set(cut.vertices()) == part.boundary_vertices()
         assert cut.num_edges == part.cut_size()
 
+    def test_edge_updates_report_the_boundary_sets_they_change(self, simple_partitioning):
+        graph, part = simple_partitioning
+        # 2 is already in O_0 and 4 already in I_1: no boundary set changes.
+        graph.add_edge(2, 4)
+        assert part.edge_added(2, 4) == set()
+        # 0 enters O_0; 3 is already in I_1.
+        graph.add_edge(0, 3)
+        assert part.edge_added(0, 3) == {0}
+        # 3 enters O_1 and 2 enters I_0.
+        graph.add_edge(3, 2)
+        assert part.edge_added(3, 2) == {0, 1}
+        assert part.edge_added(3, 2) == set()  # already recorded
+        assert part.edge_added(0, 1) == set()  # local
+        # Removing the last cut edge of a boundary removes it again.
+        assert part.edge_removed(3, 2) == {0, 1}
+        assert part.edge_removed(0, 3) == {0}
+        assert part.edge_removed(2, 4) == set()
+        assert part.edge_removed(2, 4) == set()  # no longer cut
+        assert part.out_boundaries(0) == {2, 1}
+        assert part.in_boundaries(0) == {0}
+        assert part.out_boundaries(1) == {5}
+        assert part.in_boundaries(1) == {3, 4}
+
     def test_paper_example_boundaries(self):
         graph, assignment = generators.paper_example_graph()
         part = GraphPartitioning(graph, assignment, 3)

@@ -109,8 +109,8 @@ class TestInvalidationOnUpdates:
         """A cache attached after updates were queued is cleared at flush."""
         graph, engine, _service = build_service()
         _service.close()
-        # Queue guaranteed dirt first: a brand-new cut edge marks both
-        # incident partitions dirty.
+        # Queue a guaranteed epoch first: a brand-new cut edge is in every
+        # compound graph, whether or not it changes a boundary set.
         new_edge = next(
             (u, v)
             for u in sorted(graph.vertices())
@@ -129,6 +129,38 @@ class TestInvalidationOnUpdates:
         assert len(late_cache) == 0
         assert late_cache.stats.flushes_observed == 1
         late_cache.detach()
+
+
+def boundary_cut_edge(graph, partitioning):
+    """A new cut edge between an existing out- and in-boundary: it changes
+    no boundary set, so its flush re-summarises no partition."""
+    cut = partitioning.cut_edges()
+    outs, ins = {u for u, _ in cut}, {v for _, v in cut}
+    return next(
+        (u, v)
+        for u in sorted(outs)
+        for v in sorted(ins)
+        if partitioning.partition_of(u) != partitioning.partition_of(v)
+        and not graph.has_edge(u, v)
+    )
+
+
+@pytest.mark.parametrize("invalidate_on", ["update", "flush"])
+def test_a_cut_only_epoch_clears_the_cache(invalidate_on):
+    graph, engine, service = build_service()
+    service.close()
+    cache = ResultCache(capacity=8)
+    cache.attach(engine.maintainer, invalidate_on=invalidate_on)
+    try:
+        cache.put([1], [2], {(1, 2)})
+        assert engine.insert_edge(*boundary_cut_edge(graph, engine.partitioning)).structural_change
+        flush = engine.flush_updates()
+        assert flush.published and flush.refreshed_partitions == set()
+        assert len(cache) == 0
+        assert cache.stats.flushes_observed == 1
+    finally:
+        cache.detach()
+        engine.close()
 
 
 class TestPreciseNonInvalidation:
