@@ -70,7 +70,7 @@ class DSRConfig:
         hosts named by ``worker_hosts``).
     worker_hosts:
         ``executor="tcp"`` only: sequence of ``"host:port"`` strings naming
-        running :class:`~repro.cluster.tcp.WorkerHost` servers; rank ``r``
+        running :class:`~repro.cluster.remote.WorkerHost` servers; rank ``r``
         maps to ``worker_hosts[r % len(worker_hosts)]``.  ``None`` (default)
         lets the tcp executor spawn its own localhost fleet.
     epoch_flush:
@@ -85,9 +85,6 @@ class DSRConfig:
         input size alone (see :mod:`repro.reachability.kernels`); the
         removed ``"python"`` and ``"numpy"`` values raise
         :class:`ConfigError`.
-    parallel:
-        Deprecated alias: ``parallel=True`` with the default executor maps
-        to ``executor="threads"``.
     seed:
         Random seed used by the partitioner.
     enable_backward:
@@ -102,7 +99,6 @@ class DSRConfig:
     partitioner: str = "metis"
     local_index: str = "dfs"
     use_equivalence: bool = True
-    parallel: bool = False
     seed: int = 0
     enable_backward: bool = False
     local_index_options: Optional[Dict[str, Any]] = None
@@ -148,7 +144,7 @@ class DSRConfig:
             "longer selectable (numpy is required, and each call picks its tier "
             "by input size); kernels accepts only 'auto'",
         )
-        for flag in ("use_equivalence", "parallel", "enable_backward"):
+        for flag in ("use_equivalence", "enable_backward"):
             _require(
                 isinstance(getattr(self, flag), bool),
                 f"{flag} must be a bool, got {getattr(self, flag)!r}",
@@ -181,7 +177,7 @@ class DSRConfig:
                 "worker_hosts must be a non-empty sequence of 'host:port' "
                 f"strings, got {self.worker_hosts!r}",
             )
-            from repro.cluster.tcp import parse_host_port
+            from repro.cluster.remote import parse_host_port
 
             for spec in self.worker_hosts:
                 try:

@@ -42,7 +42,7 @@ from repro.bench.reporting import format_table
 from repro.bench.runner import ALL_APPROACHES, ExperimentRunner
 from repro.bench.workloads import random_query
 from repro.cluster.executors import EXECUTOR_NAMES
-from repro.cluster.tcp import WorkerHost
+from repro.cluster.remote import WorkerHost
 from repro.graph import generators
 from repro.service import (
     DSRAsyncServer,
@@ -173,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--health-interval", type=float, default=None, metavar="SECONDS",
-        help="probe tcp worker hosts every SECONDS behind "
+        help="probe remote workers (processes or tcp) every SECONDS behind "
         "per-target circuit breakers (default: off; see docs/RESILIENCE.md)",
     )
     _add_common_arguments(serve)

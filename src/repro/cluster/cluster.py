@@ -9,13 +9,11 @@ separate machines, which is how the paper reports query times.
 
 *How* the workers actually execute is delegated to a pluggable
 :class:`~repro.cluster.executors.ExecutorBackend` (``executor=`` — ``serial``,
-``threads`` or ``processes``; see :mod:`repro.cluster.executors`).  Besides
+``threads``, ``processes`` or ``tcp``; see :mod:`repro.cluster.executors`).  Besides
 the simulated-parallel model, every phase also records its **real**
 wall-clock (:attr:`PhaseTiming.real_seconds`), so executor backends can be
 compared honestly: simulated time answers "what would a real cluster do",
 real time answers "what does this machine do".
-
-The legacy ``parallel=True`` flag maps to ``executor="threads"``.
 """
 
 from __future__ import annotations
@@ -116,19 +114,15 @@ class SimulatedCluster:
     def __init__(
         self,
         num_workers: int,
-        parallel: bool = False,
-        executor: Union[str, ExecutorBackend, None] = None,
+        executor: Union[str, ExecutorBackend] = "serial",
     ) -> None:
         if num_workers < 1:
             raise ValueError("a cluster needs at least one worker")
         self.num_workers = num_workers
-        if executor is None:
-            executor = "threads" if parallel else "serial"
         if isinstance(executor, str):
             executor = make_executor(executor)
         executor.start(num_workers)
         self.executor: ExecutorBackend = executor
-        self.parallel = parallel or executor.name == "threads"
         self.network = Network()
         self.stats = ClusterStats()
 

@@ -1,59 +1,63 @@
-"""Remote worker hosts over TCP: ``executor="tcp"``.
+"""Remote shard workers: ``executor="processes"`` and ``executor="tcp"``.
 
 The paper's DSR system is a master/slave deployment where each slave holds
-one graph partition and answers local/remote steps over the network.  The
-``processes`` executor already gives the *shape* of that deployment on one
-box (long-lived workers, hydrate-once-per-epoch, shard tasks, piggybacked
-metrics deltas); this module swaps its pipe transport for a socket so the
-workers can live in *other processes reachable over TCP* — on this machine
-or, with ``worker_hosts=[...]``, on other machines.
-
-Two pieces:
+one graph partition and answers local/remote steps over the network.  This
+module is that contract, written once:
 
 :class:`WorkerHost`
-    A standalone server process holding hydrated shards and running
+    The slave: epoch-keyed hydrated shards (a
+    :class:`~repro.cluster.executors.ShardStore`) and one request handler for
     registered shard tasks.  Start one per slave (``repro-dsr worker-host``)
-    and point an engine at it.  The request loop mirrors
-    ``_process_worker_main`` exactly — messages are the same tuples with a
-    ``rank`` slot added (one host may serve several ranks), replies are the
-    same ``("ok", result, seconds, delta)`` / ``("stale", ...)`` /
-    ``("error", ...)`` triples, so the StaleEpochError/retry and metrics
-    ``absorb()`` contracts hold unchanged.
+    and point an engine at it, or let an executor fork its own.
 
 :class:`TcpExecutor`
-    The :class:`~repro.cluster.executors.ExecutorBackend` connecting one
-    socket per rank.  With no ``worker_hosts`` it **manages** its own fleet:
-    one local :class:`WorkerHost` subprocess per rank, forked so they
-    inherit the parent's shard-task registry (exactly like process
-    workers).  With ``worker_hosts=["host:port", ...]`` it connects to
-    **external** hosts, rank ``r`` mapping to ``hosts[r % len(hosts)]``.
+    The master: the :class:`~repro.cluster.executors.ExecutorBackend` that
+    talks to one worker host per rank over one socket per rank — fan-out,
+    deadlines, reconnect with hydration replay and piggybacked metrics
+    deltas.  With no ``worker_hosts`` it **manages** its own fleet: one
+    forked, listening :class:`WorkerHost` per rank on localhost.  With
+    ``worker_hosts=["host:port", ...]`` it connects to **external** hosts,
+    rank ``r`` mapping to ``hosts[r % len(hosts)]``.
 
-Hydration across the wire
--------------------------
-Shared memory cannot cross a socket, so ``supports_shm_hydration = False``
-makes the index build *self-contained* shard blobs
-(:func:`repro.core.shard_exec.build_shard_blob` with ``ledger=None``): the
-CSR arrays travel inside the pickled blob (`CSRGraph.to_bytes` form), one
-transfer per rank per epoch, and the host keeps the hydrated shard across
-any number of queries.
+:class:`ProcessExecutor`
+    The same executor; only :meth:`~TcpExecutor._open` differs.  Each rank's
+    link is one end of a ``socket.socketpair()`` whose other end a forked
+    child serves with :class:`WorkerHost`'s connection loop — no listening
+    port.  The child shares this machine, so hydration blobs may reference
+    shared-memory segments (``supports_shm_hydration = True``).
+
+Hydration
+---------
+Shared memory cannot cross a network, so ``tcp`` sets
+``supports_shm_hydration = False`` and the index builds *self-contained*
+shard blobs (:func:`repro.core.shard_exec.build_shard_blob` with
+``ledger=None``): the CSR arrays travel inside the pickled blob, one transfer
+per rank per epoch.  ``processes`` blobs name shm segments instead, and the
+child attaches them by name.
 
 Failure handling
 ----------------
-Every hydrate message is cached per rank (the same ``_hydration_cache``
-pattern as :class:`~repro.cluster.executors.ProcessExecutor`).  When a send
-or receive fails, the executor reconnects — respawning the subprocess first
-in managed mode — **replays the cached hydrations** so the substitute holds
-every retained epoch, then retries the in-flight message once.  A worker
-host killed and restarted mid-epoch is therefore invisible above the
-executor, which is what the kill/reconnect acceptance test exercises.
+Every hydrate message is cached per rank.  When a send or receive fails,
+the executor re-opens the rank's link — respawning a dead managed host, or
+forking a fresh ``processes`` child — **replays the cached hydrations** so
+the substitute holds every retained epoch, then retries the in-flight
+message.  An active query deadline becomes each call's socket timeout, so a
+wedged worker yields a typed
+:class:`~repro.resilience.errors.DeadlineExceededError`, never a hang.
 
-Wire format: ``[u64 length][pickle]`` per message, both directions.  This
-is a trusted-cluster transport (pickle!), matching the paper's deployment
-model; do not expose worker hosts to untrusted networks.
+Wire format: ``[u64 length][pickle]`` per message, both directions.
+Requests are ``("task", rank, task, epoch, payload)``,
+``("hydrate", rank, epoch, loader, blob, retire_below)``, ``("ping",)``,
+``("stop",)`` (close this connection) and ``("shutdown",)`` (stop the host,
+if it allows it); replies are ``("ok", result, seconds, delta)``,
+``("stale", epoch, available, delta)`` or ``("error", kind, traceback)``.
+This is a trusted-cluster transport (pickle!), matching the paper's
+deployment model; do not expose worker hosts to untrusted networks.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 import socket
 import struct
@@ -66,14 +70,11 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.cluster.executors import (
     DEFAULT_TASK_MODULES,
     ExecutorBackend,
+    ShardStore,
     ShardTaskError,
     StaleEpochError,
-    _close_shard,
     _import_task_modules,
-    _record_hydration,
-    _record_shard_task,
-    _resolve_loader,
-    _resolve_task,
+    _timed_call,
 )
 from repro.obs import runtime as obs_runtime
 from repro.resilience.backoff import BackoffPolicy
@@ -88,7 +89,7 @@ MAX_RPC_BYTES = 128 * 1024 * 1024
 
 
 class WorkerTransportError(ConnectionError):
-    """A worker-host RPC failed after reconnect attempts were exhausted."""
+    """A worker RPC failed after reconnect attempts were exhausted."""
 
 
 # ---------------------------------------------------------------------- #
@@ -130,20 +131,22 @@ def parse_host_port(spec: str) -> Tuple[str, int]:
 # the worker host
 # ---------------------------------------------------------------------- #
 class WorkerHost:
-    """A standalone shard-task server: hydrate over TCP, query forever.
+    """A shard-task server: hydrate over a connection, query forever.
 
+    ``port=None`` opens no listener: the host then serves only the
+    connection handed to it (a ``processes`` child's socketpair end).
     ``allow_shutdown`` lets a ``("shutdown",)`` message stop the whole host
-    (managed subprocess fleets use it); external hosts default to ignoring
-    it so one departing client cannot kill a shared slave.
-    ``collect_deltas=False`` turns off metrics-delta shipping for hosts
-    embedded in the engine's own process (tests), where recordings already
-    land in the master registry and shipping them would double-count.
+    (managed children use it); external hosts default to ignoring it so one
+    departing client cannot kill a shared slave.  ``collect_deltas=False``
+    turns off metrics-delta shipping for hosts embedded in the engine's own
+    process (tests), where recordings already land in the master registry
+    and shipping them would double-count.
     """
 
     def __init__(
         self,
         host: str = "127.0.0.1",
-        port: int = 0,
+        port: Optional[int] = 0,
         task_modules: Sequence[str] = DEFAULT_TASK_MODULES,
         allow_shutdown: bool = False,
         collect_deltas: bool = True,
@@ -151,14 +154,15 @@ class WorkerHost:
         self._task_modules = tuple(task_modules)
         self._allow_shutdown = allow_shutdown
         self._collect_deltas = collect_deltas
-        self._socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._socket.bind((host, port))
-        self._socket.listen(64)
-        self.address: Tuple[str, int] = self._socket.getsockname()[:2]
-        #: (rank, epoch) -> hydrated shard.  One host may serve many ranks.
-        self._shards: Dict[Tuple[int, int], Any] = {}
-        self._shard_lock = threading.Lock()
+        self._socket: Optional[socket.socket] = None
+        self.address: Optional[Tuple[str, int]] = None
+        if port is not None:
+            self._socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            self._socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._socket.bind((host, port))
+            self._socket.listen(64)
+            self.address = self._socket.getsockname()[:2]
+        self._store = ShardStore()
         self._stopped = threading.Event()
         self._acceptor: Optional[threading.Thread] = None
         self._connections: set = set()
@@ -187,16 +191,17 @@ class WorkerHost:
         if self._stopped.is_set():
             return
         self._stopped.set()
-        try:
-            # Wake a blocked accept() so the kernel socket actually leaves
-            # LISTEN; close() alone would leave the port bound.
-            self._socket.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._socket.close()
-        except OSError:
-            pass
+        if self._socket is not None:
+            try:
+                # Wake a blocked accept() so the kernel socket actually
+                # leaves LISTEN; close() alone would leave the port bound.
+                self._socket.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            try:
+                self._socket.close()
+            except OSError:
+                pass
         # Close live connections too: a stopped host must vanish from its
         # clients' point of view (EOF ⇒ they reconnect elsewhere), never
         # answer "stale" out of a cleared shard map.
@@ -211,10 +216,7 @@ class WorkerHost:
                 connection.close()
             except OSError:
                 pass
-        with self._shard_lock:
-            shards, self._shards = dict(self._shards), {}
-        for shard in shards.values():
-            _close_shard(shard)
+        self._store.clear()
 
     def __enter__(self) -> "WorkerHost":
         return self.start()
@@ -230,8 +232,6 @@ class WorkerHost:
             except OSError:
                 break
             connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with self._connections_lock:
-                self._connections.add(connection)
             threading.Thread(
                 target=self._serve_connection, args=(connection,), daemon=True
             ).start()
@@ -240,6 +240,8 @@ class WorkerHost:
         return obs_runtime.collect_worker_delta() if self._collect_deltas else None
 
     def _serve_connection(self, connection: socket.socket) -> None:
+        with self._connections_lock:
+            self._connections.add(connection)
         try:
             self._serve_connection_inner(connection)
         finally:
@@ -269,6 +271,9 @@ class WorkerHost:
                 try:
                     reply = self._handle(message)
                 except StaleEpochError as exc:
+                    # Raised before dispatch (epoch not held) or by a task
+                    # that finds its shard stale mid-execution; either way
+                    # the caller re-captures the epoch and retries.
                     reply = ("stale", exc.epoch, list(exc.available), self._delta())
                 except Exception:
                     reply = ("error", "TaskError", traceback.format_exc())
@@ -283,65 +288,75 @@ class WorkerHost:
             return ("ok", "pong", 0.0, None)
         if kind == "hydrate":
             _, rank, epoch, loader_name, blob, retire_below = message
-            start = time.perf_counter()
-            shard = _resolve_loader(loader_name)(blob)
-            retired: List[Any] = []
-            with self._shard_lock:
-                previous = self._shards.get((rank, epoch))
-                if previous is not None and previous is not shard:
-                    retired.append(previous)
-                self._shards[(rank, epoch)] = shard
-                if retire_below is not None:
-                    for key in [
-                        k for k in self._shards if k[0] == rank and k[1] < retire_below
-                    ]:
-                        retired.append(self._shards.pop(key))
-            for old in retired:
-                _close_shard(old)
-            _record_hydration(time.perf_counter() - start)
+            self._store.hydrate(rank, epoch, blob, loader_name, retire_below)
             return ("ok", None, 0.0, self._delta())
         if kind == "task":
             _, rank, task_name, epoch, payload = message
-            with self._shard_lock:
-                if epoch is not None and (rank, epoch) not in self._shards:
-                    available = sorted(e for r, e in self._shards if r == rank)
-                    return ("stale", epoch, available, self._delta())
-                shard = self._shards.get((rank, epoch))
-            fn = _resolve_task(task_name)
-            start = time.perf_counter()
-            result = fn(shard, payload)
-            seconds = time.perf_counter() - start
-            _record_shard_task(task_name, seconds)
+            result, seconds = self._store.run(rank, epoch, task_name, payload)
             return ("ok", result, seconds, self._delta())
         return ("error", "ProtocolError", f"unknown command {kind!r}")
 
     @property
     def epochs_held(self) -> Dict[int, Tuple[int, ...]]:
         """``{rank: epochs}`` currently hydrated (introspection for tests)."""
-        with self._shard_lock:
-            held: Dict[int, List[int]] = {}
-            for rank, epoch in self._shards:
-                held.setdefault(rank, []).append(epoch)
-        return {rank: tuple(sorted(epochs)) for rank, epochs in held.items()}
+        return self._store.epochs_held()
 
 
-def _worker_host_process_main(pipe, task_modules: Sequence[str]) -> None:
-    """Managed-fleet subprocess body: serve one host, report its port."""
+def _listening_host_main(pipe, task_modules: Sequence[str]) -> None:
+    """Managed ``tcp`` child: serve one listening host, report its port."""
     obs_runtime.reset_for_worker()
-    host = WorkerHost(
-        task_modules=task_modules, allow_shutdown=True, collect_deltas=True
-    )
-    host.start()
+    host = WorkerHost(task_modules=task_modules, allow_shutdown=True).start()
     pipe.send(host.address)
     pipe.close()
     host.wait()
+
+
+def _paired_host_main(
+    sock: socket.socket, inherited: Sequence[socket.socket], task_modules: Sequence[str]
+) -> None:
+    """``processes`` child: serve one socketpair end until stop or EOF.
+
+    The fork copied the master's ends of every link, this child's own
+    included; closing them here lets the master's close reach each child
+    as EOF.
+    """
+    for other in inherited:
+        other.close()
+    _import_task_modules(task_modules)
+    # Drop the fork-inherited copy of the master's metric state: without
+    # this the child would ship the master's pre-fork totals as its delta.
+    obs_runtime.reset_for_worker()
+    host = WorkerHost(port=None, task_modules=task_modules, allow_shutdown=True)
+    try:
+        host._serve_connection(sock)
+    finally:
+        host.stop()  # detach from every shared-memory shard mapping
+
+
+def _fork_context():
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX fallback
+        return multiprocessing.get_context()
+
+
+def _stop_child(process, grace: float) -> None:
+    """Reap a managed child: wait ``grace`` seconds, then terminate, then kill."""
+    process.join(grace)
+    if process.is_alive():
+        process.terminate()
+        process.join(1.0)
+    if process.is_alive():  # pragma: no cover - SIGTERM handled and ignored
+        process.kill()
+        process.join()
 
 
 # ---------------------------------------------------------------------- #
 # the executor
 # ---------------------------------------------------------------------- #
 class TcpExecutor(ExecutorBackend):
-    """Shard phases over sockets to worker hosts (see module docstring)."""
+    """Shard phases over one socket per rank to worker hosts (see module
+    docstring)."""
 
     name = "tcp"
     supports_closures = False
@@ -360,10 +375,9 @@ class TcpExecutor(ExecutorBackend):
         self._task_modules = tuple(task_modules)
         self._connect_timeout = connect_timeout
         self._reconnect_attempts = reconnect_attempts
-        self._reconnect_backoff_seconds = reconnect_backoff_seconds
-        #: Reconnect sleeps come from the shared capped-exponential policy —
-        #: the old ``backoff * attempt`` linear schedule retried a dead peer
-        #: with no ceiling and no jitter (synchronised stampedes).
+        #: Reconnect sleeps come from the shared capped-exponential policy:
+        #: a linear schedule retried a dead peer with no ceiling and no
+        #: jitter (synchronised stampedes).
         self._backoff = BackoffPolicy(
             base_seconds=reconnect_backoff_seconds,
             cap_seconds=max(reconnect_backoff_cap_seconds, reconnect_backoff_seconds),
@@ -381,74 +395,104 @@ class TcpExecutor(ExecutorBackend):
         self._addresses: Dict[int, Tuple[str, int]] = {}
         self._sockets: Dict[int, socket.socket] = {}
         self._locks: Dict[int, threading.Lock] = {}
-        #: Managed mode: rank -> subprocess serving that rank's host.
+        #: rank -> the forked child serving that rank (none for external hosts).
         self._managed: Dict[int, Any] = {}
         self._dispatch: Optional[ThreadPoolExecutor] = None
-        self._lifecycle = threading.Lock()
+        # Re-entrant: a ``processes`` link is opened (and its child forked)
+        # both at start, under this lock, and from the reconnect path.
+        self._lifecycle = threading.RLock()
         self._closed = False
         self._started = False
+        #: rank -> {epoch: last hydrate message}, replayed into a re-opened
+        #: link so a crash is invisible above the executor.
         self._hydration_cache: Dict[int, Dict[int, Tuple]] = {}
         self._inflight = 0
         self._inflight_lock = threading.Lock()
 
-    # -- lifecycle ------------------------------------------------------- #
-    def _fork_context(self):
-        import multiprocessing
+    # -- links ----------------------------------------------------------- #
+    def _fork(self, rank: int, target, *args) -> Any:
+        """Fork ``target(*args)`` as ``rank``'s managed child, reaping the
+        child it replaces."""
+        with self._lifecycle:
+            if self._closed:
+                raise WorkerTransportError(f"worker {rank}: executor is closed")
+            previous = self._managed.pop(rank, None)
+            if previous is not None:
+                _stop_child(previous, grace=0.0)
+                registry = obs_runtime.global_registry()
+                if registry.enabled:
+                    registry.inc("dsr_worker_respawns_total")
+            process = _fork_context().Process(
+                target=target, args=args, name=f"shard-worker-{rank}", daemon=True
+            )
+            process.start()
+            self._managed[rank] = process
+            return process
 
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            return multiprocessing.get_context()
-
-    def _spawn_host(self, rank: int) -> None:
-        """Managed mode: start a local WorkerHost subprocess for ``rank``."""
-        context = self._fork_context()
-        parent_pipe, child_pipe = context.Pipe()
-        process = context.Process(
-            target=_worker_host_process_main,
-            args=(child_pipe, self._task_modules),
-            name=f"worker-host-{rank}",
-            daemon=True,
-        )
-        process.start()
-        child_pipe.close()
-        if not parent_pipe.poll(10.0):  # pragma: no cover - startup hang
-            process.terminate()
-            raise WorkerTransportError(f"worker host {rank} failed to start")
-        self._addresses[rank] = tuple(parent_pipe.recv())
-        parent_pipe.close()
-        self._managed[rank] = process
-
-    def _connect(self, rank: int) -> socket.socket:
+    def _open(self, rank: int) -> socket.socket:
+        """Connect to ``rank``'s host, (re)spawning a managed one that is
+        not running."""
+        if self._external is not None:
+            self._addresses[rank] = self._external[rank % len(self._external)]
+        else:
+            process = self._managed.get(rank)
+            if process is None or not process.is_alive():
+                parent_pipe, child_pipe = _fork_context().Pipe()
+                process = self._fork(
+                    rank, _listening_host_main, child_pipe, self._task_modules
+                )
+                child_pipe.close()
+                if not parent_pipe.poll(10.0):  # pragma: no cover - startup hang
+                    _stop_child(process, grace=0.0)
+                    raise WorkerTransportError(f"worker host {rank} failed to start")
+                self._addresses[rank] = tuple(parent_pipe.recv())
+                parent_pipe.close()
         sock = socket.create_connection(
             self._addresses[rank], timeout=self._connect_timeout
         )
         sock.settimeout(None)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sockets[rank] = sock
         return sock
 
+    def _link(self, rank: int) -> socket.socket:
+        sock = self._open(rank)
+        with self._lifecycle:
+            if self._closed:
+                sock.close()
+                raise WorkerTransportError(f"worker {rank}: executor is closed")
+            self._sockets[rank] = sock
+        return sock
+
+    def _drop_socket(self, rank: int) -> None:
+        """Forget and close ``rank``'s socket (its stream position is
+        unknowable after a mid-frame failure)."""
+        with self._lifecycle:
+            stale = self._sockets.pop(rank, None)
+        if stale is not None:
+            try:
+                stale.close()
+            except OSError:
+                pass
+
+    # -- lifecycle ------------------------------------------------------- #
     def _ensure_started(self) -> None:
         with self._lifecycle:
             if self._closed:
                 raise RuntimeError("executor is closed")
             if self._started:
                 return
-            # Import task modules in the parent before forking so managed
-            # hosts inherit the registry (same reasoning as ProcessExecutor).
+            # Import the task modules in the parent before forking: the
+            # children then resolve them straight from the inherited
+            # sys.modules instead of running a real import, which could
+            # deadlock on an import lock another parent thread held at fork
+            # time (e.g. another engine's maintenance thread).
             _import_task_modules(self._task_modules)
             for rank in range(self.num_workers):
-                if self._external is not None:
-                    self._addresses[rank] = self._external[
-                        rank % len(self._external)
-                    ]
-                else:
-                    self._spawn_host(rank)
-                self._connect(rank)
                 self._locks[rank] = threading.Lock()
+                self._link(rank)
             self._dispatch = ThreadPoolExecutor(
                 max_workers=max(2, 2 * self.num_workers),
-                thread_name_prefix="tcp-dispatch",
+                thread_name_prefix="shard-dispatch",
             )
             self._started = True
 
@@ -464,9 +508,9 @@ class TcpExecutor(ExecutorBackend):
         for rank, sock in sockets.items():
             # Serialise with any in-flight _call_worker on this rank: an
             # unlocked write could interleave with a request mid-stream and
-            # corrupt the length-prefixed pickle framing the host reads.  If
-            # a call holds the lock past the timeout, skip the polite
-            # goodbye and just close the socket.
+            # corrupt the length-prefixed framing the host reads.  If a call
+            # holds the lock past the timeout, skip the polite goodbye and
+            # just close the socket.
             lock = self._locks.get(rank)
             if lock is None or lock.acquire(timeout=2.0):
                 try:
@@ -485,9 +529,7 @@ class TcpExecutor(ExecutorBackend):
             except OSError:
                 pass
         for process in managed.values():
-            process.join(timeout=2.0)
-            if process.is_alive():  # pragma: no cover - stuck host
-                process.terminate()
+            _stop_child(process, grace=2.0)
         if dispatch is not None:
             dispatch.shutdown(wait=False)
 
@@ -499,26 +541,17 @@ class TcpExecutor(ExecutorBackend):
 
     # -- transport ------------------------------------------------------- #
     def _reconnect_locked(self, rank: int, message: Tuple) -> Any:
-        """Reconnect ``rank`` (respawning a managed host whenever its
-        process is dead), replay its cached hydrations, retry ``message``
-        once per attempt.
+        """Re-open ``rank``'s link, replay its cached hydrations and retry
+        ``message``, once per attempt (rank lock held).
 
-        The dead-process check runs *inside* the attempt loop: a managed
-        host killed again mid-replay (the crash-during-hydration chaos
-        case) gets a fresh substitute on the next attempt instead of the
-        loop reconnecting forever to a corpse's address.  Sleeps come from
-        the capped-exponential-jitter policy, and an active query deadline
+        Every attempt re-opens through :meth:`_open`, so a worker killed
+        again mid-replay (the crash-during-hydration chaos case) gets a
+        fresh substitute on the next attempt instead of the loop
+        reconnecting forever to a corpse.  Sleeps come from the
+        capped-exponential-jitter policy, and an active query deadline
         bounds both the sleeps and the replayed RPCs.
         """
-        with self._lifecycle:
-            if self._closed:
-                raise WorkerTransportError(f"worker {rank} died") from None
-            old = self._sockets.pop(rank, None)
-            if old is not None:
-                try:
-                    old.close()
-                except OSError:
-                    pass
+        self._drop_socket(rank)
         deadline = current_deadline()
         last_error: Optional[BaseException] = None
         for attempt in range(self._reconnect_attempts):
@@ -526,26 +559,25 @@ class TcpExecutor(ExecutorBackend):
                 if deadline is not None and deadline.expired:
                     raise deadline.exceeded("reconnect") from last_error
                 time.sleep(self._backoff.delay(attempt))
+            if self._closed:
+                raise WorkerTransportError(f"worker {rank} died") from last_error
+            try:
+                sock = self._link(rank)
+            except (EOFError, OSError, ConnectionError) as exc:
+                last_error = exc
+                continue
+            registry = obs_runtime.global_registry()
+            if registry.enabled:
+                registry.inc("dsr_worker_reconnects_total")
+            # Snapshot per attempt: a substitute needs every epoch hydrated
+            # so far, including one cached mid-crash.
             with self._lifecycle:
-                if self._closed:
-                    raise WorkerTransportError(f"worker {rank} died") from None
-                try:
-                    process = self._managed.get(rank)
-                    if process is not None and not process.is_alive():
-                        process.join(timeout=0.5)
-                        self._spawn_host(rank)
-                except (EOFError, OSError, ConnectionError, WorkerTransportError) as exc:
-                    last_error = exc
-                    continue
-                # Snapshot per attempt: a substitute host needs every epoch
-                # hydrated so far, including one cached mid-crash.
                 replay = sorted(self._hydration_cache.get(rank, {}).items())
             try:
-                sock = self._connect(rank)
                 if deadline is not None:
                     sock.settimeout(max(deadline.remaining_seconds(), 0.001))
                 for _, hydrate_message in replay:
-                    failpoint("tcp.hydrate.replay", rank=rank)
+                    failpoint("executor.hydrate.replay", rank=rank, executor=self.name)
                     _send_obj(sock, hydrate_message)
                     _recv_obj(sock)
                 _send_obj(sock, message)
@@ -562,25 +594,11 @@ class TcpExecutor(ExecutorBackend):
                 last_error = exc
                 self._drop_socket(rank)
                 continue
-            registry = obs_runtime.global_registry()
-            if registry.enabled:
-                registry.inc("dsr_worker_reconnects_total")
             return reply
         raise WorkerTransportError(
-            f"worker {rank} at {self._addresses.get(rank)} unreachable after "
-            f"{self._reconnect_attempts} attempts: {last_error}"
+            f"worker {rank} at {self._addresses.get(rank, 'its socketpair')} "
+            f"unreachable after {self._reconnect_attempts} attempts: {last_error}"
         ) from last_error
-
-    def _drop_socket(self, rank: int) -> None:
-        """Forget and close ``rank``'s socket (its stream position is
-        unknowable after a mid-frame failure)."""
-        with self._lifecycle:
-            stale = self._sockets.pop(rank, None)
-        if stale is not None:
-            try:
-                stale.close()
-            except OSError:
-                pass
 
     def _set_inflight(self, delta: int) -> None:
         registry = obs_runtime.global_registry()
@@ -599,23 +617,25 @@ class TcpExecutor(ExecutorBackend):
                 try:
                     if sock is None:
                         raise ConnectionError("not connected")
-                    failpoint("tcp.call", rank=rank, kind=message[0])
+                    failpoint("executor.call", rank=rank, kind=message[0], executor=self.name)
                     if deadline is not None:
                         remaining = deadline.remaining_seconds()
                         if remaining <= 0:
                             raise deadline.exceeded("rpc")
                         # The remaining budget becomes this call's socket
-                        # timeout: a wedged host yields a typed deadline
+                        # timeout: a wedged worker yields a typed deadline
                         # error, not an indefinite recv.
                         sock.settimeout(remaining)
                     _send_obj(sock, message)
-                    failpoint("tcp.recv", rank=rank, kind=message[0])
+                    failpoint("executor.recv", rank=rank, kind=message[0], executor=self.name)
                     reply = _recv_obj(sock)
                     if deadline is not None:
                         sock.settimeout(None)
                 # socket.timeout subclasses OSError: match it before the
                 # reconnect clause, and drop the socket — after a mid-frame
-                # timeout its stream position is unknowable.
+                # timeout its stream position is unknowable.  The next call
+                # re-opens the link (a ``processes`` child still wedged in
+                # the task is then replaced).
                 except socket.timeout as exc:
                     self._drop_socket(rank)
                     if deadline is None:  # pragma: no cover - no timeout armed
@@ -627,6 +647,8 @@ class TcpExecutor(ExecutorBackend):
             self._set_inflight(-1)
         kind = reply[0]
         if len(reply) > 3 and reply[3] is not None:
+            # Piggybacked worker metrics delta: fold into the master registry
+            # before any control flow so stale replies don't lose metrics.
             obs_runtime.absorb_delta(reply[3])
         if kind == "ok":
             return reply[1], reply[2]
@@ -657,7 +679,7 @@ class TcpExecutor(ExecutorBackend):
         for rank, future in futures.items():
             try:
                 results[rank] = future.result()
-            except BaseException as exc:
+            except BaseException as exc:  # collect all before raising
                 if first_error is None:
                     first_error = exc
         if first_error is not None:
@@ -666,10 +688,9 @@ class TcpExecutor(ExecutorBackend):
 
     # -- backend API ----------------------------------------------------- #
     def run_phase(self, fns):
-        # Closures cannot cross the socket; closure phases (index build,
-        # maintenance assembly) run at the master, as with ProcessExecutor.
-        from repro.cluster.executors import _timed_call
-
+        # Closures over shared engine state cannot cross to a worker;
+        # closure phases (index build, maintenance assembly) run at the
+        # master.  Queries go through run_shard_phase instead.
         return {rank: _timed_call(fn) for rank, fn in fns.items()}
 
     def run_shard_phase(
@@ -685,11 +706,13 @@ class TcpExecutor(ExecutorBackend):
     def _remember_hydration(
         self, rank: int, epoch: int, message: Tuple, retire_below: Optional[int]
     ) -> None:
-        per_rank = self._hydration_cache.setdefault(rank, {})
-        per_rank[epoch] = message
-        if retire_below is not None:
-            for old in [e for e in per_rank if e < retire_below]:
-                del per_rank[old]
+        """Cache the hydrate message for replay, pruned like the worker."""
+        with self._lifecycle:
+            per_rank = self._hydration_cache.setdefault(rank, {})
+            per_rank[epoch] = message
+            if retire_below is not None:
+                for old in [e for e in per_rank if e < retire_below]:
+                    del per_rank[old]
 
     def hydrate(
         self,
@@ -699,11 +722,7 @@ class TcpExecutor(ExecutorBackend):
         loader: str,
         retire_below: Optional[int] = None,
     ) -> None:
-        self._ensure_started()
-        failpoint("tcp.hydrate", rank=rank, epoch=epoch)
-        message = ("hydrate", rank, epoch, loader, blob, retire_below)
-        self._remember_hydration(rank, epoch, message, retire_below)
-        self._call_worker(rank, message)
+        self.hydrate_all(epoch, {rank: blob}, loader, retire_below=retire_below)
 
     def hydrate_all(
         self,
@@ -712,14 +731,14 @@ class TcpExecutor(ExecutorBackend):
         loader: str,
         retire_below: Optional[int] = None,
     ) -> None:
-        for rank in blobs:
-            failpoint("tcp.hydrate", rank=rank, epoch=epoch)
-        messages = {
-            rank: ("hydrate", rank, epoch, loader, blob, retire_below)
-            for rank, blob in blobs.items()
-        }
-        for rank, message in messages.items():
-            self._remember_hydration(rank, epoch, message, retire_below)
+        # One round-trip per worker, overlapped through the dispatch pool:
+        # epoch publication latency stays ~one transfer, not N.
+        self._ensure_started()
+        messages = {}
+        for rank, blob in blobs.items():
+            failpoint("executor.hydrate", rank=rank, epoch=epoch, executor=self.name)
+            messages[rank] = ("hydrate", rank, epoch, loader, blob, retire_below)
+            self._remember_hydration(rank, epoch, messages[rank], retire_below)
         self._fan_out(messages)
 
     # -- introspection ---------------------------------------------------- #
@@ -734,8 +753,33 @@ class TcpExecutor(ExecutorBackend):
         return dict(self._addresses)
 
 
+class ProcessExecutor(TcpExecutor):
+    """One forked child per rank on a socketpair; hydration may use shm."""
+
+    name = "processes"
+    supports_shm_hydration = True
+
+    def _open(self, rank: int) -> socket.socket:
+        """Fork a fresh child serving ``rank`` on one end of a socketpair,
+        replacing the rank's previous child."""
+        ours, theirs = socket.socketpair()
+        try:
+            with self._lifecycle:
+                inherited = [ours, *self._sockets.values()]
+                self._fork(
+                    rank, _paired_host_main, theirs, inherited, self._task_modules
+                )
+        except BaseException:
+            ours.close()
+            raise
+        finally:
+            theirs.close()
+        return ours
+
+
 __all__ = [
     "MAX_RPC_BYTES",
+    "ProcessExecutor",
     "TcpExecutor",
     "WorkerHost",
     "WorkerTransportError",

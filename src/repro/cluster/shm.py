@@ -1,14 +1,14 @@
 """Shared-memory segment ledger for zero-copy epoch shard hydration.
 
 When the cluster runs on the ``processes`` executor, every epoch publish
-used to re-ship each partition's CSR payload through a pipe and rebuild it
+used to re-ship each partition's CSR payload to its worker and rebuild it
 with :meth:`~repro.graph.csr.CSRGraph.from_bytes` inside the worker.  This
 module moves those payloads into POSIX shared memory instead: the master
 writes one ``multiprocessing.shared_memory`` segment per ``(epoch, rank)``
 shard at publish time, the hydration blob carries only the segment *name*,
 and the worker attaches and flips its CSR buffers to point straight into
 the mapping (:meth:`~repro.graph.csr.CSRGraph.from_shared`) — no
-serialization crosses the pipe and no adjacency copy is made on either
+serialization crosses the worker link and no adjacency copy is made on either
 side after the single publish-time write.
 
 Lifecycle rules

@@ -72,28 +72,19 @@ class DSREngine:
             self.partitioning = make_partitioning(
                 graph, config.num_partitions, strategy=config.partitioner, seed=config.seed
             )
-        # The legacy parallel=True flag maps to the threads executor unless a
-        # specific executor was chosen explicitly.
-        effective_executor = (
-            config.executor
-            if config.executor != "serial"
-            else ("threads" if config.parallel else "serial")
-        )
+        executor = config.executor
         if config.worker_hosts is not None:
-            if effective_executor != "tcp":
+            if executor != "tcp":
                 raise ValueError(
-                    "worker_hosts requires executor='tcp', "
-                    f"got {effective_executor!r}"
+                    f"worker_hosts requires executor='tcp', got {executor!r}"
                 )
-            from repro.cluster.tcp import TcpExecutor
+            from repro.cluster.remote import TcpExecutor
 
-            effective_executor = TcpExecutor(worker_hosts=config.worker_hosts)
+            executor = TcpExecutor(worker_hosts=config.worker_hosts)
         #: How batched updates fold into the index ("inline" | "background").
         self.epoch_flush = config.epoch_flush
         self.cluster = SimulatedCluster(
-            self.partitioning.num_partitions,
-            parallel=config.parallel,
-            executor=effective_executor,
+            self.partitioning.num_partitions, executor=executor
         )
         self._use_equivalence = config.use_equivalence
         self._local_index = config.local_index

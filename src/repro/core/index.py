@@ -18,9 +18,10 @@ single attribute swap.  Queries capture :meth:`DSRIndex.current_state` once at
 entry and evaluate everything against that state, so a maintenance flush that
 is busy building epoch ``N+1`` (see :mod:`repro.core.updates`) never exposes a
 half-merged view: readers see epoch ``N`` until the one-pointer swap, then
-``N+1``.  When the cluster runs on a sharded executor (``processes``), the
-worker processes are hydrated with the new epoch's CSR shards *before* the
-swap, keyed by epoch, and keep the previous epoch alive for in-flight queries.
+``N+1``.  When the cluster runs on a sharded executor (``processes`` or
+``tcp``), the remote workers are hydrated with the new epoch's CSR shards
+*before* the swap, keyed by epoch, and keep the previous epoch alive for
+in-flight queries.
 
 The index also exposes the size statistics reported in Tables 2 and 4.
 """
@@ -535,7 +536,7 @@ class DSRIndex:
         return self._shm_ledger
 
     def _record_publish_bytes(self, blobs) -> None:
-        """Account the bytes each publish pushes through worker pipes.
+        """Account the bytes each publish pushes through worker sockets.
 
         ``dsr_epoch_publish_bytes`` is the exact pickled size of every
         hydration blob of the publish — in shm mode the blobs carry segment

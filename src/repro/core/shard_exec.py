@@ -104,7 +104,7 @@ class WorkerShardBlob:
     written by the master's :class:`~repro.cluster.shm.ShmLedger` and every
     bulk field — ``dag_csr_bytes``, ``component_of``, ``vertex_ids``, the
     handle tables and the expansion table — travels *inside the segment*
-    instead of the blob, so the pipe carries essentially just the name.
+    instead of the blob, so the worker link carries essentially just the name.
     With ``shm_segment=None`` the blob is self-contained (the pickled
     fallback).
     """

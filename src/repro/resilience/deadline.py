@@ -4,8 +4,9 @@ A :class:`Deadline` is captured **once**, at admission, from the query's
 relative ``deadline_ms`` budget and carried — not recomputed — through every
 layer below: the service checks it before dequeuing and once it holds the
 engine, the core query loop checks it between step 1 and step 3 and between
-stale-epoch retries, and the TCP executor converts the *remaining* budget
-into per-call socket timeouts so one wedged worker host turns into a typed
+stale-epoch retries, and the remote executor (``processes`` and ``tcp``)
+converts the *remaining* budget into per-call socket timeouts so one wedged
+worker turns into a typed
 :class:`~repro.resilience.errors.DeadlineExceededError` instead of an
 indefinite hang.
 
@@ -16,7 +17,7 @@ enters a :func:`deadline_scope` around request execution and lower layers
 ask :func:`current_deadline` — a thread-local, because the serving stack
 hops threads explicitly (worker pool, RPC dispatch pool) and each hop
 re-enters the scope with the deadline it captured at submission
-(:meth:`TcpExecutor._fan_out` does exactly that).  When no scope is active
+(the remote executor's ``_fan_out`` does exactly that).  When no scope is active
 ``current_deadline()`` is ``None`` and every check is a no-op, so
 deadline-free traffic pays one attribute read.
 """

@@ -1,7 +1,7 @@
 """Named, seeded, deterministic fault-injection sites.
 
 A **failpoint** is a named hook compiled into a real failure seam —
-``failpoint("tcp.call", rank=r)`` sits exactly where a worker RPC can fail
+``failpoint("executor.call", rank=r)`` sits exactly where a worker RPC can fail
 in production.  With no schedule configured the call is two attribute reads
 (the same zero-cost-when-disabled contract as
 :attr:`repro.obs.registry.MetricsRegistry.enabled`); with one, each
@@ -19,11 +19,10 @@ Sites wired into the codebase (the catalog lives in
 ==========================  =====================================================
 site                        seam
 ==========================  =====================================================
-``tcp.call``                :meth:`TcpExecutor._call_worker` send side
-``tcp.recv``                :meth:`TcpExecutor._call_worker` receive side
-``tcp.hydrate``             :meth:`TcpExecutor.hydrate` / ``hydrate_all``
-``tcp.hydrate.replay``      reconnect-time hydration replay
-``executor.dispatch``       :meth:`ProcessExecutor._call_worker`
+``executor.call``           remote executor ``_call_worker`` send side
+``executor.recv``           remote executor ``_call_worker`` receive side
+``executor.hydrate``        remote executor ``hydrate`` / ``hydrate_all``
+``executor.hydrate.replay`` reconnect-time hydration replay
 ``shm.attach``              worker-side shared-memory attach
 ``shm.unlink``              master-side segment destroy
 ``service.flush``           the service's explicit-flush update path
@@ -36,8 +35,12 @@ schedule to a ``with`` block.  Environment (CI chaos jobs):
 ``REPRO_FAILPOINTS`` holds a JSON list of spec dicts and is read once at
 import, e.g.::
 
-    REPRO_FAILPOINTS='[{"site": "tcp.call", "action": "drop",
-                        "labels": {"rank": 0}, "after": 2, "count": 1}]'
+    REPRO_FAILPOINTS='[{"site": "executor.call", "action": "drop",
+                        "labels": {"rank": 0, "executor": "tcp"},
+                        "after": 2, "count": 1}]'
+
+The four ``executor.*`` sites carry an ``executor`` label (``processes`` or
+``tcp``), so one spec can target either remote executor or both.
 """
 
 from __future__ import annotations

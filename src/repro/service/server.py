@@ -256,9 +256,9 @@ class DSRService:
         executor = getattr(self.engine.cluster, "executor", None)
         ping = getattr(executor, "ping", None)
         if callable(ping):
-            # TCP worker hosts: a ping round-trip per rank.  ping() itself
-            # reconnects/respawns a dead managed host, so a probe doubles as
-            # the recovery trigger.
+            # Remote workers (processes and tcp): a ping round-trip per
+            # rank.  ping() itself re-opens a dead worker's link (respawning
+            # a managed one), so a probe doubles as the recovery trigger.
             for rank in range(getattr(executor, "num_workers", 0) or 0):
                 supervisor.add_target(
                     f"worker:{rank}",

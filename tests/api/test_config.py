@@ -35,7 +35,6 @@ class TestValidation:
             {"partitioner": "nope"},
             {"local_index": "nope"},
             {"use_equivalence": "yes"},
-            {"parallel": 1},
             {"enable_backward": "true"},
             {"seed": "seven"},
             {"local_index_options": ["not", "a", "mapping"]},
@@ -86,14 +85,14 @@ class TestRoundTrip:
             DSRConfig(),
             DSRConfig(backend="giraphpp-eq", num_partitions=7, partitioner="hash"),
             DSRConfig(local_index="grail", local_index_options={"num_intervals": 3}),
-            DSRConfig(enable_backward=True, parallel=True, seed=99),
+            DSRConfig(enable_backward=True, executor="threads", seed=99),
             DSRConfig(executor="processes", epoch_flush="background"),
         ],
         ids=[
             "default",
             "giraphpp-eq",
             "with-options",
-            "backward-parallel",
+            "backward-threads",
             "sharded-background",
         ],
     )
@@ -126,17 +125,22 @@ class TestRoundTrip:
             DSRConfig.from_dict({"num_partitions": 0})
 
 
-class TestRemovedFleetFields:
+class TestRemovedFields:
+    """The fleet fields and the deprecated ``parallel`` alias are gone."""
+
     @pytest.mark.parametrize(
-        "field", [{"replicas": 3}, {"fleet": True}], ids=["replicas", "fleet"]
+        "field",
+        [{"replicas": 3}, {"fleet": True}, {"parallel": True}],
+        ids=["replicas", "fleet", "parallel"],
     )
     def test_constructor_rejects_them(self, field):
         with pytest.raises(TypeError):
             DSRConfig(**field)
 
-    def test_from_dict_rejects_them(self):
-        with pytest.raises(ConfigError, match="unknown config keys: replicas"):
-            DSRConfig.from_dict({"backend": "dsr", "replicas": 3})
+    @pytest.mark.parametrize("key", ["replicas", "parallel"])
+    def test_from_dict_rejects_them(self, key):
+        with pytest.raises(ConfigError, match=f"unknown config keys: {key}"):
+            DSRConfig.from_dict({"backend": "dsr", key: 3})
 
 
 class TestRemovedKernelTiers:
@@ -199,7 +203,6 @@ NON_DEFAULTS = {
     "partitioner": {"partitioner": "hash"},
     "local_index": {"local_index": "ferrari"},
     "use_equivalence": {"use_equivalence": False},
-    "parallel": {"parallel": True},
     "seed": {"seed": 41},
     "enable_backward": {"enable_backward": True},
     "local_index_options": {"local_index_options": {"k": 2}},

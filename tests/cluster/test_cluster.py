@@ -93,7 +93,7 @@ class TestSimulatedCluster:
         assert set(results) == {1, 3}
 
     def test_parallel_execution_mode(self):
-        cluster = SimulatedCluster(4, parallel=True)
+        cluster = SimulatedCluster(4, executor="threads")
         results = cluster.run_phase("echo", lambda rank: rank)
         assert results == {0: 0, 1: 1, 2: 2, 3: 3}
 

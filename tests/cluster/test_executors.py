@@ -1,7 +1,7 @@
 """Tests for the pluggable worker executors and the sharded cluster API.
 
 The executor matrix honours ``REPRO_TEST_EXECUTORS`` (comma-separated subset
-of ``serial,threads,processes``) so CI can re-run this module pinned to one
+of ``serial,threads,processes,tcp``) so CI can re-run this module pinned to one
 backend — e.g. the ``executor=processes`` matrix job.
 """
 
@@ -14,7 +14,6 @@ import pytest
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.executors import (
     EXECUTOR_NAMES,
-    ProcessExecutor,
     ShardTaskError,
     StaleEpochError,
     make_executor,
@@ -74,11 +73,6 @@ class TestFactory:
         with pytest.raises(ValueError, match="unknown executor"):
             make_executor("gpu")
 
-    def test_parallel_flag_maps_to_threads(self):
-        cluster = SimulatedCluster(2, parallel=True)
-        assert cluster.executor.name == "threads"
-        cluster.close()
-
     def test_default_is_serial(self):
         cluster = SimulatedCluster(2)
         assert cluster.executor.name == "serial"
@@ -132,36 +126,37 @@ class TestShardPhases:
         cluster.close()
 
 
-class TestProcessExecutor:
-    def test_task_error_carries_remote_traceback(self):
-        cluster = _hydrated_cluster("processes")
+@pytest.mark.parametrize("executor", ["processes", "tcp"])
+class TestRemoteExecutors:
+    def test_task_error_carries_remote_traceback(self, executor):
+        cluster = _hydrated_cluster(executor)
         with pytest.raises(ShardTaskError, match="intentional"):
             cluster.run_shard_phase("boom", "test.boom", {0: None}, epoch=0)
         cluster.close()
 
-    def test_closure_phases_fall_back_to_master(self):
-        # Closures cannot cross the process boundary; run_phase still works
+    def test_closure_phases_fall_back_to_master(self, executor):
+        # Closures cannot cross to a remote worker; run_phase still works
         # (executed at the master) so index builds run on any executor.
-        cluster = SimulatedCluster(3, executor="processes")
+        cluster = SimulatedCluster(3, executor=executor)
         assert cluster.run_phase("square", lambda rank: rank * rank) == {0: 0, 1: 1, 2: 4}
         cluster.close()
 
-    def test_workers_hydrate_once_not_per_phase(self):
-        cluster = _hydrated_cluster("processes")
+    def test_workers_hydrate_once_not_per_phase(self, executor):
+        cluster = _hydrated_cluster(executor)
         for _ in range(5):
             assert cluster.run_shard_phase(
                 "scale", "test.scale", {0: 2, 1: 2, 2: 2}, epoch=0
             ) == {0: 2, 1: 4, 2: 6}
         cluster.close()
 
-    def test_close_is_idempotent(self):
-        executor = ProcessExecutor()
-        executor.start(2)
-        executor.close()
-        executor.close()
+    def test_close_is_idempotent(self, executor):
+        backend = make_executor(executor)
+        backend.start(2)
+        backend.close()
+        backend.close()
 
-    def test_concurrent_shard_phases_from_many_threads(self):
-        cluster = _hydrated_cluster("processes", num_workers=2)
+    def test_concurrent_shard_phases_from_many_threads(self, executor):
+        cluster = _hydrated_cluster(executor, num_workers=2)
         errors = []
 
         def worker():

@@ -150,13 +150,13 @@ class TestWorkerCrashRecovery:
             query = ReachQuery(tuple(range(0, 30)), tuple(range(120, 160)))
             expected = engine.run(query).pairs
             executor = engine.cluster.executor
-            victim_process, _ = executor._workers[1]
+            victim_process = executor._managed[1]
             os.kill(victim_process.pid, signal.SIGKILL)
             victim_process.join(timeout=5.0)
-            # The next query hits the dead pipe, respawns rank 1, replays
+            # The next query hits the dead socket, respawns rank 1, replays
             # its hydrations from the cache (attach-by-name) and completes.
             assert engine.run(query).pairs == expected
-            new_process, _ = executor._workers[1]
+            new_process = executor._managed[1]
             assert new_process.pid != victim_process.pid
             respawns_after = registry.counter_total("dsr_worker_respawns_total")
             assert respawns_after > respawns_before
@@ -169,7 +169,7 @@ class TestWorkerCrashRecovery:
         graph, engine = _processes_engine(seed=17)
         try:
             engine.run(ReachQuery((0, 1), (50, 90)))
-            process, _ = engine.cluster.executor._workers[0]
+            process = engine.cluster.executor._managed[0]
             os.kill(process.pid, signal.SIGKILL)
             process.join(timeout=5.0)
         finally:

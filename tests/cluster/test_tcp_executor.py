@@ -1,10 +1,11 @@
-"""Tests for ``executor="tcp"``: WorkerHost + TcpExecutor over sockets.
+"""Tests for the remote executor: WorkerHost + TcpExecutor over sockets.
 
 The generic executor contract (shard phases, stale epochs, retirement) is
-already covered for tcp by the matrix in ``test_executors.py``; this module
-exercises what is tcp-specific — external worker hosts, the rank→host
-mapping, kill/reconnect with hydration replay, remote tracebacks, and full
-engine parity against the serial executor.
+already covered for ``processes`` and ``tcp`` by the matrix in
+``test_executors.py``; this module exercises external worker hosts, the
+rank→host mapping, kill/respawn with hydration replay and ``ping`` on both
+remote names, remote tracebacks, and full engine parity against the serial
+executor.
 """
 
 import os
@@ -18,10 +19,11 @@ from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.executors import (
     ShardTaskError,
     StaleEpochError,
+    make_executor,
     register_shard_loader,
     register_shard_task,
 )
-from repro.cluster.tcp import (
+from repro.cluster.remote import (
     TcpExecutor,
     WorkerHost,
     WorkerTransportError,
@@ -30,6 +32,7 @@ from repro.cluster.tcp import (
 from repro.core.engine import DSREngine
 from repro.graph import generators
 from repro.graph.traversal import reachable_pairs
+from repro.obs import use_registry
 
 
 # Module-level tasks: managed hosts inherit these via fork, and in-process
@@ -163,34 +166,45 @@ class TestExternalHosts:
 
 
 class TestManagedFleet:
-    def test_killed_host_respawned_with_hydration_replay(self):
-        cluster = SimulatedCluster(2, executor="tcp")
-        try:
-            executor = cluster.executor
-            cluster.hydrate_shards(0, _blobs(2), "tcptest.load")
-            assert cluster.run_shard_phase(
-                "scale", "tcptest.scale", {0: 5, 1: 5}, epoch=0
-            ) == {0: 5, 1: 10}
-            victim = executor._managed[0]
-            os.kill(victim.pid, signal.SIGKILL)
-            victim.join(timeout=5.0)
-            # The next phase hits a dead socket: the executor respawns the
-            # host, replays hydration for epoch 0 and retries transparently.
-            assert cluster.run_shard_phase(
-                "scale", "tcptest.scale", {0: 4, 1: 4}, epoch=0
-            ) == {0: 4, 1: 8}
-            assert executor._managed[0].pid != victim.pid
-        finally:
-            cluster.close()
+    @pytest.mark.parametrize("name", ["processes", "tcp"])
+    def test_killed_host_respawned_with_hydration_replay(self, name):
+        with use_registry() as registry:
+            cluster = SimulatedCluster(2, executor=name)
+            try:
+                executor = cluster.executor
+                cluster.hydrate_shards(0, _blobs(2), "tcptest.load")
+                assert cluster.run_shard_phase(
+                    "scale", "tcptest.scale", {0: 5, 1: 5}, epoch=0
+                ) == {0: 5, 1: 10}
+                assert registry.counter_total("dsr_worker_respawns_total") == 0
+                victim = executor._managed[0]
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(timeout=5.0)
+                # The next phase hits a dead socket: the executor respawns
+                # the worker, replays hydration for epoch 0 and retries
+                # transparently.
+                assert cluster.run_shard_phase(
+                    "scale", "tcptest.scale", {0: 4, 1: 4}, epoch=0
+                ) == {0: 4, 1: 8}
+                assert executor._managed[0].pid != victim.pid
+                # One forked replacement, one re-opened link.
+                assert registry.counter_total("dsr_worker_respawns_total") == 1
+                assert registry.counter_total("dsr_worker_reconnects_total") == 1
+            finally:
+                cluster.close()
 
-    def test_ping_and_worker_addresses(self):
-        executor = TcpExecutor()
+    @pytest.mark.parametrize("name", ["processes", "tcp"])
+    def test_ping_and_worker_addresses(self, name):
+        executor = make_executor(name)
         executor.start(2)
         try:
             assert executor.ping(0) and executor.ping(1)
             addresses = executor.worker_addresses
-            assert sorted(addresses) == [0, 1]
-            assert all(port > 0 for _host, port in addresses.values())
+            if name == "tcp":
+                assert sorted(addresses) == [0, 1]
+                assert all(port > 0 for _host, port in addresses.values())
+            else:  # socketpair children listen on no port
+                assert addresses == {}
         finally:
             executor.close()
 

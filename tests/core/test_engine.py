@@ -99,8 +99,8 @@ class TestIntrospection:
 class TestParallelMode:
     def test_thread_pool_execution_gives_same_answers(self):
         graph = generators.web_graph(100, avg_degree=5, seed=3)
-        serial = DSREngine(graph, DSRConfig(num_partitions=3, seed=2, parallel=False))
-        threaded = DSREngine(graph, DSRConfig(num_partitions=3, seed=2, parallel=True))
+        serial = DSREngine(graph, DSRConfig(num_partitions=3, seed=2))
+        threaded = DSREngine(graph, DSRConfig(num_partitions=3, seed=2, executor="threads"))
         serial.build_index()
         threaded.build_index()
         vertices = sorted(graph.vertices())

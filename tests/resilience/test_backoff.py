@@ -8,7 +8,7 @@ policy's deterministic sequence and the exact sleeps the executor performs.
 
 import pytest
 
-from repro.cluster.tcp import TcpExecutor, WorkerHost, WorkerTransportError
+from repro.cluster.remote import TcpExecutor, WorkerHost, WorkerTransportError
 from repro.resilience import BackoffPolicy
 
 
@@ -86,7 +86,7 @@ class TestTcpReconnectRegression:
             host.stop()
             sleeps = []
             monkeypatch.setattr(
-                "repro.cluster.tcp.time.sleep", lambda s: sleeps.append(s)
+                "repro.cluster.remote.time.sleep", lambda s: sleeps.append(s)
             )
             with pytest.raises(WorkerTransportError):
                 executor.ping(0)

@@ -255,10 +255,13 @@ class TestServiceIntegration:
     def graph(self):
         return generators.social_graph(120, avg_degree=3, seed=4)
 
-    def test_service_supervises_tcp_worker_hosts(self, graph):
+    @pytest.mark.parametrize("executor", ["processes", "tcp"])
+    def test_service_supervises_remote_workers(self, graph, executor):
         engine = DSREngine.from_config(
             graph.copy(),
-            DSRConfig(num_partitions=2, local_index="msbfs", seed=2, executor="tcp"),
+            DSRConfig(
+                num_partitions=2, local_index="msbfs", seed=2, executor=executor
+            ),
         )
         engine.build_index()
         service = DSRService(
@@ -267,7 +270,7 @@ class TestServiceIntegration:
         try:
             assert service.health is not None
             assert service.health.target_names() == ["worker:0", "worker:1"]
-            # ping() round-trips through the live hosts.
+            # ping() round-trips through the live workers.
             assert service.health.probe_now() == {
                 "worker:0": True,
                 "worker:1": True,
@@ -285,7 +288,7 @@ class TestServiceIntegration:
         finally:
             service.close()
 
-    @pytest.mark.parametrize("executor", ["serial", "processes"])
+    @pytest.mark.parametrize("executor", ["serial", "threads"])
     def test_engines_without_worker_hosts_get_no_supervisor(self, graph, executor):
         engine = DSREngine.from_config(
             graph, DSRConfig(num_partitions=2, seed=2, executor=executor)

@@ -20,8 +20,8 @@ from repro.cluster.executors import (
     register_shard_loader,
     register_shard_task,
 )
+from repro.cluster.remote import TcpExecutor, WorkerTransportError
 from repro.cluster.shm import shm_available
-from repro.cluster.tcp import TcpExecutor, WorkerTransportError
 from repro.core.engine import DSREngine
 from repro.graph import generators
 from repro.graph.traversal import reachable_pairs
@@ -92,10 +92,10 @@ class TestSlowRpcAgainstDeadline:
             )
             started = time.monotonic()
             with use_failpoints(
-                [FailPointSpec("tcp.call", action="delay", value=0.3)]
+                [FailPointSpec("executor.call", action="delay", value=0.3)]
             ) as registry:
                 response = service.handle(query)
-                assert registry.fired("tcp.call") >= 1
+                assert registry.fired("executor.call") >= 1
             elapsed = time.monotonic() - started
             assert isinstance(response, ErrorResponse)
             assert response.error == "DeadlineExceededError"
@@ -123,9 +123,9 @@ class TestTransportExhaustion:
             specs = [
                 # One dropped call forces a reconnect; the replay fault then
                 # poisons every reconnect attempt until the budget is spent.
-                FailPointSpec("tcp.call", value="ConnectionError", count=1),
+                FailPointSpec("executor.call", value="ConnectionError", count=1),
                 FailPointSpec(
-                    "tcp.hydrate.replay", value="ConnectionError", count=None
+                    "executor.hydrate.replay", value="ConnectionError", count=None
                 ),
             ]
             with use_failpoints(specs) as registry:
@@ -133,7 +133,7 @@ class TestTransportExhaustion:
                     cluster.run_shard_phase(
                         "noop", "chaostest.noop", {0: None}, epoch=0
                     )
-                assert registry.fired("tcp.hydrate.replay") == 2
+                assert registry.fired("executor.hydrate.replay") == 2
             # Faults cleared: the next call reconnects, replays the cached
             # hydration for real and the shard answers again.
             result = cluster.run_shard_phase("noop", "chaostest.noop", {0: None}, epoch=0)
@@ -218,12 +218,12 @@ class TestSeededMatrix:
                 if i % 4 == 2:  # stall window: tight budget → typed error
                     query = ReachQuery(sources, targets, deadline_ms=80)
                     specs = [
-                        FailPointSpec("tcp.call", action="delay", value=0.25)
+                        FailPointSpec("executor.call", action="delay", value=0.25)
                     ]
                 elif i % 4 == 3:  # drop window: reconnect rides it out
                     query = ReachQuery(sources, targets, deadline_ms=10_000)
                     specs = [
-                        FailPointSpec("tcp.call", value="ConnectionError", count=1)
+                        FailPointSpec("executor.call", value="ConnectionError", count=1)
                     ]
                 else:  # healthy traffic, with and without a generous budget
                     query = ReachQuery(

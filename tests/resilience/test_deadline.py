@@ -2,8 +2,8 @@
 
 Enforcement points exercised here: admission/queue shedding in the service,
 the checkpoints after the engine-lock wait and between steps 1 and 3, and
-the TCP executor's remaining-budget socket timeout (a wedged worker host
-yields a typed error, not a hang).
+the remote executors' remaining-budget socket timeout (a wedged worker yields
+a typed error, not a hang, on ``processes`` and ``tcp`` alike).
 """
 
 import os
@@ -288,9 +288,10 @@ class TestServiceEnforcement:
             service.close()
 
 
-class TestTcpSocketTimeout:
-    def test_wedged_host_yields_typed_error_within_budget(self):
-        cluster = SimulatedCluster(1, executor="tcp")
+@pytest.mark.parametrize("executor", ["processes", "tcp"])
+class TestSocketTimeout:
+    def test_wedged_host_yields_typed_error_within_budget(self, executor):
+        cluster = SimulatedCluster(1, executor=executor)
         try:
             cluster.hydrate_shards(0, {0: {"rank": 0}}, "restest.load")
             started = time.monotonic()
@@ -304,10 +305,22 @@ class TestTcpSocketTimeout:
             elapsed = time.monotonic() - started
             assert info.value.stage == "rpc"
             assert elapsed < 1.0  # did not wait out the wedged call
+            wedged = cluster.executor._managed[0]
             # The executor dropped the poisoned socket; deadline-free
             # traffic afterwards reconnects and works.
             assert cluster.run_shard_phase(
                 "sleep", "restest.sleep", {0: 0.0}, epoch=0
             ) == {0: "done"}
+            # ... without waiting out the wedged 1.5s task either.
+            assert time.monotonic() - started < 1.4
+            if executor == "processes":
+                # A child serves one link: the wedged one was replaced by a
+                # re-hydrated substitute and reaped, not left running.
+                assert cluster.executor._managed[0].pid != wedged.pid
+                assert wedged.exitcode is not None
+            else:
+                # A worker host serves each connection on its own thread:
+                # the same host answers on a fresh connection.
+                assert cluster.executor._managed[0] is wedged
         finally:
             cluster.close()

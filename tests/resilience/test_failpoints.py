@@ -19,7 +19,7 @@ from repro.resilience import failpoints
 
 class TestSpecValidation:
     def test_defaults(self):
-        spec = FailPointSpec("tcp.call")
+        spec = FailPointSpec("executor.call")
         assert spec.action == "raise"
         assert spec.count == 1
 
@@ -56,15 +56,15 @@ class TestSpecValidation:
 
 class TestMatching:
     def test_site_must_match_exactly(self):
-        spec = FailPointSpec("tcp.call")
-        assert spec.matches("tcp.call", {})
-        assert not spec.matches("tcp.recv", {})
+        spec = FailPointSpec("executor.call")
+        assert spec.matches("executor.call", {})
+        assert not spec.matches("executor.recv", {})
 
     def test_labels_are_a_subset_match(self):
-        spec = FailPointSpec("tcp.call", labels={"rank": 0})
-        assert spec.matches("tcp.call", {"rank": 0, "kind": "task"})
-        assert not spec.matches("tcp.call", {"rank": 1})
-        assert not spec.matches("tcp.call", {})
+        spec = FailPointSpec("executor.call", labels={"rank": 0})
+        assert spec.matches("executor.call", {"rank": 0, "kind": "task"})
+        assert not spec.matches("executor.call", {"rank": 1})
+        assert not spec.matches("executor.call", {})
 
 
 class TestTriggerWindow:
@@ -140,7 +140,7 @@ class TestRegistryLifecycle:
         # The global registry is unarmed by default: the compiled-in hook
         # must never fire (and never pay more than a branch).
         assert not global_failpoints().enabled
-        failpoint("tcp.call", rank=0)  # does nothing
+        failpoint("executor.call", rank=0)  # does nothing
 
     def test_use_failpoints_scopes_the_schedule(self):
         with use_failpoints([FailPointSpec("s")]) as registry:
@@ -164,11 +164,11 @@ class TestRegistryLifecycle:
 class TestEnvBootstrap:
     def test_from_env_parses_json_schedule(self):
         registry = FailPointRegistry.from_env(
-            '[{"site": "tcp.call", "action": "drop", '
+            '[{"site": "executor.call", "action": "drop", '
             '"labels": {"rank": 0}, "after": 2, "count": 1}]'
         )
         (spec,) = registry.specs()
-        assert spec.site == "tcp.call"
+        assert spec.site == "executor.call"
         assert spec.action == "drop"
         assert spec.labels == {"rank": 0}
         assert (spec.after, spec.count) == (2, 1)
@@ -183,11 +183,10 @@ class TestEnvBootstrap:
 
 #: The site catalog of ``repro.resilience.failpoints`` and docs/RESILIENCE.md.
 CATALOG = (
-    "tcp.call",
-    "tcp.recv",
-    "tcp.hydrate",
-    "tcp.hydrate.replay",
-    "executor.dispatch",
+    "executor.call",
+    "executor.recv",
+    "executor.hydrate",
+    "executor.hydrate.replay",
     "shm.attach",
     "shm.unlink",
     "service.flush",

@@ -1,10 +1,11 @@
-"""Crash-during-hydration: kill a worker host mid hydrate replay.
+"""Crash-during-hydration: kill a managed worker mid hydrate replay.
 
-The chaos case the reconnect loop was restructured for: a managed host dies,
-its substitute is killed *again* while the executor is replaying cached
-hydrations into it (via the ``tcp.hydrate.replay`` failpoint), and the loop
-must still converge — respawning a second substitute per attempt — and
-answer with exact serial parity.
+The chaos case the reconnect loop was restructured for: a managed worker
+(a ``processes`` child or a ``tcp`` host) dies, its substitute is killed
+*again* while the executor is replaying cached hydrations into it (via the
+``executor.hydrate.replay`` failpoint), and the loop must still converge —
+respawning a fresh substitute per attempt — and answer with exact serial
+parity.
 """
 
 import os
@@ -32,7 +33,7 @@ def _scale(shard, payload):
 
 
 def _kill_managed_host(executor):
-    """A ``call``-action failpoint body: SIGKILL the rank's current host."""
+    """A ``call``-action failpoint body: SIGKILL the rank's current worker."""
 
     def kill(labels):
         victim = executor._managed[labels["rank"]]
@@ -42,9 +43,10 @@ def _kill_managed_host(executor):
     return kill
 
 
+@pytest.mark.parametrize("name", ["processes", "tcp"])
 class TestCrashDuringHydrationReplay:
-    def test_executor_converges_after_mid_replay_kill(self):
-        cluster = SimulatedCluster(2, executor="tcp")
+    def test_executor_converges_after_mid_replay_kill(self, name):
+        cluster = SimulatedCluster(2, executor=name)
         try:
             executor = cluster.executor
             cluster.hydrate_shards(
@@ -53,7 +55,7 @@ class TestCrashDuringHydrationReplay:
             assert cluster.run_shard_phase(
                 "scale", "crashtest.scale", {0: 10, 1: 10}, epoch=0
             ) == {0: 10, 1: 20}
-            # Kill host 0; the next call triggers reconnect + replay.  The
+            # Kill worker 0; the next call triggers reconnect + replay.  The
             # failpoint kills the *substitute* right before the replayed
             # hydrate is sent, so attempt N's replay hits a fresh corpse and
             # attempt N+1 must respawn again.
@@ -63,10 +65,10 @@ class TestCrashDuringHydrationReplay:
             with use_failpoints(
                 [
                     FailPointSpec(
-                        "tcp.hydrate.replay",
+                        "executor.hydrate.replay",
                         action="call",
                         value=_kill_managed_host(executor),
-                        labels={"rank": 0},
+                        labels={"rank": 0, "executor": name},
                         count=1,
                     )
                 ]
@@ -74,50 +76,50 @@ class TestCrashDuringHydrationReplay:
                 assert cluster.run_shard_phase(
                     "scale", "crashtest.scale", {0: 7, 1: 7}, epoch=0
                 ) == {0: 7, 1: 14}
-                assert registry.fired("tcp.hydrate.replay") == 1
-            # Two generations of host 0 died; the survivor is a third pid.
+                assert registry.fired("executor.hydrate.replay") == 1
+            # Two generations of worker 0 died; the survivor is a third pid.
             assert executor._managed[0].pid != first_victim.pid
             assert executor._managed[0].is_alive()
         finally:
             cluster.close()
 
     @pytest.mark.parametrize("kills", [1, 2])
-    def test_engine_answers_with_exact_serial_parity(self, kills):
+    def test_engine_answers_with_exact_serial_parity(self, name, kills):
         graph = generators.social_graph(150, avg_degree=4, seed=5)
         serial = DSREngine.from_config(
             graph.copy(),
             DSRConfig(num_partitions=3, local_index="msbfs", seed=2),
         )
-        tcp = DSREngine.from_config(
+        remote = DSREngine.from_config(
             graph.copy(),
             DSRConfig(
-                num_partitions=3, local_index="msbfs", seed=2, executor="tcp"
+                num_partitions=3, local_index="msbfs", seed=2, executor=name
             ),
         )
         serial.build_index()
-        tcp.build_index()
+        remote.build_index()
         try:
-            executor = tcp.cluster.executor
+            executor = remote.cluster.executor
             vertices = sorted(graph.vertices())
             query = ReachQuery(tuple(vertices[:6]), tuple(vertices[100:106]))
             expected = serial.run(query)
-            assert set(tcp.run(query).pairs) == set(expected.pairs)
+            assert set(remote.run(query).pairs) == set(expected.pairs)
             victim = executor._managed[0]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=5.0)
             with use_failpoints(
                 [
                     FailPointSpec(
-                        "tcp.hydrate.replay",
+                        "executor.hydrate.replay",
                         action="call",
                         value=_kill_managed_host(executor),
-                        labels={"rank": 0},
+                        labels={"rank": 0, "executor": name},
                         count=kills,
                     )
                 ]
             ) as registry:
-                result = tcp.run(query)
-                assert registry.fired("tcp.hydrate.replay") == kills
+                result = remote.run(query)
+                assert registry.fired("executor.hydrate.replay") == kills
             # Exact parity: pairs, message and byte accounting all converge
             # to the serial ground truth despite the mid-replay crashes.
             assert set(result.pairs) == set(expected.pairs)
@@ -128,4 +130,4 @@ class TestCrashDuringHydrationReplay:
             )
         finally:
             serial.close()
-            tcp.close()
+            remote.close()

@@ -202,7 +202,7 @@ class TestAsyncServeCli:
         assert "serving (binary frames)" in capsys.readouterr().out
 
     def test_worker_host_command(self, capsys, monkeypatch):
-        from repro.cluster.tcp import WorkerHost
+        from repro.cluster.remote import WorkerHost
 
         # serve_forever blocks until Ctrl-C; the wiring is what we test.
         monkeypatch.setattr(WorkerHost, "serve_forever", lambda self: None)
