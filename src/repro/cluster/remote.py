@@ -759,6 +759,18 @@ class ProcessExecutor(TcpExecutor):
     name = "processes"
     supports_shm_hydration = True
 
+    def __init__(self, worker_hosts: Optional[Sequence[Any]] = None, **options: Any) -> None:
+        """``options`` are :class:`TcpExecutor`'s; ``worker_hosts`` is refused.
+
+        This executor forks its own workers; external hosts are ``tcp``'s.
+        """
+        if worker_hosts is not None:
+            raise ValueError(
+                "the processes executor forks its own workers; "
+                "worker_hosts needs the tcp executor"
+            )
+        super().__init__(**options)
+
     def _open(self, rank: int) -> socket.socket:
         """Fork a fresh child serving ``rank`` on one end of a socketpair,
         replacing the rank's previous child."""

@@ -22,7 +22,6 @@ from typing import Iterable, List, Mapping, Tuple
 
 from repro.core.summary import PartitionSummary
 from repro.graph.csr import CSRGraph
-from repro.graph.digraph import DiGraph
 
 
 @dataclass
@@ -60,10 +59,14 @@ def build_boundary_graph(
     partition_id: int,
     summaries: Mapping[int, PartitionSummary],
     cut_edges: Iterable[Tuple[int, int]],
-) -> DiGraph:
-    """Build ``G^B_i``: the cut plus every *other* partition's summary."""
+) -> CSRGraph:
+    """Build ``G^B_i``: the cut plus every *other* partition's summary.
+
+    A snapshot, not a ``DiGraph``: class ids are negative
+    (:func:`repro.core.equivalence.class_id`), which a ``DiGraph`` refuses.
+    """
     vertices, edges = boundary_graph_parts(partition_id, summaries, cut_edges)
-    return DiGraph.from_edges(edges, vertices)
+    return CSRGraph.from_edges(vertices, edges)
 
 
 def boundary_graph_stats(

@@ -58,7 +58,7 @@ published compound graph is never edited in place except by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
 import weakref
 
@@ -66,7 +66,7 @@ from repro.core.packed_steps import build_expansion, condensation_rows
 from repro.core.summary import PartitionSummary
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
-from repro.graph.scc import GraphLike, condense_dense
+from repro.graph.scc import GraphLike, condensation_dag, condense_dense
 from repro.reachability import kernels
 from repro.reachability.base import ReachabilityIndex
 from repro.reachability.factory import make_reachability_index
@@ -86,7 +86,8 @@ class _CondensedView:
     (compound) graph's vertices and ``dag_rank`` the numbering of the
     condensation's components; ``expansion`` maps component rows to member
     rows over ``vertex_rank`` (:func:`~repro.core.packed_steps.
-    build_expansion`), one batch per kernel call.
+    build_expansion`), one batch per kernel call.  ``component_of`` is the
+    component of every dense vertex index, as an int64 numpy array.
     """
 
     dag: CSRGraph
@@ -95,6 +96,7 @@ class _CondensedView:
     vertex_rank: VertexRank
     dag_rank: VertexRank
     expansion: BitGather
+    component_of: Sequence[int]
 
 
 class CondensedReachability:
@@ -105,28 +107,50 @@ class CondensedReachability:
     (a compound graph) or a ``DiGraph``, whose current snapshot is frozen in.
     """
 
-    def __init__(self, graph: GraphLike, strategy: str = "dfs", **kwargs) -> None:
+    def __init__(
+        self,
+        graph: GraphLike,
+        strategy: str = "dfs",
+        kept: Optional[_CondensedView] = None,
+        **kwargs,
+    ) -> None:
         self.strategy = strategy
         self._kwargs = kwargs
-        self.rebuild(graph)
+        self.rebuild(graph, kept)
 
-    def rebuild(self, graph: GraphLike) -> None:
-        """Condense ``graph`` and publish the complete view in one swap."""
+    def rebuild(self, graph: GraphLike, kept: Optional[_CondensedView] = None) -> None:
+        """Condense ``graph`` and publish the complete view in one swap.
+
+        ``kept`` is the view of an earlier snapshot whose SCC partition and
+        numbering :func:`condensation_holds` has proven still right for
+        ``graph``: Tarjan does not run, only the DAG edges are re-emitted
+        under its ``component_of``, and its component map and expansion are
+        reused.  A kept numbering is therefore one that held for an earlier
+        graph — still reverse-topological, but not the one a fresh Tarjan
+        would give; the next Tarjan rebuild resets it.
+        """
         self.graph = graph
         csr = graph.csr()
-        dag, component_of = condense_dense(csr)
-        vertex_to_component = dict(zip(csr.ids, component_of))
+        if kept is None:
+            dag, component_of = condense_dense(csr)
+            components = component_of.tolist()
+            vertex_to_component = dict(zip(csr.ids, components))
+            # The component → member transform that expands component rows
+            # to member rows, indexed by ``component_of``.
+            expansion = build_expansion(components, dag.num_vertices)
+        else:
+            component_of = kept.component_of
+            dag = condensation_dag(csr, component_of, kept.dag.num_vertices)
+            vertex_to_component, expansion = kept.vertex_to_component, kept.expansion
         index = make_reachability_index(self.strategy, dag, **self._kwargs)
         # Packed-pipeline structures, frozen with the view: the stable
         # vertex/component rank numberings (the two snapshots' dense
-        # indices) and the component → member transform that expands
-        # component rows to member rows — indexed by ``component_of``.
+        # indices).
         vertex_rank = VertexRank.from_csr(csr)
         dag_rank = VertexRank.from_csr(dag)
-        expansion = build_expansion(component_of, dag.num_vertices)
         # Single atomic publication of the complete rebuilt view.
         self._view = _CondensedView(
-            dag, vertex_to_component, index, vertex_rank, dag_rank, expansion
+            dag, vertex_to_component, index, vertex_rank, dag_rank, expansion, component_of
         )
 
     # Legacy attribute access (read-only snapshots of the current view).
@@ -204,6 +228,76 @@ class CondensedReachability:
         return self._view.dag.num_vertices
 
 
+def condensation_holds(
+    view: _CondensedView,
+    graph: CSRGraph,
+    inserted: Iterable[Tuple[int, int]],
+    deleted: Iterable[Tuple[int, int]],
+) -> bool:
+    """Whether ``view``'s SCC partition and numbering are right for ``graph``.
+
+    ``view`` condenses an earlier snapshot, and ``graph`` is that snapshot
+    with the ``inserted`` edges added and the ``deleted`` ones removed
+    (an edge listed in both is one both have).  The numbering holds when
+
+    (a) ``graph``'s vertex ids are the earlier snapshot's;
+    (b) every inserted edge stays inside a component or descends, from a
+        higher component id to a lower one; and
+    (c) every deleted edge ``(u, v)`` inside a component is bypassed:
+        ``u`` still reaches ``v`` in ``graph``.
+
+    By (b) no cycle can cross components, so no two of them merge, and
+    every edge of ``graph`` still descends; by (c) every path inside a
+    component survives, so none splits.  The check of (c) is one
+    bidirectional, early-exit search per such edge, and by (b) it never
+    leaves the component (:func:`_bypassed`).
+    """
+    if graph.ids != view.vertex_rank.ids:
+        return False
+    component = view.vertex_to_component
+    if any(component[u] < component[v] for u, v in inserted):
+        return False
+    index_of, component_of = graph._index_of, view.expansion.index
+    return all(
+        component[u] != component[v]
+        or _bypassed(graph, component_of, component[u], index_of[u], index_of[v])
+        for u, v in deleted
+    )
+
+
+def _bypassed(
+    graph: CSRGraph, component_of: Sequence[int], component: int, source: int, target: int
+) -> bool:
+    """Whether dense ``source`` reaches ``target`` inside ``component``.
+
+    Alternates a forward search from ``source`` and a backward one from
+    ``target``, always growing the smaller frontier, and stops as soon as
+    the two meet.
+    """
+    if source == target:
+        return True
+    # Per side: (offsets, targets, vertices seen, frontier); the forward
+    # side walks successors from ``source``, the backward one predecessors
+    # from ``target``.
+    growing = (graph.fwd_offsets, graph.fwd_targets, {source}, [source])
+    waiting = (graph.rev_offsets, graph.rev_targets, {target}, [target])
+    while growing[3] and waiting[3]:
+        if len(growing[3]) > len(waiting[3]):
+            growing, waiting = waiting, growing
+        offsets, targets, seen, frontier = growing
+        other = waiting[2]
+        reached = []
+        for vertex in frontier:
+            for neighbour in targets[offsets[vertex] : offsets[vertex + 1]]:
+                if neighbour in other:
+                    return True
+                if neighbour not in seen and component_of[neighbour] == component:
+                    seen.add(neighbour)
+                    reached.append(neighbour)
+        growing = (offsets, targets, seen, reached)
+    return False
+
+
 @dataclass
 class CompoundGraph:
     """The compound graph of one partition plus its query-time helpers."""
@@ -214,12 +308,16 @@ class CompoundGraph:
     graph: CSRGraph
     local_vertices: Set[int]
     # Entry handles of every *remote* partition, keyed by partition id.
-    remote_forward_handles: Dict[int, Set[int]] = field(default_factory=dict)
-    remote_backward_handles: Dict[int, Set[int]] = field(default_factory=dict)
+    remote_forward_handles: Dict[int, FrozenSet[int]] = field(default_factory=dict)
+    remote_backward_handles: Dict[int, FrozenSet[int]] = field(default_factory=dict)
     # Remote boundary vertices (real ids) present in this compound graph.
     remote_boundary_vertices: Set[int] = field(default_factory=set)
     # Local strategy evaluated over the condensed compound graph.
     reachability: Optional[CondensedReachability] = None
+    #: The local snapshot the local piece of :attr:`graph` was assembled
+    #: from: what the next flush diffs the partition's new local graph
+    #: against.  ``None`` once :meth:`add_isolated_vertex` edits the graph.
+    local_snapshot: Optional[CSRGraph] = None
     # Packed handle masks and handle re-pack transforms, cached per
     # VertexRank *object*: every rebuild — including the sanctioned one
     # after an isolated-vertex insert (:meth:`add_isolated_vertex`) —
@@ -234,9 +332,27 @@ class CompoundGraph:
     )
 
     # ------------------------------------------------------------------ #
-    def build_reachability(self, strategy: str = "dfs", **kwargs) -> None:
-        """(Re)build the condensed local reachability strategy."""
-        self.reachability = CondensedReachability(self.graph, strategy=strategy, **kwargs)
+    def build_reachability(
+        self, strategy: str = "dfs", kept: Optional[_CondensedView] = None, **kwargs
+    ) -> None:
+        """(Re)build the condensed local reachability strategy.
+
+        ``kept`` is an earlier view whose condensation still holds (see
+        :meth:`CondensedReachability.rebuild`).
+        """
+        self.reachability = CondensedReachability(
+            self.graph, strategy=strategy, kept=kept, **kwargs
+        )
+
+    def reuse_base(self) -> Optional[Tuple[CSRGraph, _CondensedView]]:
+        """``(local snapshot, condensation view)`` the next flush may keep from.
+
+        ``None`` when the graph has no condensation yet or was edited after
+        its assembly (:meth:`add_isolated_vertex`).
+        """
+        if self.local_snapshot is None or self.reachability is None:
+            return None
+        return self.local_snapshot, self.reachability.current_view()
 
     def add_isolated_vertex(self, vertex: int) -> None:
         """Register a new isolated local vertex with this published graph.
@@ -253,6 +369,8 @@ class CompoundGraph:
         self.graph = CSRGraph.from_edges(
             (*self.graph.ids, vertex), tuple(self.graph.edges())
         )
+        # The vertex set changed: the next flush condenses afresh.
+        self.local_snapshot = None
         self.local_vertices.add(vertex)
         if self.reachability is not None:
             self.reachability.rebuild(self.graph)
@@ -343,10 +461,10 @@ class CompoundGraph:
         """Rough storage footprint: 8 bytes per edge + 4 per vertex."""
         return 8 * self.graph.num_edges + 4 * self.graph.num_vertices
 
-    def forward_handles_of(self, partition_id: int) -> Set[int]:
-        return self.remote_forward_handles.get(partition_id, set())
+    def forward_handles_of(self, partition_id: int) -> FrozenSet[int]:
+        return self.remote_forward_handles.get(partition_id, frozenset())
 
-    def all_forward_handles(self) -> Dict[int, Set[int]]:
+    def all_forward_handles(self) -> Dict[int, FrozenSet[int]]:
         return self.remote_forward_handles
 
 
@@ -354,7 +472,8 @@ def assemble_compound_graph(
     partition_id: int,
     local_graph: DiGraph,
     summaries: Mapping[int, PartitionSummary],
-    cut_edges: Sequence[Tuple[int, int]],
+    cut_edges: Sequence[Tuple[int, int]] = (),
+    cut_piece: Optional[tuple] = None,
 ) -> CompoundGraph:
     """Merge the local subgraph, remote summaries and cut into ``G^C_i``.
 
@@ -366,24 +485,30 @@ def assemble_compound_graph(
     memoised :meth:`~repro.core.summary.PartitionSummary.contribution_arrays`
     and the cut — one sort of the vertices, one remap of the endpoints, one
     sort of the edge keys (:func:`repro.reachability.kernels.np_union_csr`).
-    The returned compound graph has no reachability strategy yet (it is
-    built on first use, or explicitly by :func:`build_compound_graph`).
+    ``cut_piece`` is the cut already as a piece
+    (``kernels.np_edges_piece((), cut_edges)``): a flush builds it once for
+    every compound graph.  The returned compound graph has no reachability
+    strategy yet (it is built on first use, or explicitly by
+    :func:`build_compound_graph`).
     """
+    if cut_piece is None:
+        cut_piece = kernels.np_edges_piece((), cut_edges)
+    local_snapshot = local_graph.csr()
     graph = CSRGraph.from_sorted(
         *kernels.np_union_csr(
             [
-                kernels.np_csr_piece(local_graph.csr()),
+                kernels.np_csr_piece(local_snapshot),
                 *(
                     summary.contribution_arrays()
                     for other_id, summary in summaries.items()
                     if other_id != partition_id
                 ),
-                kernels.np_edges_piece((), cut_edges),
+                cut_piece,
             ]
         )
     )
-    remote_forward: Dict[int, Set[int]] = {}
-    remote_backward: Dict[int, Set[int]] = {}
+    remote_forward: Dict[int, FrozenSet[int]] = {}
+    remote_backward: Dict[int, FrozenSet[int]] = {}
     remote_boundary: Set[int] = set()
 
     for other_id, summary in summaries.items():
@@ -400,6 +525,7 @@ def assemble_compound_graph(
         remote_forward_handles=remote_forward,
         remote_backward_handles=remote_backward,
         remote_boundary_vertices=remote_boundary,
+        local_snapshot=local_snapshot,
     )
 
 
@@ -407,11 +533,14 @@ def build_compound_graph(
     partition_id: int,
     local_graph: DiGraph,
     summaries: Mapping[int, PartitionSummary],
-    cut_edges: Sequence[Tuple[int, int]],
+    cut_edges: Sequence[Tuple[int, int]] = (),
     local_strategy: str = "dfs",
     strategy_kwargs: Optional[dict] = None,
+    cut_piece: Optional[tuple] = None,
 ) -> CompoundGraph:
     """Assemble ``G^C_i`` and condense it under the chosen local strategy."""
-    compound = assemble_compound_graph(partition_id, local_graph, summaries, cut_edges)
+    compound = assemble_compound_graph(
+        partition_id, local_graph, summaries, cut_edges, cut_piece
+    )
     compound.build_reachability(local_strategy, **(strategy_kwargs or {}))
     return compound

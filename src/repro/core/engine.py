@@ -159,10 +159,6 @@ class DSREngine:
         self._reverse_index.build()
         self._reverse_executor = DistributedQueryExecutor(self._reverse_index, self.cluster)
         self._reverse_maintainer = IncrementalMaintainer(self._reverse_index)
-        # New vertices are mirrored into the reverse index under the same
-        # id, so their ids must avoid its class ids as well as the forward
-        # index's.
-        self._maintainer.share_vertex_ids_with(self._reverse_index)
 
     @property
     def is_built(self) -> bool:

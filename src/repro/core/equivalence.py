@@ -32,7 +32,6 @@ compressed index lossless *without* per-edge member labels):
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set
 
@@ -69,69 +68,32 @@ class EquivalenceClass:
         return 4 * (len(self.members) + 3)
 
 
+def class_id(representative: int, kind: str) -> int:
+    """The id of the class of ``kind`` whose smallest member is ``representative``.
+
+    ``-1 - 2 * representative``, one less for a backward class: a pure
+    function of the class, so re-summarising a partition whose classes did
+    not change yields the same ids, and the same compound-graph vertices.
+    The representative also names the partition, since a vertex belongs to
+    exactly one, so no two classes of one epoch share an id.  Real ids are
+    non-negative (:meth:`repro.graph.digraph.DiGraph.add_vertex` refuses
+    anything else), so the two ranges are disjoint by construction, and
+    every class id lies in ``[-2 * (max real id + 1), 0)``.
+    """
+    return -1 - 2 * representative - (kind == BACKWARD)
+
+
 class ClassIdAllocator:
-    """Allocates globally unique virtual-vertex ids above the real id range.
+    """Retired: class ids are canonical (:func:`class_id`), nothing allocates them.
 
-    Real vertices inserted after the build share the id space: each one
-    claims its id here first (:meth:`reserve`, through
-    :func:`claim_real_id`), so the allocator skips it, and an id already
-    handed to a class is refused as a real one.  The class ids are exactly
-    ``[first_id, next_id)`` minus the reserved real ids.  Thread-safe: a
-    background flush allocates while an update thread reserves.
+    Only the name and its constructor remain, because the spine benchmark's
+    traced run (``benchmarks/spine/spinelib/ladder.py``) still builds one
+    and passes it to :func:`repro.core.summary.build_partition_summary`,
+    which ignores it.  Delete both with the benchmark's next change.
     """
 
-    def __init__(self, first_id: int) -> None:
-        self._first = first_id
-        self._next = first_id
-        #: Real ids reserved at or above ``first_id``.
-        self._real: Set[int] = set()
-        self._lock = threading.Lock()
-
-    def allocate(self) -> int:
-        with self._lock:
-            while self._next in self._real:
-                self._next += 1
-            value = self._next
-            self._next += 1
-            return value
-
-    def reserve(self, vertex: int) -> bool:
-        """Claim ``vertex`` as a real id; ``False`` if it was handed to a class."""
-        with self._lock:
-            if self._first <= vertex < self._next and vertex not in self._real:
-                return False
-            if vertex >= self._first:
-                self._real.add(vertex)
-            return True
-
-    @property
-    def next_id(self) -> int:
-        return self._next
-
-
-def claim_real_id(
-    allocators: Iterable[ClassIdAllocator], vertex: Optional[int], fresh: int
-) -> int:
-    """The id a newly inserted real vertex takes, reserved on every allocator.
-
-    ``vertex=None`` takes the lowest id from ``fresh`` (the graph's next
-    unused id) up that no allocator has handed to a class or will hand out
-    next.  An explicit ``vertex`` that one of them already handed to a
-    class raises ``ValueError``: a real vertex with a class's id would be
-    merged with the class vertex in every compound graph and reach whatever
-    the class reaches.
-    """
-    allocators = list(allocators)
-    if vertex is not None:
-        if not all(allocator.reserve(vertex) for allocator in allocators):
-            raise ValueError(f"vertex id {vertex} is a virtual class id of the index")
-        return vertex
-    candidate = max([fresh, *(allocator.next_id for allocator in allocators)])
-    # A concurrent flush may allocate the candidate between the read above
-    # and the reservation; the next id up is then free.
-    while not all(allocator.reserve(candidate) for allocator in allocators):
-        candidate += 1
-    return candidate
+    def __init__(self, first_id: int = 0) -> None:
+        """Take and ignore the first id the old allocator counted up from."""
 
 
 class LocalCondensation(NamedTuple):
@@ -193,7 +155,6 @@ def _classes_by_signature(
     signatures: Dict[int, int],
     partition_id: int,
     kind: str,
-    allocator: ClassIdAllocator,
 ) -> List[EquivalenceClass]:
     """One class per distinct signature row, in order of smallest member."""
     # Ascending insertion: every group opens at its smallest member, so the
@@ -203,7 +164,7 @@ def _classes_by_signature(
         groups.setdefault(signatures[vertex], []).append(vertex)
     return [
         EquivalenceClass(
-            class_id=allocator.allocate(),
+            class_id=class_id(members[0], kind),
             partition_id=partition_id,
             kind=kind,
             members=frozenset(members),
@@ -218,7 +179,6 @@ def compute_forward_classes(
     in_boundaries: Set[int],
     out_boundaries: Set[int],
     partition_id: int,
-    allocator: ClassIdAllocator,
     local: Optional[LocalCondensation] = None,
 ) -> List[EquivalenceClass]:
     """Compute the forward-equivalent classes of ``in_boundaries``.
@@ -239,7 +199,6 @@ def compute_forward_classes(
         False,
         partition_id,
         FORWARD,
-        allocator,
     )
 
 
@@ -248,7 +207,6 @@ def compute_backward_classes(
     in_boundaries: Set[int],
     out_boundaries: Set[int],
     partition_id: int,
-    allocator: ClassIdAllocator,
     local: Optional[LocalCondensation] = None,
 ) -> List[EquivalenceClass]:
     """Compute the backward-equivalent classes of ``out_boundaries``.
@@ -268,7 +226,6 @@ def compute_backward_classes(
         True,
         partition_id,
         BACKWARD,
-        allocator,
     )
 
 
@@ -279,26 +236,24 @@ def _classes_by_rows(
     reverse: bool,
     partition_id: int,
     kind: str,
-    allocator: ClassIdAllocator,
 ) -> List[EquivalenceClass]:
     rows = local.rows(candidates, targets, reverse)
     component_of = local.component_of
     signatures = {vertex: rows[component_of[vertex]] for vertex in candidates}
-    return _classes_by_signature(signatures, partition_id, kind, allocator)
+    return _classes_by_signature(signatures, partition_id, kind)
 
 
 def singleton_classes(
     members: Iterable[int],
     partition_id: int,
     kind: str,
-    allocator: ClassIdAllocator,
 ) -> List[EquivalenceClass]:
     """One class per member — used when the equivalence optimisation is off."""
     classes = []
     for member in sorted(set(members)):
         classes.append(
             EquivalenceClass(
-                class_id=allocator.allocate(),
+                class_id=class_id(member, kind),
                 partition_id=partition_id,
                 kind=kind,
                 members=frozenset([member]),

@@ -40,12 +40,13 @@ from repro.core.compound_graph import (
     CompoundGraph,
     assemble_compound_graph,
     build_compound_graph,
+    condensation_holds,
 )
-from repro.core.equivalence import ClassIdAllocator
 from repro.core.summary import SUMMARY_STRATEGY, PartitionSummary, build_partition_summary
 from repro.graph.digraph import DiGraph
 from repro.graph.traversal import is_reachable
 from repro.partition.partition import GraphPartitioning
+from repro.reachability import kernels
 
 
 @dataclass
@@ -121,8 +122,17 @@ class EpochState:
     #: :meth:`DSRIndex.publish` just before the swap.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     #: The partitions whose summaries this state rebuilt; every other
-    #: summary is the previous epoch's object.
+    #: summary is the previous epoch's object, and so is a rebuilt one that
+    #: came out equal to it.
     resummarised: FrozenSet[int] = frozenset()
+    #: The cut the compound graphs were assembled with, as a graph piece
+    #: (``kernels.np_edges_piece((), cut_edges)``; every state the index
+    #: builds has one): the next flush diffs its cut against it.
+    cut_piece: Optional[tuple] = None
+    #: The partitions whose compound graph kept the previous epoch's
+    #: condensation instead of running Tarjan (see
+    #: :func:`~repro.core.compound_graph.condensation_holds`).
+    kept_condensations: FrozenSet[int] = frozenset()
 
     def vertex_rank(self, partition_id: int):
         """The stable vertex-rank numbering of one partition's compound graph.
@@ -164,7 +174,6 @@ class DSRIndex:
         #: the always-available in-process path instead.
         self.shard_hydration = shard_hydration
 
-        self.allocator: Optional[ClassIdAllocator] = None
         self.build_report: Optional[IndexBuildReport] = None
         self._state: Optional[EpochState] = None
         self._publish_lock = threading.Lock()
@@ -218,15 +227,9 @@ class DSRIndex:
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    def _first_virtual_id(self) -> int:
-        graph = self.partitioning.graph
-        highest = max(graph.vertices(), default=-1)
-        return highest + 1
-
     def build(self) -> IndexBuildReport:
         """Run the three-phase distributed index build (publishes epoch 0)."""
         self.cluster.reset_stats()
-        self.allocator = ClassIdAllocator(self._first_virtual_id())
         local_graphs = {
             pid: self.partitioning.local_subgraph(pid)
             for pid in range(self.num_partitions)
@@ -239,7 +242,6 @@ class DSRIndex:
                 local_graph=local_graphs[rank],
                 in_boundaries=self.partitioning.in_boundaries(rank),
                 out_boundaries=self.partitioning.out_boundaries(rank),
-                allocator=self.allocator,
                 use_equivalence=self.use_equivalence,
             )
 
@@ -249,16 +251,16 @@ class DSRIndex:
         summary_bytes = self._broadcast(summaries, tag="summary")
 
         # Phase 3: every slave assembles and condenses its compound graph.
-        cut_edges = self.partitioning.cut_edges()
+        cut_piece = kernels.np_edges_piece((), self.partitioning.cut_edges())
 
         def assemble(rank: int) -> CompoundGraph:
             return build_compound_graph(
                 partition_id=rank,
                 local_graph=local_graphs[rank],
                 summaries=summaries,
-                cut_edges=cut_edges,
                 local_strategy=self.local_strategy,
                 strategy_kwargs=self.strategy_kwargs,
+                cut_piece=cut_piece,
             )
 
         compound_graphs = self.cluster.run_phase("assemble", assemble)
@@ -274,6 +276,7 @@ class DSRIndex:
                     for pid in range(self.num_partitions)
                 },
                 assignment=dict(self.partitioning.assignment),
+                cut_piece=cut_piece,
             )
         )
 
@@ -357,8 +360,13 @@ class DSRIndex:
         replaces, so the copy it publishes can still hold an edge deleted
         since — the delete check must not read it.
         The heavy phase reassembles every compound graph straight into a
-        CSR snapshot and condenses it into another, whether or not its
-        inputs changed; both are numpy array constructions.
+        CSR snapshot, whether or not its inputs changed (numpy array
+        constructions), and condenses it: with the previous epoch's SCC
+        numbering when :func:`~repro.core.compound_graph.condensation_holds`
+        proves it still right for the edges that changed, with Tarjan
+        otherwise (:meth:`_condense`).  A re-summarised partition whose
+        summary comes out equal to the published one keeps the published
+        object, so the compound graphs see no change from it.
         """
         current = self.current_state()
         dirty = set(dirty)
@@ -386,6 +394,12 @@ class DSRIndex:
             }
             assignment = dict(self.partitioning.assignment)
             boundary_sets = dict(current.boundary_sets)
+            # What each published compound graph was condensed from, read
+            # under the lock that an isolated-vertex insert edits it under.
+            bases = {
+                pid: compound.reuse_base()
+                for pid, compound in current.compound_graphs.items()
+            }
             boundaries: Dict[int, Tuple[Set[int], Set[int]]] = {
                 pid: (
                     self.partitioning.in_boundaries(pid),
@@ -417,7 +431,6 @@ class DSRIndex:
                 local_graph=local_graphs[rank],
                 in_boundaries=boundaries[rank][0],
                 out_boundaries=boundaries[rank][1],
-                allocator=self.allocator,
                 use_equivalence=self.use_equivalence,
             )
 
@@ -425,31 +438,33 @@ class DSRIndex:
             refreshed = self.cluster.run_phase(
                 "summarise-epoch", summarise, workers=sorted(dirty), stats=flush_stats
             )
-            summaries.update(refreshed)
+            summaries.update(
+                (pid, summary)
+                for pid, summary in refreshed.items()
+                if summary != current.summaries[pid]
+            )
             self._broadcast(summaries, tag="summary-update", only=sorted(dirty))
         summarised = time.perf_counter()
 
         # ... then reassemble every compound graph against the new summaries
         # and condense it (two phases so each is timed on its own).
+        cut_piece = kernels.np_edges_piece((), cut_edges)
+
         def assemble(rank: int) -> CompoundGraph:
             return assemble_compound_graph(
                 partition_id=rank,
                 local_graph=local_graphs[rank],
                 summaries=summaries,
-                cut_edges=cut_edges,
+                cut_piece=cut_piece,
             )
 
         compound_graphs = self.cluster.run_phase(
             "assemble-epoch", assemble, stats=flush_stats
         )
         assembled = time.perf_counter()
-
-        def condense(rank: int) -> None:
-            compound_graphs[rank].build_reachability(
-                self.local_strategy, **self.strategy_kwargs
-            )
-
-        self.cluster.run_phase("condense-epoch", condense, stats=flush_stats)
+        kept = self._condense(
+            current, bases, compound_graphs, summaries, cut_piece, flush_stats
+        )
         self.cluster.stats.absorb(flush_stats)
         condensed = time.perf_counter()
         heavy_seconds = condensed - heavy_start
@@ -457,6 +472,12 @@ class DSRIndex:
         if registry.enabled:
             registry.observe("dsr_flush_snapshot_seconds", snapshot_seconds)
             registry.observe("dsr_flush_heavy_seconds", heavy_seconds)
+            registry.inc("dsr_flush_condensations_total", len(kept), outcome="kept")
+            registry.inc(
+                "dsr_flush_condensations_total",
+                len(compound_graphs) - len(kept),
+                outcome="tarjan",
+            )
         return EpochState(
             epoch=current.epoch + 1,
             local_graphs=local_graphs,
@@ -472,7 +493,67 @@ class DSRIndex:
                 "condense": condensed - assembled,
             },
             resummarised=frozenset(dirty),
+            cut_piece=cut_piece,
+            kept_condensations=kept,
         )
+
+    def _condense(
+        self,
+        current: EpochState,
+        bases: Dict[int, Optional[tuple]],
+        compound_graphs: Dict[int, CompoundGraph],
+        summaries: Dict[int, PartitionSummary],
+        cut_piece: tuple,
+        stats: ClusterStats,
+    ) -> FrozenSet[int]:
+        """Condense every new compound graph; return those that kept a numbering.
+
+        Compound graph ``i`` keeps the published condensation when
+        :func:`~repro.core.compound_graph.condensation_holds` accepts the
+        edges that changed since it was assembled.  They come from the pieces
+        ``G^C_i`` is assembled from, which share no edge, never from diffing
+        whole compound graphs: the cut's change (once, shared by every
+        compound graph), each remote summary's change (only for a new
+        summary object) and the local piece's change against the local
+        snapshot the published graph was assembled from (none when it is
+        the same snapshot).  A clean partition's local graph changes too,
+        through the update mirrors, so only the snapshot identity tells.
+        """
+        cut_changes = kernels.np_edge_delta(current.cut_piece[2:], cut_piece[2:])
+        old_summaries = current.summaries
+        summary_changes = {
+            pid: kernels.np_edge_delta(
+                old_summaries[pid].contribution_arrays()[2:],
+                summary.contribution_arrays()[2:],
+            )
+            for pid, summary in summaries.items()
+            if summary is not old_summaries.get(pid)
+        }
+
+        def condense(rank: int) -> bool:
+            compound = compound_graphs[rank]
+            kept = None
+            base = bases.get(rank)
+            if base is not None:
+                old_local, view = base
+                changes = [cut_changes]
+                if compound.local_snapshot is not old_local:
+                    changes.append(
+                        kernels.np_edge_delta(
+                            kernels.np_csr_piece(old_local)[2:],
+                            kernels.np_csr_piece(compound.local_snapshot)[2:],
+                        )
+                    )
+                changes += (found for pid, found in summary_changes.items() if pid != rank)
+                inserted = [edge for found in changes for edge in found[0]]
+                deleted = [edge for found in changes for edge in found[1]]
+                if condensation_holds(view, compound.graph, inserted, deleted):
+                    kept = view
+            compound.build_reachability(self.local_strategy, kept=kept, **self.strategy_kwargs)
+            return kept is not None
+
+        outcomes = self.cluster.run_phase("condense-epoch", condense, stats=stats)
+        return frozenset(rank for rank, kept in outcomes.items() if kept)
 
     def publish(self, state: EpochState) -> None:
         """Atomically swap ``state`` in as the current epoch.

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.equivalence import (
-    ClassIdAllocator,
     EquivalenceClass,
     LocalCondensation,
     compute_backward_classes,
@@ -29,7 +28,7 @@ from repro.core.equivalence import (
 )
 from repro.graph.digraph import DiGraph
 from repro.reachability import kernels
-from repro.reachability.packed import iter_bits, pack_ranks
+from repro.reachability.packed import iter_bits, pack_ranks, wire_order
 
 #: The one strategy partition summaries are computed with: one-pass bitset
 #: sweeps over each local condensation.
@@ -77,6 +76,15 @@ class PartitionSummary:
     _contribution_arrays: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
+    _boundary_vertices: Optional[FrozenSet[int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _forward_handles: Optional[FrozenSet[int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _backward_handles: Optional[FrozenSet[int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------ #
     # derived accessors
@@ -87,8 +95,11 @@ class PartitionSummary:
         return set(self.in_boundaries) & set(self.out_boundaries)
 
     @property
-    def boundary_vertices(self) -> Set[int]:
-        return set(self.in_boundaries) | set(self.out_boundaries)
+    def boundary_vertices(self) -> FrozenSet[int]:
+        """``I_j ∪ O_j`` (memoised, as are the handle sets below)."""
+        if self._boundary_vertices is None:
+            self._boundary_vertices = self.in_boundaries | self.out_boundaries
+        return self._boundary_vertices
 
     def member_to_forward_class(self) -> Dict[int, int]:
         """Map each classified in-boundary member to its class id (memoised).
@@ -116,25 +127,32 @@ class PartitionSummary:
             self._member_to_backward = mapping
         return self._member_to_backward
 
-    def forward_handles(self) -> Set[int]:
-        """Entry handles other slaves use to address this partition.
+    def forward_handles(self) -> FrozenSet[int]:
+        """Entry handles other slaves use to address this partition (memoised).
 
         With the equivalence optimisation these are the forward-class ids plus
         the overlap vertices; without it they are the raw in-boundaries.
+        Every compound graph of the other partitions reads them on every
+        assembly.
         """
-        if not self.use_equivalence:
-            return set(self.in_boundaries)
-        handles = {cls.class_id for cls in self.forward_classes}
-        handles |= self.overlap
-        return handles
+        if self._forward_handles is None:
+            self._forward_handles = self._handles(self.in_boundaries, self.forward_classes)
+        return self._forward_handles
 
-    def backward_handles(self) -> Set[int]:
+    def backward_handles(self) -> FrozenSet[int]:
         """Exit handles (used by the optional backward query processing)."""
+        if self._backward_handles is None:
+            self._backward_handles = self._handles(self.out_boundaries, self.backward_classes)
+        return self._backward_handles
+
+    def _handles(
+        self, boundaries: FrozenSet[int], classes: List[EquivalenceClass]
+    ) -> FrozenSet[int]:
         if not self.use_equivalence:
-            return set(self.out_boundaries)
-        handles = {cls.class_id for cls in self.backward_classes}
-        handles |= self.overlap
-        return handles
+            return boundaries
+        return frozenset(cls.class_id for cls in classes) | (
+            self.in_boundaries & self.out_boundaries
+        )
 
     def expand_handle(self, handle: int) -> Tuple[int, ...]:
         """Expand a received handle into concrete member vertices.
@@ -164,14 +182,14 @@ class PartitionSummary:
         return self._expand_table
 
     def forward_handle_order(self) -> Tuple[int, ...]:
-        """The canonical (sorted) forward-handle numbering of this partition.
+        """The canonical forward-handle numbering of this partition.
 
         Packed cross-partition messages address this partition's handles by
         *position* in this tuple; every slave derives the same order from
         the broadcast summary, so the positions agree cluster-wide.
         """
         if self._forward_handle_order is None:
-            self._forward_handle_order = tuple(sorted(self.forward_handles()))
+            self._forward_handle_order = tuple(wire_order(self.forward_handles()))
         return self._forward_handle_order
 
     def classes_by_id(self) -> Dict[int, EquivalenceClass]:
@@ -250,7 +268,7 @@ def build_partition_summary(
     local_graph: DiGraph,
     in_boundaries: Set[int],
     out_boundaries: Set[int],
-    allocator: ClassIdAllocator,
+    retired_allocator: object = None,
     use_equivalence: bool = True,
     local_index_name: str = SUMMARY_STRATEGY,
 ) -> PartitionSummary:
@@ -263,7 +281,10 @@ def build_partition_summary(
     members of a component reach the same vertices, so rows are never
     expanded back to vertices where a component row says the same thing.
     ``local_index_name`` names the kernel and admits only
-    :data:`SUMMARY_STRATEGY`.
+    :data:`SUMMARY_STRATEGY`.  ``retired_allocator`` is ignored: class ids
+    are canonical (:func:`repro.core.equivalence.class_id`); the slot stays
+    only for the spine benchmark, which still passes a retired
+    :class:`~repro.core.equivalence.ClassIdAllocator` in it.
 
     The transitive reachability is materialised as follows:
 
@@ -295,10 +316,10 @@ def build_partition_summary(
         return summary
 
     summary.forward_classes = compute_forward_classes(
-        local_graph, in_boundaries, out_boundaries, partition_id, allocator, local
+        local_graph, in_boundaries, out_boundaries, partition_id, local
     )
     summary.backward_classes = compute_backward_classes(
-        local_graph, in_boundaries, out_boundaries, partition_id, allocator, local
+        local_graph, in_boundaries, out_boundaries, partition_id, local
     )
 
     # Reachability from every in-boundary to every boundary vertex; this is

@@ -74,7 +74,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.equivalence import claim_real_id
 from repro.core.index import DSRIndex, EpochState
 from repro.graph.traversal import is_reachable
 from repro.obs.runtime import global_registry
@@ -119,7 +118,9 @@ class FlushResult:
     assemble_seconds: float = 0.0
     condense_seconds: float = 0.0
     hydrate_seconds: float = 0.0
-
+    #: The partitions whose compound graph kept the previous epoch's
+    #: condensation (no Tarjan run); every other one was condensed afresh.
+    kept_condensations: Set[int] = field(default_factory=set)
 
 
 class IncrementalMaintainer:
@@ -165,19 +166,6 @@ class IncrementalMaintainer:
         self._bg_coalesced_count = 0
         #: The most recent non-trivial flush (None until one happens).
         self.last_flush: Optional[FlushResult] = None
-        #: Indexes whose class ids a new real vertex id must avoid: this
-        #: one, plus any mirror over the same vertices (see
-        #: :meth:`share_vertex_ids_with`).
-        self._id_indexes: List[DSRIndex] = [index]
-
-    def share_vertex_ids_with(self, index: DSRIndex) -> None:
-        """Keep new vertex ids clear of ``index``'s class ids too.
-
-        The engine links its reverse index here: a vertex inserted through
-        this maintainer is mirrored there under the same id, so the id must
-        be free in both id spaces.
-        """
-        self._id_indexes.append(index)
 
     # ------------------------------------------------------------------ #
     # observers
@@ -294,6 +282,7 @@ class IncrementalMaintainer:
             assemble_seconds=stages["assemble"],
             condense_seconds=stages["condense"],
             hydrate_seconds=stages["hydrate"],
+            kept_condensations=set(state.kept_condensations),
         )
         self._flush_count += 1
         self.last_flush = result
@@ -517,9 +506,10 @@ class IncrementalMaintainer:
     ) -> int:
         """Insert an isolated vertex and assign it to a partition.
 
-        Without ``vertex`` the new id is the lowest one above every real id
-        that no linked index has handed to a virtual class vertex; naming
-        an existing vertex or a class id raises ``ValueError``.
+        Without ``vertex`` the new id is the graph's next unused one.  Class
+        ids are negative (:func:`repro.core.equivalence.class_id`), so no
+        real id can meet one: naming a negative id raises ``GraphError``,
+        naming an existing vertex ``ValueError``.
         """
         with self._mutation_lock:
             if vertex is not None and self.graph.has_vertex(vertex):
@@ -528,17 +518,7 @@ class IncrementalMaintainer:
                 # new one claims the vertex, corrupting every later
                 # dirty-marking decision.
                 raise ValueError(f"vertex {vertex} already exists")
-            new_vertex = self.graph.add_vertex(
-                claim_real_id(
-                    (
-                        index.allocator
-                        for index in self._id_indexes
-                        if index.allocator is not None
-                    ),
-                    vertex,
-                    self.graph.next_vertex_id,
-                )
-            )
+            new_vertex = self.graph.add_vertex(vertex)
             if partition_id is None:
                 sizes = [
                     (len(self.partitioning.vertices_of(pid)), pid)

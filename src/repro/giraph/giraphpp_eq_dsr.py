@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Set, Tuple
 
-from repro.core.equivalence import ClassIdAllocator, EquivalenceClass, compute_forward_classes
+from repro.core.equivalence import EquivalenceClass, compute_forward_classes
 from repro.core.query import QueryResult
 from repro.giraph.giraphpp_dsr import GiraphPlusPlusDSR
 from repro.giraph.pregel import PartitionCentricEngine, PregelStats
@@ -36,8 +36,6 @@ class GiraphPlusPlusEqDSR(GiraphPlusPlusDSR):
     # ------------------------------------------------------------------ #
     def _prepare_equivalence(self) -> None:
         """Precompute forward classes and the per-edge class routing."""
-        highest = max(self.graph.vertices(), default=-1)
-        allocator = ClassIdAllocator(highest + 1)
         self._class_members: Dict[int, Tuple[int, ...]] = {}
         # member boundary vertex -> class id (per its home partition)
         member_to_class: Dict[int, int] = {}
@@ -47,7 +45,7 @@ class GiraphPlusPlusEqDSR(GiraphPlusPlusDSR):
             in_boundaries = self.partitioning.in_boundaries(pid)
             out_boundaries = self.partitioning.out_boundaries(pid)
             classes: List[EquivalenceClass] = compute_forward_classes(
-                local_graph, in_boundaries, out_boundaries, pid, allocator
+                local_graph, in_boundaries, out_boundaries, pid
             )
             for cls in classes:
                 self._class_members[cls.class_id] = tuple(sorted(cls.members))

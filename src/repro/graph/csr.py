@@ -293,30 +293,15 @@ class CSRGraph:
             close()
 
     def _ensure_reverse(self) -> None:
-        """Materialise the reverse arrays (counting sort over the forward)."""
+        """Materialise the reverse arrays (one sort of the forward edges by target)."""
         if self._rev_offsets is not None:
             return
-        n = len(self.ids)
-        offsets, targets = self.fwd_offsets, self.fwd_targets
-        counts = [0] * n
-        for w in targets:
-            counts[w] += 1
-        rev_offsets = array("q", bytes(8 * (n + 1)))
-        total = 0
-        for i in range(n):
-            total += counts[i]
-            rev_offsets[i + 1] = total
-        # Fill positions; iterating sources in ascending order keeps every
-        # reverse run sorted, matching the forward runs' determinism.
-        fill = list(rev_offsets[:n]) if n else []
-        rev_targets = array("q", bytes(8 * len(targets)))
-        for u in range(n):
-            for k in range(offsets[u], offsets[u + 1]):
-                w = targets[k]
-                rev_targets[fill[w]] = u
-                fill[w] += 1
-        self._rev_targets = rev_targets
-        self._rev_offsets = rev_offsets
+        # Imported here: repro.reachability imports this module.
+        from repro.reachability import kernels
+
+        # Every reverse run lists its sources in ascending order, matching
+        # the forward runs' determinism.
+        self._rev_offsets, self._rev_targets = kernels.np_reverse_csr(self)
 
     @property
     def rev_offsets(self) -> array:

@@ -19,7 +19,9 @@ emitted straight into a snapshot's buffers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple, Union
+from bisect import bisect_left
+from itertools import chain
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
@@ -28,8 +30,12 @@ from repro.graph.digraph import DiGraph
 GraphLike = Union[DiGraph, CSRGraph]
 
 
-def _dense_components(csr: CSRGraph) -> List[List[int]]:
-    """Tarjan over ``csr``: SCCs as lists of dense indices, reverse-topological."""
+def _dense_components(csr: CSRGraph, first_root: int = 0) -> List[List[int]]:
+    """Tarjan over ``csr``: SCCs as lists of dense indices, reverse-topological.
+
+    DFS roots are taken in dense order from ``first_root``, wrapping round
+    to the indices below it.
+    """
     n = csr.num_vertices
     offsets, targets = csr.fwd_offsets.tolist(), csr.fwd_targets.tolist()
 
@@ -43,7 +49,7 @@ def _dense_components(csr: CSRGraph) -> List[List[int]]:
     components: List[List[int]] = []
     counter = 0
 
-    for root in range(n):
+    for root in chain(range(first_root, n), range(first_root)):
         if index[root] != UNVISITED:
             continue
         index[root] = lowlink[root] = counter
@@ -84,6 +90,22 @@ def _dense_components(csr: CSRGraph) -> List[List[int]]:
     return components
 
 
+def _first_real(csr: CSRGraph) -> int:
+    """The dense index Tarjan's roots start from: the first non-negative id.
+
+    Negative ids are class vertices (:func:`repro.core.equivalence.class_id`)
+    and sort first; starting the roots at the real vertices numbers a
+    compound graph's components as when class ids sorted above the real
+    ones.  The numbering is reverse-topological either way, but it decides
+    how far a narrow one-pass sweep runs (the python loop of
+    :mod:`repro.reachability.bitset_msbfs` starts at the highest seed):
+    rooting at the class vertices first numbered the query sources' components
+    ≈ 20 % higher on the spine's DAG rig.  A graph of real vertices only
+    starts at 0, plain dense order.
+    """
+    return bisect_left(csr.ids, 0)
+
+
 def strongly_connected_components(graph: GraphLike) -> List[List[int]]:
     """Return the SCCs of ``graph`` as a list of vertex lists.
 
@@ -93,7 +115,10 @@ def strongly_connected_components(graph: GraphLike) -> List[List[int]]:
     """
     csr = graph.csr()
     ids = csr.ids
-    return [[ids[member] for member in component] for component in _dense_components(csr)]
+    return [
+        [ids[member] for member in component]
+        for component in _dense_components(csr, _first_real(csr))
+    ]
 
 
 def condense(graph: GraphLike) -> Tuple[CSRGraph, Dict[int, int]]:
@@ -116,27 +141,39 @@ def condense(graph: GraphLike) -> Tuple[CSRGraph, Dict[int, int]]:
     """
     csr = graph.csr()
     dag, component_of = condense_dense(csr)
-    return dag, dict(zip(csr.ids, component_of))
+    return dag, dict(zip(csr.ids, component_of.tolist()))
 
 
-def condense_dense(graph: GraphLike) -> Tuple[CSRGraph, List[int]]:
+def condense_dense(graph: GraphLike) -> Tuple[CSRGraph, Sequence[int]]:
     """:func:`condense` with ``component_of[i]`` for dense vertex index ``i``.
 
-    Tarjan (:func:`_dense_components`) fixes the component numbering; the
-    DAG is then emitted as CSR buffers directly, by one sort of the
-    component pairs of all edges
-    (:func:`repro.reachability.kernels.np_condense`) — byte-identical to
-    snapshotting a ``DiGraph`` built from the same edges, without building
-    one.
+    Tarjan (:func:`_dense_components`) fixes the component numbering, and
+    ``component_of`` is an int64 numpy array; the DAG is then emitted by
+    :func:`condensation_dag`.
     """
     # Imported here: repro.reachability imports this module.
     from repro.reachability import kernels
 
     csr = graph.csr()
-    components = _dense_components(csr)
-    component_of, dag_offsets, dag_targets = kernels.np_condense(csr, components)
-    dag = CSRGraph.from_sorted(tuple(range(len(components))), dag_offsets, dag_targets)
-    return dag, component_of
+    components = _dense_components(csr, _first_real(csr))
+    component_of = kernels.np_component_of(components, csr.num_vertices)
+    return condensation_dag(csr, component_of, len(components)), component_of
+
+
+def condensation_dag(csr: CSRGraph, component_of: Sequence[int], k: int) -> CSRGraph:
+    """The DAG of ``csr``'s edges between the ``k`` components of ``component_of``.
+
+    Emitted as CSR buffers directly, by one sort of the component pairs of
+    all edges (:func:`repro.reachability.kernels.np_condense`) —
+    byte-identical to snapshotting a ``DiGraph`` built from the same edges,
+    without building one.  ``component_of`` is an int64 numpy array: a
+    fresh Tarjan's (:func:`condense_dense`) or one kept from an earlier
+    snapshot whose numbering still holds for ``csr``
+    (:class:`repro.core.compound_graph.CondensedReachability`).
+    """
+    from repro.reachability import kernels
+
+    return CSRGraph.from_sorted(tuple(range(k)), *kernels.np_condense(csr, component_of, k))
 
 
 def numbered_dag(graph: GraphLike) -> Tuple[CSRGraph, Dict[int, int]]:

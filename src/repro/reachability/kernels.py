@@ -399,17 +399,34 @@ def _sorted_distinct(values):
     return ordered[_first_of_runs(ordered)]
 
 
+#: A lookup table serves :func:`_dense_index` while the id span is at most
+#: this many times the ids plus values it maps; past that, binary search.
+_TABLE_SPAN_FACTOR = 4
+
+
 def _dense_index(ids, values):
     """Each of ``values``' index in the sorted distinct ``ids``.
 
-    One binary search per value (``np.searchsorted``): no temporary beyond
-    the result, whatever the ids' span.  ``ValueError`` when a value is not
-    one of the ids.
+    One gather from a table over the id span, whose slots hold each id's
+    index and ``-1`` elsewhere: class ids and real ids share one bounded
+    span (:func:`repro.core.equivalence.class_id`).  A span much wider than
+    the input (arbitrary ids) takes one binary search per value
+    (``np.searchsorted``) instead.  ``ValueError`` when a value is not one
+    of the ids.
     """
     if not values.size:
         return values
     if not ids.size or values.min() < ids[0] or values.max() > ids[-1]:
         raise ValueError("an edge endpoint is not a vertex of any piece")
+    low = int(ids[0])
+    span = int(ids[-1]) - low + 1
+    if span <= _TABLE_SPAN_FACTOR * (ids.size + values.size):
+        table = np.full(span, -1, dtype=np.int64)
+        table[ids - low] = np.arange(ids.size, dtype=np.int64)
+        dense = table[values - low]
+        if dense.min() < 0:
+            raise ValueError("an edge endpoint is not a vertex of any piece")
+        return dense
     dense = np.searchsorted(ids, values)
     if not np.array_equal(ids[dense], values):
         raise ValueError("an edge endpoint is not a vertex of any piece")
@@ -481,25 +498,81 @@ def np_union_csr(pieces) -> Tuple[Tuple[int, ...], array, array]:
     return (tuple(id_objects.tolist()), *_csr_buffers(_sorted_distinct(keys), n))
 
 
-def np_condense(csr: "CSRGraph", components: Sequence[Sequence[int]]):
-    """``(component_of, offsets, targets)`` of ``csr``'s condensation.
+def np_component_of(components: Sequence[Sequence[int]], n: int):
+    """The int64 array mapping each of ``n`` dense indices to its component.
+
+    ``components`` are the SCCs as dense-index lists in component-id order.
+    """
+    members = np.fromiter(chain.from_iterable(components), dtype=np.int64, count=n)
+    sizes = np.fromiter(map(len, components), dtype=np.int64, count=len(components))
+    component_of = np.empty(n, dtype=np.int64)
+    component_of[members] = np.repeat(np.arange(len(components), dtype=np.int64), sizes)
+    return component_of
+
+
+def np_condense(csr: "CSRGraph", component_of, k: int) -> Tuple[array, array]:
+    """``(offsets, targets)`` of ``csr``'s condensation under ``component_of``.
 
     The DAG emission of :func:`repro.graph.scc.condense_dense`:
-    ``components`` are the SCCs as dense-index lists in component-id order,
-    ``component_of`` (a list) maps every dense index to its component, and
-    the DAG's CSR is the sorted distinct component pairs of every edge
-    between two components.
+    ``component_of`` (an int64 array, see :func:`np_component_of`) maps
+    every dense index to one of ``k`` components, and the DAG's CSR is the
+    sorted distinct component pairs of every edge between two components.
     """
-    n, k = csr.num_vertices, len(components)
-    members = np.fromiter(chain.from_iterable(components), dtype=np.int64, count=n)
-    sizes = np.fromiter(map(len, components), dtype=np.int64, count=k)
-    component_of = np.empty(n, dtype=np.int64)
-    component_of[members] = np.repeat(np.arange(k, dtype=np.int64), sizes)
     sources = np.repeat(component_of, np.diff(_as_int64(csr.fwd_offsets)))
     targets = component_of[_as_int64(csr.fwd_targets)]
     between = sources != targets
-    keys = _sorted_distinct(sources[between] * k + targets[between])
-    return (component_of.tolist(), *_csr_buffers(keys, k))
+    return _csr_buffers(_sorted_distinct(sources[between] * k + targets[between]), k)
+
+
+def np_reverse_csr(csr: "CSRGraph") -> Tuple[array, array]:
+    """``(offsets, targets)`` of the reverse adjacency, each run ascending.
+
+    One sort of the distinct keys ``target * n + source`` lists the edges by
+    target, then source: the order
+    :meth:`repro.graph.csr.CSRGraph.rev_targets` promises.
+    """
+    n = csr.num_vertices
+    targets = _as_int64(csr.fwd_targets)
+    keys = targets * n
+    keys += np.repeat(np.arange(n, dtype=np.int64), np.diff(_as_int64(csr.fwd_offsets)))
+    keys.sort()
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(targets, minlength=n), out=offsets[1:])
+    return _as_array(offsets), _as_array(keys % max(n, 1))
+
+
+def _missing_from(keys, reference):
+    """The entries of ``keys`` that the sorted ``reference`` lacks."""
+    if not reference.size:
+        return keys
+    slots = np.minimum(np.searchsorted(reference, keys), reference.size - 1)
+    return keys[reference[slots] != keys]
+
+
+def np_edge_delta(old, new) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
+    """``(inserted, deleted)``: the edges only ``new`` has, and only ``old`` has.
+
+    ``old`` and ``new`` are ``(sources, targets)`` int64 arrays of endpoint
+    ids (any sign); each edge becomes one key over the joint id span, so
+    the difference is two sorts and two binary searches.
+    """
+    ends = np.concatenate((*old, *new))
+    if not ends.size:
+        return [], []
+    low = int(ends.min())
+    width = int(ends.max()) - low + 1
+    if width > 3_037_000_499:  # width ** 2 would overflow int64
+        old_set = set(zip(old[0].tolist(), old[1].tolist()))
+        new_set = set(zip(new[0].tolist(), new[1].tolist()))
+        return sorted(new_set - old_set), sorted(old_set - new_set)
+    old_keys = np.sort((old[0] - low) * width + (old[1] - low))
+    new_keys = np.sort((new[0] - low) * width + (new[1] - low))
+
+    def pairs(keys):
+        sources, targets = np.divmod(keys, width)
+        return list(zip((sources + low).tolist(), (targets + low).tolist()))
+
+    return pairs(_missing_from(new_keys, old_keys)), pairs(_missing_from(old_keys, new_keys))
 
 
 def np_pack_ranks(ranks: Sequence[int]) -> int:
@@ -517,8 +590,10 @@ def np_pack_ranks(ranks: Sequence[int]) -> int:
 __all__ = [
     "count_sweep",
     "kernel_backend",
+    "np_component_of",
     "np_condense",
     "np_csr_piece",
+    "np_edge_delta",
     "np_edges_descend",
     "np_edges_piece",
     "np_gather_plan",
@@ -528,6 +603,7 @@ __all__ = [
     "np_pack_ranks",
     "np_propagate",
     "np_propagate_matrix",
+    "np_reverse_csr",
     "np_set_reachability_rows",
     "np_union_csr",
     "np_unpack_rows",

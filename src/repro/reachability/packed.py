@@ -89,10 +89,23 @@ def _numpy_serves(num_rows: int) -> bool:
     return num_rows >= NUMPY_MIN_ROWS
 
 
+def wire_order(handles: Iterable[int]) -> List[int]:
+    """A partition's handles in wire-position order.
+
+    Real vertices first, ascending, then class vertices by representative:
+    a class id is ``-1 - 2·representative`` (one less for a backward class,
+    :func:`repro.core.equivalence.class_id`), so ascending ``-id`` orders
+    the classes by representative.  Handle positions, and so the packed
+    handle messages' bytes, are the ones an id order with the class ids
+    above the real ids gave.
+    """
+    return sorted(handles, key=lambda handle: (handle < 0, abs(handle)))
+
+
 def handle_gather(handles: Iterable[int], rank: "VertexRank") -> "BitGather":
     """Rows over ``rank`` → rows over the handles' canonical wire positions.
 
-    Position ``p`` is the ``p``-th handle in ascending-id order.  This is
+    Position ``p`` is the ``p``-th handle in :func:`wire_order`.  This is
     the single definition of how packed handle messages number a
     partition's forward handles: the sender's compound graph and the
     hydrated worker shard re-pack through it, and the receiving summary
@@ -101,7 +114,7 @@ def handle_gather(handles: Iterable[int], rank: "VertexRank") -> "BitGather":
     vertex of ``rank``.
     """
     rank_of = rank.rank_of
-    return BitGather(tuple(rank_of[handle] for handle in sorted(handles)))
+    return BitGather(tuple(rank_of[handle] for handle in wire_order(handles)))
 
 
 def pack_ranks(ranks: Sequence[int]) -> int:
@@ -289,4 +302,5 @@ __all__ = [
     "popcount",
     "row_from_bytes",
     "row_to_bytes",
+    "wire_order",
 ]

@@ -69,6 +69,13 @@ class TestFactory:
             assert executor.name == name
             executor.close()
 
+    def test_processes_refuses_worker_hosts(self):
+        from repro.cluster.remote import ProcessExecutor
+
+        with pytest.raises(ValueError, match="worker_hosts needs the tcp executor"):
+            ProcessExecutor(worker_hosts=["127.0.0.1:1"])
+        ProcessExecutor(connect_timeout=1.0).close()
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
             make_executor("gpu")

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.compound_graph import CondensedReachability, build_compound_graph
-from repro.core.equivalence import ClassIdAllocator
 from repro.core.summary import build_partition_summary
 from repro.graph import generators
 from repro.graph.traversal import is_reachable
@@ -12,14 +11,12 @@ from repro.reachability.transitive_closure import TransitiveClosureIndex
 
 
 def build_all(graph, partitioning, use_equivalence=True, strategy="dfs"):
-    allocator = ClassIdAllocator(10 * (max(graph.vertices()) + 1))
     summaries = {
         pid: build_partition_summary(
             partition_id=pid,
             local_graph=partitioning.local_subgraph(pid),
             in_boundaries=partitioning.in_boundaries(pid),
             out_boundaries=partitioning.out_boundaries(pid),
-            allocator=allocator,
             use_equivalence=use_equivalence,
         )
         for pid in range(partitioning.num_partitions)

@@ -5,8 +5,8 @@ import pytest
 from repro.core.equivalence import (
     BACKWARD,
     FORWARD,
-    ClassIdAllocator,
     EquivalenceClass,
+    class_id,
     compute_backward_classes,
     compute_forward_classes,
     singleton_classes,
@@ -34,12 +34,13 @@ class TestEquivalenceClassDataclass:
         assert cls.message_size() > 0
 
 
-class TestAllocator:
-    def test_monotonically_increasing(self):
-        allocator = ClassIdAllocator(100)
-        assert allocator.allocate() == 100
-        assert allocator.allocate() == 101
-        assert allocator.next_id == 102
+class TestClassIds:
+    def test_a_class_id_is_named_by_its_representative_and_kind(self):
+        assert class_id(0, FORWARD) == -1
+        assert class_id(0, BACKWARD) == -2
+        assert class_id(7, FORWARD) == -15
+        classes = singleton_classes([5, 3], 0, BACKWARD)
+        assert [cls.class_id for cls in classes] == [class_id(3, BACKWARD), class_id(5, BACKWARD)]
 
 
 class TestPaperExampleClasses:
@@ -53,7 +54,6 @@ class TestPaperExampleClasses:
             partitioning.in_boundaries(1),
             partitioning.out_boundaries(1),
             partition_id=1,
-            allocator=ClassIdAllocator(1000),
         )
         member_labels = {
             frozenset(graph.label_of(member) for member in cls.members)
@@ -69,7 +69,6 @@ class TestPaperExampleClasses:
             partitioning.in_boundaries(2),
             partitioning.out_boundaries(2),
             partition_id=2,
-            allocator=ClassIdAllocator(1000),
         )
         member_labels = {
             frozenset(graph.label_of(member) for member in cls.members)
@@ -85,7 +84,6 @@ class TestPaperExampleClasses:
             partitioning.in_boundaries(0),
             partitioning.out_boundaries(0),
             partition_id=0,
-            allocator=ClassIdAllocator(1000),
         )
         member_labels = {
             frozenset(graph.label_of(member) for member in cls.members)
@@ -108,7 +106,7 @@ class TestEquivalenceSemantics:
             in_b = partitioning.in_boundaries(pid)
             out_b = partitioning.out_boundaries(pid)
             classes = compute_forward_classes(
-                local, in_b, out_b, pid, ClassIdAllocator(10_000)
+                local, in_b, out_b, pid
             )
             for cls in classes:
                 reach_sets = {
@@ -131,7 +129,7 @@ class TestEquivalenceSemantics:
             in_b = partitioning.in_boundaries(pid)
             out_b = partitioning.out_boundaries(pid)
             classes = compute_backward_classes(
-                local, in_b, out_b, pid, ClassIdAllocator(10_000)
+                local, in_b, out_b, pid
             )
             for cls in classes:
                 reach_sets = {
@@ -151,7 +149,7 @@ class TestEquivalenceSemantics:
             in_b = partitioning.in_boundaries(pid)
             out_b = partitioning.out_boundaries(pid)
             classes = compute_forward_classes(
-                partitioning.local_subgraph(pid), in_b, out_b, pid, ClassIdAllocator(9999)
+                partitioning.local_subgraph(pid), in_b, out_b, pid
             )
             covered = [member for cls in classes for member in cls.members]
             assert sorted(covered) == sorted(in_b - out_b)
@@ -166,18 +164,17 @@ class TestEquivalenceSemantics:
             out_b = partitioning.out_boundaries(pid)
             overlap = in_b & out_b
             local = partitioning.local_subgraph(pid)
-            allocator = ClassIdAllocator(9999)
-            forward = compute_forward_classes(local, in_b, out_b, pid, allocator)
-            backward = compute_backward_classes(local, in_b, out_b, pid, allocator)
+            forward = compute_forward_classes(local, in_b, out_b, pid)
+            backward = compute_backward_classes(local, in_b, out_b, pid)
             for cls in forward + backward:
                 assert not (set(cls.members) & overlap)
 
 
 class TestSingletonClasses:
     def test_one_class_per_member(self):
-        classes = singleton_classes([5, 3, 3], 0, BACKWARD, ClassIdAllocator(50))
+        classes = singleton_classes([5, 3, 3], 0, BACKWARD)
         assert len(classes) == 2
         assert class_member_sets(classes) == {frozenset({3}), frozenset({5})}
 
     def test_empty_input(self):
-        assert singleton_classes([], 0, FORWARD, ClassIdAllocator(0)) == []
+        assert singleton_classes([], 0, FORWARD) == []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.equivalence import class_id
 from repro.core.index import DSRIndex
 from repro.graph import generators
 from repro.partition.partition import make_partitioning
@@ -35,12 +36,13 @@ class TestBuild:
         # The index build performs exactly one all-to-all summary exchange.
         assert built_index.cluster.network.stats.rounds == 1
 
-    def test_virtual_ids_above_real_ids(self, built_index, paper_example):
+    def test_virtual_ids_below_real_ids(self, built_index, paper_example):
         graph, _, _ = paper_example
         highest = max(graph.vertices())
         for summary in built_index.summaries.values():
             for cls in list(summary.forward_classes) + list(summary.backward_classes):
-                assert cls.class_id > highest
+                assert -2 * (highest + 1) <= cls.class_id < 0
+                assert cls.class_id == class_id(cls.representative, cls.kind)
 
     def test_query_before_build_raises(self, paper_example):
         _, partitioning, _ = paper_example

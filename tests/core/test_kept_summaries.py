@@ -4,9 +4,9 @@ A partition's summary is a function of its local graph, ``I_i`` and ``O_i``
 (Section 3.3.3).  After every flush, every partition's published summary —
 rebuilt by that flush or carried over from an earlier epoch — must equal a
 fresh :func:`build_partition_summary` of the epoch's local graph and
-boundaries, in the forward and in the backward index.  Class ids are handed
-out per build, so summaries are compared with every class named by
-``(kind, representative)``.
+boundaries, in the forward and in the backward index.  Summaries are
+compared with every class named by ``(kind, representative)``, which is
+what a class id encodes.
 
 The rules themselves are pinned per update: a cut edge re-summarises a side
 only when its endpoint enters or leaves that side's boundary set, a local
@@ -20,7 +20,6 @@ import threading
 import pytest
 
 from repro.api import DSRConfig, ReachQuery, open_engine
-from repro.core.equivalence import ClassIdAllocator
 from repro.core.summary import build_partition_summary
 from repro.graph import generators
 from repro.graph.traversal import is_reachable, reachable_pairs
@@ -49,7 +48,6 @@ def fresh_summary(index, pid, local_graph):
         local_graph=local_graph,
         in_boundaries=index.partitioning.in_boundaries(pid),
         out_boundaries=index.partitioning.out_boundaries(pid),
-        allocator=ClassIdAllocator(10**9),
         use_equivalence=index.use_equivalence,
     )
 

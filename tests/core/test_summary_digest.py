@@ -57,10 +57,9 @@ EXPECTED = {
 def summary_digest(summaries) -> str:
     """sha256 over every partition's classes, class edges and member edges.
 
-    A class is named by ``(kind, representative)``, not by its id: ids are
-    handed out afresh on every re-summarise, so which partitions a flush
-    re-summarises shifts later ids while what the summaries say stays the
-    same.
+    A class is named by ``(kind, representative)``, not by its id: the
+    digests were recorded when ids were handed out afresh on every
+    re-summarise, and what the summaries say is what they pin.
     """
     lines = []
     for pid in sorted(summaries):

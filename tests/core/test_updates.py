@@ -8,7 +8,7 @@ from repro.api import DSRConfig, ReachQuery, open_engine
 from repro.core.compound_graph import assemble_compound_graph
 from repro.core.engine import DSREngine
 from repro.graph import generators
-from repro.graph.digraph import DiGraph
+from repro.graph.digraph import DiGraph, GraphError
 from repro.graph.traversal import reachable_pairs
 from repro.partition.partition import GraphPartitioning
 
@@ -215,10 +215,10 @@ def _class_ids(index):
 class TestVertexIdsAvoidClassIds:
     """A new real vertex never takes the id of a virtual class vertex.
 
-    Class ids count up from ``max(V) + 1``, which is also the id a graph
-    hands out next; a vertex inserted under a class's id is merged with the
-    class vertex in every remote compound graph and reaches whatever the
-    class reaches.
+    A vertex inserted under a class's id would be merged with the class
+    vertex in every remote compound graph and reach whatever the class
+    reaches.  Class ids are negative and real ids are not, so an auto id
+    never meets one and an explicit negative id is refused.
     """
 
     @pytest.mark.parametrize("enable_backward", [False, True])
@@ -254,7 +254,7 @@ class TestVertexIdsAvoidClassIds:
                 indexes.append(engine._reverse_index)
             for index in indexes:
                 class_id = min(_class_ids(index))
-                with pytest.raises(ValueError, match="class id"):
+                with pytest.raises(GraphError, match="non-negative"):
                     engine.insert_vertex(class_id)
                 assert not engine.graph.has_vertex(class_id)
         finally:
@@ -266,17 +266,15 @@ class TestVertexIdsAvoidClassIds:
             graph, DSRConfig(num_partitions=4, enable_backward=True)
         )
         try:
-            allocator = engine.index.allocator
-            vertex = allocator.next_id + 2  # a future class id
+            vertex = engine.graph.next_vertex_id + 2
             assert engine.insert_vertex(vertex) == vertex
             # Re-summarise the partitions whose boundaries the new edges
-            # change: the allocator hands out fresh ids past ``vertex`` and
-            # skips it.
+            # change: their class ids stay negative.
             vertices = sorted(graph.vertices())
             for u in vertices[::40]:
                 engine.insert_edge(u, vertex)
             engine.flush_updates()
-            assert allocator.next_id > vertex
+            assert max(_class_ids(engine.index) | _class_ids(engine._reverse_index)) < 0
             assert vertex not in _class_ids(engine.index)
             assert vertex not in _class_ids(engine._reverse_index)
             expected = reachable_pairs(engine.graph, vertices, [vertex])

@@ -87,6 +87,7 @@ REMOVED_SURFACES = re.compile(
     r"|rebuild_local_[s]trategy|fleet\.rebuild|dsr_fleet_|dsr_replica_ejections_total"
     r"|REPRO_[K]ERNELS|use_[k]ernels|set_kernel_[b]ackend|numpy_[a]vailable"
     r"|resolve_[k]ernels|KERNEL_[N]AMES|_condense_[r]uns|\.\[numpy\]"
+    r"|claim_real_[i]d|share_vertex_ids_[w]ith|_first_virtual_[i]d|_id_[i]ndexes"
 )
 
 
