@@ -3,15 +3,17 @@
 Not a table/figure of the paper, but the knobs a practitioner would tune:
 
 * number of partitions per fixed graph (index size vs. query cost trade-off);
-* the local strategy used at query time;
+* the local strategy, replayed over the engine's condensations;
 * SCC condensation of the compound graphs on/off is implicit in Table 2, so
   here we measure the query-time effect of the condensation indirectly via
   dense vs. sparse graphs.
 """
 
-import time
-
-
+from benchmarks.bench_fig7_local_indexes import (
+    build_strategies,
+    record_kernel_calls,
+    replay_strategies,
+)
 from benchmarks.conftest import BENCH_SEED, run_once
 from repro.bench.datasets import load_dataset
 from repro.bench.reporting import format_series, format_table
@@ -60,31 +62,30 @@ def test_partition_count_ablation(benchmark):
 
 
 def test_local_strategy_query_ablation(benchmark):
-    """Query-time effect of the pluggable local strategy on a dense analogue."""
+    """Local strategies over one engine's condensations on a dense analogue.
+
+    The engine runs one kernel; each strategy replays the kernel calls of
+    one query over the published condensations (the Fig. 7 harness) and
+    must answer every call as the kernel does.
+    """
     graph = load_dataset("twitter", scale=SCALE, seed=BENCH_SEED)
     sources, targets = random_query(graph, 25, 25, seed=BENCH_SEED)
+    engine = open_engine(graph, DSRConfig(num_partitions=5, seed=BENCH_SEED))
     strategies = ["dfs", "msbfs", "ferrari"]
 
     def sweep():
-        series = {}
-        answers = set()
-        for strategy in strategies:
-            engine = open_engine(
-                graph,
-                DSRConfig(num_partitions=5, local_index=strategy, seed=BENCH_SEED),
-            )
-            start = time.perf_counter()
-            pairs = engine.run(ReachQuery(tuple(sources), tuple(targets))).pairs
-            series[strategy] = [round(time.perf_counter() - start, 4)]
-            answers.add(frozenset(pairs))
-        assert len(answers) == 1
-        return series
+        indexes, _ = build_strategies(engine, strategies)
+        calls = record_kernel_calls(engine, sources, targets)
+        return {
+            strategy: [round(1000 * seconds, 3)]
+            for strategy, seconds in replay_strategies(calls, indexes).items()
+        }
 
     series = run_once(benchmark, sweep)
     print()
     print(
         format_series(
             series, x_values=["25x25"], x_label="|S|x|T|",
-            title="Ablation — local strategy on twitter analogue",
+            title="Ablation — local evaluation ms per strategy on twitter analogue",
         )
     )

@@ -40,7 +40,7 @@ def test_dsr_compound_graph_sizes(benchmark, name):
     graph, partitioning = _setting(name)
 
     def build():
-        index = DSRIndex(partitioning, use_equivalence=True, local_strategy="dfs")
+        index = DSRIndex(partitioning, use_equivalence=True)
         index.build()
         return index
 

@@ -2,13 +2,13 @@
 
 :class:`DSRConfig` is the single description of *how* a set-reachability
 engine should be built: which backend answers the queries, how the graph is
-partitioned, which local reachability strategy each slave uses, and whether
-the equivalence-set and backward-processing optimisations are enabled.  Every
-entry point of the reproduction — the Python API (:func:`repro.api.open_engine`),
-the CLI, the service layer and the benchmarks — constructs engines from the
-same config object, and :meth:`DSRConfig.to_dict` / :meth:`DSRConfig.from_dict`
-round-trip it losslessly through JSON so a config can travel over the wire or
-live in a file.
+partitioned, and whether the equivalence-set and backward-processing
+optimisations are enabled.  Every entry point of the reproduction — the
+Python API (:func:`repro.api.open_engine`), the CLI, the service layer and
+the benchmarks — constructs engines from the same config object, and
+:meth:`DSRConfig.to_dict` / :meth:`DSRConfig.from_dict` round-trip it
+losslessly through JSON so a config can travel over the wire or live in a
+file.
 
 Validation happens at construction: a :class:`DSRConfig` that exists is a
 config the engine builders accept (the one exception is ``backend``, whose
@@ -57,8 +57,15 @@ class DSRConfig:
     partitioner:
         ``"metis"`` (min-cut) or ``"hash"``.
     local_index:
-        Per-slave reachability strategy (``"dfs"``, ``"msbfs"``, ``"ferrari"``,
-        ``"grail"``, ``"closure"``).
+        Per-slave reachability strategy of the ``"fan"`` and ``"naive"``
+        baselines (``"dfs"``, ``"msbfs"``, ``"ferrari"``, ``"grail"``,
+        ``"closure"``).  The ``"dsr"`` backend runs one kernel, the bitset
+        one-pass sweep over each condensed compound graph, on every executor
+        and in both directions; it accepts only ``"msbfs"`` (the default)
+        and refuses any other value with :class:`ConfigError`.  The paper's
+        local-strategy comparison (its Fig. 7) runs every strategy over the
+        engine's published condensations instead
+        (``benchmarks/bench_fig7_local_indexes.py``).
     use_equivalence:
         Enable the equivalence-set optimisation (Section 3.3 of the paper).
     executor:
@@ -90,18 +97,15 @@ class DSRConfig:
     enable_backward:
         Also build the mirror index over the reversed graph so queries can be
         processed from the target side (Section 3.3.2).
-    local_index_options:
-        Extra keyword arguments for the local reachability strategy.
     """
 
     backend: str = "dsr"
     num_partitions: int = 4
     partitioner: str = "metis"
-    local_index: str = "dfs"
+    local_index: str = "msbfs"
     use_equivalence: bool = True
     seed: int = 0
     enable_backward: bool = False
-    local_index_options: Optional[Dict[str, Any]] = None
     executor: str = "serial"
     epoch_flush: str = "inline"
     kernels: str = "auto"
@@ -129,6 +133,12 @@ class DSRConfig:
             f"available: {', '.join(available_strategies())}",
         )
         _require(
+            self.backend != "dsr" or self.local_index == "msbfs",
+            f"local_index={self.local_index!r} is not supported by the dsr backend: "
+            "it runs one kernel, the bitset sweep over each condensation; "
+            "the dsr backend accepts only 'msbfs'",
+        )
+        _require(
             self.executor in EXECUTOR_NAMES,
             f"unknown executor {self.executor!r}; "
             f"available: {', '.join(EXECUTOR_NAMES)}",
@@ -153,17 +163,6 @@ class DSRConfig:
             isinstance(self.seed, int) and not isinstance(self.seed, bool),
             f"seed must be an integer, got {self.seed!r}",
         )
-        if self.local_index_options is not None:
-            _require(
-                isinstance(self.local_index_options, Mapping)
-                and all(isinstance(key, str) for key in self.local_index_options),
-                "local_index_options must be a mapping with string keys, "
-                f"got {self.local_index_options!r}",
-            )
-            # Normalise to a plain dict so equality and round-tripping behave.
-            object.__setattr__(
-                self, "local_index_options", dict(self.local_index_options)
-            )
         if self.worker_hosts is not None:
             _require(
                 self.executor == "tcp",
@@ -195,8 +194,6 @@ class DSRConfig:
         payload: Dict[str, Any] = {
             spec.name: getattr(self, spec.name) for spec in fields(self)
         }
-        if payload["local_index_options"] is not None:
-            payload["local_index_options"] = dict(payload["local_index_options"])
         if isinstance(payload["worker_hosts"], tuple):
             payload["worker_hosts"] = list(payload["worker_hosts"])
         return payload

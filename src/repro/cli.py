@@ -90,6 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--local-index",
         choices=["dfs", "msbfs", "ferrari", "grail", "closure"],
         default="msbfs",
+        help="local strategy of the fan and naive backends (dsr accepts only msbfs)",
     )
     query.add_argument("--sources", type=int, default=10)
     query.add_argument("--targets", type=int, default=10)
@@ -123,11 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = subparsers.add_parser("serve", help="run the online DSR query service")
     serve.add_argument("dataset", choices=sorted(DATASETS))
     serve.add_argument("--partitions", type=int, default=5)
-    serve.add_argument(
-        "--local-index",
-        choices=["dfs", "msbfs", "ferrari", "grail", "closure"],
-        default="msbfs",
-    )
     serve.add_argument(
         "--backward", action="store_true",
         help="also build the mirror index so the planner can go backward",
@@ -375,7 +371,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         graph,
         DSRConfig(
             num_partitions=args.partitions,
-            local_index=args.local_index,
             seed=args.seed,
             enable_backward=args.backward,
             executor=args.executor,

@@ -40,8 +40,12 @@ members only, so ``υ`` is reached exactly when one of its members is — the
 handles step 1 ships are the closure's.
 
 At query time local set-reachability is evaluated over the *SCC-condensed*
-compound graph (as the paper does for all three local strategies), wrapped so
-that callers keep using original vertex ids.
+compound graph (as the paper does for all three local strategies) by one
+kernel, the bitset one-pass sweep
+(:func:`~repro.core.packed_steps.condensation_rows`), wrapped so that callers
+keep using original vertex ids.  The paper's choice of local strategy (its
+Fig. 7) is measured over the published condensations, not configured
+(``benchmarks/bench_fig7_local_indexes.py``).
 
 Both are immutable CSR snapshots (:mod:`repro.graph.csr`), built in bulk
 with no ``DiGraph`` in between: :func:`assemble_compound_graph` sorts the
@@ -49,8 +53,8 @@ local edges, the remote summaries' memoised contributions and the cut into
 one snapshot (one sort over int64 arrays, byte-identical to
 :meth:`~repro.graph.csr.CSRGraph.from_edges` over the same edges), and
 :func:`~repro.graph.scc.condense_dense` emits the condensation straight
-into another, which every strategy then runs over directly; its
-``component_of`` is the component → member expansion's index as it is.  A
+into another, which the kernel sweeps directly; its ``component_of`` is the
+component → member expansion's index as it is.  A
 published compound graph is never edited in place except by
 :meth:`CompoundGraph.add_isolated_vertex`, which swaps in a new snapshot.
 """
@@ -68,14 +72,12 @@ from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import GraphLike, condensation_dag, condense_dense
 from repro.reachability import kernels
-from repro.reachability.base import ReachabilityIndex
-from repro.reachability.factory import make_reachability_index
 from repro.reachability.packed import BitGather, VertexRank, handle_gather
 
 
 @dataclass(frozen=True)
 class _CondensedView:
-    """One immutable condensation view (graph ranks, DAG, expansion, strategy).
+    """One immutable condensation view (graph ranks, DAG, expansion).
 
     :class:`CondensedReachability` publishes a complete view through a single
     attribute assignment so a :meth:`CondensedReachability.rebuild` racing a
@@ -83,18 +85,16 @@ class _CondensedView:
     readers grab the view once and work against that consistent tuple.
 
     ``vertex_rank`` is the stable per-epoch numbering of the underlying
-    (compound) graph's vertices and ``dag_rank`` the numbering of the
-    condensation's components; ``expansion`` maps component rows to member
-    rows over ``vertex_rank`` (:func:`~repro.core.packed_steps.
-    build_expansion`), one batch per kernel call.  ``component_of`` is the
+    (compound) graph's vertices; the condensation's components are numbered
+    by their DAG ranks.  ``expansion`` maps component rows to member rows
+    over ``vertex_rank`` (:func:`~repro.core.packed_steps.build_expansion`),
+    one batch per kernel call.  ``component_of`` is the
     component of every dense vertex index, as an int64 numpy array.
     """
 
     dag: CSRGraph
     vertex_to_component: Dict[int, int]
-    index: ReachabilityIndex
     vertex_rank: VertexRank
-    dag_rank: VertexRank
     expansion: BitGather
     component_of: Sequence[int]
 
@@ -102,20 +102,12 @@ class _CondensedView:
 class CondensedReachability:
     """Set-reachability over the SCC-condensed view of a graph.
 
-    Wraps any centralized strategy built over the condensation and translates
-    between original vertex ids and component ids.  ``graph`` is a snapshot
-    (a compound graph) or a ``DiGraph``, whose current snapshot is frozen in.
+    Sweeps the condensation with the bitset kernel and translates between
+    original vertex ids and component ids.  ``graph`` is a snapshot (a
+    compound graph) or a ``DiGraph``, whose current snapshot is frozen in.
     """
 
-    def __init__(
-        self,
-        graph: GraphLike,
-        strategy: str = "dfs",
-        kept: Optional[_CondensedView] = None,
-        **kwargs,
-    ) -> None:
-        self.strategy = strategy
-        self._kwargs = kwargs
+    def __init__(self, graph: GraphLike, kept: Optional[_CondensedView] = None) -> None:
         self.rebuild(graph, kept)
 
     def rebuild(self, graph: GraphLike, kept: Optional[_CondensedView] = None) -> None:
@@ -142,15 +134,10 @@ class CondensedReachability:
             component_of = kept.component_of
             dag = condensation_dag(csr, component_of, kept.dag.num_vertices)
             vertex_to_component, expansion = kept.vertex_to_component, kept.expansion
-        index = make_reachability_index(self.strategy, dag, **self._kwargs)
-        # Packed-pipeline structures, frozen with the view: the stable
-        # vertex/component rank numberings (the two snapshots' dense
-        # indices).
-        vertex_rank = VertexRank.from_csr(csr)
-        dag_rank = VertexRank.from_csr(dag)
-        # Single atomic publication of the complete rebuilt view.
+        # Single atomic publication of the complete rebuilt view, with the
+        # stable vertex rank numbering (the snapshot's dense indices).
         self._view = _CondensedView(
-            dag, vertex_to_component, index, vertex_rank, dag_rank, expansion, component_of
+            dag, vertex_to_component, VertexRank.from_csr(csr), expansion, component_of
         )
 
     # Legacy attribute access (read-only snapshots of the current view).
@@ -179,14 +166,6 @@ class CondensedReachability:
         return self._view
 
     # -- queries -------------------------------------------------------- #
-    def reachable(self, source: int, target: int) -> bool:
-        view = self._view
-        if source not in view.vertex_to_component or target not in view.vertex_to_component:
-            return False
-        return view.index.reachable(
-            view.vertex_to_component[source], view.vertex_to_component[target]
-        )
-
     def set_reachability_rows(
         self,
         sources: Iterable[int],
@@ -195,13 +174,14 @@ class CondensedReachability:
     ) -> Dict[int, int]:
         """Packed ``{source: row}`` over the graph's :attr:`vertex_rank`.
 
-        ``localSetReachability(.)`` of Algorithms 1 and 2: sources are
-        translated to DAG components, the strategy returns packed component
-        rows (natively for the bitset MS-BFS / CSR DFS, via the set↔bits
-        bridge otherwise), and the reached components expand to their member
+        ``localSetReachability(.)`` of Algorithms 1 and 2, through
+        :func:`~repro.core.packed_steps.condensation_rows`: sources are
+        translated to DAG components, one bitset sweep harvests packed
+        component rows, and the reached components expand to their member
         vertices in one batched transform of the view.  ``target_mask`` (a
         row over :attr:`vertex_rank`) restricts both the harvest and the
-        expansion; ``None`` returns the full reachable rows.  Sources unknown to the graph get a zero row.
+        expansion; ``None`` returns the full reachable rows.  Sources
+        unknown to the graph get a zero row.
         ``view`` pins the evaluation to a previously captured
         :meth:`current_view` so callers that built their masks from it can
         never race an in-place rebuild.
@@ -209,13 +189,7 @@ class CondensedReachability:
         if view is None:
             view = self._view
         return condensation_rows(
-            sources,
-            view.vertex_to_component,
-            lambda comps, dag_mask: view.index.set_reachability_bits(
-                comps, view.dag_rank, dag_mask
-            ),
-            view.expansion,
-            target_mask,
+            view.dag, view.vertex_to_component, view.expansion, sources, target_mask
         )
 
     # -- stats ---------------------------------------------------------- #
@@ -312,7 +286,7 @@ class CompoundGraph:
     remote_backward_handles: Dict[int, FrozenSet[int]] = field(default_factory=dict)
     # Remote boundary vertices (real ids) present in this compound graph.
     remote_boundary_vertices: Set[int] = field(default_factory=set)
-    # Local strategy evaluated over the condensed compound graph.
+    # The condensed compound graph the kernel sweeps.
     reachability: Optional[CondensedReachability] = None
     #: The local snapshot the local piece of :attr:`graph` was assembled
     #: from: what the next flush diffs the partition's new local graph
@@ -332,17 +306,13 @@ class CompoundGraph:
     )
 
     # ------------------------------------------------------------------ #
-    def build_reachability(
-        self, strategy: str = "dfs", kept: Optional[_CondensedView] = None, **kwargs
-    ) -> None:
-        """(Re)build the condensed local reachability strategy.
+    def build_reachability(self, kept: Optional[_CondensedView] = None) -> None:
+        """(Re)build the condensation the kernel sweeps.
 
         ``kept`` is an earlier view whose condensation still holds (see
         :meth:`CondensedReachability.rebuild`).
         """
-        self.reachability = CondensedReachability(
-            self.graph, strategy=strategy, kept=kept, **kwargs
-        )
+        self.reachability = CondensedReachability(self.graph, kept)
 
     def reuse_base(self) -> Optional[Tuple[CSRGraph, _CondensedView]]:
         """``(local snapshot, condensation view)`` the next flush may keep from.
@@ -487,9 +457,8 @@ def assemble_compound_graph(
     sort of the edge keys (:func:`repro.reachability.kernels.np_union_csr`).
     ``cut_piece`` is the cut already as a piece
     (``kernels.np_edges_piece((), cut_edges)``): a flush builds it once for
-    every compound graph.  The returned compound graph has no reachability
-    strategy yet (it is built on first use, or explicitly by
-    :func:`build_compound_graph`).
+    every compound graph.  The returned compound graph is not condensed yet
+    (it is on first use, or explicitly by :func:`build_compound_graph`).
     """
     if cut_piece is None:
         cut_piece = kernels.np_edges_piece((), cut_edges)
@@ -534,13 +503,11 @@ def build_compound_graph(
     local_graph: DiGraph,
     summaries: Mapping[int, PartitionSummary],
     cut_edges: Sequence[Tuple[int, int]] = (),
-    local_strategy: str = "dfs",
-    strategy_kwargs: Optional[dict] = None,
     cut_piece: Optional[tuple] = None,
 ) -> CompoundGraph:
-    """Assemble ``G^C_i`` and condense it under the chosen local strategy."""
+    """Assemble ``G^C_i`` and condense it."""
     compound = assemble_compound_graph(
         partition_id, local_graph, summaries, cut_edges, cut_piece
     )
-    compound.build_reachability(local_strategy, **(strategy_kwargs or {}))
+    compound.build_reachability()
     return compound

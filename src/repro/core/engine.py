@@ -2,9 +2,11 @@
 
 :class:`DSREngine` is the top-level API a downstream user works with: give it
 a directed graph and a :class:`~repro.api.config.DSRConfig` describing how to
-partition it, which local reachability strategy to plug in and whether to
-enable the equivalence-set optimisation, then build the index once and run as
-many set-reachability queries and incremental updates as needed.
+partition it and whether to enable the equivalence-set optimisation, then
+build the index once and run as many set-reachability queries and
+incremental updates as needed.  Every partition answers its local
+set-reachability with one kernel, the bitset one-pass sweep over its
+condensed compound graph.
 
 Example
 -------
@@ -87,16 +89,8 @@ class DSREngine:
             self.partitioning.num_partitions, executor=executor
         )
         self._use_equivalence = config.use_equivalence
-        self._local_index = config.local_index
-        self._local_index_options = (
-            dict(config.local_index_options) if config.local_index_options else None
-        )
         self.index = DSRIndex(
-            self.partitioning,
-            use_equivalence=self._use_equivalence,
-            local_strategy=self._local_index,
-            strategy_kwargs=self._local_index_options,
-            cluster=self.cluster,
+            self.partitioning, use_equivalence=self._use_equivalence, cluster=self.cluster
         )
         # Optional backward-processing support ("Forward vs. Backward
         # Processing", Section 3.3.2): a mirror index over the reversed graph
@@ -151,8 +145,6 @@ class DSREngine:
         self._reverse_index = DSRIndex(
             reverse_partitioning,
             use_equivalence=self._use_equivalence,
-            local_strategy=self._local_index,
-            strategy_kwargs=self._local_index_options,
             cluster=self.cluster,
             shard_hydration=False,
         )

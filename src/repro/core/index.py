@@ -7,8 +7,8 @@
 2. the summaries are broadcast — this is the only index-build communication,
    and its volume is what shrinks when the equivalence optimisation is on;
 3. every slave assembles its compound graph ``G^C_i`` from its local subgraph,
-   the remote summaries and the static cut, condenses it and builds the chosen
-   local reachability strategy over the condensation.
+   the remote summaries and the static cut and condenses it; the condensation
+   is what the query kernel sweeps.
 
 Epoch versioning
 ----------------
@@ -157,15 +157,11 @@ class DSRIndex:
         self,
         partitioning: GraphPartitioning,
         use_equivalence: bool = True,
-        local_strategy: str = "dfs",
-        strategy_kwargs: Optional[dict] = None,
         cluster: Optional[SimulatedCluster] = None,
         shard_hydration: bool = True,
     ) -> None:
         self.partitioning = partitioning
         self.use_equivalence = use_equivalence
-        self.local_strategy = local_strategy
-        self.strategy_kwargs = strategy_kwargs or {}
         self.cluster = cluster or SimulatedCluster(partitioning.num_partitions)
         #: Whether this index ships worker shards to a sharded executor.
         #: Exactly one index per cluster may hydrate (shards are keyed by
@@ -258,8 +254,6 @@ class DSRIndex:
                 partition_id=rank,
                 local_graph=local_graphs[rank],
                 summaries=summaries,
-                local_strategy=self.local_strategy,
-                strategy_kwargs=self.strategy_kwargs,
                 cut_piece=cut_piece,
             )
 
@@ -549,7 +543,7 @@ class DSRIndex:
                 deleted = [edge for found in changes for edge in found[1]]
                 if condensation_holds(view, compound.graph, inserted, deleted):
                     kept = view
-            compound.build_reachability(self.local_strategy, kept=kept, **self.strategy_kwargs)
+            compound.build_reachability(kept)
             return kept is not None
 
         outcomes = self.cluster.run_phase("condense-epoch", condense, stats=stats)

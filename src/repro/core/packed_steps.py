@@ -2,8 +2,7 @@
 
 Both shard implementations of :mod:`repro.core.shard_exec` — the hydrated
 worker shard and the in-process view over a compound graph — answer
-reachability rows over an SCC condensation.  What is a pure function of
-(vertex rank, component map, expansion, strategy kernel) lives here,
+reachability rows over an SCC condensation, with one kernel, defined here
 once:
 
 * :func:`build_expansion` — the component → member transform of a
@@ -11,14 +10,17 @@ once:
   condensation rebuild / shard hydration;
 * :func:`condensation_rows` — the complete packed ``localSetReachability``
   over a condensation: translate sources and the target mask to DAG ranks,
-  harvest component rows through the strategy kernel, expand them to
-  member rows in one batch.
+  harvest component rows with the bitset one-pass sweep
+  (:func:`repro.reachability.bitset_msbfs.set_reachability_rows`), expand
+  them to member rows in one batch.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
+from repro.graph.csr import CSRGraph
+from repro.reachability import bitset_msbfs
 from repro.reachability.packed import BitGather, pack_ranks
 
 
@@ -49,40 +51,40 @@ def build_expansion(index: Sequence[int], num_components: int) -> BitGather:
 
 
 def condensation_rows(
-    sources: Iterable[int],
-    vertex_to_component: Mapping[int, int],
-    comp_rows_for: Callable[[Iterable[int], Optional[int]], Dict[int, int]],
+    dag: CSRGraph,
+    component_of: Mapping[int, int],
     expansion: BitGather,
-    target_mask: Optional[int],
+    sources: Iterable[int],
+    mask: Optional[int],
 ) -> Dict[int, int]:
     """Packed ``{source: row}`` over a condensation's member vertex ranks.
 
-    Sources unknown to the condensation get a zero row;
-    ``comp_rows_for(comps, dag_mask)`` returns packed component rows over
-    the DAG ranks (the strategy kernel).  The distinct component rows
-    expand to member rows in one batched :meth:`BitGather.gather` (see
-    :func:`build_expansion`), and sources sharing a component row share
-    the expansion.  ``target_mask`` restricts both the harvest and the
-    expansion (``None`` keeps everything).
+    ``dag`` is the condensation (its ids are its dense indices, so a
+    component id is its DAG rank), ``component_of`` maps a vertex to its
+    component and ``expansion`` is :func:`build_expansion`'s transform.
+    Sources unknown to the condensation get a zero row.  Their components
+    sweep ``dag`` once (the bitset kernel); the distinct component rows
+    expand to member rows in one batched :meth:`BitGather.gather`, and
+    sources sharing a component row share the expansion.  ``mask``
+    restricts both the harvest and the expansion (``None`` keeps
+    everything).
     """
     sources = list(sources)
     rows: Dict[int, int] = {source: 0 for source in sources}
     source_comps = {
-        source: vertex_to_component[source]
-        for source in sources
-        if source in vertex_to_component
+        source: component_of[source] for source in sources if source in component_of
     }
-    if not source_comps or target_mask == 0:
+    if not source_comps or mask == 0:
         return rows
 
     # The mask is small (targets + handles): derive the DAG-level mask from
     # its set bits rather than scanning every component.
-    dag_mask = None if target_mask is None else expansion.scatter(target_mask)
-    comp_rows = comp_rows_for(set(source_comps.values()), dag_mask)
+    dag_mask = None if mask is None else expansion.scatter(mask)
+    comp_rows = bitset_msbfs.set_reachability_rows(dag, set(source_comps.values()), dag_mask)
     by_comp_row = dict.fromkeys([comp_rows.get(comp, 0) for comp in source_comps.values()])
     distinct = list(by_comp_row)
     for comp_row, row in zip(distinct, expansion.gather(distinct)):
-        by_comp_row[comp_row] = row if target_mask is None else row & target_mask
+        by_comp_row[comp_row] = row if mask is None else row & mask
     for source, comp in source_comps.items():
         rows[source] = by_comp_row[comp_rows.get(comp, 0)]
     return rows

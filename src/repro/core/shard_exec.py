@@ -17,17 +17,20 @@ of one epoch.  Two things do:
   - the vertex → SCC-component mapping of that condensation;
   - the forward entry handles of every remote partition (so step-1 payloads
     stay small: the parent names partitions, the worker knows their handles);
-  - its own summary's handle → representative expansion table for step 3,
+  - its own summary's handle → representative expansion table for step 3
 
-  and answers reachability rows with the bitset multi-source BFS kernel
-  (:mod:`repro.reachability.bitset_msbfs`) over the condensation CSR —
-  stateless per query, nothing to keep in sync.
+  — stateless per query, nothing to keep in sync.
 
 * :class:`EpochShard` — a thin in-process view over ``(EpochState, rank)``
-  whose rows come from the compound graph's *configured* local strategy.
-  It serves every non-sharded configuration, the reverse index (which
-  shares the forward cluster but not its workers) and the stale-epoch
-  last-resort fallback.
+  whose rows come from the compound graph's published condensation.  It
+  serves every non-sharded configuration, the reverse index (which shares
+  the forward cluster but not its workers) and the stale-epoch last-resort
+  fallback.
+
+Both answer ``rows`` with the one kernel,
+:func:`repro.core.packed_steps.condensation_rows`: the bitset one-pass
+sweep over the condensation, whichever executor runs and in either
+direction.
 
 The tasks are registered with the executor registry
 (:mod:`repro.cluster.executors`) under ``dsr.local_step`` /
@@ -51,9 +54,6 @@ from repro.cluster.executors import (
 from repro.core.packed_steps import build_expansion, condensation_rows
 from repro.graph.csr import CSRGraph
 from repro.obs.runtime import global_registry
-from repro.reachability.bitset_msbfs import (
-    set_reachability_rows as _bitset_set_reachability_rows,
-)
 from repro.reachability.packed import (
     BitGather,
     VertexRank,
@@ -167,23 +167,12 @@ class WorkerShard:
         return self.expand_members.get(handle, (handle,))
 
     def rows(self, sources: Iterable[int], mask: int) -> Dict[int, int]:
-        """Packed ``{source: row}`` from the bitset kernel over the shard's CSR.
+        """Packed ``{source: row}`` from the kernel over the shard's CSR.
 
-        Translate the mask to DAG components, run the packed bitset kernel,
-        expand the reached components' rows to member rows in one batch.
-        Ids unknown to the shard (e.g. a vertex inserted after
-        this epoch) get a zero row.
+        Ids unknown to the shard (e.g. a vertex inserted after this epoch)
+        get a zero row.
         """
-        dag_csr = self.dag_csr
-        return condensation_rows(
-            sources,
-            self.component_of,
-            lambda comps, dag_mask: _bitset_set_reachability_rows(
-                dag_csr, comps, dag_mask
-            ),
-            self.expansion,
-            mask,
-        )
+        return condensation_rows(self.dag_csr, self.component_of, self.expansion, sources, mask)
 
     def close(self) -> None:
         """Detach from the shard's shared-memory segment, if any.

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, Set
 
 from repro.graph.scc import GraphLike
-from repro.reachability.packed import VertexRank
 
 
 class ReachabilityIndex(ABC):
@@ -17,7 +16,8 @@ class ReachabilityIndex(ABC):
     ``localSetReachability(.)`` abstraction of Algorithms 1 and 2.
 
     ``graph`` is a mutable ``DiGraph`` or an immutable CSR snapshot (the
-    engine hands every strategy its condensation's snapshot).  The index is
+    Fig. 7 harness hands every strategy an engine's published
+    condensations).  The index is
     built eagerly in ``__init__`` (or lazily on first use for index-free
     strategies); :meth:`rebuild` must be called after a ``DiGraph``
     underneath has been mutated.
@@ -51,32 +51,6 @@ class ReachabilityIndex(ABC):
             }
             result[source] = reached
         return result
-
-    def set_reachability_bits(
-        self,
-        sources: Iterable[int],
-        rank: VertexRank,
-        target_mask: Optional[int] = None,
-    ) -> Dict[int, int]:
-        """Return ``{source: packed row}`` over the given vertex-rank numbering.
-
-        Bit ``r`` of a returned row is set iff the vertex ``rank.ids[r]`` is
-        reachable from the source.  ``target_mask`` optionally restricts the
-        rows to the masked target vertices (an ``AND`` against the mask);
-        ``None`` means "all vertices of the rank".
-
-        This default implementation bridges through :meth:`set_reachability`
-        (unpack the mask, query sets, re-pack), so every index-style strategy
-        (ferrari, grail, closure) participates in the packed pipeline without
-        changes; the traversal strategies override it with native kernels
-        that never materialise the intermediate sets.
-        """
-        if target_mask is None:
-            targets: Iterable[int] = rank.ids
-        else:
-            targets = rank.unpack(target_mask)
-        sets = self.set_reachability(sources, targets)
-        return {source: rank.pack(reached) for source, reached in sets.items()}
 
     def reachable_pairs(
         self, sources: Iterable[int], targets: Iterable[int]

@@ -33,7 +33,8 @@ The kernel operates on the flat ``array('q')`` adjacency of a
 per-vertex bitsets in a dense Python list — no per-visit hashing, no set
 boxing.  :class:`~repro.reachability.msbfs.MultiSourceBFS` is a thin
 :class:`~repro.reachability.base.ReachabilityIndex` wrapper around it; the
-partition summaries, the compound-graph expansion in the DSR engine and the
+partition summaries, the DSR engine's one query kernel
+(:func:`repro.core.packed_steps.condensation_rows`) and the
 ``benchmarks/bench_csr_kernel.py`` micro-benchmark all call into this module
 through that wrapper or directly.
 

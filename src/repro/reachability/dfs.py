@@ -16,12 +16,11 @@ across updates because mutations dirty the snapshot.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.graph.csr import CSRGraph
 from repro.graph.scc import GraphLike
 from repro.reachability.base import ReachabilityIndex
-from repro.reachability.packed import VertexRank
 
 
 class DFSReachability(ReachabilityIndex):
@@ -109,43 +108,3 @@ class DFSReachability(ReachabilityIndex):
                         stack.append(succ)
             result[source] = reached
         return result
-
-    def set_reachability_bits(
-        self,
-        sources: Iterable[int],
-        rank: VertexRank,
-        target_mask: Optional[int] = None,
-    ) -> Dict[int, int]:
-        """Packed rows from one dense-visited CSR DFS per source.
-
-        Visited marks are bits in a per-traversal ``bytearray`` that then
-        becomes the row with one ``int.from_bytes`` — O(V/8 + E) per source
-        and no shared state, versus a growing-bigint ``row |= 1 << v`` OR
-        per visit (O(reached·V/64)) or boxing the reached set.  The
-        optional target mask is applied with a single ``AND`` per
-        traversal.  Native only when the caller's rank is the snapshot's
-        dense numbering, otherwise the generic bridge runs.
-        """
-        csr = self.graph.csr()
-        if rank.ids != csr.ids:
-            return super().set_reachability_bits(sources, rank, target_mask)
-        offsets, adjacency = csr.fwd_offsets, csr.fwd_targets
-        width = (csr.num_vertices + 7) >> 3
-        rows: Dict[int, int] = {}
-        for source in sources:
-            if not csr.has_vertex(source):
-                rows[source] = 0
-                continue
-            start = csr.index_of(source)
-            marks = bytearray(width)
-            marks[start >> 3] = 1 << (start & 7)
-            stack = [start]
-            while stack:
-                vertex = stack.pop()
-                for succ in adjacency[offsets[vertex] : offsets[vertex + 1]]:
-                    if not marks[succ >> 3] >> (succ & 7) & 1:
-                        marks[succ >> 3] |= 1 << (succ & 7)
-                        stack.append(succ)
-            row = int.from_bytes(marks, "little")
-            rows[source] = row if target_mask is None else row & target_mask
-        return rows

@@ -1,10 +1,10 @@
 """Factory for centralized reachability strategies.
 
-Keeps the string names used across the engine, the benchmarks and the
+Keeps the string names used across the baselines, the benchmarks and the
 command-line examples in one place.  Every strategy is handed a mutable
 :class:`~repro.graph.digraph.DiGraph` or an immutable
-:class:`~repro.graph.csr.CSRGraph` (the engine passes each condensation's
-snapshot); the traversal-based ones (``dfs``, ``msbfs`` and its ``bitset``
+:class:`~repro.graph.csr.CSRGraph` (the Fig. 7 harness passes an engine's
+published condensations); the traversal-based ones (``dfs``, ``msbfs`` and its ``bitset``
 alias) pull the graph's CSR snapshot on each query, so over a ``DiGraph`` a
 strategy instance stays valid across graph updates.
 """

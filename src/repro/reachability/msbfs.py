@@ -9,10 +9,9 @@ The actual propagation lives in the CSR kernel
 (:mod:`repro.reachability.bitset_msbfs`), which sweeps topologically
 numbered DAGs only, in one pass.  This class therefore sweeps the graph's
 :func:`~repro.graph.scc.numbered_dag` — the snapshot itself when it is
-already numbered (every condensation the engine hands it), its condensation
-otherwise — and translates between vertices and components, the way the
-closure, FERRARI and GRAIL strategies do (packed rows over any numbering
-but the DAG's own go through the generic set↔bits bridge).  The numbering
+already numbered (every published condensation of an engine), its
+condensation otherwise — and translates between vertices and components,
+the way the closure, FERRARI and GRAIL strategies do.  The numbering
 is derived once per CSR snapshot, so over a mutable ``DiGraph`` an instance
 follows the graph's updates (its snapshot is rebuilt lazily after a
 mutation, see :meth:`repro.graph.digraph.DiGraph.csr`).
@@ -26,7 +25,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.scc import GraphLike, numbered_dag
 from repro.reachability import bitset_msbfs
 from repro.reachability.base import ReachabilityIndex
-from repro.reachability.packed import VertexRank, pack_ranks
+from repro.reachability.packed import pack_ranks
 
 
 class MultiSourceBFS(ReachabilityIndex):
@@ -75,22 +74,3 @@ class MultiSourceBFS(ReachabilityIndex):
             if row:
                 result[source] = {t for t in target_list if row >> component_of[t] & 1}
         return result
-
-    def set_reachability_bits(
-        self,
-        sources: Iterable[int],
-        rank: VertexRank,
-        target_mask: Optional[int] = None,
-    ) -> Dict[int, int]:
-        """Packed rows straight off the bitset kernel (no set boxing).
-
-        Native when the caller's rank numbering *is* the numbered DAG's (the
-        epoch pipeline always passes a condensation's own numbering); any
-        other numbering falls back to the generic set↔bits bridge.
-        """
-        dag = self._numbered()[1]
-        if rank.ids != dag.ids:
-            return super().set_reachability_bits(sources, rank, target_mask)
-        return bitset_msbfs.set_reachability_rows(
-            dag, list(sources), target_mask, batch_size=self.batch_size
-        )

@@ -37,8 +37,6 @@ class TestValidation:
             {"use_equivalence": "yes"},
             {"enable_backward": "true"},
             {"seed": "seven"},
-            {"local_index_options": ["not", "a", "mapping"]},
-            {"local_index_options": {1: "non-string-key"}},
             {"executor": "gpu"},
             {"executor": 3},
             {"epoch_flush": "eventually"},
@@ -56,8 +54,9 @@ class TestValidation:
 
     def test_all_known_partitioners_and_indexes_accepted(self):
         for partitioner in ("metis", "hash"):
+            DSRConfig(partitioner=partitioner)
             for local_index in ("dfs", "msbfs", "ferrari", "grail", "closure"):
-                DSRConfig(partitioner=partitioner, local_index=local_index)
+                DSRConfig(backend="fan", partitioner=partitioner, local_index=local_index)
 
     def test_replace_revalidates(self):
         config = DSRConfig()
@@ -84,14 +83,14 @@ class TestRoundTrip:
         [
             DSRConfig(),
             DSRConfig(backend="giraphpp-eq", num_partitions=7, partitioner="hash"),
-            DSRConfig(local_index="grail", local_index_options={"num_intervals": 3}),
+            DSRConfig(backend="naive", local_index="grail"),
             DSRConfig(enable_backward=True, executor="threads", seed=99),
             DSRConfig(executor="processes", epoch_flush="background"),
         ],
         ids=[
             "default",
             "giraphpp-eq",
-            "with-options",
+            "naive-grail",
             "backward-threads",
             "sharded-background",
         ],
@@ -102,15 +101,9 @@ class TestRoundTrip:
     def test_to_dict_is_json_safe(self):
         import json
 
-        config = DSRConfig(local_index_options={"k": 2})
+        config = DSRConfig(backend="fan", local_index="ferrari", enable_backward=True)
         restored = DSRConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert restored == config
-
-    def test_to_dict_copies_options(self):
-        config = DSRConfig(local_index_options={"k": 2})
-        payload = config.to_dict()
-        payload["local_index_options"]["k"] = 99
-        assert config.local_index_options == {"k": 2}
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown config keys: shards"):
@@ -163,6 +156,33 @@ class TestRemovedKernelTiers:
         assert DSRConfig.from_dict(DSRConfig().to_dict()).kernels == "auto"
 
 
+class TestOneKernel:
+    """The dsr backend runs one kernel, the bitset sweep over each
+    condensation, on every executor: a ``local_index`` it would not run is
+    refused, not ignored.  The baselines keep their strategy choice."""
+
+    def test_msbfs_is_the_default(self):
+        assert DSRConfig().local_index == "msbfs"
+
+    @pytest.mark.parametrize("name", ["dfs", "ferrari", "grail", "closure", "bitset"])
+    def test_dsr_refuses_every_other_local_index(self, name):
+        with pytest.raises(ConfigError, match="accepts only 'msbfs'"):
+            DSRConfig(local_index=name)
+        with pytest.raises(ConfigError, match="accepts only 'msbfs'"):
+            DSRConfig.from_dict({"backend": "dsr", "local_index": name})
+
+    def test_baselines_keep_their_strategy(self):
+        assert DSRConfig(backend="fan", local_index="ferrari").local_index == "ferrari"
+        with pytest.raises(ConfigError, match="msbfs"):
+            DSRConfig(backend="fan", local_index="ferrari").replace(backend="dsr")
+
+    def test_local_index_options_are_gone(self):
+        with pytest.raises(TypeError):
+            DSRConfig(local_index_options={"k": 2})
+        with pytest.raises(ConfigError, match="unknown config keys: local_index_options"):
+            DSRConfig.from_dict({"local_index_options": {"k": 2}})
+
+
 class TestWorkerHosts:
     def test_requires_tcp_executor(self):
         with pytest.raises(ConfigError, match="executor='tcp'"):
@@ -201,11 +221,10 @@ NON_DEFAULTS = {
     "backend": {"backend": "giraph"},
     "num_partitions": {"num_partitions": 7},
     "partitioner": {"partitioner": "hash"},
-    "local_index": {"local_index": "ferrari"},
+    "local_index": {"backend": "fan", "local_index": "ferrari"},
     "use_equivalence": {"use_equivalence": False},
     "seed": {"seed": 41},
     "enable_backward": {"enable_backward": True},
-    "local_index_options": {"local_index_options": {"k": 2}},
     "executor": {"executor": "tcp"},
     "epoch_flush": {"epoch_flush": "background"},
     "worker_hosts": {"executor": "tcp", "worker_hosts": ["127.0.0.1:9000"]},

@@ -35,7 +35,7 @@ class TestBackwardQueries:
         graph, partitioning, labels = paper_example
         engine = open_engine(
             graph,
-            DSRConfig(local_index="dfs", enable_backward=True),
+            DSRConfig(enable_backward=True),
             partitioning=partitioning,
         )
         sources = [labels[x] for x in ("a", "d", "g")]

@@ -10,7 +10,7 @@ from repro.partition.partition import make_partitioning
 from repro.reachability.transitive_closure import TransitiveClosureIndex
 
 
-def build_all(graph, partitioning, use_equivalence=True, strategy="dfs"):
+def build_all(graph, partitioning, use_equivalence=True):
     summaries = {
         pid: build_partition_summary(
             partition_id=pid,
@@ -27,7 +27,6 @@ def build_all(graph, partitioning, use_equivalence=True, strategy="dfs"):
             partitioning.local_subgraph(pid),
             summaries,
             partitioning.cut_edges(),
-            local_strategy=strategy,
         )
         for pid in range(partitioning.num_partitions)
     }
@@ -37,15 +36,19 @@ def build_all(graph, partitioning, use_equivalence=True, strategy="dfs"):
 class TestCondensedReachability:
     def test_matches_uncompressed_reachability(self):
         graph = generators.social_graph(120, avg_degree=6, reciprocity=0.4, seed=2)
-        condensed = CondensedReachability(graph, strategy="dfs")
+        condensed = CondensedReachability(graph)
         truth = TransitiveClosureIndex(graph)
-        for s in range(0, 120, 11):
-            for t in range(5, 120, 13):
-                assert condensed.reachable(s, t) == truth.reachable(s, t)
+        vrank = condensed.vertex_rank
+        targets = range(5, 120, 13)
+        rows = condensed.set_reachability_rows(range(0, 120, 11), vrank.pack(targets))
+        for s, row in rows.items():
+            reached = set(vrank.unpack(row))
+            for t in targets:
+                assert (t in reached) == truth.reachable(s, t)
 
     def test_set_reachability_interface(self):
         graph = generators.cycle_graph(6)
-        condensed = CondensedReachability(graph, strategy="msbfs")
+        condensed = CondensedReachability(graph)
         vrank = condensed.vertex_rank
         rows = condensed.set_reachability_rows([0, 3], vrank.pack([2, 5]))
         assert set(vrank.unpack(rows[0])) == {2, 5}
@@ -54,7 +57,6 @@ class TestCondensedReachability:
     def test_unknown_vertices_ignored(self):
         graph = generators.path_graph(4)
         condensed = CondensedReachability(graph)
-        assert not condensed.reachable(0, 77)
         mask = condensed.vertex_rank.pack([0, 77])
         assert condensed.set_reachability_rows([77], mask) == {77: 0}
 
@@ -173,6 +175,6 @@ class TestCompoundGraphConstruction:
         95–121k edges (web graph) and 18–38k (DAG)."""
         graph = make_graph()
         partitioning = make_partitioning(graph, 4, strategy="metis", seed=0)
-        _, compounds = build_all(graph, partitioning, strategy="msbfs")
+        _, compounds = build_all(graph, partitioning)
         for compound in compounds.values():
             assert compound.original_num_edges() <= max_edges

@@ -11,7 +11,7 @@ from repro.partition.partition import make_partitioning
 @pytest.fixture
 def built_index(paper_example):
     _, partitioning, _ = paper_example
-    index = DSRIndex(partitioning, use_equivalence=True, local_strategy="dfs")
+    index = DSRIndex(partitioning, use_equivalence=True)
     index.build()
     return index
 
@@ -95,12 +95,3 @@ class TestStatistics:
         report = index.build()
         assert report.max_dag_edges >= 0.5 * report.max_original_edges
 
-
-class TestStrategyOptions:
-    def test_custom_local_strategy_kwargs(self, paper_example):
-        _, partitioning, _ = paper_example
-        index = DSRIndex(
-            partitioning, local_strategy="ferrari", strategy_kwargs={"max_intervals": 2}
-        )
-        index.build()
-        assert index.is_built

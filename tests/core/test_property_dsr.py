@@ -36,7 +36,7 @@ def build_engine(edges, assignment_list, use_equivalence):
     partitioning = GraphPartitioning(graph, assignment, 3)
     engine = open_engine(
         graph,
-        DSRConfig(local_index="dfs", use_equivalence=use_equivalence),
+        DSRConfig(use_equivalence=use_equivalence),
         partitioning=partitioning,
     )
     return graph, engine

@@ -10,7 +10,7 @@ def engine(request, paper_example):
     graph, partitioning, labels = paper_example
     engine = open_engine(
         graph,
-        DSRConfig(local_index="dfs", use_equivalence=request.param),
+        DSRConfig(use_equivalence=request.param),
         partitioning=partitioning,
     )
     return engine, labels

@@ -1,12 +1,22 @@
-"""Incremental maintenance under every local reachability strategy.
+"""Every local strategy agrees with the kernel on every published condensation.
 
-Each partition's compound graph is indexed with the configured
-``local_index`` and re-indexed on every flush, so an update stream must leave
-every strategy's engine exact.  The engine gets its own copy of the graph;
-the test applies the same updates to a mirror and checks answers against a
-plain traversal of the mirror.
+The DSR engine runs one kernel, the bitset one-pass sweep over each
+condensed compound graph (:func:`repro.core.packed_steps.condensation_rows`).
+The ``repro.reachability`` strategies the paper plugs in instead (its
+Fig. 7) must still answer the same over the condensations an engine
+publishes, including after incremental maintenance.  So one engine takes an
+update stream, and after every flush
+
+* each strategy's ``set_reachability`` over every published condensation —
+  forward and, where built, reverse — equals the kernel's rows, and
+* the engine's answers equal :func:`reachable_pairs` on a mirror graph that
+  takes the same updates.
+
+The engine runs on the executors ``REPRO_TEST_EXECUTORS`` names (``serial``
+unless it is set), so CI can run the module against forked workers.
 """
 
+import os
 import random
 
 import pytest
@@ -14,13 +24,16 @@ import pytest
 from repro.api import DSRConfig, ReachQuery, open_engine
 from repro.graph import generators
 from repro.graph.traversal import reachable_pairs
+from repro.reachability import bitset_msbfs, make_reachability_index
+from repro.reachability.packed import VertexRank
 
 STRATEGIES = ["dfs", "msbfs", "ferrari", "grail", "closure"]
 
-
-@pytest.fixture(params=STRATEGIES)
-def strategy(request):
-    return request.param
+EXECUTORS = tuple(
+    name.strip()
+    for name in os.environ.get("REPRO_TEST_EXECUTORS", "serial").split(",")
+    if name.strip()
+)
 
 
 @pytest.fixture
@@ -29,13 +42,47 @@ def mirror():
     return generators.random_digraph(120, 200, seed=17)
 
 
-def make_engine(mirror, strategy, **kwargs):
-    return open_engine(
-        mirror.copy(),
-        DSRConfig(
-            num_partitions=3, partitioner="hash", seed=4, local_index=strategy, **kwargs
-        ),
-    )
+@pytest.fixture(params=EXECUTORS)
+def make_engine(request, mirror):
+    engines = []
+
+    def make(**kwargs):
+        engine = open_engine(
+            mirror.copy(),
+            DSRConfig(
+                num_partitions=3,
+                partitioner="hash",
+                seed=4,
+                executor=request.param,
+                **kwargs,
+            ),
+        )
+        engines.append(engine)
+        return engine
+
+    yield make
+    for engine in engines:
+        engine.close()
+
+
+def published_condensations(engine):
+    indexes = [engine.index]
+    if engine._reverse_index is not None:
+        indexes.append(engine._reverse_index)
+    for index in indexes:
+        for compound in index.compound_graphs.values():
+            yield compound.condensation_view().dag
+
+
+def assert_strategies_agree(engine):
+    """Every strategy over every published condensation equals the kernel."""
+    for dag in published_condensations(engine):
+        rank = VertexRank.from_csr(dag)
+        components = list(rank.ids)
+        rows = bitset_msbfs.set_reachability_rows(dag, components, None)
+        for name in STRATEGIES:
+            sets = make_reachability_index(name, dag).set_reachability(components, components)
+            assert {c: rank.pack(reached) for c, reached in sets.items()} == rows, name
 
 
 def sample(mirror, seed, size=12):
@@ -52,6 +99,13 @@ def assert_exact(engine, mirror, seed, directions=("forward",)):
         assert result.pairs == expected, direction
 
 
+def flush_and_check(engine, mirror, directions=("forward",)):
+    engine.flush_updates()
+    assert_strategies_agree(engine)
+    for seed in range(3):
+        assert_exact(engine, mirror, seed, directions)
+
+
 def structural_edges(mirror, count, seed):
     """``count`` absent edges, each of which adds a reachable pair."""
     vertices = sorted(mirror.vertices())
@@ -63,41 +117,44 @@ def structural_edges(mirror, count, seed):
     return [next(found) for _ in range(count)]
 
 
-def test_edge_insertions_match_full_rebuild(strategy, mirror):
-    engine = make_engine(mirror, strategy)
+def test_built_index_agrees(make_engine, mirror):
+    engine = make_engine(enable_backward=True)
+    flush_and_check(engine, mirror, directions=("forward", "backward"))
+
+
+def test_edge_insertions_match_full_rebuild(make_engine, mirror):
+    engine = make_engine()
     for u, v in structural_edges(mirror, 8, seed=1):
         assert engine.insert_edge(u, v).structural_change
         mirror.add_edge(u, v)
-    for seed in range(3):
-        assert_exact(engine, mirror, seed)
+    flush_and_check(engine, mirror)
 
 
-def test_edge_deletions_match_full_rebuild(strategy, mirror):
-    engine = make_engine(mirror, strategy)
+def test_edge_deletions_match_full_rebuild(make_engine, mirror):
+    engine = make_engine()
     edges = sorted(mirror.edges())
     random.Random(2).shuffle(edges)
-    for u, v in edges[:20]:
-        engine.delete_edge(u, v)
-        mirror.remove_edge(u, v)
-    for seed in range(3):
-        assert_exact(engine, mirror, seed)
+    for batch in (edges[:10], edges[10:20]):
+        for u, v in batch:
+            engine.delete_edge(u, v)
+            mirror.remove_edge(u, v)
+        flush_and_check(engine, mirror)
 
 
-def test_backward_index_tracks_the_same_stream(strategy, mirror):
-    engine = make_engine(mirror, strategy, enable_backward=True)
+def test_backward_index_tracks_the_same_stream(make_engine, mirror):
+    engine = make_engine(enable_backward=True)
     for u, v in structural_edges(mirror, 4, seed=3):
         engine.insert_edge(u, v)
         mirror.add_edge(u, v)
-    removed = sorted(mirror.edges())[::15]
-    for u, v in removed:
+    flush_and_check(engine, mirror, directions=("forward", "backward"))
+    for u, v in sorted(mirror.edges())[::15]:
         engine.delete_edge(u, v)
         mirror.remove_edge(u, v)
-    for seed in range(3):
-        assert_exact(engine, mirror, seed, directions=("forward", "backward"))
+    flush_and_check(engine, mirror, directions=("forward", "backward"))
 
 
-def test_inserted_vertex_is_reachable_once_connected(strategy, mirror):
-    engine = make_engine(mirror, strategy)
+def test_inserted_vertex_is_reachable_once_connected(make_engine, mirror):
+    engine = make_engine()
     vertices = sorted(mirror.vertices())
     new_vertex = engine.insert_vertex()
     mirror.add_vertex(new_vertex)
@@ -105,6 +162,7 @@ def test_inserted_vertex_is_reachable_once_connected(strategy, mirror):
     for u, v in ((head, new_vertex), (new_vertex, tail)):
         engine.insert_edge(u, v)
         mirror.add_edge(u, v)
+    flush_and_check(engine, mirror)
     assert engine.reachable(head, tail)
     sources, targets = vertices[:10] + [new_vertex], vertices[-10:] + [new_vertex]
     assert engine.run(ReachQuery(sources, targets)).pairs == reachable_pairs(
@@ -112,8 +170,8 @@ def test_inserted_vertex_is_reachable_once_connected(strategy, mirror):
     )
 
 
-def test_deleted_vertex_cuts_paths_through_it(strategy, mirror):
-    engine = make_engine(mirror, strategy)
+def test_deleted_vertex_cuts_paths_through_it(make_engine, mirror):
+    engine = make_engine()
     # The vertex with the most traffic through it: deleting it changes answers.
     hub = max(
         sorted(mirror.vertices()),
@@ -121,12 +179,11 @@ def test_deleted_vertex_cuts_paths_through_it(strategy, mirror):
     )
     engine.delete_vertex(hub)
     mirror.remove_vertex(hub)
-    for seed in range(3):
-        assert_exact(engine, mirror, seed)
+    flush_and_check(engine, mirror)
 
 
-def test_flush_publishes_a_new_epoch_only_for_real_changes(strategy, mirror):
-    engine = make_engine(mirror, strategy)
+def test_flush_publishes_a_new_epoch_only_for_real_changes(make_engine, mirror):
+    engine = make_engine()
     built = engine.epoch
     assert not engine.flush_updates().published
     assert engine.epoch == built
@@ -139,33 +196,34 @@ def test_flush_publishes_a_new_epoch_only_for_real_changes(strategy, mirror):
     assert engine.epoch == flush.epoch > built
     assert not engine.has_pending_updates
     assert engine.reachable(u, v)
-    assert_exact(engine, mirror, seed=6)
+    flush_and_check(engine, mirror)
 
 
-def test_delete_then_reinsert_restores_answers(strategy, mirror):
-    engine = make_engine(mirror, strategy)
+def test_delete_then_reinsert_restores_answers(make_engine, mirror):
+    engine = make_engine()
     sources, targets = sample(mirror, seed=7)
     before = engine.run(ReachQuery(sources, targets)).pairs
     assert before == reachable_pairs(mirror, sources, targets)
     edges = sorted(mirror.edges())[::6]
     for u, v in edges:
         engine.delete_edge(u, v)
-    engine.flush_updates()
+        mirror.remove_edge(u, v)
+    flush_and_check(engine, mirror)
     for u, v in edges:
         engine.insert_edge(u, v)
+        mirror.add_edge(u, v)
+    flush_and_check(engine, mirror)
     assert engine.run(ReachQuery(sources, targets)).pairs == before
 
 
-def test_background_flush_converges_to_the_mirror(strategy, mirror):
-    engine = make_engine(mirror, strategy, epoch_flush="background")
-    try:
-        built = engine.epoch
-        for u, v in structural_edges(mirror, 3, seed=8):
-            engine.insert_edge(u, v)
-            mirror.add_edge(u, v)
-        assert engine.wait_for_maintenance(timeout=60.0)
-        assert engine.epoch > built
-        for seed in range(3):
-            assert_exact(engine, mirror, seed)
-    finally:
-        engine.close()
+def test_background_flush_converges_to_the_mirror(make_engine, mirror):
+    engine = make_engine(epoch_flush="background")
+    built = engine.epoch
+    for u, v in structural_edges(mirror, 3, seed=8):
+        engine.insert_edge(u, v)
+        mirror.add_edge(u, v)
+    assert engine.wait_for_maintenance(timeout=60.0)
+    assert engine.epoch > built
+    assert_strategies_agree(engine)
+    for seed in range(3):
+        assert_exact(engine, mirror, seed)

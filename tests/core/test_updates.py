@@ -24,7 +24,7 @@ def fresh_engine(graph, num_partitions=3, seed=1, **kwargs):
 class TestEdgeInsertion:
     def test_cross_partition_insertion_changes_answers(self, paper_example):
         graph, partitioning, labels = paper_example
-        engine = open_engine(graph, DSRConfig(local_index="dfs"), partitioning=partitioning)
+        engine = open_engine(graph, DSRConfig(), partitioning=partitioning)
         # k is a sink: it cannot reach a.  Adding k -> d (cut edge) changes that.
         assert not engine.reachable(labels["k"], labels["a"])
         result = engine.insert_edge(labels["k"], labels["d"])
@@ -33,7 +33,7 @@ class TestEdgeInsertion:
 
     def test_local_insertion_changes_answers(self, paper_example):
         graph, partitioning, labels = paper_example
-        engine = open_engine(graph, DSRConfig(local_index="dfs"), partitioning=partitioning)
+        engine = open_engine(graph, DSRConfig(), partitioning=partitioning)
         assert not engine.reachable(labels["v"], labels["q"])
         engine.insert_edge(labels["v"], labels["p"])  # local edge inside G3
         assert engine.reachable(labels["v"], labels["q"])
@@ -162,7 +162,7 @@ class TestEdgeDeletion:
 
     def test_cut_edge_deletion(self, paper_example):
         graph, partitioning, labels = paper_example
-        engine = open_engine(graph, DSRConfig(local_index="dfs"), partitioning=partitioning)
+        engine = open_engine(graph, DSRConfig(), partitioning=partitioning)
         # o -> f is the only way back into G1; deleting it cuts p off from a.
         assert engine.reachable(labels["p"], labels["a"])
         engine.delete_edge(labels["o"], labels["f"])

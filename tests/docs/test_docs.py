@@ -74,7 +74,8 @@ def test_observability_doctests_pass():
 #: Surfaces deleted together with the planner's batch splitting, then with
 #: the thread-per-connection server, the newline-JSON framing and wire
 #: versions 2-4, then with the replica fleet, then with the selectable
-#: kernel tier.  (``ctx.send_message`` is
+#: kernel tier, then with the DSR engine's pluggable local strategy.
+#: (``ctx.send_message`` is
 #: Pregel's vertex API in ``repro.giraph`` — a different, live thing.)
 #: The ``[x]`` classes keep the removed names out of a plain grep of this file.
 REMOVED_SURFACES = re.compile(
@@ -88,6 +89,7 @@ REMOVED_SURFACES = re.compile(
     r"|REPRO_[K]ERNELS|use_[k]ernels|set_kernel_[b]ackend|numpy_[a]vailable"
     r"|resolve_[k]ernels|KERNEL_[N]AMES|_condense_[r]uns|\.\[numpy\]"
     r"|claim_real_[i]d|share_vertex_ids_[w]ith|_first_virtual_[i]d|_id_[i]ndexes"
+    r"|local_index_[o]ptions|strategy_[k]wargs|set_reachability_[b]its"
 )
 
 

@@ -93,7 +93,7 @@ class TestIterativeBehaviour:
         from repro.api import DSRConfig, ReachQuery, open_engine
 
         graph, partitioning, labels = paper_example
-        dsr = open_engine(graph, DSRConfig(local_index="dfs"), partitioning=partitioning)
+        dsr = open_engine(graph, DSRConfig(), partitioning=partitioning)
         sources = [labels[x] for x in ("a", "d", "g")]
         targets = [labels[x] for x in ("l", "p")]
         dsr_result = dsr.run(ReachQuery(sources, targets))

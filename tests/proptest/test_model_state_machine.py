@@ -1,6 +1,6 @@
 """A state machine over a serving engine against a model graph.
 
-Hypothesis drives one ``serial`` engine with inline flushes through
+Hypothesis drives one engine with inline flushes through
 :class:`~repro.service.DSRService` — edge and vertex inserts and deletes
 (deletes of edges on a cycle among them, which can split a component a
 flush would otherwise keep), an explicit flush, an explicitly negative vertex id, and queries forward,
@@ -10,9 +10,13 @@ backward and ``auto``, with and without the result cache — while a model
 brought up to date first (inline flush), so every answer is exact.
 
 Every rule reaches the engine only through the service's public requests.
-The wire, background flushes, ``processes`` workers and worker kills are
-not covered here.
+The engine runs on the first executor ``REPRO_TEST_EXECUTORS`` names
+(``serial`` unless it is set), so CI drives the same machine against
+forked ``processes`` workers.  The wire, background flushes and worker
+kills are not covered here.
 """
+
+import os
 
 import pytest
 
@@ -39,6 +43,7 @@ from repro.service.protocol import (  # noqa: E402
 )
 
 PARTITIONS = 3
+EXECUTOR = os.environ.get("REPRO_TEST_EXECUTORS", "serial").split(",")[0].strip()
 
 
 class ServedEngineMachine(RuleBasedStateMachine):
@@ -56,7 +61,12 @@ class ServedEngineMachine(RuleBasedStateMachine):
         self.model = graph.copy()
         self.engine = open_engine(
             graph,
-            DSRConfig(num_partitions=PARTITIONS, enable_backward=True, epoch_flush="inline"),
+            DSRConfig(
+                num_partitions=PARTITIONS,
+                enable_backward=True,
+                epoch_flush="inline",
+                executor=EXECUTOR,
+            ),
         )
         self.service = DSRService(self.engine, num_workers=1, cache_capacity=64)
 

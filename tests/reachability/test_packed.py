@@ -1,14 +1,11 @@
-"""Packed rows: VertexRank, byte serialisation and the bits protocol.
+"""Packed rows: VertexRank, byte serialisation and the bitset kernel's rows.
 
-``set_reachability_bits`` must agree exactly with ``set_reachability`` for
-every registered strategy — natively for the traversal kernels (bitset
-MS-BFS, CSR DFS) and through the default set↔bits bridge for the index
-strategies (ferrari, grail, closure).
+The kernel's rows must agree exactly with a plain multi-source traversal;
+that every strategy's ``set_reachability`` agrees with the kernel over an
+engine's published condensations is ``tests/core/test_strategy_updates.py``.
 """
 
 import random
-
-import pytest
 
 from repro.graph import generators
 from repro.graph.digraph import DiGraph
@@ -22,9 +19,6 @@ from repro.reachability.packed import (
     row_from_bytes,
     row_to_bytes,
 )
-
-STRATEGIES = ["dfs", "msbfs", "bitset", "ferrari", "grail", "closure"]
-
 
 class TestPackedPrimitives:
     def test_iter_bits_matches_binary(self):
@@ -104,55 +98,11 @@ class TestKernelRows:
         assert wide == narrow
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-class TestProtocolParity:
-    """set_reachability_bits == packed set_reachability for every strategy."""
-
-    def test_bits_match_sets(self, strategy):
-        graph = generators.social_graph(80, avg_degree=4, seed=11)
-        index = make_reachability_index(strategy, graph)
-        rank = VertexRank.from_csr(graph.csr())
-        rng = random.Random(13)
-        vertices = sorted(graph.vertices())
-        sources = rng.sample(vertices, 10)
-        targets = rng.sample(vertices, 12)
-        mask = rank.pack(targets)
-        rows = index.set_reachability_bits(sources, rank, mask)
-        sets = index.set_reachability(sources, targets)
-        for source in sources:
-            assert set(rank.unpack(rows[source])) == sets[source], (
-                f"{strategy}: diverging row for source {source}"
-            )
-
-    def test_no_mask_covers_all_vertices(self, strategy):
-        graph = generators.random_digraph(40, 100, seed=21)
-        index = make_reachability_index(strategy, graph)
-        rank = VertexRank.from_csr(graph.csr())
-        sources = sorted(graph.vertices())[:6]
-        rows = index.set_reachability_bits(sources, rank)
-        sets = index.set_reachability(sources, graph.vertices())
-        for source in sources:
-            assert set(rank.unpack(rows[source])) == sets[source]
-
-    def test_foreign_rank_falls_back_to_bridge(self, strategy):
-        # A rank over a subset universe (not the CSR's dense numbering)
-        # must still produce correct rows via the generic bridge.
-        graph = generators.random_digraph(30, 80, seed=31)
-        index = make_reachability_index(strategy, graph)
-        subset = sorted(graph.vertices())[::2]
-        rank = VertexRank(subset)
-        sources = subset[:5]
-        rows = index.set_reachability_bits(sources, rank, rank.full_mask())
-        sets = index.set_reachability(sources, subset)
-        for source in sources:
-            assert set(rank.unpack(rows[source])) == sets[source]
-
-
 class TestConcurrentDFS:
     """One DFSReachability instance must stay correct under concurrent use.
 
-    The service layer runs lock-free reads against one engine; the visited
-    buffer is per-thread, so parallel traversals cannot truncate each other.
+    The visited buffer is per-thread, so parallel traversals cannot
+    truncate each other.
     """
 
     def test_threaded_queries_match_serial(self):
@@ -160,12 +110,9 @@ class TestConcurrentDFS:
 
         graph = generators.social_graph(150, avg_degree=4, seed=91)
         index = make_reachability_index("dfs", graph)
-        rank = VertexRank.from_csr(graph.csr())
         vertices = sorted(graph.vertices())
         sources = vertices[:20]
-        mask = rank.full_mask()
         expected_sets = index.set_reachability(sources, vertices)
-        expected_rows = index.set_reachability_bits(sources, rank, mask)
 
         failures = []
 
@@ -173,8 +120,6 @@ class TestConcurrentDFS:
             for _ in range(10):
                 if index.set_reachability(sources, vertices) != expected_sets:
                     failures.append("sets")
-                if index.set_reachability_bits(sources, rank, mask) != expected_rows:
-                    failures.append("bits")
 
         threads = [threading.Thread(target=worker) for _ in range(6)]
         for thread in threads:

@@ -149,13 +149,25 @@ class TestCliCommands:
                 server.communicate()
 
     @pytest.mark.parametrize(
-        "flag", [["--async"], ["--max-requests", "2"], ["--replicas", "3"]]
+        "flag",
+        [["--async"], ["--max-requests", "2"], ["--replicas", "3"], ["--local-index", "dfs"]],
     )
     def test_removed_serve_flags_are_usage_errors(self, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["serve", "amazon", "--scale", "0.1", "--self-test", *flag])
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_query_local_index_is_for_the_baselines(self, capsys):
+        from repro.api.config import ConfigError
+
+        with pytest.raises(ConfigError, match="accepts only 'msbfs'"):
+            main(["query", "stanford", "--scale", "0.15", "--local-index", "dfs"])
+        code = main(
+            ["query", "stanford", "--scale", "0.15", "--backend", "fan",
+             "--local-index", "ferrari", "--sources", "3", "--targets", "3"]
+        )
+        assert code == 0
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
