@@ -58,6 +58,20 @@ def test_partition_count_does_not_change_answers(num_partitions):
     assert engine.run(ReachQuery(sources, targets)).pairs == ground_truth(graph, sources, targets)
 
 
+@pytest.mark.parametrize("local_index", ["dfs", "msbfs", "ferrari", "grail", "closure"])
+@pytest.mark.parametrize("backend", ["fan", "naive"])
+def test_baseline_local_strategy_does_not_change_answers(backend, local_index):
+    graph = generators.social_graph(100, avg_degree=6, reciprocity=0.4, seed=31)
+    engine = open_engine(
+        graph, DSRConfig(backend=backend, num_partitions=4, local_index=local_index, seed=2)
+    )
+    rng = random.Random(13)
+    vertices = sorted(graph.vertices())
+    sources = rng.sample(vertices, 8)
+    targets = rng.sample(vertices, 8)
+    assert engine.run(ReachQuery(sources, targets)).pairs == ground_truth(graph, sources, targets)
+
+
 @pytest.mark.parametrize("partitioner", ["hash", "metis"])
 def test_partitioner_does_not_change_answers(partitioner):
     graph = generators.copurchase_graph(110, avg_degree=5, seed=41)

@@ -4,10 +4,10 @@ The DSR engine runs one kernel, the bitset one-pass sweep over each
 condensed compound graph (:func:`repro.core.packed_steps.condensation_rows`).
 The ``repro.reachability`` strategies the paper plugs in instead (its
 Fig. 7) must still answer the same over the condensations an engine
-publishes, including after incremental maintenance.  So one engine takes an
-update stream, and after every flush
+publishes, including after incremental maintenance.  So each test runs once
+per strategy: one engine takes an update stream, and after every flush
 
-* each strategy's ``set_reachability`` over every published condensation —
+* the strategy's ``set_reachability`` over every published condensation —
   forward and, where built, reverse — equals the kernel's rows, and
 * the engine's answers equal :func:`reachable_pairs` on a mirror graph that
   takes the same updates.
@@ -74,15 +74,19 @@ def published_condensations(engine):
             yield compound.condensation_view().dag
 
 
-def assert_strategies_agree(engine):
-    """Every strategy over every published condensation equals the kernel."""
+@pytest.fixture(params=STRATEGIES)
+def strategy(request):
+    return request.param
+
+
+def assert_strategy_agrees(engine, strategy):
+    """``strategy`` over every published condensation equals the kernel."""
     for dag in published_condensations(engine):
         rank = VertexRank.from_csr(dag)
         components = list(rank.ids)
         rows = bitset_msbfs.set_reachability_rows(dag, components, None)
-        for name in STRATEGIES:
-            sets = make_reachability_index(name, dag).set_reachability(components, components)
-            assert {c: rank.pack(reached) for c, reached in sets.items()} == rows, name
+        sets = make_reachability_index(strategy, dag).set_reachability(components, components)
+        assert {c: rank.pack(reached) for c, reached in sets.items()} == rows, strategy
 
 
 def sample(mirror, seed, size=12):
@@ -99,9 +103,9 @@ def assert_exact(engine, mirror, seed, directions=("forward",)):
         assert result.pairs == expected, direction
 
 
-def flush_and_check(engine, mirror, directions=("forward",)):
+def flush_and_check(engine, mirror, strategy, directions=("forward",)):
     engine.flush_updates()
-    assert_strategies_agree(engine)
+    assert_strategy_agrees(engine, strategy)
     for seed in range(3):
         assert_exact(engine, mirror, seed, directions)
 
@@ -117,20 +121,20 @@ def structural_edges(mirror, count, seed):
     return [next(found) for _ in range(count)]
 
 
-def test_built_index_agrees(make_engine, mirror):
+def test_built_index_agrees(make_engine, mirror, strategy):
     engine = make_engine(enable_backward=True)
-    flush_and_check(engine, mirror, directions=("forward", "backward"))
+    flush_and_check(engine, mirror, strategy, directions=("forward", "backward"))
 
 
-def test_edge_insertions_match_full_rebuild(make_engine, mirror):
+def test_edge_insertions_match_full_rebuild(make_engine, mirror, strategy):
     engine = make_engine()
     for u, v in structural_edges(mirror, 8, seed=1):
         assert engine.insert_edge(u, v).structural_change
         mirror.add_edge(u, v)
-    flush_and_check(engine, mirror)
+    flush_and_check(engine, mirror, strategy)
 
 
-def test_edge_deletions_match_full_rebuild(make_engine, mirror):
+def test_edge_deletions_match_full_rebuild(make_engine, mirror, strategy):
     engine = make_engine()
     edges = sorted(mirror.edges())
     random.Random(2).shuffle(edges)
@@ -138,22 +142,22 @@ def test_edge_deletions_match_full_rebuild(make_engine, mirror):
         for u, v in batch:
             engine.delete_edge(u, v)
             mirror.remove_edge(u, v)
-        flush_and_check(engine, mirror)
+        flush_and_check(engine, mirror, strategy)
 
 
-def test_backward_index_tracks_the_same_stream(make_engine, mirror):
+def test_backward_index_tracks_the_same_stream(make_engine, mirror, strategy):
     engine = make_engine(enable_backward=True)
     for u, v in structural_edges(mirror, 4, seed=3):
         engine.insert_edge(u, v)
         mirror.add_edge(u, v)
-    flush_and_check(engine, mirror, directions=("forward", "backward"))
+    flush_and_check(engine, mirror, strategy, directions=("forward", "backward"))
     for u, v in sorted(mirror.edges())[::15]:
         engine.delete_edge(u, v)
         mirror.remove_edge(u, v)
-    flush_and_check(engine, mirror, directions=("forward", "backward"))
+    flush_and_check(engine, mirror, strategy, directions=("forward", "backward"))
 
 
-def test_inserted_vertex_is_reachable_once_connected(make_engine, mirror):
+def test_inserted_vertex_is_reachable_once_connected(make_engine, mirror, strategy):
     engine = make_engine()
     vertices = sorted(mirror.vertices())
     new_vertex = engine.insert_vertex()
@@ -162,7 +166,7 @@ def test_inserted_vertex_is_reachable_once_connected(make_engine, mirror):
     for u, v in ((head, new_vertex), (new_vertex, tail)):
         engine.insert_edge(u, v)
         mirror.add_edge(u, v)
-    flush_and_check(engine, mirror)
+    flush_and_check(engine, mirror, strategy)
     assert engine.reachable(head, tail)
     sources, targets = vertices[:10] + [new_vertex], vertices[-10:] + [new_vertex]
     assert engine.run(ReachQuery(sources, targets)).pairs == reachable_pairs(
@@ -170,7 +174,7 @@ def test_inserted_vertex_is_reachable_once_connected(make_engine, mirror):
     )
 
 
-def test_deleted_vertex_cuts_paths_through_it(make_engine, mirror):
+def test_deleted_vertex_cuts_paths_through_it(make_engine, mirror, strategy):
     engine = make_engine()
     # The vertex with the most traffic through it: deleting it changes answers.
     hub = max(
@@ -179,10 +183,10 @@ def test_deleted_vertex_cuts_paths_through_it(make_engine, mirror):
     )
     engine.delete_vertex(hub)
     mirror.remove_vertex(hub)
-    flush_and_check(engine, mirror)
+    flush_and_check(engine, mirror, strategy)
 
 
-def test_flush_publishes_a_new_epoch_only_for_real_changes(make_engine, mirror):
+def test_flush_publishes_a_new_epoch_only_for_real_changes(make_engine, mirror, strategy):
     engine = make_engine()
     built = engine.epoch
     assert not engine.flush_updates().published
@@ -196,10 +200,10 @@ def test_flush_publishes_a_new_epoch_only_for_real_changes(make_engine, mirror):
     assert engine.epoch == flush.epoch > built
     assert not engine.has_pending_updates
     assert engine.reachable(u, v)
-    flush_and_check(engine, mirror)
+    flush_and_check(engine, mirror, strategy)
 
 
-def test_delete_then_reinsert_restores_answers(make_engine, mirror):
+def test_delete_then_reinsert_restores_answers(make_engine, mirror, strategy):
     engine = make_engine()
     sources, targets = sample(mirror, seed=7)
     before = engine.run(ReachQuery(sources, targets)).pairs
@@ -208,15 +212,15 @@ def test_delete_then_reinsert_restores_answers(make_engine, mirror):
     for u, v in edges:
         engine.delete_edge(u, v)
         mirror.remove_edge(u, v)
-    flush_and_check(engine, mirror)
+    flush_and_check(engine, mirror, strategy)
     for u, v in edges:
         engine.insert_edge(u, v)
         mirror.add_edge(u, v)
-    flush_and_check(engine, mirror)
+    flush_and_check(engine, mirror, strategy)
     assert engine.run(ReachQuery(sources, targets)).pairs == before
 
 
-def test_background_flush_converges_to_the_mirror(make_engine, mirror):
+def test_background_flush_converges_to_the_mirror(make_engine, mirror, strategy):
     engine = make_engine(epoch_flush="background")
     built = engine.epoch
     for u, v in structural_edges(mirror, 3, seed=8):
@@ -224,6 +228,6 @@ def test_background_flush_converges_to_the_mirror(make_engine, mirror):
         mirror.add_edge(u, v)
     assert engine.wait_for_maintenance(timeout=60.0)
     assert engine.epoch > built
-    assert_strategies_agree(engine)
+    assert_strategy_agrees(engine, strategy)
     for seed in range(3):
         assert_exact(engine, mirror, seed)

@@ -1,11 +1,14 @@
 """Packed rows: VertexRank, byte serialisation and the bitset kernel's rows.
 
-The kernel's rows must agree exactly with a plain multi-source traversal;
-that every strategy's ``set_reachability`` agrees with the kernel over an
-engine's published condensations is ``tests/core/test_strategy_updates.py``.
+The kernel's rows must agree exactly with a plain multi-source traversal
+and with every registered strategy's ``set_reachability`` over the same
+condensation; that they agree over an engine's published condensations,
+across updates, is ``tests/core/test_strategy_updates.py``.
 """
 
 import random
+
+import pytest
 
 from repro.graph import generators
 from repro.graph.digraph import DiGraph
@@ -19,6 +22,9 @@ from repro.reachability.packed import (
     row_from_bytes,
     row_to_bytes,
 )
+
+STRATEGIES = ["dfs", "msbfs", "bitset", "ferrari", "grail", "closure"]
+
 
 class TestPackedPrimitives:
     def test_iter_bits_matches_binary(self):
@@ -96,6 +102,61 @@ class TestKernelRows:
         wide = bitset_msbfs.set_reachability_rows(csr, sources, mask)
         narrow = bitset_msbfs.set_reachability_rows(csr, sources, mask, batch_size=3)
         assert wide == narrow
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+class TestStrategyParity:
+    """Kernel rows == packed ``set_reachability`` for every strategy."""
+
+    def test_rows_match_sets(self, strategy):
+        dag = condense(generators.social_graph(80, avg_degree=4, seed=11))[0]
+        index = make_reachability_index(strategy, dag)
+        rank = VertexRank.from_csr(dag)
+        rng = random.Random(13)
+        components = sorted(dag.vertices())
+        sources = rng.sample(components, 10)
+        targets = rng.sample(components, 12)
+        rows = bitset_msbfs.set_reachability_rows(dag, sources, rank.pack(targets))
+        sets = index.set_reachability(sources, targets)
+        for source in sources:
+            assert set(rank.unpack(rows[source])) == sets[source], (
+                f"{strategy}: diverging row for source {source}"
+            )
+
+    def test_no_mask_covers_all_vertices(self, strategy):
+        dag = condense(generators.random_digraph(40, 100, seed=21))[0]
+        index = make_reachability_index(strategy, dag)
+        rank = VertexRank.from_csr(dag)
+        # The highest component ids: condensations number a component after
+        # everything it reaches, so these reach the most.
+        sources = sorted(dag.vertices())[-6:]
+        rows = bitset_msbfs.set_reachability_rows(dag, sources, None)
+        sets = index.set_reachability(sources, dag.vertices())
+        for source in sources:
+            assert set(rank.unpack(rows[source])) == sets[source]
+
+    def test_condensed_rows_expand_to_the_cyclic_graph(self, strategy):
+        # The kernel sweeps only condensations; expanding its component rows
+        # through the members must give the strategy's answer on the cyclic
+        # graph itself.
+        # 45 components, the largest with 14 vertices.
+        graph = generators.random_digraph(60, 100, seed=31)
+        dag, component_of = condense(graph)
+        members = {}
+        for vertex, component in component_of.items():
+            members.setdefault(component, set()).add(vertex)
+        rank = VertexRank.from_csr(dag)
+        vertices = sorted(graph.vertices())
+        sources = vertices[::5]
+        rows = bitset_msbfs.set_reachability_rows(
+            dag, sorted({component_of[s] for s in sources}), None
+        )
+        sets = make_reachability_index(strategy, graph).set_reachability(sources, vertices)
+        for source in sources:
+            reached = set()
+            for component in rank.unpack(rows[component_of[source]]):
+                reached |= members[component]
+            assert reached == sets[source], f"{strategy}: diverging row for source {source}"
 
 
 class TestConcurrentDFS:
