@@ -17,10 +17,10 @@ once:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from repro.graph.csr import CSRGraph
-from repro.reachability import bitset_msbfs
+from repro.reachability import bitset_msbfs, kernels
 from repro.reachability.packed import BitGather, pack_ranks
 
 
@@ -34,20 +34,16 @@ def build_expansion(index: Sequence[int], num_components: int) -> BitGather:
     its graph's dense indices are the vertex ranks, so the index is the
     condensation's ``component_of`` itself
     (:func:`repro.graph.scc.condense_dense`).  A narrow gather ORs
-    per-component member masks (``masks[c]``: the members of DAG-rank
-    ``c``'s component as one row), collected per component first and
-    packed with one ``int.from_bytes`` each (see
-    :func:`repro.reachability.packed.pack_ranks`) — O(V + bytes) instead of
-    the O(V·width/64) growing-bigint OR loop; a singleton component (every
-    vertex of a DAG) is one shift.
+    per-component member masks, grouped by one array sort
+    (:func:`repro.reachability.kernels.np_component_members`): a singleton
+    component is one shift, and only a component of several members is
+    packed (:func:`repro.reachability.packed.pack_ranks`).
     """
-    members_of: List[List[int]] = [[] for _ in range(num_components)]
-    for r, component in enumerate(index):
-        members_of[component].append(r)
-    masks = tuple(
-        1 << ranks[0] if len(ranks) == 1 else pack_ranks(ranks) for ranks in members_of
-    )
-    return BitGather(index, masks)
+    firsts, groups = kernels.np_component_members(index, num_components)
+    masks = list(map((1).__lshift__, firsts))
+    for component, ranks in groups:
+        masks[component] = pack_ranks(ranks)
+    return BitGather(index, tuple(masks))
 
 
 def condensation_rows(

@@ -98,17 +98,15 @@ class CSRGraph:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_digraph(cls, graph: "DiGraph") -> "CSRGraph":
-        """Build a snapshot from the current state of ``graph``."""
-        ids = tuple(sorted(graph.vertices()))
-        index_of = {vertex: i for i, vertex in enumerate(ids)}
-        n = len(ids)
+        """Build a snapshot from ``graph.vertices()`` and ``graph.successors(v)``
+        in bulk (:func:`repro.reachability.kernels.np_adjacency_csr`)."""
+        # Imported here: repro.reachability imports this module.
+        from repro.reachability import kernels
 
-        fwd_offsets = array("q", bytes(8 * (n + 1)))
-        fwd_targets = array("q")
-        for i, vertex in enumerate(ids):
-            fwd_targets.extend(sorted(index_of[w] for w in graph.successors(vertex)))
-            fwd_offsets[i + 1] = len(fwd_targets)
-        return cls(ids, index_of, fwd_offsets, fwd_targets)
+        ids = tuple(sorted(graph.vertices()))
+        return cls.from_sorted(
+            ids, *kernels.np_adjacency_csr(ids, list(map(graph.successors, ids)))
+        )
 
     @classmethod
     def from_edges(

@@ -5,23 +5,22 @@ DAG-condensed form (Table 2 reports "Original" vs "DAG" sizes), equivalence
 sets start from SCC grouping (Algorithm 3, line 2), and incremental updates
 maintain condensed compound graphs (Section 3.3.3).
 
-The implementation is an iterative Tarjan so that large, deep graphs do not
-exhaust Python's recursion limit.  It runs over a CSR snapshot — a
-``DiGraph``'s cached one (:meth:`repro.graph.digraph.DiGraph.csr`) or a
-:class:`~repro.graph.csr.CSRGraph` passed directly, as every compound graph
-is: the DFS state lives in dense lists indexed by CSR position, the flat
-adjacency is read into Python lists once, and each DFS frame resumes its own
-iterator over its vertex's successor slice, so condensing a compound graph —
-which happens on every index build and on every maintenance flush — costs
-no per-visit hashing or cursor bookkeeping, and the condensation itself is
-emitted straight into a snapshot's buffers.
+Every entry point numbers components by :func:`_numbering` over a CSR
+snapshot.  The trim step of Hong, Rodia and Olukotun (SC 2013) peels sinks
+(numbered upwards from 0) and sources (downwards from ``k - 1``) round by
+round over the CSR's arrays (:func:`repro.reachability.kernels.np_peel`);
+an iterative Tarjan, safe from the recursion limit, numbers the cyclic core
+left in between.  A peeled sink's edges go to earlier sinks, a source's to
+later sources, the core or sinks, the core's to the core or sinks: every
+condensation edge descends.  A graph whose first round would peel under
+:data:`PEEL_MIN_SHARE` of its vertices goes straight to Tarjan.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import chain
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
@@ -30,11 +29,23 @@ from repro.graph.digraph import DiGraph
 GraphLike = Union[DiGraph, CSRGraph]
 
 
-def _dense_components(csr: CSRGraph, first_root: int = 0) -> List[List[int]]:
+#: The least share of its vertices a graph's first peel round must remove, or
+#: Tarjan numbers it alone.  The web rig's compound graphs remove 0.3–0.4 %
+#: and keep > 99 % as core, so rounds would only cost their array passes; the
+#: DAG rig's remove 9–10 % and keep a core of 10–21 %.
+PEEL_MIN_SHARE = 0.005
+
+
+def _dense_components(
+    csr: CSRGraph, first_root: int = 0, core: Optional[Sequence[int]] = None
+) -> List[List[int]]:
     """Tarjan over ``csr``: SCCs as lists of dense indices, reverse-topological.
 
     DFS roots are taken in dense order from ``first_root``, wrapping round
-    to the indices below it.
+    to the indices below it.  ``core`` (ascending dense indices, default
+    all) restricts the roots to those vertices, none of which may have an
+    edge out of them: :func:`_numbering` passes the peel's core over the
+    core's own edges.
     """
     n = csr.num_vertices
     offsets, targets = csr.fwd_offsets.tolist(), csr.fwd_targets.tolist()
@@ -44,12 +55,14 @@ def _dense_components(csr: CSRGraph, first_root: int = 0) -> List[List[int]]:
     #: lowers a lowlink (the "on the stack" test of the textbook version).
     DONE = n
     index: List[int] = [UNVISITED] * n
+    core = range(n) if core is None else core
+    split = bisect_left(core, first_root)
     lowlink: List[int] = [0] * n
     stack: List[int] = []
     components: List[List[int]] = []
     counter = 0
 
-    for root in chain(range(first_root, n), range(first_root)):
+    for root in chain(core[split:], core[:split]):
         if index[root] != UNVISITED:
             continue
         index[root] = lowlink[root] = counter
@@ -106,19 +119,35 @@ def _first_real(csr: CSRGraph) -> int:
     return bisect_left(csr.ids, 0)
 
 
+def _numbering(csr: CSRGraph) -> Tuple[Sequence[int], int]:
+    """``(component_of, k)``: every dense index's reverse-topological
+    component (an int64 array) and their count — peel, then Tarjan."""
+    # Imported here: repro.reachability imports this module.
+    from repro.reachability import kernels
+
+    n, peel = csr.num_vertices, kernels.np_peel(csr, PEEL_MIN_SHARE)
+    if peel is None:
+        return kernels.np_component_of(_dense_components(csr, _first_real(csr)), n)
+    sinks, sources, core, core_csr = peel
+    core_graph = CSRGraph(csr.ids, csr._index_of, *core_csr)
+    components = _dense_components(core_graph, _first_real(csr), core)
+    return kernels.np_component_of(components, n, sinks, sources)
+
+
 def strongly_connected_components(graph: GraphLike) -> List[List[int]]:
     """Return the SCCs of ``graph`` as a list of vertex lists.
 
     The components are returned in reverse topological order of the
     condensation (i.e. a component appears after every component it can
-    reach), which is a useful property for downstream dynamic programming.
+    reach), which is a useful property for downstream dynamic programming;
+    list ``i``, ids ascending, is component ``i`` of :func:`condense`.
     """
     csr = graph.csr()
-    ids = csr.ids
-    return [
-        [ids[member] for member in component]
-        for component in _dense_components(csr, _first_real(csr))
-    ]
+    component_of, k = _numbering(csr)
+    components: List[List[int]] = [[] for _ in range(k)]
+    for vertex, component in zip(csr.ids, component_of.tolist()):
+        components[component].append(vertex)
+    return components
 
 
 def condense(graph: GraphLike) -> Tuple[CSRGraph, Dict[int, int]]:
@@ -147,17 +176,13 @@ def condense(graph: GraphLike) -> Tuple[CSRGraph, Dict[int, int]]:
 def condense_dense(graph: GraphLike) -> Tuple[CSRGraph, Sequence[int]]:
     """:func:`condense` with ``component_of[i]`` for dense vertex index ``i``.
 
-    Tarjan (:func:`_dense_components`) fixes the component numbering, and
-    ``component_of`` is an int64 numpy array; the DAG is then emitted by
+    :func:`_numbering` fixes the component numbering (``component_of`` is
+    an int64 numpy array); the DAG is then emitted by
     :func:`condensation_dag`.
     """
-    # Imported here: repro.reachability imports this module.
-    from repro.reachability import kernels
-
     csr = graph.csr()
-    components = _dense_components(csr, _first_real(csr))
-    component_of = kernels.np_component_of(components, csr.num_vertices)
-    return condensation_dag(csr, component_of, len(components)), component_of
+    component_of, k = _numbering(csr)
+    return condensation_dag(csr, component_of, k), component_of
 
 
 def condensation_dag(csr: CSRGraph, component_of: Sequence[int], k: int) -> CSRGraph:

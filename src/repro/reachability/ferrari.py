@@ -15,7 +15,8 @@ trade-off the paper exploits for "DSR-FERRARI".
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.graph.scc import GraphLike, numbered_dag
 from repro.reachability.base import ReachabilityIndex
@@ -75,12 +76,13 @@ class FerrariIndex(ReachabilityIndex):
     def _build(self) -> None:
         self._dag, self._vertex_to_component = numbered_dag(self.graph)
         dag = self._dag
-        # Components are the DAG's dense indices, which ascend in reverse
-        # topological order: every successor is labelled before its
-        # predecessors, and a component's index doubles as its post-order id.
+        # Labels are intervals over DFS post-order ids, which keep a
+        # tree-shaped reachable set in one interval; ascending dense indices
+        # are reverse-topological, so successors are labelled first.
+        self._post = post = self._post_order()
         self._intervals: Dict[int, List[Interval]] = {}
         for component in range(dag.num_vertices):
-            collected: List[Interval] = [(component, component, True)]
+            collected: List[Interval] = [(post[component], post[component], True)]
             for succ in dag.out_neighbors(component):
                 collected.extend(self._intervals[succ])
             self._intervals[component] = _merge_intervals(collected, self.max_intervals)
@@ -96,7 +98,22 @@ class FerrariIndex(ReachabilityIndex):
             for component in by_degree[: self.num_seeds]:
                 self._seed_reach[component] = self._exact_reachable(component)
 
+    def _post_order(self) -> List[int]:
+        """Each component's DFS post-order id, roots from the highest down."""
+        dag, post, seen, counter = self._dag, [0] * self._dag.num_vertices, set(), 0
+        stack = list(range(dag.num_vertices))
+        while stack:
+            vertex = stack.pop()
+            if vertex < 0:  # every successor of ~vertex is finished
+                post[~vertex], counter = counter, counter + 1
+            elif vertex not in seen:
+                seen.add(vertex)
+                stack.append(~vertex)
+                stack.extend(succ for succ in dag.out_neighbors(vertex) if succ not in seen)
+        return post
+
     def _exact_reachable(self, component: int) -> Set[int]:
+        """The post-order ids of every component ``component`` reaches."""
         visited = {component}
         stack = [component]
         while stack:
@@ -105,7 +122,7 @@ class FerrariIndex(ReachabilityIndex):
                 if succ not in visited:
                     visited.add(succ)
                     stack.append(succ)
-        return visited
+        return {self._post[c] for c in visited}
 
     def rebuild(self) -> None:
         self._build()
@@ -118,71 +135,66 @@ class FerrariIndex(ReachabilityIndex):
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    def _label_check(self, source_comp: int, target_comp: int) -> Optional[bool]:
-        """Tri-state interval test: True / False / None (= undecided)."""
-        undecided = False
-        for lo, hi, exact in self._intervals[source_comp]:
-            if lo <= target_comp <= hi:
-                if exact:
-                    return True
-                undecided = True
-        if undecided:
-            return None
-        return False
-
     def reachable(self, source: int, target: int) -> bool:
         if not self.graph.has_vertex(source) or not self.graph.has_vertex(target):
             return False
-        source_comp = self._vertex_to_component[source]
-        target_comp = self._vertex_to_component[target]
-        if source_comp == target_comp:
-            return True
-        verdict = self._label_check(source_comp, target_comp)
-        if verdict is not None:
-            return verdict
-        return self._guided_search(source_comp, target_comp)
+        return target in self.set_reachability([source], [target])[source]
 
-    def _guided_search(self, source_comp: int, target_comp: int) -> bool:
-        """Online DAG search pruned by interval labels and seed sets."""
+    def _classify(self, component: int, pending: List[int]) -> Tuple[List[int], List[int]]:
+        """The targets of ascending ``pending`` that ``component``'s disjoint
+        intervals decide reached (its own id included), and those left open."""
+        hits: List[int] = []
+        undecided: List[int] = []
+        for lo, hi, exact in self._intervals[component]:
+            first, last = bisect_left(pending, lo), bisect_right(pending, hi)
+            (hits if exact else undecided).extend(pending[first:last])
+        own = self._post[component]
+        if own in undecided:
+            undecided.remove(own)
+            hits.append(own)
+        return hits, undecided
+
+    def _search(self, source_comp: int, targets: List[int]) -> Set[int]:
+        """The ids of ascending ``targets`` that ``source_comp`` reaches: the
+        source's labels first, then one online search for all targets they
+        leave open, expanding a component only while its labels leave one
+        open (a seed's exact set decides them all)."""
+        hits, pending = self._classify(source_comp, targets)
+        found = set(hits)
         visited = {source_comp}
         stack = [source_comp]
-        while stack:
+        while stack and pending:
             current = stack.pop()
-            if current in self._seed_reach:
-                if target_comp in self._seed_reach[current]:
-                    return True
-                # The seed's full reachable set is known and excludes the
-                # target, so nothing below this branch can succeed.
+            seed = self._seed_reach.get(current)
+            if seed is not None:  # its exact set decides every target below it
+                found.update(target for target in pending if target in seed)
+                pending = [target for target in pending if target not in found]
                 continue
             for succ in self._dag.out_neighbors(current):
                 if succ in visited:
                     continue
-                if succ == target_comp:
-                    return True
-                verdict = self._label_check(succ, target_comp)
-                if verdict is True:
-                    return True
-                if verdict is False:
-                    # The whole subtree below succ cannot contain the target.
-                    visited.add(succ)
-                    continue
                 visited.add(succ)
-                stack.append(succ)
-        return False
+                hits, undecided = self._classify(succ, pending)
+                if hits:
+                    found.update(hits)
+                    pending = [target for target in pending if target not in found]
+                if undecided:
+                    stack.append(succ)
+        return found
 
     def set_reachability(
         self, sources: Iterable[int], targets: Iterable[int]
     ) -> Dict[int, Set[int]]:
-        target_list = list(targets)
+        """Each source's reached targets, from one label-pruned search per source."""
+        by_post: Dict[int, List[int]] = {}
+        for target in targets:
+            if self.graph.has_vertex(target):
+                post = self._post[self._vertex_to_component[target]]
+                by_post.setdefault(post, []).append(target)
         result: Dict[int, Set[int]] = {}
         for source in sources:
-            if not self.graph.has_vertex(source):
-                result[source] = set()
-                continue
-            reached = {
-                target
-                for target in target_list
-                if self.graph.has_vertex(target) and self.reachable(source, target)
-            }
-            result[source] = reached
+            reached: Set[int] = set()
+            if self.graph.has_vertex(source):
+                reached = self._search(self._vertex_to_component[source], sorted(by_post))
+            result[source] = {target for post in reached for target in by_post[post]}
         return result

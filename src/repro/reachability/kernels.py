@@ -39,8 +39,9 @@ The maintenance flush is built here, once: a compound graph is assembled
 from int64 array *pieces* — the local snapshot's edges (``np_csr_piece``),
 every remote summary's memoised contribution and the cut
 (``np_edges_piece``) — by one sort of the vertices for the ids, one dense
-remap of the endpoints and one sort of edge keys (``np_union_csr``), and a
-condensation's DAG is one sort of component-pair keys (``np_condense``).
+remap of the endpoints and one sort of edge keys (``np_union_csr``), a
+condensation is numbered after a peel of its acyclic fringe (``np_peel``)
+and its DAG is one sort of component-pair keys (``np_condense``).
 Distinct values come from a sort and an adjacent difference, never
 ``np.unique``, whose first call maps a further ≈ 1.5 MiB of numpy code into
 a process that otherwise never needs it.  Both return plain ``array('q')``
@@ -448,6 +449,18 @@ def _csr_buffers(keys, n: int) -> Tuple[array, array]:
     return _as_array(offsets), _as_array(targets)
 
 
+def np_adjacency_csr(ids: Sequence[int], successors: Sequence[Iterable[int]]):
+    """``(offsets, targets)`` of the successor sets ``successors[i]`` of the
+    sorted distinct ``ids[i]``: one read into an int64 array, one dense
+    remap (:func:`_dense_index`) and one sort of the keys ``u * n + v``."""
+    n = len(ids)
+    sizes = np.fromiter(map(len, successors), dtype=np.int64, count=n)
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, sizes)
+    heads = np.fromiter(chain.from_iterable(successors), dtype=np.int64, count=keys.size)
+    keys += _dense_index(np.fromiter(ids, dtype=np.int64, count=n), heads)
+    return _csr_buffers(np.sort(keys), n)
+
+
 def np_edges_piece(vertices: Sequence[int], edges: Sequence[Tuple[int, int]]):
     """A graph piece ``(vertex objects, vertices, sources, targets)``.
 
@@ -498,16 +511,73 @@ def np_union_csr(pieces) -> Tuple[Tuple[int, ...], array, array]:
     return (tuple(id_objects.tolist()), *_csr_buffers(_sorted_distinct(keys), n))
 
 
-def np_component_of(components: Sequence[Sequence[int]], n: int):
-    """The int64 array mapping each of ``n`` dense indices to its component.
+def np_peel(csr: "CSRGraph", min_share: float):
+    """Trim ``csr``'s acyclic fringe: ``(sinks, sources, core, core_csr)`` or ``None``.
 
-    ``components`` are the SCCs as dense-index lists in component-id order.
+    Each round peels every live vertex without a live out-edge (a sink) or
+    in-edge (a source; with neither, a sink) in a few whole-array passes;
+    a self-loop counts as no edge.  ``sinks`` and ``sources`` are dense
+    indices in peel order, ``core`` the ascending rest, ``core_csr`` the
+    CSR buffers of the core's own edges.  ``None`` when the degree arrays
+    say the first round would peel nothing or under ``min_share`` of ``n``.
     """
-    members = np.fromiter(chain.from_iterable(components), dtype=np.int64, count=n)
+    n = csr.num_vertices
+    heads = _as_int64(csr.fwd_targets)
+    out_degree = np.diff(_as_int64(csr.fwd_offsets))
+    in_degree = np.bincount(heads, minlength=n)
+    if np.count_nonzero((out_degree == 0) | (in_degree == 0)) < max(min_share * n, 1):
+        return None
+    tails = np.repeat(np.arange(n, dtype=np.int64), out_degree)
+    loops = tails == heads
+    if loops.any():
+        out_degree -= np.bincount(tails[loops], minlength=n)
+        in_degree -= np.bincount(tails[loops], minlength=n)
+        tails, heads = tails[~loops], heads[~loops]
+    live = np.ones(n, dtype=bool)
+    sink, source = out_degree == 0, in_degree == 0
+    sinks, sources = [], []
+    while True:
+        source &= ~sink
+        peeled = sink | source
+        if not peeled.any():
+            break
+        sinks.append(np.flatnonzero(sink))
+        sources.append(np.flatnonzero(source))
+        live &= ~peeled
+        dying = peeled[tails] | peeled[heads]
+        out_degree -= np.bincount(tails[dying], minlength=n)
+        in_degree -= np.bincount(heads[dying], minlength=n)
+        tails, heads = tails[~dying], heads[~dying]
+        sink, source = live & (out_degree == 0), live & (in_degree == 0)
+    core_csr = _csr_buffers(tails * n + heads, n)
+    return np.concatenate(sinks), np.concatenate(sources), np.flatnonzero(live).tolist(), core_csr
+
+
+def np_component_of(components: Sequence[Sequence[int]], n: int, sinks=(), sources=()):
+    """``(component_of, k)`` for ``n`` dense indices: the ``sinks`` number
+    ``0, 1, …``, the SCCs ``components`` (dense-index lists) follow, and the
+    ``sources`` take ``k - 1, k - 2, …``."""
+    k = len(sinks) + len(components) + len(sources)
+    members = np.fromiter(chain.from_iterable(components), dtype=np.int64)
     sizes = np.fromiter(map(len, components), dtype=np.int64, count=len(components))
     component_of = np.empty(n, dtype=np.int64)
-    component_of[members] = np.repeat(np.arange(len(components), dtype=np.int64), sizes)
-    return component_of
+    component_of[np.asarray(sinks, dtype=np.int64)] = np.arange(len(sinks))
+    component_of[members] = np.repeat(np.arange(len(sinks), k - len(sources)), sizes)
+    component_of[np.asarray(sources, dtype=np.int64)] = k - 1 - np.arange(len(sources))
+    return component_of, k
+
+
+def np_component_members(index: Sequence[int], k: int):
+    """``(lowest member of each component, [(component, members), …])`` for
+    ``index[r]``, rank ``r``'s component among ``k`` that each have one: one
+    stable sort; only components of several members are listed."""
+    index = np.asarray(index, dtype=np.int64)
+    order = np.argsort(index, kind="stable")
+    sizes = np.bincount(index, minlength=k)
+    starts = np.cumsum(sizes) - sizes
+    shared = np.flatnonzero(sizes > 1).tolist()
+    groups = [(c, order[starts[c] : starts[c] + sizes[c]].tolist()) for c in shared]
+    return order[starts].tolist(), groups
 
 
 def np_condense(csr: "CSRGraph", component_of, k: int) -> Tuple[array, array]:
@@ -590,6 +660,8 @@ def np_pack_ranks(ranks: Sequence[int]) -> int:
 __all__ = [
     "count_sweep",
     "kernel_backend",
+    "np_adjacency_csr",
+    "np_component_members",
     "np_component_of",
     "np_condense",
     "np_csr_piece",
@@ -601,6 +673,7 @@ __all__ = [
     "np_invert_rows",
     "np_objects",
     "np_pack_ranks",
+    "np_peel",
     "np_propagate",
     "np_propagate_matrix",
     "np_reverse_csr",

@@ -1,6 +1,10 @@
 """Tests for the CSR snapshot: structure, caching and dirty-flag invalidation."""
 
+from array import array
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import generators
 from repro.graph.csr import CSRGraph
@@ -83,6 +87,56 @@ class TestStructure:
         assert csr.successors(99) == ()
         with pytest.raises(KeyError):
             csr.index_of(99)
+
+
+def _from_digraph_reference(graph):
+    """The original per-vertex loop, frozen: each vertex's successors
+    sorted by dense index, one run after another."""
+    ids = tuple(sorted(graph.vertices()))
+    index_of = {vertex: i for i, vertex in enumerate(ids)}
+    fwd_offsets = array("q", bytes(8 * (len(ids) + 1)))
+    fwd_targets = array("q")
+    for i, vertex in enumerate(ids):
+        fwd_targets.extend(sorted(index_of[w] for w in graph.successors(vertex)))
+        fwd_offsets[i + 1] = len(fwd_targets)
+    return CSRGraph(ids, index_of, fwd_offsets, fwd_targets)
+
+
+class _Adjacency:
+    """The read side ``from_digraph`` uses, over any ids: a ``DiGraph``
+    refuses negative ones, the class vertices of a compound graph."""
+
+    def __init__(self, vertices, edges):
+        self._succ = {vertex: set() for vertex in vertices}
+        for u, v in edges:
+            self._succ.setdefault(u, set()).add(v)
+            self._succ.setdefault(v, set())
+
+    def vertices(self):
+        return iter(self._succ)
+
+    def successors(self, vertex):
+        return self._succ[vertex]
+
+
+class TestFromDigraphMatchesTheFrozenLoop:
+    @given(
+        st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)), max_size=80),
+        st.lists(st.integers(-10**6, 10**6), max_size=5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_byte_identical(self, edges, isolated):
+        # Negative ids, isolated vertices (some far off the edges' id
+        # span), self-loops and duplicate edges.
+        graph = _Adjacency(isolated, edges)
+        got, expected = CSRGraph.from_digraph(graph), _from_digraph_reference(graph)
+        assert got.ids == expected.ids
+        assert got._index_of == expected._index_of
+        assert got.to_bytes() == expected.to_bytes()
+
+    def test_a_digraph_and_an_empty_one(self):
+        for graph in (generators.random_digraph(80, 300, seed=3), DiGraph()):
+            assert graph.csr().to_bytes() == _from_digraph_reference(graph).to_bytes()
 
 
 class TestCachingAndInvalidation:

@@ -9,6 +9,12 @@ backward and ``auto``, with and without the result cache — while a model
 :func:`reachable_pairs` on the model: the epoch a query reads is always
 brought up to date first (inline flush), so every answer is exact.
 
+The starting graph is a random digraph, a web graph, or a DAG with an SCC
+planted inside partition 0, away from every boundary (:func:`planted_dag`):
+there the flush peels an acyclic fringe, runs Tarjan on a cyclic core, and
+keeps a condensation across a bypassed delete inside that SCC — the case
+the delete rules must not get past.
+
 Every rule reaches the engine only through the service's public requests.
 The engine runs on the first executor ``REPRO_TEST_EXECUTORS`` names
 (``serial`` unless it is set), so CI drives the same machine against
@@ -33,6 +39,7 @@ from hypothesis.stateful import (  # noqa: E402
 from repro.api import DSRConfig, open_engine  # noqa: E402
 from repro.graph import generators  # noqa: E402
 from repro.graph.traversal import is_reachable, reachable_pairs  # noqa: E402
+from repro.partition.partition import GraphPartitioning  # noqa: E402
 from repro.service import DSRService  # noqa: E402
 from repro.service.protocol import (  # noqa: E402
     ErrorResponse,
@@ -45,6 +52,26 @@ from repro.service.protocol import (  # noqa: E402
 PARTITIONS = 3
 EXECUTOR = os.environ.get("REPRO_TEST_EXECUTORS", "serial").split(",")[0].strip()
 
+#: The SCC :func:`planted_dag` plants in partition 0: ``4 -> 5`` is bypassed
+#: by ``4 -> 6 -> 5``, ``5 -> 3`` is not.
+PLANTED = ((3, 4), (4, 5), (5, 3), (4, 6), (6, 5))
+
+
+def planted_dag(seed):
+    """``(graph, partitioning)``: a DAG of 30 vertices, 10 per partition by
+    id, with :data:`PLANTED` inside partition 0.  The SCC's vertices keep
+    only edges inside partition 0, so none of them is a boundary vertex;
+    ``0 -> 3`` and ``6 -> 9`` join it to the acyclic fringe."""
+    graph = generators.dag(30, 70, seed=seed)
+    interior = {u for edge in PLANTED for u in edge}
+    for u, v in list(graph.edges()):
+        if (u in interior or v in interior) and max(u, v) >= 10:
+            graph.remove_edge(u, v)
+    for u, v in PLANTED + ((0, 3), (6, 9)):
+        graph.add_edge(u, v)
+    assignment = {vertex: vertex // 10 for vertex in graph.vertices()}
+    return graph, GraphPartitioning(graph, assignment, PARTITIONS)
+
 
 class ServedEngineMachine(RuleBasedStateMachine):
     """Updates and queries on a served engine, checked against a model graph."""
@@ -52,12 +79,17 @@ class ServedEngineMachine(RuleBasedStateMachine):
     engine = None
     service = None
 
-    @initialize(seed=st.integers(0, 2**16), web=st.booleans())
-    def open(self, seed, web):
-        if web:
+    @initialize(
+        seed=st.integers(0, 2**16), kind=st.sampled_from(["random", "web", "planted"])
+    )
+    def open(self, seed, kind):
+        partitioning = None
+        if kind == "web":
             graph = generators.web_graph(30, 3.0, seed=seed)
-        else:
+        elif kind == "random":
             graph = generators.random_digraph(30, 70, seed=seed)
+        else:
+            graph, partitioning = planted_dag(seed)
         self.model = graph.copy()
         self.engine = open_engine(
             graph,
@@ -67,6 +99,7 @@ class ServedEngineMachine(RuleBasedStateMachine):
                 epoch_flush="inline",
                 executor=EXECUTOR,
             ),
+            partitioning=partitioning,
         )
         self.service = DSRService(self.engine, num_workers=1, cache_capacity=64)
 
@@ -113,10 +146,14 @@ class ServedEngineMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.cycle_edges())
     @rule(data=st.data())
     def delete_cycle_edge(self, data):
-        """Delete an edge on a cycle: the deletes that can split a component."""
+        """Delete an edge on a cycle: the deletes that can split a component.
+
+        Then ask at once whether its two ends still reach each other: a
+        flush that wrongly kept the component answers yes."""
         u, v = data.draw(st.sampled_from(self.cycle_edges()))
         self.update("delete-edge", u, v)
         self.model.remove_edge(u, v)
+        self.check_query([u, v], [u, v], "auto", False)
 
     def cycle_edges(self):
         return sorted(
@@ -142,7 +179,9 @@ class ServedEngineMachine(RuleBasedStateMachine):
     def query(self, data, direction, use_cache):
         vertices = self.vertices()
         pick = st.lists(st.sampled_from(vertices), min_size=1, max_size=6, unique=True)
-        sources, targets = data.draw(pick), data.draw(pick)
+        self.check_query(data.draw(pick), data.draw(pick), direction, use_cache)
+
+    def check_query(self, sources, targets, direction, use_cache):
         response = self.service.handle(QueryRequest(sources, targets, direction, use_cache))
         assert isinstance(response, QueryResponse), response
         assert set(response.pairs) == reachable_pairs(self.model, sources, targets)
