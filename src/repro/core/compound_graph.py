@@ -69,7 +69,6 @@ import weakref
 from repro.core.packed_steps import build_expansion, condensation_rows
 from repro.core.summary import PartitionSummary
 from repro.graph.csr import CSRGraph
-from repro.graph.digraph import DiGraph
 from repro.graph.scc import GraphLike, condensation_dag, condense_dense
 from repro.reachability import kernels
 from repro.reachability.packed import BitGather, VertexRank, handle_gather
@@ -440,7 +439,7 @@ class CompoundGraph:
 
 def assemble_compound_graph(
     partition_id: int,
-    local_graph: DiGraph,
+    local_graph: GraphLike,
     summaries: Mapping[int, PartitionSummary],
     cut_edges: Sequence[Tuple[int, int]] = (),
     cut_piece: Optional[tuple] = None,
@@ -500,7 +499,7 @@ def assemble_compound_graph(
 
 def build_compound_graph(
     partition_id: int,
-    local_graph: DiGraph,
+    local_graph: GraphLike,
     summaries: Mapping[int, PartitionSummary],
     cut_edges: Sequence[Tuple[int, int]] = (),
     cut_piece: Optional[tuple] = None,

@@ -36,8 +36,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set
 
 from repro.graph.csr import CSRGraph
-from repro.graph.digraph import DiGraph
-from repro.graph.scc import numbered_dag
+from repro.graph.scc import GraphLike, numbered_dag
 from repro.reachability import bitset_msbfs
 from repro.reachability.packed import pack_ranks
 
@@ -108,7 +107,7 @@ class LocalCondensation(NamedTuple):
     component_of: Dict[int, int]
 
     @classmethod
-    def of(cls, local_graph: DiGraph) -> "LocalCondensation":
+    def of(cls, local_graph: GraphLike) -> "LocalCondensation":
         return cls(*numbered_dag(local_graph))
 
     def rows(
@@ -132,7 +131,7 @@ class LocalCondensation(NamedTuple):
 
 
 def _successor_targets(
-    graph: DiGraph, boundary: Set[int], overlap: Set[int]
+    graph: GraphLike, boundary: Set[int], overlap: Set[int]
 ) -> Set[int]:
     """Targets used for the forward signature: ``S(I) − I`` plus overlap."""
     successors: Set[int] = set()
@@ -142,7 +141,7 @@ def _successor_targets(
 
 
 def _predecessor_targets(
-    graph: DiGraph, boundary: Set[int], overlap: Set[int]
+    graph: GraphLike, boundary: Set[int], overlap: Set[int]
 ) -> Set[int]:
     """Targets used for the backward signature: ``P(O) − O`` plus overlap."""
     predecessors: Set[int] = set()
@@ -175,7 +174,7 @@ def _classes_by_signature(
 
 
 def compute_forward_classes(
-    local_graph: DiGraph,
+    local_graph: GraphLike,
     in_boundaries: Set[int],
     out_boundaries: Set[int],
     partition_id: int,
@@ -203,7 +202,7 @@ def compute_forward_classes(
 
 
 def compute_backward_classes(
-    local_graph: DiGraph,
+    local_graph: GraphLike,
     in_boundaries: Set[int],
     out_boundaries: Set[int],
     partition_id: int,

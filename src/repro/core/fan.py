@@ -49,7 +49,7 @@ class DSRFan:
         self.partitioning = partitioning
         self.local_strategy = local_strategy
         self.cluster = cluster or SimulatedCluster(partitioning.num_partitions)
-        self.local_graphs: Dict[int, DiGraph] = {
+        self.local_subgraphs: Dict[int, DiGraph] = {
             pid: partitioning.local_subgraph(pid)
             for pid in range(partitioning.num_partitions)
         }
@@ -64,7 +64,7 @@ class DSRFan:
 
         # Step 1: local evaluation of (S_i ∪ I_i) ⇝ (O_i ∪ T_i) at every slave.
         def local_eval(rank: int) -> Set[Tuple[int, int]]:
-            local_graph = self.local_graphs[rank]
+            local_graph = self.local_subgraphs[rank]
             local_sources, local_targets = per_partition.get(rank, (set(), set()))
             from_set = (local_sources | self.partitioning.in_boundaries(rank)) & set(
                 local_graph.vertices()

@@ -12,7 +12,8 @@
 
 Epoch versioning
 ----------------
-The built structures — local graphs, summaries, compound graphs — are grouped
+The built structures — summaries, compound graphs (each holding the local
+graph it was assembled from as an immutable snapshot) — are grouped
 into one immutable-by-contract :class:`EpochState` and published through a
 single attribute swap.  Queries capture :meth:`DSRIndex.current_state` once at
 entry and evaluate everything against that state, so a maintenance flush that
@@ -43,7 +44,6 @@ from repro.core.compound_graph import (
     condensation_holds,
 )
 from repro.core.summary import SUMMARY_STRATEGY, PartitionSummary, build_partition_summary
-from repro.graph.digraph import DiGraph
 from repro.graph.traversal import is_reachable
 from repro.partition.partition import GraphPartitioning
 from repro.reachability import kernels
@@ -88,18 +88,18 @@ class EpochState:
     """One consistent, published version of every per-partition structure.
 
     A state is immutable by contract once published: maintenance builds a
-    *new* state and swaps it in.  Its compound graphs and condensations are
-    immutable CSR snapshots that no update edits; the one exception is an
-    isolated-vertex insert, which registers the vertex in ``assignment`` and
-    ``local_graphs`` and swaps a rebuilt snapshot into its partition's
-    compound graph (:meth:`~repro.core.compound_graph.CompoundGraph.
-    add_isolated_vertex`) — provably answer-preserving.  ``local_graphs``
-    also mirror non-structural edge inserts (``u ⇝ v`` already held
-    locally) and edge deletions: the next flush reads them, no query does.
+    *new* state and swaps it in.  Its compound graphs, their local snapshots
+    (``compound_graphs[i].local_snapshot``, the epoch's only copy of
+    ``G_i``) and condensations are immutable CSR snapshots that no update
+    edits; the one exception is an isolated-vertex insert, which registers
+    the vertex in ``assignment`` and swaps a rebuilt snapshot into its
+    partition's compound graph (:meth:`~repro.core.compound_graph.
+    CompoundGraph.add_isolated_vertex`) — provably answer-preserving.  Every
+    other update reaches the next state only through the live graph, which
+    the next flush re-induces the edited partitions from.
     """
 
     epoch: int
-    local_graphs: Dict[int, DiGraph]
     summaries: Dict[int, PartitionSummary]
     compound_graphs: Dict[int, CompoundGraph]
     #: Per-partition boundary vertices (``I_i ∪ O_i``) as of this epoch, so
@@ -112,7 +112,7 @@ class EpochState:
     #: isolated-vertex insert registers here, see above).
     assignment: Dict[int, int] = field(default_factory=dict)
     #: How long :meth:`DSRIndex.build_epoch_state` held the mutation lock
-    #: (cut and boundary copies + local-graph copies) building this state.
+    #: (cut and boundary copies, edited partitions re-induced).
     build_snapshot_seconds: float = 0.0
     #: How long the unlocked heavy part (summaries, compound graphs,
     #: condensations) of the build took.
@@ -206,12 +206,7 @@ class DSRIndex:
             raise RuntimeError("index not built")
         return state
 
-    # Legacy dict attributes delegate to the published epoch state, so read
-    # paths and the update mirrors (see EpochState) address the current one.
-    @property
-    def local_graphs(self) -> Dict[int, DiGraph]:
-        return self.current_state().local_graphs
-
+    # Legacy dict attributes delegate to the published epoch state.
     @property
     def summaries(self) -> Dict[int, PartitionSummary]:
         return self.current_state().summaries
@@ -226,8 +221,8 @@ class DSRIndex:
     def build(self) -> IndexBuildReport:
         """Run the three-phase distributed index build (publishes epoch 0)."""
         self.cluster.reset_stats()
-        local_graphs = {
-            pid: self.partitioning.local_subgraph(pid)
+        local_snapshots = {
+            pid: self.partitioning.local_subgraph(pid).csr()
             for pid in range(self.num_partitions)
         }
 
@@ -235,7 +230,7 @@ class DSRIndex:
         def summarise(rank: int) -> PartitionSummary:
             return build_partition_summary(
                 partition_id=rank,
-                local_graph=local_graphs[rank],
+                local_graph=local_snapshots[rank],
                 in_boundaries=self.partitioning.in_boundaries(rank),
                 out_boundaries=self.partitioning.out_boundaries(rank),
                 use_equivalence=self.use_equivalence,
@@ -252,7 +247,7 @@ class DSRIndex:
         def assemble(rank: int) -> CompoundGraph:
             return build_compound_graph(
                 partition_id=rank,
-                local_graph=local_graphs[rank],
+                local_graph=local_snapshots[rank],
                 summaries=summaries,
                 cut_piece=cut_piece,
             )
@@ -261,7 +256,6 @@ class DSRIndex:
         self.publish(
             EpochState(
                 epoch=0,
-                local_graphs=local_graphs,
                 summaries=summaries,
                 compound_graphs=compound_graphs,
                 boundary_sets={
@@ -317,6 +311,7 @@ class DSRIndex:
         self,
         dirty: Set[int],
         local_deletes: Dict[int, List[Tuple[int, int]]],
+        edited: Set[int],
         mutation_lock: Optional[threading.RLock] = None,
     ) -> EpochState:
         """Build the next epoch's state off the hot path (no publication).
@@ -334,28 +329,18 @@ class DSRIndex:
         The *snapshot* part — copying the cut and the candidate partitions'
         boundaries, which the partitioning maintains as updates arrive
         (:meth:`~repro.partition.partition.GraphPartitioning.edge_added`
-        and friends), and a private copy of every partition's local
-        subgraph — runs under ``mutation_lock``
-        (the maintainer's update lock) so it can never race a concurrent
-        graph mutation; the *heavy* part (the delete check on those copies,
-        summaries, compound graphs, condensations) runs unlocked, which is
-        what lets queries keep being answered from the current epoch while
-        this builds.
-
-        The snapshot copies *all* partitions' local graphs, not just the
-        candidate ones (bulk set copies, see :meth:`DiGraph.copy`), so
-        updates stall for O(V+E) per flush; queries are never stalled.  A
-        clean partition's published local graph cannot be shared instead:
-        the update mirrors (a non-structural edge insert, a local delete, an
-        isolated vertex) edit it in place while the unlocked heavy phase
-        would iterate it.  A candidate partition is copied from the live
-        data graph, never from the published copy: a mirror that lands
-        while an earlier flush is in flight edits the epoch that flush
-        replaces, so the copy it publishes can still hold an edge deleted
-        since — the delete check must not read it.
-        The heavy phase reassembles every compound graph straight into a
-        CSR snapshot, whether or not its inputs changed (numpy array
-        constructions), and condenses it: with the previous epoch's SCC
+        and friends), and re-inducing the ``edited`` partitions (those an
+        update changed the local graph of since the published snapshots)
+        from the live graph as CSR snapshots — runs under ``mutation_lock``
+        (the maintainer's update lock); the *heavy* part (the delete check
+        on those snapshots, summaries, compound graphs, condensations) runs
+        unlocked, so queries keep being answered from the current epoch.
+        Every other partition's local graph is its published
+        ``local_snapshot``, shared: no update edits one, and one no update
+        edited still equals the live local graph.  The heavy phase
+        reassembles every compound graph straight into a CSR snapshot,
+        whether or not its inputs changed (numpy array constructions), and
+        condenses it: with the previous epoch's SCC
         numbering when :func:`~repro.core.compound_graph.condensation_holds`
         proves it still right for the edges that changed, with Tarjan
         otherwise (:meth:`_condense`).  A re-summarised partition whose
@@ -372,17 +357,13 @@ class DSRIndex:
         with lock:
             # Snapshot phase: freeze everything the heavy phase will read.
             cut_edges = self.partitioning.cut_edges()
-            # Every partition's local graph is copied under the lock — clean
-            # ones included.  Sharing a clean partition's DiGraph with the
-            # published state would let a concurrent update mirror mutate
-            # it while the unlocked heavy phase below iterates it.  Dirty
-            # and recorded partitions come from the live graph: a published
-            # copy can miss a mirror that raced an earlier flush.
-            local_graphs = {
+            # Only an edited partition's local graph differs from its
+            # published snapshot: re-induce those, share every other one.
+            local_snapshots = {
                 pid: (
-                    self.partitioning.local_subgraph(pid)
-                    if pid in dirty or pid in local_deletes
-                    else current.local_graphs[pid].copy()
+                    self.partitioning.local_subgraph(pid).csr()
+                    if pid in edited
+                    else current.compound_graphs[pid].local_snapshot
                 )
                 for pid in range(self.num_partitions)
             }
@@ -413,7 +394,7 @@ class DSRIndex:
         flush_stats = ClusterStats()
         summaries = dict(current.summaries)
         for pid, edges in local_deletes.items():
-            graph = local_graphs[pid]
+            graph = local_snapshots[pid]
             if not all(is_reachable(graph, u, v) for u, v in edges):
                 dirty.add(pid)
         for pid in dirty:
@@ -422,7 +403,7 @@ class DSRIndex:
         def summarise(rank: int) -> PartitionSummary:
             return build_partition_summary(
                 partition_id=rank,
-                local_graph=local_graphs[rank],
+                local_graph=local_snapshots[rank],
                 in_boundaries=boundaries[rank][0],
                 out_boundaries=boundaries[rank][1],
                 use_equivalence=self.use_equivalence,
@@ -447,7 +428,7 @@ class DSRIndex:
         def assemble(rank: int) -> CompoundGraph:
             return assemble_compound_graph(
                 partition_id=rank,
-                local_graph=local_graphs[rank],
+                local_graph=local_snapshots[rank],
                 summaries=summaries,
                 cut_piece=cut_piece,
             )
@@ -474,7 +455,6 @@ class DSRIndex:
             )
         return EpochState(
             epoch=current.epoch + 1,
-            local_graphs=local_graphs,
             summaries=summaries,
             compound_graphs=compound_graphs,
             boundary_sets=boundary_sets,
@@ -510,8 +490,8 @@ class DSRIndex:
         compound graph), each remote summary's change (only for a new
         summary object) and the local piece's change against the local
         snapshot the published graph was assembled from (none when it is
-        the same snapshot).  A clean partition's local graph changes too,
-        through the update mirrors, so only the snapshot identity tells.
+        the same snapshot object, as it is for every partition no update
+        edited).
         """
         cut_changes = kernels.np_edge_delta(current.cut_piece[2:], cut_piece[2:])
         old_summaries = current.summaries

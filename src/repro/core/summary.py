@@ -26,7 +26,7 @@ from repro.core.equivalence import (
     compute_backward_classes,
     compute_forward_classes,
 )
-from repro.graph.digraph import DiGraph
+from repro.graph.scc import GraphLike
 from repro.reachability import kernels
 from repro.reachability.packed import iter_bits, pack_ranks, wire_order
 
@@ -265,7 +265,7 @@ class PartitionSummary:
 
 def build_partition_summary(
     partition_id: int,
-    local_graph: DiGraph,
+    local_graph: GraphLike,
     in_boundaries: Set[int],
     out_boundaries: Set[int],
     retired_allocator: object = None,

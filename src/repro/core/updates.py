@@ -12,7 +12,9 @@ Insertions
 ----------
 * A local edge ``(u, v)`` with ``u ⇝ v`` already holding inside the
   partition's *local* graph cannot change any reachability, so it is applied
-  to the stored graphs and otherwise ignored.  (Lying in the same SCC of the
+  to the data graph and otherwise ignored.  The check walks the live graph
+  within the partition, never a published snapshot, which may still hold a
+  path that a delete since has cut.  (Lying in the same SCC of the
   compound graph is not enough: a pair connected only through another
   partition gains a local path the partition's summary must report.  It is
   still asked for, as a cheap screen before the local traversal, so on an
@@ -36,9 +38,9 @@ Deletions
   dirty only if its endpoint leaves ``O_p`` (``I_q``).
 * A local edge ``(u, v)`` makes the epoch stale and is *recorded*, not
   marked dirty.  The flush checks it in its unlocked heavy phase, on its
-  snapshot of ``G_p`` (read from the live graph, as a dirty partition's
-  is): ``p`` is re-summarised only if some recorded ``(u, v)`` no longer
-  has a local ``u ⇝ v`` path.  That is sound because a skipped insert
+  snapshot of ``G_p`` (re-induced from the live graph, as every edited
+  partition's is): ``p`` is re-summarised only if some recorded ``(u, v)``
+  no longer has a local ``u ⇝ v`` path.  That is sound because a skipped insert
   already had its ``u ⇝ v`` path and a delete whose path survives removes
   no reachable pair, so local reachability is unchanged, and the classes,
   representatives and stored boundary edges are functions of local
@@ -47,6 +49,10 @@ Deletions
   recomputed from the stored (uncondensed) local subgraph — the same
   strategy as the paper, whose deletion cost is therefore close to
   rebuilding that partition's boundary information.
+
+An update that changes a local graph records its partition as *edited*, and
+writes nothing into a published state: the next flush re-induces the edited
+partitions from the live graph and shares every other local snapshot.
 
 Batching and epochs
 -------------------
@@ -137,6 +143,9 @@ class IncrementalMaintainer:
         #: re-summarises such a partition only if one of them broke local
         #: reachability (see :meth:`DSRIndex.build_epoch_state`).
         self._local_deletes: Dict[int, List[Tuple[int, int]]] = {}
+        #: Partitions whose local graph changed since the published local
+        #: snapshots were taken (the next flush re-induces these).
+        self._edited: Set[int] = set()
         #: Whether the published epoch lags the graph (set by every update a
         #: compound graph can see, dirty or not; ``_dirty`` implies it).
         self._stale = False
@@ -223,10 +232,12 @@ class IncrementalMaintainer:
         start = time.perf_counter()
         with self._flush_lock:
             with self._mutation_lock:
-                stale, dirty = self._stale, set(self._dirty)
-                local_deletes, self._local_deletes = self._local_deletes, {}
-                self._stale = False
-                self._dirty.clear()
+                stale = self._stale
+                if stale:
+                    dirty, self._dirty = self._dirty, set()
+                    local_deletes, self._local_deletes = self._local_deletes, {}
+                    edited, self._edited = self._edited, set()
+                    self._stale = False
             registry = global_registry()
             if not stale:
                 self._noop_flush_count += 1
@@ -237,7 +248,7 @@ class IncrementalMaintainer:
                     seconds=time.perf_counter() - start,
                     epoch=self.index.epoch,
                 )
-            result = self._build_and_publish(dirty, local_deletes, start)
+            result = self._build_and_publish(dirty, local_deletes, edited, start)
         for listener in self._flush_listeners:
             listener(result)
         return result
@@ -246,18 +257,19 @@ class IncrementalMaintainer:
         self,
         dirty: Set[int],
         local_deletes: Dict[int, List[Tuple[int, int]]],
+        edited: Set[int],
         start: float,
     ) -> FlushResult:
         """Build the next epoch, publish it, account for it.
 
         Runs under the flush lock.  On failure the batch was not applied:
-        the staleness, the dirt and the recorded deletes go back so the next
-        flush retries it rather than silently dropping maintenance.
+        the staleness, the dirt, the recorded deletes and the edits go back
+        so the next flush retries it rather than silently dropping maintenance.
         """
         registry = global_registry()
         try:
             state = self.index.build_epoch_state(
-                dirty, local_deletes, mutation_lock=self._mutation_lock
+                dirty, local_deletes, edited, mutation_lock=self._mutation_lock
             )
             if self._before_publish is not None:
                 self._before_publish(state)
@@ -265,6 +277,7 @@ class IncrementalMaintainer:
         except BaseException:
             with self._mutation_lock:
                 self._mark_stale(dirty)
+                self._edited |= edited
                 for pid, edges in local_deletes.items():
                     self._local_deletes.setdefault(pid, []).extend(edges)
             if registry.enabled:
@@ -395,12 +408,11 @@ class IncrementalMaintainer:
             pid_u = self.partitioning.partition_of(u)
             pid_v = self.partitioning.partition_of(v)
 
-            if not self.graph.add_edge(u, v):
+            if self.graph.has_edge(u, v):
                 result = UpdateResult(
                     "insert-edge", set(), False, time.perf_counter() - start
                 )
             elif pid_u == pid_v:
-                local_graph = self.index.local_graphs[pid_u]
                 compound = self.index.compound_graphs.get(pid_u)
                 # Non-structural only when ``u ⇝ v`` already holds inside
                 # the partition: its summary depends on the *local* graph
@@ -423,14 +435,14 @@ class IncrementalMaintainer:
                     already_reachable = (
                         components.get(u) is not None
                         and components.get(u) == components.get(v)
-                        and is_reachable(local_graph, u, v)
+                        and is_reachable(
+                            self.graph, u, v, within=self.partitioning.vertices_of(pid_u)
+                        )
                     )
-                # Mirror the edge into the epoch's local graph, which the next
-                # flush copies for a clean partition.  The published compound
-                # snapshot is left alone: when ``u ⇝ v`` already holds it
-                # answers identically without the edge, and otherwise the
-                # partition is dirty and the next epoch reassembles it.
-                local_graph.add_edge(u, v)
+                # The published epoch is left alone: with ``u ⇝ v`` it
+                # answers the same, and otherwise the partition is dirty.
+                self.graph.add_edge(u, v)
+                self._edited.add(pid_u)
                 if already_reachable:
                     # The edge adds no local reachability: no summary or
                     # condensation change is possible (Section 3.3.3).
@@ -450,6 +462,7 @@ class IncrementalMaintainer:
             else:
                 # Cut edge: it is in every compound graph, so the epoch is
                 # stale, but a summary changes only with its boundaries.
+                self.graph.add_edge(u, v)
                 self._mark_stale(self.partitioning.edge_added(u, v))
                 stale = True
                 result = UpdateResult(
@@ -476,10 +489,10 @@ class IncrementalMaintainer:
                 pid_v = self.partitioning.partition_of(v)
                 self.graph.remove_edge(u, v)
                 if pid_u == pid_v:
-                    # The published compound snapshot keeps the edge: the
-                    # epoch answers as of its own graph until the flush,
-                    # which decides whether the partition's summary changed.
-                    self.index.local_graphs[pid_u].remove_edge(u, v)
+                    # The published epoch keeps the edge: it answers as of
+                    # its own graph until the flush, which decides whether
+                    # the partition's summary changed.
+                    self._edited.add(pid_u)
                     if pid_u not in self._dirty:
                         self._local_deletes.setdefault(pid_u, []).append((u, v))
                     self._mark_stale()
@@ -526,9 +539,9 @@ class IncrementalMaintainer:
                 ]
                 partition_id = min(sizes)[1]
             self.partitioning.vertex_added(new_vertex, partition_id)
+            self._edited.add(partition_id)
             if self.index.is_built:
                 state = self.index.current_state()
-                state.local_graphs[partition_id].add_vertex(new_vertex)
                 # Queries split against the epoch's assignment snapshot, so
                 # the new vertex must register there too, and with the
                 # partition's compound graph — rebuilt from the epoch's own
@@ -541,11 +554,11 @@ class IncrementalMaintainer:
                     # A flush is in flight and its snapshot may predate this
                     # insert — the epoch it publishes would then lack the
                     # vertex (the edits above touched only the *current*
-                    # state).  Mark the partition dirty so a
-                    # follow-up flush re-derives it from the live graph.
-                    # With no flush in flight this is unnecessary: the next
-                    # snapshot copies the current state/live assignment,
-                    # both of which now contain the vertex.
+                    # state).  Mark the partition dirty so a follow-up flush
+                    # publishes it, re-induced from the live graph.  With no
+                    # flush in flight this is unnecessary: the current state
+                    # answers for the vertex, and the next flush re-induces
+                    # the edited partition anyway.
                     self._mark_stale({partition_id})
         # Sharded workers must learn the new vertex id even though the update
         # is non-structural (no epoch flush will follow it).
@@ -567,6 +580,7 @@ class IncrementalMaintainer:
                 touched.add(self.partitioning.partition_of(neighbour))
             self.partitioning.vertex_removed(vertex)
             self.graph.remove_vertex(vertex)
+            self._edited.add(pid)
             # Removing a vertex can change the local structure of every
             # touched partition, so recompute them at flush time.
             self._mark_stale(touched)

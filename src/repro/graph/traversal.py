@@ -14,6 +14,7 @@ from collections import deque
 from typing import Dict, Iterable, Optional, Set
 
 from repro.graph.digraph import DiGraph
+from repro.graph.scc import GraphLike
 
 
 def bfs_reachable_set(
@@ -65,8 +66,11 @@ def dfs_reachable_set(
     return visited
 
 
-def is_reachable(graph: DiGraph, source: int, target: int) -> bool:
-    """Single-pair reachability check with early termination."""
+def is_reachable(
+    graph: GraphLike, source: int, target: int, within: Optional[Set[int]] = None
+) -> bool:
+    """Single-pair reachability check with early termination, optionally
+    ``within`` a vertex set: a path that leaves it is not followed."""
     if source == target:
         return True
     visited = {source}
@@ -74,6 +78,8 @@ def is_reachable(graph: DiGraph, source: int, target: int) -> bool:
     while stack:
         vertex = stack.pop()
         for succ in graph.successors(vertex):
+            if within is not None and succ not in within:
+                continue
             if succ == target:
                 return True
             if succ not in visited:

@@ -159,7 +159,7 @@ class TestByteIdentity:
         cut_edges = engine.partitioning.cut_edges()
         for pid, compound in state.compound_graphs.items():
             reference = reference_compound(
-                pid, state.local_graphs[pid], state.summaries, cut_edges
+                pid, engine.partitioning.local_subgraph(pid), state.summaries, cut_edges
             )
             check(compound, reference)
 
@@ -194,7 +194,7 @@ class TestByteIdentity:
             before = {
                 pid: reference_compound(
                     pid,
-                    state.local_graphs[pid],
+                    engine.partitioning.local_subgraph(pid),
                     state.summaries,
                     engine.partitioning.cut_edges(),
                 )

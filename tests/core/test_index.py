@@ -22,7 +22,10 @@ class TestBuild:
         assert index.is_built
         assert set(index.summaries) == {0, 1, 2}
         assert set(index.compound_graphs) == {0, 1, 2}
-        assert set(index.local_graphs) == {0, 1, 2}
+        assert {
+            pid for pid, compound in index.compound_graphs.items()
+            if compound.local_snapshot is not None
+        } == {0, 1, 2}
 
     def test_build_report_fields(self, built_index):
         report = built_index.build_report

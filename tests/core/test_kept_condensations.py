@@ -91,7 +91,7 @@ def assert_condensations_are_fresh(engine):
         cut_edges = index.partitioning.cut_edges()
         for pid, compound in state.compound_graphs.items():
             reference = reference_compound(
-                pid, state.local_graphs[pid], state.summaries, cut_edges
+                pid, index.partitioning.local_subgraph(pid), state.summaries, cut_edges
             )
             assert_matches_reference_up_to_relabelling(compound, reference)
 

@@ -56,7 +56,7 @@ def assert_summaries_are_fresh(engine):
     for direction, index in (("forward", engine.index), ("backward", engine._reverse_index)):
         state = index.current_state()
         for pid in range(index.num_partitions):
-            local_graph = state.local_graphs[pid]
+            local_graph = state.compound_graphs[pid].local_snapshot
             live = index.partitioning.local_subgraph(pid)
             assert sorted(local_graph.edges()) == sorted(live.edges())
             fresh = fresh_summary(index, pid, local_graph)
@@ -128,7 +128,8 @@ def without(graph, u, v):
 
 def local_graph_without(engine, u, v):
     """The partition of ``u``'s local graph once ``(u, v)`` is deleted."""
-    return without(engine.index.local_graphs[engine.partitioning.partition_of(u)], u, v)
+    part = engine.partitioning
+    return without(part.local_subgraph(part.partition_of(u)), u, v)
 
 
 def path_survives(engine, u, v):
@@ -301,9 +302,10 @@ def test_a_cut_only_update_is_visible_to_the_next_query(epoch_flush):
 
 def test_a_local_delete_during_an_in_flight_flush_is_not_lost():
     """A delete that lands after a background flush's snapshot, before its
-    publish, is mirrored into the epoch that flush replaces.  The follow-up
-    flush must still see it: the deleted edge may neither survive in the
-    published local graph nor keep a summary whose path it cut."""
+    publish, reaches neither that flush's epoch nor the one it replaces.
+    The follow-up flush must still see it: the deleted edge may neither
+    survive in the published local graph nor keep a summary whose path it
+    cut."""
     engine = make_engine(epoch_flush="background")
     entered, hold = threading.Event(), threading.Event()
 

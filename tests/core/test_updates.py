@@ -1,5 +1,11 @@
-"""Tests for incremental index maintenance (Section 3.3.3)."""
+"""Tests for incremental index maintenance (Section 3.3.3).
 
+The tests of :class:`TestPublishedLocalSnapshots` run on the executors
+``REPRO_TEST_EXECUTORS`` names (``serial`` unless it is set), so CI can run
+them with the published epochs hydrated into forked workers.
+"""
+
+import os
 import random
 
 import pytest
@@ -9,8 +15,15 @@ from repro.core.compound_graph import assemble_compound_graph
 from repro.core.engine import DSREngine
 from repro.graph import generators
 from repro.graph.digraph import DiGraph, GraphError
-from repro.graph.traversal import reachable_pairs
+from repro.graph.traversal import is_reachable, reachable_pairs
 from repro.partition.partition import GraphPartitioning
+
+
+EXECUTORS = tuple(
+    name.strip()
+    for name in os.environ.get("REPRO_TEST_EXECUTORS", "serial").split(",")
+    if name.strip()
+)
 
 
 def fresh_engine(graph, num_partitions=3, seed=1, **kwargs):
@@ -419,17 +432,188 @@ class TestMaintainedCut:
             assert state.assignment == fresh.assignment
             for pid in range(fresh.num_partitions):
                 local = fresh.local_subgraph(pid)
-                assert set(state.local_graphs[pid].vertices()) == set(local.vertices())
-                assert set(state.local_graphs[pid].edges()) == set(local.edges())
+                snapshot = state.compound_graphs[pid].local_snapshot
+                assert set(snapshot.vertices()) == set(local.vertices())
+                assert set(snapshot.edges()) == set(local.edges())
                 assert state.boundary_sets[pid] == ins[pid] | outs[pid]
                 summary = state.summaries[pid]
                 assert summary.in_boundaries == ins[pid]
                 assert summary.out_boundaries == outs[pid]
                 rebuilt = assemble_compound_graph(
-                    pid, state.local_graphs[pid], state.summaries, fresh.cut_edges()
+                    pid, snapshot, state.summaries, fresh.cut_edges()
                 )
                 assert rebuilt.graph.to_bytes() == state.compound_graphs[pid].graph.to_bytes()
         vertices = sorted(engine.graph.vertices())
         assert engine.run(ReachQuery(vertices[:20], vertices[-20:])).pairs == reachable_pairs(
             engine.graph, vertices[:20], vertices[-20:]
         )
+
+
+def assert_snapshot_is_live(engine, pid):
+    """Partition ``pid``'s published local snapshot is its live local graph,
+    and its compound graph is byte-identical to a fresh assembly."""
+    state = engine.index.current_state()
+    local = engine.partitioning.local_subgraph(pid)
+    snapshot = state.compound_graphs[pid].local_snapshot
+    assert set(snapshot.vertices()) == set(local.vertices())
+    assert set(snapshot.edges()) == set(local.edges())
+    fresh = assemble_compound_graph(
+        pid, local, state.summaries, engine.partitioning.cut_edges()
+    )
+    assert fresh.graph.to_bytes() == state.compound_graphs[pid].graph.to_bytes()
+
+
+def cut_edge_between_boundaries(engine, avoid):
+    """A new cut edge ``(x, y)`` from an out- to an in-boundary, both outside
+    the partitions ``avoid``: it makes the epoch stale and dirties nothing."""
+    part = engine.partitioning
+    outs = {u for u, _ in part.cut_edges()}
+    ins = {v for _, v in part.cut_edges()}
+    return next(
+        (x, y)
+        for x in sorted(outs)
+        for y in sorted(ins)
+        if part.partition_of(x) != part.partition_of(y)
+        and not {part.partition_of(x), part.partition_of(y)} & avoid
+        and not engine.graph.has_edge(x, y)
+    )
+
+
+def non_structural_insert(engine):
+    """``(pid, u, v)``: a local non-edge whose ends share a compound SCC and
+    already reach each other inside partition ``pid``."""
+    state = engine.index.current_state()
+    for pid, compound in sorted(state.compound_graphs.items()):
+        local = engine.partitioning.local_subgraph(pid)
+        components = compound.reachability.vertex_to_component
+        for u in sorted(local.vertices()):
+            for v in sorted(local.vertices()):
+                if (
+                    u != v
+                    and not local.has_edge(u, v)
+                    and components[u] == components[v]
+                    and is_reachable(local, u, v)
+                ):
+                    return pid, u, v
+    raise AssertionError("no non-structural insert in this graph")
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+class TestPublishedLocalSnapshots:
+    """An epoch's only local graph is ``compound_graphs[i].local_snapshot``.
+
+    No update edits it; a flush re-induces the partitions an update edited
+    from the live graph and shares every other snapshot object.
+    """
+
+    def _web_engine(self, executor):
+        return open_engine(
+            generators.web_graph(400, 5.0, seed=3),
+            DSRConfig(num_partitions=4, partitioner="metis", seed=2, executor=executor),
+        )
+
+    def test_a_non_structural_insert_during_a_flush_reaches_the_next_snapshot(
+        self, executor
+    ):
+        engine = self._web_engine(executor)
+        try:
+            pid, u, v = non_structural_insert(engine)
+            inserted = []
+
+            def insert(state):
+                engine.maintainer._before_publish = None
+                inserted.append(engine.insert_edge(u, v))
+
+            engine.insert_edge(*cut_edge_between_boundaries(engine, {pid}))
+            engine.maintainer._before_publish = insert
+            assert engine.flush_updates().published
+            assert not inserted[0].structural_change
+            assert (u, v) not in set(
+                engine.index.compound_graphs[pid].local_snapshot.edges()
+            )
+            # One more stale update that edits no partition's local graph.
+            engine.insert_edge(*cut_edge_between_boundaries(engine, {pid}))
+            flushed = engine.flush_updates()
+            assert flushed.published and pid not in flushed.refreshed_partitions
+            assert (u, v) in set(engine.index.compound_graphs[pid].local_snapshot.edges())
+            assert_snapshot_is_live(engine, pid)
+        finally:
+            engine.maintainer._before_publish = None
+            engine.close()
+
+    def test_the_insert_screen_reads_the_live_graph(self, executor):
+        """``u -> a -> b -> v -> u`` inside partition 0.  Once ``(a, b)`` is
+        deleted and taken into a flush's snapshot, ``u ⇝ v`` no longer holds
+        locally, though the epoch that flush replaces still has the path: an
+        insert of ``(u, v)`` landing during that flush is structural."""
+        u, a, b, v, x, y = range(6)
+        graph = DiGraph.from_edges(
+            [(u, a), (a, b), (b, v), (v, u), (v, x), (x, y), (y, u)]
+        )
+        partitioning = GraphPartitioning(graph, {u: 0, a: 0, b: 0, v: 0, x: 1, y: 1}, 2)
+        engine = open_engine(
+            graph, DSRConfig(num_partitions=2, executor=executor), partitioning=partitioning
+        )
+
+        def insert(state):
+            engine.maintainer._before_publish = None
+            engine.insert_edge(u, v)
+
+        def assert_answers():
+            for source, target in ((u, v), (a, b)):
+                query = ReachQuery((source,), (target,))
+                assert engine.run(query).pairs == reachable_pairs(
+                    engine.graph, [source], [target]
+                )
+
+        try:
+            engine.delete_edge(a, b)
+            engine.maintainer._before_publish = insert
+            assert engine.flush_updates().published
+            assert_answers()
+            engine.flush_updates()
+            assert_answers()
+            assert not engine.has_pending_updates
+        finally:
+            engine.maintainer._before_publish = None
+            engine.close()
+
+    def test_only_edited_partitions_get_a_new_snapshot(self, executor):
+        engine = self._web_engine(executor)
+        try:
+            part = engine.partitioning
+            before = {
+                pid: compound.local_snapshot
+                for pid, compound in engine.index.compound_graphs.items()
+            }
+            outs = {u for u, _ in part.cut_edges()}
+            # ``x`` enters O_p: p is re-summarised, its local graph unchanged.
+            x, y = next(
+                (x, y)
+                for x in sorted(engine.graph.vertices())
+                if x not in outs
+                for y in sorted(engine.graph.vertices())
+                if part.partition_of(y) != part.partition_of(x)
+            )
+            p = part.partition_of(x)
+            # A local edit in another partition.
+            q = (p + 1) % part.num_partitions
+            edge = next(
+                (s, t)
+                for s, t in sorted(engine.graph.edges())
+                if part.partition_of(s) == part.partition_of(t) == q
+            )
+            engine.insert_edge(x, y)
+            engine.delete_edge(*edge)
+            flushed = engine.flush_updates()
+            assert p in flushed.refreshed_partitions
+            after = engine.index.compound_graphs
+            for pid in range(part.num_partitions):
+                if pid == q:
+                    assert after[pid].local_snapshot is not before[pid]
+                    assert edge not in set(after[pid].local_snapshot.edges())
+                else:
+                    assert after[pid].local_snapshot is before[pid], pid
+                assert_snapshot_is_live(engine, pid)
+        finally:
+            engine.close()

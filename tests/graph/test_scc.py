@@ -186,7 +186,7 @@ def _spine_snapshots(graph):
         for flush in range(3):
             state = engine.index.current_state()
             for pid in sorted(state.compound_graphs):
-                snapshots.append(state.local_graphs[pid].csr())
+                snapshots.append(state.compound_graphs[pid].local_snapshot)
                 snapshots.append(state.compound_graphs[pid].graph)
             if flush == 2:
                 break

@@ -43,6 +43,14 @@ class TestReachableSets:
         assert not is_reachable(diamond, 4, 0)
         assert is_reachable(diamond, 2, 2)
 
+    def test_is_reachable_within_a_vertex_set(self, diamond):
+        # 0 reaches 4 only through 3: a set without 3 cuts every path, and
+        # a set without 1 still leaves 0 -> 2 -> 3 -> 4.
+        assert not is_reachable(diamond, 0, 4, within={0, 1, 2, 4})
+        assert is_reachable(diamond, 0, 4, within={0, 2, 3, 4})
+        assert not is_reachable(diamond, 0, 3, within={0, 3})
+        assert is_reachable(diamond.csr(), 0, 4, within={0, 1, 3, 4})
+
 
 class TestMultiSource:
     def test_multi_source_matches_single(self, diamond):

@@ -3,7 +3,9 @@
 Hypothesis drives one engine with inline flushes through
 :class:`~repro.service.DSRService` — edge and vertex inserts and deletes
 (deletes of edges on a cycle among them, which can split a component a
-flush would otherwise keep), an explicit flush, an explicitly negative vertex id, and queries forward,
+flush would otherwise keep), an explicit flush (after which every published
+local snapshot must be its partition's live local graph), an explicitly
+negative vertex id, and queries forward,
 backward and ``auto``, with and without the result cache — while a model
 ``DiGraph`` takes the same updates.  Every answer must equal
 :func:`reachable_pairs` on the model: the epoch a query reads is always
@@ -170,6 +172,36 @@ class ServedEngineMachine(RuleBasedStateMachine):
     @rule()
     def flush(self):
         self.update("flush")
+        self.check_local_snapshots()
+
+    def check_local_snapshots(self):
+        """Every published local snapshot is its partition's live local graph.
+
+        Only a partition the maintainer records as edited may lag, and only
+        by what a flush that publishes nothing leaves pending: an isolated
+        vertex (the snapshot is dropped) or an edge its snapshot implies."""
+        engine = self.engine
+        for index, maintainer in (
+            (engine.index, engine.maintainer),
+            (engine._reverse_index, engine._reverse_maintainer),
+        ):
+            state = index.current_state()
+            for pid in range(PARTITIONS):
+                live = index.partitioning.local_subgraph(pid)
+                compound = state.compound_graphs[pid]
+                snapshot = compound.local_snapshot
+                assert compound.local_vertices == set(live.vertices())
+                if pid not in maintainer._edited:
+                    assert snapshot is not None
+                    assert set(snapshot.vertices()) == set(live.vertices())
+                    assert set(snapshot.edges()) == set(live.edges())
+                elif snapshot is not None:
+                    assert set(snapshot.vertices()) == set(live.vertices())
+                    assert set(snapshot.edges()) <= set(live.edges())
+                    assert all(
+                        is_reachable(snapshot, u, v)
+                        for u, v in set(live.edges()) - set(snapshot.edges())
+                    )
 
     @rule(
         data=st.data(),
