@@ -30,7 +30,9 @@ from repro.service import (
 def main() -> None:
     print("=== Distributed Set Reachability: online query service ===\n")
 
-    # 1. Data graph + index (backward index too, so the planner has a choice).
+    # 1. Data graph + index.  The backward index lets an "auto" query start
+    # from the smaller side: backward iff it names fewer distinct targets
+    # than distinct sources (the engine's one direction rule).
     graph = generators.web_graph(num_vertices=1200, avg_degree=6, seed=11)
     engine = open_engine(
         graph,

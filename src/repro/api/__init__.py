@@ -39,12 +39,7 @@ from repro.api.backends import (
     unregister_backend,
 )
 from repro.api.config import ConfigError, DSRConfig, EPOCH_FLUSH_MODES, PARTITIONERS
-from repro.api.query import (
-    DIRECTIONS,
-    QueryError,
-    ReachQuery,
-    as_reach_query,
-)
+from repro.api.query import DIRECTIONS, QueryError, ReachQuery
 from repro.core.query import QueryResult
 
 __all__ = [
@@ -59,7 +54,6 @@ __all__ = [
     "QueryResult",
     "ReachQuery",
     "UnknownBackendError",
-    "as_reach_query",
     "available_backends",
     "open_engine",
     "register_backend",

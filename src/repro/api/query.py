@@ -12,7 +12,7 @@ and the wire protocol.  Every backend opened through
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 #: Processing directions accepted by :class:`ReachQuery`.
 DIRECTIONS = ("auto", "forward", "backward")
@@ -33,8 +33,11 @@ class ReachQuery:
         tuples, order preserved).
     direction:
         ``"forward"`` starts at the sources, ``"backward"`` at the targets
-        over the mirror index, ``"auto"`` lets the engine/planner choose
-        (Section 3.3.2, "Forward vs. Backward Processing").
+        over the mirror index (Section 3.3.2, "Forward vs. Backward
+        Processing").  ``"auto"`` starts from the smaller side: backward iff
+        the mirror index is built and there are fewer distinct targets than
+        distinct sources (:meth:`~repro.core.engine.DSREngine.choose_direction`,
+        the one rule every surface asks).
     use_cache:
         Allow the serving layer to answer from its exact-result cache.
     trace:
@@ -141,41 +144,8 @@ class ReachQuery:
         return cls(**dict(payload))
 
 
-def as_reach_query(
-    query_or_sources: "ReachQuery | Iterable[int]",
-    targets: Optional[Iterable[int]] = None,
-    direction: Optional[str] = None,
-) -> ReachQuery:
-    """Coerce either a :class:`ReachQuery` or ``(sources, targets)`` to a query.
-
-    This is the compatibility bridge used by call sites that still accept the
-    old positional form next to the new query object.  A query object carries
-    its own direction, so combining one with an explicit ``direction`` (or
-    ``targets``) raises instead of silently dropping the argument.
-    """
-    if isinstance(query_or_sources, ReachQuery):
-        if targets is not None:
-            raise TypeError(
-                "targets must not be given when a ReachQuery is passed"
-            )
-        if direction is not None:
-            raise TypeError(
-                "direction must not be given when a ReachQuery is passed; "
-                "set it on the query itself"
-            )
-        return query_or_sources
-    if targets is None:
-        raise TypeError("targets are required when sources are a plain iterable")
-    return ReachQuery(
-        tuple(query_or_sources),
-        tuple(targets),
-        direction="auto" if direction is None else direction,
-    )
-
-
 __all__ = [
     "DIRECTIONS",
     "QueryError",
     "ReachQuery",
-    "as_reach_query",
 ]

@@ -126,7 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--partitions", type=int, default=5)
     serve.add_argument(
         "--backward", action="store_true",
-        help="also build the mirror index so the planner can go backward",
+        help="also build the mirror index, so an auto query with fewer "
+        "distinct targets than sources goes backward",
     )
     serve.add_argument("--workers", type=int, default=4)
     serve.add_argument("--queue-depth", type=int, default=64)

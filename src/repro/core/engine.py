@@ -20,7 +20,7 @@ Example
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.api.config import DSRConfig
 from repro.api.query import ReachQuery
@@ -163,6 +163,26 @@ class DSREngine:
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
+    def choose_direction(
+        self, sources: Iterable[int], targets: Iterable[int], direction: str
+    ) -> str:
+        """Resolve ``direction`` for the query ``sources ⇝ targets``.
+
+        The one direction rule (Section 3.3.2, "Forward vs. Backward
+        Processing"): ``"auto"`` starts from the smaller side — it becomes
+        ``"backward"`` iff the backward index is built and the query has
+        fewer distinct targets than distinct sources, and ``"forward"``
+        otherwise.  An explicit ``"forward"`` or ``"backward"`` passes
+        through unchanged (:meth:`run` refuses backward without the index).
+        Both :meth:`run` and the service planner ask this method, so a query
+        goes the same way on every surface.
+        """
+        if direction != "auto":
+            return direction
+        if self._reverse_executor is not None and len(set(targets)) < len(set(sources)):
+            return "backward"
+        return "forward"
+
     def run(self, query: ReachQuery) -> QueryResult:
         """Answer one :class:`~repro.api.query.ReachQuery`.
 
@@ -173,8 +193,9 @@ class DSREngine:
         * ``"forward"`` — start from the sources (the default behaviour);
         * ``"backward"`` — start from the targets over the reversed index
           (requires ``enable_backward=True``);
-        * ``"auto"`` — use the backward index when it is available and the
-          query has fewer targets than sources.
+        * ``"auto"`` — resolved by :meth:`choose_direction`: backward when
+          the backward index is available and the query has fewer distinct
+          targets than distinct sources, forward otherwise.
         """
         self._require_built()
         if not isinstance(query, ReachQuery):
@@ -214,14 +235,10 @@ class DSREngine:
             if flush_start is not None:
                 trace.add("flush_inline", time.perf_counter() - flush_start)
 
-        use_backward = query.direction == "backward" or (
-            query.direction == "auto"
-            and self._reverse_executor is not None
-            and len(query.targets) < len(query.sources)
-        )
+        direction = self.choose_direction(query.sources, query.targets, query.direction)
         if trace is not None:
-            trace.attrs["direction"] = "backward" if use_backward else "forward"
-        if use_backward:
+            trace.attrs["direction"] = direction
+        if direction == "backward":
             if self._reverse_executor is None:
                 raise RuntimeError(
                     "backward processing requires enable_backward=True at construction"

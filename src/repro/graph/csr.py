@@ -56,7 +56,6 @@ class CSRGraph:
         "fwd_targets",
         "_rev_offsets",
         "_rev_targets",
-        "_degree_stats",
         "_successor_table",
         "_descending",
         "_level_plan",
@@ -80,7 +79,6 @@ class CSRGraph:
         # skipping the reverse half halves snapshot build time.
         self._rev_offsets: Optional[array] = None
         self._rev_targets: Optional[array] = None
-        self._degree_stats: Dict[str, float] = {}
         self._successor_table: Dict[int, Tuple[int, ...]] = {}
         # Sweep-kernel caches, all derived lazily from the immutable forward
         # arrays: the verified numbering property (see edges_descend) and the
@@ -409,40 +407,6 @@ class CSRGraph:
 
     def in_degree(self, index: int) -> int:
         return self.rev_offsets[index + 1] - self.rev_offsets[index]
-
-    # ------------------------------------------------------------------ #
-    # statistics
-    # ------------------------------------------------------------------ #
-    def degree_stats(self) -> Dict[str, float]:
-        """Degree statistics of the snapshot, computed once and cached.
-
-        Consumers like the service planner's cost model read these instead of
-        re-walking the adjacency per query; because a snapshot is immutable
-        the cache can never go stale — a mutated graph hands out a *new*
-        snapshot with its own cache.
-        """
-        if not self._degree_stats:
-            n = self.num_vertices
-            m = self.num_edges
-            max_out = 0
-            for i in range(n):
-                out = self.fwd_offsets[i + 1] - self.fwd_offsets[i]
-                if out > max_out:
-                    max_out = out
-            # In-degrees are counted off the forward targets so computing
-            # stats never forces the reverse arrays to materialise.
-            in_counts = [0] * n
-            for w in self.fwd_targets:
-                in_counts[w] += 1
-            max_in = max(in_counts, default=0)
-            self._degree_stats = {
-                "num_vertices": float(n),
-                "num_edges": float(m),
-                "avg_degree": (m / n) if n else 0.0,
-                "max_out_degree": float(max_out),
-                "max_in_degree": float(max_in),
-            }
-        return dict(self._degree_stats)
 
     def edges_descend(self) -> bool:
         """True iff every forward edge goes to a strictly lower dense index.

@@ -83,17 +83,6 @@ class DiGraph:
             self._csr = CSRGraph.from_digraph(self)
         return self._csr
 
-    def csr_if_cached(self) -> Optional[CSRGraph]:
-        """The cached CSR snapshot, or ``None`` — never triggers a build.
-
-        For observers (e.g. the service planner's cost model) that run
-        concurrently with writers: building a snapshot iterates the live
-        adjacency dicts and must only happen on a thread that holds the
-        owner's write lock, but *reading* an already-built snapshot is always
-        safe because snapshots are immutable.
-        """
-        return self._csr
-
     def _invalidate_csr(self) -> None:
         self._csr = None
 

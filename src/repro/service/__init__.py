@@ -1,11 +1,11 @@
 """Online query service over the DSR engine.
 
-Contract: the serving layer — plans each request's direction (cost
-model fed by boundary-entry and CSR degree statistics), consults an
-exact-answer result cache wired to the engine's update listeners, and
-executes on a thread-pool service exposed in-process or over TCP (binary
-frames behind one async front door).  Sits strictly above
-:mod:`repro.api` (see ``docs/ARCHITECTURE.md``).
+Contract: the serving layer — plans each request's direction (the
+engine's one rule: ``"auto"`` starts from the smaller distinct side when a
+backward index exists), consults an exact-answer result cache wired to the
+engine's update listeners, and executes on a thread-pool service exposed
+in-process or over TCP (binary frames behind one async front door).  Sits
+strictly above :mod:`repro.api` (see ``docs/ARCHITECTURE.md``).
 
 The :mod:`repro.service` package is the serving layer of the reproduction: it
 wraps a built :class:`~repro.core.engine.DSREngine` behind a planner, an

@@ -393,7 +393,7 @@ class DSRService:
             if cached is None:
                 return None
             # The planner only supplies the reply's direction here — a hit
-            # never touches the engine (planning is pure stats arithmetic).
+            # never touches the engine (planning only compares set sizes).
             plan = self.planner.plan(request)
             self.metrics.increment("queries")
             return self._cached_response(cached, plan, lookup_epoch, start)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import QueryError, ReachQuery, as_reach_query
+from repro.api import QueryError, ReachQuery
 
 
 class TestConstruction:
@@ -68,27 +68,3 @@ class TestRoundTrip:
     def test_from_dict_requires_sources_and_targets(self):
         with pytest.raises(QueryError, match="missing"):
             ReachQuery.from_dict({"sources": [1]})
-
-
-class TestAsReachQuery:
-    def test_passthrough(self):
-        query = ReachQuery((1,), (2,), direction="forward")
-        assert as_reach_query(query) is query
-
-    def test_positional_form(self):
-        query = as_reach_query([1, 2], [3], "backward")
-        assert query == ReachQuery((1, 2), (3,), direction="backward")
-
-    def test_query_plus_targets_rejected(self):
-        with pytest.raises(TypeError):
-            as_reach_query(ReachQuery((1,), (2,)), [3])
-
-    def test_query_plus_direction_rejected(self):
-        # An explicit direction next to a query object would be silently
-        # shadowed by the query's own direction — refuse instead.
-        with pytest.raises(TypeError, match="direction"):
-            as_reach_query(ReachQuery((1,), (2,)), direction="backward")
-
-    def test_missing_targets_rejected(self):
-        with pytest.raises(TypeError):
-            as_reach_query([1, 2])

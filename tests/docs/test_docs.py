@@ -74,7 +74,8 @@ def test_observability_doctests_pass():
 #: Surfaces deleted together with the planner's batch splitting, then with
 #: the thread-per-connection server, the newline-JSON framing and wire
 #: versions 2-4, then with the replica fleet, then with the selectable
-#: kernel tier, then with the DSR engine's pluggable local strategy.
+#: kernel tier, then with the DSR engine's pluggable local strategy, then
+#: with the planner's cost model.
 #: (``ctx.send_message`` is
 #: Pregel's vertex API in ``repro.giraph`` — a different, live thing.)
 #: The ``[x]`` classes keep the removed names out of a plain grep of this file.
@@ -90,6 +91,7 @@ REMOVED_SURFACES = re.compile(
     r"|resolve_[k]ernels|KERNEL_[N]AMES|_condense_[r]uns|\.\[numpy\]"
     r"|claim_real_[i]d|share_vertex_ids_[w]ith|_first_virtual_[i]d|_id_[i]ndexes"
     r"|local_index_[o]ptions|strategy_[k]wargs|set_reachability_[b]its"
+    r"|as_reach_[q]uery|estimate_[c]ost|degree_[s]tats|csr_if_[c]ached"
 )
 
 

@@ -40,7 +40,6 @@ class TestStructure:
         csr = DiGraph().csr()
         assert csr.num_vertices == 0
         assert csr.num_edges == 0
-        assert csr.degree_stats()["avg_degree"] == 0.0
 
     def test_offsets_are_monotone_and_runs_sorted(self):
         graph = generators.web_graph(120, avg_degree=6, seed=1)
@@ -58,15 +57,6 @@ class TestStructure:
         assert a.csr().ids == b.csr().ids
         assert a.csr().fwd_targets == b.csr().fwd_targets
         assert a.csr().rev_targets == b.csr().rev_targets
-
-    def test_degree_stats(self):
-        graph = DiGraph.from_edges([(0, 1), (0, 2), (0, 3), (1, 3)])
-        stats = graph.csr().degree_stats()
-        assert stats["num_vertices"] == 4
-        assert stats["num_edges"] == 4
-        assert stats["avg_degree"] == 1.0
-        assert stats["max_out_degree"] == 3
-        assert stats["max_in_degree"] == 2
 
     def test_reverse_arrays_are_lazy(self):
         # Most consumers only walk forward; the reverse buffers must not be
