@@ -69,12 +69,12 @@ class DSRConfig:
     use_equivalence:
         Enable the equivalence-set optimisation (Section 3.3 of the paper).
     executor:
-        How cluster phases execute: ``"serial"`` (default), ``"threads"``
-        (persistent thread pool), ``"processes"`` (one long-lived worker
-        process per partition, hydrated once per epoch with its immutable
-        CSR shard — real parallelism) or ``"tcp"`` (worker hosts reachable
-        over sockets — a managed local fleet by default, or the external
-        hosts named by ``worker_hosts``).
+        Where shard tasks execute: ``"serial"`` (default, one worker after
+        another on the calling thread), ``"processes"`` (one long-lived
+        worker process per partition, hydrated once per epoch with its
+        immutable CSR shard — real parallelism) or ``"tcp"`` (worker hosts
+        reachable over sockets — a managed local fleet by default, or the
+        external hosts named by ``worker_hosts``).
     worker_hosts:
         ``executor="tcp"`` only: sequence of ``"host:port"`` strings naming
         running :class:`~repro.cluster.remote.WorkerHost` servers; rank ``r``

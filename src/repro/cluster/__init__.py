@@ -2,11 +2,11 @@
 
 The paper runs on a 10-node MPI cluster; this package provides the equivalent
 execution substrate: workers ("slaves") that run per-partition computations —
-in-process, on a thread pool, or as remote workers (forked children or worker
-hosts over sockets, :mod:`repro.cluster.remote`) — and a network layer that records
-every message, its byte size and the number of communication rounds, so that
-the communication-cost figures of the paper (Figures 5 and 8) can be
-reproduced faithfully.
+in-process on the calling thread, or as remote workers (forked children or
+worker hosts over sockets, :mod:`repro.cluster.remote`) — and a network layer
+that records every message, its byte size and the number of communication
+rounds, so that the communication-cost figures of the paper (Figures 5 and 8)
+can be reproduced faithfully.
 """
 
 from repro.cluster.cluster import SimulatedCluster

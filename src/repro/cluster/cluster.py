@@ -2,15 +2,17 @@
 
 A :class:`SimulatedCluster` owns ``k`` worker slots (one per graph partition)
 plus a master, a shared :class:`~repro.cluster.network.Network`, and a simple
-parallel-time model: every phase executed with :meth:`run_phase` measures the
-wall-clock time each worker spent and accumulates the *maximum* across workers
-— the time the phase would have taken had the workers truly run in parallel on
-separate machines, which is how the paper reports query times.
+parallel-time model: every phase measures the wall-clock time each worker
+spent and accumulates the *maximum* across workers — the time the phase
+would have taken had the workers truly run in parallel on separate machines,
+which is how the paper reports query times.
 
-*How* the workers actually execute is delegated to a pluggable
-:class:`~repro.cluster.executors.ExecutorBackend` (``executor=`` — ``serial``,
-``threads``, ``processes`` or ``tcp``; see :mod:`repro.cluster.executors`).  Besides
-the simulated-parallel model, every phase also records its **real**
+Closure phases (:meth:`SimulatedCluster.run_phase`: index build, maintenance
+assembly) run each worker's closure on the calling thread and time it here.
+Shard phases (:meth:`SimulatedCluster.run_shard_phase`: queries) go to a
+pluggable :class:`~repro.cluster.executors.ExecutorBackend` (``executor=`` —
+``serial``, ``processes`` or ``tcp``; see :mod:`repro.cluster.executors`).
+Besides the simulated-parallel model, every phase also records its **real**
 wall-clock (:attr:`PhaseTiming.real_seconds`), so executor backends can be
 compared honestly: simulated time answers "what would a real cluster do",
 real time answers "what does this machine do".
@@ -138,6 +140,7 @@ class SimulatedCluster:
     ) -> Dict[int, Any]:
         """Run ``worker_fn(rank)`` on every worker (or the given subset).
 
+        Each closure runs on the calling thread, one worker after another.
         Returns ``{rank: result}`` and records per-worker timings under the
         phase ``name``.  ``stats`` selects where the timing record goes:
         callers that may run concurrently (queries) pass their own private
@@ -145,16 +148,14 @@ class SimulatedCluster:
         cumulative :attr:`stats`.
         """
         ranks = list(range(self.num_workers)) if workers is None else list(workers)
-        fns = {rank: (lambda r=rank: worker_fn(r)) for rank in ranks}
         timing = PhaseTiming(name=name)
-        start = time.perf_counter()
-        raw = self.executor.run_phase(fns)
-        timing.real_seconds = time.perf_counter() - start
         results: Dict[int, Any] = {}
+        phase_start = time.perf_counter()
         for rank in ranks:
-            result, seconds = raw[rank]
-            results[rank] = result
-            timing.per_worker_seconds[rank] = seconds
+            start = time.perf_counter()
+            results[rank] = worker_fn(rank)
+            timing.per_worker_seconds[rank] = time.perf_counter() - start
+        timing.real_seconds = time.perf_counter() - phase_start
         (stats if stats is not None else self.stats).phases.append(timing)
         return results
 

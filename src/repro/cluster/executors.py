@@ -1,19 +1,13 @@
-"""Pluggable worker executors: how cluster phases actually run.
+"""Pluggable worker executors: where the shard tasks of a phase run.
 
 The simulated cluster models *what* the paper's master/slave deployment
-computes (phases, messages, rounds); an :class:`ExecutorBackend` decides *how*
-the per-worker work of a phase is executed:
+computes (phases, messages, rounds); an :class:`ExecutorBackend` decides
+*where* the per-worker shard tasks of a phase execute:
 
 ``serial``
     One worker after another on the calling thread.  Zero overhead, fully
     deterministic — the default, and the right choice for index builds and
     micro-benchmarks of the algorithmic costs.
-
-``threads``
-    A persistent thread pool with one slot per worker.  Python-level work is
-    GIL-bound, so the speed-up is limited, but phases that wait (I/O, lock
-    handoffs) overlap, and the thread pool is reused across phases instead of
-    being rebuilt per call.
 
 ``processes`` and ``tcp``
     Remote workers, one per rank, each *hydrated once per epoch* with its
@@ -25,19 +19,19 @@ the per-worker work of a phase is executed:
     (forked and listening on localhost, or external).  Four workers burn four
     cores.
 
-Closures vs. shard tasks
-------------------------
-``run_phase`` executes arbitrary closures and is supported by the in-process
-executors (``serial``, ``threads``).  Remote workers cannot receive closures
-over shared state, so the remote executor runs closure phases at the master
-(serially) and reserves the workers for shard tasks — registered
-module-level functions ``task(shard, payload) -> result``, so only small
-payloads and results cross to a worker, never the graph.  ``run_shard_phase``
-executes a registered task against the hydrated shard of a given *epoch* on
-every requested worker; every worker side keeps its shards in a
-:class:`ShardStore`, and asking for an epoch a worker no longer holds raises
-:class:`StaleEpochError`, which callers handle by re-reading the current
-epoch and retrying.
+Shard tasks, not closures
+-------------------------
+The executor contract is shard tasks, hydration and close.  A shard task is
+a registered module-level function ``task(shard, payload) -> result``, so
+only small payloads and results cross to a worker, never the graph.
+``run_shard_phase`` executes a registered task against the hydrated shard of
+a given *epoch* on every requested worker; every worker side keeps its
+shards in a :class:`ShardStore`, and asking for an epoch a worker no longer
+holds raises :class:`StaleEpochError`, which callers handle by re-reading
+the current epoch and retrying.  Closure phases (index build, maintenance
+assembly) never reach an executor: :meth:`SimulatedCluster.run_phase
+<repro.cluster.cluster.SimulatedCluster.run_phase>` runs each closure on the
+calling thread and times it itself.
 
 Every phase result carries the worker's *self-measured* compute seconds
 (excluding dispatch/IPC), which feed the simulated-parallel timing model; the
@@ -50,14 +44,12 @@ import importlib
 import threading
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import runtime as obs_runtime
 
 #: Names accepted by :func:`make_executor` (and ``DSRConfig.executor``).
-EXECUTOR_NAMES = ("serial", "threads", "processes", "tcp")
+EXECUTOR_NAMES = ("serial", "processes", "tcp")
 
 #: Modules imported inside worker processes to populate the task registry.
 DEFAULT_TASK_MODULES = ("repro.core.shard_exec",)
@@ -87,7 +79,7 @@ class ShardTaskError(RuntimeError):
 
 
 # ---------------------------------------------------------------------- #
-# shard task registry (shared by in-process executors and worker processes)
+# shard task registry (shared by the serial executor and worker processes)
 # ---------------------------------------------------------------------- #
 _SHARD_TASKS: Dict[str, Callable[[Any, Any], Any]] = {}
 _SHARD_LOADERS: Dict[str, Callable[[Any], Any]] = {}
@@ -148,11 +140,9 @@ def _import_task_modules(modules: Sequence[str]) -> None:
 # the backend contract
 # ---------------------------------------------------------------------- #
 class ExecutorBackend(ABC):
-    """How one cluster executes the per-worker work of a phase."""
+    """Where one cluster's shard tasks run: shard tasks, hydration and close."""
 
     name: str = "abstract"
-    #: Can this backend run arbitrary closures on the workers?
-    supports_closures: bool = True
     #: Should DSR queries run through hydrated shard tasks on this backend?
     wants_sharded_queries: bool = False
     #: Can hydration blobs reference shared-memory segments?  False for
@@ -163,12 +153,6 @@ class ExecutorBackend(ABC):
     def start(self, num_workers: int) -> None:
         """Bind the backend to a worker count (idempotent)."""
         self.num_workers = num_workers
-
-    @abstractmethod
-    def run_phase(
-        self, fns: Mapping[int, Callable[[], Any]]
-    ) -> Dict[int, Tuple[Any, float]]:
-        """Run ``{rank: closure}`` and return ``{rank: (result, seconds)}``."""
 
     @abstractmethod
     def run_shard_phase(
@@ -214,7 +198,7 @@ def _timed_call(fn: Callable[[], Any]) -> Tuple[Any, float]:
 def _record_shard_task(task: str, seconds: float) -> None:
     """Account one shard-task execution in the current process's registry.
 
-    Called by :meth:`ShardStore.run` on every worker side, in-process or
+    Called by :meth:`ShardStore.run` on every worker side, serial or
     remote, so ``dsr_shard_tasks_total`` is comparable across backends
     (remote deltas are shipped back and absorbed at the master).
     """
@@ -245,7 +229,7 @@ def _close_shard(shard: Any) -> None:
 class ShardStore:
     """Epoch-keyed hydrated shards: one per executor worker side.
 
-    The in-process executors keep their shards here directly, and every
+    The serial executor keeps its shards here directly, and every
     remote :class:`~repro.cluster.remote.WorkerHost` keeps its ranks' shards
     in one, so hydration, retirement and the stale-epoch check are written
     once.  Keys are ``(rank, epoch)``: one host may serve several ranks.
@@ -314,8 +298,10 @@ class ShardStore:
                 _close_shard(shard)
 
 
-class _InProcessExecutor(ExecutorBackend):
-    """Shared shard storage + hydration for the in-process executors."""
+class SerialExecutor(ExecutorBackend):
+    """Workers run one after another on the calling thread."""
+
+    name = "serial"
 
     def __init__(self) -> None:
         self._store = ShardStore()
@@ -330,15 +316,6 @@ class _InProcessExecutor(ExecutorBackend):
     ) -> None:
         self._store.hydrate(rank, epoch, blob, loader, retire_below)
 
-
-class SerialExecutor(_InProcessExecutor):
-    """Workers run one after another on the calling thread."""
-
-    name = "serial"
-
-    def run_phase(self, fns: Mapping[int, Callable[[], Any]]) -> Dict[int, Tuple[Any, float]]:
-        return {rank: _timed_call(fn) for rank, fn in fns.items()}
-
     def run_shard_phase(
         self, task: str, epoch: Optional[int], payloads: Mapping[int, Any]
     ) -> Dict[int, Tuple[Any, float]]:
@@ -348,53 +325,6 @@ class SerialExecutor(_InProcessExecutor):
         }
 
 
-class ThreadExecutor(_InProcessExecutor):
-    """Workers run on a persistent thread pool (one slot per worker)."""
-
-    name = "threads"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                workers = max(2, getattr(self, "num_workers", 2))
-                self._pool = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="cluster-worker"
-                )
-            return self._pool
-
-    def _map(self, calls: Mapping[int, Callable[[], Any]]) -> Dict[int, Any]:
-        """``{rank: call()}``, one pool slot per rank (inline for one rank)."""
-        if len(calls) <= 1:
-            return {rank: call() for rank, call in calls.items()}
-        pool = self._ensure_pool()
-        futures = {rank: pool.submit(call) for rank, call in calls.items()}
-        return {rank: future.result() for rank, future in futures.items()}
-
-    def run_phase(self, fns: Mapping[int, Callable[[], Any]]) -> Dict[int, Tuple[Any, float]]:
-        return self._map({rank: partial(_timed_call, fn) for rank, fn in fns.items()})
-
-    def run_shard_phase(
-        self, task: str, epoch: Optional[int], payloads: Mapping[int, Any]
-    ) -> Dict[int, Tuple[Any, float]]:
-        return self._map(
-            {
-                rank: partial(self._store.run, rank, epoch, task, payload)
-                for rank, payload in payloads.items()
-            }
-        )
-
-    def close(self) -> None:
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False)
-                self._pool = None
-
-
 def make_executor(name: str) -> ExecutorBackend:
     """Instantiate an executor backend by name (not yet started)."""
     # Imported lazily: repro.cluster.remote imports from this module.
@@ -402,7 +332,6 @@ def make_executor(name: str) -> ExecutorBackend:
 
     factories: Dict[str, Callable[[], ExecutorBackend]] = {
         "serial": SerialExecutor,
-        "threads": ThreadExecutor,
         "processes": ProcessExecutor,
         "tcp": TcpExecutor,
     }
@@ -423,7 +352,6 @@ __all__ = [
     "ShardStore",
     "ShardTaskError",
     "StaleEpochError",
-    "ThreadExecutor",
     "make_executor",
     "register_shard_loader",
     "register_shard_task",

@@ -1,12 +1,10 @@
 """Simulated network with message, byte and round accounting.
 
-All statistics counters are guarded by one lock so that workers running on a
-real thread pool (``executor="threads"``) — or several queries executing
-concurrently against the same cluster — never lose increments to the classic
-read-modify-write race.  Before this, ``parallel=True`` runs silently
-under-counted messages and bytes, corrupting the Figure-5 communication
-numbers; the counters are now exact regardless of how many workers send at
-once.
+All statistics counters are guarded by one lock so that several queries
+executing concurrently against the same cluster (a service's worker threads)
+never lose increments to the classic read-modify-write race: the message and
+byte counts behind the Figure-5 communication numbers stay exact however
+many threads send at once.
 """
 
 from __future__ import annotations

@@ -74,7 +74,6 @@ from repro.cluster.executors import (
     ShardTaskError,
     StaleEpochError,
     _import_task_modules,
-    _timed_call,
 )
 from repro.obs import runtime as obs_runtime
 from repro.resilience.backoff import BackoffPolicy
@@ -359,7 +358,6 @@ class TcpExecutor(ExecutorBackend):
     docstring)."""
 
     name = "tcp"
-    supports_closures = False
     wants_sharded_queries = True
     supports_shm_hydration = False
 
@@ -687,12 +685,6 @@ class TcpExecutor(ExecutorBackend):
         return results
 
     # -- backend API ----------------------------------------------------- #
-    def run_phase(self, fns):
-        # Closures over shared engine state cannot cross to a worker;
-        # closure phases (index build, maintenance assembly) run at the
-        # master.  Queries go through run_shard_phase instead.
-        return {rank: _timed_call(fn) for rank, fn in fns.items()}
-
     def run_shard_phase(
         self, task: str, epoch: Optional[int], payloads: Mapping[int, Any]
     ) -> Dict[int, Tuple[Any, float]]:

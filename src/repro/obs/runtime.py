@@ -7,8 +7,7 @@ one :class:`~repro.obs.registry.MetricsRegistry`, reached through
 ``core.updates``...) record into whatever registry is current, which gives
 the process topology for free:
 
-* in-process executors (serial / threads) record straight into the master's
-  registry;
+* the ``serial`` executor records straight into the master's registry;
 * forked shard workers call :func:`reset_for_worker` on startup (dropping
   the fork-inherited copy of the parent's state) and then record locally;
   after each task the worker ships

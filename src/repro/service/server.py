@@ -102,18 +102,27 @@ class ServiceOverloadedError(RuntimeError):
 class ServiceMetrics:
     """Thread-safe per-request serving metrics.
 
-    Latency samples are kept in a bounded sliding window per request kind
-    (``max_samples``), so a long-lived server computes percentiles over
-    recent traffic instead of growing without bound — :meth:`percentile`
-    stays an exact order statistic over that window.
+    Counters live only in a per-service
+    :class:`~repro.obs.registry.MetricsRegistry` (``self.registry``): each
+    request kind as ``dsr_service_requests_total{kind=...}`` and every other
+    counter ``<name>`` of :data:`COUNTERS` as ``dsr_service_<name>_total``,
+    which is what the Prometheus text exposition
+    (:meth:`DSRService.metrics_text`) serves and what :meth:`as_dict` reads
+    back.  The registry is per-instance, not the process-global one, so
+    concurrent services (and tests) never bleed counters into each other.
 
-    Every recording is mirrored into a per-service
-    :class:`~repro.obs.registry.MetricsRegistry` (``self.registry``) as
-    ``dsr_service_*`` counters/histograms, which is what the Prometheus
-    text exposition (:meth:`DSRService.metrics_text`) serves.  The registry
-    is per-instance, not the process-global one, so concurrent services
-    (and tests) never bleed counters into each other.
+    Latency samples are kept beside it in a bounded sliding window per
+    request kind (``max_samples``), so a long-lived server computes
+    percentiles over recent traffic instead of growing without bound —
+    :meth:`percentile` stays an exact order statistic over that window.  The
+    registry's histogram buckets are too coarse for sub-0.1 ms cache hits.
     """
+
+    #: Counters every ``stats()`` reports, at 0 before their first increment.
+    COUNTERS = (
+        "queries", "cache_hits", "updates", "admin", "errors", "rejected",
+        "messages_sent", "bytes_sent",
+    )
 
     def __init__(
         self, max_samples: int = 8192, registry: Optional[MetricsRegistry] = None
@@ -121,16 +130,6 @@ class ServiceMetrics:
         self._lock = threading.Lock()
         self._max_samples = max_samples
         self._latencies: Dict[str, "deque"] = {}
-        self._counters: Dict[str, int] = {
-            "queries": 0,
-            "cache_hits": 0,
-            "updates": 0,
-            "admin": 0,
-            "errors": 0,
-            "rejected": 0,
-            "messages_sent": 0,
-            "bytes_sent": 0,
-        }
         self.registry = registry if registry is not None else MetricsRegistry()
         self._started_at = time.perf_counter()
 
@@ -139,18 +138,8 @@ class ServiceMetrics:
             self._latencies.setdefault(
                 kind, deque(maxlen=self._max_samples)
             ).append(latency_seconds)
-            self._counters[f"{kind}_count"] = self._counters.get(f"{kind}_count", 0) + 1
         self.registry.inc("dsr_service_requests_total", kind=kind)
         self.registry.observe("dsr_service_request_seconds", latency_seconds, kind=kind)
-
-    def increment(self, counter: str, amount: int = 1) -> None:
-        with self._lock:
-            self._counters[counter] = self._counters.get(counter, 0) + amount
-        self.registry.inc(f"dsr_service_{counter}_total", amount)
-
-    def count(self, counter: str) -> int:
-        with self._lock:
-            return self._counters.get(counter, 0)
 
     @staticmethod
     def _rank(ordered: List[float], percent: float) -> float:
@@ -167,21 +156,25 @@ class ServiceMetrics:
 
     def as_dict(self) -> Dict[str, Any]:
         with self._lock:
-            counters = dict(self._counters)
             kinds = {kind: list(values) for kind, values in self._latencies.items()}
             elapsed = time.perf_counter() - self._started_at
-        summary: Dict[str, Any] = dict(counters)
-        total_requests = sum(
-            counters.get(f"{kind}_count", len(values)) for kind, values in kinds.items()
-        )
+        counter = self.registry.counter_value
+        summary: Dict[str, Any] = {
+            name: int(counter(f"dsr_service_{name}_total")) for name in self.COUNTERS
+        }
+        for kind in kinds:
+            summary[f"{kind}_count"] = int(
+                counter("dsr_service_requests_total", kind=kind)
+            )
+        total_requests = sum(summary[f"{kind}_count"] for kind in kinds)
         summary["requests"] = total_requests
         summary["uptime_seconds"] = round(elapsed, 6)
         summary["requests_per_second"] = (
             round(total_requests / elapsed, 3) if elapsed > 0 else 0.0
         )
-        queries = counters.get("queries", 0)
+        queries = summary["queries"]
         summary["cache_hit_rate"] = (
-            round(counters.get("cache_hits", 0) / queries, 4) if queries else 0.0
+            round(summary["cache_hits"] / queries, 4) if queries else 0.0
         )
         for kind, values in kinds.items():
             ordered = sorted(values)
@@ -291,7 +284,7 @@ class DSRService:
             try:
                 self._queue.put_nowait((request, future, deadline))
             except queue.Full:
-                self.metrics.increment("rejected")
+                self.metrics.registry.inc("dsr_service_rejected_total")
                 raise ServiceOverloadedError(
                     f"admission queue full ({self._queue.maxsize} pending requests)"
                 ) from None
@@ -311,7 +304,7 @@ class DSRService:
                 continue
             if deadline is not None and deadline.expired:
                 # Shed before execution: the budget was spent in the queue.
-                self.metrics.increment("errors")
+                self.metrics.registry.inc("dsr_service_errors_total")
                 exc = deadline.exceeded("queue")
                 future.set_result(
                     ErrorResponse(error=type(exc).__name__, message=str(exc))
@@ -348,13 +341,13 @@ class DSRService:
                 if isinstance(request, UpdateRequest):
                     return self._handle_update(request, start)
                 if isinstance(request, StatsRequest):
-                    self.metrics.increment("admin")
+                    self.metrics.registry.inc("dsr_service_admin_total")
                     return StatsResponse(stats=self.stats())
                 if isinstance(request, MetricsRequest):
-                    self.metrics.increment("admin")
+                    self.metrics.registry.inc("dsr_service_admin_total")
                     return MetricsResponse(text=self.metrics_text())
                 if isinstance(request, SnapshotRequest):
-                    self.metrics.increment("admin")
+                    self.metrics.registry.inc("dsr_service_admin_total")
                     with self._engine_lock:
                         snapshot = self.engine.cluster.snapshot()
                     return SnapshotResponse(snapshot=snapshot)
@@ -362,7 +355,7 @@ class DSRService:
                     f"not a request message: {type(request).__name__}"
                 )
         except Exception as exc:
-            self.metrics.increment("errors")
+            self.metrics.registry.inc("dsr_service_errors_total")
             return ErrorResponse(error=type(exc).__name__, message=str(exc))
 
     def handle_nowait(self, request):
@@ -395,10 +388,10 @@ class DSRService:
             # The planner only supplies the reply's direction here — a hit
             # never touches the engine (planning only compares set sizes).
             plan = self.planner.plan(request)
-            self.metrics.increment("queries")
+            self.metrics.registry.inc("dsr_service_queries_total")
             return self._cached_response(cached, plan, lookup_epoch, start)
         except Exception as exc:
-            self.metrics.increment("errors")
+            self.metrics.registry.inc("dsr_service_errors_total")
             return ErrorResponse(error=type(exc).__name__, message=str(exc))
 
     def _cached_response(
@@ -407,7 +400,7 @@ class DSRService:
     ) -> QueryResponse:
         """Account for and build the reply to a cache hit."""
         latency = time.perf_counter() - start
-        self.metrics.increment("cache_hits")
+        self.metrics.registry.inc("dsr_service_cache_hits_total")
         # Cache hits skip the engine entirely; recording them as full
         # queries used to drag the "query" percentiles down.
         self.metrics.record("query_cached", latency)
@@ -422,7 +415,7 @@ class DSRService:
         )
 
     def _handle_query(self, request: ReachQuery, start: float) -> QueryResponse:
-        self.metrics.increment("queries")
+        self.metrics.registry.inc("dsr_service_queries_total")
         trace = QueryTrace() if request.trace else None
         if trace is not None:
             with trace.span("plan") as plan_span:
@@ -495,8 +488,9 @@ class DSRService:
                     request.sources, request.targets, result.pairs,
                     epoch=result.epoch,
                 )
-        self.metrics.increment("messages_sent", result.messages_sent)
-        self.metrics.increment("bytes_sent", result.bytes_sent)
+        registry = self.metrics.registry
+        registry.inc("dsr_service_messages_sent_total", result.messages_sent)
+        registry.inc("dsr_service_bytes_sent_total", result.bytes_sent)
         latency = time.perf_counter() - start
         self.metrics.record("query", latency)
         if trace is not None:
@@ -516,7 +510,7 @@ class DSRService:
         )
 
     def _handle_update(self, request: UpdateRequest, start: float) -> UpdateResponse:
-        self.metrics.increment("updates")
+        self.metrics.registry.inc("dsr_service_updates_total")
         vertex: Optional[int] = None
         structural = False
         affected: Tuple[int, ...] = ()

@@ -38,6 +38,7 @@ class TestValidation:
             {"enable_backward": "true"},
             {"seed": "seven"},
             {"executor": "gpu"},
+            {"executor": "threads"},
             {"executor": 3},
             {"epoch_flush": "eventually"},
             {"epoch_flush": True},
@@ -65,7 +66,7 @@ class TestValidation:
             config.replace(num_partitions=0)
 
     def test_every_executor_and_epoch_flush_mode_accepted(self):
-        for executor in ("serial", "threads", "processes"):
+        for executor in ("serial", "processes", "tcp"):
             for epoch_flush in ("inline", "background"):
                 config = DSRConfig(executor=executor, epoch_flush=epoch_flush)
                 assert config.executor == executor
@@ -84,14 +85,14 @@ class TestRoundTrip:
             DSRConfig(),
             DSRConfig(backend="giraphpp-eq", num_partitions=7, partitioner="hash"),
             DSRConfig(backend="naive", local_index="grail"),
-            DSRConfig(enable_backward=True, executor="threads", seed=99),
+            DSRConfig(enable_backward=True, executor="processes", seed=99),
             DSRConfig(executor="processes", epoch_flush="background"),
         ],
         ids=[
             "default",
             "giraphpp-eq",
             "naive-grail",
-            "backward-threads",
+            "backward-processes",
             "sharded-background",
         ],
     )
@@ -116,6 +117,24 @@ class TestRoundTrip:
     def test_from_dict_rejects_invalid_values(self):
         with pytest.raises(ConfigError):
             DSRConfig.from_dict({"num_partitions": 0})
+
+
+class TestRemovedExecutors:
+    """The GIL-bound ``threads`` executor is gone: in-process means serial."""
+
+    def test_from_dict_refuses_threads_naming_the_live_executors(self):
+        with pytest.raises(
+            ConfigError,
+            match="unknown executor 'threads'; available: serial, processes, tcp",
+        ):
+            DSRConfig.from_dict({"backend": "dsr", "executor": "threads"})
+
+    def test_make_executor_refuses_threads(self):
+        from repro.cluster.executors import EXECUTOR_NAMES, make_executor
+
+        assert EXECUTOR_NAMES == ("serial", "processes", "tcp")
+        with pytest.raises(ValueError, match="unknown executor 'threads'"):
+            make_executor("threads")
 
 
 class TestRemovedFields:

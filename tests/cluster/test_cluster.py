@@ -92,11 +92,6 @@ class TestSimulatedCluster:
         results = cluster.run_phase("subset", lambda rank: rank, workers=[1, 3])
         assert set(results) == {1, 3}
 
-    def test_parallel_execution_mode(self):
-        cluster = SimulatedCluster(4, executor="threads")
-        results = cluster.run_phase("echo", lambda rank: rank)
-        assert results == {0: 0, 1: 1, 2: 2, 3: 3}
-
     def test_master_phase(self):
         cluster = SimulatedCluster(2)
         assert cluster.run_master("combine", lambda: 42) == 42

@@ -1,13 +1,12 @@
 """Tests for the pluggable worker executors and the sharded cluster API.
 
 The executor matrix honours ``REPRO_TEST_EXECUTORS`` (comma-separated subset
-of ``serial,threads,processes,tcp``) so CI can re-run this module pinned to one
+of ``serial,processes,tcp``) so CI can re-run this module pinned to one
 backend — e.g. the ``executor=processes`` matrix job.
 """
 
 import os
 import threading
-import time
 
 import pytest
 
@@ -32,7 +31,7 @@ EXECUTORS = tuple(
 
 
 # Module-level test tasks: worker processes inherit these via fork, and the
-# in-process executors read the same registry directly.
+# serial executor reads the same registry directly.
 @register_shard_loader("test.load")
 def _load(blob):
     return dict(blob)
@@ -142,8 +141,8 @@ class TestRemoteExecutors:
         cluster.close()
 
     def test_closure_phases_fall_back_to_master(self, executor):
-        # Closures cannot cross to a remote worker; run_phase still works
-        # (executed at the master) so index builds run on any executor.
+        # Closures never reach an executor: run_phase runs them at the
+        # master, so index builds run on any executor.
         cluster = SimulatedCluster(3, executor=executor)
         assert cluster.run_phase("square", lambda rank: rank * rank) == {0: 0, 1: 1, 2: 4}
         cluster.close()
@@ -240,14 +239,3 @@ class TestNetworkConcurrency:
         assert network.stats.bytes_sent == 120 * 400
         assert network.stats.rounds == 400
 
-
-class TestThreadExecutorParallelism:
-    def test_overlapping_sleep_phases_overlap_in_time(self):
-        cluster = SimulatedCluster(4, executor="threads")
-        start = time.perf_counter()
-        cluster.run_phase("sleep", lambda rank: time.sleep(0.05))
-        elapsed = time.perf_counter() - start
-        # Four 50ms sleeps in parallel should take well under 4 * 50ms.
-        assert elapsed < 0.18
-        assert cluster.stats.phases[-1].total_seconds >= 0.18
-        cluster.close()

@@ -95,14 +95,3 @@ class TestIntrospection:
         summary = engine.partition_summary()
         assert "forward_entries" not in summary
 
-
-class TestParallelMode:
-    def test_thread_pool_execution_gives_same_answers(self):
-        graph = generators.web_graph(100, avg_degree=5, seed=3)
-        serial = DSREngine(graph, DSRConfig(num_partitions=3, seed=2))
-        threaded = DSREngine(graph, DSRConfig(num_partitions=3, seed=2, executor="threads"))
-        serial.build_index()
-        threaded.build_index()
-        vertices = sorted(graph.vertices())
-        query = (vertices[:6], vertices[6:12])
-        assert serial.run(ReachQuery(*query)).pairs == threaded.run(ReachQuery(*query)).pairs

@@ -92,6 +92,7 @@ REMOVED_SURFACES = re.compile(
     r"|claim_real_[i]d|share_vertex_ids_[w]ith|_first_virtual_[i]d|_id_[i]ndexes"
     r"|local_index_[o]ptions|strategy_[k]wargs|set_reachability_[b]its"
     r"|as_reach_[q]uery|estimate_[c]ost|degree_[s]tats|csr_if_[c]ached"
+    r"|ThreadExecutor|supports_[c]losures"
 )
 
 

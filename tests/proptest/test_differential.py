@@ -3,7 +3,7 @@
 Each seed expands into a full *scenario* — a random graph, an interleaved
 update/query script — which is then replayed across the whole matrix: every
 kernel call on its python loop or on numpy (the ``crossover`` fixture) ×
-``executor=serial/threads/processes``.
+``executor=serial/processes``.
 Every cell must produce, at every step of the script, exactly the pair sets
 of the oracle (``reachable_pairs`` on a shadow graph that mirrors the
 script) — the independent reference; kernels and executors are
@@ -36,7 +36,7 @@ from repro.partition.hash_partitioner import hash_partition
 EXECUTORS = tuple(
     name.strip()
     for name in os.environ.get(
-        "REPRO_TEST_EXECUTORS", "serial,threads,processes"
+        "REPRO_TEST_EXECUTORS", "serial,processes"
     ).split(",")
     if name.strip()
 )

@@ -288,10 +288,9 @@ class TestServiceIntegration:
         finally:
             service.close()
 
-    @pytest.mark.parametrize("executor", ["serial", "threads"])
-    def test_engines_without_worker_hosts_get_no_supervisor(self, graph, executor):
+    def test_engines_without_worker_hosts_get_no_supervisor(self, graph):
         engine = DSREngine.from_config(
-            graph, DSRConfig(num_partitions=2, seed=2, executor=executor)
+            graph, DSRConfig(num_partitions=2, seed=2, executor="serial")
         )
         service = DSRService(
             engine, num_workers=1, health_probe_interval_seconds=300.0

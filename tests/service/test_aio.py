@@ -250,7 +250,7 @@ class TestVersions:
         ((message, _version, _id),) = frames
         assert isinstance(message, ErrorResponse)
         assert message.error == "ProtocolError" and "version" in message.message
-        assert service.metrics.count("queries") == 1  # only the neighbour's
+        assert service.stats()["queries"] == 1  # only the neighbour's
 
 
 class TestMultiplexing:
@@ -550,14 +550,14 @@ class TestLoopFastPath:
         request = QueryRequest(tuple(vertices[:4]), tuple(vertices[40:44]))
         # Cold cache: the fast path must decline and leave metrics alone.
         assert service.handle_nowait(request) is None
-        assert service.metrics.count("queries") == 0
+        assert service.stats()["queries"] == 0
         full = service.handle(request)
         fast = service.handle_nowait(request)
         assert isinstance(fast, QueryResponse) and fast.cached
         assert set(fast.pairs) == set(full.pairs)
         # Metrically identical to a handle() cache hit.
-        assert service.metrics.count("cache_hits") == 1
-        assert service.metrics.count("queries") == 2
+        assert service.stats()["cache_hits"] == 1
+        assert service.stats()["queries"] == 2
 
     def test_handle_nowait_declines_blocking_shapes(self, graph, service):
         vertices = sorted(graph.vertices())
@@ -592,7 +592,7 @@ class TestLoopFastPath:
             first, again = asyncio.run(drive())
             assert not first.cached and again.cached
             assert set(again.pairs) == set(first.pairs)
-            assert service.metrics.count("cache_hits") == 1
+            assert service.stats()["cache_hits"] == 1
         finally:
             server.stop_from_thread()
 

@@ -24,7 +24,7 @@ class TestBoundedWindow:
         metrics = ServiceMetrics(max_samples=4)
         for value in range(100):
             metrics.record("query", 0.001)
-        assert metrics.count("query_count") == 100
+        assert metrics.as_dict()["query_count"] == 100
 
     def test_kinds_have_independent_windows(self):
         metrics = ServiceMetrics(max_samples=2)
