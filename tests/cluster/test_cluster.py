@@ -92,6 +92,17 @@ class TestSimulatedCluster:
         results = cluster.run_phase("subset", lambda rank: rank, workers=[1, 3])
         assert set(results) == {1, 3}
 
+    def test_parallel_execution_mode(self):
+        # A parallel executor leaves closure phases alone: they still run at
+        # the master, one timed entry per rank.
+        cluster = SimulatedCluster(4, executor="processes")
+        try:
+            results = cluster.run_phase("echo", lambda rank: rank)
+            assert results == {0: 0, 1: 1, 2: 2, 3: 3}
+            assert set(cluster.stats.phases[-1].per_worker_seconds) == {0, 1, 2, 3}
+        finally:
+            cluster.close()
+
     def test_master_phase(self):
         cluster = SimulatedCluster(2)
         assert cluster.run_master("combine", lambda: 42) == 42

@@ -10,7 +10,7 @@ import threading
 
 import pytest
 
-from repro.cluster.cluster import SimulatedCluster
+from repro.cluster.cluster import ClusterStats, SimulatedCluster
 from repro.cluster.executors import (
     EXECUTOR_NAMES,
     ShardTaskError,
@@ -130,6 +130,44 @@ class TestShardPhases:
         assert phase.real_seconds >= 0.0
         assert cluster.snapshot()["real_seconds"] >= 0.0
         cluster.close()
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+class TestClosurePhases:
+    """Closure phases never reach the executor, whichever one is configured."""
+
+    def test_closures_run_on_the_calling_thread(self, executor):
+        cluster = SimulatedCluster(3, executor=executor)
+        try:
+            caller = threading.get_ident()
+            idents = cluster.run_phase("ident", lambda rank: threading.get_ident())
+            assert idents == {0: caller, 1: caller, 2: caller}
+            phase = cluster.stats.phases[-1]
+            assert phase.name == "ident"
+            assert set(phase.per_worker_seconds) == {0, 1, 2}
+            assert phase.real_seconds >= max(phase.per_worker_seconds.values())
+        finally:
+            cluster.close()
+
+    def test_private_stats_take_the_timing_record(self, executor):
+        cluster = SimulatedCluster(3, executor=executor)
+        try:
+            private = ClusterStats()
+            cluster.run_phase("mine", lambda rank: rank, workers=[0, 2], stats=private)
+            assert [phase.name for phase in private.phases] == ["mine"]
+            assert set(private.phases[0].per_worker_seconds) == {0, 2}
+            assert cluster.stats.phases == []
+        finally:
+            cluster.close()
+
+    def test_executor_contract_has_no_closure_entry_point(self, executor):
+        backend = make_executor(executor)
+        try:
+            assert not hasattr(backend, "run_phase")
+            assert not hasattr(backend, "supports_closures")
+            assert callable(backend.run_shard_phase)
+        finally:
+            backend.close()
 
 
 @pytest.mark.parametrize("executor", ["processes", "tcp"])

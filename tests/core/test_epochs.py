@@ -1,7 +1,7 @@
 """Epoch-versioned maintenance: atomic swaps, background flushes, executors.
 
 The executor matrix honours ``REPRO_TEST_EXECUTORS`` (comma-separated subset
-of ``serial,processes``) so CI can pin the whole module to one
+of ``serial,processes,tcp``) so CI can pin the whole module to one
 backend.
 """
 
@@ -19,7 +19,7 @@ from repro.obs import use_registry
 EXECUTORS = tuple(
     name.strip()
     for name in os.environ.get(
-        "REPRO_TEST_EXECUTORS", "serial,processes"
+        "REPRO_TEST_EXECUTORS", "serial,processes,tcp"
     ).split(",")
     if name.strip()
 )

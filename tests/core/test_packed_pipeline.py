@@ -21,7 +21,7 @@ from repro.graph.traversal import reachable_pairs
 EXECUTORS = tuple(
     name.strip()
     for name in os.environ.get(
-        "REPRO_TEST_EXECUTORS", "serial,processes"
+        "REPRO_TEST_EXECUTORS", "serial,processes,tcp"
     ).split(",")
     if name.strip()
 )

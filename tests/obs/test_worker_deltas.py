@@ -7,7 +7,7 @@ run records — the same exactness contract the ``Network.absorb()`` tests
 enforce for communication counters.
 
 The executor matrix honours ``REPRO_TEST_EXECUTORS`` (comma-separated subset
-of ``serial,processes``).
+of ``serial,processes,tcp``).
 """
 
 import os
@@ -23,7 +23,7 @@ from repro.obs import use_registry
 EXECUTORS = tuple(
     name.strip()
     for name in os.environ.get(
-        "REPRO_TEST_EXECUTORS", "serial,processes"
+        "REPRO_TEST_EXECUTORS", "serial,processes,tcp"
     ).split(",")
     if name.strip()
 )

@@ -288,9 +288,10 @@ class TestServiceIntegration:
         finally:
             service.close()
 
-    def test_engines_without_worker_hosts_get_no_supervisor(self, graph):
+    @pytest.mark.parametrize("executor", ["serial"])
+    def test_engines_without_worker_hosts_get_no_supervisor(self, graph, executor):
         engine = DSREngine.from_config(
-            graph, DSRConfig(num_partitions=2, seed=2, executor="serial")
+            graph, DSRConfig(num_partitions=2, seed=2, executor=executor)
         )
         service = DSRService(
             engine, num_workers=1, health_probe_interval_seconds=300.0

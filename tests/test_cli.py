@@ -222,6 +222,13 @@ class TestAsyncServeCli:
         output = capsys.readouterr().out
         assert "worker host listening on 127.0.0.1:" in output
 
+    def test_threads_executor_flag_is_refused(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["serve", "amazon", "--scale", "0.1", "--executor", "threads"])
+        error = capsys.readouterr().err
+        assert "invalid choice: 'threads'" in error
+        assert "processes" in error and "serial" in error and "tcp" in error
+
     def test_worker_hosts_flag_requires_tcp_executor(self, capsys):
         from repro.api.config import ConfigError
 
