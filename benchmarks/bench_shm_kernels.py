@@ -10,8 +10,8 @@ quantifies the two claims behind the change on an 8-partition engine:
   epoch (the ``dsr_epoch_publish_bytes`` gauge).  In shm mode the blobs are
   name-only husks; the acceptance bar is **<= 10%** of the pickled baseline
   (``REPRO_SHM=0``), and in practice it is well under 1%.
-* **kernel speedup** — the numpy function vs. the python loop, each called
-  directly, on the same batched ``set_reachability_rows`` call over the
+* **kernel speedup** — the numpy function vs. the python loop, each forced
+  onto every sweep, on the same batched ``set_reachability_rows`` call over the
   measurement spine's ``dag(2000, 8000)`` condensation (the kernels sweep
   topologically numbered DAGs only), byte identical answers required,
   **>= 2x** required.  Both stay: a call picks one by its seed count
@@ -27,6 +27,7 @@ All measurements are merged into ``BENCH_shm_kernels.json``.
 """
 
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -44,7 +45,6 @@ from repro.graph.scc import condense
 from repro.graph.traversal import reachable_pairs
 from repro.obs.runtime import global_registry
 from repro.reachability import bitset_msbfs
-from repro.reachability.kernels import np_set_reachability_rows
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -170,11 +170,14 @@ def _best_of(repeats, fn):
     return best, answer
 
 
-def _python_rows(csr, sources, reverse=False):
-    """The python loop of ``set_reachability_rows``, at any width."""
-    return bitset_msbfs._rows_python(
-        csr, sources, None, bitset_msbfs.DEFAULT_BATCH_SIZE, reverse
-    )
+def _rows_on(tier, csr, sources, reverse=False):
+    """``set_reachability_rows`` with every sweep on one tier, at any width."""
+    saved = bitset_msbfs.NUMPY_MIN_SEEDS
+    bitset_msbfs.NUMPY_MIN_SEEDS = 0 if tier == "numpy" else sys.maxsize
+    try:
+        return bitset_msbfs.set_reachability_rows(csr, sources, reverse=reverse)
+    finally:
+        bitset_msbfs.NUMPY_MIN_SEEDS = saved
 
 
 def test_numpy_kernel_speedup(benchmark):
@@ -183,10 +186,10 @@ def test_numpy_kernel_speedup(benchmark):
 
     def run_both():
         python_s, python_rows = _best_of(
-            KERNEL_REPEATS, lambda: _python_rows(csr, sources)
+            KERNEL_REPEATS, lambda: _rows_on("python", csr, sources)
         )
         numpy_s, numpy_rows = _best_of(
-            KERNEL_REPEATS, lambda: np_set_reachability_rows(csr, sources)
+            KERNEL_REPEATS, lambda: _rows_on("numpy", csr, sources)
         )
         assert numpy_rows == python_rows  # byte-identical ints
         return python_s, numpy_s
@@ -262,12 +265,12 @@ def test_onepass_sweep_on_condensation(benchmark):
                 sources = random.Random(BENCH_SEED).choices(csr.ids, k=width)
                 for reverse in (False, True):
                     python_s, python_rows = _best_of(
-                        ONEPASS_REPEATS, lambda: _python_rows(csr, sources, reverse)
+                        ONEPASS_REPEATS, lambda: _rows_on("python", csr, sources, reverse)
                     )
                     assert python_rows == _oracle_rows(csr, sources, reverse)
                     plan_s, plan_rows = _best_of(
                         ONEPASS_REPEATS,
-                        lambda: np_set_reachability_rows(csr, sources, reverse=reverse),
+                        lambda: _rows_on("numpy", csr, sources, reverse),
                     )
                     assert plan_rows == python_rows  # byte-identical ints
                     direction = "reverse" if reverse else "forward"

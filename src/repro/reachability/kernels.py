@@ -13,21 +13,24 @@ by it, so a level is one gather of the sources' rows, one
 each edge gathered once, each vertex written once, no ``np.unique``, no
 ``ufunc.at``.  A forward plan levels by height (longest path to a sink), a
 reverse plan by depth (longest path from a source); each is built once per
-snapshot and cached on it.  The harvest transposes the seen matrix byte
-plane by byte plane (``np.packbits``) so a source's packed row is built
-without per-bit Python work.
+snapshot and cached on it, and a sweep runs only the levels between its
+seeds and the lowest level it is read at.  The harvest transposes the seen
+matrix byte plane by byte plane (``np.packbits``) so a source's packed row
+is built without per-bit Python work; a sweep seeded at the targets needs
+no transpose, only its seeds' rows moved onto the targets' bits.
 
 The batched row transforms of :mod:`repro.reachability.packed` (component
 expansion and handle re-pack through ``BitGather``, group unpack, inbox
 inversion) are here too (``np_gather_rows``, ``np_unpack_rows``,
 ``np_invert_rows``): each unpacks its batch of packed rows into one bit
 matrix with ``np.unpackbits``, moves columns, and packs or decodes the
-result.
+result.  ``BitGather.scatter`` (the target mask onto DAG components) is
+one such pass over a single row (``np_scatter_row``).
 
 A narrow call does not come here: below a measured crossover the python
 loop in the calling module is cheaper than the fixed cost of a numpy call,
-and it serves the call instead — a sweep of fewer than
-``bitset_msbfs.NUMPY_MIN_SEEDS`` seeds, a row batch of fewer than
+and it serves the call instead — a sweep seeded with fewer than
+``bitset_msbfs.NUMPY_MIN_SEEDS`` bits, a row batch of fewer than
 ``packed.NUMPY_MIN_ROWS`` rows, a rank list shorter than
 ``packed._NUMPY_PACK_THRESHOLD``.  Each crossover reads the input size and
 nothing else, and both sides return the same Python ints (same bytes), so
@@ -134,18 +137,22 @@ def count_sweep(tier: str) -> None:
         registry.inc("dsr_kernel_sweeps_total", tier=tier)
 
 
-def np_propagate_matrix(csr: "CSRGraph", seed_bits: Dict[int, int], reverse: bool = False):
+def np_propagate_matrix(
+    csr: "CSRGraph", seed_bits: Dict[int, int], reverse: bool = False, harvest=None
+):
     """The ``(n, words)`` uint64 table of source bits reaching each vertex.
 
     With ``reverse=True`` the bits flow against the edges: a vertex carries
     the bits of every seed it *reaches*.  Either way one pass over the
-    snapshot's level plan for that direction.
+    snapshot's level plan for that direction, which stops after the last
+    level that writes one of the dense indices ``harvest`` (an int64 array;
+    ``None``: every index); only those rows are final.
     """
     require_numbered(csr)
     if not seed_bits:
         return np.zeros((csr.num_vertices, 1), dtype=np.uint64)
     count_sweep("numpy")
-    return _np_sweep_levels(csr, seed_bits, reverse)
+    return _np_sweep_levels(csr, seed_bits, reverse, harvest)
 
 
 def _level_plan(csr: "CSRGraph", reverse: bool = False):
@@ -214,16 +221,19 @@ def _level_plan(csr: "CSRGraph", reverse: bool = False):
     return plan
 
 
-def _np_sweep_levels(csr: "CSRGraph", seed_bits: Dict[int, int], reverse: bool):
-    """One pass over the level plan: every edge gathered exactly once."""
+def _np_sweep_levels(csr: "CSRGraph", seed_bits: Dict[int, int], reverse: bool, harvest):
+    """One pass over the level plan: every edge gathered at most once."""
     seed_idx, seed_rows, words = _seed_matrix(csr, seed_bits)
     seen = np.zeros((csr.num_vertices, words), dtype=np.uint64)
     seen[seed_idx] = seed_rows
     reduceat = np.bitwise_or.reduceat
     heights, levels = _level_plan(csr, reverse)
-    # Level i holds the vertices of level len(levels) - 1 - i, and a seed
-    # only reaches vertices of a lower level than its own.
-    for sources, runs, written in levels[len(levels) - int(heights[seed_idx].max()) :]:
+    # Level i writes the vertices of height top - 1 - i: a seed only
+    # reaches lower heights, and no level below the lowest harvest height
+    # writes a row the caller reads.
+    top = len(levels)
+    low = 0 if harvest is None else int(heights[harvest].min())
+    for sources, runs, written in levels[top - int(heights[seed_idx].max()) : top - low]:
         seen[written] |= reduceat(seen[sources], runs, axis=0)
     return seen
 
@@ -241,53 +251,56 @@ def np_propagate(csr: "CSRGraph", seed_bits: Dict[int, int], reverse: bool = Fal
 _BYTE_BITS = tuple(1 << bit for bit in range(8))
 
 
-def np_set_reachability_rows(
-    csr: "CSRGraph",
-    sources: Iterable[int],
-    target_mask: Optional[int] = None,
-    batch_size: int = 512,
-    reverse: bool = False,
-) -> Dict[int, int]:
-    """The wide side of ``bitset_msbfs.set_reachability_rows`` (byte-identical).
+def _np_bit_indices(row: int):
+    """The set bit positions of a non-negative ``row``, ascending, as an int64 array."""
+    data = np.frombuffer(row.to_bytes((row.bit_length() + 7) >> 3, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(data, bitorder="little"))
 
-    The harvest transposes the seen matrix with eight ``np.packbits`` passes
-    over its byte planes (bit order ``little``, matching the row encoding),
-    so every source's packed row materialises vectorised over the whole
-    batch instead of in a per-(target, source-bit) Python loop.
+
+def np_sweep_rows(
+    csr: "CSRGraph", batch: List[int], harvest: Optional[int], reverse: bool, transpose: bool
+) -> List[int]:
+    """The wide side of ``bitset_msbfs._sweep_rows`` (byte-identical rows).
+
+    With ``transpose`` the seen matrix is transposed with eight
+    ``np.packbits`` passes over its byte planes (bit order ``little``,
+    matching the row encoding), so every batch index's packed row
+    materialises vectorised instead of in a per-(target, seed-bit) Python
+    loop.  Without, the harvest rows' bits are unpacked and ORed into the
+    bytes of the batch's indices.
     """
-    require_numbered(csr)
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
-    source_list = list(sources)
-    rows: Dict[int, int] = {source: 0 for source in source_list}
-    valid_sources = [source for source in source_list if csr.has_vertex(source)]
-    n = csr.num_vertices
-    if not valid_sources or target_mask == 0 or not n:
-        return rows
-
-    if target_mask is None:
-        target_mask = -1
-    for start in range(0, len(valid_sources), batch_size):
-        batch = valid_sources[start : start + batch_size]
-        seeds: Dict[int, int] = {}
-        for position, source in enumerate(batch):
-            index = csr.index_of(source)
-            seeds[index] = seeds.get(index, 0) | (1 << position)
-        seen = np_propagate_matrix(csr, seeds, reverse=reverse)
-        # Transpose bits one byte plane at a time: plane j holds source bits
-        # 8j..8j+7 of every vertex, and packing its bit b along the vertex
-        # axis (packbits packs "non-zero") is the row of source 8j + b.
+    indices = None if harvest is None else _np_bit_indices(harvest)
+    seen = np_propagate_matrix(
+        csr, {index: 1 << j for j, index in enumerate(batch)}, reverse, indices
+    )
+    if transpose:
+        # Plane j holds seed bits 8j..8j+7 of every vertex, and packing its
+        # bit b along the vertex axis (packbits packs "non-zero") is the row
+        # of seed 8j + b.
         planes = np.ascontiguousarray(seen.view(np.uint8)[:, : (len(batch) + 7) >> 3].T)
         packed = np.stack(
             [np.packbits(planes & bit, axis=1, bitorder="little") for bit in _BYTE_BITS],
             axis=1,
         )
-        row_bytes, stride = packed.tobytes(), packed.shape[2]
-        for position, source in enumerate(batch):
-            rows[source] |= target_mask & int.from_bytes(
-                row_bytes[position * stride : (position + 1) * stride], "little"
-            )
-    return rows
+        count, mask = len(batch), -1 if harvest is None else harvest
+    else:
+        bits = np.unpackbits(
+            seen[indices].view(np.uint8), axis=1, count=len(batch), bitorder="little"
+        )
+        # Bit j moves to bit batch[j] & 7 of byte batch[j] >> 3; the batch
+        # ascends, so each output byte ORs one run of columns.
+        columns = np.asarray(batch, dtype=np.int64)
+        byte_of = columns >> 3
+        runs = np.flatnonzero(np.diff(byte_of, prepend=-1))
+        packed = np.zeros((indices.size, int(byte_of[-1]) + 1), dtype=np.uint8)
+        packed[:, byte_of[runs]] = np.bitwise_or.reduceat(
+            bits << (columns & 7).astype(np.uint8), runs, axis=1
+        )
+        count, mask = indices.size, -1
+    raw, stride = packed.tobytes(), packed.shape[-1]
+    return [
+        mask & int.from_bytes(raw[p * stride : (p + 1) * stride], "little") for p in range(count)
+    ]
 
 
 def np_objects(values: Sequence[int]):
@@ -645,16 +658,24 @@ def np_edge_delta(old, new) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]
     return pairs(_missing_from(new_keys, old_keys)), pairs(_missing_from(old_keys, new_keys))
 
 
-def np_pack_ranks(ranks: Sequence[int]) -> int:
-    """The long side of :func:`repro.reachability.packed.pack_ranks`."""
-    if not len(ranks):
+def np_pack_ranks(ranks) -> int:
+    """The long side of :func:`repro.reachability.packed.pack_ranks`: the
+    ranks (any order, repeats allowed) set in one bool vector, packed once."""
+    ranks = np.asarray(ranks, dtype=np.intp)
+    if not ranks.size:
         return 0
-    rank_arr = np.asarray(ranks, dtype=np.int64)
-    buffer = np.zeros((int(rank_arr[-1]) >> 3) + 1, dtype=np.uint8)
-    np.bitwise_or.at(
-        buffer, rank_arr >> 3, np.left_shift(np.uint8(1), (rank_arr & 7).astype(np.uint8))
-    )
-    return int.from_bytes(buffer.tobytes(), "little")
+    bits = np.zeros(int(ranks.max()) + 1, dtype=bool)
+    bits[ranks] = True
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def np_scatter_row(row: int, plan) -> int:
+    """``BitGather.scatter``: the ranks ``columns[j]`` of the row's set bits
+    ``j``, read in one ``np.unpackbits``, packed once (:func:`np_pack_ranks`)."""
+    columns, _ = plan
+    data = np.frombuffer(row.to_bytes((columns.size + 7) >> 3, "little"), dtype=np.uint8)
+    bits = np.unpackbits(data, count=columns.size, bitorder="little")
+    return np_pack_ranks(columns[bits.view(bool)])
 
 
 __all__ = [
@@ -677,7 +698,8 @@ __all__ = [
     "np_propagate",
     "np_propagate_matrix",
     "np_reverse_csr",
-    "np_set_reachability_rows",
+    "np_scatter_row",
+    "np_sweep_rows",
     "np_union_csr",
     "np_unpack_rows",
     "require_numbered",

@@ -79,9 +79,14 @@ def iter_bits(row: int) -> Iterator[int]:
         offset += 8
 
 
-def popcount(row: int) -> int:
+def _popcount(row: int) -> int:
     """Number of set bits in ``row``."""
     return bin(row).count("1")
+
+
+#: Number of set bits in a row: ``int.bit_count`` where the interpreter has
+#: it (3.10+; 0.09 against 1.9 µs on a 1000-bit row), else a string count.
+popcount = getattr(int, "bit_count", _popcount)
 
 
 def _numpy_serves(num_rows: int) -> bool:
@@ -201,12 +206,24 @@ class BitGather:
         return out
 
     def scatter(self, row: int) -> int:
-        """One row the other way: output bit ``index[j]`` ORs input bit ``j``."""
-        index = self.index
-        value = 0
-        for j in iter_bits(row):
-            value |= 1 << index[j]
-        return value
+        """One row the other way: output bit ``index[j]`` ORs input bit ``j``.
+
+        A row of ``_NUMPY_PACK_THRESHOLD`` set bits or more is packed once,
+        in one numpy pass (:func:`repro.reachability.kernels.np_scatter_row`),
+        instead of growing one ``|= 1 << bit`` at a time; a sparser row
+        takes the per-bit loop, which is cheaper below that count.
+        """
+        if not row:
+            return 0
+        if popcount(row) < _NUMPY_PACK_THRESHOLD:
+            index = self.index
+            value = 0
+            for j in iter_bits(row):
+                value |= 1 << index[j]
+            return value
+        if self._np_index is None:
+            self._np_index = _kernels.np_gather_plan(self.index)
+        return _kernels.np_scatter_row(row, self._np_index)
 
 
 def invert_rows(
@@ -264,13 +281,19 @@ class VertexRank:
         return vertex in self.rank_of
 
     def pack(self, vertices: Iterable[int]) -> int:
-        """Pack vertex ids into a row (ids unknown to this rank are skipped)."""
-        row = 0
+        """Pack vertex ids into a row (ids unknown to this rank are skipped).
+
+        ``_NUMPY_PACK_THRESHOLD`` ranks or more are packed once
+        (:func:`repro.reachability.kernels.np_pack_ranks`); fewer take the
+        per-bit loop, which is cheaper below that count.
+        """
         rank_of = self.rank_of
-        for vertex in vertices:
-            r = rank_of.get(vertex)
-            if r is not None:
-                row |= 1 << r
+        ranks = [rank_of[vertex] for vertex in vertices if vertex in rank_of]
+        if len(ranks) >= _NUMPY_PACK_THRESHOLD:
+            return _kernels.np_pack_ranks(ranks)
+        row = 0
+        for r in ranks:
+            row |= 1 << r
         return row
 
     def unpack(self, row: int) -> List[int]:

@@ -47,7 +47,7 @@ from repro.reachability.kernels import (  # noqa: E402
     np_objects,
     np_pack_ranks,
     np_propagate,
-    np_set_reachability_rows,
+    np_sweep_rows,
     np_unpack_rows,
 )
 from repro.reachability.packed import (  # noqa: E402
@@ -131,9 +131,14 @@ def test_set_reachability_rows_parity(
         csr, sources, mask, batch_size=batch_size, reverse=reverse
     )
     assert reference == _oracle_rows(csr, csr, sources, mask, reverse)
-    got = np_set_reachability_rows(
-        csr, sources, mask, batch_size=batch_size, reverse=reverse
-    )
+    side = crossover.side
+    crossover.force("python" if side == "numpy" else "numpy")
+    try:
+        got = bitset_msbfs.set_reachability_rows(
+            csr, sources, mask, batch_size=batch_size, reverse=reverse
+        )
+    finally:
+        crossover.force(side)
     assert got == reference
     # Byte-identical, not merely equal-as-sets: compare serialised rows too.
     for source in reference:
@@ -346,11 +351,82 @@ def test_onepass_rows_both_ways(
     assert got == _oracle_rows(graph, csr, sources, mask, reverse)
 
 
+#: How a drawn target mask relates to a call's distinct seed indices.
+MASK_KINDS = ("none", "zero", "single", "fewer", "more")
+
+
+def _drawn_mask(csr, sources, kind, seed):
+    """A target mask of ``kind``; about half its targets are seed indices.
+
+    ``fewer`` and ``more`` count bits against the call's distinct seed
+    indices — the two sides the kernel chooses between.
+    """
+    if kind in ("none", "zero"):
+        return None if kind == "none" else 0
+    rng = random.Random(seed)
+    n = csr.num_vertices
+    seeds = sorted({csr.index_of(s) for s in sources if csr.has_vertex(s)})
+    if kind == "single":
+        size = 1
+    elif kind == "fewer":
+        size = max(1, rng.randrange(len(seeds))) if seeds else 1
+    else:
+        size = min(n, len(seeds) + 1 + rng.randrange(n))
+    picks = set(rng.sample(seeds, min(len(seeds), size // 2)))
+    others = [index for index in range(n) if index not in picks]
+    picks.update(rng.sample(others, min(len(others), size - len(picks))))
+    return sum(1 << index for index in picks)
+
+
+def _dfs_rows(csr, sources, mask, reverse):
+    """The oracle: one depth-first search per source, packed and masked."""
+    step = csr.predecessors if reverse else csr.successors
+    keep = (1 << csr.num_vertices) - 1 if mask is None else mask
+    rows = {}
+    for source in sources:
+        row = 0
+        if csr.has_vertex(source):
+            reached, stack = {source}, [source]
+            while stack:
+                for succ in step(stack.pop()):
+                    if succ not in reached:
+                        reached.add(succ)
+                        stack.append(succ)
+            row = sum(1 << csr.index_of(vertex) for vertex in reached) & keep
+        rows[source] = row
+    return rows
+
+
+@COMMON_SETTINGS
+@given(
+    graph=numbered_dags(),
+    source_count=st.sampled_from([1, 2, 3, 7, 9, 40, 130]),
+    source_seed=st.integers(min_value=0, max_value=2**16),
+    mask_kind=st.sampled_from(MASK_KINDS),
+    batch_size=st.sampled_from([1, 2, 5, 512]),
+    reverse=st.booleans(),
+)
+def test_rows_from_either_side_match_a_dfs_per_source(
+    crossover, graph, source_count, source_seed, mask_kind, batch_size, reverse
+):
+    # The kernel seeds whichever side is smaller and sweeps only between
+    # the seeds and the targets; neither choice may show in a row.
+    csr = graph.csr()
+    sources = _drawn_sources(graph, source_count, source_seed)
+    # A target id as a source too: a source covered by the mask reaches itself.
+    sources.append(csr.ids[source_seed % csr.num_vertices])
+    mask = _drawn_mask(csr, sources, mask_kind, source_seed)
+    got = bitset_msbfs.set_reachability_rows(
+        csr, sources, mask, batch_size=batch_size, reverse=reverse
+    )
+    assert got == _dfs_rows(csr, sources, mask, reverse)
+
+
 #: The public sweep entry points, each called on a spoiled snapshot.
 ENTRY_POINTS = {
     "propagate": lambda csr: bitset_msbfs.propagate(csr, {0: 1}),
     "set_reachability_rows": lambda csr: bitset_msbfs.set_reachability_rows(csr, csr.ids),
-    "np_set_reachability_rows": lambda csr: np_set_reachability_rows(csr, csr.ids),
+    "np_sweep_rows": lambda csr: np_sweep_rows(csr, [0], None, False, True),
 }
 
 

@@ -2,8 +2,9 @@
 
 Parity of the numpy kernels with the python loops is covered by
 ``tests/proptest``; this file pins what is left of the module's surface —
-the constant tier name and the refusal of a big-endian host — and the
-three input-size crossovers that pick a call's side.
+the constant tier name and the refusal of a big-endian host — the
+three input-size crossovers that pick a call's side, and the side and
+window of a row sweep.
 """
 
 import importlib.util
@@ -143,3 +144,67 @@ class TestCrossovers:
                 call(size)
             expected = 2 if crossover.side == "numpy" else 0
             assert len(calls) == expected, (name, crossover.side)
+
+
+def _descending_path(length):
+    """A snapshot whose vertex ``v`` reaches every lower vertex (dense index = id)."""
+    return DiGraph.from_edges([(v + 1, v) for v in range(length - 1)], range(length)).csr()
+
+
+def _spy_sweeps(monkeypatch):
+    """Record ``(batch, reverse)`` of every row sweep, which still runs."""
+    calls = []
+    sweep = bitset_msbfs._sweep_rows
+
+    def spy(csr, batch, harvest, reverse, transpose):
+        calls.append((list(batch), reverse))
+        return sweep(csr, batch, harvest, reverse, transpose)
+
+    monkeypatch.setattr(bitset_msbfs, "_sweep_rows", spy)
+    return calls
+
+
+class _RecordedOffsets:
+    """An offsets array that records every index it is read at."""
+
+    def __init__(self, offsets, reads):
+        self._offsets, self._reads = offsets, reads
+
+    def __getitem__(self, index):
+        self._reads.append(index)
+        return self._offsets[index]
+
+
+class TestSweepSide:
+    def test_many_seeds_one_target_sweeps_from_the_target(self, crossover, monkeypatch):
+        csr = _descending_path(120)
+        calls = _spy_sweeps(monkeypatch)
+        seeds = list(range(20, 107))
+        rows = bitset_msbfs.set_reachability_rows(csr, seeds, 1 << 5)
+        assert calls == [([5], True)]
+        assert rows == {seed: 1 << 5 for seed in seeds}
+        # A reverse call turns the other way round.
+        calls.clear()
+        rows = bitset_msbfs.set_reachability_rows(csr, range(87), 1 << 100, reverse=True)
+        assert calls == [([100], False)]
+        assert rows == {seed: 1 << 100 for seed in range(87)}
+
+    def test_few_seeds_many_targets_sweep_from_the_seeds(self, crossover, monkeypatch):
+        csr = _descending_path(120)
+        calls = _spy_sweeps(monkeypatch)
+        targets = list(range(30, 38))
+        rows = bitset_msbfs.set_reachability_rows(csr, [50, 60], packed.pack_ranks(targets))
+        assert calls == [([50, 60], False)]
+        assert rows == {seed: packed.pack_ranks(targets) for seed in (50, 60)}
+
+    def test_the_narrow_loop_stops_at_the_lowest_target(self, monkeypatch):
+        monkeypatch.setattr(bitset_msbfs, "NUMPY_MIN_SEEDS", sys.maxsize)
+        csr = _descending_path(120)
+        assert csr.edges_descend()  # checked once, before the offsets are spied on
+        reads = []
+        csr.fwd_offsets = _RecordedOffsets(csr.fwd_offsets, reads)
+        rows = bitset_msbfs.set_reachability_rows(csr, [50, 60], 0b111 << 30)
+        assert rows == {50: 0b111 << 30, 60: 0b111 << 30}
+        # Every vertex below 60 is reached, but the loop stops once index
+        # 30 is final.
+        assert reads and min(reads) >= 30

@@ -16,6 +16,7 @@ from repro.graph.scc import condense
 from repro.graph.traversal import multi_source_reachability
 from repro.reachability import bitset_msbfs, make_reachability_index
 from repro.reachability.packed import (
+    BitGather,
     VertexRank,
     iter_bits,
     popcount,
@@ -54,6 +55,28 @@ class TestPackedPrimitives:
         assert row == 0b1001
         assert rank.unpack(row) == [5, 40]
         assert rank.full_mask() == 0b1111
+
+    def test_pack_and_scatter_match_the_per_bit_loop(self, crossover):
+        # Both build a row with one pack_ranks over the sorted distinct
+        # ranks; the per-bit OR loop they replaced is the oracle.
+        rng = random.Random(11)
+        for _ in range(60):
+            width = rng.randrange(1, 400)
+            ids = rng.sample(range(5 * width), width)
+            rank = VertexRank(sorted(ids))
+            vertices = [rng.choice(ids) for _ in range(rng.randrange(0, 2 * width))]
+            vertices += [-1, 5 * width]  # unknown ids are skipped
+            expected = 0
+            for vertex in vertices:
+                if vertex in rank.rank_of:
+                    expected |= 1 << rank.rank_of[vertex]
+            assert rank.pack(vertices) == expected
+            index = [rng.randrange(width) for _ in range(rng.randrange(1, 300))]
+            row = rng.getrandbits(len(index))
+            expected = 0
+            for j in iter_bits(row):
+                expected |= 1 << index[j]
+            assert BitGather(index).scatter(row) == expected
 
     def test_from_csr_matches_dense_numbering(self):
         graph = generators.random_digraph(40, 120, seed=2)
