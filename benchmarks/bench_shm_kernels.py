@@ -1,15 +1,5 @@
-"""Zero-copy shm epoch publish vs. pickled hydration + numpy kernel speedup.
+"""numpy kernel speedup and one-pass sweeps on topologically numbered DAGs.
 
-PR 8 moved the per-partition CSR shard payloads out of the worker pipes and
-into ``multiprocessing.shared_memory`` segments: an epoch publish now writes
-each shard image once and ships only the segment *name*; workers attach and
-wrap the bytes zero-copy (``CSRGraph.from_shared``).  This benchmark
-quantifies the two claims behind the change on an 8-partition engine:
-
-* **publish bytes** — what actually crosses the master→worker pipes per
-  epoch (the ``dsr_epoch_publish_bytes`` gauge).  In shm mode the blobs are
-  name-only husks; the acceptance bar is **<= 10%** of the pickled baseline
-  (``REPRO_SHM=0``), and in practice it is well under 1%.
 * **kernel speedup** — the numpy function vs. the python loop, each forced
   onto every sweep, on the same batched ``set_reachability_rows`` call over the
   measurement spine's ``dag(2000, 8000)`` condensation (the kernels sweep
@@ -23,7 +13,9 @@ quantifies the two claims behind the change on an 8-partition engine:
   the spine's DAG at 2, 64 and 256 sources, forward and reverse; the two
   sides' rows must be identical and equal to ``reachable_pairs``.
 
-All measurements are merged into ``BENCH_shm_kernels.json``.
+All measurements are merged into ``BENCH_shm_kernels.json`` (the file keeps
+the name of the benchmark it began as, which also compared a shared-memory
+shard publish with the pickled one; that publish path is gone).
 """
 
 import random
@@ -31,133 +23,25 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
-
 from benchmarks.conftest import BENCH_SEED, run_once
-from repro.api import DSRConfig, ReachQuery, open_engine
 from repro.bench.datasets import load_dataset
 from repro.bench.reporting import format_table, write_bench_json
-from repro.bench.workloads import random_query
-from repro.cluster.shm import shm_available
 from repro.graph import generators
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import condense
 from repro.graph.traversal import reachable_pairs
-from repro.obs.runtime import global_registry
 from repro.reachability import bitset_msbfs
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 DATASET = "livej68"
 SCALE = 0.6
-NUM_PARTITIONS = 8  # the ISSUE-8 acceptance bar is stated at 8 partitions
-PUBLISH_BYTES_MAX_FRACTION = 0.10
 KERNEL_SOURCES = 256
 KERNEL_REPEATS = 5
 MIN_KERNEL_SPEEDUP = 2.0
 ONEPASS_SOURCES = (2, 64, 256)
 ONEPASS_REPEATS = 15
 SPINE_DAG = "dag_2000_8000"
-
-
-def _publish_stats(graph):
-    """Build an 8-partition processes engine; return its epoch-0 publish
-    stats (pipe bytes, shm attaches, build seconds) and close it."""
-    registry = global_registry()
-    registry.reset()
-    start = time.perf_counter()
-    engine = open_engine(
-        graph.copy(),
-        DSRConfig(
-            num_partitions=NUM_PARTITIONS,
-            local_index="msbfs",
-            executor="processes",
-            seed=BENCH_SEED,
-        ),
-    )
-    build_seconds = time.perf_counter() - start
-    try:
-        # Sanity: the engine actually serves through the measured publish.
-        sources, targets = random_query(graph, 16, 16, seed=BENCH_SEED)
-        engine.run(ReachQuery(tuple(sources), tuple(targets)))
-        return {
-            "publish_bytes": registry.gauge_value("dsr_epoch_publish_bytes"),
-            "shm_attaches": registry.counter_total("dsr_shard_shm_attach_total"),
-            "build_seconds": build_seconds,
-        }
-    finally:
-        engine.close()
-
-
-@pytest.mark.skipif(not shm_available(), reason="shared memory unavailable")
-def test_epoch_publish_shm_vs_pickled(benchmark, monkeypatch):
-    graph = load_dataset(DATASET, scale=SCALE, seed=BENCH_SEED)
-    registry = global_registry()
-    was_enabled = registry.enabled
-    registry.enabled = True
-    try:
-
-        def run_both():
-            monkeypatch.setenv("REPRO_SHM", "0")
-            pickled = _publish_stats(graph)
-            monkeypatch.setenv("REPRO_SHM", "1")
-            shared = _publish_stats(graph)
-            return pickled, shared
-
-        pickled, shared = run_once(benchmark, run_both)
-    finally:
-        registry.enabled = was_enabled
-        registry.reset()
-
-    fraction = shared["publish_bytes"] / pickled["publish_bytes"]
-    print()
-    print(
-        format_table(
-            [
-                {
-                    "mode": "pickled (REPRO_SHM=0)",
-                    "pipe_bytes": int(pickled["publish_bytes"]),
-                    "shm_attaches": int(pickled["shm_attaches"]),
-                    "build_s": round(pickled["build_seconds"], 3),
-                },
-                {
-                    "mode": "shm (attach-by-name)",
-                    "pipe_bytes": int(shared["publish_bytes"]),
-                    "shm_attaches": int(shared["shm_attaches"]),
-                    "build_s": round(shared["build_seconds"], 3),
-                },
-            ],
-            title=(
-                f"Epoch publish — {DATASET} (scale {SCALE}, "
-                f"{NUM_PARTITIONS} partitions, processes executor)"
-            ),
-        )
-    )
-    print(f"pipe-bytes fraction: {fraction:.4f} (bar {PUBLISH_BYTES_MAX_FRACTION})")
-
-    write_bench_json(
-        "shm_kernels",
-        {
-            "shm_publish": {
-                "num_partitions": NUM_PARTITIONS,
-                "pickled_publish_bytes": int(pickled["publish_bytes"]),
-                "shm_publish_bytes": int(shared["publish_bytes"]),
-                "publish_bytes_fraction": round(fraction, 5),
-                "shm_attach_total": int(shared["shm_attaches"]),
-            }
-        },
-        directory=REPO_ROOT,
-        merge=True,
-    )
-
-    # Attach-by-name really happened: every partition was hydrated via a
-    # named segment, none via pickled CSR bytes.
-    assert shared["shm_attaches"] >= NUM_PARTITIONS
-    assert pickled["shm_attaches"] == 0
-    assert fraction <= PUBLISH_BYTES_MAX_FRACTION, (
-        f"shm publish still ships {fraction:.2%} of the pickled bytes "
-        f"(bar {PUBLISH_BYTES_MAX_FRACTION:.0%})"
-    )
 
 
 def _best_of(repeats, fn):

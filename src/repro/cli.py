@@ -132,7 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=4)
     serve.add_argument("--queue-depth", type=int, default=64)
     serve.add_argument("--cache-capacity", type=int, default=1024)
-    serve.add_argument("--cache-ttl", type=float, default=None)
     serve.add_argument("--no-cache", action="store_true")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0, help="0 picks a free port")
@@ -388,7 +387,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         num_workers=args.workers,
         max_queue_depth=args.queue_depth,
         cache_capacity=args.cache_capacity,
-        cache_ttl_seconds=args.cache_ttl,
         enable_cache=not args.no_cache,
         health_probe_interval_seconds=args.health_interval,
     )

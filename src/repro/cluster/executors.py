@@ -14,8 +14,8 @@ computes (phases, messages, rounds); an :class:`ExecutorBackend` decides
     partition's immutable CSR shard (see :mod:`repro.core.shard_exec`) and
     answering shard tasks over one socket — the paper's slaves.  Both are the
     one executor of :mod:`repro.cluster.remote` and differ only in how a
-    rank's socket is opened: ``processes`` forks a child on a socketpair
-    (shards may live in shared memory), ``tcp`` connects to a worker host
+    rank's socket is opened: ``processes`` forks a child on a socketpair,
+    ``tcp`` connects to a worker host
     (forked and listening on localhost, or external).  Four workers burn four
     cores.
 
@@ -145,10 +145,6 @@ class ExecutorBackend(ABC):
     name: str = "abstract"
     #: Should DSR queries run through hydrated shard tasks on this backend?
     wants_sharded_queries: bool = False
-    #: Can hydration blobs reference shared-memory segments?  False for
-    #: backends whose workers live beyond this machine's address space
-    #: (e.g. ``tcp``): the index then builds self-contained pickled blobs.
-    supports_shm_hydration: bool = True
 
     def start(self, num_workers: int) -> None:
         """Bind the backend to a worker count (idempotent)."""
@@ -215,17 +211,6 @@ def _record_hydration(seconds: float) -> None:
         registry.observe("dsr_shard_hydrate_seconds", seconds)
 
 
-def _close_shard(shard: Any) -> None:
-    """Release a retired shard's resources (e.g. a shared-memory mapping)."""
-    close = getattr(shard, "close", None)
-    if close is None:
-        return
-    try:
-        close()
-    except Exception:  # pragma: no cover - release is best-effort
-        pass
-
-
 class ShardStore:
     """Epoch-keyed hydrated shards: one per executor worker side.
 
@@ -240,19 +225,13 @@ class ShardStore:
         self._lock = threading.Lock()
 
     def put(self, rank: int, epoch: int, shard: Any, retire_below: Optional[int]) -> None:
-        """Install ``shard`` for ``(rank, epoch)``; release epochs < ``retire_below``."""
-        retired = []
+        """Install ``shard`` for ``(rank, epoch)``; drop epochs < ``retire_below``."""
         with self._lock:
             per_rank = self._shards.setdefault(rank, {})
-            previous = per_rank.get(epoch)
-            if previous is not None and previous is not shard:
-                retired.append(previous)
             per_rank[epoch] = shard
             if retire_below is not None:
                 for old in [e for e in per_rank if e < retire_below]:
-                    retired.append(per_rank.pop(old))
-        for old_shard in retired:
-            _close_shard(old_shard)
+                    del per_rank[old]
 
     def get(self, rank: int, epoch: Optional[int]) -> Any:
         """The shard for ``(rank, epoch)``; :class:`StaleEpochError` if not held."""
@@ -290,12 +269,9 @@ class ShardStore:
             }
 
     def clear(self) -> None:
-        """Release every shard (e.g. detach shared-memory mappings)."""
+        """Drop every shard."""
         with self._lock:
-            shards, self._shards = self._shards, {}
-        for per_rank in shards.values():
-            for shard in per_rank.values():
-                _close_shard(shard)
+            self._shards = {}
 
 
 class SerialExecutor(ExecutorBackend):

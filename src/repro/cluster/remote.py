@@ -23,17 +23,14 @@ module is that contract, written once:
     The same executor; only :meth:`~TcpExecutor._open` differs.  Each rank's
     link is one end of a ``socket.socketpair()`` whose other end a forked
     child serves with :class:`WorkerHost`'s connection loop — no listening
-    port.  The child shares this machine, so hydration blobs may reference
-    shared-memory segments (``supports_shm_hydration = True``).
+    port.
 
 Hydration
 ---------
-Shared memory cannot cross a network, so ``tcp`` sets
-``supports_shm_hydration = False`` and the index builds *self-contained*
-shard blobs (:func:`repro.core.shard_exec.build_shard_blob` with
-``ledger=None``): the CSR arrays travel inside the pickled blob, one transfer
-per rank per epoch.  ``processes`` blobs name shm segments instead, and the
-child attaches them by name.
+Both executors ship the same *self-contained* shard blobs
+(:func:`repro.core.shard_exec.build_shard_blob`): the CSR arrays travel
+inside the pickled blob, one transfer per rank per epoch — what a slave on
+another machine receives over the network.
 
 Failure handling
 ----------------
@@ -329,7 +326,7 @@ def _paired_host_main(
     try:
         host._serve_connection(sock)
     finally:
-        host.stop()  # detach from every shared-memory shard mapping
+        host.stop()
 
 
 def _fork_context():
@@ -359,7 +356,6 @@ class TcpExecutor(ExecutorBackend):
 
     name = "tcp"
     wants_sharded_queries = True
-    supports_shm_hydration = False
 
     def __init__(
         self,
@@ -746,10 +742,9 @@ class TcpExecutor(ExecutorBackend):
 
 
 class ProcessExecutor(TcpExecutor):
-    """One forked child per rank on a socketpair; hydration may use shm."""
+    """One forked child per rank on a socketpair."""
 
     name = "processes"
-    supports_shm_hydration = True
 
     def __init__(self, worker_hosts: Optional[Sequence[Any]] = None, **options: Any) -> None:
         """``options`` are :class:`TcpExecutor`'s; ``worker_hosts`` is refused.

@@ -374,10 +374,6 @@ class CompoundGraph:
             self.build_reachability()
         return self.reachability.current_view()
 
-    def pack_vertices(self, vertices: Iterable[int]) -> int:
-        """Pack original vertex ids into a row over :attr:`vertex_rank`."""
-        return self.vertex_rank.pack(vertices)
-
     def handle_mask_of(self, partition_id: int, rank: Optional[VertexRank] = None) -> int:
         """Partition ``partition_id``'s forward handles as one packed row.
 
@@ -432,9 +428,6 @@ class CompoundGraph:
 
     def forward_handles_of(self, partition_id: int) -> FrozenSet[int]:
         return self.remote_forward_handles.get(partition_id, frozenset())
-
-    def all_forward_handles(self) -> Dict[int, FrozenSet[int]]:
-        return self.remote_forward_handles
 
 
 def assemble_compound_graph(

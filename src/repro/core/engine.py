@@ -378,10 +378,6 @@ class DSREngine:
         if self._reverse_maintainer is not None:
             self._reverse_maintainer.wait_for_flushes(timeout=5.0)
         self.cluster.close()
-        # Unlink any shared-memory epoch segments after the workers are gone.
-        self.index.close()
-        if self._reverse_index is not None:
-            self._reverse_index.close()
 
     def __enter__(self) -> "DSREngine":
         return self

@@ -173,10 +173,6 @@ class DSRIndex:
         self.build_report: Optional[IndexBuildReport] = None
         self._state: Optional[EpochState] = None
         self._publish_lock = threading.Lock()
-        #: Shared-memory segment ledger for zero-copy shard hydration
-        #: (created lazily on the first sharded publish; None when the
-        #: executor never hydrates or shm is unavailable/disabled).
-        self._shm_ledger = None
         #: When the serving epoch was published: monotonic clock for ages,
         #: unix time for exposition.  ``None`` before the first publish.
         self._published_monotonic: Optional[float] = None
@@ -569,35 +565,12 @@ class DSRIndex:
         """True when queries against this index run through worker shards."""
         return self.shard_hydration and self.cluster.wants_sharded_queries
 
-    def _ensure_ledger(self):
-        """The index's shm ledger, created on first use (None when disabled).
-
-        Availability is re-checked per call (not latched) so ``REPRO_SHM=0``
-        can force the pickled fallback for a fresh engine without a restart.
-        Executors whose workers live outside this machine's address space
-        (``supports_shm_hydration = False``, e.g. ``tcp``) always get
-        ``None``: their blobs must be self-contained to cross the wire.
-        """
-        executor = getattr(self.cluster, "executor", None)
-        if executor is not None and not getattr(
-            executor, "supports_shm_hydration", True
-        ):
-            return None
-        if self._shm_ledger is None:
-            from repro.cluster.shm import ShmLedger, shm_available
-
-            if shm_available():
-                self._shm_ledger = ShmLedger()
-        return self._shm_ledger
-
     def _record_publish_bytes(self, blobs) -> None:
         """Account the bytes each publish pushes through worker sockets.
 
         ``dsr_epoch_publish_bytes`` is the exact pickled size of every
-        hydration blob of the publish — in shm mode the blobs carry segment
-        names instead of CSR payloads, so this gauge is what the publish-cost
-        benchmark compares against the pickled baseline.  Computed only when
-        metrics are enabled (the extra pickle pass is pure accounting).
+        hydration blob of the publish.  Computed only when metrics are
+        enabled (the extra pickle pass is pure accounting).
         """
         registry = global_registry()
         if not registry.enabled:
@@ -612,14 +585,9 @@ class DSRIndex:
             return
         from repro.core.shard_exec import DSR_SHARD_LOADER, build_shard_blob
 
-        ledger = self._ensure_ledger()
         blobs = {
             rank: build_shard_blob(
-                rank,
-                state.epoch,
-                state.compound_graphs[rank],
-                state.summaries[rank],
-                ledger=ledger,
+                rank, state.epoch, state.compound_graphs[rank], state.summaries[rank]
             )
             for rank in range(self.num_partitions)
         }
@@ -630,17 +598,6 @@ class DSRIndex:
             DSR_SHARD_LOADER,
             retire_below=max(0, state.epoch - 1),
         )
-        if ledger is not None:
-            # Mirror the workers' retain window: segments for epochs the
-            # workers just dropped are unlinked here (an unlink never tears
-            # an in-flight reader — mappings survive until detached).
-            ledger.retire_below(max(0, state.epoch - 1))
-
-    def close(self) -> None:
-        """Release publish-side resources (shared-memory segments)."""
-        ledger, self._shm_ledger = self._shm_ledger, None
-        if ledger is not None:
-            ledger.close()
 
     def rehydrate_partition(self, partition_id: int) -> None:
         """Refresh one rank's worker shard for the *current* epoch.
@@ -659,7 +616,6 @@ class DSRIndex:
             state.epoch,
             state.compound_graphs[partition_id],
             state.summaries[partition_id],
-            ledger=self._ensure_ledger(),
         )
         self.cluster.hydrate_shards(state.epoch, {partition_id: blob}, DSR_SHARD_LOADER)
 

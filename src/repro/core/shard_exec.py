@@ -12,8 +12,7 @@ of one epoch.  Two things do:
   shard carries
 
   - the CSR snapshot of the slave's **condensed compound graph**, shipped
-    via the compact :meth:`repro.graph.csr.CSRGraph.to_bytes` serialisation
-    or a shared-memory segment;
+    via the compact :meth:`repro.graph.csr.CSRGraph.to_bytes` serialisation;
   - the vertex → SCC-component mapping of that condensation;
   - the forward entry handles of every remote partition (so step-1 payloads
     stay small: the parent names partitions, the worker knows their handles);
@@ -40,12 +39,9 @@ epoch serves every in-flight query of that epoch concurrently.
 
 from __future__ import annotations
 
-import struct
-from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Protocol, Tuple
 
-from repro.cluster import shm as cluster_shm
 from repro.cluster.executors import (
     StaleEpochError,
     register_shard_loader,
@@ -61,6 +57,7 @@ from repro.reachability.packed import (
     row_from_bytes,
     row_to_bytes,
 )
+from repro.resilience.failpoints import failpoint
 
 #: Registry name of the hydration loader used for DSR shards.
 DSR_SHARD_LOADER = "dsr.load_shard"
@@ -98,15 +95,9 @@ class QueryShard(Protocol):
 
 @dataclass
 class WorkerShardBlob:
-    """Picklable hydration payload for one ``(rank, epoch)`` shard.
-
-    In the zero-copy mode, ``shm_segment`` names a shared-memory segment
-    written by the master's :class:`~repro.cluster.shm.ShmLedger` and every
-    bulk field — ``dag_csr_bytes``, ``component_of``, ``vertex_ids``, the
-    handle tables and the expansion table — travels *inside the segment*
-    instead of the blob, so the worker link carries essentially just the name.
-    With ``shm_segment=None`` the blob is self-contained (the pickled
-    fallback).
+    """Picklable, self-contained hydration payload for one ``(rank, epoch)``
+    shard: everything the worker needs travels inside the blob, one transfer
+    per rank per epoch, on every sharded executor.
     """
 
     rank: int
@@ -118,9 +109,7 @@ class WorkerShardBlob:
     #: The epoch's vertex-rank id order of this partition's compound graph —
     #: the numbering every packed mask/row in step payloads is addressed in.
     #: Shipped verbatim so worker and parent can never disagree on a rank.
-    vertex_ids: Tuple[int, ...] = ()
-    #: Name of the shared-memory segment holding the bulk payload, or None.
-    shm_segment: Optional[str] = None
+    vertex_ids: Tuple[int, ...]
 
 
 @dataclass
@@ -174,15 +163,6 @@ class WorkerShard:
         """
         return condensation_rows(self.dag_csr, self.component_of, self.expansion, sources, mask)
 
-    def close(self) -> None:
-        """Detach from the shard's shared-memory segment, if any.
-
-        Called when the executor retires the epoch holding this shard; a
-        closed shard must not serve further tasks.
-        """
-        if self.dag_csr is not None:
-            self.dag_csr.release_shared()
-
 
 class EpochShard:
     """The in-process shard: a view over ``(EpochState, rank)``.
@@ -218,173 +198,30 @@ class EpochShard:
         return self._compound.local_set_reachability_rows(sources, mask, self._view)
 
 
-# ---------------------------------------------------------------------- #
-# shared-memory segment layout
-# ---------------------------------------------------------------------- #
-# [u64 n_members][member ids: n*8 int64][component ids: n*8 int64, aligned
-# to the member order][handle table][expansion table][CSR wire image
-# (CSRGraph.write_shared format)].  Each *table* serialises one
-# ``Dict[int, Tuple[int, ...]]`` as
-# [u64 n_entries][(key, len) pairs: n*16 int64][values: total*8 int64].
-_SHM_COUNT = struct.Struct("<Q")
-
-
-def _table_size(mapping: Dict[int, Tuple[int, ...]]) -> int:
-    return (
-        _SHM_COUNT.size
-        + 16 * len(mapping)
-        + 8 * sum(len(values) for values in mapping.values())
-    )
-
-
-def _write_table(buf, cursor: int, mapping: Dict[int, Tuple[int, ...]]) -> int:
-    _SHM_COUNT.pack_into(buf, cursor, len(mapping))
-    cursor += _SHM_COUNT.size
-    header = array("q")
-    values = array("q")
-    for key, vals in mapping.items():
-        header.append(key)
-        header.append(len(vals))
-        values.extend(vals)
-    for chunk in (header, values):
-        raw = chunk.tobytes()
-        buf[cursor : cursor + len(raw)] = raw
-        cursor += len(raw)
-    return cursor
-
-
-def _read_table(buf, cursor: int):
-    (count,) = _SHM_COUNT.unpack_from(buf, cursor)
-    cursor += _SHM_COUNT.size
-    header = buf[cursor : cursor + 16 * count].cast("q")
-    cursor += 16 * count
-    total = sum(header[2 * index + 1] for index in range(count))
-    values = buf[cursor : cursor + 8 * total].cast("q")
-    cursor += 8 * total
-    mapping: Dict[int, Tuple[int, ...]] = {}
-    position = 0
-    for index in range(count):
-        length = header[2 * index + 1]
-        mapping[header[2 * index]] = tuple(values[position : position + length])
-        position += length
-    header.release()
-    values.release()
-    return mapping, cursor
-
-
-def _write_shard_segment(
-    ledger, epoch: int, rank: int, csr, vertex_ids, component_of, handles, expand
-):
-    """Write one shard's bulk payload into a fresh ledger segment.
-
-    Returns the segment name.  Raises ``KeyError`` when ``component_of``
-    does not cover ``vertex_ids`` (caller falls back to the pickled blob).
-    """
-    comps = array("q", (component_of[vertex] for vertex in vertex_ids))
-    ids = array("q", vertex_ids)
-    n = len(vertex_ids)
-    nbytes = (
-        _SHM_COUNT.size
-        + 16 * n
-        + _table_size(handles)
-        + _table_size(expand)
-        + csr.shared_size()
-    )
-    segment = ledger.create(epoch, rank, nbytes)
-    buf = segment.buf
-    _SHM_COUNT.pack_into(buf, 0, n)
-    cursor = _SHM_COUNT.size
-    for chunk in (ids, comps):
-        raw = chunk.tobytes()
-        buf[cursor : cursor + len(raw)] = raw
-        cursor += len(raw)
-    cursor = _write_table(buf, cursor, handles)
-    cursor = _write_table(buf, cursor, expand)
-    csr.write_shared(buf, cursor)
-    return segment.name
-
-
-def _read_shard_segment(name: str):
-    """Attach to a shard segment; returns
-    ``(vertex_ids, component_of, handles, expand, csr)``.
-
-    The CSR's adjacency buffers stay zero-copy views into the mapping (the
-    attachment is pinned on the snapshot); the id tuple, component dict and
-    the two tables are materialised per process — they are Python object
-    structures.
-    """
-    segment = cluster_shm.attach(name)
-    buf = segment.buf
-    (n,) = _SHM_COUNT.unpack_from(buf, 0)
-    cursor = _SHM_COUNT.size
-    ids_view = buf[cursor : cursor + 8 * n].cast("q")
-    comps_view = buf[cursor + 8 * n : cursor + 16 * n].cast("q")
-    vertex_ids = tuple(ids_view)
-    component_of = dict(zip(vertex_ids, comps_view))
-    ids_view.release()
-    comps_view.release()
-    cursor += 16 * n
-    handles, cursor = _read_table(buf, cursor)
-    expand, cursor = _read_table(buf, cursor)
-    from repro.graph.csr import CSRGraph as _CSR
-
-    csr = _CSR.from_shared(buf, offset=cursor, keepalive=segment)
-    return vertex_ids, component_of, handles, expand, csr
-
-
-def build_shard_blob(
-    rank: int, epoch: int, compound, summary, ledger=None
-) -> WorkerShardBlob:
+def build_shard_blob(rank: int, epoch: int, compound, summary) -> WorkerShardBlob:
     """Derive the shard blob for one partition from its epoch state.
 
     ``compound`` is the partition's :class:`~repro.core.compound_graph.
     CompoundGraph` (its condensed reachability is built if missing) and
     ``summary`` its :class:`~repro.core.summary.PartitionSummary`.  The
-    condensation is already a CSR snapshot; it ships as it is.
-
-    With a :class:`~repro.cluster.shm.ShmLedger`, the bulk payload (CSR
-    image, vertex-rank order, component mapping, handle tables, expansion
-    table) is written into a shared segment once and the blob ships only
-    its name — workers hydrate by attaching, not by deserializing.  Any
-    failure to build the segment falls back to the self-contained pickled
-    form.
+    condensation is already a CSR snapshot; it ships as its
+    :meth:`~repro.graph.csr.CSRGraph.to_bytes` image.
     """
     if compound.reachability is None:
         compound.build_reachability()
     reach = compound.reachability
-    csr = reach.dag
-    vertex_ids = reach.vertex_rank.ids
-    component_of = reach.vertex_to_component
-    remote_forward_handles = {
-        pid: tuple(sorted(handles))
-        for pid, handles in compound.remote_forward_handles.items()
-    }
-    # The single expansion contract, shared with the in-process path.
-    expand_members = dict(summary.expand_table())
-    shm_segment: Optional[str] = None
-    if ledger is not None:
-        try:
-            shm_segment = _write_shard_segment(
-                ledger,
-                epoch,
-                rank,
-                csr,
-                vertex_ids,
-                component_of,
-                remote_forward_handles,
-                expand_members,
-            )
-        except (KeyError, OSError, RuntimeError):
-            shm_segment = None
     return WorkerShardBlob(
         rank=rank,
         epoch=epoch,
-        dag_csr_bytes=b"" if shm_segment else csr.to_bytes(),
-        component_of={} if shm_segment else dict(component_of),
-        remote_forward_handles={} if shm_segment else remote_forward_handles,
-        expand_members={} if shm_segment else expand_members,
-        vertex_ids=() if shm_segment else vertex_ids,
-        shm_segment=shm_segment,
+        dag_csr_bytes=reach.dag.to_bytes(),
+        component_of=dict(reach.vertex_to_component),
+        remote_forward_handles={
+            pid: tuple(sorted(handles))
+            for pid, handles in compound.remote_forward_handles.items()
+        },
+        # The single expansion contract, shared with the in-process path.
+        expand_members=dict(summary.expand_table()),
+        vertex_ids=reach.vertex_rank.ids,
     )
 
 
@@ -392,37 +229,17 @@ def build_shard_blob(
 def load_shard(blob: WorkerShardBlob) -> WorkerShard:
     """Hydrate a blob into the worker's queryable shard.
 
-    A blob naming a shared segment hydrates by *attach*: the CSR adjacency
-    stays a zero-copy view into the master-owned mapping (pointer flip, no
-    ``from_bytes`` pass).  A self-contained blob re-inflates the CSR from
-    its pickled bytes.  Either way the packed-pipeline structures — the
-    vertex rank and the component → member transform — are derived here,
-    once per epoch, and every query of the epoch reuses them.
+    The CSR re-inflates from its bytes, and the packed-pipeline structures —
+    the vertex rank and the component → member transform — are derived
+    here, once per epoch; every query of the epoch reuses them.  The
+    ``shard.load`` failpoint fires first, inside whichever process hydrates.
     """
-    if blob.shm_segment is not None:
-        vertex_ids, component_map, handles, expand, dag_csr = _read_shard_segment(
-            blob.shm_segment
-        )
-        blob = WorkerShardBlob(
-            rank=blob.rank,
-            epoch=blob.epoch,
-            dag_csr_bytes=b"",
-            component_of=component_map,
-            remote_forward_handles=handles,
-            expand_members=expand,
-            vertex_ids=vertex_ids,
-            shm_segment=blob.shm_segment,
-        )
-        registry = global_registry()
-        if registry.enabled:
-            registry.inc("dsr_shard_shm_attach_total")
-    else:
-        dag_csr = CSRGraph.from_bytes(blob.dag_csr_bytes)
-    vertex_ids = blob.vertex_ids or tuple(sorted(blob.component_of))
-    vertex_rank = VertexRank(vertex_ids)
+    failpoint("shard.load", rank=blob.rank, epoch=blob.epoch)
+    dag_csr = CSRGraph.from_bytes(blob.dag_csr_bytes)
+    vertex_rank = VertexRank(blob.vertex_ids)
     # The DAG's ids are its dense indices, so a component id is its rank.
     expansion = build_expansion(
-        [blob.component_of[vertex] for vertex in vertex_ids], dag_csr.num_vertices
+        [blob.component_of[vertex] for vertex in blob.vertex_ids], dag_csr.num_vertices
     )
     return WorkerShard(
         rank=blob.rank,

@@ -192,12 +192,6 @@ class PartitionSummary:
             self._forward_handle_order = tuple(wire_order(self.forward_handles()))
         return self._forward_handle_order
 
-    def classes_by_id(self) -> Dict[int, EquivalenceClass]:
-        return {
-            cls.class_id: cls
-            for cls in list(self.forward_classes) + list(self.backward_classes)
-        }
-
     def graph_contribution(
         self,
     ) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]:

@@ -60,7 +60,6 @@ class CSRGraph:
         "_descending",
         "_level_plan",
         "_rev_level_plan",
-        "_shm",
     )
 
     def __init__(
@@ -87,9 +86,6 @@ class CSRGraph:
         self._descending: Optional[bool] = None
         self._level_plan: Optional[object] = None
         self._rev_level_plan: Optional[object] = None
-        # Keepalive for snapshots whose forward buffers are zero-copy views
-        # into a shared-memory segment (see from_shared); None otherwise.
-        self._shm: Optional[object] = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -201,92 +197,6 @@ class CSRGraph:
         ids = tuple(ids_arr)
         index_of = {vertex: i for i, vertex in enumerate(ids)}
         return cls(ids, index_of, fwd_offsets, fwd_targets)
-
-    # ------------------------------------------------------------------ #
-    # shared-memory views (zero-copy hydration)
-    # ------------------------------------------------------------------ #
-    def shared_size(self) -> int:
-        """Bytes :meth:`write_shared` needs — same layout as :meth:`to_bytes`."""
-        n, m = len(self.ids), len(self.fwd_targets)
-        return struct.calcsize("<4sQQ") + 8 * (n + (n + 1) + m)
-
-    def write_shared(self, buf: memoryview, offset: int = 0) -> int:
-        """Write the :meth:`to_bytes` wire image into ``buf`` at ``offset``.
-
-        This is the *one* copy of the zero-copy hydration path: the master
-        pays it once per publish, every worker then maps the same bytes via
-        :meth:`from_shared` without deserializing.  Returns the offset just
-        past the written payload.
-        """
-        n, m = len(self.ids), len(self.fwd_targets)
-        header_size = struct.calcsize("<4sQQ")
-        struct.pack_into("<4sQQ", buf, offset, self._WIRE_MAGIC, n, m)
-        cursor = offset + header_size
-        for chunk in (array("q", self.ids), self.fwd_offsets, self.fwd_targets):
-            raw = chunk.tobytes()
-            buf[cursor : cursor + len(raw)] = raw
-            cursor += len(raw)
-        return cursor
-
-    @classmethod
-    def from_shared(
-        cls, buf: memoryview, offset: int = 0, keepalive: Optional[object] = None
-    ) -> "CSRGraph":
-        """Build a snapshot whose adjacency buffers *view* ``buf`` in place.
-
-        ``buf`` must hold a :meth:`write_shared` / :meth:`to_bytes` image at
-        ``offset`` (typically the mapping of a shared-memory segment).  The
-        ``fwd_offsets`` / ``fwd_targets`` buffers become ``memoryview.cast``
-        views straight into the mapping — no adjacency copy, which is the
-        point: hydrating a worker costs O(n) for the id dict and O(1) for
-        the O(m) adjacency.  ``keepalive`` (e.g. the attached segment) is
-        pinned on the snapshot so the mapping outlives every view; call
-        :meth:`release_shared` to drop both.
-
-        The id tuple and index dict are still materialised per process —
-        they are Python object structures and cannot be shared.
-        """
-        header_size = struct.calcsize("<4sQQ")
-        magic, n, m = struct.unpack_from("<4sQQ", buf, offset)
-        if magic != cls._WIRE_MAGIC:
-            raise ValueError(f"not a CSR payload (bad magic {magic!r})")
-        cursor = offset + header_size
-        ids_view = buf[cursor : cursor + 8 * n].cast("q")
-        cursor += 8 * n
-        fwd_offsets = buf[cursor : cursor + 8 * (n + 1)].cast("q")
-        cursor += 8 * (n + 1)
-        fwd_targets = buf[cursor : cursor + 8 * m].cast("q")
-        ids = tuple(ids_view)
-        ids_view.release()
-        index_of = {vertex: i for i, vertex in enumerate(ids)}
-        snapshot = cls(ids, index_of, fwd_offsets, fwd_targets)
-        snapshot._shm = keepalive
-        return snapshot
-
-    @property
-    def is_shared(self) -> bool:
-        """True when the forward buffers view a shared-memory segment."""
-        return self._shm is not None
-
-    def release_shared(self) -> None:
-        """Detach from the shared segment (idempotent, no-op if not shared).
-
-        The forward buffers are replaced by empty arrays first so the
-        segment's exported memoryviews are gone before the mapping closes;
-        a released snapshot must not be queried again.
-        """
-        keepalive, self._shm = self._shm, None
-        if keepalive is None:
-            return
-        self._level_plan = self._rev_level_plan = None
-        for name in ("fwd_offsets", "fwd_targets"):
-            view = getattr(self, name)
-            setattr(self, name, array("q"))
-            if isinstance(view, memoryview):
-                view.release()
-        close = getattr(keepalive, "close", None)
-        if close is not None:
-            close()
 
     def _ensure_reverse(self) -> None:
         """Materialise the reverse arrays (one sort of the forward edges by target)."""
@@ -419,8 +329,8 @@ class CSRGraph:
         relaxes each edge once; any other snapshot is refused.  The property is
         *verified* against the adjacency, never taken on trust, once per
         snapshot: it is derived from the forward arrays alone, so a snapshot
-        rebuilt by :meth:`from_bytes` / :meth:`from_shared` recomputes the
-        same answer and an immutable snapshot can never invalidate it.  The
+        rebuilt by :meth:`from_bytes` recomputes the same answer and an
+        immutable snapshot can never invalidate it.  The
         check is one vectorised comparison over the whole edge array
         (:func:`repro.reachability.kernels.np_edges_descend`).
         """

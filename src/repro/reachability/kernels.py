@@ -87,7 +87,7 @@ def kernel_backend() -> str:
 
 
 def _as_int64(buffer):
-    """Zero-copy int64 view of an ``array('q')`` or shared memoryview."""
+    """Zero-copy int64 view of an ``array('q')`` buffer."""
     if len(buffer) == 0:
         return np.empty(0, dtype=np.int64)
     return np.frombuffer(buffer, dtype=np.int64)

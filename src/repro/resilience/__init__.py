@@ -16,8 +16,8 @@ here, in one package the rest of the codebase imports from —
   :func:`current_deadline` propagation pair;
 * :mod:`repro.resilience.failpoints` — named, seeded, deterministic
   fault-injection sites (:func:`failpoint`) wired into the real failure
-  seams (TCP RPC, hydration replay, worker dispatch, shm attach/unlink,
-  the service flush path), zero-cost when disabled;
+  seams (TCP RPC, hydration replay, worker dispatch, worker-side shard
+  load, the service flush path), zero-cost when disabled;
 * :mod:`repro.resilience.supervisor` — per-target circuit breakers
   (closed/open/half-open) and the :class:`HealthSupervisor` that probes
   TCP worker hosts behind them.

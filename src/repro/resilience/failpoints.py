@@ -23,8 +23,7 @@ site                        seam
 ``executor.recv``           remote executor ``_call_worker`` receive side
 ``executor.hydrate``        remote executor ``hydrate`` / ``hydrate_all``
 ``executor.hydrate.replay`` reconnect-time hydration replay
-``shm.attach``              worker-side shared-memory attach
-``shm.unlink``              master-side segment destroy
+``shard.load``              worker-side shard hydration (``load_shard``)
 ``service.flush``           the service's explicit-flush update path
 ==========================  =====================================================
 

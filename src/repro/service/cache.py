@@ -1,4 +1,4 @@
-"""LRU + TTL result cache for the DSR query service.
+"""LRU result cache for the DSR query service.
 
 Entries map a normalised query key — ``(frozenset(S), frozenset(T))`` — to
 the exact answer ``{(s, t)}``.  The processing direction is deliberately not
@@ -43,7 +43,6 @@ short of re-evaluating the query.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
@@ -61,7 +60,6 @@ class CacheStats:
     misses: int = 0
     insertions: int = 0
     evictions: int = 0
-    expirations: int = 0
     invalidations: int = 0
     flushes_observed: int = 0
     epoch_rejections: int = 0
@@ -78,7 +76,6 @@ class CacheStats:
             "hit_rate": round(self.hit_rate, 4),
             "insertions": self.insertions,
             "evictions": self.evictions,
-            "expirations": self.expirations,
             "invalidations": self.invalidations,
             "flushes_observed": self.flushes_observed,
             "epoch_rejections": self.epoch_rejections,
@@ -88,28 +85,18 @@ class CacheStats:
 @dataclass
 class _Entry:
     pairs: FrozenSet[Tuple[int, int]]
-    stored_at: float = 0.0
     #: Index epoch the answer was computed at (-1 when untagged).
     epoch: int = -1
 
 
 class ResultCache:
-    """Thread-safe LRU cache with optional TTL and update-driven invalidation."""
+    """Thread-safe LRU cache with update-driven invalidation."""
 
-    def __init__(
-        self,
-        capacity: int = 1024,
-        ttl_seconds: Optional[float] = None,
-        clock=time.monotonic,
-    ) -> None:
+    def __init__(self, capacity: int = 1024) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be positive")
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ValueError("ttl_seconds must be positive (or None to disable)")
         self.capacity = capacity
-        self.ttl_seconds = ttl_seconds
         self.stats = CacheStats()
-        self._clock = clock
         self._entries: "OrderedDict[CacheKey, _Entry]" = OrderedDict()
         self._lock = threading.RLock()
         self._maintainers: list = []
@@ -147,18 +134,10 @@ class ResultCache:
         key = self.make_key(sources, targets)
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None:
-                if (
-                    self.ttl_seconds is not None
-                    and self._clock() - entry.stored_at > self.ttl_seconds
-                ):
-                    del self._entries[key]
-                    self.stats.expirations += 1
-                    entry = None
-                elif epoch is not None and entry.epoch != epoch:
-                    del self._entries[key]
-                    self.stats.epoch_rejections += 1
-                    entry = None
+            if entry is not None and epoch is not None and entry.epoch != epoch:
+                del self._entries[key]
+                self.stats.epoch_rejections += 1
+                entry = None
             if entry is None:
                 if count_miss:
                     self.stats.misses += 1
@@ -177,9 +156,7 @@ class ResultCache:
         """Store the exact answer of ``S ⇝ T`` (tagged with its epoch)."""
         key = self.make_key(sources, targets)
         with self._lock:
-            self._entries[key] = _Entry(
-                pairs=frozenset(pairs), stored_at=self._clock(), epoch=epoch
-            )
+            self._entries[key] = _Entry(pairs=frozenset(pairs), epoch=epoch)
             self._entries.move_to_end(key)
             self.stats.insertions += 1
             while len(self._entries) > self.capacity:

@@ -197,7 +197,6 @@ class DSRService:
         num_workers: int = 4,
         max_queue_depth: int = 64,
         cache_capacity: int = 1024,
-        cache_ttl_seconds: Optional[float] = None,
         enable_cache: bool = True,
         health_probe_interval_seconds: Optional[float] = None,
     ) -> None:
@@ -220,9 +219,7 @@ class DSRService:
             # recorded; background engines invalidate at the epoch swap (and
             # every entry is epoch-tagged, so lookups are version-checked).
             invalidate_on = "flush" if self._background_epochs else "update"
-            self.cache = ResultCache(
-                capacity=cache_capacity, ttl_seconds=cache_ttl_seconds
-            )
+            self.cache = ResultCache(capacity=cache_capacity)
             self.cache.attach(engine.maintainer, invalidate_on=invalidate_on)
 
         self._engine_lock = threading.Lock()

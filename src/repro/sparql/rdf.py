@@ -96,12 +96,6 @@ class TripleStore:
             for subject_id in subject_ids:
                 yield subject_id, object_id
 
-    def subjects_of_predicate(self, predicate_id: int) -> Set[int]:
-        return {s for s, _ in self.subject_object_pairs(predicate_id)}
-
-    def objects_of_predicate(self, predicate_id: int) -> Set[int]:
-        return set(self._pos.get(predicate_id, {}).keys())
-
     def triples(self) -> Iterator[Triple]:
         """Iterate over all triples as term strings."""
         for s, by_predicate in self._spo.items():

@@ -75,7 +75,7 @@ def test_observability_doctests_pass():
 #: the thread-per-connection server, the newline-JSON framing and wire
 #: versions 2-4, then with the replica fleet, then with the selectable
 #: kernel tier, then with the DSR engine's pluggable local strategy, then
-#: with the planner's cost model.
+#: with the planner's cost model, then with the shared-memory shard publish.
 #: (``ctx.send_message`` is
 #: Pregel's vertex API in ``repro.giraph`` — a different, live thing.)
 #: The ``[x]`` classes keep the removed names out of a plain grep of this file.
@@ -93,6 +93,8 @@ REMOVED_SURFACES = re.compile(
     r"|local_index_[o]ptions|strategy_[k]wargs|set_reachability_[b]its"
     r"|as_reach_[q]uery|estimate_[c]ost|degree_[s]tats|csr_if_[c]ached"
     r"|ThreadExecutor|supports_[c]losures"
+    r"|Shm[L]edger|REPRO_[S]HM|shm_[s]egment|from_[s]hared|supports_shm_[h]ydration"
+    r"|dsr_shard_shm_[a]ttach_total"
 )
 
 

@@ -210,20 +210,13 @@ class TestEdgesDescend:
         rebuilt = CSRGraph(flipped.ids, flipped._index_of, flipped.fwd_offsets, flipped.fwd_targets)
         assert not rebuilt.edges_descend()
 
-    def test_survives_to_bytes_and_shared_views(self):
+    def test_survives_to_bytes(self):
         for graph, expected in (
             (self.numbered_dag(), True),
             (generators.random_digraph(40, 160, seed=4), False),
         ):
             csr = graph.csr()
             assert CSRGraph.from_bytes(csr.to_bytes()).edges_descend() is expected
-            buffer = bytearray(16 + csr.shared_size())
-            assert csr.write_shared(memoryview(buffer), 16) == len(buffer)
-            shared = CSRGraph.from_shared(memoryview(buffer), 16, keepalive=object())
-            try:
-                assert shared.edges_descend() is expected
-            finally:
-                shared.release_shared()
 
 
 class TestCompactSerialisation:

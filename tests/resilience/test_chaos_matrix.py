@@ -21,7 +21,6 @@ from repro.cluster.executors import (
     register_shard_task,
 )
 from repro.cluster.remote import TcpExecutor, WorkerTransportError
-from repro.cluster.shm import shm_available
 from repro.core.engine import DSREngine
 from repro.graph import generators
 from repro.graph.traversal import reachable_pairs
@@ -142,18 +141,15 @@ class TestTransportExhaustion:
             cluster.close()
 
 
-@pytest.mark.skipif(
-    not shm_available(), reason="shared memory unavailable or disabled"
-)
-class TestShmAttachFault:
-    def test_worker_side_attach_fault_surfaces_as_task_error(self):
+class TestShardLoadFault:
+    def test_worker_side_load_fault_surfaces_as_task_error(self):
         graph = generators.social_graph(160, avg_degree=4, seed=9)
         # Arm before the engine forks its workers: children inherit the armed
         # registry, so the injection fires *inside the worker process*.
-        # after=1 lets each worker's initial build-time attach succeed; the
-        # re-hydration attach after a flush is the one that blows up.
+        # after=1 lets each worker's initial build-time load succeed; the
+        # re-hydration load after a flush is the one that blows up.
         with use_failpoints(
-            [FailPointSpec("shm.attach", value="RuntimeError", after=1, count=None)]
+            [FailPointSpec("shard.load", value="RuntimeError", after=1, count=None)]
         ):
             engine = open_engine(
                 graph,
@@ -170,7 +166,7 @@ class TestShmAttachFault:
                 engine.delete_edge(u, v)
                 with pytest.raises(ShardTaskError) as info:
                     engine.flush_updates()
-                assert "shm.attach" in str(info.value)
+                assert "shard.load" in str(info.value)
             finally:
                 engine.close()
 

@@ -187,8 +187,7 @@ CATALOG = (
     "executor.recv",
     "executor.hydrate",
     "executor.hydrate.replay",
-    "shm.attach",
-    "shm.unlink",
+    "shard.load",
     "service.flush",
 )
 

@@ -1,19 +1,8 @@
-"""Unit tests for the LRU + TTL result cache."""
+"""Unit tests for the LRU result cache."""
 
 import pytest
 
 from repro.service.cache import ResultCache
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
 
 
 class TestLookupSemantics:
@@ -62,29 +51,6 @@ class TestEviction:
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             ResultCache(capacity=0)
-
-
-class TestTtl:
-    def test_entry_expires_after_ttl(self):
-        clock = FakeClock()
-        cache = ResultCache(capacity=4, ttl_seconds=10.0, clock=clock)
-        cache.put([1], [2], {(1, 2)})
-        clock.advance(9.0)
-        assert cache.get([1], [2]) == {(1, 2)}
-        clock.advance(2.0)
-        assert cache.get([1], [2]) is None
-        assert cache.stats.expirations == 1
-
-    def test_no_ttl_means_no_expiry(self):
-        clock = FakeClock()
-        cache = ResultCache(capacity=4, ttl_seconds=None, clock=clock)
-        cache.put([1], [2], {(1, 2)})
-        clock.advance(1e9)
-        assert cache.get([1], [2]) == {(1, 2)}
-
-    def test_invalid_ttl_rejected(self):
-        with pytest.raises(ValueError):
-            ResultCache(ttl_seconds=0.0)
 
 
 class TestInvalidation:

@@ -1,22 +1,21 @@
-"""Races between background shm epoch publishes and concurrent queries.
+"""Races between background epoch publishes and concurrent queries.
 
-The shared-memory publish path adds a new hazard class on top of the plain
-epoch swap: segments are created, hydrated into worker processes and retired
-while queries are in flight on other threads.  These tests hammer that
-window — 16 query threads against an ``executor="processes"`` engine whose
-epochs flip in the background — and assert the two invariants the design
-promises:
+A sharded publish hydrates every worker process with the new epoch's shard
+and retires the oldest one while queries are in flight on other threads.
+These tests hammer that window — 16 query threads against an
+``executor="processes"`` engine whose epochs flip in the background — and
+assert the two invariants the design promises:
 
 * **all-or-nothing answers** — every query sees exactly one published epoch
   (never a half-hydrated shard mix), observable on a bridge graph whose
   answer flips wholesale on one edge;
 * **monotonic epochs** — no thread ever observes the epoch counter move
-  backwards, even while retired segments are being unlinked underneath
-  still-running queries.
+  backwards, even while workers retire epochs underneath still-running
+  queries.
 
 The ``maintainer._before_publish`` seam stages the nastiest interleaving
-deterministically: queries running while a fully-built epoch (segments
-written, workers hydrated) sits unpublished on the swap threshold.
+deterministically: queries running while a fully-built epoch (workers
+hydrated) sits unpublished on the swap threshold.
 """
 
 import threading
@@ -24,14 +23,11 @@ import threading
 import pytest
 
 from repro.api import DSRConfig, ReachQuery, open_engine
-from repro.cluster.shm import shm_available
+from repro.cluster.executors import StaleEpochError
+from repro.core.shard_exec import LOCAL_STEP_TASK
 from repro.graph.digraph import DiGraph
 from repro.graph.traversal import reachable_pairs
 from repro.service import DSRService
-
-pytestmark = pytest.mark.skipif(
-    not shm_available(), reason="shared memory unavailable or disabled"
-)
 
 QUERY_THREADS = 16
 
@@ -47,6 +43,20 @@ def _bridge_graph():
 
 BRIDGE_QUERY = ReachQuery((0,), (20, 21, 22, 23))
 FULL_ANSWER = {(0, 20), (0, 21), (0, 22), (0, 23)}
+
+
+def _epochs_held(engine):
+    """``{rank: epochs}`` each worker process holds, asked over its link.
+
+    No worker holds epoch -1, so every rank answers the probe ``stale`` with
+    the epochs it has.
+    """
+    held = {}
+    for rank in range(engine.index.num_partitions):
+        with pytest.raises(StaleEpochError) as info:
+            engine.cluster.executor.run_shard_phase(LOCAL_STEP_TASK, -1, {rank: None})
+        held[rank] = set(info.value.available)
+    return held
 
 
 def _all_or_nothing(result):
@@ -90,7 +100,7 @@ def _hammer(run_query, rounds, check=_all_or_nothing):
     return errors
 
 
-class TestEngineShmEpochRace:
+class TestEnginePublishEpochRace:
     def _engine(self):
         return open_engine(
             _bridge_graph(),
@@ -102,7 +112,7 @@ class TestEngineShmEpochRace:
             ),
         )
 
-    def test_background_shm_flushes_vs_sixteen_query_threads(self):
+    def test_background_flushes_vs_sixteen_query_threads(self):
         engine = self._engine()
         try:
 
@@ -116,21 +126,17 @@ class TestEngineShmEpochRace:
             errors = _hammer(lambda: engine.run(BRIDGE_QUERY), rounds)
             assert not errors, errors[0]
             assert engine.maintainer.background_flush_error is None
-            # The retain window held throughout: only the live epochs' shm
-            # segments remain, the older ones were unlinked mid-race.
-            ledger = engine.index._shm_ledger
-            if ledger is not None:
-                held = {
-                    int(name.split("_e")[1].split("_")[0])
-                    for name in ledger.segment_names()
-                }
-                assert held <= {engine.epoch, engine.epoch - 1}
+            # The retain window held throughout: every worker keeps only
+            # the live epochs' shards, the older ones were dropped mid-race.
+            for rank, held in _epochs_held(engine).items():
+                assert engine.epoch in held, rank
+                assert held <= {engine.epoch - 1, engine.epoch}, rank
         finally:
             engine.close()
 
     def test_queries_on_swap_threshold_see_exactly_one_epoch(self):
-        """Freeze a built-but-unpublished epoch (segments written, workers
-        hydrated) and query through the window from all threads."""
+        """Freeze a built-but-unpublished epoch (workers hydrated) and query
+        through the window from all threads."""
         engine = self._engine()
         try:
             entered = threading.Event()
@@ -145,9 +151,8 @@ class TestEngineShmEpochRace:
             def rounds():
                 engine.insert_edge(0, 1)
                 assert entered.wait(timeout=30), "background flush never started"
-                # Epoch 1's segments exist and rank workers are hydrated,
-                # but the swap has not happened: every answer must still be
-                # the epoch-0 one.
+                # Rank workers are hydrated with epoch 1, but the swap has
+                # not happened: every answer must still be the epoch-0 one.
                 for _ in range(50):
                     result = engine.run(BRIDGE_QUERY)
                     assert result.epoch == 0
@@ -164,11 +169,11 @@ class TestEngineShmEpochRace:
             engine.close()
 
 
-class TestServiceShmEpochRace:
+class TestServicePublishEpochRace:
     def test_large_single_run_query_vs_background_flushes(self):
         """A 4900-pair request — one the planner used to cut into batches
         that each captured their own epoch — is now one engine run, raced
-        lock-free against background shm flushes: every response equals the
+        lock-free against background flushes: every response equals the
         oracle of the epoch it is stamped with."""
         width = 70
         sources = tuple(range(100, 100 + width))
