@@ -8,14 +8,21 @@ blob, and the in-process ``EpochShard`` view.  Checked on a graph with overlap h
 equivalence optimisation on and off, and across an in-place
 isolated-vertex insert (which shifts the rank numbering mid-epoch).  A
 wide query gives the same payloads and answers with every kernel call on
-its python loop and on numpy, on every shard.
+its python loop and on numpy, on every shard.  A blob is self-contained:
+a fresh interpreter that shares nothing with the builder hydrates it and
+answers the same.
 """
 
+import os
 import pickle
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import repro
 from repro.api import DSRConfig, ReachQuery, open_engine
 from repro.cluster.executors import StaleEpochError
 from repro.core import query as query_module
@@ -191,4 +198,51 @@ def test_wide_step_answers_are_identical_on_both_tiers(monkeypatch, crossover):
         for key, answer in answers.items():
             assert answer == reference, f"{step.task_name} on rank {rank}: {key} diverges"
     assert set(served) == {"np_gather_rows", "np_unpack_rows", "np_invert_rows"}
+    engine.close()
+
+
+def test_blob_hydrates_in_a_fresh_interpreter(monkeypatch, tmp_path):
+    # No fork, no inherited module state: the worker side gets the pickled
+    # blob and the recorded payloads as bytes, like a remote host does.
+    graph = generators.social_graph(240, avg_degree=3, reciprocity=0.4, seed=19)
+    engine = open_engine(graph, DSRConfig(num_partitions=3, local_index="msbfs"))
+    state = engine.index.current_state()
+    vertices = sorted(graph.vertices())
+    recorded = _record_payloads(engine, monkeypatch, vertices[:24], vertices[-24:])
+    assert {step for step, _, _ in recorded} == {local_step, remote_step}
+    blobs = {
+        rank: build_shard_blob(
+            rank, state.epoch, state.compound_graphs[rank], state.summaries[rank]
+        )
+        for rank in {rank for _, rank, _ in recorded}
+    }
+    (tmp_path / "in.pickle").write_bytes(pickle.dumps((blobs, recorded)))
+    script = textwrap.dedent(
+        """
+        import pickle, sys
+        from repro.core.shard_exec import load_shard
+
+        with open(sys.argv[1], "rb") as handle:
+            blobs, recorded = pickle.load(handle)
+        shards = {rank: load_shard(blob) for rank, blob in blobs.items()}
+        answers = [step(shards[rank], payload) for step, rank, payload in recorded]
+        with open(sys.argv[2], "wb") as handle:
+            pickle.dump(answers, handle)
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    completed = subprocess.run(
+        [sys.executable, "-c", script, tmp_path / "in.pickle", tmp_path / "out.pickle"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert completed.returncode == 0, completed.stderr
+    answers = pickle.loads((tmp_path / "out.pickle").read_bytes())
+    expected = [
+        step(EpochShard(state, rank), payload) for step, rank, payload in recorded
+    ]
+    assert answers == expected
     engine.close()

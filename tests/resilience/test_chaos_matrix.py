@@ -142,7 +142,8 @@ class TestTransportExhaustion:
 
 
 class TestShardLoadFault:
-    def test_worker_side_load_fault_surfaces_as_task_error(self):
+    @pytest.mark.parametrize("executor", ["processes", "tcp"])
+    def test_worker_side_load_fault_surfaces_as_task_error(self, executor):
         graph = generators.social_graph(160, avg_degree=4, seed=9)
         # Arm before the engine forks its workers: children inherit the armed
         # registry, so the injection fires *inside the worker process*.
@@ -153,9 +154,7 @@ class TestShardLoadFault:
         ):
             engine = open_engine(
                 graph,
-                DSRConfig(
-                    num_partitions=2, local_index="msbfs", executor="processes"
-                ),
+                DSRConfig(num_partitions=2, local_index="msbfs", executor=executor),
             )
             try:
                 query = ReachQuery((0, 1, 2), (80, 120))
@@ -167,6 +166,35 @@ class TestShardLoadFault:
                 with pytest.raises(ShardTaskError) as info:
                     engine.flush_updates()
                 assert "shard.load" in str(info.value)
+            finally:
+                engine.close()
+
+    @pytest.mark.parametrize("executor", ["processes", "tcp"])
+    def test_failed_rehydration_keeps_the_epoch_and_the_next_flush_publishes(
+        self, executor
+    ):
+        graph = generators.social_graph(160, avg_degree=4, seed=9)
+        # One failing re-hydration per worker: the flush that meets it must
+        # publish nothing, and the fault must not stick to the shard.
+        with use_failpoints(
+            [FailPointSpec("shard.load", value="RuntimeError", after=1, count=1)]
+        ):
+            engine = open_engine(
+                graph,
+                DSRConfig(num_partitions=2, local_index="msbfs", executor=executor),
+            )
+            try:
+                u, v = next(iter(graph.edges()))
+                engine.delete_edge(u, v)
+                with pytest.raises(ShardTaskError, match="shard.load"):
+                    engine.flush_updates()
+                assert engine.epoch == 0
+                assert engine.flush_updates().published
+                assert engine.epoch == 1
+                query = ReachQuery((0, 1, 2), (80, 120))
+                assert set(engine.run(query).pairs) == set(
+                    reachable_pairs(engine.graph, query.sources, query.targets)
+                )
             finally:
                 engine.close()
 

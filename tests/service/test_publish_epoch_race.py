@@ -2,8 +2,8 @@
 
 A sharded publish hydrates every worker process with the new epoch's shard
 and retires the oldest one while queries are in flight on other threads.
-These tests hammer that window — 16 query threads against an
-``executor="processes"`` engine whose epochs flip in the background — and
+These tests hammer that window — 16 query threads against a
+``processes`` or ``tcp`` engine whose epochs flip in the background — and
 assert the two invariants the design promises:
 
 * **all-or-nothing answers** — every query sees exactly one published epoch
@@ -30,6 +30,10 @@ from repro.graph.traversal import reachable_pairs
 from repro.service import DSRService
 
 QUERY_THREADS = 16
+
+#: Both sharded executors hydrate their workers the same way: one pickled
+#: shard per rank and epoch, over the rank's link.
+SHARDED = ["processes", "tcp"]
 
 
 def _bridge_graph():
@@ -100,20 +104,21 @@ def _hammer(run_query, rounds, check=_all_or_nothing):
     return errors
 
 
+@pytest.mark.parametrize("executor", SHARDED)
 class TestEnginePublishEpochRace:
-    def _engine(self):
+    def _engine(self, executor):
         return open_engine(
             _bridge_graph(),
             DSRConfig(
                 num_partitions=3,
                 partitioner="hash",
-                executor="processes",
+                executor=executor,
                 epoch_flush="background",
             ),
         )
 
-    def test_background_flushes_vs_sixteen_query_threads(self):
-        engine = self._engine()
+    def test_background_flushes_vs_sixteen_query_threads(self, executor):
+        engine = self._engine(executor)
         try:
 
             def rounds():
@@ -134,10 +139,10 @@ class TestEnginePublishEpochRace:
         finally:
             engine.close()
 
-    def test_queries_on_swap_threshold_see_exactly_one_epoch(self):
+    def test_queries_on_swap_threshold_see_exactly_one_epoch(self, executor):
         """Freeze a built-but-unpublished epoch (workers hydrated) and query
         through the window from all threads."""
-        engine = self._engine()
+        engine = self._engine(executor)
         try:
             entered = threading.Event()
             hold = threading.Event()
@@ -170,7 +175,8 @@ class TestEnginePublishEpochRace:
 
 
 class TestServicePublishEpochRace:
-    def test_large_single_run_query_vs_background_flushes(self):
+    @pytest.mark.parametrize("executor", SHARDED)
+    def test_large_single_run_query_vs_background_flushes(self, executor):
         """A 4900-pair request — one the planner used to cut into batches
         that each captured their own epoch — is now one engine run, raced
         lock-free against background flushes: every response equals the
@@ -190,7 +196,7 @@ class TestServicePublishEpochRace:
             DSRConfig(
                 num_partitions=3,
                 partitioner="hash",
-                executor="processes",
+                executor=executor,
                 epoch_flush="background",
             ),
         )

@@ -150,7 +150,8 @@ class TestCliCommands:
 
     @pytest.mark.parametrize(
         "flag",
-        [["--async"], ["--max-requests", "2"], ["--replicas", "3"], ["--local-index", "dfs"]],
+        [["--async"], ["--max-requests", "2"], ["--replicas", "3"], ["--local-index", "dfs"],
+         ["--cache-ttl", "5"]],
     )
     def test_removed_serve_flags_are_usage_errors(self, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:
