@@ -167,11 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="executor=tcp only: comma-separated external worker hosts "
         "(started with `repro-dsr worker-host`); rank r maps to host r %% N",
     )
-    serve.add_argument(
-        "--health-interval", type=float, default=None, metavar="SECONDS",
-        help="probe remote workers (processes or tcp) every SECONDS behind "
-        "per-target circuit breakers (default: off; see docs/RESILIENCE.md)",
-    )
     _add_common_arguments(serve)
 
     worker_host = subparsers.add_parser(
@@ -388,13 +383,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         max_queue_depth=args.queue_depth,
         cache_capacity=args.cache_capacity,
         enable_cache=not args.no_cache,
-        health_probe_interval_seconds=args.health_interval,
     )
-    if service.health is not None:
-        print(
-            f"health: probing {len(service.health.target_names())} target(s) "
-            f"every {args.health_interval:g}s (circuit breakers)"
-        )
     try:
         if args.self_test:
             return _serve_self_test(graph, service, seed=args.seed)
@@ -423,27 +412,9 @@ def _command_serve(args: argparse.Namespace) -> int:
         finally:
             server.stop_from_thread()
         print(format_table([_stats_row(service)], title="serving metrics"))
-        _print_health(service)
         return 0
     finally:
         service.close()
-
-
-def _print_health(service: DSRService) -> None:
-    """Print the supervisor's per-target breaker table (when enabled)."""
-    if service.health is None:
-        return
-    rows = [
-        {
-            "target": name,
-            "state": target["state"],
-            "fails": target["consecutive_failures"],
-            "opens": target["opens"],
-        }
-        for name, target in sorted(service.health.stats()["targets"].items())
-    ]
-    if rows:
-        print(format_table(rows, title="health"))
 
 
 def _stats_row(service: DSRService) -> dict:

@@ -17,7 +17,10 @@ module is that contract, written once:
     deltas.  With no ``worker_hosts`` it **manages** its own fleet: one
     forked, listening :class:`WorkerHost` per rank on localhost.  With
     ``worker_hosts=["host:port", ...]`` it connects to **external** hosts,
-    rank ``r`` mapping to ``hosts[r % len(hosts)]``.
+    rank ``r`` mapping to ``hosts[r % len(hosts)]``.  A managed host also
+    holds one end of a socketpair whose other end only the master keeps
+    open: it stops when that *lifeline* reads EOF, so a killed master takes
+    its hosts with it.
 
 :class:`ProcessExecutor`
     The same executor; only :meth:`~TcpExecutor._open` differs.  Each rank's
@@ -44,9 +47,9 @@ wedged worker yields a typed
 
 Wire format: ``[u64 length][pickle]`` per message, both directions.
 Requests are ``("task", rank, task, epoch, payload)``,
-``("hydrate", rank, epoch, loader, blob, retire_below)``, ``("ping",)``,
-``("stop",)`` (close this connection) and ``("shutdown",)`` (stop the host,
-if it allows it); replies are ``("ok", result, seconds, delta)``,
+``("hydrate", rank, epoch, loader, blob, retire_below)``, ``("stop",)``
+(close this connection) and ``("shutdown",)`` (stop the host, if it allows
+it); replies are ``("ok", result, seconds, delta)``,
 ``("stale", epoch, available, delta)`` or ``("error", kind, traceback)``.
 This is a trusted-cluster transport (pickle!), matching the paper's
 deployment model; do not expose worker hosts to untrusted networks.
@@ -280,8 +283,6 @@ class WorkerHost:
 
     def _handle(self, message: Tuple) -> Tuple:
         kind = message[0]
-        if kind == "ping":
-            return ("ok", "pong", 0.0, None)
         if kind == "hydrate":
             _, rank, epoch, loader_name, blob, retire_below = message
             self._store.hydrate(rank, epoch, blob, loader_name, retire_below)
@@ -298,13 +299,34 @@ class WorkerHost:
         return self._store.epochs_held()
 
 
-def _listening_host_main(pipe, task_modules: Sequence[str]) -> None:
-    """Managed ``tcp`` child: serve one listening host, report its port."""
+def _listening_host_main(
+    lifeline: socket.socket, inherited: Sequence[socket.socket], task_modules: Sequence[str]
+) -> None:
+    """Managed ``tcp`` child: serve one listening host until the master
+    lets go of ``lifeline``.
+
+    The host's address goes back over ``lifeline``; afterwards the child
+    only waits for its EOF.  The fork copied the master's ends of every
+    link and lifeline, this child's own included; closing them here leaves
+    the master as the one holder, so its exit (or close) reaches the child.
+    """
+    for other in inherited:
+        other.close()
     obs_runtime.reset_for_worker()
     host = WorkerHost(task_modules=task_modules, allow_shutdown=True).start()
-    pipe.send(host.address)
-    pipe.close()
+    _send_obj(lifeline, host.address)
+    threading.Thread(
+        target=_stop_on_eof, args=(lifeline, host), name="worker-host-lifeline", daemon=True
+    ).start()
     host.wait()
+
+
+def _stop_on_eof(lifeline: socket.socket, host: WorkerHost) -> None:
+    try:
+        lifeline.recv(1)  # the master never writes: this returns at its EOF
+    except OSError:
+        pass
+    host.stop()
 
 
 def _paired_host_main(
@@ -391,6 +413,8 @@ class TcpExecutor(ExecutorBackend):
         self._locks: Dict[int, threading.Lock] = {}
         #: rank -> the forked child serving that rank (none for external hosts).
         self._managed: Dict[int, Any] = {}
+        #: rank -> the master's end of a managed ``tcp`` host's lifeline.
+        self._lifelines: Dict[int, socket.socket] = {}
         self._dispatch: Optional[ThreadPoolExecutor] = None
         # Re-entrant: a ``processes`` link is opened (and its child forked)
         # both at start, under this lock, and from the reconnect path.
@@ -431,22 +455,40 @@ class TcpExecutor(ExecutorBackend):
         else:
             process = self._managed.get(rank)
             if process is None or not process.is_alive():
-                parent_pipe, child_pipe = _fork_context().Pipe()
-                process = self._fork(
-                    rank, _listening_host_main, child_pipe, self._task_modules
-                )
-                child_pipe.close()
-                if not parent_pipe.poll(10.0):  # pragma: no cover - startup hang
-                    _stop_child(process, grace=0.0)
-                    raise WorkerTransportError(f"worker host {rank} failed to start")
-                self._addresses[rank] = tuple(parent_pipe.recv())
-                parent_pipe.close()
+                self._addresses[rank] = self._spawn_listening_host(rank)
         sock = socket.create_connection(
             self._addresses[rank], timeout=self._connect_timeout
         )
         sock.settimeout(None)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock
+
+    def _spawn_listening_host(self, rank: int) -> Tuple[str, int]:
+        """Fork ``rank``'s managed host on a fresh lifeline; its address."""
+        with self._lifecycle:
+            ours, theirs = socket.socketpair()
+            try:
+                inherited = [ours, *self._sockets.values(), *self._lifelines.values()]
+                process = self._fork(
+                    rank, _listening_host_main, theirs, inherited, self._task_modules
+                )
+            except BaseException:
+                ours.close()
+                raise
+            finally:
+                theirs.close()
+            previous = self._lifelines.get(rank)
+            self._lifelines[rank] = ours
+        if previous is not None:
+            previous.close()
+        try:
+            ours.settimeout(10.0)
+            address = tuple(_recv_obj(ours))
+            ours.settimeout(None)
+        except (EOFError, OSError) as exc:  # pragma: no cover - startup hang
+            _stop_child(process, grace=0.0)
+            raise WorkerTransportError(f"worker host {rank} failed to start") from exc
+        return address
 
     def _link(self, rank: int) -> socket.socket:
         sock = self._open(rank)
@@ -497,6 +539,7 @@ class TcpExecutor(ExecutorBackend):
             self._closed = True
             sockets, self._sockets = self._sockets, {}
             managed, self._managed = self._managed, {}
+            lifelines, self._lifelines = self._lifelines, {}
             dispatch, self._dispatch = self._dispatch, None
             self._hydration_cache.clear()
         for rank, sock in sockets.items():
@@ -522,6 +565,8 @@ class TcpExecutor(ExecutorBackend):
                 sock.close()
             except OSError:
                 pass
+        for lifeline in lifelines.values():
+            lifeline.close()
         for process in managed.values():
             _stop_child(process, grace=2.0)
         if dispatch is not None:
@@ -730,12 +775,6 @@ class TcpExecutor(ExecutorBackend):
         self._fan_out(messages)
 
     # -- introspection ---------------------------------------------------- #
-    def ping(self, rank: int) -> bool:
-        """Round-trip a no-op to one worker (health check)."""
-        self._ensure_started()
-        result, _ = self._call_worker(rank, ("ping",))
-        return result == "pong"
-
     @property
     def worker_addresses(self) -> Dict[int, Tuple[str, int]]:
         return dict(self._addresses)

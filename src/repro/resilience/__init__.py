@@ -17,13 +17,12 @@ here, in one package the rest of the codebase imports from —
 * :mod:`repro.resilience.failpoints` — named, seeded, deterministic
   fault-injection sites (:func:`failpoint`) wired into the real failure
   seams (TCP RPC, hydration replay, worker dispatch, worker-side shard
-  load, the service flush path), zero-cost when disabled;
-* :mod:`repro.resilience.supervisor` — per-target circuit breakers
-  (closed/open/half-open) and the :class:`HealthSupervisor` that probes
-  TCP worker hosts behind them.
+  load, the service flush path), zero-cost when disabled.
 
-See ``docs/RESILIENCE.md`` for the failpoint catalog, the deadline
-semantics, the breaker state machine and the degraded-mode matrix.
+A crashed worker is recovered by the call that meets it (the executor
+reconnects, respawns and replays its hydrations); nothing probes workers
+between calls.  See ``docs/RESILIENCE.md`` for the failpoint catalog, the
+deadline semantics and the degraded-mode matrix.
 """
 
 from repro.resilience.backoff import BackoffPolicy
@@ -43,26 +42,14 @@ from repro.resilience.failpoints import (
     set_global_failpoints,
     use_failpoints,
 )
-from repro.resilience.supervisor import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-    CircuitBreaker,
-    HealthSupervisor,
-)
 
 __all__ = [
-    "BREAKER_CLOSED",
-    "BREAKER_HALF_OPEN",
-    "BREAKER_OPEN",
     "BackoffPolicy",
-    "CircuitBreaker",
     "Deadline",
     "DeadlineExceededError",
     "FailPointError",
     "FailPointRegistry",
     "FailPointSpec",
-    "HealthSupervisor",
     "check_deadline",
     "current_deadline",
     "deadline_scope",

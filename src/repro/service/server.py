@@ -71,7 +71,6 @@ from repro.service.protocol import (
 )
 from repro.resilience.deadline import Deadline, check_deadline, deadline_scope
 from repro.resilience.failpoints import failpoint
-from repro.resilience.supervisor import HealthSupervisor
 
 logger = logging.getLogger(__name__)
 
@@ -198,7 +197,6 @@ class DSRService:
         max_queue_depth: int = 64,
         cache_capacity: int = 1024,
         enable_cache: bool = True,
-        health_probe_interval_seconds: Optional[float] = None,
     ) -> None:
         if num_workers < 1:
             raise ValueError("the service needs at least one worker")
@@ -233,29 +231,6 @@ class DSRService:
             )
             worker.start()
             self._workers.append(worker)
-        #: Optional self-healing loop: heartbeat probes of TCP worker hosts
-        #: behind per-target circuit breakers.
-        self.health: Optional[HealthSupervisor] = None
-        if health_probe_interval_seconds is not None:
-            self._enable_health(health_probe_interval_seconds)
-
-    def _enable_health(self, probe_interval_seconds: float) -> None:
-        supervisor = HealthSupervisor(
-            probe_interval_seconds=probe_interval_seconds
-        )
-        executor = getattr(self.engine.cluster, "executor", None)
-        ping = getattr(executor, "ping", None)
-        if callable(ping):
-            # Remote workers (processes and tcp): a ping round-trip per
-            # rank.  ping() itself re-opens a dead worker's link (respawning
-            # a managed one), so a probe doubles as the recovery trigger.
-            for rank in range(getattr(executor, "num_workers", 0) or 0):
-                supervisor.add_target(
-                    f"worker:{rank}",
-                    probe=lambda r=rank: ping(r),
-                )
-        if supervisor.target_names():
-            self.health = supervisor.start()
 
     # ------------------------------------------------------------------ #
     # asynchronous entry point
@@ -566,8 +541,6 @@ class DSRService:
         if self.cache is not None:
             combined["cache"] = self.cache.stats.as_dict()
             combined["cache_entries"] = len(self.cache)
-        if self.health is not None:
-            combined["health"] = self.health.stats()
         return combined
 
     def metrics_text(self) -> str:
@@ -599,8 +572,6 @@ class DSRService:
             self._closed = True
             for _ in self._workers:
                 self._queue.put(None)
-        if self.health is not None:
-            self.health.stop()
         for worker in self._workers:
             worker.join(timeout=5.0)
         # A worker wedged past its join timeout (e.g. stuck on a dead peer)

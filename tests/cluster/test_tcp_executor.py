@@ -3,9 +3,9 @@
 The generic executor contract (shard phases, stale epochs, retirement) is
 already covered for ``processes`` and ``tcp`` by the matrix in
 ``test_executors.py``; this module exercises external worker hosts, the
-rank→host mapping, kill/respawn with hydration replay and ``ping`` on both
-remote names, remote tracebacks, and full engine parity against the serial
-executor.
+rank→host mapping, kill/respawn with hydration replay and worker addresses
+on both remote names, remote tracebacks, and full engine parity against the
+serial executor.
 """
 
 import os
@@ -194,11 +194,11 @@ class TestManagedFleet:
                 cluster.close()
 
     @pytest.mark.parametrize("name", ["processes", "tcp"])
-    def test_ping_and_worker_addresses(self, name):
+    def test_worker_addresses(self, name):
         executor = make_executor(name)
         executor.start(2)
         try:
-            assert executor.ping(0) and executor.ping(1)
+            executor.hydrate_all(0, _blobs(2), "tcptest.load")
             addresses = executor.worker_addresses
             if name == "tcp":
                 assert sorted(addresses) == [0, 1]

@@ -8,8 +8,9 @@ The contract under test, on ``processes`` and ``tcp`` alike:
   executor respawns the worker, replays its shard hydrations and the query
   completes transparently;
 * a full engine lifecycle emits no ``resource_tracker`` noise;
-* a ``processes`` master killed without ``close()`` takes its workers with
-  it: each child serves one socketpair end and exits on its EOF.
+* a master killed without ``close()`` takes its workers with it: a
+  ``processes`` child serves one socketpair end and a managed ``tcp`` host
+  holds one lifeline end, and each exits on its EOF.
 """
 
 import os
@@ -154,12 +155,13 @@ class TestNoResourceTrackerNoise:
         assert "DONE" in completed.stdout
         assert "resource_tracker" not in completed.stderr, completed.stderr
 
-    def test_subprocess_sigkill_midstream_leaves_no_workers(self, tmp_path):
-        """Kill a ``processes`` master without close(): no atexit hook runs,
-        but the kernel closes the master's socketpair ends, every worker
-        reads EOF and exits instead of lingering as an orphan."""
+    @pytest.mark.parametrize("executor", SHARDED)
+    def test_subprocess_sigkill_midstream_leaves_no_workers(self, executor, tmp_path):
+        """Kill a master without close(): no atexit hook runs, but the
+        kernel closes the master's socketpair ends, every worker reads EOF
+        and exits instead of lingering as an orphan."""
         script = textwrap.dedent(
-            """
+            f"""
             import os, signal
             from repro.api import DSRConfig, ReachQuery, open_engine
             from repro.graph import generators
@@ -167,10 +169,16 @@ class TestNoResourceTrackerNoise:
             graph = generators.social_graph(200, avg_degree=4, seed=5)
             engine = open_engine(
                 graph,
-                DSRConfig(num_partitions=3, local_index="msbfs", executor="processes"),
+                DSRConfig(num_partitions=3, local_index="msbfs", executor={executor!r}),
             )
             engine.run(ReachQuery((0, 1, 2), (50, 100)))
+            # A respawned worker must follow its master just the same.
+            victim = engine.cluster.executor._managed[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join()
+            engine.run(ReachQuery((0, 1, 2), (50, 100)))
             pids = [process.pid for process in engine.cluster.executor._managed.values()]
+            assert victim.pid not in pids
             print("PIDS", *pids, flush=True)
             os.kill(os.getpid(), signal.SIGKILL)
             """

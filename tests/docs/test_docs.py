@@ -95,6 +95,8 @@ REMOVED_SURFACES = re.compile(
     r"|ThreadExecutor|supports_[c]losures"
     r"|Shm[L]edger|REPRO_[S]HM|shm_[s]egment|from_[s]hared|supports_shm_[h]ydration"
     r"|dsr_shard_shm_[a]ttach_total"
+    r"|Health[S]upervisor|Circuit[B]reaker|health_probe_[i]nterval|--health-[i]nterval"
+    r"|dsr_breaker_|dsr_health_[p]robes"
 )
 
 

@@ -8,8 +8,14 @@ policy's deterministic sequence and the exact sleeps the executor performs.
 
 import pytest
 
+from repro.cluster.executors import register_shard_loader
 from repro.cluster.remote import TcpExecutor, WorkerHost, WorkerTransportError
 from repro.resilience import BackoffPolicy
+
+
+@register_shard_loader("backoff.none")
+def _load_none(blob):
+    return blob
 
 
 class TestPolicyValidation:
@@ -80,7 +86,7 @@ class TestTcpReconnectRegression:
         )
         executor.start(1)
         try:
-            assert executor.ping(0)
+            executor.hydrate_all(0, {0: None}, "backoff.none")
             # Kill the only host: every reconnect attempt now fails fast
             # (connection refused), so the loop walks its whole schedule.
             host.stop()
@@ -89,7 +95,7 @@ class TestTcpReconnectRegression:
                 "repro.cluster.remote.time.sleep", lambda s: sleeps.append(s)
             )
             with pytest.raises(WorkerTransportError):
-                executor.ping(0)
+                executor.hydrate_all(1, {0: None}, "backoff.none")
         finally:
             executor.close()
         # attempts=5 → sleeps before attempts 1..4 (none before attempt 0).

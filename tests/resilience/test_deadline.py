@@ -238,9 +238,13 @@ class TestServiceEnforcement:
         def recording(method):
             def run(name, *args, **kwargs):
                 phases.append(name)
+                result = method(name, *args, **kwargs)
+                # Late only once step 1 has returned: sleeping before the
+                # call would let a sharded executor's own RPC check fire
+                # first, and the run would stop at ``rpc``, not ``step3``.
                 if name == "local" and slow_step1[0]:
                     time.sleep(0.3)
-                return method(name, *args, **kwargs)
+                return result
 
             return run
 

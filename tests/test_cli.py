@@ -151,7 +151,7 @@ class TestCliCommands:
     @pytest.mark.parametrize(
         "flag",
         [["--async"], ["--max-requests", "2"], ["--replicas", "3"], ["--local-index", "dfs"],
-         ["--cache-ttl", "5"]],
+         ["--cache-ttl", "5"], ["--health-interval", "1"]],
     )
     def test_removed_serve_flags_are_usage_errors(self, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:
