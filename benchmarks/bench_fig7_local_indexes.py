@@ -64,22 +64,20 @@ def record_kernel_calls(engine, sources, targets):
     compounds = list(engine.index.compound_graphs.values())
     for compound in compounds:
 
-        def record(call_sources, mask=None, view=None, compound=compound):
+        def record(call_sources, mask=None, compound=compound):
             call_sources = list(call_sources)
-            view = view if view is not None else compound.condensation_view()
+            condensed = compound.condensation_view()
             components = sorted(
                 {
-                    view.vertex_to_component[source]
+                    condensed.vertex_to_component[source]
                     for source in call_sources
-                    if source in view.vertex_to_component
+                    if source in condensed.vertex_to_component
                 }
             )
             if components and mask != 0:
-                dag_mask = None if mask is None else view.expansion.scatter(mask)
-                calls.append((view.dag, components, dag_mask))
-            return type(compound).local_set_reachability_rows(
-                compound, call_sources, mask, view
-            )
+                dag_mask = None if mask is None else condensed.expansion.scatter(mask)
+                calls.append((condensed.dag, components, dag_mask))
+            return type(compound).local_set_reachability_rows(compound, call_sources, mask)
 
         compound.local_set_reachability_rows = record
     try:

@@ -54,17 +54,15 @@ one snapshot (one sort over int64 arrays, byte-identical to
 :meth:`~repro.graph.csr.CSRGraph.from_edges` over the same edges), and
 :func:`~repro.graph.scc.condense_dense` emits the condensation straight
 into another, which the kernel sweeps directly; its ``component_of`` is the
-component → member expansion's index as it is.  A
-published compound graph is never edited in place except by
-:meth:`CompoundGraph.add_isolated_vertex`, which swaps in a new snapshot.
+component → member expansion's index as it is.  Both are built once per
+epoch and never edited after its publish: an update, an isolated-vertex
+insert included, reaches the compound graphs only through the next flush.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Set, Tuple
-
-import weakref
 
 from repro.core.packed_steps import build_expansion, condensation_rows
 from repro.core.summary import PartitionSummary
@@ -74,102 +72,55 @@ from repro.reachability import kernels
 from repro.reachability.packed import BitGather, VertexRank, handle_gather
 
 
-@dataclass(frozen=True)
-class _CondensedView:
-    """One immutable condensation view (graph ranks, DAG, expansion).
-
-    :class:`CondensedReachability` publishes a complete view through a single
-    attribute assignment so a :meth:`CondensedReachability.rebuild` racing a
-    concurrent reader can never expose a new DAG with an old component map —
-    readers grab the view once and work against that consistent tuple.
-
-    ``vertex_rank`` is the stable per-epoch numbering of the underlying
-    (compound) graph's vertices; the condensation's components are numbered
-    by their DAG ranks.  ``expansion`` maps component rows to member rows
-    over ``vertex_rank`` (:func:`~repro.core.packed_steps.build_expansion`),
-    one batch per kernel call.  ``component_of`` is the
-    component of every dense vertex index, as an int64 numpy array.
-    """
-
-    dag: CSRGraph
-    vertex_to_component: Dict[int, int]
-    vertex_rank: VertexRank
-    expansion: BitGather
-    component_of: Sequence[int]
-
-
 class CondensedReachability:
-    """Set-reachability over the SCC-condensed view of a graph.
+    """Set-reachability over the SCC-condensed view of a graph (immutable).
 
-    Sweeps the condensation with the bitset kernel and translates between
-    original vertex ids and component ids.  ``graph`` is a snapshot (a
-    compound graph) or a ``DiGraph``, whose current snapshot is frozen in.
+    Condenses ``graph`` — a snapshot (a compound graph) or a ``DiGraph``,
+    whose current snapshot is frozen in — once, at construction, and
+    sweeps the condensation with the bitset kernel, translating between
+    original vertex ids and component ids.
+
+    ``vertex_rank`` is the stable per-epoch numbering of the graph's
+    vertices (its snapshot's dense indices); the condensation's components
+    are numbered by their DAG ranks.  ``expansion`` maps component rows to
+    member rows over ``vertex_rank``
+    (:func:`~repro.core.packed_steps.build_expansion`), one batch per
+    kernel call.  ``component_of`` is the component of every dense vertex
+    index, as an int64 numpy array.
     """
 
-    def __init__(self, graph: GraphLike, kept: Optional[_CondensedView] = None) -> None:
-        self.rebuild(graph, kept)
+    __slots__ = ("dag", "vertex_to_component", "vertex_rank", "expansion", "component_of")
 
-    def rebuild(self, graph: GraphLike, kept: Optional[_CondensedView] = None) -> None:
-        """Condense ``graph`` and publish the complete view in one swap.
+    def __init__(self, graph: GraphLike, kept: Optional[CondensedReachability] = None) -> None:
+        """Condense ``graph``.
 
-        ``kept`` is the view of an earlier snapshot whose SCC partition and
-        numbering :func:`condensation_holds` has proven still right for
-        ``graph``: Tarjan does not run, only the DAG edges are re-emitted
-        under its ``component_of``, and its component map and expansion are
-        reused.  A kept numbering is therefore one that held for an earlier
-        graph — still reverse-topological, but not the one a fresh Tarjan
-        would give; the next Tarjan rebuild resets it.
+        ``kept`` is the condensation of an earlier snapshot whose SCC
+        partition and numbering :func:`condensation_holds` has proven still
+        right for ``graph``: Tarjan does not run, only the DAG edges are
+        re-emitted under its ``component_of``, and its component map and
+        expansion are reused.  A kept numbering is therefore one that held
+        for an earlier graph — still reverse-topological, but not the one a
+        fresh Tarjan would give; the next Tarjan run resets it.
         """
-        self.graph = graph
         csr = graph.csr()
         if kept is None:
             dag, component_of = condense_dense(csr)
             components = component_of.tolist()
-            vertex_to_component = dict(zip(csr.ids, components))
+            self.vertex_to_component: Dict[int, int] = dict(zip(csr.ids, components))
             # The component → member transform that expands component rows
             # to member rows, indexed by ``component_of``.
-            expansion = build_expansion(components, dag.num_vertices)
+            self.expansion: BitGather = build_expansion(components, dag.num_vertices)
         else:
             component_of = kept.component_of
             dag = condensation_dag(csr, component_of, kept.dag.num_vertices)
-            vertex_to_component, expansion = kept.vertex_to_component, kept.expansion
-        # Single atomic publication of the complete rebuilt view, with the
-        # stable vertex rank numbering (the snapshot's dense indices).
-        self._view = _CondensedView(
-            dag, vertex_to_component, VertexRank.from_csr(csr), expansion, component_of
-        )
-
-    # Legacy attribute access (read-only snapshots of the current view).
-    @property
-    def dag(self) -> CSRGraph:
-        return self._view.dag
-
-    @property
-    def vertex_to_component(self) -> Dict[int, int]:
-        return self._view.vertex_to_component
-
-    @property
-    def vertex_rank(self) -> VertexRank:
-        """The stable per-epoch rank numbering of the graph's vertices."""
-        return self._view.vertex_rank
-
-    def current_view(self) -> _CondensedView:
-        """Capture the published condensation view (one consistent tuple).
-
-        Packed query steps capture the view **once** and derive every rank,
-        mask and row from it: the sanctioned rebuild (an isolated-vertex
-        insert) swaps in a view with a *shifted* rank
-        numbering, and mixing pre-/post-swap reads within one step would
-        AND masks against rows of a different numbering.
-        """
-        return self._view
+            self.vertex_to_component, self.expansion = kept.vertex_to_component, kept.expansion
+        self.dag: CSRGraph = dag
+        self.component_of: Sequence[int] = component_of
+        self.vertex_rank = VertexRank.from_csr(csr)
 
     # -- queries -------------------------------------------------------- #
     def set_reachability_rows(
-        self,
-        sources: Iterable[int],
-        target_mask: Optional[int] = None,
-        view: Optional[_CondensedView] = None,
+        self, sources: Iterable[int], target_mask: Optional[int] = None
     ) -> Dict[int, int]:
         """Packed ``{source: row}`` over the graph's :attr:`vertex_rank`.
 
@@ -177,39 +128,34 @@ class CondensedReachability:
         :func:`~repro.core.packed_steps.condensation_rows`: sources are
         translated to DAG components, one bitset sweep harvests packed
         component rows, and the reached components expand to their member
-        vertices in one batched transform of the view.  ``target_mask`` (a
-        row over :attr:`vertex_rank`) restricts both the harvest and the
-        expansion; ``None`` returns the full reachable rows.  Sources
-        unknown to the graph get a zero row.
-        ``view`` pins the evaluation to a previously captured
-        :meth:`current_view` so callers that built their masks from it can
-        never race an in-place rebuild.
+        vertices in one batched transform.  ``target_mask`` (a row over
+        :attr:`vertex_rank`) restricts both the harvest and the expansion;
+        ``None`` returns the full reachable rows.  Sources unknown to the
+        graph get a zero row.
         """
-        if view is None:
-            view = self._view
         return condensation_rows(
-            view.dag, view.vertex_to_component, view.expansion, sources, target_mask
+            self.dag, self.vertex_to_component, self.expansion, sources, target_mask
         )
 
     # -- stats ---------------------------------------------------------- #
     @property
     def dag_num_edges(self) -> int:
-        return self._view.dag.num_edges
+        return self.dag.num_edges
 
     @property
     def dag_num_vertices(self) -> int:
-        return self._view.dag.num_vertices
+        return self.dag.num_vertices
 
 
 def condensation_holds(
-    view: _CondensedView,
+    condensed: CondensedReachability,
     graph: CSRGraph,
     inserted: Iterable[Tuple[int, int]],
     deleted: Iterable[Tuple[int, int]],
 ) -> bool:
-    """Whether ``view``'s SCC partition and numbering are right for ``graph``.
+    """Whether ``condensed``'s SCC partition and numbering are right for ``graph``.
 
-    ``view`` condenses an earlier snapshot, and ``graph`` is that snapshot
+    ``condensed`` condenses an earlier snapshot, and ``graph`` is that snapshot
     with the ``inserted`` edges added and the ``deleted`` ones removed
     (an edge listed in both is one both have).  The numbering holds when
 
@@ -225,12 +171,12 @@ def condensation_holds(
     bidirectional, early-exit search per such edge, and by (b) it never
     leaves the component (:func:`_bypassed`).
     """
-    if graph.ids != view.vertex_rank.ids:
+    if graph.ids != condensed.vertex_rank.ids:
         return False
-    component = view.vertex_to_component
+    component = condensed.vertex_to_component
     if any(component[u] < component[v] for u, v in inserted):
         return False
-    index_of, component_of = graph._index_of, view.expansion.index
+    index_of, component_of = graph._index_of, condensed.expansion.index
     return all(
         component[u] != component[v]
         or _bypassed(graph, component_of, component[u], index_of[u], index_of[v])
@@ -273,144 +219,83 @@ def _bypassed(
 
 @dataclass
 class CompoundGraph:
-    """The compound graph of one partition plus its query-time helpers."""
+    """The compound graph of one partition plus its query-time helpers.
+
+    Immutable once its epoch is published: a flush assembles a new one for
+    every partition and condenses it (:meth:`build_reachability`) before
+    the publish, and nothing edits it afterwards.
+    """
 
     partition_id: int
-    #: ``G^C_i`` as an immutable snapshot; only :meth:`add_isolated_vertex`
-    #: ever replaces it on a published compound graph.
+    #: ``G^C_i`` as an immutable snapshot.
     graph: CSRGraph
+    #: The local snapshot the local piece of :attr:`graph` was assembled
+    #: from: what the next flush diffs the partition's new local graph
+    #: against.
+    local_snapshot: CSRGraph
     local_vertices: Set[int]
     # Entry handles of every *remote* partition, keyed by partition id.
     remote_forward_handles: Dict[int, FrozenSet[int]] = field(default_factory=dict)
     remote_backward_handles: Dict[int, FrozenSet[int]] = field(default_factory=dict)
     # Remote boundary vertices (real ids) present in this compound graph.
     remote_boundary_vertices: Set[int] = field(default_factory=set)
-    # The condensed compound graph the kernel sweeps.
+    #: The condensed compound graph the kernel sweeps; built once, before
+    #: the graph is published.
     reachability: Optional[CondensedReachability] = None
-    #: The local snapshot the local piece of :attr:`graph` was assembled
-    #: from: what the next flush diffs the partition's new local graph
-    #: against.  ``None`` once :meth:`add_isolated_vertex` edits the graph.
-    local_snapshot: Optional[CSRGraph] = None
-    # Packed handle masks and handle re-pack transforms, cached per
-    # VertexRank *object*: every rebuild — including the sanctioned one
-    # after an isolated-vertex insert (:meth:`add_isolated_vertex`) —
-    # installs a fresh rank, so entries keyed by a retired rank are
-    # unreachable (and garbage-collected with it) rather than
-    # cleared-and-restamped, which a racing reader could re-poison.
-    _handle_masks: "weakref.WeakKeyDictionary" = field(
-        default_factory=weakref.WeakKeyDictionary, init=False, repr=False
-    )
-    _handle_gathers: "weakref.WeakKeyDictionary" = field(
-        default_factory=weakref.WeakKeyDictionary, init=False, repr=False
+    # Packed handle masks and handle re-pack transforms over
+    # :attr:`vertex_rank`, per remote partition (a racing store writes the
+    # identical value).
+    _handle_masks: Dict[int, int] = field(default_factory=dict, init=False, repr=False)
+    _handle_gathers: Dict[int, BitGather] = field(
+        default_factory=dict, init=False, repr=False
     )
 
     # ------------------------------------------------------------------ #
-    def build_reachability(self, kept: Optional[_CondensedView] = None) -> None:
-        """(Re)build the condensation the kernel sweeps.
+    def build_reachability(self, kept: Optional[CondensedReachability] = None) -> None:
+        """Build the condensation the kernel sweeps.
 
-        ``kept`` is an earlier view whose condensation still holds (see
-        :meth:`CondensedReachability.rebuild`).
+        ``kept`` is an earlier condensation that still holds (see
+        :class:`CondensedReachability`).
         """
         self.reachability = CondensedReachability(self.graph, kept)
-
-    def reuse_base(self) -> Optional[Tuple[CSRGraph, _CondensedView]]:
-        """``(local snapshot, condensation view)`` the next flush may keep from.
-
-        ``None`` when the graph has no condensation yet or was edited after
-        its assembly (:meth:`add_isolated_vertex`).
-        """
-        if self.local_snapshot is None or self.reachability is None:
-            return None
-        return self.local_snapshot, self.reachability.current_view()
-
-    def add_isolated_vertex(self, vertex: int) -> None:
-        """Register a new isolated local vertex with this published graph.
-
-        The one sanctioned edit of a published compound graph: a new
-        snapshot — this one's vertices plus ``vertex``, the same edges — is
-        swapped in and, when the condensation exists, re-condensed into a
-        new view.  It never reads anything but this epoch's own snapshot,
-        so no answer of the epoch changes (an isolated vertex reaches and is
-        reached by nothing); only the rank numbering shifts, which pinned
-        views (:meth:`condensation_view`) and the worker payloads' rank
-        cardinality check absorb.
-        """
-        self.graph = CSRGraph.from_edges(
-            (*self.graph.ids, vertex), tuple(self.graph.edges())
-        )
-        # The vertex set changed: the next flush condenses afresh.
-        self.local_snapshot = None
-        self.local_vertices.add(vertex)
-        if self.reachability is not None:
-            self.reachability.rebuild(self.graph)
 
     # -- packed-row pipeline -------------------------------------------- #
     @property
     def vertex_rank(self) -> VertexRank:
         """This compound graph's stable per-epoch vertex-rank numbering."""
-        if self.reachability is None:
-            self.build_reachability()
         return self.reachability.vertex_rank
 
     def local_set_reachability_rows(
-        self,
-        sources: Iterable[int],
-        target_mask: Optional[int] = None,
-        view: Optional[_CondensedView] = None,
+        self, sources: Iterable[int], target_mask: Optional[int] = None
     ) -> Dict[int, int]:
-        """Packed-row ``localSetReachability(.)`` over :attr:`vertex_rank`.
+        """Packed-row ``localSetReachability(.)`` over :attr:`vertex_rank`."""
+        return self.reachability.set_reachability_rows(sources, target_mask)
 
-        Pass a captured ``view`` (see
-        :meth:`CondensedReachability.current_view`) when the target mask
-        was packed from it, so the rows share its numbering.
-        """
-        if self.reachability is None:
-            self.build_reachability()
-        return self.reachability.set_reachability_rows(sources, target_mask, view)
+    def condensation_view(self) -> CondensedReachability:
+        """The condensation the kernel sweeps."""
+        return self.reachability
 
-    def condensation_view(self) -> "_CondensedView":
-        """Capture the condensed view (building the reachability if needed)."""
-        if self.reachability is None:
-            self.build_reachability()
-        return self.reachability.current_view()
-
-    def handle_mask_of(self, partition_id: int, rank: Optional[VertexRank] = None) -> int:
-        """Partition ``partition_id``'s forward handles as one packed row.
-
-        ``rank`` pins the mask to a captured view's numbering (defaults to
-        the currently published one).  A concurrent in-place rebuild cannot
-        poison the cache: entries are keyed by the rank object itself, and
-        a redundant racing store writes the identical value.
-        """
-        if rank is None:
-            rank = self.vertex_rank
-        per_rank = self._handle_masks.get(rank)
-        if per_rank is None:
-            per_rank = {}
-            self._handle_masks[rank] = per_rank
-        mask = per_rank.get(partition_id)
+    def handle_mask_of(self, partition_id: int) -> int:
+        """Partition ``partition_id``'s forward handles as one packed row."""
+        mask = self._handle_masks.get(partition_id)
         if mask is None:
-            mask = rank.pack(self.forward_handles_of(partition_id))
-            per_rank[partition_id] = mask
+            mask = self.vertex_rank.pack(self.forward_handles_of(partition_id))
+            self._handle_masks[partition_id] = mask
         return mask
 
-    def handle_gather_of(self, partition_id: int, rank: VertexRank) -> BitGather:
-        """Re-pack rows over ``rank`` into a remote partition's wire positions.
+    def handle_gather_of(self, partition_id: int) -> BitGather:
+        """Re-pack rows over :attr:`vertex_rank` into a remote partition's
+        wire positions.
 
         Positions index the partition's sorted handle order (see
         :meth:`repro.core.summary.PartitionSummary.forward_handle_order`),
         which every slave derives identically from the broadcast summary —
         this is the numbering packed handle messages are addressed in.
-        Cached per rank object, like :meth:`handle_mask_of`.
         """
-        per_rank = self._handle_gathers.get(rank)
-        if per_rank is None:
-            per_rank = {}
-            self._handle_gathers[rank] = per_rank
-        gather = per_rank.get(partition_id)
+        gather = self._handle_gathers.get(partition_id)
         if gather is None:
-            gather = handle_gather(self.forward_handles_of(partition_id), rank)
-            per_rank[partition_id] = gather
+            gather = handle_gather(self.forward_handles_of(partition_id), self.vertex_rank)
+            self._handle_gathers[partition_id] = gather
         return gather
 
     # -- size statistics (Table 2) --------------------------------------- #
@@ -418,8 +303,6 @@ class CompoundGraph:
         return self.graph.num_edges
 
     def dag_num_edges(self) -> int:
-        if self.reachability is None:
-            self.build_reachability()
         return self.reachability.dag_num_edges
 
     def estimated_bytes(self) -> int:
@@ -450,7 +333,8 @@ def assemble_compound_graph(
     ``cut_piece`` is the cut already as a piece
     (``kernels.np_edges_piece((), cut_edges)``): a flush builds it once for
     every compound graph.  The returned compound graph is not condensed yet
-    (it is on first use, or explicitly by :func:`build_compound_graph`).
+    (:meth:`CompoundGraph.build_reachability` does it, as
+    :func:`build_compound_graph` does).
     """
     if cut_piece is None:
         cut_piece = kernels.np_edges_piece((), cut_edges)

@@ -302,8 +302,6 @@ class DSREngine:
             self._reverse_maintainer.insert_vertex(
                 new_vertex, self.partitioning.partition_of(new_vertex)
             )
-        # No-op unless the insert raced an in-flight flush and had to mark
-        # its partition dirty (see IncrementalMaintainer.insert_vertex).
         self._schedule_maintenance()
         return new_vertex
 

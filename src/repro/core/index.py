@@ -87,16 +87,14 @@ class IndexBuildReport:
 class EpochState:
     """One consistent, published version of every per-partition structure.
 
-    A state is immutable by contract once published: maintenance builds a
-    *new* state and swaps it in.  Its compound graphs, their local snapshots
+    A state is immutable once published: maintenance builds a *new* state
+    and swaps it in, so every answer stamped with an epoch is one over
+    exactly that epoch's graph.  Its compound graphs, their local snapshots
     (``compound_graphs[i].local_snapshot``, the epoch's only copy of
     ``G_i``) and condensations are immutable CSR snapshots that no update
-    edits; the one exception is an isolated-vertex insert, which registers
-    the vertex in ``assignment`` and swaps a rebuilt snapshot into its
-    partition's compound graph (:meth:`~repro.core.compound_graph.
-    CompoundGraph.add_isolated_vertex`) — provably answer-preserving.  Every
-    other update reaches the next state only through the live graph, which
-    the next flush re-induces the edited partitions from.
+    edits.  Every update — an isolated-vertex insert included — reaches the
+    next state only through the live graph, which the next flush
+    re-induces the edited partitions from.
     """
 
     epoch: int
@@ -108,8 +106,8 @@ class EpochState:
     boundary_sets: Dict[int, Set[int]] = field(default_factory=dict)
     #: Vertex → partition assignment as of this epoch.  Queries split and
     #: route against this snapshot, so a racing vertex deletion on the live
-    #: partitioning can never crash or tear a lock-free read (an
-    #: isolated-vertex insert registers here, see above).
+    #: partitioning can never crash or tear a lock-free read, and a vertex
+    #: inserted since the epoch was built contributes no pairs to it.
     assignment: Dict[int, int] = field(default_factory=dict)
     #: How long :meth:`DSRIndex.build_epoch_state` held the mutation lock
     #: (cut and boundary copies, edited partitions re-induced).
@@ -365,12 +363,6 @@ class DSRIndex:
             }
             assignment = dict(self.partitioning.assignment)
             boundary_sets = dict(current.boundary_sets)
-            # What each published compound graph was condensed from, read
-            # under the lock that an isolated-vertex insert edits it under.
-            bases = {
-                pid: compound.reuse_base()
-                for pid, compound in current.compound_graphs.items()
-            }
             boundaries: Dict[int, Tuple[Set[int], Set[int]]] = {
                 pid: (
                     self.partitioning.in_boundaries(pid),
@@ -433,9 +425,7 @@ class DSRIndex:
             "assemble-epoch", assemble, stats=flush_stats
         )
         assembled = time.perf_counter()
-        kept = self._condense(
-            current, bases, compound_graphs, summaries, cut_piece, flush_stats
-        )
+        kept = self._condense(current, compound_graphs, summaries, cut_piece, flush_stats)
         self.cluster.stats.absorb(flush_stats)
         condensed = time.perf_counter()
         heavy_seconds = condensed - heavy_start
@@ -470,7 +460,6 @@ class DSRIndex:
     def _condense(
         self,
         current: EpochState,
-        bases: Dict[int, Optional[tuple]],
         compound_graphs: Dict[int, CompoundGraph],
         summaries: Dict[int, PartitionSummary],
         cut_piece: tuple,
@@ -501,24 +490,21 @@ class DSRIndex:
         }
 
         def condense(rank: int) -> bool:
-            compound = compound_graphs[rank]
-            kept = None
-            base = bases.get(rank)
-            if base is not None:
-                old_local, view = base
-                changes = [cut_changes]
-                if compound.local_snapshot is not old_local:
-                    changes.append(
-                        kernels.np_edge_delta(
-                            kernels.np_csr_piece(old_local)[2:],
-                            kernels.np_csr_piece(compound.local_snapshot)[2:],
-                        )
+            compound, published = compound_graphs[rank], current.compound_graphs[rank]
+            changes = [cut_changes]
+            if compound.local_snapshot is not published.local_snapshot:
+                changes.append(
+                    kernels.np_edge_delta(
+                        kernels.np_csr_piece(published.local_snapshot)[2:],
+                        kernels.np_csr_piece(compound.local_snapshot)[2:],
                     )
-                changes += (found for pid, found in summary_changes.items() if pid != rank)
-                inserted = [edge for found in changes for edge in found[0]]
-                deleted = [edge for found in changes for edge in found[1]]
-                if condensation_holds(view, compound.graph, inserted, deleted):
-                    kept = view
+                )
+            changes += (found for pid, found in summary_changes.items() if pid != rank)
+            inserted = [edge for found in changes for edge in found[0]]
+            deleted = [edge for found in changes for edge in found[1]]
+            kept = published.reachability
+            if not condensation_holds(kept, compound.graph, inserted, deleted):
+                kept = None
             compound.build_reachability(kept)
             return kept is not None
 
@@ -598,26 +584,6 @@ class DSRIndex:
             DSR_SHARD_LOADER,
             retire_below=max(0, state.epoch - 1),
         )
-
-    def rehydrate_partition(self, partition_id: int) -> None:
-        """Refresh one rank's worker shard for the *current* epoch.
-
-        Used after an isolated-vertex insert (the one sanctioned edit of a
-        published compound graph) so sharded workers learn the new vertex
-        without waiting for a full epoch flush.
-        """
-        if not self.uses_sharded_queries or not self.is_built:
-            return
-        from repro.core.shard_exec import DSR_SHARD_LOADER, build_shard_blob
-
-        state = self.current_state()
-        blob = build_shard_blob(
-            partition_id,
-            state.epoch,
-            state.compound_graphs[partition_id],
-            state.summaries[partition_id],
-        )
-        self.cluster.hydrate_shards(state.epoch, {partition_id: blob}, DSR_SHARD_LOADER)
 
     # ------------------------------------------------------------------ #
     # statistics

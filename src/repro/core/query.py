@@ -50,11 +50,11 @@ configuration runs the same task functions against an in-process view of
 the captured epoch.  Answers stay in product form until the master
 materialises the ``(s, t)`` tuples once.
 
-If a shard no longer matches the captured epoch (the query raced two
-consecutive flushes, or an in-place vertex insert shifted a rank numbering
-under it), the step raises ``StaleEpochError`` and the query transparently
-re-captures the newest epoch and retries, falling back to the in-process
-view — which never depends on hydrated workers — as a last resort.
+If the workers have retired the captured epoch (the query raced two
+consecutive flushes), the step raises ``StaleEpochError`` and the query
+transparently re-captures the newest epoch and retries, falling back to the
+in-process view — which never depends on hydrated workers — as a last
+resort.
 """
 
 from __future__ import annotations
@@ -177,11 +177,9 @@ class DistributedQueryExecutor:
                 break
             except StaleEpochError:
                 # The captured epoch was retired under this query (it raced
-                # two consecutive flushes), or an in-place vertex insert
-                # shifted a rank numbering between payload packing and the
-                # step.  Re-capture and retry; after the retry budget, run
-                # against the in-process view of the parent's state, which
-                # is always available.
+                # two consecutive flushes).  Re-capture and retry; after the
+                # retry budget, run against the in-process view of the
+                # parent's state, which is always available.
                 registry = global_registry()
                 if registry.enabled:
                     registry.inc("dsr_query_stale_retries_total")
@@ -313,19 +311,11 @@ class DistributedQueryExecutor:
                 stats=stats,
             )
 
-        def packed_targets(rank: int, targets: Set[int]) -> Dict[str, Any]:
+        def packed_targets(rank: int, targets: Set[int]) -> bytes:
             # Targets travel as one row over the slave's epoch vertex rank
             # (identical on both sides by construction — the blob ships the
-            # same id order).  ``num_ranks`` guards the one way the
-            # numbering can move without an epoch bump (an in-place
-            # isolated-vertex insert always changes the cardinality): a
-            # mismatched shard raises StaleEpochError and the query
-            # re-captures and retries.
-            vrank = state.vertex_rank(rank)
-            return {
-                "targets_bits": row_to_bytes(vrank.pack(targets)),
-                "num_ranks": len(vrank),
-            }
+            # same id order).
+            return row_to_bytes(state.vertex_rank(rank).pack(targets))
 
         # ----- Step 1: local evaluation at every slave --------------------- #
         payloads: Dict[int, Dict[str, Any]] = {}
@@ -345,7 +335,7 @@ class DistributedQueryExecutor:
                     for pid, interior in interior_targets_of.items()
                     if pid != rank and interior
                 ),
-                **packed_targets(rank, step1_targets),
+                "targets_bits": packed_targets(rank, step1_targets),
             }
         step1_results = dispatch("local", local_step, payloads)
         if trace is not None:
@@ -385,7 +375,7 @@ class DistributedQueryExecutor:
                 continue
             payloads3[rank] = {
                 "sources_by_handle": sources_by_handle,
-                **packed_targets(rank, interior),
+                "targets_bits": packed_targets(rank, interior),
             }
         if trace is not None:
             trace.add(

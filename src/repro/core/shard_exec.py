@@ -34,7 +34,11 @@ direction.
 The tasks are registered with the executor registry
 (:mod:`repro.cluster.executors`) under ``dsr.local_step`` /
 ``dsr.remote_step`` and must stay pure reads of the shard: one hydrated
-epoch serves every in-flight query of that epoch concurrently.
+epoch serves every in-flight query of that epoch concurrently.  Nothing
+edits a published epoch, so both shards of one ``(rank, epoch)`` number
+its vertices identically for the epoch's whole life, and a payload packed
+against the epoch decodes on either; a worker asked for an epoch it has
+retired raises ``StaleEpochError`` before the task runs.
 """
 
 from __future__ import annotations
@@ -42,11 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Protocol, Tuple
 
-from repro.cluster.executors import (
-    StaleEpochError,
-    register_shard_loader,
-    register_shard_task,
-)
+from repro.cluster.executors import register_shard_loader, register_shard_task
 from repro.core.packed_steps import build_expansion, condensation_rows
 from repro.graph.csr import CSRGraph
 from repro.obs.runtime import global_registry
@@ -165,29 +165,22 @@ class WorkerShard:
 
 
 class EpochShard:
-    """The in-process shard: a view over ``(EpochState, rank)``.
+    """The in-process shard: a view over ``(EpochState, rank)``."""
 
-    Built per step, it captures the compound graph's condensation view
-    **once**: every rank, mask and row of the step shares that view's
-    numbering, so an in-place rebuild racing the query (an isolated-vertex
-    insert) cannot mix bit positions across the swap.
-    """
-
-    __slots__ = ("rank", "epoch", "vertex_rank", "_compound", "_summary", "_view")
+    __slots__ = ("rank", "epoch", "vertex_rank", "_compound", "_summary")
 
     def __init__(self, state, rank: int) -> None:
         self.rank = rank
         self.epoch = state.epoch
         self._compound = state.compound_graphs[rank]
         self._summary = state.summaries[rank]
-        self._view = self._compound.condensation_view()
-        self.vertex_rank = self._view.vertex_rank
+        self.vertex_rank = self._compound.vertex_rank
 
     def handle_mask_of(self, pid: int) -> int:
-        return self._compound.handle_mask_of(pid, self.vertex_rank)
+        return self._compound.handle_mask_of(pid)
 
     def handle_gather_of(self, pid: int) -> BitGather:
-        return self._compound.handle_gather_of(pid, self.vertex_rank)
+        return self._compound.handle_gather_of(pid)
 
     def expand_handle(self, handle: int) -> Tuple[int, ...]:
         return self._summary.expand_handle(handle)
@@ -195,20 +188,18 @@ class EpochShard:
     def rows(self, sources: Iterable[int], mask: int) -> Dict[int, int]:
         # Looked up on the compound graph per call, never cached here:
         # per-instance wrappers (tracing hooks) must see every kernel call.
-        return self._compound.local_set_reachability_rows(sources, mask, self._view)
+        return self._compound.local_set_reachability_rows(sources, mask)
 
 
 def build_shard_blob(rank: int, epoch: int, compound, summary) -> WorkerShardBlob:
     """Derive the shard blob for one partition from its epoch state.
 
-    ``compound`` is the partition's :class:`~repro.core.compound_graph.
-    CompoundGraph` (its condensed reachability is built if missing) and
-    ``summary`` its :class:`~repro.core.summary.PartitionSummary`.  The
-    condensation is already a CSR snapshot; it ships as its
+    ``compound`` is the partition's condensed :class:`~repro.core.
+    compound_graph.CompoundGraph` and ``summary`` its
+    :class:`~repro.core.summary.PartitionSummary`.  The condensation is
+    already a CSR snapshot; it ships as its
     :meth:`~repro.graph.csr.CSRGraph.to_bytes` image.
     """
-    if compound.reachability is None:
-        compound.build_reachability()
     reach = compound.reachability
     return WorkerShardBlob(
         rank=rank,
@@ -253,21 +244,6 @@ def load_shard(blob: WorkerShardBlob) -> WorkerShard:
     )
 
 
-def _check_rank_cardinality(shard: QueryShard, payload: Dict[str, Any]) -> None:
-    """Reject packed payloads addressed in a different rank numbering.
-
-    An in-place isolated-vertex insert shifts the vertex-rank numbering
-    without bumping the epoch (it always changes the cardinality), and
-    :meth:`repro.core.index.DSRIndex.rehydrate_partition` reships the
-    worker shard under the *same* epoch — so a payload packed on the other
-    side of that window must not be decoded here.  Raising
-    :class:`StaleEpochError` routes it into the query's existing
-    re-capture-and-retry path.
-    """
-    if payload["num_ranks"] != len(shard.vertex_rank):
-        raise StaleEpochError(shard.rank, shard.epoch, (shard.epoch,))
-
-
 def _record_payload(step: str, payload: Dict[str, Any]) -> None:
     """Account the packed target bytes one step request carries (what
     crosses the IPC boundary on a sharded executor).  Recorded in whichever
@@ -303,11 +279,10 @@ def local_step(
     """Step 1 at this slave: local answer groups + handles to ship per partition.
 
     Payload: ``{"sources": [...], "interior_pids": [...], "targets_bits":
-    packed bytes over the shard's vertex rank, "num_ranks": its
-    cardinality}``.  The targets already bundle local targets with remote
-    *boundary* targets (resolvable here without communication);
-    ``interior_pids`` names the remote partitions whose interior targets
-    need handle shipping.
+    packed bytes over the shard's vertex rank}``.  The targets already
+    bundle local targets with remote *boundary* targets (resolvable here
+    without communication); ``interior_pids`` names the remote partitions
+    whose interior targets need handle shipping.
 
     Sources are grouped by their reached row (one SCC → one row), so each
     distinct row is intersected with the target mask and decoded exactly
@@ -319,7 +294,6 @@ def local_step(
     all sources sharing a row appended to one entry.
     """
     _record_payload("local", payload)
-    _check_rank_cardinality(shard, payload)
     sources = payload["sources"]
     target_mask = row_from_bytes(payload["targets_bits"])
     pid_masks = [(pid, shard.handle_mask_of(pid)) for pid in payload["interior_pids"]]
@@ -370,8 +344,8 @@ def remote_step(shard: QueryShard, payload: Dict[str, Any]) -> List[Group]:
 
     Payload: ``{"sources_by_handle": {handle: [sources]}, "targets_bits":
     the remaining interior targets as packed bytes over the shard's vertex
-    rank, "num_ranks": its cardinality}`` — the parent has already drained
-    and inverted this slave's inbox.
+    rank}`` — the parent has already drained and inverted this slave's
+    inbox.
 
     Each source's rows (across all handles it reached) are ORed into one
     row, then sources are regrouped by that row — overlapping handle
@@ -380,7 +354,6 @@ def remote_step(shard: QueryShard, payload: Dict[str, Any]) -> List[Group]:
     the tuples.
     """
     _record_payload("remote", payload)
-    _check_rank_cardinality(shard, payload)
     sources_by_handle: Dict[int, List[int]] = payload["sources_by_handle"]
     members_by_handle = {
         handle: shard.expand_handle(handle) for handle in sources_by_handle

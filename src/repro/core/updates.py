@@ -25,6 +25,11 @@ Insertions
   always makes the epoch stale.  It marks ``p`` dirty only if ``u`` enters
   ``O_p``, and ``q`` only if ``v`` enters ``I_q``: between existing
   boundaries it re-summarises nothing.
+* An isolated vertex makes the epoch stale, so the next flush re-induces
+  its partition and publishes it, but marks nothing dirty: it is interior,
+  and an interior vertex with no edge changes no summary.  Until that
+  flush, the published epoch does not know the vertex, and a query naming
+  it gets no pair involving it.
 
 Every update also reports its edit to the partitioning, which maintains the
 cut and the boundary sets (:meth:`~repro.partition.partition.
@@ -413,7 +418,7 @@ class IncrementalMaintainer:
                     "insert-edge", set(), False, time.perf_counter() - start
                 )
             elif pid_u == pid_v:
-                compound = self.index.compound_graphs.get(pid_u)
+                compound = self.index.compound_graphs[pid_u]
                 # Non-structural only when ``u ⇝ v`` already holds inside
                 # the partition: its summary depends on the *local* graph
                 # alone, so a pair connected only through other partitions
@@ -426,11 +431,7 @@ class IncrementalMaintainer:
                 # is acyclic an edge between two distinct vertices is never
                 # skipped, even when ``u ⇝ v`` already holds locally.
                 already_reachable = False
-                if (
-                    pid_u not in self._dirty
-                    and compound is not None
-                    and compound.reachability is not None
-                ):
+                if pid_u not in self._dirty:
                     components = compound.reachability.vertex_to_component
                     already_reachable = (
                         components.get(u) is not None
@@ -539,30 +540,12 @@ class IncrementalMaintainer:
                 ]
                 partition_id = min(sizes)[1]
             self.partitioning.vertex_added(new_vertex, partition_id)
+            # The next flush re-induces the partition and publishes the
+            # vertex; an interior isolated vertex changes no summary, so
+            # nothing is dirty.
             self._edited.add(partition_id)
-            if self.index.is_built:
-                state = self.index.current_state()
-                # Queries split against the epoch's assignment snapshot, so
-                # the new vertex must register there too, and with the
-                # partition's compound graph — rebuilt from the epoch's own
-                # snapshot plus the vertex (isolated vertex: provably
-                # answer-preserving, the one sanctioned edit of a published
-                # state).
-                state.assignment[new_vertex] = partition_id
-                state.compound_graphs[partition_id].add_isolated_vertex(new_vertex)
-                if self._flush_lock.locked():
-                    # A flush is in flight and its snapshot may predate this
-                    # insert — the epoch it publishes would then lack the
-                    # vertex (the edits above touched only the *current*
-                    # state).  Mark the partition dirty so a follow-up flush
-                    # publishes it, re-induced from the live graph.  With no
-                    # flush in flight this is unnecessary: the current state
-                    # answers for the vertex, and the next flush re-induces
-                    # the edited partition anyway.
-                    self._mark_stale({partition_id})
-        # Sharded workers must learn the new vertex id even though the update
-        # is non-structural (no epoch flush will follow it).
-        self.index.rehydrate_partition(partition_id)
+            self._mark_stale()
+        self._after_update(True)
         # An isolated vertex cannot change reachability between existing
         # vertices, so the update is reported as non-structural.
         self._notify(UpdateResult("insert-vertex", {partition_id}, False, 0.0))

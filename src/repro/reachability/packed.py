@@ -154,7 +154,7 @@ class BitGather:
 
     ``index`` is fixed per numbering pair (component rank of each vertex
     rank, vertex rank of each handle position) and the transform is built
-    once per condensed view or worker shard, so every query of the epoch
+    once per condensation or worker shard, so every query of the epoch
     reuses it.  A row may only set input bits some output reads (the
     callers' rows are component rows, or hits already masked to the
     handles).
@@ -256,7 +256,7 @@ class VertexRank:
     process — numbers the same vertices identically.
     """
 
-    __slots__ = ("ids", "rank_of", "_np_ids", "__weakref__")
+    __slots__ = ("ids", "rank_of", "_np_ids")
 
     def __init__(self, ids: Sequence[int]) -> None:
         self.ids: Tuple[int, ...] = tuple(ids)

@@ -191,24 +191,28 @@ class TestByteIdentity:
         engine = self._engine(graph_name, use_equivalence)
         try:
             state = engine.index.current_state()
-            before = {
-                pid: reference_compound(
-                    pid,
-                    engine.partitioning.local_subgraph(pid),
-                    state.summaries,
-                    engine.partitioning.cut_edges(),
-                )
-                for pid in state.compound_graphs
+            published = {
+                pid: (compound.graph, compound.condensation_view(), compound.graph.to_bytes())
+                for pid, compound in state.compound_graphs.items()
             }
             # An id above every real one: a genuinely new vertex.
             vertex = engine.insert_vertex(10**6, partition_id=1)
-            assert engine.index.current_state() is state  # no new epoch
+            # The published state is untouched by the insert ...
+            assert engine.index.current_state() is state
+            assert vertex not in state.assignment
             for pid, compound in state.compound_graphs.items():
-                if pid == 1:
-                    before[pid] = CSRGraph.from_edges(
-                        (*before[pid].ids, vertex), list(before[pid].edges())
-                    )
-                assert_matches_reference(compound, before[pid])
+                graph, condensed, image = published[pid]
+                assert compound.graph is graph and graph.to_bytes() == image
+                assert compound.condensation_view() is condensed
+            # ... and the next flush publishes the vertex in partition 1's
+            # compound CSR, which is otherwise the published one.
+            assert engine.flush_updates().epoch == state.epoch + 1
+            before = state.compound_graphs[1].graph
+            assert_same_snapshot(
+                engine.index.current_state().compound_graphs[1].graph,
+                CSRGraph.from_edges((*before.ids, vertex), list(before.edges())),
+            )
+            self._check_state(engine, assert_matches_reference_up_to_relabelling)
         finally:
             engine.close()
 

@@ -14,6 +14,7 @@ import pytest
 from repro.api import DSRConfig, ReachQuery, open_engine
 from repro.graph import generators
 from repro.graph.digraph import DiGraph
+from repro.graph.traversal import reachable_pairs
 from repro.obs import use_registry
 
 EXECUTORS = tuple(
@@ -283,6 +284,39 @@ class TestBackgroundEpochFlush:
             result = engine.run(ReachQuery((vertex,), (vertex,)))
             assert result.pairs == {(vertex, vertex)}
         finally:
+            engine.maintainer._before_publish = None
+            engine.close()
+
+    def test_vertex_insert_alone_schedules_the_flush_that_publishes_it(self, executor):
+        """An isolated-vertex insert is an ordinary pending update: on its
+        own it schedules a background flush, and until that flush publishes,
+        queries answer from the old epoch, which does not know the vertex."""
+        engine = self._engine(executor)
+        hold = threading.Event()
+        try:
+            published = engine.graph.copy()
+            epoch = engine.epoch
+            entered = threading.Event()
+
+            def stall(state):
+                entered.set()
+                assert hold.wait(timeout=10)
+
+            engine.maintainer._before_publish = stall
+            vertex = engine.insert_vertex()
+            assert entered.wait(timeout=10), "the insert scheduled no flush"
+            result = engine.run(ReachQuery((1, vertex), (20, 21, vertex)))
+            assert result.epoch == epoch
+            assert result.pairs == reachable_pairs(published, (1,), (20, 21))
+            assert not any(vertex in pair for pair in result.pairs)
+            hold.set()
+            engine.maintainer._before_publish = None
+            assert engine.wait_for_maintenance(timeout=10)
+            result = engine.run(ReachQuery((vertex,), (vertex,)))
+            assert result.epoch > epoch
+            assert result.pairs == {(vertex, vertex)}
+        finally:
+            hold.set()
             engine.maintainer._before_publish = None
             engine.close()
 

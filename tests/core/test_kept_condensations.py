@@ -101,7 +101,7 @@ def assert_condensations_are_fresh(engine):
 # ---------------------------------------------------------------------- #
 def condensed(edges, vertices=()):
     graph = CSRGraph.from_edges(vertices, edges)
-    return graph, CondensedReachability(graph).current_view()
+    return graph, CondensedReachability(graph)
 
 
 def holds(edges, inserted=(), deleted=(), added=()):
@@ -160,7 +160,7 @@ class TestTheRule:
         graph, view = condensed(self.EDGES)
         after = CSRGraph.from_edges((), sorted(set(self.EDGES) | {(0, 4)}))
         assert condensation_holds(view, after, [(0, 4)], [])
-        kept = CondensedReachability(after, kept=view).current_view()
+        kept = CondensedReachability(after, kept=view)
         assert kept.vertex_to_component is view.vertex_to_component
         assert kept.expansion is view.expansion
         assert kept.dag.edges_descend()
@@ -256,6 +256,9 @@ class TestEngineCases:
         assert 0 not in forward
 
     def test_the_flush_after_an_isolated_vertex_insert_runs_tarjan(self, engine):
+        """The flush that publishes a new vertex condenses its partition
+        afresh: the vertex set changed, which :func:`condensation_holds`
+        refuses."""
         vertex = engine.insert_vertex(partition_id=0)
         engine.insert_edge(0, 10)
         forward, backward = flush(engine)

@@ -176,7 +176,7 @@ class TestWhichPartitionsAreResummarised:
         q = part.partition_of(target)
         p = (q + 1) % part.num_partitions
         x = engine.insert_vertex(partition_id=p)
-        assert not engine.has_pending_updates
+        assert engine.has_pending_updates
         engine.insert_edge(x, target)
         assert flush(engine) == ({p}, {p})
         # ... an edge from an existing out-boundary onto a new vertex only

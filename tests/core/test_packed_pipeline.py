@@ -213,10 +213,10 @@ class TestCrossBackendParity:
                 )
 
 
-class TestInPlaceInsertKeepsMasksFresh:
-    """The sanctioned in-place isolated-vertex insert rebuilds the condensed
-    view without going through ``CompoundGraph.build_reachability``; the
-    packed handle caches must follow the new vertex-rank numbering."""
+class TestVertexInsertKeepsMasksFresh:
+    """The flush that publishes an isolated vertex shifts its partition's
+    vertex-rank numbering; the packed handle masks and targets must follow
+    the new numbering."""
 
     def test_bits_query_after_insert_vertex(self):
         # Spaced ids so an inserted vertex (15) shifts every later rank.
@@ -230,53 +230,8 @@ class TestInPlaceInsertKeepsMasksFresh:
         query = ReachQuery(vertices[:20], vertices[-20:])
         before = engine.run(query).pairs
         assert before == reachable_pairs(graph, vertices[:20], vertices[-20:])
-        # In-place insert of a non-maximal id: ranks >= rank(15) all shift.
+        # A non-maximal id: once published, ranks >= rank(15) all shift.
         engine.insert_vertex(vertex=15)
-        assert engine.run(query).pairs == before
-
-
-class TestRankShiftGuards:
-    """Mid-epoch rank shifts must be detected, not silently mis-decoded."""
-
-    def test_worker_rejects_mismatched_rank_cardinality(self):
-        from repro.cluster.executors import StaleEpochError
-        from repro.core.shard_exec import build_shard_blob, load_shard, local_step
-        from repro.reachability.packed import row_to_bytes
-
-        graph = generators.social_graph(60, avg_degree=4, seed=97)
-        engine = open_engine(graph, DSRConfig(num_partitions=2, local_index="msbfs"))
-        state = engine.index.current_state()
-        shard = load_shard(
-            build_shard_blob(0, 0, state.compound_graphs[0], state.summaries[0])
-        )
-        vrank = state.vertex_rank(0)
-        payload = {
-            "sources": sorted(state.compound_graphs[0].local_vertices)[:3],
-            "interior_pids": [],
-            "targets_bits": row_to_bytes(vrank.full_mask()),
-            "num_ranks": len(vrank) + 1,  # as if packed after an insert
-        }
-        with pytest.raises(StaleEpochError):
-            local_step(shard, payload)
-        payload["num_ranks"] = len(vrank)
-        groups, outgoing = local_step(shard, payload)
-        assert outgoing == {}
-        assert groups  # sources reach at least themselves
-
-    def test_pinned_view_survives_in_place_rebuild(self):
-        # Masks packed from a captured view must evaluate against that same
-        # view even if the condensation is rebuilt in between (the
-        # sanctioned isolated-vertex insert path).
-        graph = generators.social_graph(80, avg_degree=4, seed=101)
-        engine = open_engine(graph, DSRConfig(num_partitions=2, local_index="msbfs"))
-        compound = engine.index.current_state().compound_graphs[0]
-        view = compound.condensation_view()
-        vrank = view.vertex_rank
-        sources = sorted(compound.local_vertices)[:5]
-        mask = vrank.full_mask()
-        before = compound.local_set_reachability_rows(sources, mask, view)
-        # A new snapshot with one more vertex: installs a new, shifted rank.
-        compound.add_isolated_vertex(max(graph.vertices()) + 1)
-        assert compound.vertex_rank is not vrank
-        after = compound.local_set_reachability_rows(sources, mask, view)
-        assert after == before
+        result = engine.run(query)
+        assert result.epoch == 1
+        assert result.pairs == before

@@ -5,8 +5,8 @@ Steps 1 and 3 (``local_step`` / ``remote_step``) are written once over the
 they are exactly what ``_execute`` builds — must produce identical results
 against both implementations: a ``WorkerShard`` hydrated from a pickled
 blob, and the in-process ``EpochShard`` view.  Checked on a graph with overlap handles, with the
-equivalence optimisation on and off, and across an in-place
-isolated-vertex insert (which shifts the rank numbering mid-epoch).  A
+equivalence optimisation on and off, and across the flush that publishes
+an isolated vertex (which shifts its partition's rank numbering).  A
 wide query gives the same payloads and answers with every kernel call on
 its python loop and on numpy, on every shard.  A blob is self-contained:
 a fresh interpreter that shares nothing with the builder hydrates it and
@@ -24,7 +24,6 @@ import pytest
 
 import repro
 from repro.api import DSRConfig, ReachQuery, open_engine
-from repro.cluster.executors import StaleEpochError
 from repro.core import query as query_module
 from repro.core.shard_exec import (
     EpochShard,
@@ -103,31 +102,30 @@ def test_every_shard_gives_the_same_step_answers(use_equivalence, monkeypatch):
     _assert_one_answer(state, recorded)
 
 
-def test_contract_holds_across_an_in_place_vertex_insert(monkeypatch):
+def test_contract_holds_across_the_flush_that_publishes_a_vertex(monkeypatch):
     # Spaced ids so the inserted vertex (15) shifts every later rank.
     graph = generators.social_graph(240, avg_degree=3, reciprocity=0.4, seed=23)
     spaced = DiGraph.from_edges([(10 * u + 10, 10 * v + 10) for u, v in graph.edges()])
     engine = open_engine(spaced, DSRConfig(num_partitions=3, local_index="msbfs"))
     vertices = sorted(spaced.vertices())
     sources, targets = vertices[:20], vertices[-20:]
+    published = engine.index.current_state()
     before = _record_payloads(engine, monkeypatch, sources, targets)
-    _assert_one_answer(engine.index.current_state(), before)
+    _assert_one_answer(published, before)
 
-    engine.insert_vertex(vertex=15)  # in place: same epoch, shifted numbering
+    engine.insert_vertex(vertex=15)
+    # The insert leaves the published epoch alone: its payloads still hold.
+    assert engine.index.current_state() is published
+    assert 15 not in published.assignment
+    _assert_one_answer(published, before)
+
+    # The next query publishes the vertex, shifting its partition's ranks.
+    after = _record_payloads(engine, monkeypatch, [15, *sources], [15, *targets])
     state = engine.index.current_state()
-    assert state.epoch == 0
+    assert state.epoch == published.epoch + 1
     home = state.assignment[15]
-    after = _record_payloads(engine, monkeypatch, sources, targets)
+    assert len(state.vertex_rank(home)) == len(published.vertex_rank(home)) + 1
     _assert_one_answer(state, after)
-
-    # A payload packed on the far side of the insert is refused by every
-    # implementation, never decoded against the shifted numbering.
-    stale = [(step, rank, payload) for step, rank, payload in before if rank == home]
-    assert stale
-    for step, rank, payload in stale:
-        for shard in _shards(state, rank).values():
-            with pytest.raises(StaleEpochError):
-                step(shard, payload)
 
 
 def test_every_shard_serves_the_steps_with_onepass_sweeps(monkeypatch):

@@ -97,6 +97,7 @@ REMOVED_SURFACES = re.compile(
     r"|dsr_shard_shm_[a]ttach_total"
     r"|Health[S]upervisor|Circuit[B]reaker|health_probe_[i]nterval|--health-[i]nterval"
     r"|dsr_breaker_|dsr_health_[p]robes"
+    r"|add_isolated_[v]ertex|rehydrate_[p]artition|num_[r]anks|_check_rank_[c]ardinality"
 )
 
 

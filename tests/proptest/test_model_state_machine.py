@@ -17,6 +17,10 @@ there the flush peels an acyclic fringe, runs Tarjan on a cyclic core, and
 keeps a condensation across a bypassed delete inside that SCC — the case
 the delete rules must not get past.
 
+After every rule, an index whose epoch has not moved still publishes the
+state recorded at its publish, unchanged: an update reaches answers only
+through the next epoch.
+
 Every rule reaches the engine only through the service's public requests.
 The engine runs on the first executor ``REPRO_TEST_EXECUTORS`` names
 (``serial`` unless it is set), so CI drives the same machine against
@@ -34,6 +38,7 @@ from hypothesis import HealthCheck, settings, strategies as st  # noqa: E402
 from hypothesis.stateful import (  # noqa: E402
     RuleBasedStateMachine,
     initialize,
+    invariant,
     precondition,
     rule,
 )
@@ -104,12 +109,57 @@ class ServedEngineMachine(RuleBasedStateMachine):
             partitioning=partitioning,
         )
         self.service = DSRService(self.engine, num_workers=1, cache_capacity=64)
+        self.published = {}
+        for index, maintainer in self.indexes():
+            self.record_published(index)
+            maintainer.add_flush_listener(
+                lambda result, index=index: self.record_published(index)
+            )
 
     def teardown(self):
         if self.service is not None:
             self.service.close()
         if self.engine is not None:
             self.engine.close()
+
+    def indexes(self):
+        """``(index, maintainer)`` of both directions."""
+        engine = self.engine
+        return (
+            (engine.index, engine.maintainer),
+            (engine._reverse_index, engine._reverse_maintainer),
+        )
+
+    def record_published(self, index):
+        """Record what ``index`` published, at its publish."""
+        state = index.current_state()
+        self.published[index] = (
+            state,
+            {
+                pid: (compound.graph, compound.condensation_view())
+                for pid, compound in state.compound_graphs.items()
+            },
+            frozenset(state.assignment),
+        )
+
+    @invariant()
+    def published_epochs_never_change(self):
+        """While an index's epoch has not moved, its published state is the
+        one recorded at its publish: the same object, holding the same
+        compound snapshots and condensations, assigning the same vertices."""
+        if self.engine is None:
+            return
+        for index, _ in self.indexes():
+            state, objects, assigned = self.published[index]
+            if index.epoch != state.epoch:
+                continue
+            assert index.current_state() is state
+            assert state.compound_graphs.keys() == objects.keys()
+            for pid, compound in state.compound_graphs.items():
+                graph, condensed = objects[pid]
+                assert compound.graph is graph
+                assert compound.condensation_view() is condensed
+            assert state.assignment.keys() == assigned
 
     def update(self, op, u=None, v=None, partition_id=None):
         response = self.service.handle(UpdateRequest(op, u, v, partition_id))
@@ -178,25 +228,19 @@ class ServedEngineMachine(RuleBasedStateMachine):
         """Every published local snapshot is its partition's live local graph.
 
         Only a partition the maintainer records as edited may lag, and only
-        by what a flush that publishes nothing leaves pending: an isolated
-        vertex (the snapshot is dropped) or an edge its snapshot implies."""
-        engine = self.engine
-        for index, maintainer in (
-            (engine.index, engine.maintainer),
-            (engine._reverse_index, engine._reverse_maintainer),
-        ):
+        by what a flush that publishes nothing leaves pending: an edge its
+        snapshot implies."""
+        for index, maintainer in self.indexes():
             state = index.current_state()
             for pid in range(PARTITIONS):
                 live = index.partitioning.local_subgraph(pid)
                 compound = state.compound_graphs[pid]
                 snapshot = compound.local_snapshot
                 assert compound.local_vertices == set(live.vertices())
+                assert set(snapshot.vertices()) == set(live.vertices())
                 if pid not in maintainer._edited:
-                    assert snapshot is not None
-                    assert set(snapshot.vertices()) == set(live.vertices())
                     assert set(snapshot.edges()) == set(live.edges())
-                elif snapshot is not None:
-                    assert set(snapshot.vertices()) == set(live.vertices())
+                else:
                     assert set(snapshot.edges()) <= set(live.edges())
                     assert all(
                         is_reachable(snapshot, u, v)
